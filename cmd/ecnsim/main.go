@@ -57,7 +57,7 @@ func main() {
 		progress   = flag.Bool("progress", false, "report each completed run on stderr")
 		topo       = flag.String("topo", "star", "topology: star (8-host testbed) or leafspine (128 hosts)")
 		shards     = flag.Int("shards", 0,
-			"worker goroutines for the sharded conservative-time engine (0 = legacy serial\nengine; results are identical at any positive value — see DESIGN.md)")
+			"0 = run the network as one simulation domain; N >= 1 = run the topology's\nnatural partition on N worker goroutines (results are identical at any\npositive value, and at any value on star — see DESIGN.md)")
 		rttMinUS   = flag.Float64("rtt-min", 70, "minimum base RTT in microseconds")
 		variation  = flag.Float64("rtt-variation", 3, "RTT variation factor (RTTmax/RTTmin)")
 		replayPath = flag.String("replay", "", "replay flows from this flow CSV instead of generating them")

@@ -30,7 +30,7 @@ func run(name string, newAQM func(int) aqm.AQM) {
 		},
 		NewAQM: newAQM,
 	})
-	eng := net.Engine
+	eng := net.Engines[0]
 	cfg := transport.DefaultDCQCNConfig()
 	var recvs []*transport.Receiver
 	for i := 0; i < 4; i++ {
@@ -38,12 +38,12 @@ func run(name string, newAQM func(int) aqm.AQM) {
 			uint64(i+1), 1<<40, 0, nil)
 		recvs = append(recvs, r)
 	}
-	eng.RunUntil(100 * sim.Millisecond)
+	net.Shard.RunUntil(100 * sim.Millisecond)
 	base := make([]int64, 4)
 	for i, r := range recvs {
 		base[i] = r.BytesInOrder
 	}
-	eng.RunUntil(200 * sim.Millisecond)
+	net.Shard.RunUntil(200 * sim.Millisecond)
 
 	var sum, sumSq float64
 	for i, r := range recvs {

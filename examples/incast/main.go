@@ -55,7 +55,7 @@ func run(name string, newAQM func(int) aqm.AQM, tr trace.Tracer) *topology.Net {
 		},
 		NewAQM: newAQM,
 	})
-	eng := net.Engine
+	eng := net.Engines[0]
 	if tr != nil {
 		net.AttachTracer(tr)
 	}
@@ -86,7 +86,7 @@ func run(name string, newAQM func(int) aqm.AQM, tr trace.Tracer) *topology.Net {
 			func(f *transport.Flow) { collector.Record(f.Size, f.FCT, true) })
 	}
 
-	eng.RunUntil(150 * sim.Millisecond)
+	net.Shard.RunUntil(150 * sim.Millisecond)
 
 	eg := net.EgressTo(receiver).Egress
 	s := collector.Stats()

@@ -28,8 +28,9 @@ func main() {
 		PstTarget:   10 * sim.Microsecond,
 		PstInterval: 240 * sim.Microsecond,
 	}
-	// The topology constructor owns the engine; net.Engine is the serial
-	// engine it built (pass Shards in Options for the partitioned runtime).
+	// The topology constructor owns the engines: net.Engines[0] is the one
+	// domain of a star, which components schedule on, and net.Shard drives
+	// the run (pass Shards in Options to partition a leaf-spine fabric).
 	net := topology.NewStar(4, topology.Options{
 		Link: topology.LinkParams{
 			RateBps:     topology.TenGbps,
@@ -40,7 +41,7 @@ func main() {
 		NewSched:  func() queue.Scheduler { return queue.NewDWRR(weights) },
 		NewAQM:    func(int) aqm.AQM { return aqm.MustNewECNSharp(params) },
 	})
-	eng := net.Engine
+	eng := net.Engines[0]
 
 	const phase = 50 * sim.Millisecond
 	var meters [3]*metrics.GoodputMeter
@@ -53,7 +54,7 @@ func main() {
 		meters[i] = metrics.NewGoodputMeter(eng,
 			func() int64 { return recv.BytesInOrder }, 0, 3*phase, 10*sim.Millisecond)
 	}
-	eng.RunUntil(3 * phase)
+	net.Shard.RunUntil(3 * phase)
 
 	fmt.Println("goodput (Gbps) per 10ms window; flows start at 0/50/100 ms, DWRR weights 2:1:1")
 	fmt.Printf("%8s  %8s  %8s  %8s\n", "t(ms)", "flow1", "flow2", "flow3")

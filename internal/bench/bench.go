@@ -92,8 +92,7 @@ func EgressFIFO(b *testing.B) {
 func BulkTransfer(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		net := topology.Star(eng, 3, topology.Options{
+		net := topology.NewStar(3, topology.Options{
 			Link: topology.LinkParams{
 				RateBps:     topology.TenGbps,
 				PropDelay:   2 * sim.Microsecond,
@@ -101,10 +100,11 @@ func BulkTransfer(b *testing.B) {
 			},
 			NewAQM: func(int) aqm.AQM { return aqm.NewREDInstantBytes(100 * 1500) },
 		})
+		eng := net.Engines[0]
 		cfg := transport.DefaultConfig()
 		fl1 := transport.StartFlow(eng, cfg, net.Host(0), net.Host(2), 1, 10_000_000, 0, nil)
 		fl2 := transport.StartFlow(eng, cfg, net.Host(1), net.Host(2), 2, 10_000_000, 0, nil)
-		eng.Run()
+		net.Shard.Run()
 		if !fl1.Done || !fl2.Done {
 			b.Fatal("flows incomplete")
 		}
@@ -148,10 +148,10 @@ func FlapStorm(b *testing.B) {
 		for f := 0; f < 8; f++ {
 			// Sources on leaf0 so every flow's uplink set is the one the
 			// flapping link belongs to; destinations spread across leaves.
-			transport.StartFlow(net.Engine, cfg, net.Host(f), net.Host(16*(1+f)+f),
+			transport.StartFlow(net.Engines[0], cfg, net.Host(f), net.Host(16*(1+f)+f),
 				uint64(f+1), 1_000_000, 0, func(*transport.Flow) { done++ })
 		}
-		net.Engine.Run()
+		net.Shard.Run()
 		if done != 8 {
 			b.Fatal("flows incomplete under flap storm")
 		}
@@ -163,8 +163,7 @@ func FlapStorm(b *testing.B) {
 func IncastBurst(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		net := topology.Star(eng, 17, topology.Options{
+		net := topology.NewStar(17, topology.Options{
 			Link: topology.LinkParams{
 				RateBps:     topology.TenGbps,
 				PropDelay:   sim.Microsecond,
@@ -176,10 +175,10 @@ func IncastBurst(b *testing.B) {
 		cfg.InitCwndSegments = 2
 		done := 0
 		for f := 0; f < 64; f++ {
-			transport.StartFlow(eng, cfg, net.Host(f%16), net.Host(16),
+			transport.StartFlow(net.Engines[0], cfg, net.Host(f%16), net.Host(16),
 				uint64(f+1), 30_000, 0, func(*transport.Flow) { done++ })
 		}
-		eng.Run()
+		net.Shard.Run()
 		if done != 64 {
 			b.Fatal("burst incomplete")
 		}

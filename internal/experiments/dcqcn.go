@@ -98,9 +98,8 @@ type dcqcnResult struct {
 // measures steady-state goodput statistics over the second half.
 func runDCQCNFairness(ctx context.Context, mk func(*rand.Rand) func(int) aqm.AQM, seed int64) (dcqcnResult, error) {
 	var out dcqcnResult
-	eng := sim.NewEngine()
 	rng := rand.New(rand.NewSource(seed))
-	net := topology.Star(eng, 5, topology.Options{
+	net := topology.NewStar(5, topology.Options{
 		Link: topology.LinkParams{
 			RateBps:     topology.TenGbps,
 			PropDelay:   2 * sim.Microsecond,
@@ -108,6 +107,7 @@ func runDCQCNFairness(ctx context.Context, mk func(*rand.Rand) func(int) aqm.AQM
 		},
 		NewAQM: mk(rng),
 	})
+	eng := net.Engines[0]
 	cfg := transport.DefaultDCQCNConfig()
 	var recvs []*transport.Receiver
 	for i := 0; i < 4; i++ {
@@ -116,7 +116,7 @@ func runDCQCNFairness(ctx context.Context, mk func(*rand.Rand) func(int) aqm.AQM
 		recvs = append(recvs, r)
 	}
 	const half = 100 * sim.Millisecond
-	if err := runEngine(ctx, eng, half); err != nil {
+	if err := net.Shard.RunPoll(half, 4, ctx.Err); err != nil {
 		return out, err
 	}
 	base := make([]int64, len(recvs))
@@ -128,7 +128,7 @@ func runDCQCNFairness(ctx context.Context, mk func(*rand.Rand) func(int) aqm.AQM
 	var qsum float64
 	var qn int
 	for ms := 1; ms <= 100; ms++ {
-		if err := runEngine(ctx, eng, half+sim.Time(ms)*sim.Millisecond); err != nil {
+		if err := net.Shard.RunPoll(half+sim.Time(ms)*sim.Millisecond, 4, ctx.Err); err != nil {
 			return out, err
 		}
 		qsum += float64(eg.Len())

@@ -297,7 +297,7 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestAverageSeedsAggregates checks the multi-seed averaging plumbing.
+// TestAverageSeedsAggregates checks RunSeeds' multi-seed pooling plumbing.
 func TestAverageSeedsAggregates(t *testing.T) {
 	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
 	cfg := RunConfig{
@@ -307,7 +307,7 @@ func TestAverageSeedsAggregates(t *testing.T) {
 		RTT:     &rtt,
 		FlowGen: testbedFlowGen(workload.WebSearchCDF, 0.4, 80),
 	}
-	r := AverageSeeds(cfg, []int64{1, 2})
+	r := RunSeeds(Scale{Seeds: []int64{1, 2}}, cfg)
 	if r.Injected != 160 {
 		t.Errorf("Injected = %d, want 160", r.Injected)
 	}

@@ -42,7 +42,6 @@ type Fig13Result struct {
 
 // runFig13 executes the DWRR scenario under the given scheme.
 func runFig13(ctx context.Context, s Scheme, seed int64, probes int) (Fig13Result, error) {
-	eng := sim.NewEngine()
 	rng := rand.New(rand.NewSource(seed))
 	rtt := LeafSpineRTT()
 
@@ -57,7 +56,8 @@ func runFig13(ctx context.Context, s Scheme, seed int64, probes int) (Fig13Resul
 		NewSched:  func() queue.Scheduler { return queue.NewDWRR(weights) },
 		NewAQM:    s.Factory(rng),
 	}
-	net := topology.Star(eng, 8, opts)
+	net := topology.NewStar(8, opts)
+	eng := net.Engines[0]
 	receiver := 7
 
 	assigner := rttvar.NewAssigner(rtt, 10*sim.Microsecond, rng)
@@ -107,7 +107,7 @@ func runFig13(ctx context.Context, s Scheme, seed int64, probes int) (Fig13Resul
 			func(f *transport.Flow) { collector.Record(f.Size, f.FCT, false) })
 	}
 
-	if err := runEngine(ctx, eng, dwrrDeadline); err != nil {
+	if err := net.Shard.RunPoll(dwrrDeadline, 4, ctx.Err); err != nil {
 		return res, err
 	}
 

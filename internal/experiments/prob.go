@@ -15,6 +15,10 @@ import (
 	"ecnsharp/internal/transport"
 )
 
+// aqmHook is the type of RunConfig.AQMAt: given the run's rng, the
+// location-aware AQM constructor.
+type aqmHook = func(rng *rand.Rand) func(topology.PortLoc, int) aqm.AQM
+
 // ProbExtension evaluates the §3.5 sketch: replacing ECN♯'s cut-off
 // instantaneous marking with a DCQCN-style probabilistic ramp while
 // keeping the persistent-congestion marking. Two checks:
@@ -32,11 +36,11 @@ func ProbExtension(sc Scale) *Table {
 		PstInterval: 240 * sim.Microsecond,
 	}
 
-	makeCutoff := func(rng *rand.Rand) func(int) aqm.AQM {
-		return ECNSharpScheme(base).Factory(rng)
+	makeCutoff := func(rng *rand.Rand) func(topology.PortLoc, int) aqm.AQM {
+		return locBlind(ECNSharpScheme(base).Factory(rng))
 	}
-	makeProb := func(rng *rand.Rand) func(int) aqm.AQM {
-		return func(int) aqm.AQM {
+	makeProb := func(rng *rand.Rand) func(topology.PortLoc, int) aqm.AQM {
+		return func(topology.PortLoc, int) aqm.AQM {
 			a, err := aqm.NewECNSharpProb(base, base.InsTarget/2, base.InsTarget, 0.8, rng)
 			if err != nil {
 				panic(err)
@@ -53,7 +57,7 @@ func ProbExtension(sc Scale) *Table {
 	}
 	variants := []struct {
 		name string
-		mk   func(rng *rand.Rand) func(int) aqm.AQM
+		mk   aqmHook
 	}{
 		{"ECN# (cut-off)", makeCutoff},
 		{"ECN# (probabilistic)", makeProb},
@@ -98,13 +102,13 @@ func ProbExtension(sc Scale) *Table {
 }
 
 // probIncast reruns the Figure-10 scenario with a custom AQM factory.
-func probIncast(ctx context.Context, mk func(*rand.Rand) func(int) aqm.AQM, sc Scale) (standing float64, drops int64, queryP99 float64, err error) {
+func probIncast(ctx context.Context, mk aqmHook, sc Scale) (standing float64, drops int64, queryP99 float64, err error) {
 	rtt := LeafSpineRTT()
 	cfg := RunConfig{
 		Seed:           sc.Seeds[0],
 		Topo:           TopoStar,
 		Hosts:          incastHosts,
-		Scheme:         SimECNSharp(), // placeholder; replaced below
+		AQMAt:          mk,
 		RTT:            &rtt,
 		Transport:      SimTransport(),
 		FlowGen:        incastFlowGen(100, sc.FlowCount),
@@ -114,7 +118,6 @@ func probIncast(ctx context.Context, mk func(*rand.Rand) func(int) aqm.AQM, sc S
 		SampleEnd:      incastQueryAt,
 		SampleInterval: 10 * sim.Microsecond,
 	}
-	cfg.AQMFactory = mk
 	r, err := RunContext(ctx, cfg)
 	if err != nil {
 		return 0, 0, 0, err
@@ -124,17 +127,17 @@ func probIncast(ctx context.Context, mk func(*rand.Rand) func(int) aqm.AQM, sc S
 
 // probFairness runs four synchronized long flows and reports Jain's index
 // of their goodput plus the aggregate.
-func probFairness(ctx context.Context, mk func(*rand.Rand) func(int) aqm.AQM) (jain, sumGbps float64, err error) {
-	eng := sim.NewEngine()
+func probFairness(ctx context.Context, mk aqmHook) (jain, sumGbps float64, err error) {
 	rng := rand.New(rand.NewSource(17))
-	net := topology.Star(eng, 5, topology.Options{
+	net := topology.NewStar(5, topology.Options{
 		Link: topology.LinkParams{
 			RateBps:     topology.TenGbps,
 			PropDelay:   DefaultPropDelay,
 			BufferBytes: DefaultBufferBytes,
 		},
-		NewAQM: mk(rng),
+		NewAQMAt: mk(rng),
 	})
+	eng := net.Engines[0]
 	rtt := LeafSpineRTT()
 	assigner := rttvar.NewAssigner(rtt, 10*sim.Microsecond, rng)
 
@@ -150,7 +153,7 @@ func probFairness(ctx context.Context, mk func(*rand.Rand) func(int) aqm.AQM) (j
 		meters[i] = metrics.NewGoodputMeter(eng, func() int64 { return recv.BytesInOrder },
 			horizon/2, horizon, 5*sim.Millisecond)
 	}
-	if err := runEngine(ctx, eng, horizon); err != nil {
+	if err := net.Shard.RunPoll(horizon, 4, ctx.Err); err != nil {
 		return 0, 0, err
 	}
 

@@ -50,13 +50,12 @@ type RunConfig struct {
 	Leaves       int
 	HostsPerLeaf int
 
-	// Shards, when positive, executes the run on a sharded conservative-
-	// time engine with that many worker goroutines: the topology is
-	// partitioned into its natural domains (one per leaf and one per
-	// spine on leaf-spine; see topology.Partition) and every simulated
-	// byte — traces, FCT records, counters — is independent of the
-	// worker count. Zero keeps the serial single-engine path, whose
-	// outputs existing goldens pin.
+	// Shards is topology.Options.Shards: zero runs the whole network as
+	// one simulation domain (the outputs existing goldens pin); a positive
+	// value runs the topology's natural partition (one domain per leaf and
+	// per spine on leaf-spine; see topology.Partition) on that many worker
+	// goroutines. Every simulated byte — traces, FCT records, counters —
+	// depends on which partition ran and never on the worker count.
 	Shards int
 
 	RateBps     float64
@@ -76,15 +75,12 @@ type RunConfig struct {
 	Scheme    Scheme
 	Transport transport.Config
 
-	// AQMFactory, when non-nil, overrides Scheme's AQM construction —
-	// used by extension experiments whose AQMs are not in the Scheme enum.
-	AQMFactory func(rng *rand.Rand) func(q int) aqm.AQM
-
-	// AQMAt, when non-nil, takes precedence over both Scheme and
-	// AQMFactory and receives each port's fabric location — the
-	// per-switch/per-tier assignment hook Cell.Tuned compiles into (see
-	// TunedParams.AQMAt and topology.Options.NewAQMAt).
-	AQMAt func(loc topology.PortLoc, q int) aqm.AQM
+	// AQMAt, when non-nil, replaces Scheme's AQM construction: called once
+	// with the run's rng, it returns the topology.Options.NewAQMAt
+	// constructor. Extension experiments whose AQMs are not in the Scheme
+	// enum use it, and Cell.Tuned compiles into it (see
+	// TunedParams.AQMAt).
+	AQMAt func(rng *rand.Rand) func(loc topology.PortLoc, q int) aqm.AQM
 
 	// RTT, when non-nil, injects per-flow base RTTs via netem-style
 	// sender delay.
@@ -118,7 +114,7 @@ type RunConfig struct {
 
 	// Faults, when non-nil, is installed on the network before any flow
 	// starts: its transitions pre-schedule on the domain engines, so churn
-	// runs stay byte-deterministic at any shard count (see fault.Install).
+	// runs stay byte-deterministic at any worker count (see fault.Install).
 	Faults *fault.Schedule
 
 	// Deadline stops the run early (0 = run until all flows complete).
@@ -197,9 +193,11 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	newAQM := cfg.Scheme.Factory(rng)
-	if cfg.AQMFactory != nil {
-		newAQM = cfg.AQMFactory(rng)
+	var newAQMAt func(topology.PortLoc, int) aqm.AQM
+	if cfg.AQMAt != nil {
+		newAQMAt = cfg.AQMAt(rng)
+	} else {
+		newAQMAt = locBlind(cfg.Scheme.Factory(rng))
 	}
 	opts := topology.Options{
 		Link: topology.LinkParams{
@@ -208,8 +206,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 			BufferBytes: cfg.BufferBytes,
 		},
 		NumQueues:         cfg.NumQueues,
-		NewAQM:            newAQM,
-		NewAQMAt:          cfg.AQMAt,
+		NewAQMAt:          newAQMAt,
 		SharedBufferBytes: cfg.SharedBufferBytes,
 		DTAlpha:           cfg.DTAlpha,
 		Shards:            cfg.Shards,
@@ -223,8 +220,6 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 		opts.NewSched = func() queue.Scheduler { return queue.NewDWRR(weights) }
 	}
 
-	// Construction goes through the topology-owned constructors — the
-	// single entry point for engine and shard wiring.
 	var net *topology.Net
 	switch cfg.Topo {
 	case TopoStar:
@@ -264,8 +259,8 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 	// callback runs on its source host's domain worker, so each domain
 	// records into its own collector and counter and the coordinator-side
 	// merge (in fixed domain order) reassembles one deterministic record
-	// stream. On the serial path there is a single domain and the merge
-	// degenerates to the historical single-collector behavior.
+	// stream. With a single domain the merge degenerates to the historical
+	// single-collector behavior.
 	doms := net.Domains()
 	collectors := make([]*metrics.FCTCollector, doms)
 	for d := range collectors {
@@ -275,7 +270,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 	failedBy := make([]int, doms)
 
 	table := transport.NewFlowTable(len(specs))
-	table.CloseOnDone = net.Shard == nil
+	table.CloseOnDone = doms == 1
 	table.OnDone = func(i int) {
 		d := net.DomainOfHost(table.Src[i])
 		completedBy[d]++
@@ -306,13 +301,15 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 			cfg.SampleStart, cfg.SampleEnd, cfg.SampleInterval)
 	}
 
-	runErr := runNet(ctx, net, cfg.Deadline)
-	if net.Shard != nil {
-		// Receivers live in their destination domains, so the serial
-		// path's close-at-completion would be a cross-domain mutation;
-		// sharded runs close everything here, after the workers joined.
-		table.CloseAll()
+	// A window (or, with one domain, a chunk of events) is bounded work,
+	// so polling ctx every few keeps per-job timeouts responsive without
+	// touching the workers.
+	limit := cfg.Deadline
+	if limit <= 0 {
+		limit = sim.MaxTime
 	}
+	runErr := net.Shard.RunPoll(limit, 4, ctx.Err)
+	table.CloseAll()
 
 	collector := collectors[0]
 	if doms > 1 {
@@ -349,53 +346,10 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 	return res, runErr
 }
 
-// runNet drives the network's engine — serial or sharded — to completion
-// (or to the simulated deadline, when positive), honoring ctx.
-func runNet(ctx context.Context, net *topology.Net, deadline sim.Time) error {
-	if net.Shard == nil {
-		return runEngine(ctx, net.Engine, deadline)
-	}
-	limit := deadline
-	if limit <= 0 {
-		limit = sim.MaxTime
-	}
-	if ctx.Done() == nil {
-		return net.Shard.RunPoll(limit, 0, nil)
-	}
-	// Poll cancellation every few windows: a window is bounded work
-	// (lookahead's worth of events per domain), so this keeps per-job
-	// timeouts responsive without touching the workers.
-	return net.Shard.RunPoll(limit, 4, ctx.Err)
-}
-
-// runEngine drives eng to completion (or to the simulated deadline, when
-// positive), polling ctx between event chunks so cancellation and per-job
-// timeouts can stop a run mid-flight. Runs under an uncancelable context
-// take the unchunked fast path.
-func runEngine(ctx context.Context, eng *sim.Engine, deadline sim.Time) error {
-	if ctx.Done() == nil {
-		if deadline > 0 {
-			eng.RunUntil(deadline)
-		} else {
-			eng.Run()
-		}
-		return nil
-	}
-	limit := deadline
-	if limit <= 0 {
-		limit = sim.MaxTime
-	}
-	const chunk = 1 << 14
-	for eng.RunChunk(limit, chunk) {
-		if err := ctx.Err(); err != nil {
-			eng.Stop()
-			return err
-		}
-	}
-	if deadline > 0 {
-		eng.AdvanceTo(deadline)
-	}
-	return ctx.Err()
+// locBlind adapts a location-blind AQM factory to the location-aware
+// constructor topology.Options.NewAQMAt takes.
+func locBlind(f func(q int) aqm.AQM) func(topology.PortLoc, int) aqm.AQM {
+	return func(_ topology.PortLoc, q int) aqm.AQM { return f(q) }
 }
 
 // MergeRuns pools per-seed results into one, deterministically in input
@@ -479,13 +433,4 @@ func RunAll(sc Scale, cfgs []RunConfig) []RunResult {
 // RunSeeds executes cfg once per configured seed and pools the results.
 func RunSeeds(sc Scale, cfg RunConfig) RunResult {
 	return RunAll(sc, []RunConfig{cfg})[0]
-}
-
-// AverageSeeds runs the config across seeds; the paper reports three-run
-// statistics (§5.1). Kept under its historical name for callers without a
-// Scale, it now pools samples across seeds via MergeRuns instead of
-// averaging per-seed percentiles (which biased the reported p99s) and
-// retains every seed's collector and queue samples.
-func AverageSeeds(cfg RunConfig, seeds []int64) RunResult {
-	return RunSeeds(Scale{Seeds: seeds}, cfg)
 }

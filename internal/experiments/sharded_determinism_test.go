@@ -1,16 +1,17 @@
 package experiments
 
-// Serial-vs-sharded equivalence: the sharded conservative-time engine must
-// be an execution strategy, not a model change. For a fixed (config, seed),
-// every simulated byte — the JSONL event trace, the FCT record stream, and
-// all counters — must be identical at any shard count. "Serial" here is
-// Shards=1 (one worker driving the partitioned engine); the test pins 2, 4
-// and 8 workers against it on a traced incast golden, and a second case
-// pins 1 vs 4 workers on an untraced fig6-style Poisson cell. (The legacy
-// Shards=0 engine is pinned separately by the existing goldens; its
-// same-timestamp tie-breaking uses a global sequence rather than the
-// partitioned path's domain-canonical barrier order, so byte equality is
-// only promised within the partitioned family.)
+// Worker-count invariance: the worker budget must be an execution
+// strategy, not a model change. For a fixed (config, seed) on the natural
+// partition, every simulated byte — the JSONL event trace, the FCT record
+// stream, and all counters — must be identical at any worker count.
+// "Serial" here is Shards=1 (one worker driving the partitioned engine);
+// the test pins 2, 4 and 8 workers against it on a traced incast golden,
+// and a second case pins 1 vs 4 workers on an untraced fig6-style Poisson
+// cell. (The Shards=0 one-domain partition is pinned separately by the
+// existing goldens; its same-timestamp tie-breaking uses one global
+// sequence rather than the partitioned path's domain-canonical barrier
+// order, so byte equality is only promised within a partition family —
+// which is why Cell.CanonicalJSON keeps the family in the cache key.)
 
 import (
 	"bytes"

@@ -51,10 +51,13 @@ type SweepSpec struct {
 	RTTMinUS float64 `json:"rtt_min_us,omitempty"`
 	// RTTVariation is the RTTmax/RTTmin factor (>= 1).
 	RTTVariation float64 `json:"rtt_variation,omitempty"`
-	// Shards selects the sharded conservative-time engine worker count
-	// for each run (0 = serial engine). Simulated output is byte-identical
-	// at any value, so this is a wall-clock knob and is excluded from
-	// cache keys.
+	// Shards is RunConfig.Shards for each run: 0 runs the network as one
+	// simulation domain, N >= 1 runs the topology's natural partition on
+	// N workers. On leafspine the two partitions order same-timestamp
+	// events differently, so 0 and >= 1 give different bytes and different
+	// cache keys; the worker count itself (1 vs 4, or any value on star,
+	// which is one domain either way) is a wall-clock knob and is excluded
+	// from cache keys.
 	Shards int `json:"shards,omitempty"`
 	// Trace, when non-nil, captures a JSONL event trace per cell.
 	Trace *TraceSpec `json:"trace,omitempty"`
@@ -205,8 +208,9 @@ type Cell struct {
 	// RTTMinUS and RTTVariation are the base-RTT model parameters.
 	RTTMinUS     float64 `json:"rtt_min_us"`
 	RTTVariation float64 `json:"rtt_variation"`
-	// Shards is the engine worker count; excluded from the cache key
-	// because output is shard-invariant (see Key).
+	// Shards is SweepSpec.Shards. Only the partition it selects reaches
+	// the cache key and the echoed result, not the worker count (see
+	// CanonicalJSON).
 	Shards int `json:"shards,omitempty"`
 	// TraceEvents/TraceSample mirror TraceSpec; empty TraceEvents means
 	// the cell is untraced.
@@ -247,15 +251,26 @@ func (s *SweepSpec) Cells() []Cell {
 	return cells
 }
 
+// canonical returns the cell with Shards reduced to the partition it
+// selects: 0 on star (one domain at any value), min(Shards, 1) on
+// leafspine (one domain, or the natural partition at any worker count —
+// byte-identical across workers, pinned by
+// TestShardedByteIdenticalToSerial).
+func (c Cell) canonical() Cell {
+	if c.Topo == "star" {
+		c.Shards = 0
+	}
+	c.Shards = min(c.Shards, 1)
+	return c
+}
+
 // CanonicalJSON returns the cell's canonical byte encoding: a single JSON
-// object with fields in declaration order and Shards normalized to zero
-// (the sharded engine is byte-identical to the serial one by construction
-// — pinned by TestShardedByteIdenticalToSerial — so the worker count must
-// not split the cache). Two cells describe the same computation iff their
-// canonical encodings are equal.
+// object with fields in declaration order and Shards reduced to the
+// partition it selects, so the worker count does not split the cache. Two
+// cells describe the same computation iff their canonical encodings are
+// equal.
 func (c Cell) CanonicalJSON() []byte {
-	c.Shards = 0
-	b, err := json.Marshal(c)
+	b, err := json.Marshal(c.canonical())
 	if err != nil {
 		// Cell holds only value types with exact encodings; Marshal can
 		// fail only on a non-finite Tuned value, which TunedParams.Validate
@@ -297,11 +312,9 @@ func (c Cell) RunConfig() (RunConfig, error) {
 		Shards: c.Shards,
 	}
 	if c.Tuned != nil {
-		at, err := c.Tuned.AQMAt(scheme)
-		if err != nil {
+		if cfg.AQMAt, err = c.Tuned.AQMAt(scheme); err != nil {
 			return RunConfig{}, err
 		}
-		cfg.AQMAt = at
 	}
 	load, flows := c.Load, c.Flows
 	switch c.Topo {
@@ -350,7 +363,8 @@ type CellResult struct {
 	// SchemaVersion records the ResultSchemaVersion that produced this
 	// result.
 	SchemaVersion string `json:"schema_version"`
-	// Cell echoes the resolved cell that was run.
+	// Cell echoes the resolved cell that was run, in canonical form (the
+	// worker count dropped), so the bytes do not depend on who computed it.
 	Cell Cell `json:"cell"`
 	// Stats is the per-class FCT breakdown of Records.
 	Stats metrics.FCTStats `json:"stats"`
@@ -421,7 +435,7 @@ func (c Cell) Run(ctx context.Context) (CellResult, error) {
 	}
 	out := CellResult{
 		SchemaVersion: ResultSchemaVersion,
-		Cell:          c,
+		Cell:          c.canonical(),
 		Stats:         res.Stats,
 		Records:       append([]metrics.FCTRecord(nil), res.Collector.Records()...),
 		Drops:         res.Drops,

@@ -106,9 +106,8 @@ func TestCellKeyDerivation(t *testing.T) {
 		t.Error("version bump did not change the key")
 	}
 
-	// The shard count is a wall-clock knob: output is byte-identical at
-	// any value (TestShardedByteIdenticalToSerial), so it must NOT split
-	// the cache.
+	// On a star the shard count is a wall-clock knob: one domain at any
+	// value, so it must NOT split the cache.
 	sharded := base
 	sharded.Shards = 4
 	if sharded.Key(ResultSchemaVersion) != base.Key(ResultSchemaVersion) {
@@ -163,5 +162,56 @@ func TestCellRunDeterministicEncode(t *testing.T) {
 	}
 	if got := dec.Collector().Stats(); got != r1.Stats {
 		t.Errorf("round-tripped stats differ:\n%+v\n%+v", got, r1.Stats)
+	}
+}
+
+// TestCellKeySplitsOnPartitionFamily pins what Shards may and may not do
+// to the cache: on leafspine 0 (one domain) and >= 1 (natural partition)
+// are different computations with different keys, while the worker count
+// within the natural partition — and any value on star — shares one key,
+// and a result's bytes (echoed cell included) do not depend on which
+// worker count computed it.
+func TestCellKeySplitsOnPartitionFamily(t *testing.T) {
+	encode := func(c Cell) []byte {
+		t.Helper()
+		r, err := c.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Cell != c.canonical() {
+			t.Errorf("%s shards=%d: echoed cell %+v is not canonical", c.Topo, c.Shards, r.Cell)
+		}
+		b, err := r.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	withShards := func(c Cell, n int) Cell { c.Shards = n; return c }
+
+	fabric := Cell{Topo: "leafspine", Scheme: "ecnsharp", Workload: "websearch",
+		Load: 0.5, Flows: 60, Seed: 1, RTTMinUS: 70, RTTVariation: 3}
+	k0, k1, k4 := fabric.Key(ResultSchemaVersion),
+		withShards(fabric, 1).Key(ResultSchemaVersion), withShards(fabric, 4).Key(ResultSchemaVersion)
+	if k0 == k1 {
+		t.Error("leafspine: shards 0 and 1 run different partitions but share a key")
+	}
+	if k1 != k4 {
+		t.Error("leafspine: the worker count (1 vs 4) split the key")
+	}
+	if !bytes.Equal(encode(withShards(fabric, 1)), encode(withShards(fabric, 4))) {
+		t.Error("leafspine: shards 1 and 4 share a key but encode differently")
+	}
+
+	star := fabric
+	star.Topo = "star"
+	want := encode(star)
+	for _, n := range []int{1, 4} {
+		if withShards(star, n).Key(ResultSchemaVersion) != star.Key(ResultSchemaVersion) {
+			t.Errorf("star: shards %d split the key", n)
+		}
+		if !bytes.Equal(encode(withShards(star, n)), want) {
+			t.Errorf("star: shards %d shares the shards-0 key but encodes differently", n)
+		}
 	}
 }

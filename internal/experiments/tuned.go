@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"ecnsharp/internal/aqm"
 	"ecnsharp/internal/sim"
@@ -134,11 +135,11 @@ func ApplyTuned(base Scheme, vals []TunedValue) (Scheme, error) {
 	return s, nil
 }
 
-// AQMAt compiles the assignment into the location-aware AQM constructor
-// topology.Options.NewAQMAt expects: every group's parameters are applied
-// to base up front (so errors surface at configuration time, not
-// mid-construction), and locations matching no group fall back to base.
-func (tp *TunedParams) AQMAt(base Scheme) (func(loc topology.PortLoc, q int) aqm.AQM, error) {
+// AQMAt compiles the assignment into a RunConfig.AQMAt hook (which ignores
+// the run's rng): every group's parameters are applied to base up front
+// (so errors surface at configuration time, not mid-construction), and
+// locations matching no group fall back to base.
+func (tp *TunedParams) AQMAt(base Scheme) (func(*rand.Rand) func(topology.PortLoc, int) aqm.AQM, error) {
 	if err := tp.Validate(); err != nil {
 		return nil, err
 	}
@@ -152,7 +153,7 @@ func (tp *TunedParams) AQMAt(base Scheme) (func(loc topology.PortLoc, q int) aqm
 	}
 	fallback := base.Factory(nil)
 	groups := tp.Groups
-	return func(loc topology.PortLoc, q int) aqm.AQM {
+	at := func(loc topology.PortLoc, q int) aqm.AQM {
 		for i := range groups {
 			if groups[i].Scope == loc.Name {
 				return factories[i](q)
@@ -169,5 +170,6 @@ func (tp *TunedParams) AQMAt(base Scheme) (func(loc topology.PortLoc, q int) aqm
 			}
 		}
 		return fallback(q)
-	}, nil
+	}
+	return func(*rand.Rand) func(topology.PortLoc, int) aqm.AQM { return at }, nil
 }

@@ -183,7 +183,7 @@ func TestTeardownSendPanics(t *testing.T) {
 	net := topology.NewStar(3, topology.Options{
 		Link: topology.LinkParams{RateBps: topology.TenGbps, PropDelay: sim.Microsecond},
 	})
-	net.Engine.Run()
+	net.Shard.Run()
 	net.Teardown()
 	defer func() {
 		r := recover()
@@ -194,7 +194,7 @@ func TestTeardownSendPanics(t *testing.T) {
 			t.Fatalf("panic message unclear: %v", r)
 		}
 	}()
-	p := net.PacketPool.Get()
+	p := net.PacketPools[0].Get()
 	p.Src, p.Dst, p.PayloadLen = 0, 1, 100
 	net.Links[0].Port.Send(p)
 }

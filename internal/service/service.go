@@ -150,6 +150,65 @@ const (
 	stateFailed  = "failed"
 )
 
+// eventLog is the progress log of one job — a sweep or a tune run — and
+// the replay-then-follow NDJSON stream served from it. mu also guards the
+// embedding job's own mutable fields; cond broadcasts on every appended
+// event, and the terminal state is set under the same critical section
+// that appends the final "done" event.
+type eventLog struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	state  string
+	errMsg string
+	events []json.RawMessage
+}
+
+// start marks the job running; call it before the job is published.
+func (l *eventLog) start() {
+	l.state = stateRunning
+	l.cond = sync.NewCond(&l.mu)
+}
+
+// appendLocked marshals and buffers one stream event and wakes every
+// follower; caller holds l.mu.
+func (l *eventLog) appendLocked(ev any) {
+	b, err := json.Marshal(ev)
+	if err != nil {
+		b = []byte(`{"type":"error","error":"event marshal failure"}`)
+	}
+	l.events = append(l.events, b)
+	l.cond.Broadcast()
+}
+
+// serveStream replays the buffered events, then follows live ones until
+// the job reaches a terminal state. Writes happen outside the lock so a
+// slow client never stalls the runner.
+func (l *eventLog) serveStream(w http.ResponseWriter) {
+	flusher, _ := w.(http.Flusher)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+
+	for next, terminal := 0, false; !terminal; {
+		l.mu.Lock()
+		for next >= len(l.events) && l.state == stateRunning {
+			l.cond.Wait()
+		}
+		batch := l.events[next:]
+		next = len(l.events)
+		terminal = l.state != stateRunning
+		l.mu.Unlock()
+
+		for _, ev := range batch {
+			if _, err := w.Write(append(ev, '\n')); err != nil {
+				return
+			}
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+}
+
 // sweep is one submitted sweep and its execution state.
 type sweep struct {
 	id    string
@@ -157,13 +216,9 @@ type sweep struct {
 	cells []experiments.Cell
 	keys  []string
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	state    string
-	errMsg   string
+	eventLog
 	done     int
 	hits     int
-	events   []json.RawMessage
 	outcomes []*cellOutcome // indexed by cell, nil until finished
 }
 
@@ -194,10 +249,10 @@ type streamEvent struct {
 	Computed  int             `json:"computed,omitempty"`
 }
 
-// Submit resolves and validates a sweep spec, registers the sweep, and
-// starts executing it asynchronously. It is the programmatic form of
+// Submit resolves a normalized sweep spec into cells, registers the sweep,
+// and starts executing it asynchronously. It is the programmatic form of
 // POST /v1/sweeps.
-func (s *Server) Submit(spec *experiments.SweepSpec) (*sweep, error) {
+func (s *Server) Submit(spec *experiments.SweepSpec) *sweep {
 	cells := spec.Cells()
 	keys := make([]string, len(cells))
 	for i, c := range cells {
@@ -210,15 +265,14 @@ func (s *Server) Submit(spec *experiments.SweepSpec) (*sweep, error) {
 		spec:     spec,
 		cells:    cells,
 		keys:     keys,
-		state:    stateRunning,
 		outcomes: make([]*cellOutcome, len(cells)),
 	}
-	sw.cond = sync.NewCond(&sw.mu)
+	sw.start()
 	s.sweeps[sw.id] = sw
 	s.order = append(s.order, sw.id)
 	s.mu.Unlock()
 	go s.runSweep(sw)
-	return sw, nil
+	return sw
 }
 
 // runSweep fans the sweep's cells into the harness pool, emitting one
@@ -282,8 +336,7 @@ func (s *Server) runSweep(sw *sweep) {
 	}
 	ev := streamEvent{Type: "done", State: sw.state, Total: len(sw.cells),
 		CacheHits: sw.hits, Computed: len(sw.cells) - sw.hits - failed, Error: sw.errMsg}
-	sw.appendEventLocked(ev)
-	sw.cond.Broadcast()
+	sw.appendLocked(ev)
 	sw.mu.Unlock()
 }
 
@@ -310,18 +363,7 @@ func (s *Server) onCellDone(sw *sweep, p harness.Progress) {
 			ev.CellStats = b
 		}
 	}
-	sw.appendEventLocked(ev)
-	sw.cond.Broadcast()
-}
-
-// appendEventLocked marshals and buffers one stream event; caller holds
-// sw.mu.
-func (sw *sweep) appendEventLocked(ev streamEvent) {
-	b, err := json.Marshal(ev)
-	if err != nil {
-		b = []byte(`{"type":"error","error":"event marshal failure"}`)
-	}
-	sw.events = append(sw.events, b)
+	sw.appendLocked(ev)
 }
 
 // lookup finds a sweep by id.
@@ -386,11 +428,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnprocessableEntity, errSpecInvalid, err.Error())
 		return
 	}
-	sw, err := s.Submit(spec)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, errBadRequest, err.Error())
-		return
-	}
+	sw := s.Submit(spec)
 	writeJSON(w, http.StatusAccepted, map[string]any{
 		"id":    sw.id,
 		"cells": len(sw.cells),
@@ -468,45 +506,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, errNotFound, "no such sweep")
 		return
 	}
-	flusher, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-
-	// Replay buffered events, then follow live ones until the sweep
-	// reaches a terminal state. Writes happen outside the lock so a slow
-	// client never stalls the runner.
-	next := 0
-	for {
-		sw.mu.Lock()
-		for next >= len(sw.events) && sw.state == stateRunning {
-			sw.cond.Wait()
-		}
-		batch := sw.events[next:]
-		next = len(sw.events)
-		terminal := sw.state != stateRunning
-		sw.mu.Unlock()
-
-		for _, ev := range batch {
-			if _, err := w.Write(append(ev, '\n')); err != nil {
-				return
-			}
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if terminal && len(batch) == 0 {
-			return
-		}
-		if terminal {
-			// Drain any events appended between the snapshot and now.
-			sw.mu.Lock()
-			drained := next >= len(sw.events)
-			sw.mu.Unlock()
-			if drained {
-				return
-			}
-		}
-	}
+	sw.serveStream(w)
 }
 
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {

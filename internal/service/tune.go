@@ -1,30 +1,22 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 
 	"ecnsharp/internal/tune"
 )
 
 // tuneRun is one submitted tune and its execution state, the tuner-side
-// sibling of sweep: buffered NDJSON progress events under a cond for
-// replay-then-follow streaming, plus the final Result once finished.
+// sibling of sweep: the shared progress log, plus the final Result once
+// finished.
 type tuneRun struct {
 	id   string
 	spec *tune.Spec
 
-	// mu guards everything below; cond broadcasts on every appended
-	// event and on the terminal state transition.
-	mu     sync.Mutex
-	cond   *sync.Cond
-	state  string
-	errMsg string
-	events []json.RawMessage
+	eventLog
 	evals  int
 	result []byte // canonical Result bytes when state == done
 }
@@ -36,11 +28,10 @@ func (s *Server) SubmitTune(spec *tune.Spec) *tuneRun {
 	s.mu.Lock()
 	s.nextTuneID++
 	tr := &tuneRun{
-		id:    fmt.Sprintf("tn-%d", s.nextTuneID),
-		spec:  spec,
-		state: stateRunning,
+		id:   fmt.Sprintf("tn-%d", s.nextTuneID),
+		spec: spec,
 	}
-	tr.cond = sync.NewCond(&tr.mu)
+	tr.start()
 	s.tunes[tr.id] = tr
 	s.tuneOrder = append(s.tuneOrder, tr.id)
 	s.mu.Unlock()
@@ -64,57 +55,35 @@ func (s *Server) runTune(tr *tuneRun) {
 			}
 			tr.mu.Lock()
 			tr.evals = p.Evals
-			tr.appendEventLocked(p)
-			tr.cond.Broadcast()
+			tr.appendLocked(p)
 			tr.mu.Unlock()
 		},
 	})
 
 	tr.mu.Lock()
-	defer func() {
-		tr.cond.Broadcast()
-		tr.mu.Unlock()
-	}()
+	defer tr.mu.Unlock()
 	if err != nil {
 		tr.state = stateFailed
 		tr.errMsg = err.Error()
-		tr.appendRawLocked(map[string]any{"type": "done", "state": tr.state, "error": tr.errMsg})
+		tr.appendLocked(map[string]any{"type": "done", "state": tr.state, "error": tr.errMsg})
 		return
 	}
 	b, err := res.Encode()
 	if err != nil {
 		tr.state = stateFailed
 		tr.errMsg = err.Error()
-		tr.appendRawLocked(map[string]any{"type": "done", "state": tr.state, "error": tr.errMsg})
+		tr.appendLocked(map[string]any{"type": "done", "state": tr.state, "error": tr.errMsg})
 		return
 	}
 	tr.state = stateDone
 	tr.result = b
 	tr.evals = len(res.Evals)
-	tr.appendRawLocked(map[string]any{
+	tr.appendLocked(map[string]any{
 		"type": "done", "state": tr.state,
 		"evals": len(res.Evals), "best_index": res.Best.Index,
 		"best_score": res.Best.Score, "default_score": res.Default.Score,
 		"improvement": res.Improvement,
 	})
-}
-
-// appendEventLocked buffers one tuner progress event; caller holds mu.
-func (tr *tuneRun) appendEventLocked(p tune.Progress) {
-	b, err := json.Marshal(p)
-	if err != nil {
-		b = []byte(`{"type":"error","error":"event marshal failure"}`)
-	}
-	tr.events = append(tr.events, b)
-}
-
-// appendRawLocked buffers an ad-hoc event object; caller holds mu.
-func (tr *tuneRun) appendRawLocked(v map[string]any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		b = []byte(`{"type":"error","error":"event marshal failure"}`)
-	}
-	tr.events = append(tr.events, b)
 }
 
 // lookupTune finds a tune run by id.
@@ -196,43 +165,7 @@ func (s *Server) handleTuneStream(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, errNotFound, "no such tune run")
 		return
 	}
-	flusher, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-
-	// Replay-then-follow, exactly like the sweep stream: buffered events
-	// first, then live ones until terminal, writes outside the lock.
-	next := 0
-	for {
-		tr.mu.Lock()
-		for next >= len(tr.events) && tr.state == stateRunning {
-			tr.cond.Wait()
-		}
-		batch := tr.events[next:]
-		next = len(tr.events)
-		terminal := tr.state != stateRunning
-		tr.mu.Unlock()
-
-		for _, ev := range batch {
-			if _, err := w.Write(append(ev, '\n')); err != nil {
-				return
-			}
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if terminal && len(batch) == 0 {
-			return
-		}
-		if terminal {
-			tr.mu.Lock()
-			drained := next >= len(tr.events)
-			tr.mu.Unlock()
-			if drained {
-				return
-			}
-		}
-	}
+	tr.serveStream(w)
 }
 
 func (s *Server) handleTuneResult(w http.ResponseWriter, r *http.Request) {

@@ -51,6 +51,14 @@ import (
 // goroutines run simulation callbacks only — they must stay free of wall
 // clocks and other nondeterminism, exactly like serial engine callbacks
 // (ecnlint's wallclock analyzer covers this package).
+//
+// # One domain
+//
+// A one-domain ShardedEngine has nothing to synchronize, so it is the serial
+// runtime: RunPoll drives the single Engine directly — no windows (Windows
+// stays 0), no goroutines, no barrier — and SetTracer hands the tracer
+// straight to it. Execution order, Processed, clocks and the trace stream
+// equal those of a bare Engine given the same events.
 type ShardedEngine struct {
 	engs      []*Engine
 	bufs      []domainTraceBuf
@@ -87,12 +95,14 @@ func NewShardedEngine(domains int, lookahead Time, workers int) *ShardedEngine {
 	}
 	se := &ShardedEngine{
 		engs:      make([]*Engine, domains),
-		bufs:      make([]domainTraceBuf, domains),
 		lookahead: lookahead,
 		workers:   workers,
 	}
 	for d := range se.engs {
 		se.engs[d] = NewEngine()
+	}
+	if domains > 1 {
+		se.bufs = make([]domainTraceBuf, domains)
 	}
 	return se
 }
@@ -133,21 +143,18 @@ func (se *ShardedEngine) Stop() {
 
 // SetTracer attaches t as the merged-stream observer: every domain's
 // engine-level emissions are buffered per domain during a window and
-// forwarded to t at the barrier in (time, domain, emission order) order.
-// Port-level queue tracers should be attached to DomainTracer(d) so their
-// events join the same merged stream. Nil detaches. Attaching is
-// idempotent and allowed any time the engine is not mid-run.
+// forwarded to t at the barrier in (time, domain, emission order) order
+// (a one-domain engine emits into t directly). Port-level queue tracers
+// should be attached to DomainTracer(d) so their events join the same
+// stream. Nil detaches. Attaching is idempotent and allowed any time the
+// engine is not mid-run.
 func (se *ShardedEngine) SetTracer(t trace.Tracer) {
 	if se.running {
 		panic("sim: SetTracer on a running ShardedEngine")
 	}
 	se.tracer = t
 	for d := range se.engs {
-		if t == nil {
-			se.engs[d].SetTracer(nil)
-		} else {
-			se.engs[d].SetTracer(&se.bufs[d])
-		}
+		se.engs[d].SetTracer(se.DomainTracer(d))
 	}
 }
 
@@ -155,13 +162,14 @@ func (se *ShardedEngine) SetTracer(t trace.Tracer) {
 // when tracing is off).
 func (se *ShardedEngine) Tracer() trace.Tracer { return se.tracer }
 
-// DomainTracer returns the per-domain buffering tracer that feeds the
-// merged stream, or nil when tracing is off. Components owned by domain d
-// that hold their own tracer reference (switch egress queues) must use it
-// instead of the user's tracer so ordering stays canonical.
+// DomainTracer returns the tracer domain d's components emit into: the
+// per-domain buffer that feeds the merged stream, the user's tracer itself
+// on a one-domain engine, or nil when tracing is off. Components owned by
+// domain d that hold their own tracer reference (switch egress queues)
+// must use it instead of the user's tracer so ordering stays canonical.
 func (se *ShardedEngine) DomainTracer(d int) trace.Tracer {
-	if se.tracer == nil {
-		return nil
+	if se.tracer == nil || len(se.engs) == 1 {
+		return se.tracer
 	}
 	return &se.bufs[d]
 }
@@ -206,6 +214,9 @@ func (se *ShardedEngine) NewHandoff(dst *Engine, deliver func(any)) *Handoff {
 	if deliver == nil {
 		panic("sim: NewHandoff with nil deliver")
 	}
+	if len(se.engs) == 1 {
+		panic("sim: NewHandoff on a one-domain ShardedEngine, which has no boundary to cross")
+	}
 	owned := false
 	for _, e := range se.engs {
 		if e == dst {
@@ -246,9 +257,10 @@ func (se *ShardedEngine) RunUntil(deadline Time) {
 
 // RunPoll is RunUntil with external interruption: when poll is non-nil it
 // runs on the coordinator goroutine before every `every`-th window
-// (every < 1 means every window); a non-nil error stops the run and is
-// returned. A MaxTime deadline means run to completion and leaves the
-// domain clocks at their last event.
+// (every < 1 means every window; a one-domain engine, which has no
+// windows, counts directChunk events as one); a non-nil error stops the
+// run and is returned. A MaxTime deadline means run to completion and
+// leaves the domain clocks at their last event.
 func (se *ShardedEngine) RunPoll(deadline Time, every int, poll func() error) error {
 	if se.running {
 		panic("sim: ShardedEngine is already running")
@@ -258,11 +270,11 @@ func (se *ShardedEngine) RunPoll(deadline Time, every int, poll func() error) er
 	if every < 1 {
 		every = 1
 	}
+	if len(se.engs) == 1 {
+		return se.runDirect(deadline, every*directChunk, poll)
+	}
 
 	w := se.workers
-	if w > len(se.engs) {
-		w = len(se.engs)
-	}
 	var starts []chan Time
 	var done chan workerResult
 	if w > 1 {
@@ -327,6 +339,27 @@ func (se *ShardedEngine) RunPoll(deadline Time, every int, poll func() error) er
 		for _, e := range se.engs {
 			e.AdvanceTo(deadline)
 		}
+	}
+	return nil
+}
+
+// directChunk is how many events a one-domain run executes per poll unit.
+const directChunk = 1 << 12
+
+// runDirect is RunPoll for a one-domain engine: the serial event loop,
+// with poll (when non-nil) called before every chunk events.
+func (se *ShardedEngine) runDirect(deadline Time, chunk int, poll func() error) error {
+	e := se.engs[0]
+	for more := true; more; more = e.RunChunk(deadline, chunk) {
+		if poll != nil {
+			if err := poll(); err != nil {
+				e.Stop()
+				return err
+			}
+		}
+	}
+	if deadline < MaxTime {
+		e.AdvanceTo(deadline)
 	}
 	return nil
 }

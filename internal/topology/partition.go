@@ -3,13 +3,15 @@
 // structured routers that keep per-switch forwarding state O(ports)
 // instead of O(hosts) on large fabrics.
 //
-// The decomposition is a property of the *topology*, never of the worker
-// count: a leaf-spine fabric always splits into one domain per leaf (the
-// switch plus its hosts — a host is never separated from its leaf) and
-// one per spine, a dumbbell into its two sides, a star into a single
-// domain. The -shards knob only chooses how many goroutines execute those
-// domains, which is why results are independent of it (see DESIGN.md
-// "Sharded execution").
+// There are two partition families. Options.Shards == 0 keeps the whole
+// network in one domain. Options.Shards >= 1 selects the natural
+// decomposition, a property of the *topology* and never of the worker
+// count: a leaf-spine fabric splits into one domain per leaf (the switch
+// plus its hosts — a host is never separated from its leaf) and one per
+// spine, a dumbbell into its two sides, a star stays a single domain.
+// Beyond picking the family, the -shards knob only chooses how many
+// goroutines execute the domains, which is why results are independent of
+// the worker count (see DESIGN.md "Sharded execution").
 package topology
 
 import (
@@ -44,29 +46,38 @@ type Partition struct {
 	// CutLinks is the number of directed cross-domain links the wiring
 	// will create (each contributes one handoff buffer).
 	CutLinks int
+	// switchDom maps each switch, in Net.Switches order, to its domain.
+	switchDom []int
 }
 
-// serialPartition is the trivial one-domain decomposition used when
-// sharding is off or the topology has no natural cut.
-func serialPartition(hosts int, lookahead sim.Time) Partition {
+// onePartition is the one-domain decomposition: Options.Shards == 0, or a
+// topology with no natural cut.
+func onePartition(hosts, switches int, lookahead sim.Time) Partition {
 	if lookahead <= 0 {
-		lookahead = sim.Microsecond // any positive window works with no cuts
+		lookahead = sim.Microsecond // the engine wants it positive; unused with no cuts
 	}
-	return Partition{Domains: 1, HostDom: make([]int, hosts), Lookahead: lookahead}
+	return Partition{
+		Domains:   1,
+		HostDom:   make([]int, hosts),
+		Lookahead: lookahead,
+		switchDom: make([]int, switches),
+	}
 }
 
 // PartitionStar computes the decomposition of an n-host star: a single
 // domain (every link touches the one switch, so there is nothing to cut).
 func PartitionStar(n int, opts Options) Partition {
-	opts.defaults()
-	return serialPartition(n, opts.Link.PropDelay)
+	return onePartition(n, 1, opts.Link.PropDelay)
 }
 
-// PartitionDumbbell computes the decomposition of a dumbbell: two
-// domains, one per side, cut on the inter-switch bottleneck link in both
-// directions.
+// PartitionDumbbell computes the decomposition of a dumbbell: with
+// opts.Shards > 0 two domains, one per side, cut on the inter-switch
+// bottleneck link in both directions.
 func PartitionDumbbell(nPairs int, opts Options) Partition {
 	opts.defaults()
+	if opts.Shards == 0 {
+		return onePartition(2*nPairs, 2, opts.Link.PropDelay)
+	}
 	if opts.FabricPropDelay <= 0 {
 		panic("topology: sharded dumbbell needs a positive fabric propagation delay")
 	}
@@ -75,6 +86,7 @@ func PartitionDumbbell(nPairs int, opts Options) Partition {
 		HostDom:   make([]int, 2*nPairs),
 		Lookahead: opts.FabricPropDelay,
 		CutLinks:  2,
+		switchDom: []int{0, 1},
 	}
 	for i := nPairs; i < 2*nPairs; i++ {
 		p.HostDom[i] = 1
@@ -83,14 +95,17 @@ func PartitionDumbbell(nPairs int, opts Options) Partition {
 }
 
 // PartitionLeafSpine computes the decomposition of a leaf-spine fabric:
-// one domain per leaf (switch plus its hostsPerLeaf hosts, ids leaf-major)
-// and one per spine (domains leaves..leaves+spines-1). Every leaf<->spine
-// link is cut, in both directions, so the lookahead is the fabric-link
-// propagation delay.
+// with opts.Shards > 0 one domain per leaf (switch plus its hostsPerLeaf
+// hosts, ids leaf-major) and one per spine (domains
+// leaves..leaves+spines-1). Every leaf<->spine link is cut, in both
+// directions, so the lookahead is the fabric-link propagation delay.
 func PartitionLeafSpine(spines, leaves, hostsPerLeaf int, opts Options) Partition {
 	opts.defaults()
 	if spines < 1 || leaves < 1 || hostsPerLeaf < 1 {
 		panic("topology: leaf-spine dimensions must be positive")
+	}
+	if opts.Shards == 0 {
+		return onePartition(leaves*hostsPerLeaf, spines+leaves, opts.Link.PropDelay)
 	}
 	if opts.FabricPropDelay <= 0 {
 		panic("topology: sharded leaf-spine needs a positive fabric propagation delay")
@@ -100,19 +115,20 @@ func PartitionLeafSpine(spines, leaves, hostsPerLeaf int, opts Options) Partitio
 		HostDom:   make([]int, leaves*hostsPerLeaf),
 		Lookahead: opts.FabricPropDelay,
 		CutLinks:  2 * leaves * spines,
+		switchDom: make([]int, spines+leaves),
 	}
 	for id := range p.HostDom {
 		p.HostDom[id] = id / hostsPerLeaf
 	}
+	// Net.Switches lists the spines first, then the leaves.
+	for s := 0; s < spines; s++ {
+		p.switchDom[s] = leaves + s
+	}
+	for l := 0; l < leaves; l++ {
+		p.switchDom[spines+l] = l
+	}
 	return p
 }
-
-// leafDomain returns the domain of leaf switch l (the same as its hosts').
-func leafDomain(l int) int { return l }
-
-// spineDomain returns the domain of spine switch s in a fabric with the
-// given leaf count.
-func spineDomain(leaves, s int) int { return leaves + s }
 
 // fabricHealth is one simulation domain's private view of a leaf-spine
 // fabric's health under fault injection: which leaf<->spine links are up

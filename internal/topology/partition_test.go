@@ -122,7 +122,7 @@ func TestPartitionStarSingleDomain(t *testing.T) {
 	if net.Domains() != 1 || len(net.Boundaries) != 0 {
 		t.Fatalf("star built %d domains, %d boundaries", net.Domains(), len(net.Boundaries))
 	}
-	if net.Shard == nil || net.Shard.Workers() != 1 {
+	if net.Shard.Workers() != 1 {
 		t.Fatal("single-domain sharded star should clamp to one worker")
 	}
 }

@@ -30,8 +30,7 @@ func (s *streamTracer) Trace(e trace.Event) {
 // returns the full rendered event stream plus completion times.
 func runTracedIncast(t *testing.T, noPool bool) (string, *topology.Net) {
 	t.Helper()
-	eng := sim.NewEngine()
-	net := topology.Star(eng, 17, topology.Options{
+	net := topology.NewStar(17, topology.Options{
 		Link: topology.LinkParams{
 			RateBps:   topology.TenGbps,
 			PropDelay: sim.Microsecond,
@@ -53,10 +52,10 @@ func runTracedIncast(t *testing.T, noPool bool) (string, *topology.Net) {
 	for f := 0; f < 32; f++ {
 		src := net.Host(f % 16)
 		src.SetFlowDelay(uint64(f+1), sim.Time(f%5)*sim.Microsecond)
-		transport.StartFlow(eng, cfg, src, net.Host(16), uint64(f+1), 50_000, 0,
+		transport.StartFlow(net.Engines[0], cfg, src, net.Host(16), uint64(f+1), 50_000, 0,
 			func(fl *transport.Flow) { fcts = append(fcts, fl.FCT) })
 	}
-	eng.Run()
+	net.Shard.Run()
 	if len(fcts) != 32 {
 		t.Fatalf("incast incomplete: %d/32 flows finished", len(fcts))
 	}
@@ -79,16 +78,16 @@ func TestPacketPoolHygieneByteIdentical(t *testing.T) {
 		d := firstDiffLine(pooled, plain)
 		t.Fatalf("pooling changed the simulation; first divergence:\n pooled: %s\n  plain: %s", d[0], d[1])
 	}
-	if net.PacketPool == nil {
+	if net.PacketPools[0] == nil {
 		t.Fatal("default options did not build a packet pool")
 	}
-	if plainNet.PacketPool != nil {
+	if plainNet.PacketPools[0] != nil {
 		t.Fatal("NoPacketPool still built a pool")
 	}
 	// The pool must actually have recycled packets, or the test proves
 	// nothing: with tail drops and 32 flows the free list turns over many
 	// times, so fresh allocations must be a small fraction of handouts.
-	pl := net.PacketPool
+	pl := net.PacketPools[0]
 	if pl.Puts == 0 || pl.Gets == 0 {
 		t.Fatalf("pool unused: gets=%d puts=%d", pl.Gets, pl.Puts)
 	}

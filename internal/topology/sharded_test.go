@@ -26,7 +26,7 @@ func (c *countingTracer) count(tp trace.Type) int {
 }
 
 // sendAt schedules a raw data packet from src to dst at the given time
-// (on src's engine, so it works in any mode). The packet rides the full
+// (on src's engine, so it works on any partition). The packet rides the full
 // forwarding path; the destination host drops it as an unknown flow,
 // which is all these wiring tests need.
 func sendAt(net *Net, src, dst int, at sim.Time) {
@@ -60,13 +60,13 @@ func shardedOpts(shards int) Options {
 	}
 }
 
-// TestAttachTracerIdempotentSharded: re-attaching the same tracer is a
+// checkAttachTracerLifecycle drives a network of at least four hosts
+// through the AttachTracer contract: re-attaching the same tracer is a
 // no-op rewire; attaching a new tracer between partial runs splits the
 // stream cleanly; attaching nil detaches. Events are never duplicated or
 // lost across any of it.
-func TestAttachTracerIdempotentSharded(t *testing.T) {
-	net := NewLeafSpine(2, 2, 2, shardedOpts(2))
-
+func checkAttachTracerLifecycle(t *testing.T, net *Net) {
+	t.Helper()
 	// Phase 1 traffic (delivered well before t=100µs), phase 2 at 200µs+,
 	// phase 3 at 500µs+; all scheduled up front, single-threaded.
 	for i, at := range []sim.Time{0, 10 * sim.Microsecond, 20 * sim.Microsecond} {
@@ -114,24 +114,42 @@ func TestAttachTracerIdempotentSharded(t *testing.T) {
 	}
 }
 
-// TestAttachTracerIdempotentSerial: the same contract on the serial path.
-func TestAttachTracerIdempotentSerial(t *testing.T) {
-	net := NewStar(4, shardedOpts(0))
-	sendAt(net, 0, 3, 0)
-	sendAt(net, 1, 2, 5*sim.Microsecond)
+// TestAttachTracerIdempotentSharded: the contract across domains, where
+// the stream is merged at window barriers.
+func TestAttachTracerIdempotentSharded(t *testing.T) {
+	net := NewLeafSpine(2, 2, 2, shardedOpts(2))
+	checkAttachTracerLifecycle(t, net)
+	if net.Shard.Windows() == 0 {
+		t.Error("a multi-domain run executed no windows")
+	}
+}
 
-	rec := &countingTracer{}
-	net.AttachTracer(rec)
-	net.AttachTracer(rec)
-	net.Engine.Run()
-	if n := totalEnqueued(net); n == 0 || int64(rec.count(trace.Enqueue)) != n {
-		t.Errorf("tracer saw %d enqueues, switches counted %d", rec.count(trace.Enqueue), n)
+// TestAttachTracerIdempotentSerial: the same contract on every one-domain
+// build — Shards 0, and a star at any worker request — which Net.Shard
+// drives directly: the tracer sees the engine's own stream, no windows.
+func TestAttachTracerIdempotentSerial(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		net  *Net
+	}{
+		{"star/0", NewStar(4, shardedOpts(0))},
+		{"star/4", NewStar(4, shardedOpts(4))},
+		{"leafspine/0", NewLeafSpine(2, 2, 2, shardedOpts(0))},
+	} {
+		if c.net.Domains() != 1 {
+			t.Fatalf("%s: built %d domains, want 1", c.name, c.net.Domains())
+		}
+		checkAttachTracerLifecycle(t, c.net)
+		if w := c.net.Shard.Windows(); w != 0 {
+			t.Errorf("%s: one-domain run executed %d windows, want 0", c.name, w)
+		}
 	}
 }
 
 // TestShardedForwardingMatchesSerial: the same raw-packet workload on the
 // same fabric forwards identically — per-port tx and enqueue counters —
-// whether built serial, sharded with 1 worker, or sharded with 4.
+// whether built as one domain (driven directly, no windows), or
+// partitioned and run with 1 worker or with 4.
 func TestShardedForwardingMatchesSerial(t *testing.T) {
 	load := func(net *Net) {
 		f := 0
@@ -155,10 +173,9 @@ func TestShardedForwardingMatchesSerial(t *testing.T) {
 	run := func(shards int) []int64 {
 		net := NewLeafSpine(2, 4, 2, shardedOpts(shards))
 		load(net)
-		if net.Shard != nil {
-			net.Shard.Run()
-		} else {
-			net.Engine.Run()
+		net.Shard.Run()
+		if one := shards == 0; (net.Domains() == 1) != one || (net.Shard.Windows() == 0) != one {
+			t.Fatalf("shards=%d: %d domains, %d windows", shards, net.Domains(), net.Shard.Windows())
 		}
 		return census(net)
 	}

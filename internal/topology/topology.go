@@ -2,13 +2,16 @@
 // paper evaluates on: the star used for the 8-server testbed and incast
 // experiments, a dumbbell, and the 128-host leaf-spine fabric of §5.3.
 //
-// Construction comes in two modes sharing one wiring path. The legacy
-// constructors (Star, Dumbbell, LeafSpine) take a caller-owned serial
-// engine and build a single-domain network on it. The topology-owned
-// constructors (NewStar, NewDumbbell, NewLeafSpine) build the engine(s)
-// themselves; with Options.Shards > 0 they partition the network into
-// simulation domains on the leaf/pod boundary (see partition.go) and run
-// it on a sim.ShardedEngine, which is how fabrics scale to 100k hosts.
+// There is one way to build and drive a network. The constructors
+// (NewStar, NewDumbbell, NewLeafSpine) choose a Partition — the whole
+// network as one simulation domain when Options.Shards is 0, the
+// topology's natural leaf/pod decomposition (see partition.go) when it is
+// positive — build one engine per domain under a sim.ShardedEngine, and
+// wire every component onto its domain's engine. Net.Shard drives the run
+// whatever the partition; a one-domain network runs on it serially, and
+// the natural partition is how fabrics scale to 100k hosts. Which domain
+// owns what is recorded as data (Part, SwitchDomain, Link.Dom), never
+// recomputed from a mode.
 package topology
 
 import (
@@ -67,14 +70,15 @@ type Options struct {
 	NumQueues int
 	// NewSched builds the per-port packet scheduler; nil means FIFO.
 	NewSched func() queue.Scheduler
-	// NewAQM builds the AQM for switch egress queue q of some port; nil
-	// means no marking. It is called once per (port, queue).
+	// NewAQM builds the AQM for switch egress queue q of some port,
+	// whatever the port's location; it is shorthand for a NewAQMAt that
+	// ignores loc, and is ignored when NewAQMAt is set.
 	NewAQM func(q int) aqm.AQM
-	// NewAQMAt, when non-nil, takes precedence over NewAQM and receives
-	// each port's location, so heterogeneous fabrics can run different
-	// marking parameters per switch or per tier (the internal/tune
-	// multi-agent hook). It is called once per (port, queue); nil keeps
-	// the location-blind NewAQM path byte-for-byte unchanged.
+	// NewAQMAt builds the AQM for queue q of a port at loc, so
+	// heterogeneous fabrics can run different marking parameters per
+	// switch or per tier (the internal/tune multi-agent hook). It is
+	// called once per (port, queue); nil (with NewAQM nil) means no
+	// marking.
 	NewAQMAt func(loc PortLoc, q int) aqm.AQM
 	// HostBufferBytes bounds the host NIC queue; 0 = unbounded (hosts do
 	// not mark or drop in the paper's setups).
@@ -89,13 +93,14 @@ type Options struct {
 	// the pool-hygiene regression test flips this to prove it — so the
 	// switch exists for debugging ownership bugs, not for correctness.
 	NoPacketPool bool
-	// Shards, when positive, partitions the network into its natural
-	// simulation domains and executes them on that many worker goroutines
-	// under a sim.ShardedEngine (only via the topology-owned NewStar /
-	// NewDumbbell / NewLeafSpine constructors). The domain decomposition
-	// — and therefore every simulated byte — depends only on the
-	// topology, never on this worker count. Zero keeps the serial
-	// single-engine path.
+	// Shards chooses the partition and the worker budget. Zero builds the
+	// whole network as one simulation domain. A positive value builds the
+	// topology's natural partition (one domain per leaf and per spine, the
+	// two sides of a dumbbell, the whole of a star) and executes it on
+	// that many worker goroutines. Simulated bytes depend on the
+	// partition — same-timestamp events order differently across a cut,
+	// so a leaf-spine run at 0 differs from one at >= 1 — and never on
+	// the worker count: 1, 2 and N are byte-identical.
 	Shards int
 }
 
@@ -109,29 +114,28 @@ func (o *Options) defaults() {
 	if o.Shards < 0 {
 		o.Shards = 0
 	}
+	if o.NewAQMAt == nil && o.NewAQM != nil {
+		blind := o.NewAQM
+		o.NewAQMAt = func(_ PortLoc, q int) aqm.AQM { return blind(q) }
+	}
 }
 
 // Net is a constructed network.
 type Net struct {
-	// Engine is the serial engine in single-domain mode; nil when the
-	// network runs sharded (use Shard, or Engines / EngineOf for the
-	// per-domain engines).
-	Engine *sim.Engine
-	// Shard is the conservative-time coordinator in sharded mode; nil on
-	// the serial path.
+	// Shard drives the run: the conservative-time coordinator over the
+	// domain engines, or the plain serial loop when there is one domain.
 	Shard *sim.ShardedEngine
-	// Engines lists the per-domain engines; in serial mode it holds the
-	// single Engine. Component wiring and helpers index it by domain.
+	// Engines lists the per-domain engines. Component wiring and helpers
+	// index it by domain.
 	Engines []*sim.Engine
 
 	Hosts    []*device.Host
 	Switches []*device.Switch
 
-	// Part is the domain decomposition the network was built with (the
-	// trivial one-domain partition on the serial path).
+	// Part is the domain decomposition the network was built with.
 	Part Partition
 	// Boundaries lists the directed cross-domain links the wiring
-	// created, in handoff registration order (empty on the serial path).
+	// created, in handoff registration order (empty with one domain).
 	Boundaries []Boundary
 	// Lookahead is the sharded engine's conservative window length (the
 	// partition's min cut propagation delay).
@@ -143,9 +147,6 @@ type Net struct {
 	// theirs (a packet crossing a boundary migrates pools, which a free
 	// list does not mind). Nil entries when Options.NoPacketPool was set.
 	PacketPools []*packet.Pool
-	// PacketPool is domain 0's pool — the whole network's pool in serial
-	// mode, kept for compatibility with existing callers and tests.
-	PacketPool *packet.Pool
 
 	// SwitchPorts lists every switch egress port (for drop/mark census).
 	SwitchPorts []*device.Port
@@ -167,7 +168,7 @@ type Net struct {
 
 	// hostPorts[h] is the switch egress port that delivers to host h
 	// (the port whose queue is the bottleneck in star experiments).
-	hostPorts map[int]*device.Port
+	hostPorts []*device.Port
 }
 
 // Link is one entry of the census: a directed transmit port under its
@@ -182,7 +183,7 @@ type Link struct {
 	// SwitchIdx indexes Net.Switches for the transmitting switch, or -1
 	// for a host NIC.
 	SwitchIdx int
-	// Cross marks a cross-domain boundary link of a sharded build.
+	// Cross marks a cross-domain boundary link.
 	Cross bool
 	// FabricLeaf and FabricSpine are the (leaf, spine) coordinates of a
 	// leaf-spine fabric link (either direction); -1 otherwise.
@@ -190,27 +191,25 @@ type Link struct {
 }
 
 // fabricInfo records the leaf-spine structure needed to re-resolve ECMP
-// around faults. It is populated by buildLeafSpine on both the serial and
-// sharded paths; health views are only materialized by EnableFaults.
+// around faults. It is populated by NewLeafSpine; health views are only
+// materialized by EnableFaults.
 type fabricInfo struct {
 	spines, leaves, hostsPerLeaf int
 	leafRouters                  []*leafRouter
 	spineRouters                 []*spineRouter
-	leafSw, spineSw              []int // indices into Net.Switches
-	sharded                      bool
+	leafSw, spineSw              []int           // indices into Net.Switches
 	health                       []*fabricHealth // per domain, after EnableFaults
 }
 
-// Domains returns the number of simulation domains (1 on the serial path).
+// Domains returns the number of simulation domains.
 func (n *Net) Domains() int { return len(n.Engines) }
 
-// DomainOfHost returns the domain owning host id (0 on the serial path).
+// DomainOfHost returns the domain owning host id.
 func (n *Net) DomainOfHost(id int) int { return n.Part.HostDom[id] }
 
-// EngineOf returns the engine that host id's events run on: the domain
-// engine in sharded mode, the single engine otherwise. Components bound
-// to a host (transports, samplers on its last-hop queue) must schedule
-// here.
+// EngineOf returns the engine that host id's events run on. Components
+// bound to a host (transports, samplers on its last-hop queue) must
+// schedule here.
 func (n *Net) EngineOf(host int) *sim.Engine { return n.Engines[n.DomainOfHost(host)] }
 
 // LinkIndex resolves a canonical directed link name ("leaf0-spine1",
@@ -275,20 +274,8 @@ func (n *Net) EnableFaults() {
 	for d := range f.health {
 		f.health[d] = newFabricHealth(f.spines, f.leaves)
 	}
-	domOfLeaf := func(l int) int {
-		if f.sharded {
-			return leafDomain(l)
-		}
-		return 0
-	}
-	domOfSpine := func(s int) int {
-		if f.sharded {
-			return spineDomain(f.leaves, s)
-		}
-		return 0
-	}
 	for l, r := range f.leafRouters {
-		r.health = f.health[domOfLeaf(l)]
+		r.health = f.health[n.switchDoms[f.leafSw[l]]]
 		r.viaTo = make([][]*device.Port, f.leaves)
 		for m := range r.viaTo {
 			r.viaTo[m] = make([]*device.Port, 0, f.spines)
@@ -296,7 +283,7 @@ func (n *Net) EnableFaults() {
 		r.reroute()
 	}
 	for s, r := range f.spineRouters {
-		r.health = f.health[domOfSpine(s)]
+		r.health = f.health[n.switchDoms[f.spineSw[s]]]
 	}
 }
 
@@ -343,14 +330,10 @@ func (n *Net) ApplySwitchAlive(dom, sw int, alive bool) {
 // owns (spine routers consult health at route time and need no rebuild).
 func (n *Net) recomputeDomain(dom int) {
 	f := n.fabric
-	if !f.sharded {
-		for _, r := range f.leafRouters {
+	for l, r := range f.leafRouters {
+		if n.switchDoms[f.leafSw[l]] == dom {
 			r.reroute()
 		}
-		return
-	}
-	if dom < f.leaves {
-		f.leafRouters[dom].reroute()
 	}
 }
 
@@ -375,30 +358,23 @@ func (n *Net) Teardown() {
 	}
 }
 
-// AttachTracer attaches t to the whole network: to the engine(s) — whose
+// AttachTracer attaches t to the whole network: to the engines — whose
 // tracer the transport endpoints and samplers emit through — and to every
 // switch egress port, each identified by its index in SwitchPorts, so the
-// Port field of a queue event indexes directly into SwitchPorts. In
-// sharded mode each domain's emissions are buffered during a window and
+// Port field of a queue event indexes directly into SwitchPorts. With
+// several domains each domain's emissions are buffered during a window and
 // merged into t at every barrier in (time, domain, emission order) order,
 // so t itself is only ever invoked from the coordinating goroutine.
 //
 // Attaching is idempotent: calling it again (with the same or another
 // tracer) simply rewires every attachment point, so it is safe before the
 // run, between partial runs (RunUntil), or after completion — but not
-// while the sharded engine is mid-run. A nil t detaches everything and
-// restores the untraced fast path.
+// while the engine is mid-run. A nil t detaches everything and restores
+// the untraced fast path.
 func (n *Net) AttachTracer(t trace.Tracer) {
-	if n.Shard != nil {
-		n.Shard.SetTracer(t)
-		for i, p := range n.SwitchPorts {
-			p.Egress.SetTracer(n.Shard.DomainTracer(n.portDoms[i]), i)
-		}
-		return
-	}
-	n.Engine.SetTracer(t)
+	n.Shard.SetTracer(t)
 	for i, p := range n.SwitchPorts {
-		p.Egress.SetTracer(t, i)
+		p.Egress.SetTracer(n.Shard.DomainTracer(n.portDoms[i]), i)
 	}
 }
 
@@ -439,11 +415,10 @@ func (n *Net) Host(id int) *device.Host { return n.Hosts[id] }
 // EgressTo returns the last-hop switch egress port feeding host id; its
 // queue is what the paper samples in the microscopic views (Figure 10).
 func (n *Net) EgressTo(host int) *device.Port {
-	p, ok := n.hostPorts[host]
-	if !ok {
+	if host < 0 || host >= len(n.hostPorts) {
 		panic(fmt.Sprintf("topology: no egress port recorded for host %d", host))
 	}
-	return p
+	return n.hostPorts[host]
 }
 
 // newPool builds a switch's shared buffer pool if configured.
@@ -467,12 +442,8 @@ func newEgress(o *Options, loc PortLoc, pool *queue.SharedPool, pkts *packet.Poo
 		sched = o.NewSched()
 	}
 	var factory func(int) aqm.AQM
-	switch {
-	case o.NewAQMAt != nil:
-		at := o.NewAQMAt
+	if at := o.NewAQMAt; at != nil {
 		factory = func(q int) aqm.AQM { return at(loc, q) }
-	case o.NewAQM != nil:
-		factory = o.NewAQM
 	}
 	eg := queue.NewEgress(o.NumQueues, sched, o.Link.BufferBytes, factory)
 	eg.Pool = pool
@@ -487,75 +458,46 @@ func newHostEgress(o *Options, pkts *packet.Pool) *queue.Egress {
 	return eg
 }
 
-// wiring is the shared construction state of one network build: the
-// partition, the per-domain engines and packet pools, and the Net being
-// populated. The same wiring path serves both modes — the serial path is
-// simply a one-domain build on a caller-provided engine.
-type wiring struct {
-	opts *Options
-	net  *Net
-}
-
-// newWiring prepares a build over part. legacyEng, when non-nil, is the
-// caller-owned serial engine (part must then be single-domain); otherwise
-// the engines are topology-owned, under a sharded coordinator when
-// opts.Shards > 0.
-func newWiring(part Partition, opts *Options, legacyEng *sim.Engine) *wiring {
+// newNet starts a build over part: one engine and one packet pool per
+// domain, under a coordinator with opts.Shards workers. The builders then
+// populate it, indexing Engines and PacketPools by domain.
+func newNet(part Partition, opts *Options) *Net {
 	net := &Net{
-		Part:      part,
-		Lookahead: part.Lookahead,
-		hostPorts: make(map[int]*device.Port),
-		linkIdx:   make(map[string]int),
+		Shard:       sim.NewShardedEngine(part.Domains, part.Lookahead, opts.Shards),
+		Engines:     make([]*sim.Engine, part.Domains),
+		Hosts:       make([]*device.Host, 0, len(part.HostDom)),
+		Part:        part,
+		Lookahead:   part.Lookahead,
+		PacketPools: make([]*packet.Pool, part.Domains),
+		hostPorts:   make([]*device.Port, len(part.HostDom)),
+		linkIdx:     make(map[string]int),
+		switchDoms:  part.switchDom,
 	}
-	switch {
-	case legacyEng != nil:
-		if part.Domains != 1 {
-			panic("topology: a caller-owned engine requires a single-domain partition")
-		}
-		net.Engine = legacyEng
-		net.Engines = []*sim.Engine{legacyEng}
-	case opts.Shards > 0:
-		net.Shard = sim.NewShardedEngine(part.Domains, part.Lookahead, opts.Shards)
-		net.Engines = make([]*sim.Engine, part.Domains)
-		for d := range net.Engines {
-			net.Engines[d] = net.Shard.Domain(d)
-		}
-	default:
-		net.Engine = sim.NewEngine()
-		net.Engines = []*sim.Engine{net.Engine}
-	}
-	net.PacketPools = make([]*packet.Pool, part.Domains)
-	if !opts.NoPacketPool {
-		for d := range net.PacketPools {
+	for d := range net.Engines {
+		net.Engines[d] = net.Shard.Domain(d)
+		if !opts.NoPacketPool {
 			net.PacketPools[d] = &packet.Pool{}
 		}
 	}
-	net.PacketPool = net.PacketPools[0]
-	return &wiring{opts: opts, net: net}
+	return net
 }
 
-// engine returns domain dom's engine.
-func (w *wiring) engine(dom int) *sim.Engine { return w.net.Engines[dom] }
-
-// pool returns domain dom's packet pool (nil when pooling is off).
-func (w *wiring) pool(dom int) *packet.Pool { return w.net.PacketPools[dom] }
-
 // port builds an egress port owned by srcDom delivering to dst in dstDom.
-// When the domains differ under a sharded build, the port becomes a
-// boundary: a handoff into the destination domain is registered (in call
-// order, which the wiring keeps canonical) and the port transmits through
-// it instead of the local engine.
-func (w *wiring) port(srcDom, dstDom int, eg *queue.Egress, rate float64, prop sim.Time, dst device.Node) *device.Port {
-	pt := device.NewPort(w.engine(srcDom), eg, rate, prop, dst)
+// When the domains differ the port becomes a boundary: a handoff into the
+// destination domain is registered (in call order, which the wiring keeps
+// canonical) and the port transmits through it instead of the local
+// engine.
+func (n *Net) port(srcDom, dstDom int, eg *queue.Egress, rate float64, prop sim.Time, dst device.Node) *device.Port {
+	pt := device.NewPort(n.Engines[srcDom], eg, rate, prop, dst)
 	if srcDom != dstDom {
-		if prop < w.net.Lookahead {
-			panic(fmt.Sprintf("topology: cross-domain link delay %v below lookahead %v", prop, w.net.Lookahead))
+		if prop < n.Lookahead {
+			panic(fmt.Sprintf("topology: cross-domain link delay %v below lookahead %v", prop, n.Lookahead))
 		}
-		h := w.net.Shard.NewHandoff(w.engine(dstDom), func(a any) {
+		h := n.Shard.NewHandoff(n.Engines[dstDom], func(a any) {
 			dst.Receive(a.(*packet.Packet))
 		})
 		pt.SetRemote(h)
-		w.net.Boundaries = append(w.net.Boundaries, Boundary{SrcDom: srcDom, DstDom: dstDom, Prop: prop})
+		n.Boundaries = append(n.Boundaries, Boundary{SrcDom: srcDom, DstDom: dstDom, Prop: prop})
 	}
 	return pt
 }
@@ -564,12 +506,12 @@ func (w *wiring) port(srcDom, dstDom int, eg *queue.Egress, rate float64, prop s
 // canonical name. swIdx is the transmitting switch's Net.Switches index
 // (-1 for a host NIC); leaf/spine are the fabric coordinates of a
 // leaf<->spine link, -1 otherwise.
-func (w *wiring) addLink(name string, pt *device.Port, dom, swIdx, leaf, spine int) {
-	if _, dup := w.net.linkIdx[name]; dup {
+func (n *Net) addLink(name string, pt *device.Port, dom, swIdx, leaf, spine int) {
+	if _, dup := n.linkIdx[name]; dup {
 		panic(fmt.Sprintf("topology: duplicate link name %q", name))
 	}
-	w.net.linkIdx[name] = len(w.net.Links)
-	w.net.Links = append(w.net.Links, Link{
+	n.linkIdx[name] = len(n.Links)
+	n.Links = append(n.Links, Link{
 		Name:        name,
 		Port:        pt,
 		Dom:         dom,
@@ -582,111 +524,75 @@ func (w *wiring) addLink(name string, pt *device.Port, dom, swIdx, leaf, spine i
 
 // addSwitchPort records a switch egress port and its owning domain for
 // the census and tracer attachment.
-func (w *wiring) addSwitchPort(dom int, ports ...*device.Port) {
+func (n *Net) addSwitchPort(dom int, ports ...*device.Port) {
 	for _, p := range ports {
-		w.net.SwitchPorts = append(w.net.SwitchPorts, p)
-		w.net.portDoms = append(w.net.portDoms, dom)
+		n.SwitchPorts = append(n.SwitchPorts, p)
+		n.portDoms = append(n.portDoms, dom)
 	}
 }
 
-// Star builds n hosts attached to one switch on a caller-owned serial
-// engine. Any host can talk to any other; the testbed experiments use
-// hosts 0..n-2 as senders and n-1 as the receiver, making the switch
-// egress toward host n-1 the bottleneck.
-func Star(eng *sim.Engine, n int, opts Options) *Net {
-	opts.defaults()
-	if opts.Shards > 0 {
-		panic("topology: Star with Shards set — use NewStar, which owns the engines")
-	}
-	return buildStar(n, &opts, eng)
-}
-
-// NewStar is the topology-owned Star constructor: it builds the engine
-// (or, with Options.Shards > 0, the sharded coordinator) itself, so all
-// engine wiring has a single entry point.
-func NewStar(n int, opts Options) *Net {
-	opts.defaults()
-	return buildStar(n, &opts, nil)
-}
-
-func buildStar(n int, opts *Options, legacyEng *sim.Engine) *Net {
+// NewStar builds n hosts attached to one switch. Any host can talk to any
+// other; the testbed experiments use hosts 0..n-2 as senders and n-1 as
+// the receiver, making the switch egress toward host n-1 the bottleneck.
+// A star has no cuttable link — every path crosses the one switch — so it
+// is one domain at any Options.Shards.
+func NewStar(n int, o Options) *Net {
 	if n < 2 {
 		panic("topology: star needs at least two hosts")
 	}
-	// A star has no cuttable link: every path crosses the one switch.
-	w := newWiring(serialPartition(n, opts.Link.PropDelay), opts, legacyEng)
-	net := w.net
-	eng := w.engine(0)
+	opts := &o
+	opts.defaults()
+	net := newNet(PartitionStar(n, o), opts)
+	eng := net.Engines[0]
 	sw := device.NewSwitch(eng, "sw0")
 	pool := newPool(opts)
-	pkts := w.pool(0)
+	pkts := net.PacketPools[0]
 	net.Switches = []*device.Switch{sw}
-	net.switchDoms = []int{0}
 	for i := 0; i < n; i++ {
 		h := device.NewHost(eng, i)
 		h.Pool = pkts
 		h.NIC = device.NewPort(eng, newHostEgress(opts, pkts), opts.Link.RateBps, opts.Link.PropDelay, sw)
-		down := w.port(0, 0, newEgress(opts, PortLoc{TierEdge, 0, "sw0"}, pool, pkts), opts.Link.RateBps, opts.Link.PropDelay, h)
+		down := net.port(0, 0, newEgress(opts, PortLoc{TierEdge, 0, "sw0"}, pool, pkts), opts.Link.RateBps, opts.Link.PropDelay, h)
 		sw.AddRoute(i, down)
 		net.hostPorts[i] = down
-		w.addSwitchPort(0, down)
-		w.addLink(fmt.Sprintf("host%d-sw0", i), h.NIC, 0, -1, -1, -1)
-		w.addLink(fmt.Sprintf("sw0-host%d", i), down, 0, 0, -1, -1)
+		net.addSwitchPort(0, down)
+		net.addLink(fmt.Sprintf("host%d-sw0", i), h.NIC, 0, -1, -1, -1)
+		net.addLink(fmt.Sprintf("sw0-host%d", i), down, 0, 0, -1, -1)
 		net.Hosts = append(net.Hosts, h)
 	}
 	return net
 }
 
-// Dumbbell builds nPairs senders and nPairs receivers on two switches
-// joined by a single bottleneck link, on a caller-owned serial engine:
-// senders 0..nPairs-1 attach to the left switch, receivers
-// nPairs..2nPairs-1 to the right.
-func Dumbbell(eng *sim.Engine, nPairs int, opts Options) *Net {
-	opts.defaults()
-	if opts.Shards > 0 {
-		panic("topology: Dumbbell with Shards set — use NewDumbbell, which owns the engines")
-	}
-	return buildDumbbell(nPairs, &opts, eng)
-}
-
-// NewDumbbell is the topology-owned Dumbbell constructor; with
-// Options.Shards > 0 the two sides become separate domains cut on the
+// NewDumbbell builds nPairs senders and nPairs receivers on two switches
+// joined by a single bottleneck link: senders 0..nPairs-1 attach to the
+// left switch, receivers nPairs..2nPairs-1 to the right. With
+// Options.Shards > 0 the two sides are separate domains cut on the
 // bottleneck link.
-func NewDumbbell(nPairs int, opts Options) *Net {
-	opts.defaults()
-	return buildDumbbell(nPairs, &opts, nil)
-}
-
-func buildDumbbell(nPairs int, opts *Options, legacyEng *sim.Engine) *Net {
+func NewDumbbell(nPairs int, o Options) *Net {
 	if nPairs < 1 {
 		panic("topology: dumbbell needs at least one pair")
 	}
-	part := serialPartition(2*nPairs, opts.Link.PropDelay)
-	if legacyEng == nil && opts.Shards > 0 {
-		part = PartitionDumbbell(nPairs, *opts)
-	}
-	w := newWiring(part, opts, legacyEng)
-	net := w.net
-	domOf := func(i int) int { return part.HostDom[i] }
-	left := device.NewSwitch(w.engine(domOf(0)), "left")
-	right := device.NewSwitch(w.engine(domOf(2*nPairs-1)), "right")
-	leftDom, rightDom := domOf(0), domOf(2*nPairs-1)
+	opts := &o
+	opts.defaults()
+	net := newNet(PartitionDumbbell(nPairs, o), opts)
+	leftDom, rightDom := net.switchDoms[0], net.switchDoms[1]
+	left := device.NewSwitch(net.Engines[leftDom], "left")
+	right := device.NewSwitch(net.Engines[rightDom], "right")
 	leftPool, rightPool := newPool(opts), newPool(opts)
 	net.Switches = []*device.Switch{left, right}
-	net.switchDoms = []int{leftDom, rightDom}
 
 	// The inter-switch bottleneck carries AQM in both directions.
-	l2r := w.port(leftDom, rightDom, newEgress(opts, PortLoc{TierEdge, 0, "left"}, leftPool, w.pool(leftDom)), opts.Link.RateBps, opts.FabricPropDelay, right)
-	r2l := w.port(rightDom, leftDom, newEgress(opts, PortLoc{TierEdge, 1, "right"}, rightPool, w.pool(rightDom)), opts.Link.RateBps, opts.FabricPropDelay, left)
-	w.addSwitchPort(leftDom, l2r)
-	w.addSwitchPort(rightDom, r2l)
-	w.addLink("left-right", l2r, leftDom, 0, -1, -1)
-	w.addLink("right-left", r2l, rightDom, 1, -1, -1)
+	l2r := net.port(leftDom, rightDom, newEgress(opts, PortLoc{TierEdge, 0, "left"}, leftPool, net.PacketPools[leftDom]), opts.Link.RateBps, opts.FabricPropDelay, right)
+	r2l := net.port(rightDom, leftDom, newEgress(opts, PortLoc{TierEdge, 1, "right"}, rightPool, net.PacketPools[rightDom]), opts.Link.RateBps, opts.FabricPropDelay, left)
+	net.addSwitchPort(leftDom, l2r)
+	net.addSwitchPort(rightDom, r2l)
+	net.addLink("left-right", l2r, leftDom, 0, -1, -1)
+	net.addLink("right-left", r2l, rightDom, 1, -1, -1)
 
 	for i := 0; i < 2*nPairs; i++ {
-		dom := domOf(i)
-		eng := w.engine(dom)
-		pkts := w.pool(dom)
+		dom := net.DomainOfHost(i)
+		eng := net.Engines[dom]
+		pkts := net.PacketPools[dom]
 		h := device.NewHost(eng, i)
 		sw, pool, swDom := left, leftPool, leftDom
 		swName, swIdx := "left", 0
@@ -696,12 +602,12 @@ func buildDumbbell(nPairs int, opts *Options, legacyEng *sim.Engine) *Net {
 		}
 		h.Pool = pkts
 		h.NIC = device.NewPort(eng, newHostEgress(opts, pkts), opts.Link.RateBps, opts.Link.PropDelay, sw)
-		down := w.port(swDom, dom, newEgress(opts, PortLoc{TierEdge, swIdx, swName}, pool, pkts), opts.Link.RateBps, opts.Link.PropDelay, h)
+		down := net.port(swDom, dom, newEgress(opts, PortLoc{TierEdge, swIdx, swName}, pool, pkts), opts.Link.RateBps, opts.Link.PropDelay, h)
 		sw.AddRoute(i, down)
 		net.hostPorts[i] = down
-		w.addSwitchPort(swDom, down)
-		w.addLink(fmt.Sprintf("host%d-%s", i, swName), h.NIC, dom, -1, -1, -1)
-		w.addLink(fmt.Sprintf("%s-host%d", swName, i), down, swDom, swIdx, -1, -1)
+		net.addSwitchPort(swDom, down)
+		net.addLink(fmt.Sprintf("host%d-%s", i, swName), h.NIC, dom, -1, -1, -1)
+		net.addLink(fmt.Sprintf("%s-host%d", swName, i), down, swDom, swIdx, -1, -1)
 		net.Hosts = append(net.Hosts, h)
 	}
 	// Cross routes traverse the bottleneck.
@@ -712,50 +618,18 @@ func buildDumbbell(nPairs int, opts *Options, legacyEng *sim.Engine) *Net {
 	return net
 }
 
-// LeafSpine builds the §5.3 fabric on a caller-owned serial engine:
-// spines×leaves switches with hostsPerLeaf hosts per leaf, ECMP across
-// all spines for inter-leaf traffic. Host ids are leaf-major: leaf l owns
-// hosts [l·hostsPerLeaf, (l+1)·hostsPerLeaf).
-func LeafSpine(eng *sim.Engine, spines, leaves, hostsPerLeaf int, opts Options) *Net {
+// NewLeafSpine builds the §5.3 fabric: spines×leaves switches with
+// hostsPerLeaf hosts per leaf, ECMP across all spines for inter-leaf
+// traffic. Host ids are leaf-major: leaf l owns hosts [l·hostsPerLeaf,
+// (l+1)·hostsPerLeaf). With Options.Shards > 0 the fabric partitions into
+// one domain per leaf (switch plus hosts) and one per spine, cut on every
+// fabric link.
+func NewLeafSpine(spines, leaves, hostsPerLeaf int, o Options) *Net {
+	opts := &o
 	opts.defaults()
-	if opts.Shards > 0 {
-		panic("topology: LeafSpine with Shards set — use NewLeafSpine, which owns the engines")
-	}
-	return buildLeafSpine(spines, leaves, hostsPerLeaf, &opts, eng)
-}
-
-// NewLeafSpine is the topology-owned LeafSpine constructor; with
-// Options.Shards > 0 the fabric partitions into one domain per leaf
-// (switch plus hosts) and one per spine, cut on every fabric link.
-func NewLeafSpine(spines, leaves, hostsPerLeaf int, opts Options) *Net {
-	opts.defaults()
-	return buildLeafSpine(spines, leaves, hostsPerLeaf, &opts, nil)
-}
-
-func buildLeafSpine(spines, leaves, hostsPerLeaf int, opts *Options, legacyEng *sim.Engine) *Net {
-	if spines < 1 || leaves < 1 || hostsPerLeaf < 1 {
-		panic("topology: leaf-spine dimensions must be positive")
-	}
-	part := serialPartition(leaves*hostsPerLeaf, opts.Link.PropDelay)
-	sharded := legacyEng == nil && opts.Shards > 0
-	if sharded {
-		part = PartitionLeafSpine(spines, leaves, hostsPerLeaf, *opts)
-	}
-	w := newWiring(part, opts, legacyEng)
-	net := w.net
-	// Domain of leaf l / spine s; everything collapses to 0 when serial.
-	ldom := func(l int) int {
-		if sharded {
-			return leafDomain(l)
-		}
-		return 0
-	}
-	sdom := func(s int) int {
-		if sharded {
-			return spineDomain(leaves, s)
-		}
-		return 0
-	}
+	net := newNet(PartitionLeafSpine(spines, leaves, hostsPerLeaf, o), opts)
+	// Switches are listed spines first, then leaves; so are their domains.
+	sdom, ldom := net.switchDoms[:spines], net.switchDoms[spines:]
 
 	spineSw := make([]*device.Switch, spines)
 	spinePools := make([]*queue.SharedPool, spines)
@@ -766,28 +640,25 @@ func buildLeafSpine(spines, leaves, hostsPerLeaf int, opts *Options, legacyEng *
 		hostsPerLeaf: hostsPerLeaf,
 		leafSw:       make([]int, leaves),
 		spineSw:      make([]int, spines),
-		sharded:      sharded,
 	}
 	for s := range spineSw {
-		spineSw[s] = device.NewSwitch(w.engine(sdom(s)), fmt.Sprintf("spine%d", s))
+		spineSw[s] = device.NewSwitch(net.Engines[sdom[s]], fmt.Sprintf("spine%d", s))
 		spinePools[s] = newPool(opts)
 		spineRoutes[s] = &spineRouter{hostsPerLeaf: hostsPerLeaf, self: s, down: make([]*device.Port, leaves)}
 		spineSw[s].SetRouter(spineRoutes[s])
 		fab.spineSw[s] = len(net.Switches)
 		net.Switches = append(net.Switches, spineSw[s])
-		net.switchDoms = append(net.switchDoms, sdom(s))
 	}
 	leafSw := make([]*device.Switch, leaves)
 	leafPools := make([]*queue.SharedPool, leaves)
 	leafRoutes := make([]*leafRouter, leaves)
 	for l := range leafSw {
-		leafSw[l] = device.NewSwitch(w.engine(ldom(l)), fmt.Sprintf("leaf%d", l))
+		leafSw[l] = device.NewSwitch(net.Engines[ldom[l]], fmt.Sprintf("leaf%d", l))
 		leafPools[l] = newPool(opts)
 		leafRoutes[l] = &leafRouter{base: l * hostsPerLeaf, self: l, local: make([]*device.Port, hostsPerLeaf)}
 		leafSw[l].SetRouter(leafRoutes[l])
 		fab.leafSw[l] = len(net.Switches)
 		net.Switches = append(net.Switches, leafSw[l])
-		net.switchDoms = append(net.switchDoms, ldom(l))
 	}
 	fab.leafRouters = leafRoutes
 	fab.spineRouters = spineRoutes
@@ -795,20 +666,20 @@ func buildLeafSpine(spines, leaves, hostsPerLeaf int, opts *Options, legacyEng *
 
 	// Hosts and access links.
 	for l := 0; l < leaves; l++ {
-		dom := ldom(l)
-		eng := w.engine(dom)
-		pkts := w.pool(dom)
+		dom := ldom[l]
+		eng := net.Engines[dom]
+		pkts := net.PacketPools[dom]
 		for k := 0; k < hostsPerLeaf; k++ {
 			id := l*hostsPerLeaf + k
 			h := device.NewHost(eng, id)
 			h.Pool = pkts
 			h.NIC = device.NewPort(eng, newHostEgress(opts, pkts), opts.Link.RateBps, opts.Link.PropDelay, leafSw[l])
-			down := w.port(dom, dom, newEgress(opts, PortLoc{TierLeaf, fab.leafSw[l], leafSw[l].Name()}, leafPools[l], pkts), opts.Link.RateBps, opts.Link.PropDelay, h)
+			down := net.port(dom, dom, newEgress(opts, PortLoc{TierLeaf, fab.leafSw[l], leafSw[l].Name()}, leafPools[l], pkts), opts.Link.RateBps, opts.Link.PropDelay, h)
 			leafRoutes[l].local[k] = down
 			net.hostPorts[id] = down
-			w.addSwitchPort(dom, down)
-			w.addLink(fmt.Sprintf("host%d-leaf%d", id, l), h.NIC, dom, -1, -1, -1)
-			w.addLink(fmt.Sprintf("leaf%d-host%d", l, id), down, dom, fab.leafSw[l], -1, -1)
+			net.addSwitchPort(dom, down)
+			net.addLink(fmt.Sprintf("host%d-leaf%d", id, l), h.NIC, dom, -1, -1, -1)
+			net.addLink(fmt.Sprintf("leaf%d-host%d", l, id), down, dom, fab.leafSw[l], -1, -1)
 			net.Hosts = append(net.Hosts, h)
 		}
 	}
@@ -818,12 +689,12 @@ func buildLeafSpine(spines, leaves, hostsPerLeaf int, opts *Options, legacyEng *
 	// so the ECMP hash selects identical paths.
 	for l := 0; l < leaves; l++ {
 		for s := 0; s < spines; s++ {
-			up := w.port(ldom(l), sdom(s), newEgress(opts, PortLoc{TierLeaf, fab.leafSw[l], leafSw[l].Name()}, leafPools[l], w.pool(ldom(l))), opts.Link.RateBps, opts.FabricPropDelay, spineSw[s])
-			down := w.port(sdom(s), ldom(l), newEgress(opts, PortLoc{TierSpine, fab.spineSw[s], spineSw[s].Name()}, spinePools[s], w.pool(sdom(s))), opts.Link.RateBps, opts.FabricPropDelay, leafSw[l])
-			w.addSwitchPort(ldom(l), up)
-			w.addSwitchPort(sdom(s), down)
-			w.addLink(fmt.Sprintf("leaf%d-spine%d", l, s), up, ldom(l), fab.leafSw[l], l, s)
-			w.addLink(fmt.Sprintf("spine%d-leaf%d", s, l), down, sdom(s), fab.spineSw[s], l, s)
+			up := net.port(ldom[l], sdom[s], newEgress(opts, PortLoc{TierLeaf, fab.leafSw[l], leafSw[l].Name()}, leafPools[l], net.PacketPools[ldom[l]]), opts.Link.RateBps, opts.FabricPropDelay, spineSw[s])
+			down := net.port(sdom[s], ldom[l], newEgress(opts, PortLoc{TierSpine, fab.spineSw[s], spineSw[s].Name()}, spinePools[s], net.PacketPools[sdom[s]]), opts.Link.RateBps, opts.FabricPropDelay, leafSw[l])
+			net.addSwitchPort(ldom[l], up)
+			net.addSwitchPort(sdom[s], down)
+			net.addLink(fmt.Sprintf("leaf%d-spine%d", l, s), up, ldom[l], fab.leafSw[l], l, s)
+			net.addLink(fmt.Sprintf("spine%d-leaf%d", s, l), down, sdom[s], fab.spineSw[s], l, s)
 			leafRoutes[l].up = append(leafRoutes[l].up, up)
 			spineRoutes[s].down[l] = down
 		}

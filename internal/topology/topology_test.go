@@ -16,8 +16,7 @@ func opts() Options {
 }
 
 func TestStarShape(t *testing.T) {
-	eng := sim.NewEngine()
-	n := Star(eng, 8, opts())
+	n := NewStar(8, opts())
 	if len(n.Hosts) != 8 || len(n.Switches) != 1 {
 		t.Fatalf("hosts=%d switches=%d", len(n.Hosts), len(n.Switches))
 	}
@@ -40,12 +39,11 @@ func TestStarPanicsOnTooFewHosts(t *testing.T) {
 			t.Error("no panic")
 		}
 	}()
-	Star(sim.NewEngine(), 1, opts())
+	NewStar(1, opts())
 }
 
 func TestEgressToUnknownHostPanics(t *testing.T) {
-	eng := sim.NewEngine()
-	n := Star(eng, 2, opts())
+	n := NewStar(2, opts())
 	defer func() {
 		if recover() == nil {
 			t.Error("no panic")
@@ -55,12 +53,13 @@ func TestEgressToUnknownHostPanics(t *testing.T) {
 }
 
 // endToEnd runs one flow through the topology and checks delivery.
-func endToEnd(t *testing.T, n *Net, eng *sim.Engine, src, dst int) {
+func endToEnd(t *testing.T, n *Net, src, dst int) {
 	t.Helper()
 	const size = 300_000
+	eng := n.Engines[0]
 	fl := transport.StartFlow(eng, transport.DefaultConfig(),
 		n.Host(src), n.Host(dst), uint64(src*1000+dst+1), size, eng.Now(), nil)
-	eng.Run()
+	n.Shard.Run()
 	if !fl.Done {
 		t.Fatalf("flow %d->%d incomplete", src, dst)
 	}
@@ -70,15 +69,13 @@ func endToEnd(t *testing.T, n *Net, eng *sim.Engine, src, dst int) {
 }
 
 func TestStarEndToEnd(t *testing.T) {
-	eng := sim.NewEngine()
-	n := Star(eng, 4, opts())
-	endToEnd(t, n, eng, 0, 3)
-	endToEnd(t, n, eng, 2, 1)
+	n := NewStar(4, opts())
+	endToEnd(t, n, 0, 3)
+	endToEnd(t, n, 2, 1)
 }
 
 func TestDumbbellShapeAndEndToEnd(t *testing.T) {
-	eng := sim.NewEngine()
-	n := Dumbbell(eng, 3, opts())
+	n := NewDumbbell(3, opts())
 	if len(n.Hosts) != 6 || len(n.Switches) != 2 {
 		t.Fatalf("hosts=%d switches=%d", len(n.Hosts), len(n.Switches))
 	}
@@ -86,8 +83,8 @@ func TestDumbbellShapeAndEndToEnd(t *testing.T) {
 	if len(n.SwitchPorts) != 8 {
 		t.Errorf("switch ports = %d, want 8", len(n.SwitchPorts))
 	}
-	endToEnd(t, n, eng, 0, 3) // cross the bottleneck
-	endToEnd(t, n, eng, 4, 1) // and back
+	endToEnd(t, n, 0, 3) // cross the bottleneck
+	endToEnd(t, n, 4, 1) // and back
 }
 
 func TestDumbbellPanics(t *testing.T) {
@@ -96,12 +93,11 @@ func TestDumbbellPanics(t *testing.T) {
 			t.Error("no panic")
 		}
 	}()
-	Dumbbell(sim.NewEngine(), 0, opts())
+	NewDumbbell(0, opts())
 }
 
 func TestLeafSpineShape(t *testing.T) {
-	eng := sim.NewEngine()
-	n := LeafSpine(eng, 8, 8, 16, opts())
+	n := NewLeafSpine(8, 8, 16, opts())
 	if len(n.Hosts) != 128 {
 		t.Fatalf("hosts = %d, want 128", len(n.Hosts))
 	}
@@ -115,23 +111,21 @@ func TestLeafSpineShape(t *testing.T) {
 }
 
 func TestLeafSpineEndToEnd(t *testing.T) {
-	eng := sim.NewEngine()
-	n := LeafSpine(eng, 2, 2, 2, opts())
-	endToEnd(t, n, eng, 0, 3) // inter-leaf (host 0 on leaf 0, host 3 on leaf 1)
-	endToEnd(t, n, eng, 0, 1) // intra-leaf
+	n := NewLeafSpine(2, 2, 2, opts())
+	endToEnd(t, n, 0, 3) // inter-leaf (host 0 on leaf 0, host 3 on leaf 1)
+	endToEnd(t, n, 0, 1) // intra-leaf
 }
 
 func TestLeafSpineECMPUsesMultipleSpines(t *testing.T) {
-	eng := sim.NewEngine()
-	n := LeafSpine(eng, 4, 2, 4, opts())
+	n := NewLeafSpine(4, 2, 4, opts())
 	// Many inter-leaf flows: spine switches should all see traffic.
 	for f := 0; f < 32; f++ {
 		src := f % 4       // leaf 0
 		dst := 4 + (f % 4) // leaf 1
-		transport.StartFlow(eng, transport.DefaultConfig(),
+		transport.StartFlow(n.Engines[0], transport.DefaultConfig(),
 			n.Host(src), n.Host(dst), uint64(f+1), 20_000, 0, nil)
 	}
-	eng.Run()
+	n.Shard.Run()
 	busySpines := 0
 	for _, sw := range n.Switches[:4] { // spines are first
 		if sw.RxPackets > 0 {
@@ -149,17 +143,16 @@ func TestLeafSpinePanics(t *testing.T) {
 			t.Error("no panic")
 		}
 	}()
-	LeafSpine(sim.NewEngine(), 0, 1, 1, opts())
+	NewLeafSpine(0, 1, 1, opts())
 }
 
 func TestOptionsAQMAndSchedulerAreApplied(t *testing.T) {
-	eng := sim.NewEngine()
 	o := opts()
 	o.NumQueues = 3
 	o.NewSched = func() queue.Scheduler { return queue.NewDWRR([]int{2, 1, 1}) }
 	marks := 0
 	o.NewAQM = func(q int) aqm.AQM { marks++; return aqm.NewTCN(100 * sim.Microsecond) }
-	n := Star(eng, 3, o)
+	n := NewStar(3, o)
 	// 3 switch ports × 3 queues = 9 AQM instances.
 	if marks != 9 {
 		t.Errorf("AQM factory called %d times, want 9", marks)
@@ -171,16 +164,15 @@ func TestOptionsAQMAndSchedulerAreApplied(t *testing.T) {
 }
 
 func TestTotalDropsAndMarks(t *testing.T) {
-	eng := sim.NewEngine()
 	o := opts()
 	o.Link.BufferBytes = 6 * 1500 // tiny: force drops
 	o.NewAQM = func(int) aqm.AQM { return aqm.NewREDInstantBytes(3 * 1500) }
-	n := Star(eng, 4, o)
+	n := NewStar(4, o)
 	for i := 0; i < 3; i++ {
-		transport.StartFlow(eng, transport.DefaultConfig(),
+		transport.StartFlow(n.Engines[0], transport.DefaultConfig(),
 			n.Host(i), n.Host(3), uint64(i+1), 400_000, 0, nil)
 	}
-	eng.Run()
+	n.Shard.Run()
 	if n.TotalDrops() == 0 {
 		t.Error("no drops through a 6-packet buffer")
 	}

@@ -26,9 +26,8 @@ var update = flag.Bool("update", false, "rewrite the golden trace file")
 // instantaneous marks from the query burst.
 func goldenIncast(t *testing.T) []byte {
 	t.Helper()
-	eng := sim.NewEngine()
 	const receiver = 4
-	net := topology.Star(eng, receiver+1, topology.Options{
+	net := topology.NewStar(receiver+1, topology.Options{
 		Link: topology.LinkParams{
 			RateBps:     topology.TenGbps,
 			PropDelay:   sim.Microsecond,
@@ -42,6 +41,8 @@ func goldenIncast(t *testing.T) []byte {
 			})
 		},
 	})
+
+	eng := net.Engines[0]
 
 	var buf bytes.Buffer
 	w := trace.NewJSONLWriter(&buf)
@@ -60,7 +61,7 @@ func goldenIncast(t *testing.T) []byte {
 		transport.StartFlow(eng, cfg, net.Host(i), net.Host(receiver),
 			uint64(100+i), 30_000, 1500*sim.Microsecond+sim.Time(i)*10*sim.Microsecond, nil)
 	}
-	eng.RunUntil(3 * sim.Millisecond)
+	net.Shard.RunUntil(3 * sim.Millisecond)
 
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)

@@ -40,15 +40,15 @@ func TestDCQCNConfigValidate(t *testing.T) {
 }
 
 func TestDCQCNDeliversAllBytes(t *testing.T) {
-	eng := sim.NewEngine()
-	net := topology.Star(eng, 2, topology.Options{
+	net := topology.NewStar(2, topology.Options{
 		Link: topology.LinkParams{RateBps: topology.TenGbps, PropDelay: 2 * sim.Microsecond},
 	})
+	eng := net.Engines[0]
 	const size = 2_000_000
 	var fct sim.Time
 	sender, recv := transport.StartDCQCNFlow(eng, transport.DefaultDCQCNConfig(),
 		net.Host(0), net.Host(1), 1, size, 0, func(d sim.Time) { fct = d })
-	eng.Run()
+	net.Shard.Run()
 	if !sender.Finished() || recv.RcvNxt() != size {
 		t.Fatalf("incomplete: finished=%v rcv=%d", sender.Finished(), recv.RcvNxt())
 	}
@@ -60,10 +60,9 @@ func TestDCQCNDeliversAllBytes(t *testing.T) {
 }
 
 func TestDCQCNCutsOnMarksAndRecovers(t *testing.T) {
-	eng := sim.NewEngine()
 	// A tight probabilistic marker keeps CNPs flowing while two flows
 	// share the bottleneck.
-	net := topology.Star(eng, 3, topology.Options{
+	net := topology.NewStar(3, topology.Options{
 		Link: topology.LinkParams{
 			RateBps:     topology.TenGbps,
 			PropDelay:   2 * sim.Microsecond,
@@ -71,10 +70,11 @@ func TestDCQCNCutsOnMarksAndRecovers(t *testing.T) {
 		},
 		NewAQM: func(int) aqm.AQM { return aqm.NewREDInstantBytes(30 * 1500) },
 	})
+	eng := net.Engines[0]
 	cfg := transport.DefaultDCQCNConfig()
 	s1, _ := transport.StartDCQCNFlow(eng, cfg, net.Host(0), net.Host(2), 1, 8_000_000, 0, nil)
 	s2, _ := transport.StartDCQCNFlow(eng, cfg, net.Host(1), net.Host(2), 2, 8_000_000, 0, nil)
-	eng.Run()
+	net.Shard.Run()
 	if !s1.Finished() || !s2.Finished() {
 		t.Fatal("flows incomplete")
 	}
@@ -139,9 +139,8 @@ func TestDCQCNSharesFairly(t *testing.T) {
 	// converge to roughly equal rates at high utilization — the §3.5
 	// pairing the dcqcn experiment studies. (Cut-off marking instead
 	// suppresses all senders every interval; see the dcqcn experiment.)
-	eng := sim.NewEngine()
 	rng := rand.New(rand.NewSource(5))
-	net := topology.Star(eng, 5, topology.Options{
+	net := topology.NewStar(5, topology.Options{
 		Link: topology.LinkParams{
 			RateBps:     topology.TenGbps,
 			PropDelay:   2 * sim.Microsecond,
@@ -151,6 +150,7 @@ func TestDCQCNSharesFairly(t *testing.T) {
 			return aqm.NewRED(5*1500, 200*1500, 0.25, rng)
 		},
 	})
+	eng := net.Engines[0]
 	cfg := transport.DefaultDCQCNConfig()
 	var recvs []*transport.Receiver
 	for i := 0; i < 4; i++ {
@@ -159,12 +159,12 @@ func TestDCQCNSharesFairly(t *testing.T) {
 		recvs = append(recvs, r)
 	}
 	// Measure goodput over the second half of the run (converged regime).
-	eng.RunUntil(100 * sim.Millisecond)
+	net.Shard.RunUntil(100 * sim.Millisecond)
 	base := make([]int64, 4)
 	for i, r := range recvs {
 		base[i] = r.BytesInOrder
 	}
-	eng.RunUntil(200 * sim.Millisecond)
+	net.Shard.RunUntil(200 * sim.Millisecond)
 
 	var sum, sumSq float64
 	for i, r := range recvs {

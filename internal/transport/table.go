@@ -45,11 +45,12 @@ type FlowTable struct {
 	Senders   []*Sender
 	Receivers []*Receiver
 
-	// CloseOnDone closes a flow's receiver inside its completion callback
-	// (the serial engine's historical behavior). Sharded runs leave it
-	// false — the receiver lives in the destination host's domain, which
-	// the source domain's worker must not mutate — and call CloseAll once
-	// the run has drained.
+	// CloseOnDone closes a flow's receiver inside its completion callback,
+	// so a late duplicate segment finds no handler instead of drawing one
+	// more ACK. Only a one-domain run may set it: the callback runs on the
+	// source host's domain and the receiver lives in the destination
+	// host's, which another worker must not mutate. Either way, call
+	// CloseAll once the run has drained.
 	CloseOnDone bool
 
 	// OnDone, when non-nil, runs at flow completion (after FCT/Done are
@@ -86,8 +87,8 @@ func (t *FlowTable) Len() int { return len(t.IDs) }
 // appending its state to the table and returning its index. The receiver
 // registers immediately on the destination host's engine (it must exist
 // before the first segment can arrive); the sender transmits on the
-// source host's engine from start. On a serial network both engines are
-// the same; under sharding each endpoint lives in its host's domain.
+// source host's engine from start: each endpoint lives in its host's
+// domain.
 func (t *FlowTable) Launch(cfg Config, src, dst *device.Host, flowID uint64,
 	size int64, start sim.Time, query bool) int {
 	if src == dst {
@@ -128,9 +129,8 @@ func (t *FlowTable) Launch(cfg Config, src, dst *device.Host, flowID uint64,
 	return i
 }
 
-// CloseAll closes every receiver. Sharded runs call it after the engines
-// have drained (single-threaded teardown), replacing the per-completion
-// close of the serial path; closing an already-closed receiver is
+// CloseAll closes every receiver. Call it after the engines have drained
+// (single-threaded teardown); closing an already-closed receiver is
 // harmless (unregister of an absent handler plus a dead timer cancel).
 func (t *FlowTable) CloseAll() {
 	for _, r := range t.Receivers {

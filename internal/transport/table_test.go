@@ -15,24 +15,23 @@ func TestFlowTableSerialMatchesStartFlow(t *testing.T) {
 	cfg := transport.DefaultConfig()
 	const size = 500_000
 
-	engA := sim.NewEngine()
-	netA := newStar(engA, 2, 0, nil)
+	netA := newStar(2, 0, nil)
+	engA := netA.Engines[0]
 	var legacy *transport.Flow
 	transport.StartFlow(engA, cfg, netA.Host(0), netA.Host(1), 1, size, 0,
 		func(fl *transport.Flow) { legacy = fl })
-	engA.Run()
+	netA.Shard.Run()
 	if legacy == nil {
 		t.Fatal("legacy flow did not complete")
 	}
 
-	engB := sim.NewEngine()
-	netB := newStar(engB, 2, 0, nil)
+	netB := newStar(2, 0, nil)
 	table := transport.NewFlowTable(1)
 	table.CloseOnDone = true
 	var doneOrder []int
 	table.OnDone = func(i int) { doneOrder = append(doneOrder, i) }
 	idx := table.Launch(cfg, netB.Host(0), netB.Host(1), 1, size, 0, true)
-	engB.Run()
+	netB.Shard.Run()
 
 	if table.Len() != 1 || idx != 0 {
 		t.Fatalf("table has %d flows, launch returned index %d", table.Len(), idx)
@@ -98,8 +97,7 @@ func TestFlowTableShardedEndpoints(t *testing.T) {
 // TestFlowTableRejectsSelfFlow: identical endpoints are a configuration
 // bug, refused loudly.
 func TestFlowTableRejectsSelfFlow(t *testing.T) {
-	eng := sim.NewEngine()
-	net := newStar(eng, 2, 0, nil)
+	net := newStar(2, 0, nil)
 	table := transport.NewFlowTable(1)
 	defer func() {
 		if recover() == nil {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ecnsharp/internal/aqm"
-	"ecnsharp/internal/sim"
 	"ecnsharp/internal/trace"
 	"ecnsharp/internal/transport"
 )
@@ -22,17 +21,17 @@ func countByType(evs []trace.Event, flowID uint64) map[trace.Type]int {
 }
 
 func TestTraceFlowLifecycle(t *testing.T) {
-	eng := sim.NewEngine()
 	// A tiny marking threshold forces ECN activity so echo events appear.
-	net := newStar(eng, 3, 0, func(int) aqm.AQM {
+	net := newStar(3, 0, func(int) aqm.AQM {
 		return aqm.NewREDInstantBytes(10 * 1500)
 	})
+	eng := net.Engines[0]
 	rec := trace.NewRingRecorder(1 << 18)
 	net.AttachTracer(rec)
 	cfg := transport.DefaultConfig()
 	transport.StartFlow(eng, cfg, net.Host(0), net.Host(2), 1, 2_000_000, 0, nil)
 	transport.StartFlow(eng, cfg, net.Host(1), net.Host(2), 2, 2_000_000, 0, nil)
-	eng.Run()
+	net.Shard.Run()
 
 	evs := rec.Events()
 	for flowID, src := range map[uint64]int{1: 0, 2: 1} {
@@ -93,16 +92,16 @@ func TestTraceFlowLifecycle(t *testing.T) {
 }
 
 func TestTraceDCQCNRateEvents(t *testing.T) {
-	eng := sim.NewEngine()
-	net := newStar(eng, 2, 0, func(int) aqm.AQM {
+	net := newStar(2, 0, func(int) aqm.AQM {
 		return aqm.NewREDInstantBytes(10 * 1500)
 	})
+	eng := net.Engines[0]
 	rec := trace.NewRingRecorder(1 << 16).
 		SetMask(trace.MaskOf(trace.FlowStart, trace.FlowFinish, trace.RateUpdate))
 	net.AttachTracer(rec)
 	transport.StartDCQCNFlow(eng, transport.DefaultDCQCNConfig(),
 		net.Host(0), net.Host(1), 7, 1_000_000, 0, nil)
-	eng.Run()
+	net.Shard.Run()
 
 	counts := countByType(rec.Events(), 7)
 	if counts[trace.FlowStart] != 1 || counts[trace.FlowFinish] != 1 {

@@ -13,8 +13,8 @@ import (
 
 // newStar builds an n-host 10G star with the given switch AQM factory and
 // per-port buffer.
-func newStar(eng *sim.Engine, n int, bufBytes int64, newAQM func(int) aqm.AQM) *topology.Net {
-	return topology.Star(eng, n, topology.Options{
+func newStar(n int, bufBytes int64, newAQM func(int) aqm.AQM) *topology.Net {
+	return topology.NewStar(n, topology.Options{
 		Link: topology.LinkParams{
 			RateBps:     topology.TenGbps,
 			PropDelay:   2 * sim.Microsecond,
@@ -25,15 +25,15 @@ func newStar(eng *sim.Engine, n int, bufBytes int64, newAQM func(int) aqm.AQM) *
 }
 
 func TestSingleFlowDeliversAllBytes(t *testing.T) {
-	eng := sim.NewEngine()
-	net := newStar(eng, 2, 0, nil)
+	net := newStar(2, 0, nil)
+	eng := net.Engines[0]
 	cfg := transport.DefaultConfig()
 
 	const size = 1_000_000
 	var done *transport.Flow
 	f := transport.StartFlow(eng, cfg, net.Host(0), net.Host(1), 1, size, 0,
 		func(fl *transport.Flow) { done = fl })
-	eng.Run()
+	net.Shard.Run()
 
 	if done == nil {
 		t.Fatal("flow did not complete")
@@ -63,24 +63,24 @@ func TestSingleFlowDeliversAllBytes(t *testing.T) {
 }
 
 func TestTinyFlow(t *testing.T) {
-	eng := sim.NewEngine()
-	net := newStar(eng, 2, 0, nil)
+	net := newStar(2, 0, nil)
+	eng := net.Engines[0]
 	cfg := transport.DefaultConfig()
 	var fct sim.Time
 	transport.StartFlow(eng, cfg, net.Host(0), net.Host(1), 1, 1, 0,
 		func(fl *transport.Flow) { fct = fl.FCT })
-	eng.Run()
+	net.Shard.Run()
 	if fct <= 0 {
 		t.Fatal("1-byte flow did not complete")
 	}
 }
 
 func TestManyParallelFlowsConserveBytes(t *testing.T) {
-	eng := sim.NewEngine()
 	const hosts = 8
-	net := newStar(eng, hosts, 300_000, func(int) aqm.AQM {
+	net := newStar(hosts, 300_000, func(int) aqm.AQM {
 		return aqm.NewREDInstantBytes(65 * 1460)
 	})
+	eng := net.Engines[0]
 	cfg := transport.DefaultConfig()
 
 	type result struct {
@@ -95,7 +95,7 @@ func TestManyParallelFlowsConserveBytes(t *testing.T) {
 		done = append(done, result{size, fl})
 		id++
 	}
-	eng.Run()
+	net.Shard.Run()
 
 	for i, r := range done {
 		if !r.fl.Done {
@@ -108,16 +108,16 @@ func TestManyParallelFlowsConserveBytes(t *testing.T) {
 }
 
 func TestECNMarkingCutsWindow(t *testing.T) {
-	eng := sim.NewEngine()
 	// A tiny marking threshold forces marks quickly.
-	net := newStar(eng, 3, 0, func(int) aqm.AQM {
+	net := newStar(3, 0, func(int) aqm.AQM {
 		return aqm.NewREDInstantBytes(10 * 1500)
 	})
+	eng := net.Engines[0]
 	cfg := transport.DefaultConfig()
 
 	f1 := transport.StartFlow(eng, cfg, net.Host(0), net.Host(2), 1, 3_000_000, 0, nil)
 	f2 := transport.StartFlow(eng, cfg, net.Host(1), net.Host(2), 2, 3_000_000, 0, nil)
-	eng.Run()
+	net.Shard.Run()
 
 	if f1.Sender.Stats.ECECuts == 0 && f2.Sender.Stats.ECECuts == 0 {
 		t.Error("no ECN-driven window cuts despite a tiny marking threshold")
@@ -133,10 +133,10 @@ func TestECNMarkingCutsWindow(t *testing.T) {
 }
 
 func TestLossRecoveryUnderTinyBuffer(t *testing.T) {
-	eng := sim.NewEngine()
 	// 8 packets of buffer and no marking: drops are guaranteed with
 	// concurrent senders; flows must still complete via retransmission.
-	net := newStar(eng, 5, 8*1500, nil)
+	net := newStar(5, 8*1500, nil)
+	eng := net.Engines[0]
 	cfg := transport.DefaultConfig()
 
 	var flows []*transport.Flow
@@ -145,7 +145,7 @@ func TestLossRecoveryUnderTinyBuffer(t *testing.T) {
 			500_000, 0, nil)
 		flows = append(flows, fl)
 	}
-	eng.Run()
+	net.Shard.Run()
 
 	drops := net.EgressTo(4).Egress.Drops
 	if drops == 0 {
@@ -174,12 +174,11 @@ func TestECNTCPHalvesVsDCTCPGentler(t *testing.T) {
 	// thresholds differ per transport. We proxy via throughput of a fixed
 	// transfer under continuous marking.
 	run := func(newCC func() transport.ECNControl) sim.Time {
-		eng := sim.NewEngine()
 		// Two senders share the bottleneck so a queue actually builds, and
 		// a 20 µs propagation delay makes the BDP (~100 KB) much larger
 		// than the marking threshold, so halving the window starves the
 		// pipe while DCTCP's proportional cut does not.
-		net := topology.Star(eng, 3, topology.Options{
+		net := topology.NewStar(3, topology.Options{
 			Link: topology.LinkParams{
 				RateBps:     topology.TenGbps,
 				PropDelay:   20 * sim.Microsecond,
@@ -187,13 +186,14 @@ func TestECNTCPHalvesVsDCTCPGentler(t *testing.T) {
 			},
 			NewAQM: func(int) aqm.AQM { return aqm.NewREDInstantBytes(8 * 1460) },
 		})
+		eng := net.Engines[0]
 		cfg := transport.DefaultConfig()
 		cfg.NewControl = newCC
 		var last sim.Time
 		onDone := func(*transport.Flow) { last = eng.Now() }
 		transport.StartFlow(eng, cfg, net.Host(0), net.Host(2), 1, 5_000_000, 0, onDone)
 		transport.StartFlow(eng, cfg, net.Host(1), net.Host(2), 2, 5_000_000, 0, onDone)
-		eng.Run()
+		net.Shard.Run()
 		if last == 0 {
 			t.Fatal("flows did not finish")
 		}
@@ -208,16 +208,16 @@ func TestECNTCPHalvesVsDCTCPGentler(t *testing.T) {
 }
 
 func TestDelayedAcksStillComplete(t *testing.T) {
-	eng := sim.NewEngine()
-	net := newStar(eng, 2, 0, func(int) aqm.AQM {
+	net := newStar(2, 0, func(int) aqm.AQM {
 		return aqm.NewREDInstantBytes(30 * 1460)
 	})
+	eng := net.Engines[0]
 	cfg := transport.DefaultConfig()
 	cfg.DelayedAckCount = 2
 	var done bool
 	fl := transport.StartFlow(eng, cfg, net.Host(0), net.Host(1), 1, 2_000_000, 0,
 		func(*transport.Flow) { done = true })
-	eng.Run()
+	net.Shard.Run()
 	if !done {
 		t.Fatal("flow with delayed ACKs did not complete")
 	}
@@ -228,14 +228,14 @@ func TestDelayedAcksStillComplete(t *testing.T) {
 }
 
 func TestFlowStartsAtScheduledTime(t *testing.T) {
-	eng := sim.NewEngine()
-	net := newStar(eng, 2, 0, nil)
+	net := newStar(2, 0, nil)
+	eng := net.Engines[0]
 	cfg := transport.DefaultConfig()
 	start := 5 * sim.Millisecond
 	var completedAt sim.Time
 	transport.StartFlow(eng, cfg, net.Host(0), net.Host(1), 1, 10_000, start,
 		func(*transport.Flow) { completedAt = eng.Now() })
-	eng.Run()
+	net.Shard.Run()
 	if completedAt < start {
 		t.Errorf("flow completed at %v before its start %v", completedAt, start)
 	}
@@ -284,8 +284,8 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestFlowPanicsOnSelfLoop(t *testing.T) {
-	eng := sim.NewEngine()
-	net := newStar(eng, 2, 0, nil)
+	net := newStar(2, 0, nil)
+	eng := net.Engines[0]
 	defer func() {
 		if recover() == nil {
 			t.Error("self-loop flow did not panic")
@@ -306,22 +306,22 @@ func TestEffectiveLambda(t *testing.T) {
 // TestECNSharpEndToEnd drives a full simulation with the paper's AQM and
 // checks ECN♯ actually marks and the flow completes.
 func TestECNSharpEndToEnd(t *testing.T) {
-	eng := sim.NewEngine()
 	params := core.Params{
 		InsTarget:   200 * sim.Microsecond,
 		PstTarget:   20 * sim.Microsecond,
 		PstInterval: 100 * sim.Microsecond,
 	}
 	var sharp *aqm.ECNSharp
-	net := newStar(eng, 3, 0, func(int) aqm.AQM {
+	net := newStar(3, 0, func(int) aqm.AQM {
 		a := aqm.MustNewECNSharp(params)
 		sharp = a // last one constructed; receiver port is built last
 		return a
 	})
+	eng := net.Engines[0]
 	cfg := transport.DefaultConfig()
 	f1 := transport.StartFlow(eng, cfg, net.Host(0), net.Host(2), 1, 4_000_000, 0, nil)
 	f2 := transport.StartFlow(eng, cfg, net.Host(1), net.Host(2), 2, 4_000_000, 0, nil)
-	eng.Run()
+	net.Shard.Run()
 	if !f1.Done || !f2.Done {
 		t.Fatal("flows incomplete under ECN♯")
 	}
