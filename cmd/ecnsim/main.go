@@ -34,10 +34,6 @@ import (
 	"ecnsharp/internal/experiments"
 	"ecnsharp/internal/fault"
 	"ecnsharp/internal/harness"
-	"ecnsharp/internal/metrics"
-	"ecnsharp/internal/rttvar"
-	"ecnsharp/internal/sim"
-	"ecnsharp/internal/topology"
 	"ecnsharp/internal/trace"
 	"ecnsharp/internal/transport"
 	"ecnsharp/internal/tune"
@@ -103,84 +99,32 @@ func main() {
 		}
 	}
 
-	rtt := rttvar.NewVariation(sim.Micros(*rttMinUS), *variation)
-	tail, avg, sharp := experiments.DeriveSchemes(rtt, topology.TenGbps)
-	var scheme experiments.Scheme
-	switch *schemeName {
-	case "ecnsharp":
-		scheme = sharp
-	case "red-tail":
-		scheme = tail
-	case "red-avg":
-		scheme = avg
-	case "codel":
-		scheme = experiments.CoDelScheme(10*sim.Microsecond, rtt.Percentile(90))
-	case "tcn":
-		scheme = experiments.TCNScheme(rtt.Percentile(90))
-	default:
-		fmt.Fprintf(os.Stderr, "ecnsim: unknown scheme %q\n", *schemeName)
-		os.Exit(2)
+	// The flags describe one Cell; validating and resolving it is the spec
+	// layer's job, so a bad value is the same one-line error -spec gives.
+	// What a Cell cannot say (-replay/-save-flows, -faults, the streaming
+	// -trace writer, -seeds) is layered on the resolved config below.
+	cell := experiments.Cell{
+		Topo: *topo, Scheme: *schemeName, Workload: *wlName,
+		Load: *load, Flows: *flows, Seed: *seed,
+		RTTMinUS: *rttMinUS, RTTVariation: *variation, Shards: *shards,
 	}
-
-	cdf, err := workload.ByName(*wlName)
+	if err := cell.Validate(); err != nil {
+		fail(2, err)
+	}
+	cfg, err := cell.RunConfig()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ecnsim:", err)
-		os.Exit(2)
-	}
-
-	cfg := experiments.RunConfig{
-		Seed:   *seed,
-		Scheme: scheme,
-		RTT:    &rtt,
-		Shards: *shards,
-	}
-	switch *topo {
-	case "star":
-		cfg.Topo = experiments.TopoStar
-		cfg.Hosts = 8
-		senders := []int{0, 1, 2, 3, 4, 5, 6}
-		cfg.FlowGen = func(rng *rand.Rand) []workload.FlowSpec {
-			return workload.PoissonFlows(rng, workload.PoissonConfig{
-				SizeDist:    cdf,
-				Load:        *load,
-				CapacityBps: topology.TenGbps,
-				Pairs:       workload.StarPairs(senders, 7),
-				FlowCount:   *flows,
-			})
-		}
-	case "leafspine":
-		cfg.Topo = experiments.TopoLeafSpine
-		cfg.Spines, cfg.Leaves, cfg.HostsPerLeaf = 8, 8, 16
-		hosts := make([]int, 128)
-		for i := range hosts {
-			hosts[i] = i
-		}
-		cfg.FlowGen = func(rng *rand.Rand) []workload.FlowSpec {
-			return workload.PoissonFlows(rng, workload.PoissonConfig{
-				SizeDist:    cdf,
-				Load:        *load,
-				CapacityBps: topology.TenGbps,
-				RefLinks:    len(hosts),
-				Pairs:       workload.RandomPairs(hosts),
-				FlowCount:   *flows,
-			})
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "ecnsim: unknown topology %q\n", *topo)
-		os.Exit(2)
+		fail(2, err)
 	}
 
 	if *replayPath != "" {
 		f, err := os.Open(*replayPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ecnsim:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		specs, err := workload.ReadSpecs(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ecnsim:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		cfg.FlowGen = nil
 		cfg.Flows = specs
@@ -188,12 +132,10 @@ func main() {
 		specs := cfg.FlowGen(rand.New(rand.NewSource(*seed ^ 0x5eed)))
 		f, err := os.Create(*saveFlows)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ecnsim:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		if err := workload.WriteSpecs(f, specs); err != nil {
-			fmt.Fprintln(os.Stderr, "ecnsim:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		f.Close()
 		fmt.Printf("flows written to %s (%d flows)\n", *saveFlows, len(specs))
@@ -204,8 +146,7 @@ func main() {
 	if *faultsPath != "" {
 		sched, err := fault.Load(*faultsPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ecnsim:", err)
-			os.Exit(2)
+			fail(2, err)
 		}
 		cfg.Faults = sched
 		// Bound RTO retries so a schedule that permanently severs a path
@@ -225,8 +166,7 @@ func main() {
 	if *traceFile != "" {
 		mask, err := trace.ParseMask(*traceEvents)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ecnsim:", err)
-			os.Exit(2)
+			fail(2, err)
 		}
 		cfg.NewTracer = func(ctx context.Context, runSeed int64) trace.Tracer {
 			path := *traceFile
@@ -267,13 +207,7 @@ func main() {
 		}
 	}
 
-	sc := experiments.Scale{Seeds: seeds, Parallel: *parallel, Timeout: *timeout}
-	if *progress {
-		sc.Progress = func(p harness.Progress) {
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s (%v)\n",
-				p.Done, p.Total, p.Label, p.Elapsed.Round(time.Millisecond))
-		}
-	}
+	sc := experiments.Scale{Seeds: seeds, Parallel: *parallel, Timeout: *timeout, Progress: progressTo(*progress)}
 	r := experiments.RunSeeds(sc, cfg)
 	for _, flush := range traceFlush {
 		if err := flush(); err != nil {
@@ -282,9 +216,9 @@ func main() {
 		}
 	}
 	s := r.Stats
-	fmt.Printf("scheme    %s\n", scheme.Label)
+	fmt.Printf("scheme    %s\n", cfg.Scheme.Label)
 	fmt.Printf("workload  %s @ %.0f%% load, %d flows, RTT %v-%v\n",
-		*wlName, *load*100, r.Injected, rtt.Min, rtt.Max)
+		*wlName, *load*100, r.Injected, cfg.RTT.Min, cfg.RTT.Max)
 	if len(seeds) > 1 {
 		fmt.Printf("pooled    %d seeds %v\n", len(seeds), seeds)
 	}
@@ -315,72 +249,61 @@ func jobTracePath(path string, id int) string {
 	return fmt.Sprintf("%s.job%d%s", strings.TrimSuffix(path, ext), id, ext)
 }
 
-// runSpec executes a JSON sweep spec through the exact spec→cell→result
-// path ecnsharpd caches (experiments.Cell.Run), pools the per-seed results
+// progressTo returns the stderr per-run progress reporter, or nil when
+// -progress is off.
+func progressTo(on bool) func(harness.Progress) {
+	if !on {
+		return nil
+	}
+	return func(p harness.Progress) {
+		fmt.Fprintf(os.Stderr, "[%d/%d] %s (%v)\n",
+			p.Done, p.Total, p.Label, p.Elapsed.Round(time.Millisecond))
+	}
+}
+
+// fail reports err on stderr and exits: 2 for usage errors (bad flag or
+// spec values), 1 for runtime failures.
+func fail(code int, err error) {
+	fmt.Fprintln(os.Stderr, "ecnsim:", err)
+	os.Exit(code)
+}
+
+// runSpec executes a JSON sweep spec through the path ecnsharpd serves
+// (experiments.RunCells, here without a store), pools the per-seed results
 // per load point, and prints one stats block per load. When the spec
 // requests tracing and -trace names a file, each cell's captured JSONL
 // stream is written to <name>.job<N><ext>.
 func runSpec(path string, parallel int, timeout time.Duration, progress bool, traceFile string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ecnsim:", err)
-		os.Exit(1)
+		fail(1, err)
 	}
 	spec, err := experiments.ParseSweepSpec(data)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ecnsim:", err)
-		os.Exit(2)
+		fail(2, err)
 	}
-	cells := spec.Cells()
-	jobs := make([]harness.Job, len(cells))
-	for i, cell := range cells {
-		cell := cell
-		jobs[i] = harness.Job{
-			Label: fmt.Sprintf("%s load=%.2f seed=%d", cell.Scheme, cell.Load, cell.Seed),
-			Run:   func(ctx context.Context) (any, error) { return cell.Run(ctx) },
+	outcomes, _ := experiments.RunCells(context.Background(), spec.Cells(), nil,
+		harness.Options{Parallel: parallel, Timeout: timeout, OnDone: progressTo(progress)})
+	results := make([]experiments.CellResult, len(outcomes))
+	for i, o := range outcomes {
+		if o.Err != nil {
+			fail(1, o.Err)
 		}
-	}
-	opts := harness.Options{Parallel: parallel, Timeout: timeout}
-	if progress {
-		opts.OnDone = func(p harness.Progress) {
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s (%v)\n",
-				p.Done, p.Total, p.Label, p.Elapsed.Round(time.Millisecond))
-		}
-	}
-	res, _ := harness.Execute(context.Background(), jobs, opts)
-	results := make([]experiments.CellResult, len(res))
-	for i, r := range res {
-		if r.Err != nil {
-			fmt.Fprintf(os.Stderr, "ecnsim: %s: %v\n", r.Label, r.Err)
-			os.Exit(1)
-		}
-		results[i] = r.Value.(experiments.CellResult)
+		results[i] = o.Result
 	}
 
 	fmt.Printf("sweep     %s: %s/%s on %s, %d flows, RTT %vus x%v\n",
 		path, spec.Scheme, spec.Workload, spec.Topo, spec.Flows, spec.RTTMinUS, spec.RTTVariation)
-	fmt.Printf("grid      %d loads x %d seeds = %d cells\n\n", len(spec.Loads), len(spec.Seeds), len(cells))
-	for li, load := range spec.Loads {
-		pool := metrics.NewFCTCollector()
-		var merged experiments.CellResult
-		for si := range spec.Seeds {
-			r := results[li*len(spec.Seeds)+si]
-			pool.Merge(r.Collector())
-			merged.Drops += r.Drops
-			merged.Marks += r.Marks
-			merged.Timeouts += r.Timeouts
-			merged.Retransmits += r.Retransmits
-			merged.Completed += r.Completed
-			merged.Injected += r.Injected
-		}
-		s := pool.Stats()
-		fmt.Printf("load %.0f%%  completed %d/%d\n", load*100, merged.Completed, merged.Injected)
+	fmt.Printf("grid      %d loads x %d seeds = %d cells\n\n", len(spec.Loads), len(spec.Seeds), len(results))
+	for _, p := range spec.Pool(results) {
+		s := p.Stats
+		fmt.Printf("load %.0f%%  completed %d/%d\n", p.Load*100, p.Completed, p.Injected)
 		fmt.Printf("  FCT overall avg      %10.1f us (%d flows)\n", s.OverallAvg, s.OverallCount)
 		fmt.Printf("  FCT short (<=100KB)  %10.1f us avg, %10.1f us p99 (%d flows)\n",
 			s.ShortAvg, s.ShortP99, s.ShortCount)
 		fmt.Printf("  FCT large (>=10MB)   %10.1f us avg (%d flows)\n", s.LargeAvg, s.LargeCount)
 		fmt.Printf("  drops %d, marks %d, timeouts %d, retransmits %d\n\n",
-			merged.Drops, merged.Marks, merged.Timeouts, merged.Retransmits)
+			p.Drops, p.Marks, p.Timeouts, p.Retransmits)
 	}
 
 	if traceFile != "" && spec.Trace != nil {
@@ -409,20 +332,17 @@ func runSpec(path string, parallel int, timeout time.Duration, progress bool, tr
 func runTune(path, outPath, cacheDir string, parallel int, timeout time.Duration, progress bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ecnsim:", err)
-		os.Exit(1)
+		fail(1, err)
 	}
 	spec, err := tune.ParseSpec(data)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ecnsim:", err)
-		os.Exit(2)
+		fail(2, err)
 	}
 	opts := tune.Options{Parallel: parallel, Timeout: timeout}
 	if cacheDir != "" {
 		store, err := cache.Open(cacheDir, cache.Options{})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ecnsim:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		opts.Store = store
 	}
@@ -437,8 +357,7 @@ func runTune(path, outPath, cacheDir string, parallel int, timeout time.Duration
 	}
 	res, err := tune.Run(context.Background(), spec, opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ecnsim:", err)
-		os.Exit(1)
+		fail(1, err)
 	}
 
 	fmt.Printf("tune      %s: %s over %d params, budget %d, seed %d\n",
@@ -460,12 +379,10 @@ func runTune(path, outPath, cacheDir string, parallel int, timeout time.Duration
 	if outPath != "" {
 		b, err := res.Encode()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ecnsim:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		if err := os.WriteFile(outPath, b, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "ecnsim:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		fmt.Printf("result written to %s\n", outPath)
 	}

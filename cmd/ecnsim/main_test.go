@@ -1,0 +1,156 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// ecnsimBin is the binary under test, built once by TestMain.
+var ecnsimBin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "ecnsim-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	ecnsimBin = filepath.Join(dir, "ecnsim")
+	if out, err := exec.Command("go", "build", "-o", ecnsimBin, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "building ecnsim: %v\n%s", err, out)
+		os.RemoveAll(dir)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// ecnsim runs the binary and returns stdout, stderr and the exit code.
+func ecnsim(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(ecnsimBin, args...)
+	var so, se bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &so, &se
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); ok {
+		code = ee.ExitCode()
+	} else if err != nil {
+		t.Fatalf("ecnsim %v: %v", args, err)
+	}
+	return so.String(), se.String(), code
+}
+
+var (
+	completedRE = regexp.MustCompile(`completed (\d+/\d+)`)
+	countersRE  = regexp.MustCompile(`drops (\d+), (?:CE )?marks (\d+), timeouts (\d+), retransmits (\d+)`)
+)
+
+// numbers reduces either output format (the flag path's single block or
+// -spec's per-load block) to what both report: the completed/injected
+// count, the three FCT lines and the four switch/transport counters.
+func numbers(t *testing.T, out string) []string {
+	t.Helper()
+	var got []string
+	for _, line := range strings.Split(out, "\n") {
+		line = strings.TrimSpace(line)
+		if m := completedRE.FindStringSubmatch(line); m != nil {
+			got = append(got, "completed "+m[1])
+		} else if strings.HasPrefix(line, "FCT ") {
+			got = append(got, line)
+		} else if m := countersRE.FindStringSubmatch(line); m != nil {
+			got = append(got, "counters "+strings.Join(m[1:], " "))
+		}
+	}
+	if len(got) != 5 {
+		t.Fatalf("expected completed + 3 FCT lines + counters, got %q from:\n%s", got, out)
+	}
+	return got
+}
+
+// TestFlagPathEqualsSpec: the flags and a -spec document naming the same
+// values resolve, run and pool through one path, so they report the same
+// numbers — single seed and pooled over two.
+func TestFlagPathEqualsSpec(t *testing.T) {
+	for _, tc := range []struct {
+		name, seedFlag, seedArg, specSeeds string
+	}{
+		{"one seed", "-seed", "3", "[3]"},
+		{"two seeds pooled", "-seeds", "1,2", "[1,2]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, topo := range []string{"star", "leafspine"} {
+				flagOut, stderr, code := ecnsim(t, "-topo", topo, "-scheme", "red-tail", "-workload", "websearch",
+					"-load", "0.6", "-flows", "60", "-rtt-min", "80", "-rtt-variation", "4", tc.seedFlag, tc.seedArg)
+				if code != 0 {
+					t.Fatalf("flag path exit %d: %s", code, stderr)
+				}
+				spec := filepath.Join(t.TempDir(), "spec.json")
+				doc := fmt.Sprintf(`{"topo":%q,"scheme":"red-tail","workload":"websearch","loads":[0.6],"flows":60,"rtt_min_us":80,"rtt_variation":4,"seeds":%s}`,
+					topo, tc.specSeeds)
+				if err := os.WriteFile(spec, []byte(doc), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				specOut, stderr, code := ecnsim(t, "-spec", spec)
+				if code != 0 {
+					t.Fatalf("-spec exit %d: %s", code, stderr)
+				}
+				f, s := numbers(t, flagOut), numbers(t, specOut)
+				for i := range f {
+					if f[i] != s[i] {
+						t.Errorf("%s: flag path and -spec disagree:\n flags %s\n spec  %s", topo, f[i], s[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestBadFlagsAreUsageErrors: a value the spec layer rejects is a one-line
+// "ecnsim: <message>" on stderr and exit 2 — the message -spec gives for
+// the same value — never a panic trace from inside a worker.
+func TestBadFlagsAreUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		spec string // the same bad value as a sweep spec
+		want string
+	}{
+		{[]string{"-load", "1.5"}, `{"loads":[1.5]}`, "load 1.5 outside (0, 1]"},
+		{[]string{"-load", "0"}, `{"loads":[0]}`, "load 0 outside (0, 1]"},
+		{[]string{"-rtt-variation", "0.5"}, `{"rtt_variation":0.5}`, "rtt_variation must be >= 1"},
+		{[]string{"-rtt-min", "-1"}, `{"rtt_min_us":-1}`, "rtt_min_us must be positive"},
+		{[]string{"-flows", "-3"}, `{"flows":-3}`, "flows must be positive"},
+		{[]string{"-shards", "-1"}, `{"shards":-1}`, "shards must be >= 0"},
+		{[]string{"-scheme", "pie9"}, `{"scheme":"pie9"}`, `unknown scheme "pie9"`},
+		{[]string{"-workload", "cachefollower"}, `{"workload":"cachefollower"}`, `unknown workload "cachefollower"`},
+		{[]string{"-topo", "ring"}, `{"topo":"ring"}`, `unknown topology "ring"`},
+		// An explicit zero on the command line is a value, not an omission:
+		// only a spec document defaults it.
+		{[]string{"-flows", "0"}, "", "flows must be positive (got 0)"},
+		{[]string{"-rtt-min", "0"}, "", "rtt_min_us must be positive (got 0)"},
+	} {
+		_, stderr, code := ecnsim(t, tc.args...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if !strings.HasPrefix(stderr, "ecnsim: ") || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%v: stderr is not the one-line usage error mentioning %q:\n%s", tc.args, tc.want, stderr)
+		}
+		if tc.spec == "" {
+			continue
+		}
+		spec := filepath.Join(t.TempDir(), "bad.json")
+		if err := os.WriteFile(spec, []byte(tc.spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, specErr, specCode := ecnsim(t, "-spec", spec)
+		if specCode != 2 || specErr != stderr {
+			t.Errorf("%v: -spec of the same value exits %d with %q, flags with %q", tc.args, specCode, specErr, stderr)
+		}
+	}
+}

@@ -9,13 +9,11 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ecnsharp/internal/experiments"
 	"ecnsharp/internal/rttvar"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/topology"
-	"ecnsharp/internal/workload"
 )
 
 func main() {
@@ -31,26 +29,20 @@ func main() {
 	fmt.Printf("derived ECN# params: ins_target=%v pst_target=%v pst_interval=%v\n\n",
 		sharp.Params.InsTarget, sharp.Params.PstTarget, sharp.Params.PstInterval)
 
-	senders := []int{0, 1, 2, 3, 4, 5, 6}
-	flowGen := func(rng *rand.Rand) []workload.FlowSpec {
-		return workload.PoissonFlows(rng, workload.PoissonConfig{
-			SizeDist:    workload.WebSearchCDF,
-			Load:        0.6,
-			CapacityBps: topology.TenGbps,
-			Pairs:       workload.StarPairs(senders, 7),
-			FlowCount:   300,
-		})
-	}
-
-	for _, scheme := range []experiments.Scheme{tail, sharp} {
-		r := experiments.Run(experiments.RunConfig{
-			Seed:    42,
-			Topo:    experiments.TopoStar,
-			Hosts:   8,
-			Scheme:  scheme,
-			RTT:     &rtt,
-			FlowGen: flowGen,
-		})
+	// A Cell names one run on the 8-host testbed star (7 senders, 1
+	// receiver, Poisson web-search arrivals) — the unit ecnsim, ecnsharpd
+	// and the tuner all execute — and resolves the scheme by name against
+	// the same RTT distribution.
+	for _, name := range []string{"red-tail", "ecnsharp"} {
+		cfg, err := experiments.Cell{
+			Topo: "star", Scheme: name, Workload: "websearch",
+			Load: 0.6, Flows: 300, Seed: 42,
+			RTTMinUS: 70, RTTVariation: 3,
+		}.RunConfig()
+		if err != nil {
+			panic(err)
+		}
+		scheme, r := cfg.Scheme, experiments.Run(cfg)
 		s := r.Stats
 		fmt.Printf("%-16s overall avg %8.1f us | short avg %7.1f us p99 %8.1f us | large avg %9.1f us\n",
 			scheme.Label, s.OverallAvg, s.ShortAvg, s.ShortP99, s.LargeAvg)

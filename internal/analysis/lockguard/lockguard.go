@@ -14,7 +14,9 @@
 //   - calls that write an HTTP response: a method on an
 //     http.ResponseWriter or any call passing one (writeJSON, writeErr,
 //     fmt.Fprintf(w, …)) — network-paced, client-controlled;
-//   - Cell.Run — an entire simulation under a daemon lock.
+//   - Cell.Run and RunCells (the executor the daemon reaches Cell.Run
+//     through) — an entire simulation, or a sweep of them, under a
+//     daemon lock.
 //
 // (*sync.Cond).Wait is exempt: it atomically releases the associated lock
 // while blocked, which is the sanctioned way to wait under a mutex. The
@@ -56,7 +58,7 @@ const name = "lockguard"
 // Analyzer is the lockguard analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:     name,
-	Doc:      "flags blocking operations (HTTP response writes, channel sends/receives, Cell.Run) while a sync.Mutex/RWMutex is held, and value-receiver methods on lock-holding types",
+	Doc:      "flags blocking operations (HTTP response writes, channel sends/receives, Cell.Run/RunCells) while a sync.Mutex/RWMutex is held, and value-receiver methods on lock-holding types",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
@@ -71,7 +73,7 @@ func init() {
 	Analyzer.Flags.StringVar(&lockPkgs, "lockpkgs", "internal/service,internal/cache",
 		"comma-separated import-path suffixes of packages whose critical sections are checked")
 	Analyzer.Flags.StringVar(&cellType, "celltype", "ecnsharp/internal/experiments.Cell",
-		"fully qualified name of the experiment cell type whose Run must not execute under a lock")
+		"fully qualified name of the experiment cell type whose Run (and whose package's RunCells) must not execute under a lock")
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -300,9 +302,16 @@ func (lk *lockAnalyzer) checkExpr(e ast.Expr, held map[string]bool) {
 }
 
 // checkCall flags calls that block while a lock is held: HTTP response
-// writes and Cell.Run. (*sync.Cond).Wait is exempt — it releases the lock
-// while blocked.
+// writes, Cell.Run and RunCells. (*sync.Cond).Wait is exempt — it releases
+// the lock while blocked.
 func (lk *lockAnalyzer) checkCall(call *ast.CallExpr, held map[string]bool) {
+	callee, _ := typeutil.Callee(lk.pass.TypesInfo, call).(*types.Func)
+	// RunCells: every simulation of a sweep under a daemon lock.
+	if callee != nil && callee.Name() == "RunCells" && callee.Pkg() != nil && callee.Pkg().Path() == lk.cellPkg {
+		lk.report(call.Pos(), "RunCells executes whole simulations while %s is held (or annotate //lint:allow lockguard -- <reason>)",
+			heldNames(held))
+		return
+	}
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if sel.Sel.Name == "Wait" && isSyncType(lk.pass.TypesInfo.TypeOf(sel.X), "Cond") {
 			return
@@ -325,8 +334,8 @@ func (lk *lockAnalyzer) checkCall(call *ast.CallExpr, held map[string]bool) {
 	for _, arg := range call.Args {
 		if isResponseWriter(lk.pass.TypesInfo.TypeOf(arg)) {
 			f := "a function"
-			if fn, ok := typeutil.Callee(lk.pass.TypesInfo, call).(*types.Func); ok {
-				f = fn.Name()
+			if callee != nil {
+				f = callee.Name()
 			}
 			lk.report(call.Pos(), "HTTP response write (%s receives the ResponseWriter) while %s is held; a slow client stalls every critical section on the lock — snapshot under the lock, write after (or annotate //lint:allow lockguard -- <reason>)",
 				f, heldNames(held))

@@ -8,15 +8,15 @@ import (
 )
 
 // TestLockguard checks the true positives: response writes, channel sends
-// and receives, and Cell.Run under a held mutex, plus the value-receiver
-// copylock.
+// and receives, Cell.Run and RunCells under a held mutex, plus the
+// value-receiver copylock.
 func TestLockguard(t *testing.T) {
 	analyzertest.Run(t, analyzertest.TestData(t), lockguard.Analyzer, "ecnsharp/internal/service")
 }
 
 // TestLockguardCleanAndAllowed is the negative and suppression test: the
-// snapshot-then-write idiom, Cond.Wait, post-unlock sends and goroutine
-// bodies stay silent, and the one annotated exception is not stale.
+// snapshot-then-write idiom, Cond.Wait, post-unlock sends, post-unlock
+// RunCells and goroutine bodies stay silent, and the one annotated exception is not stale.
 func TestLockguardCleanAndAllowed(t *testing.T) {
 	analyzertest.Run(t, analyzertest.TestData(t), lockguard.Analyzer, "ecnsharp/internal/cache")
 }

@@ -1,6 +1,6 @@
 // Package cache holds the lockguard negative and suppression cases:
-// snapshot-under-lock-write-after, Cond.Wait, sends after unlock, and an
-// annotated deliberate exception. The only want-free diagnostics here
+// snapshot-under-lock-write-after, Cond.Wait, sends after unlock, RunCells
+// after unlock, and an annotated deliberate exception. The only want-free diagnostics here
 // would be false positives.
 package cache
 
@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+
+	"ecnsharp/internal/experiments"
 )
 
 // Store mimics the result cache's locked index.
@@ -43,6 +45,15 @@ func (s *Store) PumpOutside(v int) {
 	n := s.m["k"]
 	s.mu.Unlock()
 	s.jobs <- n + v
+}
+
+// SweepOutside snapshots the cells under the lock and runs them after
+// releasing it, the way the daemon's runSweep does.
+func (s *Store) SweepOutside(cells []experiments.Cell) {
+	s.mu.Lock()
+	n := len(s.m)
+	s.mu.Unlock()
+	experiments.RunCells(cells[:n])
 }
 
 // AsyncNotify spawns a goroutine from the critical section: the goroutine

@@ -1,5 +1,5 @@
 // Package service holds the lockguard true positives: response writes,
-// channel operations and Cell.Run under a held mutex, plus a
+// channel operations, Cell.Run and RunCells under a held mutex, plus a
 // value-receiver method on a lock-holding type.
 package service
 
@@ -51,6 +51,13 @@ func (sw *sweepWatcher) runHeld(c *experiments.Cell) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	c.Run() // want `Cell.Run executes a whole simulation while sw.mu is held`
+}
+
+// sweepHeld executes a whole sweep under the daemon lock.
+func (sw *sweepWatcher) sweepHeld(cells []experiments.Cell) {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	experiments.RunCells(cells) // want `RunCells executes whole simulations while sw.mu is held`
 }
 
 // counters is a lock-holding type with a broken value-receiver method.

@@ -2,15 +2,16 @@ package cache
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"ecnsharp/internal/experiments"
 )
 
 func mustOpen(t *testing.T, opts Options) *Store {
@@ -22,13 +23,14 @@ func mustOpen(t *testing.T, opts Options) *Store {
 	return s
 }
 
-// key derives a well-formed content key for tests, using the real cell
-// hashing so test keys look exactly like production keys.
+// key derives a well-formed content key for tests the way
+// experiments.Cell.Key does — hex SHA-256 over the version and a canonical
+// encoding — without importing experiments, which runs its cells through
+// this package.
 func key(t *testing.T, seed int64, version string) string {
 	t.Helper()
-	c := experiments.Cell{Topo: "star", Scheme: "ecnsharp", Workload: "websearch",
-		Load: 0.5, Flows: 10, Seed: seed, RTTMinUS: 70, RTTVariation: 3}
-	return c.Key(version)
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%s\n{\"seed\":%d}", version, seed)))
+	return hex.EncodeToString(sum[:])
 }
 
 func TestPutGetRoundTrip(t *testing.T) {

@@ -60,17 +60,7 @@ func Ablation(sc Scale) *Table {
 	results := RunAll(one, cfgs)
 	for i, v := range variants {
 		r := results[i]
-		var standing float64
-		var n int
-		for _, smp := range r.QueueSamples {
-			if smp.At < incastQueryAt {
-				standing += float64(smp.Packets)
-				n++
-			}
-		}
-		if n > 0 {
-			standing /= float64(n)
-		}
+		standing, _ := queueAroundBurst(r.QueueSamples)
 		t.AddRow(v.Label, f1(standing), fmt.Sprintf("%d", r.MaxQueuePkts),
 			fmt.Sprintf("%d", r.Drops), fmt.Sprintf("%d", r.Timeouts),
 			f1(r.Stats.QueryP99))

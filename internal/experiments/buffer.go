@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"ecnsharp/internal/sim"
-)
+import "fmt"
 
 // BufferModels contrasts buffer architectures on the Figure-10 incast
 // scenario (extension): the static 600-packet-per-port bound used by the
@@ -46,20 +42,7 @@ func BufferModels(sc Scale) *Table {
 			continue // the burst-tolerance contrast is CoDel vs ECN♯
 		}
 		for _, a := range archs {
-			cfg := RunConfig{
-				Topo:           TopoStar,
-				Hosts:          incastHosts,
-				Scheme:         s,
-				Transport:      SimTransport(),
-				FlowGen:        incastFlowGen(100, sc.FlowCount),
-				Deadline:       incastQueryAt + 300*sim.Millisecond,
-				SampleQueueOf:  incastSenders,
-				SampleStart:    incastQueryAt - 5*sim.Millisecond,
-				SampleEnd:      incastQueryAt + 5*sim.Millisecond,
-				SampleInterval: 10 * sim.Microsecond,
-			}
-			rtt := LeafSpineRTT()
-			cfg.RTT = &rtt
+			cfg := incastCfg(s, 100, sc.FlowCount, true)
 			cfg.BufferBytes = a.static
 			cfg.SharedBufferBytes = a.shared
 			cfg.DTAlpha = a.alpha
@@ -72,17 +55,7 @@ func BufferModels(sc Scale) *Table {
 	results := RunAll(one, cfgs)
 	for i, c := range cells {
 		r := results[i]
-		var standing float64
-		var n int
-		for _, smp := range r.QueueSamples {
-			if smp.At < incastQueryAt {
-				standing += float64(smp.Packets)
-				n++
-			}
-		}
-		if n > 0 {
-			standing /= float64(n)
-		}
+		standing, _ := queueAroundBurst(r.QueueSamples)
 		t.AddRow(c.scheme.Label, c.arch.name, f1(standing),
 			fmt.Sprintf("%d", r.MaxQueuePkts),
 			fmt.Sprintf("%d", r.Drops), f1(r.Stats.QueryP99))

@@ -55,10 +55,7 @@ func churnSchemes() []Scheme {
 // maintenance scenarios: Poisson web-search arrivals over random pairs at
 // moderate load.
 func websearchFlows(count int) func(rng *rand.Rand) []workload.FlowSpec {
-	hosts := make([]int, 16)
-	for i := range hosts {
-		hosts[i] = i
-	}
+	hosts := hostRange(16)
 	return func(rng *rand.Rand) []workload.FlowSpec {
 		return workload.PoissonFlows(rng, workload.PoissonConfig{
 			SizeDist:    workload.WebSearchCDF,

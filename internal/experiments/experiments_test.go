@@ -305,7 +305,7 @@ func TestAverageSeedsAggregates(t *testing.T) {
 		Hosts:   TestbedHosts,
 		Scheme:  TestbedSchemes()[0],
 		RTT:     &rtt,
-		FlowGen: testbedFlowGen(workload.WebSearchCDF, 0.4, 80),
+		FlowGen: shapeCfg(TopoStar, workload.WebSearchCDF, 0.4, 80).FlowGen,
 	}
 	r := RunSeeds(Scale{Seeds: []int64{1, 2}}, cfg)
 	if r.Injected != 160 {

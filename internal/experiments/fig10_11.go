@@ -57,10 +57,7 @@ func MicroscopicSchemes() []Scheme {
 // has 1 GB flows whose arrival is a minutes-scale overload transient that
 // the paper's long run averages out but a 500 ms window cannot).
 func incastFlowGen(fanout, bgFlows int) func(*rand.Rand) []workload.FlowSpec {
-	senders := make([]int, incastSenders)
-	for i := range senders {
-		senders[i] = i
-	}
+	senders := hostRange(incastSenders)
 	bgDist := workload.DataMiningCDF.Truncated(10_000_000)
 	return func(rng *rand.Rand) []workload.FlowSpec {
 		var flows []workload.FlowSpec
@@ -128,6 +125,29 @@ func runIncast(s Scheme, fanout, bgFlows int, seed int64, sample bool) RunResult
 	return Run(cfg)
 }
 
+// queueAroundBurst averages the sampled bottleneck occupancy on each side
+// of incastQueryAt: the standing queue before the burst and the response
+// from it on (0 where a side has no samples).
+func queueAroundBurst(samples []metrics.QueueSample) (standing, burst float64) {
+	var nStand, nBurst int
+	for _, smp := range samples {
+		if smp.At < incastQueryAt {
+			standing += float64(smp.Packets)
+			nStand++
+		} else {
+			burst += float64(smp.Packets)
+			nBurst++
+		}
+	}
+	if nStand > 0 {
+		standing /= float64(nStand)
+	}
+	if nBurst > 0 {
+		burst /= float64(nBurst)
+	}
+	return standing, burst
+}
+
 // Fig10 reproduces Figure 10: a 5 ms microscopic view of the bottleneck
 // queue around a 100-flow query burst for DCTCP-RED-Tail, CoDel and ECN♯.
 // It reports the average/peak occupancy over the window and drop counts —
@@ -151,23 +171,7 @@ func Fig10(sc Scale) (*Table, map[string][]metrics.QueueSample) {
 	results := RunAll(one, cfgs)
 	for si, s := range schemes {
 		r := results[si]
-		var standing, burst float64
-		var nStand, nBurst int
-		for _, smp := range r.QueueSamples {
-			if smp.At < incastQueryAt {
-				standing += float64(smp.Packets)
-				nStand++
-			} else {
-				burst += float64(smp.Packets)
-				nBurst++
-			}
-		}
-		if nStand > 0 {
-			standing /= float64(nStand)
-		}
-		if nBurst > 0 {
-			burst /= float64(nBurst)
-		}
+		standing, burst := queueAroundBurst(r.QueueSamples)
 		t.AddRow(s.Label, f1(standing), f1(burst), fmt.Sprintf("%d", r.MaxQueuePkts),
 			fmt.Sprintf("%d", r.Drops), fmt.Sprintf("%d", r.Timeouts))
 		traces[s.Label] = r.QueueSamples

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"math/rand"
-
 	"ecnsharp/internal/core"
 	"ecnsharp/internal/dist"
 	"ecnsharp/internal/rttvar"
@@ -17,34 +15,14 @@ const TestbedHosts = 8
 // TestbedRTTMin is the emulated minimum base RTT (70 µs in §2.3/§5.2).
 const TestbedRTTMin = 70 * sim.Microsecond
 
-// testbedFlowGen builds a Poisson star workload at the given load.
-func testbedFlowGen(wl *dist.EmpiricalCDF, load float64, flowCount int) func(*rand.Rand) []workload.FlowSpec {
-	senders := make([]int, TestbedHosts-1)
-	for i := range senders {
-		senders[i] = i
-	}
-	return func(rng *rand.Rand) []workload.FlowSpec {
-		return workload.PoissonFlows(rng, workload.PoissonConfig{
-			SizeDist:    wl,
-			Load:        load,
-			CapacityBps: topology.TenGbps,
-			Pairs:       workload.StarPairs(senders, TestbedHosts-1),
-			FlowCount:   flowCount,
-		})
-	}
-}
-
 // starCfg builds one testbed configuration; the seed is assigned by the
 // harness per run.
 func starCfg(scheme Scheme, wl *dist.EmpiricalCDF, load float64,
 	rtt rttvar.RTTDistribution, sc Scale) RunConfig {
-	return RunConfig{
-		Topo:    TopoStar,
-		Hosts:   TestbedHosts,
-		Scheme:  scheme,
-		RTT:     &rtt,
-		FlowGen: testbedFlowGen(wl, load, sc.FlowCount),
-	}
+	cfg := shapeCfg(TopoStar, wl, load, sc.FlowCount)
+	cfg.Scheme = scheme
+	cfg.RTT = &rtt
+	return cfg
 }
 
 // starRun executes one testbed configuration pooled over seeds.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ecnsharp/internal/core"
 	"ecnsharp/internal/metrics"
@@ -196,34 +195,13 @@ func LeafSpineSchemes() []Scheme {
 func Fig9(sc Scale) []*Table {
 	rtt := LeafSpineRTT()
 	schemes := LeafSpineSchemes()
-	hosts := make([]int, 128)
-	for i := range hosts {
-		hosts[i] = i
-	}
-	flowGen := func(load float64) func(*rand.Rand) []workload.FlowSpec {
-		return func(rng *rand.Rand) []workload.FlowSpec {
-			return workload.PoissonFlows(rng, workload.PoissonConfig{
-				SizeDist:    workload.WebSearchCDF,
-				Load:        load,
-				CapacityBps: topology.TenGbps,
-				RefLinks:    len(hosts),
-				Pairs:       workload.RandomPairs(hosts),
-				FlowCount:   sc.LeafSpineFlowCount,
-			})
-		}
-	}
 	tables := fctSweep("fig9", "[Simulation] 128-host leaf-spine, web search FCT",
 		schemes, sc.Loads, sc,
 		func(s Scheme, load float64) RunConfig {
-			return RunConfig{
-				Topo:         TopoLeafSpine,
-				Spines:       8,
-				Leaves:       8,
-				HostsPerLeaf: 16,
-				Scheme:       s,
-				RTT:          &rtt,
-				FlowGen:      flowGen(load),
-			}
+			cfg := shapeCfg(TopoLeafSpine, workload.WebSearchCDF, load, sc.LeafSpineFlowCount)
+			cfg.Scheme = s
+			cfg.RTT = &rtt
+			return cfg
 		})
 	// The paper's Figure 9 shows (a) overall avg and (b) short avg.
 	return tables[:2]

@@ -103,21 +103,10 @@ func ProbExtension(sc Scale) *Table {
 
 // probIncast reruns the Figure-10 scenario with a custom AQM factory.
 func probIncast(ctx context.Context, mk aqmHook, sc Scale) (standing float64, drops int64, queryP99 float64, err error) {
-	rtt := LeafSpineRTT()
-	cfg := RunConfig{
-		Seed:           sc.Seeds[0],
-		Topo:           TopoStar,
-		Hosts:          incastHosts,
-		AQMAt:          mk,
-		RTT:            &rtt,
-		Transport:      SimTransport(),
-		FlowGen:        incastFlowGen(100, sc.FlowCount),
-		Deadline:       incastQueryAt + 300*sim.Millisecond,
-		SampleQueueOf:  incastSenders,
-		SampleStart:    incastQueryAt - 5*sim.Millisecond,
-		SampleEnd:      incastQueryAt,
-		SampleInterval: 10 * sim.Microsecond,
-	}
+	cfg := incastCfg(Scheme{}, 100, sc.FlowCount, true)
+	cfg.Seed = sc.Seeds[0]
+	cfg.AQMAt = mk
+	cfg.SampleEnd = incastQueryAt // standing queue only
 	r, err := RunContext(ctx, cfg)
 	if err != nil {
 		return 0, 0, 0, err

@@ -6,7 +6,7 @@ import (
 	"math/rand"
 
 	"ecnsharp/internal/aqm"
-
+	"ecnsharp/internal/dist"
 	"ecnsharp/internal/fault"
 	"ecnsharp/internal/harness"
 	"ecnsharp/internal/metrics"
@@ -164,6 +164,45 @@ func (c *RunConfig) defaults() {
 	if c.Shards < 0 {
 		c.Shards = 0
 	}
+}
+
+// shapeCfg builds the skeleton of a run on one of the two named shapes every
+// load sweep uses — the 8-host testbed star (§5.2: senders 0–6, receiver 7)
+// or the 128-host 8×8×16 leaf-spine (§5.3: uniform random pairs) — with
+// Poisson arrivals of the given flow sizes at the given load. Callers set
+// the seed, scheme and RTT model on the result.
+func shapeCfg(topo TopoKind, sizes dist.Sampler, load float64, flows int) RunConfig {
+	traffic := workload.PoissonConfig{
+		SizeDist:    sizes,
+		Load:        load,
+		CapacityBps: topology.TenGbps,
+		FlowCount:   flows,
+	}
+	var cfg RunConfig
+	switch topo {
+	case TopoStar:
+		cfg = RunConfig{Topo: TopoStar, Hosts: TestbedHosts}
+		traffic.Pairs = workload.StarPairs(hostRange(TestbedHosts-1), TestbedHosts-1)
+	case TopoLeafSpine:
+		cfg = RunConfig{Topo: TopoLeafSpine, Spines: 8, Leaves: 8, HostsPerLeaf: 16}
+		traffic.RefLinks = 128
+		traffic.Pairs = workload.RandomPairs(hostRange(128))
+	default:
+		panic(fmt.Sprintf("experiments: unknown topology %d", topo))
+	}
+	cfg.FlowGen = func(rng *rand.Rand) []workload.FlowSpec {
+		return workload.PoissonFlows(rng, traffic)
+	}
+	return cfg
+}
+
+// hostRange returns the host indices 0..n-1.
+func hostRange(n int) []int {
+	hosts := make([]int, n)
+	for i := range hosts {
+		hosts[i] = i
+	}
+	return hosts
 }
 
 // pathRTT estimates the intrinsic base RTT of the topology without any

@@ -7,8 +7,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 
+	"ecnsharp/internal/cache"
+	"ecnsharp/internal/harness"
 	"ecnsharp/internal/metrics"
 	"ecnsharp/internal/rttvar"
 	"ecnsharp/internal/sim"
@@ -127,50 +128,74 @@ func (s *SweepSpec) Normalize() error {
 		}
 	}
 
-	switch s.Topo {
-	case "star", "leafspine":
-	default:
-		return fmt.Errorf("experiments: unknown topology %q (want star or leafspine)", s.Topo)
-	}
-	for _, l := range s.Loads {
-		if l <= 0 || l > 1 {
-			return fmt.Errorf("experiments: load %v outside (0, 1]", l)
-		}
-	}
-	if s.Flows < 1 {
-		return fmt.Errorf("experiments: flows must be positive (got %d)", s.Flows)
-	}
-	if s.RTTMinUS <= 0 {
-		return fmt.Errorf("experiments: rtt_min_us must be positive (got %v)", s.RTTMinUS)
-	}
-	if s.RTTVariation < 1 {
-		return fmt.Errorf("experiments: rtt_variation must be >= 1 (got %v)", s.RTTVariation)
-	}
-	if s.Shards < 0 {
-		return fmt.Errorf("experiments: shards must be >= 0 (got %d)", s.Shards)
-	}
-	// Name resolution last: the RTT model construction above requires the
-	// numeric bounds already validated.
-	if _, err := SchemeByName(s.Scheme, rttvar.NewVariation(sim.Micros(s.RTTMinUS), s.RTTVariation)); err != nil {
-		return err
-	}
-	if _, err := workload.ByName(s.Workload); err != nil {
-		return err
-	}
-	if s.Trace != nil {
-		if _, err := trace.ParseMask(s.Trace.Events); err != nil {
-			return fmt.Errorf("experiments: trace spec: %w", err)
-		}
-		if s.Trace.Sample < 1 {
-			return fmt.Errorf("experiments: trace sample must be >= 1 (got %d)", s.Trace.Sample)
+	// One representative cell per load carries every validated field.
+	for _, load := range s.Loads {
+		if err := s.cell(load, s.Seeds[0]).Validate(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// SchemeByName resolves ecnsim's -scheme names against an RTT
-// distribution, the single naming authority shared by the CLI and the
-// sweep spec: ecnsharp, red-tail, red-avg (thresholds derived per §3.4),
+// Validate checks a fully resolved cell: numeric bounds first, then name
+// resolution. It is the one set of checks behind every entry point —
+// SweepSpec.Normalize applies it per load, and ecnsim applies it to the
+// cell it builds from its flags — so a bad value is the same one-line
+// error everywhere.
+func (c Cell) Validate() error {
+	if _, err := topoByName(c.Topo); err != nil {
+		return err
+	}
+	if c.Load <= 0 || c.Load > 1 {
+		return fmt.Errorf("experiments: load %v outside (0, 1]", c.Load)
+	}
+	if c.Flows < 1 {
+		return fmt.Errorf("experiments: flows must be positive (got %d)", c.Flows)
+	}
+	if c.RTTMinUS <= 0 {
+		return fmt.Errorf("experiments: rtt_min_us must be positive (got %v)", c.RTTMinUS)
+	}
+	if c.RTTVariation < 1 {
+		return fmt.Errorf("experiments: rtt_variation must be >= 1 (got %v)", c.RTTVariation)
+	}
+	if c.Shards < 0 {
+		return fmt.Errorf("experiments: shards must be >= 0 (got %d)", c.Shards)
+	}
+	// Name resolution last: the RTT model construction requires the
+	// numeric bounds already validated.
+	if _, err := SchemeByName(c.Scheme, rttvar.NewVariation(sim.Micros(c.RTTMinUS), c.RTTVariation)); err != nil {
+		return err
+	}
+	if _, err := workload.ByName(c.Workload); err != nil {
+		return err
+	}
+	if c.TraceEvents != "" {
+		if _, err := trace.ParseMask(c.TraceEvents); err != nil {
+			return fmt.Errorf("experiments: trace spec: %w", err)
+		}
+		if c.TraceSample < 1 {
+			return fmt.Errorf("experiments: trace sample must be >= 1 (got %d)", c.TraceSample)
+		}
+	}
+	return nil
+}
+
+// topoByName resolves the two named shapes a Cell can run on.
+func topoByName(name string) (TopoKind, error) {
+	switch name {
+	case "star":
+		return TopoStar, nil
+	case "leafspine":
+		return TopoLeafSpine, nil
+	default:
+		return 0, fmt.Errorf("experiments: unknown topology %q (want star or leafspine)", name)
+	}
+}
+
+// SchemeByName resolves scheme names against an RTT distribution. It is
+// the single naming authority: ecnsim -scheme and the sweep spec's
+// "scheme" both resolve here (via Cell.Validate and Cell.RunConfig):
+// ecnsharp, red-tail, red-avg (thresholds derived per §3.4),
 // codel and tcn (90th-percentile parameterizations).
 func SchemeByName(name string, rtt rttvar.RTTDistribution) (Scheme, error) {
 	tail, avg, sharp := DeriveSchemes(rtt, topology.TenGbps)
@@ -225,30 +250,76 @@ type Cell struct {
 }
 
 // Cells expands the normalized spec into its load × seed grid, loads
-// outermost, in spec order.
+// outermost, in spec order: cell li*len(Seeds)+si is (Loads[li], Seeds[si]).
+// Pool is the inverse grouping.
 func (s *SweepSpec) Cells() []Cell {
 	cells := make([]Cell, 0, len(s.Loads)*len(s.Seeds))
 	for _, load := range s.Loads {
 		for _, seed := range s.Seeds {
-			c := Cell{
-				Topo:         s.Topo,
-				Scheme:       s.Scheme,
-				Workload:     s.Workload,
-				Load:         load,
-				Flows:        s.Flows,
-				Seed:         seed,
-				RTTMinUS:     s.RTTMinUS,
-				RTTVariation: s.RTTVariation,
-				Shards:       s.Shards,
-			}
-			if s.Trace != nil {
-				c.TraceEvents = s.Trace.Events
-				c.TraceSample = s.Trace.Sample
-			}
-			cells = append(cells, c)
+			cells = append(cells, s.cell(load, seed))
 		}
 	}
 	return cells
+}
+
+// cell resolves one (load, seed) grid point of the spec.
+func (s *SweepSpec) cell(load float64, seed int64) Cell {
+	c := Cell{
+		Topo:         s.Topo,
+		Scheme:       s.Scheme,
+		Workload:     s.Workload,
+		Load:         load,
+		Flows:        s.Flows,
+		Seed:         seed,
+		RTTMinUS:     s.RTTMinUS,
+		RTTVariation: s.RTTVariation,
+		Shards:       s.Shards,
+	}
+	if s.Trace != nil {
+		c.TraceEvents = s.Trace.Events
+		c.TraceSample = s.Trace.Sample
+	}
+	return c
+}
+
+// LoadPool is one load point of a sweep pooled over its seeds, in seed
+// order: the pooled record stream and its statistics — true pooled
+// percentiles, not averaged per-seed ones, exactly like MergeRuns — and the
+// summed counters.
+type LoadPool struct {
+	// Load is the offered-load point.
+	Load float64
+	// Stats is the FCT breakdown of Records.
+	Stats metrics.FCTStats
+	// Records is the pooled completed-flow stream (read-only).
+	Records []metrics.FCTRecord
+	// Drops, Marks, Timeouts and Retransmits sum the cells' counters.
+	Drops, Marks, Timeouts, Retransmits int64
+	// Completed, Failed and Injected sum the cells' flow counts.
+	Completed, Failed, Injected int
+}
+
+// Pool groups the results of the spec's cells — results[i] belonging to
+// Cells()[i] — into one LoadPool per load.
+func (s *SweepSpec) Pool(results []CellResult) []LoadPool {
+	pools := make([]LoadPool, len(s.Loads))
+	for li, load := range s.Loads {
+		p := LoadPool{Load: load}
+		pooled := metrics.NewFCTCollector()
+		for _, r := range results[li*len(s.Seeds) : (li+1)*len(s.Seeds)] {
+			pooled.Merge(r.Collector())
+			p.Drops += r.Drops
+			p.Marks += r.Marks
+			p.Timeouts += r.Timeouts
+			p.Retransmits += r.Retransmits
+			p.Completed += r.Completed
+			p.Failed += r.Failed
+			p.Injected += r.Injected
+		}
+		p.Stats, p.Records = pooled.Stats(), pooled.Records()
+		pools[li] = p
+	}
+	return pools
 }
 
 // canonical returns the cell with Shards reduced to the partition it
@@ -292,10 +363,14 @@ func (c Cell) Key(version string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// RunConfig resolves the cell into a runnable configuration — the same
-// construction ecnsim performs from its flags, factored here so the CLI,
-// the daemon and tests share one spec→job path.
+// RunConfig resolves the cell into a runnable configuration. Every entry
+// point — ecnsim's flags, ecnsim -spec, the daemon, the tuner — builds its
+// runs here, on the same shapeCfg the paper figures use.
 func (c Cell) RunConfig() (RunConfig, error) {
+	topo, err := topoByName(c.Topo)
+	if err != nil {
+		return RunConfig{}, err
+	}
 	rtt := rttvar.NewVariation(sim.Micros(c.RTTMinUS), c.RTTVariation)
 	scheme, err := SchemeByName(c.Scheme, rtt)
 	if err != nil {
@@ -305,51 +380,15 @@ func (c Cell) RunConfig() (RunConfig, error) {
 	if err != nil {
 		return RunConfig{}, err
 	}
-	cfg := RunConfig{
-		Seed:   c.Seed,
-		Scheme: scheme,
-		RTT:    &rtt,
-		Shards: c.Shards,
-	}
+	cfg := shapeCfg(topo, cdf, c.Load, c.Flows)
+	cfg.Seed = c.Seed
+	cfg.Scheme = scheme
+	cfg.RTT = &rtt
+	cfg.Shards = c.Shards
 	if c.Tuned != nil {
 		if cfg.AQMAt, err = c.Tuned.AQMAt(scheme); err != nil {
 			return RunConfig{}, err
 		}
-	}
-	load, flows := c.Load, c.Flows
-	switch c.Topo {
-	case "star":
-		cfg.Topo = TopoStar
-		cfg.Hosts = 8
-		senders := []int{0, 1, 2, 3, 4, 5, 6}
-		cfg.FlowGen = func(rng *rand.Rand) []workload.FlowSpec {
-			return workload.PoissonFlows(rng, workload.PoissonConfig{
-				SizeDist:    cdf,
-				Load:        load,
-				CapacityBps: topology.TenGbps,
-				Pairs:       workload.StarPairs(senders, 7),
-				FlowCount:   flows,
-			})
-		}
-	case "leafspine":
-		cfg.Topo = TopoLeafSpine
-		cfg.Spines, cfg.Leaves, cfg.HostsPerLeaf = 8, 8, 16
-		hosts := make([]int, 128)
-		for i := range hosts {
-			hosts[i] = i
-		}
-		cfg.FlowGen = func(rng *rand.Rand) []workload.FlowSpec {
-			return workload.PoissonFlows(rng, workload.PoissonConfig{
-				SizeDist:    cdf,
-				Load:        load,
-				CapacityBps: topology.TenGbps,
-				RefLinks:    len(hosts),
-				Pairs:       workload.RandomPairs(hosts),
-				FlowCount:   flows,
-			})
-		}
-	default:
-		return RunConfig{}, fmt.Errorf("experiments: unknown topology %q", c.Topo)
 	}
 	return cfg, nil
 }
@@ -454,4 +493,70 @@ func (c Cell) Run(ctx context.Context) (CellResult, error) {
 		out.TraceJSONL = string(b)
 	}
 	return out, nil
+}
+
+// CellOutcome is what RunCells reports for one cell.
+type CellOutcome struct {
+	// Payload is the cell's canonical result bytes — CellResult.Encode's
+	// output, read back from the store on a hit.
+	Payload []byte
+	// Cached reports that the store served Payload without computing it.
+	Cached bool
+	// Result is Payload decoded.
+	Result CellResult
+	// Err, when non-nil, is why the cell has no result (a failed or
+	// timed-out run, a store error, cancellation before it started),
+	// prefixed with the cell's job label.
+	Err error
+}
+
+// RunCells is the one executor behind ecnsim -spec, the daemon and the
+// tuner: it fans the cells out over the harness pool, each through
+// store.Do(Key) around Run and Encode, decodes the payload, and returns one
+// outcome per cell in submission order. A nil store computes every cell
+// directly; the bytes are the same either way. Per-cell failures are
+// reported in the outcome, never hide the other cells, and the returned
+// error is non-nil only when ctx was canceled. opts.OnDone observes each
+// completion as it happens; its Progress.Value is the finished cell's
+// *CellOutcome (nil when Progress.Err is set).
+func RunCells(ctx context.Context, cells []Cell, store *cache.Store, opts harness.Options) ([]CellOutcome, error) {
+	jobs := make([]harness.Job, len(cells))
+	for i, cell := range cells {
+		jobs[i] = harness.Job{
+			Label: fmt.Sprintf("%s load=%.2f seed=%d", cell.Scheme, cell.Load, cell.Seed),
+			Run: func(ctx context.Context) (any, error) {
+				compute := func() ([]byte, error) {
+					res, err := cell.Run(ctx)
+					if err != nil {
+						return nil, err
+					}
+					return res.Encode()
+				}
+				out := new(CellOutcome)
+				var err error
+				if store == nil {
+					out.Payload, err = compute()
+				} else {
+					out.Payload, out.Cached, err = store.Do(cell.Key(ResultSchemaVersion), compute)
+				}
+				if err != nil {
+					return nil, err
+				}
+				if out.Result, err = DecodeCellResult(out.Payload); err != nil {
+					return nil, err
+				}
+				return out, nil
+			},
+		}
+	}
+	results, err := harness.Execute(ctx, jobs, opts)
+	outcomes := make([]CellOutcome, len(results))
+	for i, r := range results {
+		if r.Err != nil {
+			outcomes[i].Err = fmt.Errorf("%s: %w", r.Label, r.Err)
+		} else {
+			outcomes[i] = *r.Value.(*CellOutcome)
+		}
+	}
+	return outcomes, err
 }

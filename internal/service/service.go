@@ -38,10 +38,6 @@ type Config struct {
 	// time. It bounds the computation, not a cache-hit read or the wait
 	// for an in-flight duplicate.
 	Timeout time.Duration
-	// Version is the cache-key schema/code version; empty means
-	// experiments.ResultSchemaVersion. Bumping it invalidates every
-	// cached cell (their keys change).
-	Version string
 	// MaxSpecBytes caps the request body accepted by the submit
 	// endpoint; 0 means 1 MiB.
 	MaxSpecBytes int64
@@ -102,9 +98,6 @@ func Routes() []Route {
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("service: Config.Store is required")
-	}
-	if cfg.Version == "" {
-		cfg.Version = experiments.ResultSchemaVersion
 	}
 	if cfg.MaxSpecBytes == 0 {
 		cfg.MaxSpecBytes = 1 << 20
@@ -219,16 +212,7 @@ type sweep struct {
 	eventLog
 	done     int
 	hits     int
-	outcomes []*cellOutcome // indexed by cell, nil until finished
-}
-
-// cellOutcome is one finished cell: the canonical payload bytes served
-// for it, whether they came from cache, and the decoded result.
-type cellOutcome struct {
-	payload []byte
-	cached  bool
-	result  experiments.CellResult
-	err     string
+	outcomes []*experiments.CellOutcome // indexed by cell, nil until finished
 }
 
 // streamEvent is one NDJSON line of the progress stream.
@@ -256,7 +240,7 @@ func (s *Server) Submit(spec *experiments.SweepSpec) *sweep {
 	cells := spec.Cells()
 	keys := make([]string, len(cells))
 	for i, c := range cells {
-		keys[i] = c.Key(s.cfg.Version)
+		keys[i] = c.Key(experiments.ResultSchemaVersion)
 	}
 	s.mu.Lock()
 	s.nextID++
@@ -265,7 +249,7 @@ func (s *Server) Submit(spec *experiments.SweepSpec) *sweep {
 		spec:     spec,
 		cells:    cells,
 		keys:     keys,
-		outcomes: make([]*cellOutcome, len(cells)),
+		outcomes: make([]*experiments.CellOutcome, len(cells)),
 	}
 	sw.start()
 	s.sweeps[sw.id] = sw
@@ -275,56 +259,20 @@ func (s *Server) Submit(spec *experiments.SweepSpec) *sweep {
 	return sw
 }
 
-// runSweep fans the sweep's cells into the harness pool, emitting one
-// stream event per finished cell and a final "done" event.
+// runSweep executes the sweep's cells through experiments.RunCells over
+// the server's store, emitting one stream event per finished cell and a
+// final "done" event.
 func (s *Server) runSweep(sw *sweep) {
-	jobs := make([]harness.Job, len(sw.cells))
-	for i := range sw.cells {
-		i := i
-		cell := sw.cells[i]
-		key := sw.keys[i]
-		jobs[i] = harness.Job{
-			Label: fmt.Sprintf("%s load=%.2f seed=%d", cell.Scheme, cell.Load, cell.Seed),
-			Run: func(ctx context.Context) (any, error) {
-				payload, hit, err := s.cfg.Store.Do(key, func() ([]byte, error) {
-					res, err := cell.Run(ctx)
-					if err != nil {
-						return nil, err
-					}
-					return res.Encode()
-				})
-				if err != nil {
-					return nil, err
-				}
-				res, err := experiments.DecodeCellResult(payload)
-				if err != nil {
-					return nil, err
-				}
-				return &cellOutcome{payload: payload, cached: hit, result: res}, nil
-			},
-		}
-	}
-	results, _ := harness.Execute(s.ctx, jobs, harness.Options{
+	outcomes, _ := experiments.RunCells(s.ctx, sw.cells, s.cfg.Store, harness.Options{
 		Parallel: s.cfg.Parallel,
 		Timeout:  s.cfg.Timeout,
 		OnDone:   func(p harness.Progress) { s.onCellDone(sw, p) },
 	})
-
 	failed := 0
-	for i, r := range results {
-		sw.mu.Lock()
-		if sw.outcomes[i] == nil {
-			// Defensive: OnDone fills outcomes; keep results authoritative.
-			if r.Err != nil {
-				sw.outcomes[i] = &cellOutcome{err: r.Err.Error()}
-			} else if oc, ok := r.Value.(*cellOutcome); ok {
-				sw.outcomes[i] = oc
-			}
-		}
-		if sw.outcomes[i] == nil || sw.outcomes[i].err != "" {
+	for _, oc := range outcomes {
+		if oc.Err != nil {
 			failed++
 		}
-		sw.mu.Unlock()
 	}
 
 	sw.mu.Lock()
@@ -351,15 +299,16 @@ func (s *Server) onCellDone(sw *sweep, p harness.Progress) {
 		Label: p.Label, Done: p.Done, Total: p.Total,
 		Elapsed: float64(p.Elapsed.Microseconds()) / 1000}
 	if p.Err != nil {
-		sw.outcomes[p.Index] = &cellOutcome{err: p.Err.Error()}
+		sw.outcomes[p.Index] = &experiments.CellOutcome{Err: p.Err}
 		ev.Error = p.Err.Error()
-	} else if oc, ok := p.Value.(*cellOutcome); ok {
+	} else {
+		oc := p.Value.(*experiments.CellOutcome)
 		sw.outcomes[p.Index] = oc
-		ev.Cached = &oc.cached
-		if oc.cached {
+		ev.Cached = &oc.Cached
+		if oc.Cached {
 			sw.hits++
 		}
-		if b, err := json.Marshal(oc.result.Stats); err == nil {
+		if b, err := json.Marshal(oc.Result.Stats); err == nil {
 			ev.CellStats = b
 		}
 	}
@@ -403,7 +352,7 @@ func writeErr(w http.ResponseWriter, status int, code, msg string) {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{
 		"status":         "ok",
-		"schema_version": s.cfg.Version,
+		"schema_version": experiments.ResultSchemaVersion,
 	})
 }
 
@@ -411,16 +360,26 @@ func (s *Server) handleRoutes(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"routes": Routes()})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// readSpecBody reads a submitted spec document, bounded by MaxSpecBytes. On
+// failure it writes the error response and reports false.
+func (s *Server) readSpecBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxSpecBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeErr(w, http.StatusRequestEntityTooLarge, errBodyTooLarge,
 				fmt.Sprintf("spec exceeds %d bytes", tooLarge.Limit))
-			return
+		} else {
+			writeErr(w, http.StatusBadRequest, errBadRequest, err.Error())
 		}
-		writeErr(w, http.StatusBadRequest, errBadRequest, err.Error())
+		return nil, false
+	}
+	return body, true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, ok := s.readSpecBody(w, r)
+	if !ok {
 		return
 	}
 	spec, err := experiments.ParseSweepSpec(body)
@@ -473,12 +432,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	for i := range sw.cells {
 		cs := cellStatus{Index: i, Key: sw.keys[i], State: "pending"}
 		if oc := sw.outcomes[i]; oc != nil {
-			if oc.err != "" {
+			if oc.Err != nil {
 				cs.State = "error"
-				cs.Error = oc.err
+				cs.Error = oc.Err.Error()
 			} else {
 				cs.State = "done"
-				cached := oc.cached
+				cached := oc.Cached
 				cs.Cached = &cached
 			}
 		}
@@ -546,36 +505,21 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		Counters map[string]int64 `json:"counters"`
 	}
 	cells := make([]cellView, len(sw.cells))
-	seeds := len(sw.spec.Seeds)
-	pools := make([]poolView, 0, len(sw.spec.Loads))
-	for li, load := range sw.spec.Loads {
-		pool := experiments.CellResult{}
-		collector := pool.Collector()
-		var counters = map[string]int64{}
-		for si := 0; si < seeds; si++ {
-			i := li*seeds + si
-			oc := sw.outcomes[i]
-			res := oc.result
-			collector.Merge(res.Collector())
-			counters["drops"] += res.Drops
-			counters["marks"] += res.Marks
-			counters["timeouts"] += res.Timeouts
-			counters["retransmits"] += res.Retransmits
-			counters["completed"] += int64(res.Completed)
-			counters["failed"] += int64(res.Failed)
-			counters["injected"] += int64(res.Injected)
-			cells[i] = cellView{
-				Index: i, Key: sw.keys[i], Cached: oc.cached, Cell: res.Cell,
-				Stats: res.Stats,
-				Counters: map[string]int64{
-					"drops": res.Drops, "marks": res.Marks,
-					"timeouts": res.Timeouts, "retransmits": res.Retransmits,
-					"completed": int64(res.Completed), "failed": int64(res.Failed),
-					"injected": int64(res.Injected),
-				},
-			}
+	results := make([]experiments.CellResult, len(sw.cells))
+	for i, oc := range sw.outcomes {
+		res := oc.Result
+		results[i] = res
+		cells[i] = cellView{
+			Index: i, Key: sw.keys[i], Cached: oc.Cached, Cell: res.Cell, Stats: res.Stats,
+			Counters: counterMap(res.Drops, res.Marks, res.Timeouts, res.Retransmits,
+				res.Completed, res.Failed, res.Injected),
 		}
-		pools = append(pools, poolView{Load: load, Stats: collector.Stats(), Counters: counters})
+	}
+	pools := make([]poolView, 0, len(sw.spec.Loads))
+	for _, p := range sw.spec.Pool(results) {
+		pools = append(pools, poolView{Load: p.Load, Stats: p.Stats,
+			Counters: counterMap(p.Drops, p.Marks, p.Timeouts, p.Retransmits,
+				p.Completed, p.Failed, p.Injected)})
 	}
 	resp := map[string]any{
 		"id":         sw.id,
@@ -586,6 +530,14 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 	sw.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// counterMap renders the seven run counters under their API names.
+func counterMap(drops, marks, timeouts, retransmits int64, completed, failed, injected int) map[string]int64 {
+	return map[string]int64{
+		"drops": drops, "marks": marks, "timeouts": timeouts, "retransmits": retransmits,
+		"completed": int64(completed), "failed": int64(failed), "injected": int64(injected),
+	}
 }
 
 func (s *Server) handleCellTrace(w http.ResponseWriter, r *http.Request) {
@@ -606,18 +558,18 @@ func (s *Server) handleCellTrace(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, errNotFinished, "cell has not finished")
 		return
 	}
-	if oc.err != "" {
-		writeErr(w, http.StatusConflict, errNotFinished, oc.err)
+	if oc.Err != nil {
+		writeErr(w, http.StatusConflict, errNotFinished, oc.Err.Error())
 		return
 	}
-	if oc.result.TraceJSONL == "" {
+	if oc.Result.TraceJSONL == "" {
 		writeErr(w, http.StatusNotFound, errNotFound,
 			"cell was run without tracing (set \"trace\" in the sweep spec)")
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	io.WriteString(w, oc.result.TraceJSONL)
+	io.WriteString(w, oc.Result.TraceJSONL)
 }
 
 func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {

@@ -1,9 +1,7 @@
 package service
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"ecnsharp/internal/tune"
@@ -47,7 +45,6 @@ func (s *Server) runTune(tr *tuneRun) {
 		Parallel: s.cfg.Parallel,
 		Timeout:  s.cfg.Timeout,
 		Store:    s.cfg.Store,
-		Version:  s.cfg.Version,
 		OnProgress: func(p tune.Progress) {
 			if p.Type == "done" {
 				// The terminal event is emitted below, with the state.
@@ -94,15 +91,8 @@ func (s *Server) lookupTune(id string) *tuneRun {
 }
 
 func (s *Server) handleTuneSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxSpecBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeErr(w, http.StatusRequestEntityTooLarge, errBodyTooLarge,
-				fmt.Sprintf("spec exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeErr(w, http.StatusBadRequest, errBadRequest, err.Error())
+	body, ok := s.readSpecBody(w, r)
+	if !ok {
 		return
 	}
 	spec, err := tune.ParseSpec(body)

@@ -9,19 +9,20 @@ import (
 
 // TestTuneCacheIntegration is the cache-integration test: the second
 // tuning of an identical spec against the warm store recomputes nothing
-// (zero misses, zero puts — every cell is a disk hit), produces the same
-// result bytes, and a version bump invalidates cleanly.
+// (zero misses, zero puts — every cell is a disk hit) and produces the same
+// result bytes. That a version bump invalidates every key is pinned where
+// the key is derived (experiments.TestCellKeyDerivation).
 func TestTuneCacheIntegration(t *testing.T) {
 	store, err := cache.Open(t.TempDir(), cache.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWith := func(version string) []byte {
+	run := func() []byte {
 		spec, err := ParseSpec([]byte(smallSpecJSON))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(context.Background(), spec, Options{Parallel: 4, Store: store, Version: version})
+		res, err := Run(context.Background(), spec, Options{Parallel: 4, Store: store})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +33,7 @@ func TestTuneCacheIntegration(t *testing.T) {
 		return b
 	}
 
-	cold := runWith("tune-test-v1")
+	cold := run()
 	s1 := store.Stats()
 	if s1.Misses == 0 || s1.Puts == 0 {
 		t.Fatalf("cold run did not populate the store: %+v", s1)
@@ -43,7 +44,7 @@ func TestTuneCacheIntegration(t *testing.T) {
 		t.Errorf("cold run hit the store %d times — duplicate cell evaluations", s1.Hits)
 	}
 
-	warm := runWith("tune-test-v1")
+	warm := run()
 	s2 := store.Stats()
 	if d := s2.Misses - s1.Misses; d != 0 {
 		t.Errorf("warm run missed %d times, want 0 (zero recomputation)", d)
@@ -56,20 +57,5 @@ func TestTuneCacheIntegration(t *testing.T) {
 	}
 	if firstDiff(cold, warm) >= 0 {
 		t.Error("warm result bytes differ from cold — cache-hit state leaked into Result")
-	}
-
-	// A version bump must invalidate: every cell recomputes.
-	bumped := runWith("tune-test-v2")
-	s3 := store.Stats()
-	if d := s3.Misses - s2.Misses; d == 0 {
-		t.Error("version bump did not invalidate — no new misses")
-	}
-	if d := s3.Puts - s2.Puts; d == 0 {
-		t.Error("version bump did not recompute — no new puts")
-	}
-	// Same spec, same seed: the result is version-independent even though
-	// the cache keys are not.
-	if firstDiff(cold, bumped) >= 0 {
-		t.Error("result bytes depend on the cache-key version")
 	}
 }

@@ -73,30 +73,19 @@ func TunedVsDefault(sc experiments.Scale) []*experiments.Table {
 }
 
 // pooledStats re-evaluates one candidate on the spec's cell grid and
-// pools the multi-seed records — the same numbers the tuner scored, here
-// rendered as the full FCT breakdown for the table.
+// returns the pooled multi-seed statistics of its (single) load point — the
+// same numbers the tuner scored, here rendered as the full FCT breakdown
+// for the table.
 func pooledStats(spec *Spec, sc experiments.Scale, vec []float64) metrics.FCTStats {
-	tuned := spec.Space.ToTuned(vec)
-	cells := spec.Sweep.Cells()
-	jobs := make([]harness.Job, len(cells))
-	for i, c := range cells {
-		c.Tuned = tuned
-		cell := c
-		jobs[i] = harness.Job{
-			Label: fmt.Sprintf("stats load=%g seed=%d", cell.Load, cell.Seed),
-			Run:   func(ctx context.Context) (any, error) { r, err := cell.Run(ctx); return r, err },
+	cells := withTuned(spec.Sweep.Cells(), spec.Space.ToTuned(vec))
+	outcomes, _ := experiments.RunCells(context.Background(), cells, nil,
+		harness.Options{Parallel: sc.Parallel, Timeout: sc.Timeout})
+	results := make([]experiments.CellResult, len(outcomes))
+	for i, out := range outcomes {
+		if out.Err != nil {
+			panic(fmt.Sprintf("tune: pooled stats: %v", out.Err))
 		}
+		results[i] = out.Result
 	}
-	results, err := harness.Execute(context.Background(), jobs, harness.Options{Parallel: sc.Parallel, Timeout: sc.Timeout})
-	if err != nil {
-		panic(fmt.Sprintf("tune: pooled stats: %v", err))
-	}
-	var records []metrics.FCTRecord
-	for _, r := range results {
-		if r.Err != nil {
-			panic(fmt.Sprintf("tune: pooled stats (%s): %v", r.Label, r.Err))
-		}
-		records = append(records, r.Value.(experiments.CellResult).Records...)
-	}
-	return metrics.CollectorFromRecords(records).Stats()
+	return spec.Sweep.Pool(results)[0].Stats
 }

@@ -3,6 +3,7 @@ package tune
 import (
 	"fmt"
 
+	"ecnsharp/internal/experiments"
 	"ecnsharp/internal/metrics"
 	"ecnsharp/internal/packet"
 	"ecnsharp/internal/topology"
@@ -14,16 +15,6 @@ import (
 // because Result must round-trip through JSON.
 const PenaltyScore = 1e18
 
-// LoadPool is one load point's FCT records pooled across the spec's
-// seeds, in seed order — pooled percentiles, not averaged ones, exactly
-// like the paper's multi-seed figures.
-type LoadPool struct {
-	// Load is the offered-load point.
-	Load float64
-	// Records is the pooled completed-flow stream.
-	Records []metrics.FCTRecord
-}
-
 // Objective scores one candidate's pooled per-load results; lower is
 // better. Score must be a pure function of the pools — deterministic,
 // finite — so tuning stays reproducible from (spec, seed).
@@ -31,7 +22,7 @@ type Objective struct {
 	// Name is the spec name that selected the scoring rule.
 	Name string
 	// Score maps pooled results to the scalar being minimized.
-	Score func(pools []LoadPool) float64
+	Score func(pools []experiments.LoadPool) float64
 }
 
 // ObjectiveByName resolves a Spec's objective name: "short-p99" (pooled
@@ -43,7 +34,7 @@ type Objective struct {
 func ObjectiveByName(name string, rttMinUS, p99Weight, avgWeight float64) (Objective, error) {
 	switch name {
 	case "short-p99":
-		return Objective{Name: name, Score: func(pools []LoadPool) float64 {
+		return Objective{Name: name, Score: func(pools []experiments.LoadPool) float64 {
 			return meanOverLoads(pools, func(s metrics.FCTStats) float64 {
 				if s.ShortCount == 0 {
 					return PenaltyScore
@@ -52,7 +43,7 @@ func ObjectiveByName(name string, rttMinUS, p99Weight, avgWeight float64) (Objec
 			})
 		}}, nil
 	case "slowdown":
-		return Objective{Name: name, Score: func(pools []LoadPool) float64 {
+		return Objective{Name: name, Score: func(pools []experiments.LoadPool) float64 {
 			total, n := 0.0, 0
 			for _, pool := range pools {
 				for _, r := range pool.Records {
@@ -66,7 +57,7 @@ func ObjectiveByName(name string, rttMinUS, p99Weight, avgWeight float64) (Objec
 			return total / float64(n)
 		}}, nil
 	case "mix":
-		return Objective{Name: name, Score: func(pools []LoadPool) float64 {
+		return Objective{Name: name, Score: func(pools []experiments.LoadPool) float64 {
 			return meanOverLoads(pools, func(s metrics.FCTStats) float64 {
 				if s.OverallCount == 0 {
 					return PenaltyScore
@@ -79,15 +70,14 @@ func ObjectiveByName(name string, rttMinUS, p99Weight, avgWeight float64) (Objec
 	}
 }
 
-// meanOverLoads averages a pooled statistic across load points, pooling
-// each load's records with metrics.CollectorFromRecords first.
-func meanOverLoads(pools []LoadPool, stat func(metrics.FCTStats) float64) float64 {
+// meanOverLoads averages a pooled statistic across load points.
+func meanOverLoads(pools []experiments.LoadPool, stat func(metrics.FCTStats) float64) float64 {
 	if len(pools) == 0 {
 		return PenaltyScore
 	}
 	total := 0.0
 	for _, pool := range pools {
-		total += stat(metrics.CollectorFromRecords(pool.Records).Stats())
+		total += stat(pool.Stats)
 	}
 	return total / float64(len(pools))
 }

@@ -10,7 +10,6 @@ import (
 	"ecnsharp/internal/cache"
 	"ecnsharp/internal/experiments"
 	"ecnsharp/internal/harness"
-	"ecnsharp/internal/metrics"
 )
 
 // ResultSchemaVersion tags serialized Results; bump it when the encoding
@@ -35,9 +34,6 @@ type Options struct {
 	// cache via its Cell.Key, so re-tuning overlapping specs never
 	// recomputes a cell.
 	Store *cache.Store
-	// Version is the cache-key version (default
-	// experiments.ResultSchemaVersion).
-	Version string
 	// OnProgress, when non-nil, observes evaluation events as they
 	// complete, in evaluation order. It is called from the Run goroutine,
 	// never concurrently.
@@ -119,13 +115,6 @@ func DecodeResult(data []byte) (*Result, error) {
 	return &r, nil
 }
 
-// cellOutcome is one evaluated cell: its pooled records and whether the
-// store served it.
-type cellOutcome struct {
-	records []metrics.FCTRecord
-	cached  bool
-}
-
 // Run executes the tune loop: evaluate the paper-default anchor, then
 // alternate Searcher.Propose / Observe rounds — each candidate expanded
 // into its loads × seeds cell grid and executed through internal/harness
@@ -144,9 +133,6 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
 	searcher, err := NewSearcher(spec.Searcher, spec.GridPoints, spec.Budget, spec.Restarts, spec.StepFrac, spec.MinStepFrac)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Version == "" {
-		opts.Version = experiments.ResultSchemaVersion
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 
@@ -226,17 +212,17 @@ func vecKey(v []float64) string {
 	return string(b)
 }
 
-// scoreBatch evaluates one proposed batch: fresh vectors fan out as
-// harness jobs (one per cell, candidate-major, submission order), scores
+// scoreBatch evaluates one proposed batch: the fresh vectors' cell grids go
+// through experiments.RunCells as one submission (candidate-major), scores
 // memoize, and every evaluation appends to the Result history in batch
 // order. The returned scores align with the batch.
 func (t *tuner) scoreBatch(ctx context.Context, round int, batch [][]float64) ([]float64, error) {
 	type pending struct {
-		vec   []float64
-		key   string
-		cells []experiments.Cell
+		vec []float64
+		key string
 	}
 	var fresh []pending
+	var cells []experiments.Cell
 	seen := make(map[string]bool, len(batch))
 	baseCells := t.spec.Sweep.Cells()
 	for _, v := range batch {
@@ -245,54 +231,30 @@ func (t *tuner) scoreBatch(ctx context.Context, round int, batch [][]float64) ([
 			continue
 		}
 		seen[key] = true
-		tuned := t.sp.ToTuned(v)
-		cells := make([]experiments.Cell, len(baseCells))
-		for i, c := range baseCells {
-			c.Tuned = tuned
-			cells[i] = c
-		}
-		fresh = append(fresh, pending{vec: v, key: key, cells: cells})
+		fresh = append(fresh, pending{vec: v, key: key})
+		cells = append(cells, withTuned(baseCells, t.sp.ToTuned(v))...)
 	}
 
-	var jobs []harness.Job
-	for ci, p := range fresh {
-		for _, cell := range p.cells {
-			cell := cell
-			jobs = append(jobs, harness.Job{
-				Label: fmt.Sprintf("cand%d load=%g seed=%d", ci, cell.Load, cell.Seed),
-				Run: func(ctx context.Context) (any, error) {
-					return t.runCell(ctx, cell)
-				},
-			})
-		}
-	}
-	results, err := harness.Execute(ctx, jobs, harness.Options{Parallel: t.opts.Parallel, Timeout: t.opts.Timeout})
+	outcomes, err := experiments.RunCells(ctx, cells, t.opts.Store,
+		harness.Options{Parallel: t.opts.Parallel, Timeout: t.opts.Timeout})
 	if err != nil {
 		return nil, err
 	}
 
 	perCand := len(baseCells)
 	for ci, p := range fresh {
-		pools := make([]LoadPool, len(t.spec.Sweep.Loads))
-		for li := range pools {
-			pools[li].Load = t.spec.Sweep.Loads[li]
-		}
+		results := make([]experiments.CellResult, perCand)
 		cached := 0
-		for k := 0; k < perCand; k++ {
-			r := results[ci*perCand+k]
-			if r.Err != nil {
-				return nil, fmt.Errorf("tune: evaluating candidate %v (%s): %w", p.vec, r.Label, r.Err)
+		for k, out := range outcomes[ci*perCand : (ci+1)*perCand] {
+			if out.Err != nil {
+				return nil, fmt.Errorf("tune: evaluating candidate %v: %w", p.vec, out.Err)
 			}
-			out := r.Value.(*cellOutcome)
-			if out.cached {
+			if out.Cached {
 				cached++
 			}
-			// Cells are seed-inner per SweepSpec.Cells: k/len(Seeds) is
-			// the load index, and appending in k order pools seeds in
-			// seed order.
-			pools[k/len(t.spec.Sweep.Seeds)].Records = append(pools[k/len(t.spec.Sweep.Seeds)].Records, out.records...)
+			results[k] = out.Result
 		}
-		score := t.obj.Score(pools)
+		score := t.obj.Score(t.spec.Sweep.Pool(results))
 		ev := Eval{Index: len(t.res.Evals), Vector: p.vec, Score: score}
 		t.res.Evals = append(t.res.Evals, ev)
 		t.memo[p.key] = ev.Index
@@ -313,30 +275,13 @@ func (t *tuner) scoreBatch(ctx context.Context, round int, batch [][]float64) ([
 	return scores, nil
 }
 
-// runCell executes one candidate cell, through the content-addressed
-// store when configured (decoding the cached CellResult's records), or
-// directly otherwise.
-func (t *tuner) runCell(ctx context.Context, cell experiments.Cell) (*cellOutcome, error) {
-	if t.opts.Store == nil {
-		res, err := cell.Run(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &cellOutcome{records: res.Records}, nil
+// withTuned returns a copy of the sweep's cells carrying one candidate's
+// parameter assignment.
+func withTuned(base []experiments.Cell, tuned *experiments.TunedParams) []experiments.Cell {
+	cells := make([]experiments.Cell, len(base))
+	for i, c := range base {
+		c.Tuned = tuned
+		cells[i] = c
 	}
-	payload, hit, err := t.opts.Store.Do(cell.Key(t.opts.Version), func() ([]byte, error) {
-		res, err := cell.Run(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return res.Encode()
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := experiments.DecodeCellResult(payload)
-	if err != nil {
-		return nil, err
-	}
-	return &cellOutcome{records: res.Records, cached: hit}, nil
+	return cells
 }
