@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation. Each BenchmarkXxx runs the corresponding experiment at
+// evaluation. BenchmarkExperiment/<id> runs the corresponding experiment at
 // SmokeScale (so the full suite finishes in minutes) and prints the
 // resulting rows once — the same rows/series the paper reports. Use
 // cmd/ecnsharp-bench with -scale quick or -scale full for denser grids.
@@ -19,17 +19,13 @@ var printed sync.Map
 
 // runExperiment executes the experiment b.N times, printing its tables on
 // the first run only.
-func runExperiment(b *testing.B, id string) {
-	e, err := experiments.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
+func runExperiment(b *testing.B, e experiments.Experiment) {
 	sc := experiments.SmokeScale()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tables := e.Run(sc)
-		if _, done := printed.LoadOrStore(id, true); !done {
+		if _, done := printed.LoadOrStore(e.ID, true); !done {
 			b.StopTimer()
 			for _, tb := range tables {
 				fmt.Println(tb)
@@ -39,71 +35,10 @@ func runExperiment(b *testing.B, id string) {
 	}
 }
 
-// BenchmarkTable1RTTVariations regenerates Table 1 / Figure 1: RTT
-// statistics of the five processing-component combinations.
-func BenchmarkTable1RTTVariations(b *testing.B) { runExperiment(b, "table1") }
-
-// BenchmarkFig2ThresholdSweep regenerates Figure 2: the instantaneous
-// marking threshold dilemma under 3× RTT variation.
-func BenchmarkFig2ThresholdSweep(b *testing.B) { runExperiment(b, "fig2") }
-
-// BenchmarkFig3VariationSweep regenerates Figure 3: larger RTT variations
-// widening the avg-vs-tail threshold gap.
-func BenchmarkFig3VariationSweep(b *testing.B) { runExperiment(b, "fig3") }
-
-// BenchmarkFig5FlowSizeCDF regenerates Figure 5: the web-search and
-// data-mining flow-size CDFs.
-func BenchmarkFig5FlowSizeCDF(b *testing.B) { runExperiment(b, "fig5") }
-
-// BenchmarkFig6WebSearch regenerates Figure 6: testbed FCT statistics
-// under the web-search workload (4 schemes × loads, normalized to Tail).
-func BenchmarkFig6WebSearch(b *testing.B) { runExperiment(b, "fig6") }
-
-// BenchmarkFig7DataMining regenerates Figure 7: the same sweep under the
-// data-mining workload.
-func BenchmarkFig7DataMining(b *testing.B) { runExperiment(b, "fig7") }
-
-// BenchmarkFig8LargerVariation regenerates Figure 8: ECN♯ vs Tail at
-// 3×/4×/5× RTT variation.
-func BenchmarkFig8LargerVariation(b *testing.B) { runExperiment(b, "fig8") }
-
-// BenchmarkFig9LeafSpine regenerates Figure 9: the 128-host leaf-spine
-// simulations.
-func BenchmarkFig9LeafSpine(b *testing.B) { runExperiment(b, "fig9") }
-
-// BenchmarkFig10QueueOccupancy regenerates Figure 10: the microscopic
-// queue view around a 100-flow incast burst.
-func BenchmarkFig10QueueOccupancy(b *testing.B) { runExperiment(b, "fig10") }
-
-// BenchmarkFig11IncastFanout regenerates Figure 11: query FCT vs incast
-// fanout.
-func BenchmarkFig11IncastFanout(b *testing.B) { runExperiment(b, "fig11") }
-
-// BenchmarkFig12Sensitivity regenerates Figure 12: ECN♯ parameter
-// sensitivity.
-func BenchmarkFig12Sensitivity(b *testing.B) { runExperiment(b, "fig12") }
-
-// BenchmarkFig13DWRR regenerates Figure 13: scheduler preservation and
-// ECN♯ vs TCN under DWRR.
-func BenchmarkFig13DWRR(b *testing.B) { runExperiment(b, "fig13") }
-
-// BenchmarkAlg2TimeEmulation regenerates the §4 artifacts: Algorithm 2
-// time emulation, the resource census, and P4-vs-reference equivalence.
-func BenchmarkAlg2TimeEmulation(b *testing.B) { runExperiment(b, "alg2") }
-
-// BenchmarkAblation regenerates the design-choice ablation: knocking out
-// the instantaneous condition, the persistent condition, or the sqrt
-// marking ramp, on the Figure-10 incast scenario.
-func BenchmarkAblation(b *testing.B) { runExperiment(b, "ablation") }
-
-// BenchmarkProbExtension regenerates the §3.5 extension comparison:
-// cut-off vs probabilistic instantaneous marking.
-func BenchmarkProbExtension(b *testing.B) { runExperiment(b, "prob") }
-
-// BenchmarkBufferModels regenerates the buffer-architecture comparison:
-// static per-port vs shared pool with dynamic thresholds.
-func BenchmarkBufferModels(b *testing.B) { runExperiment(b, "buffer") }
-
-// BenchmarkDCQCN regenerates the §3.5 closed loop: DCQCN-lite endpoints
-// under cut-off vs probabilistic marking.
-func BenchmarkDCQCN(b *testing.B) { runExperiment(b, "dcqcn") }
+// BenchmarkExperiment regenerates every registered experiment, one
+// sub-benchmark per id: `go test -bench 'BenchmarkExperiment/fig6$'` runs one.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.All() {
+		b.Run(e.ID, func(b *testing.B) { runExperiment(b, e) })
+	}
+}

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"ecnsharp/internal/core"
 	"ecnsharp/internal/sim"
 )
@@ -43,28 +41,13 @@ func Ablation(sc Scale) *Table {
 	variants[0].Label = "ECN# (full)"
 	variants[2].Label = "no-persistent"
 
-	t := &Table{
-		ID:    "ablation",
-		Title: "ECN# design ablation on the Fig-10 incast scenario",
-		Columns: []string{"variant", "standing queue(pkts)", "burst peak(pkts)",
-			"drops", "timeouts", "query p99(us)"},
-	}
-	// The knockout runs are independent; batch them through the harness.
 	// The microscopic trace is a single-seed view, like Figure 10.
-	one := sc
-	one.Seeds = sc.Seeds[:1]
-	cfgs := make([]RunConfig, len(variants))
-	for i, v := range variants {
-		cfgs[i] = incastCfg(v, 100, sc.FlowCount, true)
-	}
-	results := RunAll(one, cfgs)
-	for i, v := range variants {
-		r := results[i]
-		standing, _ := queueAroundBurst(r.QueueSamples)
-		t.AddRow(v.Label, f1(standing), fmt.Sprintf("%d", r.MaxQueuePkts),
-			fmt.Sprintf("%d", r.Drops), fmt.Sprintf("%d", r.Timeouts),
-			f1(r.Stats.QueryP99))
-	}
+	g := newGrid(axis(variants, schemeLabel), oneCol, func(r, _ int) RunConfig {
+		return incastCfg(variants[r], 100, sc.FlowCount, true)
+	})
+	runGrids(sc.firstSeed(), g)
+	t := records("ablation", "ECN# design ablation on the Fig-10 incast scenario", []string{"variant"},
+		[]column{colStanding, colBurstPeak, colDrops, colTimeouts, colQueryP99}, g)
 	t.AddNote("expected: only the full design gets both a low standing queue and zero drops")
 	return t
 }

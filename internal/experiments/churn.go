@@ -176,9 +176,20 @@ func maintScenario() churnScenario {
 	}
 }
 
-// runChurnScenario runs the scenario's healthy/churn pair for every
-// compared scheme and renders the figure-style degradation table.
+// runChurnScenario runs the schemes × {healthy, churn} grid of the scenario
+// on its first seed and renders the figure-style degradation table.
 func runChurnScenario(sc Scale, s churnScenario) *Table {
+	schemes := churnSchemes()
+	g := newGrid(axis(schemes, schemeLabel), []string{"healthy", "churn"}, func(r, c int) RunConfig {
+		cfg := churnCell(sc.Seeds[0], schemes[r])
+		cfg.FlowGen = s.flowGen
+		if c == 1 {
+			cfg.Faults = s.faults
+		}
+		return cfg
+	})
+	runGrids(sc.firstSeed(), g)
+
 	t := &Table{
 		ID:    s.id,
 		Title: s.title,
@@ -186,30 +197,25 @@ func runChurnScenario(sc Scale, s churnScenario) *Table {
 			"large avg (us)", "query p99 (us)", "degr %", "drops", "timeouts",
 			"completed", "failed"},
 	}
-	for _, scheme := range churnSchemes() {
-		var healthy RunResult
-		for _, condition := range []string{"healthy", "churn"} {
-			cfg := churnCell(sc.Seeds[0], scheme)
-			cfg.FlowGen = s.flowGen
-			if condition == "churn" {
-				cfg.Faults = s.faults
-			}
-			r := Run(cfg)
+	for r, scheme := range g.rows {
+		healthy := g.at(r, 0).Stats
+		for c, condition := range g.cols {
+			res := g.at(r, c)
 			degr := "-"
-			if condition == "healthy" {
-				healthy = r
-			} else if r.Stats.QueryCount > 0 {
+			switch {
+			case c == 0: // the healthy run is the reference
+			case res.Stats.QueryCount > 0:
 				// Query workloads (churn-incast) keep their victims out of
 				// the background size classes; degrade on the query average.
-				degr = f1(100 * (ratio(r.Stats.QueryAvg, healthy.Stats.QueryAvg) - 1))
-			} else {
-				degr = f1(100 * (ratio(r.Stats.OverallAvg, healthy.Stats.OverallAvg) - 1))
+				degr = f1(100 * (ratio(res.Stats.QueryAvg, healthy.QueryAvg) - 1))
+			default:
+				degr = f1(100 * (ratio(res.Stats.OverallAvg, healthy.OverallAvg) - 1))
 			}
-			t.AddRow(scheme.Label, condition,
-				f1(r.Stats.OverallAvg), f1(r.Stats.ShortP99),
-				f1(r.Stats.LargeAvg), f1(r.Stats.QueryP99), degr,
-				strconv.FormatInt(r.Drops, 10), strconv.FormatInt(r.Timeouts, 10),
-				strconv.Itoa(r.Completed), strconv.Itoa(r.Failed))
+			t.AddRow(scheme, condition,
+				f1(res.Stats.OverallAvg), f1(res.Stats.ShortP99),
+				f1(res.Stats.LargeAvg), f1(res.Stats.QueryP99), degr,
+				strconv.FormatInt(res.Drops, 10), strconv.FormatInt(res.Timeouts, 10),
+				strconv.Itoa(res.Completed), strconv.Itoa(res.Failed))
 		}
 	}
 	t.AddNote("degr %% = avg-FCT inflation of the churn run over the same scheme's healthy run (query avg for incast, overall avg otherwise)")

@@ -11,8 +11,10 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"ecnsharp/internal/fault"
+	"ecnsharp/internal/harness"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/trace"
 	"ecnsharp/internal/transport"
@@ -46,13 +48,36 @@ func TestChurnScenariosComplete(t *testing.T) {
 // TestChurnTablesRender: the registry entries produce non-empty tables
 // (healthy and churn rows for both schemes).
 func TestChurnTablesRender(t *testing.T) {
-	tbl := ChurnMaint(Scale{Seeds: []int64{1}})
+	tbl := smokeTables("churn-maint")[0]
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("want 4 rows (2 schemes x healthy/churn), got %d:\n%s", len(tbl.Rows), tbl)
 	}
 	if !strings.Contains(tbl.String(), "ECN#") {
 		t.Errorf("table missing ECN# rows:\n%s", tbl)
 	}
+}
+
+// TestChurnRunsOnTheHarness: the churn figures are harness jobs like every
+// other figure's runs — -progress sees each of the 2 schemes x
+// {healthy, churn} runs, and an exceeded -timeout aborts naming the run.
+func TestChurnRunsOnTheHarness(t *testing.T) {
+	sc := SmokeScale()
+	var labels []string
+	sc.Progress = func(p harness.Progress) { labels = append(labels, p.Label) }
+	ChurnIncast(sc)
+	if len(labels) != 4 {
+		t.Errorf("progress saw %d runs, want 4: %q", len(labels), labels)
+	}
+
+	sc = SmokeScale()
+	sc.Timeout = time.Nanosecond
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "seed=1") || !strings.Contains(msg, context.DeadlineExceeded.Error()) {
+			t.Errorf("1 ns timeout: recovered %q, want a panic naming the timed-out run", msg)
+		}
+	}()
+	ChurnIncast(sc)
 }
 
 // TestShardedChurnFlapByteIdentical: the traced flapping-uplink churn run

@@ -7,7 +7,6 @@ import (
 
 	"ecnsharp/internal/aqm"
 	"ecnsharp/internal/core"
-	"ecnsharp/internal/harness"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/topology"
 	"ecnsharp/internal/transport"
@@ -36,10 +35,11 @@ func DCQCNExtension(sc Scale) *Table {
 	tmin := sim.Time(float64(5*1500*8) / topology.TenGbps * float64(sim.Second))
 	tmax := sim.Time(float64(200*1500*8) / topology.TenGbps * float64(sim.Second))
 
-	variants := []struct {
+	type variant struct {
 		name string
 		mk   func(rng *rand.Rand) func(int) aqm.AQM
-	}{
+	}
+	variants := []variant{
 		{"ECN# cut-off", func(rng *rand.Rand) func(int) aqm.AQM {
 			return ECNSharpScheme(pstParams).Factory(rng)
 		}},
@@ -64,23 +64,12 @@ func DCQCNExtension(sc Scale) *Table {
 			"avg queue(pkts)", "drops"},
 	}
 	// The three marking variants are independent; fan them out.
-	jobs := make([]harness.Job, 0, len(variants))
-	for _, v := range variants {
-		v := v
-		jobs = append(jobs, harness.Job{
-			Label: "dcqcn " + v.name,
-			Run: func(ctx context.Context) (any, error) {
-				return runDCQCNFairness(ctx, v.mk, sc.Seeds[0])
-			},
+	res := runJobs(sc, axis(variants, func(v variant) string { return "dcqcn " + v.name }),
+		func(ctx context.Context, i int) (dcqcnResult, error) {
+			return runDCQCNFairness(ctx, variants[i].mk, sc.Seeds[0])
 		})
-	}
-	res, _ := harness.Execute(context.Background(), jobs, sc.harnessOptions())
-	for i, v := range variants {
-		if res[i].Err != nil {
-			panic(fmt.Sprintf("experiments: %s: %v", res[i].Label, res[i].Err))
-		}
-		o := res[i].Value.(dcqcnResult)
-		t.AddRow(v.name, f2(o.SumGbps), f3(o.Jain), f1(o.AvgQueuePkts), fmt.Sprintf("%d", o.Drops))
+	for i, o := range res {
+		t.AddRow(variants[i].name, f2(o.SumGbps), f3(o.Jain), f1(o.AvgQueuePkts), fmt.Sprintf("%d", o.Drops))
 	}
 	t.AddNote("DCQCN needs probabilistic marking: cut-off marking synchronizes cuts and wrecks utilization (§3.5)")
 	return t

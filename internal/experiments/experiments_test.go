@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"strconv"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"ecnsharp/internal/aqm"
+	"ecnsharp/internal/dist"
 	"ecnsharp/internal/metrics"
 	"ecnsharp/internal/rttvar"
 	"ecnsharp/internal/sim"
@@ -38,6 +40,19 @@ func TestSchemeFactories(t *testing.T) {
 			t.Errorf("scheme %v has no label", c.s.Kind)
 		}
 	}
+}
+
+// starRun executes one testbed configuration pooled over seeds.
+func starRun(scheme Scheme, wl *dist.EmpiricalCDF, load float64,
+	rtt rttvar.RTTDistribution, sc Scale) RunResult {
+	return RunSeeds(sc, starCfg(scheme, wl, load, rtt, sc))
+}
+
+// parseF reads a rendered table cell back as a number (0 when it is not one).
+func parseF(s string) float64 {
+	var v float64
+	fmt.Sscanf(s, "%f", &v)
+	return v
 }
 
 func typeName(a aqm.AQM) string {
@@ -204,8 +219,7 @@ func TestREDAvgHurtsLargeFlows(t *testing.T) {
 // queue is far below Tail's, and CoDel drops under the burst while ECN♯
 // does not.
 func TestFig10Shape(t *testing.T) {
-	sc := SmokeScale()
-	tb, traces := Fig10(sc)
+	tb, traces := fig10Smoke()
 	if len(tb.Rows) != 3 || len(traces) != 3 {
 		t.Fatalf("rows=%d traces=%d", len(tb.Rows), len(traces))
 	}
@@ -246,8 +260,8 @@ func TestFig10Shape(t *testing.T) {
 // TestFig13Shape asserts DWRR policy preservation and ECN♯'s short-flow
 // advantage over TCN.
 func TestFig13Shape(t *testing.T) {
-	sc := SmokeScale()
-	_, sharp, tcn := Fig13(sc)
+	_, res := fig13Smoke()
+	sharp, tcn := res[0], res[1]
 	g := sharp.GoodputGbps
 	if g[0] < 4.3 || g[0] > 5.3 {
 		t.Errorf("flow1 goodput %.2f, want ≈4.8", g[0])
@@ -367,7 +381,7 @@ func TestLeafSpineRunSmoke(t *testing.T) {
 // TestAblationShape asserts each knockout loses exactly the property its
 // mechanism provides.
 func TestAblationShape(t *testing.T) {
-	tb := Ablation(SmokeScale())
+	tb := smokeTables("ablation")[0]
 	row := map[string][]string{}
 	for _, r := range tb.Rows {
 		row[r[0]] = r
@@ -401,7 +415,7 @@ func TestAblationShape(t *testing.T) {
 // rises (throughput recovers) while short-flow tail FCT is worse at the
 // top of the range than at its minimum.
 func TestFig2Shape(t *testing.T) {
-	tb := Fig2(SmokeScale())
+	tb := smokeTables("fig2")[0]
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -426,7 +440,7 @@ func TestFig2Shape(t *testing.T) {
 // TestFig3Shape: the short-flow penalty of the tail threshold grows with
 // the RTT variation.
 func TestFig3Shape(t *testing.T) {
-	tb := Fig3(SmokeScale())
+	tb := smokeTables("fig3")[0]
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -466,7 +480,7 @@ func TestFig8Runs(t *testing.T) {
 // TestFig9Shape: on the fabric, ECN# (last column) must beat Tail (first
 // scheme) for short flows.
 func TestFig9Shape(t *testing.T) {
-	tabs := Fig9(SmokeScale())
+	tabs := smokeTables("fig9")
 	shortTable := tabs[1]
 	for _, row := range shortTable.Rows {
 		sharp := parseF(row[len(row)-1])
@@ -518,7 +532,7 @@ func TestFig12Runs(t *testing.T) {
 // TestProbExtensionShape: the probabilistic variant keeps ECN#'s burst
 // tolerance and does not hurt long-flow fairness or utilization.
 func TestProbExtensionShape(t *testing.T) {
-	tb := ProbExtension(SmokeScale())
+	tb := smokeTables("prob")[0]
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -564,7 +578,7 @@ func TestTableCSV(t *testing.T) {
 // TestBufferModelsShape: ECN# never needs the extra buffer; CoDel's drops
 // are an artifact of how much buffer the architecture concedes.
 func TestBufferModelsShape(t *testing.T) {
-	tb := BufferModels(SmokeScale())
+	tb := smokeTables("buffer")[0]
 	for _, row := range tb.Rows {
 		scheme, arch, drops := row[0], row[1], parseF(row[4])
 		if scheme == "ECN#" && drops != 0 {
@@ -662,7 +676,7 @@ func TestParallelDeterminism(t *testing.T) {
 // the probabilistic variants must reach high utilization without drops,
 // and ECN#-prob must not queue more than plain RED.
 func TestDCQCNExtensionShape(t *testing.T) {
-	tb := DCQCNExtension(SmokeScale())
+	tb := smokeTables("dcqcn")[0]
 	row := map[string][]string{}
 	for _, r := range tb.Rows {
 		row[r[0]] = r

@@ -1,8 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 
 	"ecnsharp/internal/asciiplot"
 	"ecnsharp/internal/core"
@@ -118,13 +119,6 @@ func incastCfg(s Scheme, fanout, bgFlows int, sample bool) RunConfig {
 	return cfg
 }
 
-// runIncast executes one incast configuration on the calling goroutine.
-func runIncast(s Scheme, fanout, bgFlows int, seed int64, sample bool) RunResult {
-	cfg := incastCfg(s, fanout, bgFlows, sample)
-	cfg.Seed = seed
-	return Run(cfg)
-}
-
 // queueAroundBurst averages the sampled bottleneck occupancy on each side
 // of incastQueryAt: the standing queue before the burst and the response
 // from it on (0 where a side has no samples).
@@ -148,33 +142,39 @@ func queueAroundBurst(samples []metrics.QueueSample) (standing, burst float64) {
 	return standing, burst
 }
 
+// incastCols are the columns the Figure-10 incast tables (fig10, ablation,
+// buffer) pick from.
+var (
+	colStanding = column{"standing queue(pkts)", func(r RunResult) string {
+		standing, _ := queueAroundBurst(r.QueueSamples)
+		return f1(standing)
+	}}
+	colBurstAvg = column{"burst avg(pkts)", func(r RunResult) string {
+		_, burst := queueAroundBurst(r.QueueSamples)
+		return f1(burst)
+	}}
+	colBurstPeak = column{"burst peak(pkts)", func(r RunResult) string { return strconv.Itoa(r.MaxQueuePkts) }}
+	colDrops     = column{"drops", func(r RunResult) string { return strconv.FormatInt(r.Drops, 10) }}
+	colTimeouts  = column{"timeouts", func(r RunResult) string { return strconv.FormatInt(r.Timeouts, 10) }}
+	colQueryP99  = column{"query p99(us)", func(r RunResult) string { return f1(r.Stats.QueryP99) }}
+)
+
 // Fig10 reproduces Figure 10: a 5 ms microscopic view of the bottleneck
 // queue around a 100-flow query burst for DCTCP-RED-Tail, CoDel and ECN♯.
 // It reports the average/peak occupancy over the window and drop counts —
 // the numbers the paper quotes off the trace (182 vs 8 packets; CoDel
 // drops, ECN♯ doesn't).
 func Fig10(sc Scale) (*Table, map[string][]metrics.QueueSample) {
-	t := &Table{
-		ID:    "fig10",
-		Title: "[Simulation] queue occupancy around a 100-flow query burst (Fig 10)",
-		Columns: []string{"scheme", "standing queue(pkts)", "burst avg(pkts)",
-			"burst peak(pkts)", "drops", "timeouts"},
-	}
-	traces := make(map[string][]metrics.QueueSample)
 	schemes := MicroscopicSchemes()
-	cfgs := make([]RunConfig, 0, len(schemes))
-	for _, s := range schemes {
-		cfgs = append(cfgs, incastCfg(s, 100, sc.FlowCount, true))
-	}
-	one := sc
-	one.Seeds = sc.Seeds[:1] // the microscopic trace is a single-seed view
-	results := RunAll(one, cfgs)
-	for si, s := range schemes {
-		r := results[si]
-		standing, burst := queueAroundBurst(r.QueueSamples)
-		t.AddRow(s.Label, f1(standing), f1(burst), fmt.Sprintf("%d", r.MaxQueuePkts),
-			fmt.Sprintf("%d", r.Drops), fmt.Sprintf("%d", r.Timeouts))
-		traces[s.Label] = r.QueueSamples
+	g := newGrid(axis(schemes, schemeLabel), oneCol, func(r, _ int) RunConfig {
+		return incastCfg(schemes[r], 100, sc.FlowCount, true)
+	})
+	runGrids(sc.firstSeed(), g) // the microscopic trace is a single-seed view
+	t := records("fig10", "[Simulation] queue occupancy around a 100-flow query burst (Fig 10)",
+		[]string{"scheme"}, []column{colStanding, colBurstAvg, colBurstPeak, colDrops, colTimeouts}, g)
+	traces := make(map[string][]metrics.QueueSample)
+	for r, label := range g.rows {
+		traces[label] = g.at(r, 0).QueueSamples
 	}
 	t.AddNote("paper: ECN# keeps ~8 pkts vs Tail's ~182 (95.6%% lower); CoDel drops ~125 pkts, ECN# none")
 	t.Raw = renderQueueTraces(traces)
@@ -210,47 +210,23 @@ func renderQueueTraces(traces map[string][]metrics.QueueSample) string {
 
 // Fig11 reproduces Figure 11: query-flow completion time (average and
 // 99th percentile) as the incast fanout grows from 25 to 200 concurrent
-// senders, for the three microscopic schemes.
+// senders, for the three microscopic schemes. Seeds pool per grid point, so
+// the reported query p99 is the percentile of all seeds' query flows.
 func Fig11(sc Scale) []*Table {
 	schemes := MicroscopicSchemes()
-	avg := &Table{
-		ID:      "fig11a",
-		Title:   "[Simulation] query flow FCT vs fanout — average (Fig 11a)",
-		Columns: append([]string{"fanout"}, schemeLabels(schemes)...),
+	g := newGrid(axis(sc.Fanouts, strconv.Itoa), axis(schemes, schemeLabel), func(r, c int) RunConfig {
+		return incastCfg(schemes[c], sc.Fanouts[r], sc.FlowCount, false)
+	})
+	runGrids(sc, g)
+
+	byFanout := func(id, title string, get func(RunResult) string) *Table {
+		return pivot(id, "[Simulation] "+title, "fanout", g.rows, g.cols,
+			func(x, s int) string { return get(g.at(x, s)) })
 	}
-	p99 := &Table{
-		ID:      "fig11b",
-		Title:   "[Simulation] query flow FCT vs fanout — 99th percentile (Fig 11b)",
-		Columns: append([]string{"fanout"}, schemeLabels(schemes)...),
-	}
-	drops := &Table{
-		ID:      "fig11c",
-		Title:   "[Simulation] packet drops and timeouts vs fanout (supporting Fig 11)",
-		Columns: append([]string{"fanout"}, schemeLabels(schemes)...),
-	}
-	// One batch over the (fanout, scheme) grid; seeds pool per cell, so the
-	// reported query p99 is the percentile of all seeds' query flows.
-	cfgs := make([]RunConfig, 0, len(sc.Fanouts)*len(schemes))
-	for _, fanout := range sc.Fanouts {
-		for _, s := range schemes {
-			cfgs = append(cfgs, incastCfg(s, fanout, sc.FlowCount, false))
-		}
-	}
-	results := RunAll(sc, cfgs)
-	for fi, fanout := range sc.Fanouts {
-		rowA := []string{fmt.Sprintf("%d", fanout)}
-		rowP := []string{fmt.Sprintf("%d", fanout)}
-		rowD := []string{fmt.Sprintf("%d", fanout)}
-		for si := range schemes {
-			r := results[fi*len(schemes)+si]
-			rowA = append(rowA, f1(r.Stats.QueryAvg))
-			rowP = append(rowP, f1(r.Stats.QueryP99))
-			rowD = append(rowD, fmt.Sprintf("%d", r.Drops))
-		}
-		avg.AddRow(rowA...)
-		p99.AddRow(rowP...)
-		drops.AddRow(rowD...)
-	}
+	avg := byFanout("fig11a", "query flow FCT vs fanout — average (Fig 11a)",
+		func(r RunResult) string { return f1(r.Stats.QueryAvg) })
+	p99 := byFanout("fig11b", "query flow FCT vs fanout — 99th percentile (Fig 11b)", colQueryP99.get)
+	drops := byFanout("fig11c", "packet drops and timeouts vs fanout (supporting Fig 11)", colDrops.get)
 	avg.AddNote("FCT in microseconds; paper plots seconds (1e-3 scale)")
 	p99.AddNote("paper: CoDel degrades from ~100 senders; ECN# supports 1.75x more (to ~175)")
 	return []*Table{avg, p99, drops}
@@ -258,105 +234,62 @@ func Fig11(sc Scale) []*Table {
 
 // Fig12 reproduces Figure 12: ECN♯'s sensitivity to pst_interval and
 // pst_target on both workloads at 50% load. Values are overall average
-// FCT normalized to the §5.2 defaults (200 µs / 85 µs scaled per axis).
+// FCT, raw and normalized to one setting per axis (the largest interval;
+// the 10 µs default target).
 func Fig12(sc Scale) []*Table {
 	rtt := LeafSpineRTT()
-	load := 0.5
-
-	mkCfg := func(wl string, p core.Params) RunConfig {
-		cdf, err := workload.ByName(wl)
-		if err != nil {
-			panic(err)
-		}
-		scale := sc
-		if wl == workload.DataMining && sc.HeavyFlowCount > 0 {
-			scale.FlowCount = sc.HeavyFlowCount
-		}
-		return starCfg(ECNSharpScheme(p), cdf, load, rtt, scale)
-	}
-
 	base := core.Params{
 		InsTarget:   rtt.Percentile(90),
 		PstTarget:   10 * sim.Microsecond,
 		PstInterval: 240 * sim.Microsecond,
 	}
+	workloads := []string{workload.WebSearch, workload.DataMining}
+	micros := func(t sim.Time) string { return f1(t.Micros()) }
+	// sweep is the settings × workloads grid of one parameter axis.
+	sweep := func(settings []sim.Time, set func(p *core.Params, v sim.Time)) *grid {
+		return newGrid(axis(settings, micros), workloads, func(r, c int) RunConfig {
+			cdf, err := workload.ByName(workloads[c])
+			if err != nil {
+				panic(err)
+			}
+			scale := sc
+			if workloads[c] == workload.DataMining && sc.HeavyFlowCount > 0 {
+				scale.FlowCount = sc.HeavyFlowCount
+			}
+			p := base
+			set(&p, settings[r])
+			return starCfg(ECNSharpScheme(p), cdf, 0.5, rtt, scale)
+		})
+	}
+	intervals := sweep([]sim.Time{100 * sim.Microsecond, 150 * sim.Microsecond,
+		200 * sim.Microsecond, 250 * sim.Microsecond},
+		func(p *core.Params, v sim.Time) { p.PstInterval = v })
+	targets := sweep([]sim.Time{6 * sim.Microsecond, 10 * sim.Microsecond,
+		14 * sim.Microsecond, 18 * sim.Microsecond},
+		func(p *core.Params, v sim.Time) { p.PstTarget = v })
+	// Both sensitivity sweeps go out as one batch.
+	runGrids(sc, intervals, targets)
 
-	intervals := []sim.Time{100 * sim.Microsecond, 150 * sim.Microsecond,
-		200 * sim.Microsecond, 250 * sim.Microsecond}
-	targets := []sim.Time{6 * sim.Microsecond, 10 * sim.Microsecond,
-		14 * sim.Microsecond, 18 * sim.Microsecond}
-
-	// Both sensitivity sweeps go out as one batch of (setting, workload)
-	// cells; results come back in submission order.
-	cfgs := make([]RunConfig, 0, 2*(len(intervals)+len(targets)))
-	for _, iv := range intervals {
-		p := base
-		p.PstInterval = iv
-		cfgs = append(cfgs, mkCfg(workload.WebSearch, p), mkCfg(workload.DataMining, p))
+	// sensitivity prints each workload's FCT in microseconds, then each as a
+	// ratio to the baseRow setting. The ratio's numerator is the value as
+	// printed (one decimal), not the raw float: those are the bytes this
+	// table has always had.
+	sensitivity := func(id, title, xName string, g *grid, baseRow int) *Table {
+		fct := func(x, w int) float64 { return g.at(x, w).Stats.OverallAvg }
+		series := append(slices.Clone(workloads), "norm "+workloads[0], "norm "+workloads[1])
+		return pivot(id, title, xName, g.rows, series, func(x, s int) string {
+			if s < len(workloads) {
+				return f1(fct(x, s))
+			}
+			w := s - len(workloads)
+			printed, _ := strconv.ParseFloat(f1(fct(x, w)), 64)
+			return f3(ratio(printed, fct(baseRow, w)))
+		})
 	}
-	for _, tg := range targets {
-		p := base
-		p.PstTarget = tg
-		cfgs = append(cfgs, mkCfg(workload.WebSearch, p), mkCfg(workload.DataMining, p))
-	}
-	results := RunAll(sc, cfgs)
-	idx := 0
-	next := func() float64 {
-		v := results[idx].Stats.OverallAvg
-		idx++
-		return v
-	}
-
-	ta := &Table{
-		ID:      "fig12a",
-		Title:   "[Simulation] ECN# sensitivity to pst_interval (Fig 12a) — normalized overall FCT",
-		Columns: []string{"pst_interval(us)", workload.WebSearch, workload.DataMining},
-	}
-	tb := &Table{
-		ID:      "fig12b",
-		Title:   "[Simulation] ECN# sensitivity to pst_target (Fig 12b) — normalized overall FCT",
-		Columns: []string{"pst_target(us)", workload.WebSearch, workload.DataMining},
-	}
-
-	var baseWSi, baseDMi float64
-	for i, iv := range intervals {
-		ws := next()
-		dm := next()
-		if i == len(intervals)-1 { // normalize to the largest (default-ish) interval
-			baseWSi, baseDMi = ws, dm
-		}
-		ta.AddRow(f1(iv.Micros()), f1(ws), f1(dm))
-	}
-	normalizeLastCol(ta, baseWSi, baseDMi)
-
-	var baseWSt, baseDMt float64
-	for i, tg := range targets {
-		ws := next()
-		dm := next()
-		if i == 1 { // normalize to the 10 µs default
-			baseWSt, baseDMt = ws, dm
-		}
-		tb.AddRow(f1(tg.Micros()), f1(ws), f1(dm))
-	}
-	normalizeLastCol(tb, baseWSt, baseDMt)
-
+	ta := sensitivity("fig12a", "[Simulation] ECN# sensitivity to pst_interval (Fig 12a) — normalized overall FCT",
+		"pst_interval(us)", intervals, len(intervals.rows)-1)
+	tb := sensitivity("fig12b", "[Simulation] ECN# sensitivity to pst_target (Fig 12b) — normalized overall FCT",
+		"pst_target(us)", targets, 1)
 	ta.AddNote("paper: overall FCT varies <1%% (web search) / <0.2%% (data mining) across settings")
 	return []*Table{ta, tb}
-}
-
-// normalizeLastCol rewrites the two workload columns in place as ratios to
-// the given bases, keeping the raw microsecond values in extra columns.
-func normalizeLastCol(t *Table, baseWS, baseDM float64) {
-	t.Columns = append(t.Columns, "norm "+workload.WebSearch, "norm "+workload.DataMining)
-	for i, row := range t.Rows {
-		ws := parseF(row[1])
-		dm := parseF(row[2])
-		t.Rows[i] = append(row, f3(ratio(ws, baseWS)), f3(ratio(dm, baseDM)))
-	}
-}
-
-func parseF(s string) float64 {
-	var v float64
-	fmt.Sscanf(s, "%f", &v)
-	return v
 }

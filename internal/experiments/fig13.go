@@ -7,7 +7,6 @@ import (
 
 	"ecnsharp/internal/asciiplot"
 	"ecnsharp/internal/dist"
-	"ecnsharp/internal/harness"
 	"ecnsharp/internal/metrics"
 	"ecnsharp/internal/queue"
 	"ecnsharp/internal/rttvar"
@@ -144,24 +143,12 @@ func Fig13(sc Scale) ([]*Table, Fig13Result, Fig13Result) {
 		probes = 40
 	}
 	// The two scheme runs are independent; fan them out on the harness.
-	jobs := make([]harness.Job, 0, 2)
-	for _, s := range []Scheme{sharpScheme, tcn} {
-		s := s
-		jobs = append(jobs, harness.Job{
-			Label: fmt.Sprintf("fig13 %s", s.Label),
-			Run: func(ctx context.Context) (any, error) {
-				return runFig13(ctx, s, sc.Seeds[0], probes)
-			},
+	schemes := []Scheme{sharpScheme, tcn}
+	res := runJobs(sc, axis(schemes, func(s Scheme) string { return "fig13 " + s.Label }),
+		func(ctx context.Context, i int) (Fig13Result, error) {
+			return runFig13(ctx, schemes[i], sc.Seeds[0], probes)
 		})
-	}
-	res, _ := harness.Execute(context.Background(), jobs, sc.harnessOptions())
-	for _, r := range res {
-		if r.Err != nil {
-			panic(fmt.Sprintf("experiments: %s: %v", r.Label, r.Err))
-		}
-	}
-	sharp := res[0].Value.(Fig13Result)
-	tcnRes := res[1].Value.(Fig13Result)
+	sharp, tcnRes := res[0], res[1]
 
 	ta := &Table{
 		ID:      "fig13a",
@@ -200,29 +187,21 @@ func Fig13(sc Scale) ([]*Table, Fig13Result, Fig13Result) {
 		Title:   "[Simulation] short-flow FCT with DWRR: ECN# vs TCN (Fig 13b)",
 		Columns: []string{"scheme", "avg FCT(us)", "p50(us)", "p90(us)", "p99(us)", "samples"},
 	}
-	for _, r := range []struct {
-		name string
-		res  Fig13Result
-	}{{"ECN#", sharp}, {"TCN", tcnRes}} {
-		tb.AddRow(r.name, f1(r.res.ShortAvgFCT),
-			f1(dist.Percentile(r.res.ShortFCTs, 50)),
-			f1(dist.Percentile(r.res.ShortFCTs, 90)),
-			f1(dist.Percentile(r.res.ShortFCTs, 99)),
-			fmt.Sprintf("%d", len(r.res.ShortFCTs)))
-	}
-	tb.AddNote("paper: ECN# 19.6%% better average short-flow FCT than TCN (2341 vs 2913 us)")
 	var cdfSeries []asciiplot.Series
-	for _, r := range []struct {
-		name string
-		res  Fig13Result
-	}{{"ECN#", sharp}, {"TCN", tcnRes}} {
-		cs := asciiplot.Series{Name: r.name}
-		for _, p := range dist.CDF(r.res.ShortFCTs) {
+	for i, r := range res {
+		tb.AddRow(schemes[i].Label, f1(r.ShortAvgFCT),
+			f1(dist.Percentile(r.ShortFCTs, 50)),
+			f1(dist.Percentile(r.ShortFCTs, 90)),
+			f1(dist.Percentile(r.ShortFCTs, 99)),
+			fmt.Sprintf("%d", len(r.ShortFCTs)))
+		cs := asciiplot.Series{Name: schemes[i].Label}
+		for _, p := range dist.CDF(r.ShortFCTs) {
 			cs.X = append(cs.X, p.Value)
 			cs.Y = append(cs.Y, p.Prob)
 		}
 		cdfSeries = append(cdfSeries, cs)
 	}
+	tb.AddNote("paper: ECN# 19.6%% better average short-flow FCT than TCN (2341 vs 2913 us)")
 	tb.Raw = asciiplot.Render(cdfSeries, asciiplot.Options{
 		Width: 72, Height: 10, XLabel: "short-flow FCT (us)", YLabel: "CDF",
 	})

@@ -17,55 +17,39 @@ type fctMetric struct {
 	get  func(metrics.FCTStats) float64
 }
 
-var fctMetrics = []fctMetric{
-	{"overall:avg", func(s metrics.FCTStats) float64 { return s.OverallAvg }},
-	{"(0,100KB]:avg", func(s metrics.FCTStats) float64 { return s.ShortAvg }},
-	{"(0,100KB]:p99", func(s metrics.FCTStats) float64 { return s.ShortP99 }},
-	{"[10MB,inf):avg", func(s metrics.FCTStats) float64 { return s.LargeAvg }},
-}
+var (
+	overallAvg = fctMetric{"overall:avg", func(s metrics.FCTStats) float64 { return s.OverallAvg }}
+	shortAvg   = fctMetric{"(0,100KB]:avg", func(s metrics.FCTStats) float64 { return s.ShortAvg }}
+	shortP99   = fctMetric{"(0,100KB]:p99", func(s metrics.FCTStats) float64 { return s.ShortP99 }}
+	largeAvg   = fctMetric{"[10MB,inf):avg", func(s metrics.FCTStats) float64 { return s.LargeAvg }}
 
-// fctSweep builds every (load, scheme) cell configuration, fans the whole
-// grid (cells × seeds) out over the worker pool in one batch, and emits one
-// sub-table per FCT metric, each normalized to the first scheme
-// (DCTCP-RED-Tail).
+	fctMetrics = []fctMetric{overallAvg, shortAvg, shortP99, largeAvg}
+)
+
+// fctSweep runs the loads × schemes grid and emits one pivot per FCT
+// metric, each normalized to the first scheme (DCTCP-RED-Tail).
 func fctSweep(id, title string, schemes []Scheme, loads []float64, sc Scale,
 	mkCfg func(s Scheme, load float64) RunConfig) []*Table {
-	cfgs := make([]RunConfig, 0, len(loads)*len(schemes))
-	for _, load := range loads {
-		for _, s := range schemes {
-			cfgs = append(cfgs, mkCfg(s, load))
-		}
-	}
-	pooled := RunAll(sc, cfgs)
-	cell := func(li, si int) metrics.FCTStats { return pooled[li*len(schemes)+si].Stats }
+	g := newGrid(axis(loads, percent), axis(schemes, schemeLabel), func(r, c int) RunConfig {
+		return mkCfg(schemes[c], loads[r])
+	})
+	runGrids(sc, g)
 
 	tables := make([]*Table, 0, len(fctMetrics))
 	for mi, m := range fctMetrics {
-		t := &Table{
-			ID:      fmt.Sprintf("%s%c", id, 'a'+mi),
-			Title:   fmt.Sprintf("%s — %s (normalized to %s)", title, m.name, schemes[0].Label),
-			Columns: append([]string{"load(%)"}, schemeLabels(schemes)...),
-		}
-		for li, load := range loads {
-			base := m.get(cell(li, 0))
-			row := []string{f1(load * 100)}
-			for si := range schemes {
-				row = append(row, f3(ratio(m.get(cell(li, si)), base)))
-			}
-			t.AddRow(row...)
-		}
-		tables = append(tables, t)
+		tables = append(tables, pivot(fmt.Sprintf("%s%c", id, 'a'+mi),
+			fmt.Sprintf("%s — %s (normalized to %s)", title, m.name, schemes[0].Label),
+			"load(%)", g.rows, g.cols, func(x, s int) string {
+				return f3(ratio(m.get(g.at(x, s).Stats), m.get(g.at(x, 0).Stats)))
+			}))
 	}
 	return tables
 }
 
-func schemeLabels(schemes []Scheme) []string {
-	out := make([]string, len(schemes))
-	for i, s := range schemes {
-		out[i] = s.Label
-	}
-	return out
-}
+// percent formats a load fraction as the percentage the tables print.
+func percent(load float64) string { return f1(load * 100) }
+
+func schemeLabel(s Scheme) string { return s.Label }
 
 // Fig6 reproduces Figure 6: testbed FCT statistics with the web-search
 // workload across loads, four schemes, normalized to DCTCP-RED-Tail.
@@ -96,66 +80,33 @@ func Fig7(sc Scale) []*Table {
 // reports NFCT = ECN♯/Tail for overall-average and short-flow p99.
 func Fig8(sc Scale) []*Table {
 	variations := []float64{3, 4, 5}
+	rtts := make([]rttvar.RTTDistribution, len(variations))
+	tails, sharps := make([]Scheme, len(variations)), make([]Scheme, len(variations))
+	for i, v := range variations {
+		rtts[i] = rttvar.NewVariation(TestbedRTTMin, v)
+		tails[i], _, sharps[i] = DeriveSchemes(rtts[i], topology.TenGbps)
+	}
+	// One loads × variations grid per scheme, both run as one batch.
+	schemeGrid := func(schemes []Scheme) *grid {
+		return newGrid(axis(sc.Loads, percent),
+			axis(variations, func(v float64) string { return fmt.Sprintf("NFCT %gx", v) }),
+			func(r, c int) RunConfig {
+				return starCfg(schemes[c], workload.WebSearchCDF, sc.Loads[r], rtts[c], sc)
+			})
+	}
+	tail, sharp := schemeGrid(tails), schemeGrid(sharps)
+	runGrids(sc, tail, sharp)
 
-	overall := &Table{
-		ID:      "fig8a",
-		Title:   "[Testbed] web search, larger RTT variations — overall:avg NFCT (ECN#/Tail)",
-		Columns: append([]string{"load(%)"}, variationCols(variations)...),
+	nfct := func(id string, m fctMetric) *Table {
+		return pivot(id, "[Testbed] web search, larger RTT variations — "+m.name+" NFCT (ECN#/Tail)",
+			"load(%)", tail.rows, tail.cols, func(x, s int) string {
+				return f3(ratio(m.get(sharp.at(x, s).Stats), m.get(tail.at(x, s).Stats)))
+			})
 	}
-	shortP99 := &Table{
-		ID:      "fig8b",
-		Title:   "[Testbed] web search, larger RTT variations — (0,100KB]:p99 NFCT (ECN#/Tail)",
-		Columns: append([]string{"load(%)"}, variationCols(variations)...),
-	}
-
-	// One batch across the whole (variation, load, {tail, sharp}) grid.
-	cfgs := make([]RunConfig, 0, 2*len(variations)*len(sc.Loads))
-	for _, v := range variations {
-		rtt := rttvar.NewVariation(TestbedRTTMin, v)
-		tail, _, sharp := DeriveSchemes(rtt, topology.TenGbps)
-		for _, load := range sc.Loads {
-			cfgs = append(cfgs,
-				starCfg(tail, workload.WebSearchCDF, load, rtt, sc),
-				starCfg(sharp, workload.WebSearchCDF, load, rtt, sc))
-		}
-	}
-	results := RunAll(sc, cfgs)
-
-	type key struct {
-		li, vi int
-	}
-	ovr := map[key]float64{}
-	shp := map[key]float64{}
-	idx := 0
-	for vi := range variations {
-		for li := range sc.Loads {
-			rt, rs := results[idx], results[idx+1]
-			idx += 2
-			ovr[key{li, vi}] = ratio(rs.Stats.OverallAvg, rt.Stats.OverallAvg)
-			shp[key{li, vi}] = ratio(rs.Stats.ShortP99, rt.Stats.ShortP99)
-		}
-	}
-	for li, load := range sc.Loads {
-		rowO := []string{f1(load * 100)}
-		rowS := []string{f1(load * 100)}
-		for vi := range variations {
-			rowO = append(rowO, f3(ovr[key{li, vi}]))
-			rowS = append(rowS, f3(shp[key{li, vi}]))
-		}
-		overall.AddRow(rowO...)
-		shortP99.AddRow(rowS...)
-	}
-	overall.AddNote("paper: overall FCT within ~7.6%% of Tail at all variations")
-	shortP99.AddNote("paper: short p99 improves 37%% (3x) -> 71%% (4x) -> 73%% (5x)")
-	return []*Table{overall, shortP99}
-}
-
-func variationCols(vs []float64) []string {
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = fmt.Sprintf("NFCT %gx", v)
-	}
-	return out
+	ta, tb := nfct("fig8a", overallAvg), nfct("fig8b", shortP99)
+	ta.AddNote("paper: overall FCT within ~7.6%% of Tail at all variations")
+	tb.AddNote("paper: short p99 improves 37%% (3x) -> 71%% (4x) -> 73%% (5x)")
+	return []*Table{ta, tb}
 }
 
 // LeafSpineRTT is the §5.3 simulation RTT span: 3× from 80 to 240 µs

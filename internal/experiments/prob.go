@@ -7,7 +7,6 @@ import (
 
 	"ecnsharp/internal/aqm"
 	"ecnsharp/internal/core"
-	"ecnsharp/internal/harness"
 	"ecnsharp/internal/metrics"
 	"ecnsharp/internal/rttvar"
 	"ecnsharp/internal/sim"
@@ -55,10 +54,11 @@ func ProbExtension(sc Scale) *Table {
 		Columns: []string{"variant", "standing queue(pkts)", "drops",
 			"query p99(us)", "jain fairness", "goodput sum(Gbps)"},
 	}
-	variants := []struct {
+	type variant struct {
 		name string
 		mk   aqmHook
-	}{
+	}
+	variants := []variant{
 		{"ECN# (cut-off)", makeCutoff},
 		{"ECN# (probabilistic)", makeProb},
 	}
@@ -70,31 +70,17 @@ func ProbExtension(sc Scale) *Table {
 		jain     float64
 		sum      float64
 	}
-	jobs := make([]harness.Job, 0, len(variants))
-	for _, v := range variants {
-		v := v
-		jobs = append(jobs, harness.Job{
-			Label: "prob " + v.name,
-			Run: func(ctx context.Context) (any, error) {
-				standing, drops, qp99, err := probIncast(ctx, v.mk, sc)
-				if err != nil {
-					return nil, err
-				}
-				jain, sum, err := probFairness(ctx, v.mk)
-				if err != nil {
-					return nil, err
-				}
-				return probResult{standing, drops, qp99, jain, sum}, nil
-			},
+	res := runJobs(sc, axis(variants, func(v variant) string { return "prob " + v.name }),
+		func(ctx context.Context, i int) (probResult, error) {
+			incast, err := probIncast(ctx, variants[i].mk, sc)
+			if err != nil {
+				return probResult{}, err
+			}
+			jain, sum, err := probFairness(ctx, variants[i].mk)
+			return probResult{incast.AvgQueuePkts, incast.Drops, incast.Stats.QueryP99, jain, sum}, err
 		})
-	}
-	res, _ := harness.Execute(context.Background(), jobs, sc.harnessOptions())
-	for i, v := range variants {
-		if res[i].Err != nil {
-			panic(fmt.Sprintf("experiments: %s: %v", res[i].Label, res[i].Err))
-		}
-		o := res[i].Value.(probResult)
-		t.AddRow(v.name, f1(o.standing), fmt.Sprintf("%d", o.drops), f1(o.qp99),
+	for i, o := range res {
+		t.AddRow(variants[i].name, f1(o.standing), fmt.Sprintf("%d", o.drops), f1(o.qp99),
 			f3(o.jain), f2(o.sum))
 	}
 	t.AddNote("both variants should be drop-free with a low standing queue; probabilistic marking must not hurt fairness")
@@ -102,16 +88,12 @@ func ProbExtension(sc Scale) *Table {
 }
 
 // probIncast reruns the Figure-10 scenario with a custom AQM factory.
-func probIncast(ctx context.Context, mk aqmHook, sc Scale) (standing float64, drops int64, queryP99 float64, err error) {
+func probIncast(ctx context.Context, mk aqmHook, sc Scale) (RunResult, error) {
 	cfg := incastCfg(Scheme{}, 100, sc.FlowCount, true)
 	cfg.Seed = sc.Seeds[0]
 	cfg.AQMAt = mk
 	cfg.SampleEnd = incastQueryAt // standing queue only
-	r, err := RunContext(ctx, cfg)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return r.AvgQueuePkts, r.Drops, r.Stats.QueryP99, nil
+	return RunContext(ctx, cfg)
 }
 
 // probFairness runs four synchronized long flows and reports Jain's index

@@ -8,10 +8,8 @@ import (
 	"ecnsharp/internal/aqm"
 	"ecnsharp/internal/dist"
 	"ecnsharp/internal/fault"
-	"ecnsharp/internal/harness"
 	"ecnsharp/internal/metrics"
 	"ecnsharp/internal/packet"
-	"ecnsharp/internal/queue"
 	"ecnsharp/internal/rttvar"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/topology"
@@ -67,11 +65,6 @@ type RunConfig struct {
 	SharedBufferBytes int64
 	DTAlpha           float64
 
-	// NumQueues/Weights configure multi-service DWRR ports (Figure 13);
-	// zero values mean one FIFO queue.
-	NumQueues int
-	Weights   []int
-
 	Scheme    Scheme
 	Transport transport.Config
 
@@ -91,10 +84,6 @@ type RunConfig struct {
 	// averaging also averages over arrival patterns.
 	Flows   []workload.FlowSpec
 	FlowGen func(rng *rand.Rand) []workload.FlowSpec
-
-	// ClassOf assigns a service class per flow index (Figure 13); nil
-	// means class 0.
-	ClassOf func(i int, f workload.FlowSpec) int
 
 	// NewTracer, when non-nil, builds the run's event tracer: it is called
 	// once per run (so once per seed under RunAll) with the run's context —
@@ -244,7 +233,6 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 			PropDelay:   cfg.PropDelay,
 			BufferBytes: cfg.BufferBytes,
 		},
-		NumQueues:         cfg.NumQueues,
 		NewAQMAt:          newAQMAt,
 		SharedBufferBytes: cfg.SharedBufferBytes,
 		DTAlpha:           cfg.DTAlpha,
@@ -252,11 +240,6 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 	}
 	if cfg.SharedBufferBytes > 0 {
 		opts.Link.BufferBytes = 0
-	}
-	if len(cfg.Weights) > 0 {
-		weights := cfg.Weights
-		opts.NumQueues = len(weights)
-		opts.NewSched = func() queue.Scheduler { return queue.NewDWRR(weights) }
 	}
 
 	var net *topology.Net
@@ -326,11 +309,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 			_, extra := assigner.Next()
 			src.SetFlowDelay(id, extra)
 		}
-		tcfg := cfg.Transport
-		if cfg.ClassOf != nil {
-			tcfg.Class = cfg.ClassOf(i, spec)
-		}
-		table.Launch(tcfg, src, dst, id, spec.Size, spec.Start, spec.Query)
+		table.Launch(cfg.Transport, src, dst, id, spec.Size, spec.Start, spec.Query)
 	}
 
 	var sampler *metrics.QueueSampler
@@ -436,35 +415,35 @@ func MergeRuns(runs []RunResult) RunResult {
 // merge order is fixed by the submission order, so the output is identical
 // at any parallelism. A failed job (per-run timeout, or a panic on a worker
 // goroutine) aborts with a panic naming the run.
-func RunAll(sc Scale, cfgs []RunConfig) []RunResult {
+func RunAll(sc Scale, cfgs []RunConfig) []RunResult { return runAll(sc, cfgs, nil) }
+
+// runAll is RunAll with each config's jobs labelled names[i] instead of its
+// scheme label (nil names keep the scheme label).
+func runAll(sc Scale, cfgs []RunConfig, names []string) []RunResult {
 	if len(sc.Seeds) == 0 {
 		panic("experiments: no seeds")
 	}
-	jobs := make([]harness.Job, 0, len(cfgs)*len(sc.Seeds))
-	for ci := range cfgs {
+	runs := make([]RunConfig, 0, len(cfgs)*len(sc.Seeds))
+	labels := make([]string, 0, cap(runs))
+	for ci, c := range cfgs {
+		name := c.Scheme.Label
+		if names != nil {
+			name = names[ci]
+		}
 		for _, seed := range sc.Seeds {
-			c := cfgs[ci]
 			c.Seed = seed
-			jobs = append(jobs, harness.Job{
-				Label: fmt.Sprintf("%s seed=%d", c.Scheme.Label, seed),
-				Run: func(ctx context.Context) (any, error) {
-					return RunContext(ctx, c)
-				},
-			})
+			runs = append(runs, c)
+			labels = append(labels, fmt.Sprintf("%s seed=%d", name, seed))
 		}
 	}
-	res, _ := harness.Execute(context.Background(), jobs, sc.harnessOptions())
+	res := runJobs(sc, labels, func(ctx context.Context, i int) (RunResult, error) {
+		return RunContext(ctx, runs[i])
+	})
+	n := len(sc.Seeds)
 	out := make([]RunResult, len(cfgs))
-	for ci := range cfgs {
-		group := make([]RunResult, len(sc.Seeds))
-		for si := range sc.Seeds {
-			r := res[ci*len(sc.Seeds)+si]
-			if r.Err != nil {
-				panic(fmt.Sprintf("experiments: %s: %v", r.Label, r.Err))
-			}
-			group[si] = r.Value.(RunResult)
-		}
-		out[ci] = MergeRuns(group)
+	for ci := range out {
+		out[ci] = MergeRuns(res[:n:n])
+		res = res[n:]
 	}
 	return out
 }

@@ -47,6 +47,13 @@ func (sc Scale) harnessOptions() harness.Options {
 	return harness.Options{Parallel: sc.Parallel, Timeout: sc.Timeout, OnDone: sc.Progress}
 }
 
+// firstSeed is sc restricted to its first seed: the microscopic views (queue
+// traces, churn tables) show one run, not a pool.
+func (sc Scale) firstSeed() Scale {
+	sc.Seeds = sc.Seeds[:1]
+	return sc
+}
+
 // FullScale mirrors the paper's grids: loads 10–90%, three seeds.
 func FullScale() Scale {
 	return Scale{

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -69,6 +70,46 @@ func (t *Table) String() string {
 		b.WriteString(t.Raw)
 	}
 	return b.String()
+}
+
+// pivot is the first of the two table shapes: x labels down, series labels
+// across, one formatted value per (x, series) point.
+func pivot(id, title, xName string, xs, series []string, val func(x, s int) string) *Table {
+	t := &Table{ID: id, Title: title, Columns: append([]string{xName}, series...)}
+	for x, label := range xs {
+		row := []string{label}
+		for s := range series {
+			row = append(row, val(x, s))
+		}
+		t.AddRow(row...)
+	}
+	return t
+}
+
+// column is one named value read off a run.
+type column struct {
+	name string
+	get  func(RunResult) string
+}
+
+// records is the second table shape: one row per grid point — its row label
+// and, when keys names two cells, its column label — followed by the chosen
+// columns of that point's result.
+func records(id, title string, keys []string, cols []column, g *grid) *Table {
+	t := &Table{ID: id, Title: title, Columns: slices.Clone(keys)}
+	for _, col := range cols {
+		t.Columns = append(t.Columns, col.name)
+	}
+	for r, rl := range g.rows {
+		for c, cl := range g.cols {
+			row := []string{rl, cl}[:len(keys)]
+			for _, col := range cols {
+				row = append(row, col.get(g.at(r, c)))
+			}
+			t.AddRow(row...)
+		}
+	}
+	return t
 }
 
 // f2 formats a float with two decimals.
