@@ -23,6 +23,7 @@ func benchSuite() []benchSpec {
 	return []benchSpec{
 		{"ScheduleAndRun", bench.ScheduleAndRun},
 		{"NestedAfter", bench.NestedAfter},
+		{"TimerChurn", bench.TimerChurn},
 		{"EgressFIFO", bench.EgressFIFO},
 		{"BulkTransfer", bench.BulkTransfer},
 		{"IncastBurst", bench.IncastBurst},

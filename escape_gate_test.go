@@ -27,11 +27,15 @@ var escapeGatePackages = []string{
 // Panic-path string escapes and the pool's intentional fallback
 // allocations are recorded in the baseline, not exempted wholesale.
 var escapeGateFunctions = []string{
-	// Engine event heap and scheduling.
+	// Engine event queue (radix heap) and scheduling.
 	"internal/sim.(*Engine).alloc",
 	"internal/sim.(*Engine).release",
 	"internal/sim.(*Engine).push",
 	"internal/sim.(*Engine).pop",
+	"internal/sim.(*Engine).advance",
+	"internal/sim.(*Engine).refill",
+	"internal/sim.minTime",
+	"internal/sim.(*Engine).remove",
 	"internal/sim.(*Engine).peek",
 	"internal/sim.(*Engine).schedule",
 	"internal/sim.(*Engine).Schedule",

@@ -25,8 +25,8 @@ import (
 func nop() {}
 
 // ScheduleAndRun measures raw event throughput: the entire simulator's
-// speed limit. Zero allocs/op: the heap and slot arena amortize their
-// growth and scheduling itself touches no heap memory.
+// speed limit. Zero allocs/op: the queue's buckets and the slot arena
+// amortize their growth and scheduling itself touches no heap memory.
 func ScheduleAndRun(b *testing.B) {
 	e := sim.NewEngine()
 	b.ReportAllocs()
@@ -59,6 +59,40 @@ func NestedAfter(b *testing.B) {
 	b.ReportAllocs()
 	e.Schedule(0, tick)
 	e.Run()
+}
+
+// TimerChurn measures the retransmission-timer pattern that dominates a
+// loaded cell: 1,024 tickers fire 1 µs apart, and each firing cancels its
+// own 2 ms timer and re-arms it (Sender.armRTO on every ACK) before
+// rescheduling itself, so no timer ever expires. One op is one firing:
+// a pop, a Cancel and two schedules. The queue must hold the live events
+// only — a ticker and a timer each — however many timers were canceled.
+func TimerChurn(b *testing.B) {
+	const tickers = 1024
+	e := sim.NewEngine()
+	rto := make([]sim.Event, tickers)
+	fired, peak := 0, 0
+	var tick func(any)
+	tick = func(arg any) {
+		timer := arg.(*sim.Event)
+		e.Cancel(*timer)
+		*timer = e.After(2*sim.Millisecond, nop)
+		if n := e.Len(); n > peak {
+			peak = n
+		}
+		fired++
+		e.AfterArg(tickers*sim.Microsecond, tick, timer)
+	}
+	for i := range rto {
+		e.ScheduleArg(sim.Time(i)*sim.Microsecond, tick, &rto[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for fired < b.N && e.Step() {
+	}
+	if peak > 2*tickers {
+		b.Fatalf("event queue peaked at %d entries for %d live events", peak, 2*tickers)
+	}
 }
 
 // EgressFIFO measures the full egress path with a sojourn AQM. Packets

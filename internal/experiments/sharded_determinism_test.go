@@ -25,6 +25,7 @@ import (
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/topology"
 	"ecnsharp/internal/trace"
+	"ecnsharp/internal/transport"
 	"ecnsharp/internal/workload"
 )
 
@@ -169,4 +170,54 @@ func firstDiff(a, b string) int {
 		}
 	}
 	return n
+}
+
+// TestScaleCellQueuesHoldLiveEventsOnly runs the 1,024-host scale cell the
+// way RunContext does and samples the engines' queue lengths before every
+// window. Each sender re-arms its retransmission timer on every ACK; were
+// the canceled timers to stay queued until their timestamps, the queues
+// would hold several entries per host (6.8 at the time of writing) where
+// the live events — packets in flight and one timer per flow — are fewer
+// than two.
+func TestScaleCellQueuesHoldLiveEventsOnly(t *testing.T) {
+	cell, err := ScaleCellByHosts(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ScaleCellConfig(cell, 1)
+	cfg.defaults()
+	net := topology.NewLeafSpine(cell.Spines, cell.Leaves, cell.HostsPerLeaf, topology.Options{
+		Link: topology.LinkParams{
+			RateBps:     cfg.RateBps,
+			PropDelay:   cfg.PropDelay,
+			BufferBytes: cfg.BufferBytes,
+		},
+		NewAQM: cfg.Scheme.Factory(rand.New(rand.NewSource(cfg.Seed))),
+		Shards: cfg.Shards,
+	})
+	table := transport.NewFlowTable(len(cfg.Flows))
+	completed := 0
+	table.OnDone = func(int) { completed++ }
+	for i, spec := range cfg.Flows {
+		table.Launch(cfg.Transport, net.Host(spec.Src), net.Host(spec.Dst), uint64(i+1), spec.Size, spec.Start, spec.Query)
+	}
+	peak := 0
+	err = net.Shard.RunPoll(sim.MaxTime, 1, func() error {
+		queued := 0
+		for _, e := range net.Engines {
+			queued += e.Len()
+		}
+		peak = max(peak, queued)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := net.Shard.Processed(); completed != cell.Hosts || got != 345_088 {
+		t.Fatalf("%d of %d flows completed in %d events, want all in 345088", completed, cell.Hosts, got)
+	}
+	if peak >= 2*cell.Hosts {
+		t.Errorf("engine queues peaked at %d entries for %d hosts, want < %d", peak, cell.Hosts, 2*cell.Hosts)
+	}
+	t.Logf("peak queued events: %d (%.2f per host)", peak, float64(peak)/float64(cell.Hosts))
 }

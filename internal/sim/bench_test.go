@@ -16,3 +16,7 @@ func BenchmarkScheduleAndRun(b *testing.B) { bench.ScheduleAndRun(b) }
 // BenchmarkNestedAfter measures the common pattern of events scheduling
 // their successors (links, timers).
 func BenchmarkNestedAfter(b *testing.B) { bench.NestedAfter(b) }
+
+// BenchmarkTimerChurn measures cancel-and-re-arm of timers that never
+// expire, the retransmission-timer pattern.
+func BenchmarkTimerChurn(b *testing.B) { bench.TimerChurn(b) }

@@ -1,27 +1,34 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine is the substrate for every experiment in this repository: it
-// owns the virtual clock and a priority queue of timestamped events. All
-// network elements (links, switches, transports) schedule callbacks on a
-// single *Engine; running the engine to completion executes the simulation.
+// owns the virtual clock and a priority queue of timestamped events. The
+// network elements of one domain (links, switches, transports) schedule
+// callbacks on that domain's *Engine; a ShardedEngine runs the domains'
+// engines to completion, which executes the simulation.
 //
 // Determinism: events with equal timestamps fire in scheduling order (a
 // monotonic sequence number breaks ties), and all randomness must flow
 // through explicitly seeded sources, so a simulation is a pure function of
 // its configuration and seed.
 //
-// Memory discipline: the event queue is an inlined 4-ary min-heap over a
-// value slice, and event payloads live in a slot arena recycled through a
-// free list, so steady-state scheduling performs zero heap allocations.
-// Schedule returns a generation-counted Event handle (a small value, not a
-// pointer): canceling a handle whose slot has been recycled is a no-op, so
-// the classic "cancel a timer that already fired" race cannot corrupt an
-// unrelated event. See DESIGN.md "Hot path & memory discipline".
+// Memory discipline: the event queue is a monotone radix heap over value
+// slices (a simulation never schedules before the time it last extracted,
+// which is the monotonicity a radix heap needs), and event payloads live in
+// a slot arena recycled through a free list, so steady-state scheduling
+// performs zero heap allocations. Cancel removes the event from the queue
+// and frees its slot at once, so the queue and the arena hold live events
+// only. Schedule returns a generation-counted Event handle (a small value,
+// not a pointer): canceling a handle whose slot has been recycled is a
+// no-op, so the classic "cancel a timer that already fired" race cannot
+// corrupt an unrelated event. See DESIGN.md "Hot path & memory discipline".
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"time"
 
 	"ecnsharp/internal/trace"
@@ -85,42 +92,59 @@ type Event struct {
 func (ev Event) Valid() bool { return ev.slot != 0 }
 
 // slot holds one scheduled callback in the engine's arena. Exactly one of
-// fn and afn is non-nil while the event is live; both nil means the event
-// was canceled and its heap entry is pending lazy removal.
+// fn and afn is non-nil while the slot is in use; bkt and idx locate the
+// event's queue entry so Cancel can remove it without searching.
 type slot struct {
 	fn   func()
 	afn  func(any)
 	arg  any
 	gen  uint32
 	next int32 // free-list link; -1 while the slot is in use
+	idx  int32 // position of the entry within its bucket
+	bkt  uint8 // bucket holding the entry
 }
 
-// entry is one element of the event heap: the ordering key (at, seq) by
+// entry is one element of the event queue: the ordering key (at, seq) by
 // value plus the arena index of the payload. Keeping the key inline means
-// heap sifting touches no pointers.
+// moving entries between buckets touches no pointers. A negative slot is a
+// tombstone left by Cancel; only bucket 0 holds any.
 type entry struct {
 	at   Time
 	seq  uint64
 	slot int32
 }
 
-// less orders entries by (time, sequence): earlier fires first, and equal
-// times fire in scheduling order.
-func (a entry) less(b entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
+// smallSort is the bucket size up to which refill orders same-time entries
+// by insertion; larger same-time bursts take the library sort, so a burst
+// is never quadratic.
+const smallSort = 16
 
 // Engine is a single-threaded discrete-event scheduler.
 //
 // An Engine must not be shared between goroutines; run independent
 // simulations on independent engines to parallelize experiments.
+//
+// The event queue is a monotone radix heap keyed on the firing time. last
+// is the time of the most recent extraction and every queued entry has
+// at >= last (Schedule refuses at < now, and last <= now). An entry lives
+// in bucket bits.Len64(at ^ last): bucket 0 holds the entries due exactly
+// at last, in seq order, and bucket b >= 1 the entries whose time first
+// differs from last at bit b-1, unordered. Times in a lower bucket are
+// smaller than times in a higher one, so the next event is the head of
+// bucket 0 or, when that is empty, the minimum of the lowest occupied
+// bucket; extracting it moves last there and redistributes that one
+// bucket, every entry of which lands strictly lower.
 type Engine struct {
-	now     Time
-	seq     uint64
-	heap    []entry
+	now  Time
+	seq  uint64
+	last Time
+	// minAt caches the smallest time in buckets 1..63: MaxTime while they
+	// are empty, -1 when it has to be found by scanning the lowest one.
+	minAt   Time
+	mask    uint64 // bit b is set iff bucket b >= 1 is non-empty
+	head    int    // first unfired entry of bucket 0; never a tombstone
+	n       int    // live events
+	buckets [64][]entry
 	slots   []slot
 	free    int32 // head of the slot free list; -1 when empty
 	stopped bool
@@ -131,7 +155,7 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine { return &Engine{free: -1} }
+func NewEngine() *Engine { return &Engine{free: -1, minAt: MaxTime} }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
@@ -149,10 +173,9 @@ func (e *Engine) SetTracer(t trace.Tracer) { e.tracer = t }
 // path does no work.
 func (e *Engine) Tracer() trace.Tracer { return e.tracer }
 
-// Len returns the number of queued events. Canceled events count until
-// they are lazily drained from the heap, so Len is an upper bound on the
-// events that will actually fire.
-func (e *Engine) Len() int { return len(e.heap) }
+// Len returns the number of queued events. It is exact: a canceled event
+// leaves the queue when Cancel returns.
+func (e *Engine) Len() int { return e.n }
 
 // alloc pops a slot from the free list, growing the arena when empty.
 func (e *Engine) alloc() int32 {
@@ -175,58 +198,146 @@ func (e *Engine) release(s int32) {
 	e.free = s
 }
 
-// push inserts en into the 4-ary heap.
+// push appends en to the bucket its time selects and records the position
+// in its slot. A fresh seq is the largest, so appending keeps bucket 0 in
+// seq order.
 func (e *Engine) push(en entry) {
-	h := append(e.heap, en)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !en.less(h[p]) {
-			break
+	b := bits.Len64(uint64(en.at ^ e.last))
+	if b > 0 {
+		e.mask |= 1 << b
+		if en.at < e.minAt {
+			e.minAt = en.at
 		}
-		h[i] = h[p]
-		i = p
 	}
-	h[i] = en
-	e.heap = h
+	sl := &e.slots[en.slot]
+	sl.bkt, sl.idx = uint8(b), int32(len(e.buckets[b]))
+	e.buckets[b] = append(e.buckets[b], en)
+	e.n++
 }
 
-// pop removes and returns the minimum entry. The heap must be non-empty.
+// pop removes and returns the minimum entry. The queue must be non-empty.
 func (e *Engine) pop() entry {
-	h := e.heap
-	top := h[0]
-	n := len(h) - 1
-	en := h[n]
-	h = h[:n]
-	e.heap = h
-	if n == 0 {
-		return top
-	}
-	// Sift the former last element down from the root.
-	i := 0
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if h[j].less(h[m]) {
-				m = j
+	if e.head == len(e.buckets[0]) {
+		b := bits.TrailingZeros64(e.mask)
+		if q := e.buckets[b]; len(q) == 1 {
+			// A lone entry is the minimum: take it where it is.
+			en := q[0]
+			e.buckets[b] = q[:0]
+			e.mask &^= 1 << b
+			e.last = en.at
+			e.minAt = MaxTime
+			if e.mask != 0 {
+				e.minAt = -1
 			}
+			e.n--
+			return en
 		}
-		if !h[m].less(en) {
-			break
-		}
-		h[i] = h[m]
-		i = m
+		e.refill(b)
 	}
-	h[i] = en
-	return top
+	en := e.buckets[0][e.head]
+	e.advance(e.head + 1)
+	e.n--
+	return en
+}
+
+// advance moves head to the first live entry of bucket 0 at or after h,
+// and truncates the bucket once nothing live is left in it.
+func (e *Engine) advance(h int) {
+	b0 := e.buckets[0]
+	for h < len(b0) && b0[h].slot < 0 {
+		h++
+	}
+	if h == len(b0) {
+		e.buckets[0], h = b0[:0], 0
+	}
+	e.head = h
+}
+
+// refill moves last to the earliest queued time and redistributes b, the
+// lowest occupied bucket, whose minimum that is; the entries due at the new
+// last land in bucket 0 and are put in seq order. Bucket 0 must be empty.
+func (e *Engine) refill(b int) {
+	src := e.buckets[b]
+	if e.minAt < 0 {
+		e.minAt = minTime(src)
+	}
+	e.last = e.minAt
+	e.buckets[b] = src[:0]
+	e.mask &^= 1 << b
+	// Push the entries again, now relative to the new last. Lower buckets
+	// hold smaller times, so the next minimum is among the entries that
+	// land in buckets 1..b-1, if any do; push tracks it in minAt.
+	e.n -= len(src)
+	e.minAt = MaxTime
+	for _, en := range src {
+		e.push(en)
+	}
+	if e.minAt == MaxTime && e.mask != 0 {
+		e.minAt = -1 // nothing landed below b: scan the next occupied bucket
+	}
+
+	b0 := e.buckets[0]
+	if len(b0) == 1 {
+		return // in order, and its slot already says index 0
+	}
+	if len(b0) <= smallSort {
+		for i := 1; i < len(b0); i++ {
+			en := b0[i]
+			j := i
+			for ; j > 0 && b0[j-1].seq > en.seq; j-- {
+				b0[j] = b0[j-1]
+			}
+			b0[j] = en
+		}
+	} else {
+		slices.SortFunc(b0, func(x, y entry) int { return cmp.Compare(x.seq, y.seq) })
+	}
+	for i := range b0 {
+		e.slots[b0[i].slot].idx = int32(i)
+	}
+}
+
+// minTime returns the smallest time in q, which must be non-empty.
+func minTime(q []entry) Time {
+	lo := q[0].at
+	for _, en := range q[1:] {
+		if en.at < lo {
+			lo = en.at
+		}
+	}
+	return lo
+}
+
+// remove takes the queue entry of slot s out of its bucket: above bucket 0
+// the bucket's last entry fills the hole, inside bucket 0 (which is kept in
+// seq order) a tombstone stays until head passes it.
+func (e *Engine) remove(s int32) {
+	sl := &e.slots[s]
+	b, i := sl.bkt, int(sl.idx)
+	if b == 0 {
+		e.buckets[0][i].slot = -1
+		if i == e.head {
+			e.advance(i + 1)
+		}
+	} else {
+		q := e.buckets[b]
+		at := q[i].at
+		n := len(q) - 1
+		if i != n {
+			q[i] = q[n]
+			e.slots[q[i].slot].idx = int32(i)
+		}
+		e.buckets[b] = q[:n]
+		if n == 0 {
+			e.mask &^= 1 << b
+		}
+		if e.mask == 0 {
+			e.minAt = MaxTime
+		} else if at == e.minAt {
+			e.minAt = -1
+		}
+	}
+	e.n--
 }
 
 // schedule is the common enqueue path; exactly one of fn/afn is non-nil.
@@ -280,61 +391,54 @@ func (e *Engine) AfterArg(d Time, fn func(any), arg any) Event {
 	return e.ScheduleArg(e.now+d, fn, arg)
 }
 
-// Cancel marks the referenced event so that it will not fire. Canceling
-// the zero Event, an already-canceled event, an already-fired event, or a
-// handle whose slot has been recycled for a newer event is a no-op.
+// Cancel removes the referenced event from the queue and frees its slot,
+// so it will not fire. Canceling the zero Event, an already-canceled event,
+// an already-fired event, or a handle whose slot has been recycled for a
+// newer event is a no-op.
 func (e *Engine) Cancel(ev Event) {
 	i := ev.slot - 1
 	if i < 0 || int(i) >= len(e.slots) {
 		return
 	}
-	sl := &e.slots[i]
-	if sl.gen != ev.gen {
+	if e.slots[i].gen != ev.gen {
 		return // fired, canceled, or recycled since the handle was issued
 	}
-	// Drop the callbacks (releasing references early) and bump the
-	// generation; the heap entry is drained lazily by Step/peek.
-	sl.fn, sl.afn, sl.arg = nil, nil, nil
-	sl.gen++
+	e.remove(i)
+	e.release(i)
 }
 
-// Pending reports whether the handle still references a queued,
-// non-canceled event.
+// Pending reports whether the handle still references a queued event.
 func (e *Engine) Pending(ev Event) bool {
 	i := ev.slot - 1
 	if i < 0 || int(i) >= len(e.slots) {
 		return false
 	}
-	sl := &e.slots[i]
-	return sl.gen == ev.gen && (sl.fn != nil || sl.afn != nil)
+	return e.slots[i].gen == ev.gen
 }
 
 // Step executes the next event. It reports false when no events remain or
 // the engine was stopped.
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 && !e.stopped {
-		en := e.pop()
-		sl := &e.slots[en.slot]
-		fn, afn, arg := sl.fn, sl.afn, sl.arg
-		// The slot is recycled before the callback runs, so an event
-		// rescheduling itself reuses its own slot (at a new generation).
-		e.release(en.slot)
-		if fn == nil && afn == nil {
-			continue // canceled; drain lazily
-		}
-		if en.at < e.now {
-			panic("sim: event queue time went backwards")
-		}
-		e.now = en.at
-		e.Processed++
-		if fn != nil {
-			fn()
-		} else {
-			afn(arg)
-		}
-		return true
+	if e.n == 0 || e.stopped {
+		return false
 	}
-	return false
+	en := e.pop()
+	sl := &e.slots[en.slot]
+	fn, afn, arg := sl.fn, sl.afn, sl.arg
+	// The slot is recycled before the callback runs, so an event
+	// rescheduling itself reuses its own slot (at a new generation).
+	e.release(en.slot)
+	if en.at < e.now {
+		panic("sim: event queue time went backwards")
+	}
+	e.now = en.at
+	e.Processed++
+	if fn != nil {
+		fn()
+	} else {
+		afn(arg)
+	}
+	return true
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -385,19 +489,21 @@ func (e *Engine) AdvanceTo(t Time) {
 	}
 }
 
-// peek returns the firing time of the next non-canceled event, draining
-// canceled entries from the top of the heap as it goes.
+// peek returns the firing time of the next event. It must leave last where
+// it is: RunChunk peeks past its deadline, and the caller may then schedule
+// before the time peek reported (a handoff injected at a window barrier, an
+// event added after RunUntil returned).
 func (e *Engine) peek() (Time, bool) {
-	for len(e.heap) > 0 {
-		en := e.heap[0]
-		sl := &e.slots[en.slot]
-		if sl.fn != nil || sl.afn != nil {
-			return en.at, true
-		}
-		e.pop()
-		e.release(en.slot)
+	if e.head < len(e.buckets[0]) {
+		return e.last, true
 	}
-	return 0, false
+	if e.mask == 0 {
+		return 0, false
+	}
+	if e.minAt < 0 {
+		e.minAt = minTime(e.buckets[bits.TrailingZeros64(e.mask)])
+	}
+	return e.minAt, true
 }
 
 // Stop halts Run/RunUntil after the current event completes.

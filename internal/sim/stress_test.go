@@ -7,7 +7,7 @@ import (
 
 // TestEngineLifecycleStress drives randomized Schedule/Cancel/reschedule
 // interleavings (seeded, so failures replay) and checks, after every
-// mutation, that the 4-ary heap ordering invariant holds, that canceled
+// mutation, that the radix heap invariant holds, that canceled
 // events never fire, that live events fire exactly once in nondecreasing
 // (time, seq) order, and that stale handles — including handles whose
 // arena slot has been recycled by a later event — cancel nothing.

@@ -227,6 +227,37 @@ func TestDelayedAcksStillComplete(t *testing.T) {
 	}
 }
 
+// TestRTORearmKeepsEventQueueSmall: the sender re-arms its retransmission
+// timer on every ACK (Cancel + After >= 2 ms). A canceled timer has to leave
+// the engine's queue at once; if it lingered until its timestamp, the queue
+// would hold one dead entry per ACK of the last 2 ms (1,673 at the time of
+// writing) instead of the handful of events one flow keeps in flight.
+func TestRTORearmKeepsEventQueueSmall(t *testing.T) {
+	net := newStar(2, 0, func(int) aqm.AQM {
+		return aqm.NewREDInstantBytes(30 * 1460)
+	})
+	eng := net.Engines[0]
+	cfg := transport.DefaultConfig() // DCTCP, one ACK per data packet
+	done := false
+	fl := transport.StartFlow(eng, cfg, net.Host(0), net.Host(1), 1, 3_000_000, 0,
+		func(*transport.Flow) { done = true })
+	peak := 0
+	for eng.Step() {
+		if n := eng.Len(); n > peak {
+			peak = n
+		}
+	}
+	if !done || fl.Receiver.AcksSent < 2000 {
+		t.Fatalf("flow done=%v after %d ACKs; the test needs a few thousand re-arms", done, fl.Receiver.AcksSent)
+	}
+	if peak > 64 {
+		t.Errorf("event queue peaked at %d entries for one flow, want <= 64", peak)
+	}
+	if eng.Len() != 0 {
+		t.Errorf("event queue holds %d entries after the run, want 0", eng.Len())
+	}
+}
+
 func TestFlowStartsAtScheduledTime(t *testing.T) {
 	net := newStar(2, 0, nil)
 	eng := net.Engines[0]
