@@ -19,6 +19,7 @@ var escapeGatePackages = []string{
 	"./internal/queue/",
 	"./internal/packet/",
 	"./internal/device/",
+	"./internal/transport/",
 }
 
 // escapeGateFunctions is the designated hot-path list: the zero-alloc
@@ -58,6 +59,28 @@ var escapeGateFunctions = []string{
 	"internal/packet.(*Pool).Get",
 	"internal/packet.(*Pool).Put",
 	"internal/device.(*Host).AllocPacket",
+	// Forwarding: a port's send / tx-done cycle with its static callbacks,
+	// the switch, and a host's two ends with the flow demux.
+	"internal/device.(*Port).Send",
+	"internal/device.(*Port).kick",
+	"internal/device.(*Port).txDone",
+	"internal/device.portTxDone",
+	"internal/device.Deliver",
+	"internal/device.(*Switch).Receive",
+	"internal/device.(*Host).Send",
+	"internal/device.(*nicEntry).Receive",
+	"internal/device.(*Host).Receive",
+	"internal/device.(*Host).handler",
+	// Transport endpoints: the per-ACK and per-segment paths and the
+	// timer callbacks.
+	"internal/transport.(*Sender).HandlePacket",
+	"internal/transport.(*Sender).onAck",
+	"internal/transport.(*Sender).sendSegment",
+	"internal/transport.(*Sender).armRTO",
+	"internal/transport.senderRTO",
+	"internal/transport.(*Receiver).HandlePacket",
+	"internal/transport.(*Receiver).sendAck",
+	"internal/transport.receiverAckTimer",
 }
 
 // runEscapeAnalysis builds the hot-path packages with -gcflags=-m and

@@ -13,17 +13,17 @@ import (
 // AQM interface. It is a pure dequeue-side scheme: both the instantaneous
 // and persistent conditions act on the departing packet's sojourn time.
 type ECNSharp struct {
-	core     *core.ECNSharp
+	core     core.ECNSharp
 	lastKind trace.MarkKind
 }
 
 // NewECNSharp builds an ECN♯ AQM with the given parameters.
 func NewECNSharp(p core.Params) (*ECNSharp, error) {
-	c, err := core.NewECNSharp(p)
-	if err != nil {
+	e := new(ECNSharp)
+	if err := e.core.Init(p); err != nil {
 		return nil, err
 	}
-	return &ECNSharp{core: c}, nil
+	return e, nil
 }
 
 // MustNewECNSharp panics on invalid parameters.
@@ -43,7 +43,7 @@ func (e *ECNSharp) Name() string {
 }
 
 // Core exposes the underlying state machine (for tests and introspection).
-func (e *ECNSharp) Core() *core.ECNSharp { return e.core }
+func (e *ECNSharp) Core() *core.ECNSharp { return &e.core }
 
 // OnEnqueue never marks; ECN♯ is a dequeue-side scheme.
 func (*ECNSharp) OnEnqueue(sim.Time, *packet.Packet, Backlog) bool { return false }

@@ -25,7 +25,7 @@ type ECNSharpProb struct {
 	// is marked.
 	Pmax float64
 
-	core *core.ECNSharp
+	core core.ECNSharp
 	rng  *rand.Rand
 
 	instMarks int64
@@ -45,11 +45,11 @@ func NewECNSharpProb(p core.Params, tmin, tmax sim.Time, pmax float64, rng *rand
 	if rng == nil {
 		return nil, fmt.Errorf("aqm: ECNSharpProb requires a rand source")
 	}
-	c, err := core.NewECNSharp(p)
-	if err != nil {
+	e := &ECNSharpProb{TMin: tmin, TMax: tmax, Pmax: pmax, rng: rng}
+	if err := e.core.Init(p); err != nil {
 		return nil, err
 	}
-	return &ECNSharpProb{TMin: tmin, TMax: tmax, Pmax: pmax, core: c, rng: rng}, nil
+	return e, nil
 }
 
 // Name returns the scheme name with the ramp parameters.
@@ -58,7 +58,7 @@ func (e *ECNSharpProb) Name() string {
 }
 
 // Core exposes the persistent-marking state machine (for tests).
-func (e *ECNSharpProb) Core() *core.ECNSharp { return e.core }
+func (e *ECNSharpProb) Core() *core.ECNSharp { return &e.core }
 
 // InstMarks returns how many packets the probabilistic ramp marked.
 func (e *ECNSharpProb) InstMarks() int64 { return e.instMarks }

@@ -160,10 +160,22 @@ type ECNSharp struct {
 
 // NewECNSharp builds an ECN♯ marker; Params are validated.
 func NewECNSharp(p Params) (*ECNSharp, error) {
-	if err := p.Validate(); err != nil {
+	e := new(ECNSharp)
+	if err := e.Init(p); err != nil {
 		return nil, err
 	}
-	return &ECNSharp{params: p}, nil
+	return e, nil
+}
+
+// Init makes e, wherever it lives, a marker with parameters p in its
+// initial state — for owners that hold an ECNSharp by value. Params are
+// validated; on error e is left untouched.
+func (e *ECNSharp) Init(p Params) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	*e = ECNSharp{params: p}
+	return nil
 }
 
 // MustNewECNSharp panics on invalid params (for tables of fixed configs).

@@ -29,16 +29,21 @@ type Node interface {
 // The port serializes one packet at a time: a packet of size S occupies the
 // transmitter for S*8/RateBps, then arrives at Dst PropDelay later.
 //
-// The forwarding path is allocation-free: the tx-done and delivery
-// callbacks are bound once at construction, the packet in flight on the
-// transmitter rides in a struct field, and packets crossing the link ride
-// as the (pointer-typed, hence unboxed) argument of sim.AfterArg.
+// The forwarding path is allocation-free and stores no callback: tx-done
+// is the package-level portTxDone scheduled with the port as its argument,
+// the packet on the transmitter rides in a struct field, and a packet
+// crossing the link names its own next hop (packet.Next) and rides as the
+// argument of the package-level Deliver — on the local engine or through a
+// handoff alike.
 type Port struct {
 	eng       *sim.Engine
 	Egress    *queue.Egress
 	RateBps   float64
 	PropDelay sim.Time
-	Dst       Node
+	// Dst is the Node at the far end of the link, held as the Sink every
+	// transmitted packet is addressed to (packet.Next) so that addressing
+	// one converts nothing.
+	Dst packet.Sink
 
 	busy  bool
 	txPkt *packet.Packet // packet occupying the transmitter while busy
@@ -48,9 +53,6 @@ type Port struct {
 	// closed rejects Send entirely (Close, after teardown).
 	down   bool
 	closed bool
-
-	txDoneFn  func()    // bound once: serialization finished
-	deliverFn func(any) // bound once: propagation finished, deliver to Dst
 
 	// remote, when non-nil, marks this port as a domain boundary under a
 	// sharded engine: instead of scheduling delivery on the local engine,
@@ -69,16 +71,23 @@ type Port struct {
 
 // NewPort builds a transmit port. The egress must be non-nil.
 func NewPort(eng *sim.Engine, eg *queue.Egress, rateBps float64, prop sim.Time, dst Node) *Port {
+	pt := new(Port)
+	pt.Init(eng, eg, rateBps, prop, dst)
+	return pt
+}
+
+// Init builds the port in place, with NewPort's arguments: topology wiring
+// embeds a Port beside its Egress in one block and Inits it there. Events
+// the port schedules carry its address, so it must not be copied or moved
+// afterwards.
+func (pt *Port) Init(eng *sim.Engine, eg *queue.Egress, rateBps float64, prop sim.Time, dst Node) {
 	if eg == nil {
 		panic("device: port needs an egress")
 	}
 	if rateBps <= 0 {
 		panic("device: port rate must be positive")
 	}
-	pt := &Port{eng: eng, Egress: eg, RateBps: rateBps, PropDelay: prop, Dst: dst}
-	pt.txDoneFn = pt.txDone
-	pt.deliverFn = func(a any) { pt.Dst.Receive(a.(*packet.Packet)) }
-	return pt
+	*pt = Port{eng: eng, Egress: eg, RateBps: rateBps, PropDelay: prop, Dst: dst}
 }
 
 // TxTime returns the serialization delay of n bytes at this port's rate.
@@ -94,7 +103,7 @@ func (pt *Port) TxTime(n int) sim.Time {
 // scheduling onto a finished engine.
 func (pt *Port) Send(p *packet.Packet) {
 	if pt.closed {
-		panic(fmt.Sprintf("device: Send on closed port to %s after teardown", pt.Dst.Name()))
+		panic(fmt.Sprintf("device: Send on closed port to %s after teardown", pt.Dst.(Node).Name()))
 	}
 	if pt.down {
 		pt.FaultDrops++
@@ -122,7 +131,7 @@ func (pt *Port) kick() {
 	// Transmitter frees after serialization; the packet lands at the
 	// destination one propagation delay later (see txDone). The event
 	// handle is kept so a link-down can cancel the in-flight transmission.
-	pt.txEv = pt.eng.After(pt.TxTime(p.Size()), pt.txDoneFn)
+	pt.txEv = pt.eng.AfterArg(pt.TxTime(p.Size()), portTxDone, pt)
 }
 
 // SetDown transitions the port's link state. Taking the link down is
@@ -186,22 +195,40 @@ func (pt *Port) IsBoundary() bool { return pt.remote != nil }
 // engine: packets finishing serialization are buffered on h and injected
 // into the destination domain at the next synchronization barrier, rather
 // than scheduled on the local engine. The handoff's deliver callback must
-// perform this port's delivery (Dst.Receive). Topology wiring calls this
-// once per boundary port, before the run starts.
+// be Deliver. Topology wiring calls this once per boundary port, before the
+// run starts.
 func (pt *Port) SetRemote(h *sim.Handoff) { pt.remote = h }
 
-// txDone fires when the packet on the transmitter finishes serializing.
+// portTxDone is the tx-done event of every port; the port is the argument.
+func portTxDone(a any) { a.(*Port).txDone() }
+
+// txDone fires when the packet on the transmitter finishes serializing: the
+// packet leaves for Dst, one propagation delay away, and the transmitter
+// takes the next one.
 func (pt *Port) txDone() {
 	p := pt.txPkt
 	pt.txPkt = nil
 	pt.busy = false
 	pt.txEv = sim.Event{}
+	p.Next = pt.Dst
 	if pt.remote != nil {
 		pt.remote.Send(pt.eng.Now()+pt.PropDelay, p)
 	} else {
-		pt.eng.AfterArg(pt.PropDelay, pt.deliverFn, p)
+		pt.eng.AfterArg(pt.PropDelay, Deliver, p)
 	}
 	pt.kick()
+}
+
+// Deliver is the arrival event of every packet that was sitting out a
+// delay — link propagation on the local engine, the same across a domain
+// boundary (pass it to sim.ShardedEngine.NewHandoff), a flow's extra host
+// delay: it hands the packet, the event's argument, to the next hop the
+// packet names and clears the name.
+func Deliver(a any) {
+	p := a.(*packet.Packet)
+	next := p.Next
+	p.Next = nil
+	next.Receive(p)
 }
 
 // Router computes the equal-cost egress port set for a destination host.
@@ -355,29 +382,44 @@ type Host struct {
 	// their fields. Handlers must not retain packet pointers past return.
 	Pool *packet.Pool
 
-	handlers   map[uint64]PacketHandler
+	// spill holds the flow handlers of a host with many flows, see below.
+	spill map[uint64]PacketHandler
+	// flowDelays is nil until the first SetFlowDelay.
 	flowDelays map[uint64]sim.Time
-
-	nicSendFn func(any) // bound once: delayed NIC entry for Send
-
-	// Default extra delay applied to flows with no specific entry.
-	DefaultDelay sim.Time
 
 	RxPackets int64
 	TxPackets int64
+
+	// Flow demux. A host with few flows (hostInlineFlows or fewer, the
+	// common case: two on a scale cell) keeps them in flowIDs and handlers,
+	// entries [0, nflows) in no particular order, so a lookup scans a few
+	// ids inside the host itself. The registration that does not fit moves
+	// every entry to spill, which then holds them all until it empties (an
+	// incast receiver with hundreds of flows looks up a map, as every host
+	// used to).
+	nflows   int
+	flowIDs  [hostInlineFlows]uint64
+	handlers [hostInlineFlows]PacketHandler
+
+	// Default extra delay applied to flows with no specific entry.
+	DefaultDelay sim.Time
 }
+
+// hostInlineFlows is how many flow handlers a host holds inside itself
+// before it falls back to a map.
+const hostInlineFlows = 8
 
 // NewHost builds a host with the given id.
 func NewHost(eng *sim.Engine, id int) *Host {
-	h := &Host{
-		ID:         id,
-		eng:        eng,
-		handlers:   make(map[uint64]PacketHandler),
-		flowDelays: make(map[uint64]sim.Time),
-	}
-	h.nicSendFn = func(a any) { h.NIC.Send(a.(*packet.Packet)) }
+	h := new(Host)
+	h.Init(eng, id)
 	return h
 }
+
+// Init builds the host in place, with NewHost's arguments. Events the host
+// schedules carry its address, so it must not be copied or moved
+// afterwards.
+func (h *Host) Init(eng *sim.Engine, id int) { *h = Host{ID: id, eng: eng} }
 
 // AllocPacket returns a zeroed packet from the host's pool (or the heap
 // when pooling is disabled). Transports use it for every outgoing packet.
@@ -393,14 +435,61 @@ func (h *Host) Engine() *sim.Engine { return h.eng }
 // this host. Registering twice for one flow panics: it indicates colliding
 // flow ids.
 func (h *Host) Register(flowID uint64, ph PacketHandler) {
-	if _, dup := h.handlers[flowID]; dup {
+	if h.handler(flowID) != nil {
 		panic(fmt.Sprintf("device: host %d: duplicate handler for flow %d", h.ID, flowID))
 	}
-	h.handlers[flowID] = ph
+	if ph == nil {
+		panic(fmt.Sprintf("device: host %d: nil handler for flow %d", h.ID, flowID))
+	}
+	if h.spill == nil {
+		if h.nflows < hostInlineFlows {
+			h.flowIDs[h.nflows], h.handlers[h.nflows] = flowID, ph
+			h.nflows++
+			return
+		}
+		h.spill = make(map[uint64]PacketHandler, hostInlineFlows+1)
+		for i := 0; i < h.nflows; i++ {
+			h.spill[h.flowIDs[i]] = h.handlers[i]
+			h.handlers[i] = nil
+		}
+		h.nflows = 0
+	}
+	h.spill[flowID] = ph
 }
 
-// Unregister removes the flow handler (after flow completion).
-func (h *Host) Unregister(flowID uint64) { delete(h.handlers, flowID) }
+// Unregister removes the flow handler (after flow completion). A handler
+// may unregister itself, or another flow, from inside HandlePacket.
+func (h *Host) Unregister(flowID uint64) {
+	if h.spill != nil {
+		delete(h.spill, flowID)
+		if len(h.spill) == 0 {
+			h.spill = nil
+		}
+		return
+	}
+	for i := 0; i < h.nflows; i++ {
+		if h.flowIDs[i] == flowID {
+			last := h.nflows - 1
+			h.flowIDs[i], h.handlers[i] = h.flowIDs[last], h.handlers[last]
+			h.handlers[last] = nil
+			h.nflows = last
+			return
+		}
+	}
+}
+
+// handler returns the handler registered for flowID, or nil.
+func (h *Host) handler(flowID uint64) PacketHandler {
+	if h.spill != nil {
+		return h.spill[flowID]
+	}
+	for i := 0; i < h.nflows; i++ {
+		if h.flowIDs[i] == flowID {
+			return h.handlers[i]
+		}
+	}
+	return nil
+}
 
 // SetFlowDelay sets the netem-style extra one-way delay this host adds to
 // every packet it sends for the given flow. The experiments use it to give
@@ -408,6 +497,9 @@ func (h *Host) Unregister(flowID uint64) { delete(h.handlers, flowID) }
 func (h *Host) SetFlowDelay(flowID uint64, d sim.Time) {
 	if d < 0 {
 		panic("device: negative flow delay")
+	}
+	if h.flowDelays == nil {
+		h.flowDelays = make(map[uint64]sim.Time)
 	}
 	h.flowDelays[flowID] = d
 }
@@ -432,8 +524,16 @@ func (h *Host) Send(p *packet.Packet) {
 		h.NIC.Send(p)
 		return
 	}
-	h.eng.AfterArg(d, h.nicSendFn, p)
+	p.Next = (*nicEntry)(h)
+	h.eng.AfterArg(d, Deliver, p)
 }
+
+// nicEntry is the host as the next hop of a packet sitting out its flow's
+// extra delay in Send: receiving it puts it on the NIC.
+type nicEntry Host
+
+// Receive implements packet.Sink.
+func (n *nicEntry) Receive(p *packet.Packet) { n.NIC.Send(p) }
 
 // Receive implements Node: demux to the registered flow handler. Packets
 // for unknown flows (e.g. retransmissions arriving after completion) are
@@ -442,7 +542,7 @@ func (h *Host) Send(p *packet.Packet) {
 // field they need rather than keep the pointer.
 func (h *Host) Receive(p *packet.Packet) {
 	h.RxPackets++
-	if ph, ok := h.handlers[p.FlowID]; ok {
+	if ph := h.handler(p.FlowID); ph != nil {
 		ph.HandlePacket(h.eng.Now(), p)
 	}
 	h.Pool.Put(p)

@@ -62,28 +62,24 @@ const (
 	MTU        = MSS + HeaderSize
 )
 
+// Sink is whatever a packet in transit is delivered to next: a switch, a
+// host, a test tap (every device.Node is one).
+type Sink interface {
+	// Receive takes ownership of p at its arrival time.
+	Receive(p *Packet)
+}
+
 // Packet is one simulated packet. Data packets carry [Seq, Seq+PayloadLen)
 // of the flow's byte stream; ACK packets carry the receiver's cumulative
 // AckSeq and the ECN-echo flag.
 type Packet struct {
-	FlowID uint64
-	Src    int // source host id
-	Dst    int // destination host id
-	Kind   Kind
+	// The first 64 bytes hold everything a forwarding hop reads or writes,
+	// so that a packet arriving cold costs a switch one cache line, not
+	// two; what only the endpoints use follows.
 
-	Seq        int64 // data: first payload byte; ack: unused
-	PayloadLen int   // data payload bytes (0 for pure ACKs)
-
-	AckSeq int64 // ack: cumulative next-expected byte
-	ECE    bool  // ack: ECN-echo (receiver saw CE)
-
-	ECN ECN // IP ECN codepoint; AQMs set CE on ECT packets
-
-	// TSVal carries the sender's clock at transmission; the receiver echoes
-	// it in TSEcr so the sender measures RTT without per-packet state
-	// (TCP timestamps, RFC 7323).
-	TSVal sim.Time
-	TSEcr sim.Time
+	FlowID     uint64
+	Dst        int // destination host id
+	PayloadLen int // data payload bytes (0 for pure ACKs)
 
 	// Class selects the egress service queue under multi-queue scheduling
 	// (DWRR experiment, Figure 13). Class 0 is the default best-effort queue.
@@ -93,9 +89,34 @@ type Packet struct {
 	// dequeue to compute the sojourn time the AQMs act on.
 	EnqueuedAt sim.Time
 
+	// Next is where the packet lands when the delay it is sitting out ends:
+	// the far end of the link it is propagating on, or the NIC behind its
+	// flow's extra host delay. The sender of that hop sets it, delivery
+	// clears it, and while it is set the packet belongs to the pending
+	// event — nobody may release it (Pool.Put panics).
+	Next Sink
+
+	Kind Kind
+	ECN  ECN  // IP ECN codepoint; AQMs set CE on ECT packets
+	ECE  bool // ack: ECN-echo (receiver saw CE)
+
 	// pooled marks packets currently resting in a Pool's free list; Put
 	// panics when it sees it set, catching double-release ownership bugs.
 	pooled bool
+
+	Src    int   // source host id
+	Seq    int64 // data: first payload byte; ack: unused
+	AckSeq int64 // ack: cumulative next-expected byte
+
+	// TSVal carries the sender's clock at transmission; the receiver echoes
+	// it in TSEcr so the sender measures RTT without per-packet state
+	// (TCP timestamps, RFC 7323).
+	TSVal sim.Time
+	TSEcr sim.Time
+
+	// The pad keeps a Packet in the allocator's 128-byte size class, whose
+	// objects start on a cache line (the 112-byte class's do not).
+	_ [16]byte
 }
 
 // Size returns the wire size of the packet in bytes.

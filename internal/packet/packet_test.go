@@ -3,6 +3,7 @@ package packet
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ecnsharp/internal/sim"
 )
@@ -15,6 +16,32 @@ func TestSize(t *testing.T) {
 	ack := &Packet{Kind: Ack}
 	if ack.Size() != HeaderSize {
 		t.Errorf("ack size = %d, want %d", ack.Size(), HeaderSize)
+	}
+}
+
+// TestPacketLayout: what a forwarding hop reads or writes — next hop,
+// destination, flow id (ECMP), size, class, enqueue stamp, ECN codepoint —
+// lies in the packet's first cache line, and the packet stays in the
+// 128-byte size class, whose objects are line-aligned; so a packet that
+// arrives cold costs a switch one miss.
+func TestPacketLayout(t *testing.T) {
+	var p Packet
+	for name, end := range map[string]uintptr{
+		"FlowID":     unsafe.Offsetof(p.FlowID) + unsafe.Sizeof(p.FlowID),
+		"Dst":        unsafe.Offsetof(p.Dst) + unsafe.Sizeof(p.Dst),
+		"PayloadLen": unsafe.Offsetof(p.PayloadLen) + unsafe.Sizeof(p.PayloadLen),
+		"Class":      unsafe.Offsetof(p.Class) + unsafe.Sizeof(p.Class),
+		"EnqueuedAt": unsafe.Offsetof(p.EnqueuedAt) + unsafe.Sizeof(p.EnqueuedAt),
+		"Next":       unsafe.Offsetof(p.Next) + unsafe.Sizeof(p.Next),
+		"Kind":       unsafe.Offsetof(p.Kind) + unsafe.Sizeof(p.Kind),
+		"ECN":        unsafe.Offsetof(p.ECN) + unsafe.Sizeof(p.ECN),
+	} {
+		if end > 64 {
+			t.Errorf("%s ends at byte %d, beyond the first cache line", name, end)
+		}
+	}
+	if size := unsafe.Sizeof(p); size <= 112 || size > 128 {
+		t.Errorf("Packet is %d bytes, outside the 128-byte size class (113..128)", size)
 	}
 }
 

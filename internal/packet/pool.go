@@ -15,7 +15,9 @@ package packet
 //     journey (the destination host, or the queue that tail-drops it)
 //     returns it; nothing may touch a packet after putting it back.
 //   - Put panics on double-Put: returning the same packet twice would hand
-//     one pointer to two owners and corrupt the simulation silently.
+//     one pointer to two owners and corrupt the simulation silently. It
+//     panics likewise on a packet whose Next is set: that packet is still
+//     on a link, and the pending delivery event owns it.
 //
 // A nil *Pool is valid and disables recycling: Get falls back to the heap
 // allocator and Put is a no-op, so pooling can be toggled per simulation
@@ -48,14 +50,18 @@ func (pl *Pool) Get() *Packet {
 }
 
 // Put zeroes p and returns it to the free list. Putting nil is a no-op;
-// putting the same packet twice panics (it indicates an ownership bug).
-// With a nil receiver the packet is simply left to the garbage collector.
+// putting the same packet twice, or one that is still on a link (Next
+// set), panics: both indicate an ownership bug. With a nil receiver the
+// packet is simply left to the garbage collector.
 func (pl *Pool) Put(p *Packet) {
 	if pl == nil || p == nil {
 		return
 	}
 	if p.pooled {
 		panic("packet: Put of a packet already in the pool")
+	}
+	if p.Next != nil {
+		panic("packet: Put of a packet still on a link")
 	}
 	*p = Packet{pooled: true}
 	pl.Puts++

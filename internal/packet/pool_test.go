@@ -35,6 +35,36 @@ func TestPoolDoublePutPanics(t *testing.T) {
 	pl.Put(p)
 }
 
+// nowhere is a Sink for tests that only need a packet to be on a link.
+type nowhere struct{}
+
+func (nowhere) Receive(*Packet) {}
+
+// TestPoolPutOnLinkPanics: a packet whose Next is set belongs to a pending
+// delivery event; releasing it would recycle a packet that is about to
+// arrive somewhere.
+func TestPoolPutOnLinkPanics(t *testing.T) {
+	pl := &Pool{}
+	p := pl.Get()
+	p.Next = nowhere{}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Put of a packet with Next set did not panic")
+			}
+		}()
+		pl.Put(p)
+	}()
+	if pl.Puts != 0 || pl.Free() != 0 {
+		t.Errorf("refused packet was pooled anyway: puts %d, free %d", pl.Puts, pl.Free())
+	}
+	p.Next = nil // delivered
+	pl.Put(p)
+	if q := pl.Get(); q != p || q.Next != nil {
+		t.Errorf("delivered packet did not recycle clean: %p next %v", q, q.Next)
+	}
+}
+
 // TestPoolNilReceiver: a nil pool degrades to plain allocation so pooling
 // can be disabled without changing call sites.
 func TestPoolNilReceiver(t *testing.T) {

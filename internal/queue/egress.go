@@ -18,8 +18,14 @@ import (
 // the incast experiments lose packets under CoDel. CE is only ever set on
 // ECN-capable (ECT) packets; a mark decision on a NotECT packet is counted
 // but not applied, mirroring switches configured for marking, not dropping.
+//
+// An Egress holds its service queues by value, and for the single-queue
+// port (every port but the DWRR experiment's) the queue, its initial ring
+// and the AQM/kind slots all lie inside the Egress itself, so an enqueue
+// or dequeue reads one object plus the AQM. Its slices point into itself:
+// build it where it will live (Init) and never copy it afterwards.
 type Egress struct {
-	queues []*FIFO
+	queues []FIFO
 	aqms   []aqm.AQM
 	sched  Scheduler
 
@@ -55,27 +61,41 @@ type Egress struct {
 	DropBytes int64
 	EnqMarks  int64
 	DeqMarks  int64
+
+	// Backing arrays of queues, aqms and kinds on a single-queue port.
+	queue0 [1]FIFO
+	aqm0   [1]aqm.AQM
+	kind0  [1]aqm.MarkKinder
 }
 
 // NewEgress builds an egress port with n service queues. aqmFor is called
 // once per queue index to build its AQM (pass nil for no marking).
 func NewEgress(n int, sched Scheduler, bufferBytes int64, aqmFor func(i int) aqm.AQM) *Egress {
+	e := new(Egress)
+	e.Init(n, sched, bufferBytes, aqmFor)
+	return e
+}
+
+// Init builds the egress in place, with NewEgress's arguments: callers that
+// lay ports out in blocks (internal/topology) embed an Egress and Init it
+// there.
+func (e *Egress) Init(n int, sched Scheduler, bufferBytes int64, aqmFor func(i int) aqm.AQM) {
 	if n <= 0 {
 		panic("queue: egress needs at least one queue")
 	}
 	if sched == nil {
 		sched = FIFOSched{}
 	}
-	e := &Egress{
-		queues:      make([]*FIFO, n),
-		aqms:        make([]aqm.AQM, n),
-		kinds:       make([]aqm.MarkKinder, n),
-		sched:       sched,
-		BufferBytes: bufferBytes,
-		port:        -1,
+	*e = Egress{sched: sched, BufferBytes: bufferBytes, port: -1}
+	if n == 1 {
+		e.queues, e.aqms, e.kinds = e.queue0[:], e.aqm0[:], e.kind0[:]
+	} else {
+		e.queues = make([]FIFO, n)
+		e.aqms = make([]aqm.AQM, n)
+		e.kinds = make([]aqm.MarkKinder, n)
 	}
 	for i := range e.queues {
-		e.queues[i] = NewFIFO()
+		e.queues[i].Init()
 		if aqmFor != nil {
 			e.aqms[i] = aqmFor(i)
 		}
@@ -86,7 +106,6 @@ func NewEgress(n int, sched Scheduler, bufferBytes int64, aqmFor func(i int) aqm
 			e.kinds[i] = k
 		}
 	}
-	return e
 }
 
 // SetTracer attaches t as this port's event observer; port is the id
@@ -108,8 +127,8 @@ func (e *Egress) TracePort() int { return e.port }
 // the instantaneous queueing-delay signal a SojournSample event carries.
 func (e *Egress) HeadAge(now sim.Time) sim.Time {
 	var oldest sim.Time
-	for _, q := range e.queues {
-		if p := q.Peek(); p != nil {
+	for i := range e.queues {
+		if p := e.queues[i].Peek(); p != nil {
 			if age := p.SojournTime(now); age > oldest {
 				oldest = age
 			}
@@ -155,7 +174,8 @@ func (e *Egress) drop(now sim.Time, p *packet.Packet) {
 // cleanly when the link returns. It returns the number of packets lost.
 func (e *Egress) DropAll(now sim.Time) int {
 	n := 0
-	for qi, q := range e.queues {
+	for qi := range e.queues {
+		q := &e.queues[qi]
 		for {
 			p := q.Pop()
 			if p == nil {
@@ -207,8 +227,8 @@ func (e *Egress) Bytes() int64 { return e.bytes }
 // Len returns the total queued packets across all service queues.
 func (e *Egress) Len() int {
 	n := 0
-	for _, q := range e.queues {
-		n += q.Len()
+	for i := range e.queues {
+		n += e.queues[i].Len()
 	}
 	return n
 }
@@ -252,7 +272,7 @@ func (e *Egress) Enqueue(now sim.Time, p *packet.Packet) bool {
 		return false
 	}
 	qi := e.classQueue(p)
-	q := e.queues[qi]
+	q := &e.queues[qi]
 	backlog := aqm.Backlog{Bytes: q.Bytes(), Packets: q.Len()}
 	marked := e.aqms[qi].OnEnqueue(now, p, backlog) && p.ECN == packet.ECT
 	if marked {
@@ -279,7 +299,7 @@ func (e *Egress) Dequeue(now sim.Time) *packet.Packet {
 	if qi < 0 {
 		return nil
 	}
-	q := e.queues[qi]
+	q := &e.queues[qi]
 	p := q.Pop()
 	if p == nil {
 		panic(fmt.Sprintf("queue: scheduler picked empty queue %d", qi))

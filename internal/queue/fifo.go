@@ -6,16 +6,33 @@ package queue
 
 import "ecnsharp/internal/packet"
 
+// fifoInline is the capacity of the ring a FIFO carries inside itself.
+const fifoInline = 16
+
 // FIFO is a byte-accounted packet queue backed by a growable ring buffer.
+// The ring starts inside the FIFO (buf points at ring), so a queue that
+// never holds more than fifoInline packets touches no second object; grow
+// leaves it for the heap. A FIFO must not be copied after Init.
 type FIFO struct {
 	buf   []*packet.Packet
 	head  int
 	count int
 	bytes int64
+	ring  [fifoInline]*packet.Packet
 }
 
 // NewFIFO returns an empty FIFO.
-func NewFIFO() *FIFO { return &FIFO{buf: make([]*packet.Packet, 16)} }
+func NewFIFO() *FIFO {
+	f := new(FIFO)
+	f.Init()
+	return f
+}
+
+// Init makes f, wherever it lives, an empty FIFO.
+func (f *FIFO) Init() {
+	*f = FIFO{}
+	f.buf = f.ring[:]
+}
 
 // Len returns the number of queued packets.
 func (f *FIFO) Len() int { return f.count }

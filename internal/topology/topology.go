@@ -16,6 +16,7 @@ package topology
 
 import (
 	"fmt"
+	"strconv"
 
 	"ecnsharp/internal/aqm"
 	"ecnsharp/internal/device"
@@ -433,44 +434,62 @@ func newPool(o *Options) *queue.SharedPool {
 	return queue.NewSharedPool(o.SharedBufferBytes, alpha)
 }
 
-// newEgress builds a switch egress buffer per the options; pool may be
-// nil for static per-port buffering. loc names the owning switch so
-// Options.NewAQMAt can assign location-specific marking parameters.
-func newEgress(o *Options, loc PortLoc, pool *queue.SharedPool, pkts *packet.Pool) *queue.Egress {
-	var sched queue.Scheduler
-	if o.NewSched != nil {
-		sched = o.NewSched()
-	}
-	var factory func(int) aqm.AQM
-	if at := o.NewAQMAt; at != nil {
-		factory = func(q int) aqm.AQM { return at(loc, q) }
-	}
-	eg := queue.NewEgress(o.NumQueues, sched, o.Link.BufferBytes, factory)
-	eg.Pool = pool
-	eg.PacketPool = pkts
-	return eg
+// portBlock is one transmit port together with everything but the AQM that
+// an event on it touches — the port, its egress buffer, that buffer's
+// service queue and the queue's initial ring — as one allocation, so that
+// a forwarding event on a fabric far larger than the cache misses on one
+// object, not on nine. See DESIGN.md "Hot path & memory discipline".
+//
+// Blocks are allocated in per-domain slabs — one slice of hostBlocks per
+// access switch, one slice of portBlocks per switch for its switch-facing
+// ports — never interleaved across domains, so that the ports of two
+// domains, which two workers write concurrently, share no cache line
+// (TestLayoutDomainsShareNoCacheLine).
+type portBlock struct {
+	port device.Port
+	eg   queue.Egress
 }
 
-// newHostEgress builds a host NIC queue: single FIFO, no marking.
-func newHostEgress(o *Options, pkts *packet.Pool) *queue.Egress {
-	eg := queue.NewEgress(1, queue.FIFOSched{}, o.HostBufferBytes, nil)
-	eg.PacketPool = pkts
-	return eg
+// hostBlock is one host with both ends of its access link. A host and its
+// access switch always share a domain, so the three never run on different
+// workers.
+type hostBlock struct {
+	host device.Host
+	nic  portBlock // host -> access switch
+	down portBlock // access switch -> host
+}
+
+// switchNode is a switch as the builders see it while they hang ports and
+// hosts off it: the switch, where it sits, and what its ports share.
+type switchNode struct {
+	sw   *device.Switch
+	idx  int // in Net.Switches
+	dom  int
+	pool *queue.SharedPool
+	// aqmFor builds the AQM of queue q of a port of this switch (nil: no
+	// marking): Options.NewAQMAt at the switch's location.
+	aqmFor func(q int) aqm.AQM
 }
 
 // newNet starts a build over part: one engine and one packet pool per
 // domain, under a coordinator with opts.Shards workers. The builders then
-// populate it, indexing Engines and PacketPools by domain.
-func newNet(part Partition, opts *Options) *Net {
+// populate it, indexing Engines and PacketPools by domain. switchLinks is
+// the number of directed switch-to-switch links the builder will add, which
+// with the host count sizes the census.
+func newNet(part Partition, opts *Options, switchLinks int) *Net {
+	hosts := len(part.HostDom)
 	net := &Net{
 		Shard:       sim.NewShardedEngine(part.Domains, part.Lookahead, opts.Shards),
 		Engines:     make([]*sim.Engine, part.Domains),
-		Hosts:       make([]*device.Host, 0, len(part.HostDom)),
+		Hosts:       make([]*device.Host, 0, hosts),
 		Part:        part,
 		Lookahead:   part.Lookahead,
 		PacketPools: make([]*packet.Pool, part.Domains),
-		hostPorts:   make([]*device.Port, len(part.HostDom)),
-		linkIdx:     make(map[string]int),
+		SwitchPorts: make([]*device.Port, 0, hosts+switchLinks),
+		portDoms:    make([]int, 0, hosts+switchLinks),
+		Links:       make([]Link, 0, 2*hosts+switchLinks),
+		hostPorts:   make([]*device.Port, hosts),
+		linkIdx:     make(map[string]int, 2*hosts+switchLinks),
 		switchDoms:  part.switchDom,
 	}
 	for d := range net.Engines {
@@ -482,24 +501,81 @@ func newNet(part Partition, opts *Options) *Net {
 	return net
 }
 
-// port builds an egress port owned by srcDom delivering to dst in dstDom.
-// When the domains differ the port becomes a boundary: a handoff into the
-// destination domain is registered (in call order, which the wiring keeps
-// canonical) and the port transmits through it instead of the local
-// engine.
-func (n *Net) port(srcDom, dstDom int, eg *queue.Egress, rate float64, prop sim.Time, dst device.Node) *device.Port {
-	pt := device.NewPort(n.Engines[srcDom], eg, rate, prop, dst)
+// addSwitch creates the next switch of Net.Switches, on the domain the
+// partition gave it.
+func (n *Net) addSwitch(o *Options, name, tier string) *switchNode {
+	s := &switchNode{idx: len(n.Switches), pool: newPool(o)}
+	s.dom = n.switchDoms[s.idx]
+	s.sw = device.NewSwitch(n.Engines[s.dom], name)
+	n.Switches = append(n.Switches, s.sw)
+	if at := o.NewAQMAt; at != nil {
+		loc := PortLoc{Tier: tier, Switch: s.idx, Name: name}
+		s.aqmFor = func(q int) aqm.AQM { return at(loc, q) }
+	}
+	return s
+}
+
+// initPort builds b's port over b's egress: owned by srcDom, delivering to
+// dst in dstDom. When the domains differ the port becomes a boundary: a
+// handoff into the destination domain is registered (in call order, which
+// the wiring keeps canonical) and the port transmits through it instead of
+// the local engine.
+func (n *Net) initPort(b *portBlock, srcDom, dstDom int, rate float64, prop sim.Time, dst device.Node) *device.Port {
+	b.port.Init(n.Engines[srcDom], &b.eg, rate, prop, dst)
 	if srcDom != dstDom {
 		if prop < n.Lookahead {
 			panic(fmt.Sprintf("topology: cross-domain link delay %v below lookahead %v", prop, n.Lookahead))
 		}
-		h := n.Shard.NewHandoff(n.Engines[dstDom], func(a any) {
-			dst.Receive(a.(*packet.Packet))
-		})
-		pt.SetRemote(h)
+		b.port.SetRemote(n.Shard.NewHandoff(n.Engines[dstDom], device.Deliver))
 		n.Boundaries = append(n.Boundaries, Boundary{SrcDom: srcDom, DstDom: dstDom, Prop: prop})
 	}
+	return &b.port
+}
+
+// switchPort builds, in b, an egress port of switch s toward dst in dstDom:
+// the buffer per the options (scheduler, the AQM for the switch's location,
+// the switch's shared pool), then the port.
+func (n *Net) switchPort(o *Options, b *portBlock, s *switchNode, dstDom int, prop sim.Time, dst device.Node) *device.Port {
+	var sched queue.Scheduler
+	if o.NewSched != nil {
+		sched = o.NewSched()
+	}
+	b.eg.Init(o.NumQueues, sched, o.Link.BufferBytes, s.aqmFor)
+	b.eg.Pool = s.pool
+	b.eg.PacketPool = n.PacketPools[s.dom]
+	return n.initPort(b, s.dom, dstDom, o.Link.RateBps, prop, dst)
+}
+
+// switchLink builds, in b, the port of switch from toward switch to over a
+// fabric link, and enters it in the census as "from-to"; leaf and spine are
+// the link's fabric coordinates (-1 outside a leaf-spine).
+func (n *Net) switchLink(o *Options, b *portBlock, from, to *switchNode, leaf, spine int) *device.Port {
+	pt := n.switchPort(o, b, from, to.dom, o.FabricPropDelay, to.sw)
+	n.addSwitchPort(from.dom, pt)
+	n.addLink(from.sw.Name()+"-"+to.sw.Name(), pt, from.dom, from.idx, leaf, spine)
 	return pt
+}
+
+// addHost builds host id in b, attached to switch s (whose domain it
+// shares): the host, its NIC (single FIFO, no marking) toward the switch
+// and the switch's port back down to it, entered in the census. It returns
+// the down port, which the caller routes the host's traffic to.
+func (n *Net) addHost(o *Options, b *hostBlock, id int, s *switchNode) *device.Port {
+	pkts := n.PacketPools[s.dom]
+	h := &b.host
+	h.Init(n.Engines[s.dom], id)
+	h.Pool = pkts
+	b.nic.eg.Init(1, queue.FIFOSched{}, o.HostBufferBytes, nil)
+	b.nic.eg.PacketPool = pkts
+	h.NIC = n.initPort(&b.nic, s.dom, s.dom, o.Link.RateBps, o.Link.PropDelay, s.sw)
+	down := n.switchPort(o, &b.down, s, s.dom, o.Link.PropDelay, h)
+	n.hostPorts[id] = down
+	n.addSwitchPort(s.dom, down)
+	host, sw := "host"+strconv.Itoa(id), s.sw.Name()
+	n.addLink(host+"-"+sw, h.NIC, s.dom, -1, -1, -1)
+	n.addLink(sw+"-"+host, down, s.dom, s.idx, -1, -1)
+	n.Hosts = append(n.Hosts, h)
+	return down
 }
 
 // addLink registers a transmit port in the directed link census under its
@@ -524,11 +600,9 @@ func (n *Net) addLink(name string, pt *device.Port, dom, swIdx, leaf, spine int)
 
 // addSwitchPort records a switch egress port and its owning domain for
 // the census and tracer attachment.
-func (n *Net) addSwitchPort(dom int, ports ...*device.Port) {
-	for _, p := range ports {
-		n.SwitchPorts = append(n.SwitchPorts, p)
-		n.portDoms = append(n.portDoms, dom)
-	}
+func (n *Net) addSwitchPort(dom int, p *device.Port) {
+	n.SwitchPorts = append(n.SwitchPorts, p)
+	n.portDoms = append(n.portDoms, dom)
 }
 
 // NewStar builds n hosts attached to one switch. Any host can talk to any
@@ -542,23 +616,11 @@ func NewStar(n int, o Options) *Net {
 	}
 	opts := &o
 	opts.defaults()
-	net := newNet(PartitionStar(n, o), opts)
-	eng := net.Engines[0]
-	sw := device.NewSwitch(eng, "sw0")
-	pool := newPool(opts)
-	pkts := net.PacketPools[0]
-	net.Switches = []*device.Switch{sw}
-	for i := 0; i < n; i++ {
-		h := device.NewHost(eng, i)
-		h.Pool = pkts
-		h.NIC = device.NewPort(eng, newHostEgress(opts, pkts), opts.Link.RateBps, opts.Link.PropDelay, sw)
-		down := net.port(0, 0, newEgress(opts, PortLoc{TierEdge, 0, "sw0"}, pool, pkts), opts.Link.RateBps, opts.Link.PropDelay, h)
-		sw.AddRoute(i, down)
-		net.hostPorts[i] = down
-		net.addSwitchPort(0, down)
-		net.addLink(fmt.Sprintf("host%d-sw0", i), h.NIC, 0, -1, -1, -1)
-		net.addLink(fmt.Sprintf("sw0-host%d", i), down, 0, 0, -1, -1)
-		net.Hosts = append(net.Hosts, h)
+	net := newNet(PartitionStar(n, o), opts, 0)
+	sw := net.addSwitch(opts, "sw0", TierEdge)
+	blocks := make([]hostBlock, n)
+	for i := range blocks {
+		sw.sw.AddRoute(i, net.addHost(opts, &blocks[i], i, sw))
 	}
 	return net
 }
@@ -574,46 +636,26 @@ func NewDumbbell(nPairs int, o Options) *Net {
 	}
 	opts := &o
 	opts.defaults()
-	net := newNet(PartitionDumbbell(nPairs, o), opts)
-	leftDom, rightDom := net.switchDoms[0], net.switchDoms[1]
-	left := device.NewSwitch(net.Engines[leftDom], "left")
-	right := device.NewSwitch(net.Engines[rightDom], "right")
-	leftPool, rightPool := newPool(opts), newPool(opts)
-	net.Switches = []*device.Switch{left, right}
+	net := newNet(PartitionDumbbell(nPairs, o), opts, 2)
+	left := net.addSwitch(opts, "left", TierEdge)
+	right := net.addSwitch(opts, "right", TierEdge)
 
-	// The inter-switch bottleneck carries AQM in both directions.
-	l2r := net.port(leftDom, rightDom, newEgress(opts, PortLoc{TierEdge, 0, "left"}, leftPool, net.PacketPools[leftDom]), opts.Link.RateBps, opts.FabricPropDelay, right)
-	r2l := net.port(rightDom, leftDom, newEgress(opts, PortLoc{TierEdge, 1, "right"}, rightPool, net.PacketPools[rightDom]), opts.Link.RateBps, opts.FabricPropDelay, left)
-	net.addSwitchPort(leftDom, l2r)
-	net.addSwitchPort(rightDom, r2l)
-	net.addLink("left-right", l2r, leftDom, 0, -1, -1)
-	net.addLink("right-left", r2l, rightDom, 1, -1, -1)
+	// The inter-switch bottleneck carries AQM in both directions. Each
+	// direction is its own allocation: the two sides may be two domains.
+	l2r := net.switchLink(opts, new(portBlock), left, right, -1, -1)
+	r2l := net.switchLink(opts, new(portBlock), right, left, -1, -1)
 
-	for i := 0; i < 2*nPairs; i++ {
-		dom := net.DomainOfHost(i)
-		eng := net.Engines[dom]
-		pkts := net.PacketPools[dom]
-		h := device.NewHost(eng, i)
-		sw, pool, swDom := left, leftPool, leftDom
-		swName, swIdx := "left", 0
-		if i >= nPairs {
-			sw, pool, swDom = right, rightPool, rightDom
-			swName, swIdx = "right", 1
+	for _, side := range []*switchNode{left, right} {
+		blocks := make([]hostBlock, nPairs)
+		for k := range blocks {
+			id := len(net.Hosts)
+			side.sw.AddRoute(id, net.addHost(opts, &blocks[k], id, side))
 		}
-		h.Pool = pkts
-		h.NIC = device.NewPort(eng, newHostEgress(opts, pkts), opts.Link.RateBps, opts.Link.PropDelay, sw)
-		down := net.port(swDom, dom, newEgress(opts, PortLoc{TierEdge, swIdx, swName}, pool, pkts), opts.Link.RateBps, opts.Link.PropDelay, h)
-		sw.AddRoute(i, down)
-		net.hostPorts[i] = down
-		net.addSwitchPort(swDom, down)
-		net.addLink(fmt.Sprintf("host%d-%s", i, swName), h.NIC, dom, -1, -1, -1)
-		net.addLink(fmt.Sprintf("%s-host%d", swName, i), down, swDom, swIdx, -1, -1)
-		net.Hosts = append(net.Hosts, h)
 	}
 	// Cross routes traverse the bottleneck.
 	for i := 0; i < nPairs; i++ {
-		right.AddRoute(i, r2l)
-		left.AddRoute(nPairs+i, l2r)
+		right.sw.AddRoute(i, r2l)
+		left.sw.AddRoute(nPairs+i, l2r)
 	}
 	return net
 }
@@ -627,12 +669,12 @@ func NewDumbbell(nPairs int, o Options) *Net {
 func NewLeafSpine(spines, leaves, hostsPerLeaf int, o Options) *Net {
 	opts := &o
 	opts.defaults()
-	net := newNet(PartitionLeafSpine(spines, leaves, hostsPerLeaf, o), opts)
-	// Switches are listed spines first, then leaves; so are their domains.
-	sdom, ldom := net.switchDoms[:spines], net.switchDoms[spines:]
+	net := newNet(PartitionLeafSpine(spines, leaves, hostsPerLeaf, o), opts, 2*spines*leaves)
 
-	spineSw := make([]*device.Switch, spines)
-	spinePools := make([]*queue.SharedPool, spines)
+	// Switches are listed spines first, then leaves. Each owns one slab of
+	// its switch-facing ports; a leaf also owns the slab of its hosts.
+	spineSw := make([]*switchNode, spines)
+	spineDown := make([][]portBlock, spines)
 	spineRoutes := make([]*spineRouter, spines)
 	fab := &fabricInfo{
 		spines:       spines,
@@ -642,61 +684,46 @@ func NewLeafSpine(spines, leaves, hostsPerLeaf int, o Options) *Net {
 		spineSw:      make([]int, spines),
 	}
 	for s := range spineSw {
-		spineSw[s] = device.NewSwitch(net.Engines[sdom[s]], fmt.Sprintf("spine%d", s))
-		spinePools[s] = newPool(opts)
+		spineSw[s] = net.addSwitch(opts, "spine"+strconv.Itoa(s), TierSpine)
+		spineDown[s] = make([]portBlock, leaves)
 		spineRoutes[s] = &spineRouter{hostsPerLeaf: hostsPerLeaf, self: s, down: make([]*device.Port, leaves)}
-		spineSw[s].SetRouter(spineRoutes[s])
-		fab.spineSw[s] = len(net.Switches)
-		net.Switches = append(net.Switches, spineSw[s])
+		spineSw[s].sw.SetRouter(spineRoutes[s])
+		fab.spineSw[s] = spineSw[s].idx
 	}
-	leafSw := make([]*device.Switch, leaves)
-	leafPools := make([]*queue.SharedPool, leaves)
+	leafSw := make([]*switchNode, leaves)
 	leafRoutes := make([]*leafRouter, leaves)
 	for l := range leafSw {
-		leafSw[l] = device.NewSwitch(net.Engines[ldom[l]], fmt.Sprintf("leaf%d", l))
-		leafPools[l] = newPool(opts)
-		leafRoutes[l] = &leafRouter{base: l * hostsPerLeaf, self: l, local: make([]*device.Port, hostsPerLeaf)}
-		leafSw[l].SetRouter(leafRoutes[l])
-		fab.leafSw[l] = len(net.Switches)
-		net.Switches = append(net.Switches, leafSw[l])
+		leafSw[l] = net.addSwitch(opts, "leaf"+strconv.Itoa(l), TierLeaf)
+		leafRoutes[l] = &leafRouter{
+			base:  l * hostsPerLeaf,
+			self:  l,
+			local: make([]*device.Port, hostsPerLeaf),
+			up:    make([]*device.Port, 0, spines),
+		}
+		leafSw[l].sw.SetRouter(leafRoutes[l])
+		fab.leafSw[l] = leafSw[l].idx
 	}
 	fab.leafRouters = leafRoutes
 	fab.spineRouters = spineRoutes
 	net.fabric = fab
 
 	// Hosts and access links.
-	for l := 0; l < leaves; l++ {
-		dom := ldom[l]
-		eng := net.Engines[dom]
-		pkts := net.PacketPools[dom]
-		for k := 0; k < hostsPerLeaf; k++ {
-			id := l*hostsPerLeaf + k
-			h := device.NewHost(eng, id)
-			h.Pool = pkts
-			h.NIC = device.NewPort(eng, newHostEgress(opts, pkts), opts.Link.RateBps, opts.Link.PropDelay, leafSw[l])
-			down := net.port(dom, dom, newEgress(opts, PortLoc{TierLeaf, fab.leafSw[l], leafSw[l].Name()}, leafPools[l], pkts), opts.Link.RateBps, opts.Link.PropDelay, h)
-			leafRoutes[l].local[k] = down
-			net.hostPorts[id] = down
-			net.addSwitchPort(dom, down)
-			net.addLink(fmt.Sprintf("host%d-leaf%d", id, l), h.NIC, dom, -1, -1, -1)
-			net.addLink(fmt.Sprintf("leaf%d-host%d", l, id), down, dom, fab.leafSw[l], -1, -1)
-			net.Hosts = append(net.Hosts, h)
+	for l, leaf := range leafSw {
+		blocks := make([]hostBlock, hostsPerLeaf)
+		for k := range blocks {
+			leafRoutes[l].local[k] = net.addHost(opts, &blocks[k], l*hostsPerLeaf+k, leaf)
 		}
 	}
 
 	// Leaf <-> spine fabric links. The leaf's uplink set is appended in
 	// spine order — the same equal-cost order the FIB-based wiring used —
 	// so the ECMP hash selects identical paths.
-	for l := 0; l < leaves; l++ {
-		for s := 0; s < spines; s++ {
-			up := net.port(ldom[l], sdom[s], newEgress(opts, PortLoc{TierLeaf, fab.leafSw[l], leafSw[l].Name()}, leafPools[l], net.PacketPools[ldom[l]]), opts.Link.RateBps, opts.FabricPropDelay, spineSw[s])
-			down := net.port(sdom[s], ldom[l], newEgress(opts, PortLoc{TierSpine, fab.spineSw[s], spineSw[s].Name()}, spinePools[s], net.PacketPools[sdom[s]]), opts.Link.RateBps, opts.FabricPropDelay, leafSw[l])
-			net.addSwitchPort(ldom[l], up)
-			net.addSwitchPort(sdom[s], down)
-			net.addLink(fmt.Sprintf("leaf%d-spine%d", l, s), up, ldom[l], fab.leafSw[l], l, s)
-			net.addLink(fmt.Sprintf("spine%d-leaf%d", s, l), down, sdom[s], fab.spineSw[s], l, s)
+	for l, leaf := range leafSw {
+		leafUp := make([]portBlock, spines)
+		for s, spine := range spineSw {
+			up := net.switchLink(opts, &leafUp[s], leaf, spine, l, s)
 			leafRoutes[l].up = append(leafRoutes[l].up, up)
-			spineRoutes[s].down[l] = down
+			spineRoutes[s].down[l] = net.switchLink(opts, &spineDown[s][l], spine, leaf, l, s)
 		}
 	}
 	return net

@@ -109,12 +109,6 @@ type DCQCNSender struct {
 	rtoTimer   sim.Event
 	alphaTimer sim.Event
 
-	// Timer callbacks bound once so the paced send loop and periodic
-	// timers never allocate a closure per arming.
-	sendLoopFn func()
-	alphaFn    func()
-	rtoFn      func()
-
 	// jitter desynchronizes this flow's periodic timer from its peers
 	// (hardware timers are never phase-locked; simulated ones are, and
 	// phase-locked AIMD timers produce synchronized rate oscillations).
@@ -143,7 +137,7 @@ func NewDCQCNSender(eng *sim.Engine, cfg DCQCNConfig, host *device.Host,
 	if size <= 0 {
 		panic("transport: DCQCN flow needs positive size")
 	}
-	s := &DCQCNSender{
+	return &DCQCNSender{
 		eng: eng, cfg: cfg, host: host,
 		flowID: flowID, dst: dst, size: size,
 		rc: cfg.LineRateBps, rt: cfg.LineRateBps,
@@ -151,11 +145,13 @@ func NewDCQCNSender(eng *sim.Engine, cfg DCQCNConfig, host *device.Host,
 		jitter: sim.Time(flowID%13) * sim.Microsecond,
 		onDone: onDone,
 	}
-	s.sendLoopFn = s.sendLoop
-	s.alphaFn = s.onAlphaTimer
-	s.rtoFn = s.onRTO
-	return s
 }
+
+// The paced send loop and the periodic timers of every DCQCN sender: the
+// sender is the argument, so arming one allocates nothing.
+func dcqcnSendLoop(a any) { a.(*DCQCNSender).sendLoop() }
+func dcqcnAlpha(a any)    { a.(*DCQCNSender).onAlphaTimer() }
+func dcqcnRTO(a any)      { a.(*DCQCNSender).onRTO() }
 
 // Rate returns the current sending rate in bits/second.
 func (s *DCQCNSender) Rate() float64 { return s.rc }
@@ -247,7 +243,7 @@ func (s *DCQCNSender) maybeCut(now sim.Time) {
 
 // scheduleAlpha runs the periodic α update and rate increase.
 func (s *DCQCNSender) scheduleAlpha() {
-	s.alphaTimer = s.eng.After(s.cfg.AlphaTimer+s.jitter, s.alphaFn)
+	s.alphaTimer = s.eng.AfterArg(s.cfg.AlphaTimer+s.jitter, dcqcnAlpha, s)
 }
 
 func (s *DCQCNSender) onAlphaTimer() {
@@ -305,7 +301,7 @@ func (s *DCQCNSender) sendLoop() {
 	}
 	if s.sndNxt < s.size {
 		gap := sim.Time(float64(int(n)+packet.HeaderSize) * 8 / s.rc * float64(sim.Second))
-		s.sendTimer = s.eng.After(gap, s.sendLoopFn)
+		s.sendTimer = s.eng.AfterArg(gap, dcqcnSendLoop, s)
 	}
 }
 
@@ -340,7 +336,7 @@ func (s *DCQCNSender) armRTO() {
 	if s.rtoTimer.Valid() {
 		s.eng.Cancel(s.rtoTimer)
 	}
-	s.rtoTimer = s.eng.After(s.cfg.MinRTO, s.rtoFn)
+	s.rtoTimer = s.eng.AfterArg(s.cfg.MinRTO, dcqcnRTO, s)
 }
 
 func (s *DCQCNSender) onRTO() {

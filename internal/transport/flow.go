@@ -41,6 +41,6 @@ func StartFlow(eng *sim.Engine, cfg Config, src, dst *device.Host,
 			onDone(f)
 		}
 	})
-	eng.Schedule(start, f.Sender.Start)
+	eng.ScheduleArg(start, senderStart, f.Sender)
 	return f
 }

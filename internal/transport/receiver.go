@@ -25,7 +25,8 @@ type Receiver struct {
 	src    int
 
 	rcvNxt int64
-	// ooo buffers out-of-order segments: first byte -> payload length.
+	// ooo buffers out-of-order segments: first byte -> payload length. It
+	// is nil until the first segment arrives out of order.
 	ooo map[int64]int
 
 	// Delayed-ACK state.
@@ -34,7 +35,6 @@ type Receiver struct {
 	lastCE      bool
 	haveCE      bool
 	ackTimer    sim.Event
-	ackTimerFn  func() // bound once so arming the timer never allocates
 
 	// Stats.
 	DataPackets  int64
@@ -58,16 +58,19 @@ func NewReceiver(eng *sim.Engine, cfg Config, host *device.Host, flowID uint64, 
 		host:   host,
 		flowID: flowID,
 		src:    src,
-		ooo:    make(map[int64]int),
-	}
-	r.ackTimerFn = func() {
-		r.ackTimer = sim.Event{}
-		if r.pendingAcks > 0 {
-			r.sendAck(r.eng.Now(), r.pendingTS, r.lastCE)
-		}
 	}
 	host.Register(flowID, r)
 	return r
+}
+
+// receiverAckTimer is the delayed-ACK timer event of every receiver; the
+// receiver is the argument, so arming the timer allocates nothing.
+func receiverAckTimer(a any) {
+	r := a.(*Receiver)
+	r.ackTimer = sim.Event{}
+	if r.pendingAcks > 0 {
+		r.sendAck(r.eng.Now(), r.pendingTS, r.lastCE)
+	}
 }
 
 // RcvNxt returns the next expected byte (bytes delivered in order).
@@ -121,6 +124,9 @@ func (r *Receiver) HandlePacket(now sim.Time, p *packet.Packet) {
 	case p.Seq > r.rcvNxt:
 		r.OutOfOrder++
 		if _, dup := r.ooo[p.Seq]; !dup {
+			if r.ooo == nil {
+				r.ooo = make(map[int64]int)
+			}
 			r.ooo[p.Seq] = p.PayloadLen
 		}
 		// Out-of-order data triggers an immediate duplicate ACK so the
@@ -162,7 +168,7 @@ func (r *Receiver) ackData(now sim.Time, p *packet.Packet, ce, immediate bool) {
 		return
 	}
 	if !r.ackTimer.Valid() {
-		r.ackTimer = r.eng.After(r.cfg.DelayedAckTimeout, r.ackTimerFn)
+		r.ackTimer = r.eng.AfterArg(r.cfg.DelayedAckTimeout, receiverAckTimer, r)
 	}
 }
 

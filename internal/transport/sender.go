@@ -52,7 +52,6 @@ type Sender struct {
 	backoff   uint
 
 	rtoTimer sim.Event
-	onRTOFn  func() // bound once so re-arming the timer never allocates
 
 	started   bool
 	finished  bool
@@ -103,7 +102,6 @@ func NewSender(eng *sim.Engine, cfg Config, host *device.Host, flowID uint64,
 	}
 	s.cwnd = float64(cfg.InitCwndSegments * cfg.MSS)
 	s.ssthresh = float64(1 << 30) // effectively infinite until first cut
-	s.onRTOFn = s.onRTO
 	return s
 }
 
@@ -132,6 +130,9 @@ func (s *Sender) RTO() sim.Time { return s.rto }
 
 // Backoff returns the current exponential-backoff exponent.
 func (s *Sender) Backoff() uint { return s.backoff }
+
+// senderStart is the start event of a flow; the sender is the argument.
+func senderStart(a any) { a.(*Sender).Start() }
 
 // Start registers for ACKs and transmits the initial window. It must be
 // called at the flow's arrival time.
@@ -363,7 +364,7 @@ func (s *Sender) armRTO() {
 	if d > s.cfg.MaxRTO {
 		d = s.cfg.MaxRTO
 	}
-	s.rtoTimer = s.eng.After(d, s.onRTOFn)
+	s.rtoTimer = s.eng.AfterArg(d, senderRTO, s)
 }
 
 func (s *Sender) cancelRTO() {
@@ -372,6 +373,10 @@ func (s *Sender) cancelRTO() {
 		s.rtoTimer = sim.Event{}
 	}
 }
+
+// senderRTO is the retransmission-timer event of every sender; the sender
+// is the argument, so re-arming the timer allocates nothing.
+func senderRTO(a any) { a.(*Sender).onRTO() }
 
 // onRTO handles a retransmission timeout: collapse the window, go back to
 // the first unacked byte, and back off the timer.

@@ -125,7 +125,7 @@ func (t *FlowTable) Launch(cfg Config, src, dst *device.Host, flowID uint64,
 		}
 	})
 	t.Senders = append(t.Senders, sender)
-	src.Engine().Schedule(start, sender.Start)
+	src.Engine().ScheduleArg(start, senderStart, sender)
 	return i
 }
 
