@@ -7,6 +7,9 @@
 // byte-identical to recomputation, and concurrent identical submissions
 // share one execution.
 //
+// Sweeps and tune runs are two kinds of one job: one registry, one progress
+// log and five handlers serve both, each kind's own work behind an interface.
+//
 // The full API is documented in docs/API.md; the route table there is
 // kept in lockstep with Routes by a test.
 package service
@@ -18,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -43,28 +47,25 @@ type Config struct {
 	MaxSpecBytes int64
 }
 
-// Server executes sweeps against the cache and serves the HTTP API. Use
-// New to build one and Handler to mount it.
+// Server executes sweeps and tune runs against the cache and serves the
+// HTTP API. Use New to build one and Handler to mount it.
 type Server struct {
 	cfg    Config
 	mux    *http.ServeMux
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu     sync.Mutex
-	sweeps map[string]*sweep
-	order  []string
-	nextID int
-
-	tunes      map[string]*tuneRun
-	tuneOrder  []string
-	nextTuneID int
+	// The job registry: every job by id, and each kind's jobs in
+	// submission order (the length is the kind's id counter).
+	mu    sync.Mutex
+	jobs  map[string]*job
+	order map[*jobKind][]*job
 }
 
 // Route describes one registered API endpoint: the method, the
-// http.ServeMux pattern it is mounted at, and a one-line summary. The
-// full route table is returned by Routes and served at GET /v1/routes;
-// docs/API.md documents every entry (test-enforced).
+// http.ServeMux pattern it is mounted at, a one-line summary, and the
+// handler New mounts there. Routes returns the full table, GET /v1/routes
+// serves it, and docs/API.md documents every entry (test-enforced).
 type Route struct {
 	// Method is the HTTP method.
 	Method string `json:"method"`
@@ -72,25 +73,28 @@ type Route struct {
 	Pattern string `json:"pattern"`
 	// Brief is a one-line description.
 	Brief string `json:"brief"`
+
+	serve func(*Server, http.ResponseWriter, *http.Request)
 }
 
-// Routes returns the daemon's complete route table, in docs order.
+// Routes returns the daemon's complete route table, in docs order. It is
+// the one place a route is written: New registers exactly these rows.
 func Routes() []Route {
 	return []Route{
-		{"GET", "/healthz", "liveness probe; reports the result schema version"},
-		{"GET", "/v1/routes", "this route table, machine-readable"},
-		{"POST", "/v1/sweeps", "submit a sweep spec; returns the sweep id and per-cell cache keys"},
-		{"GET", "/v1/sweeps", "list submitted sweeps and their states"},
-		{"GET", "/v1/sweeps/{id}", "sweep status: per-cell states, cache hits, progress"},
-		{"GET", "/v1/sweeps/{id}/stream", "chunked NDJSON stream of per-cell completion events"},
-		{"GET", "/v1/sweeps/{id}/results", "pooled per-load statistics plus per-cell results (when finished)"},
-		{"GET", "/v1/sweeps/{id}/cells/{index}/trace", "stored JSONL event trace of one cell"},
-		{"GET", "/v1/cache/stats", "result-cache counters and occupancy"},
-		{"POST", "/v1/tune", "submit a tune spec; starts the searcher and returns the run id"},
-		{"GET", "/v1/tune", "list submitted tune runs and their states"},
-		{"GET", "/v1/tune/{id}", "tune run status: state, spec, evaluations so far"},
-		{"GET", "/v1/tune/{id}/stream", "chunked NDJSON stream of per-candidate evaluation events"},
-		{"GET", "/v1/tune/{id}/result", "full TuneResult document (when finished)"},
+		{"GET", "/healthz", "liveness probe; reports the result schema version", (*Server).handleHealthz},
+		{"GET", "/v1/routes", "this route table, machine-readable", (*Server).handleRoutes},
+		{"POST", "/v1/sweeps", "submit a sweep spec; returns the sweep id and per-cell cache keys", sweepKind.on((*Server).handleSubmit)},
+		{"GET", "/v1/sweeps", "list submitted sweeps and their states", sweepKind.on((*Server).handleList)},
+		{"GET", "/v1/sweeps/{id}", "sweep status: per-cell states, cache hits, progress", sweepKind.onJob((*Server).handleStatus)},
+		{"GET", "/v1/sweeps/{id}/stream", "chunked NDJSON stream of per-cell completion events", sweepKind.onJob((*Server).handleStream)},
+		{"GET", "/v1/sweeps/{id}/results", "pooled per-load statistics plus per-cell results (when finished)", sweepKind.onJob((*Server).handleResult)},
+		{"GET", "/v1/sweeps/{id}/cells/{index}/trace", "stored JSONL event trace of one cell", sweepKind.onJob((*Server).handleCellTrace)},
+		{"GET", "/v1/cache/stats", "result-cache counters and occupancy", (*Server).handleCacheStats},
+		{"POST", "/v1/tune", "submit a tune spec; starts the searcher and returns the run id", tuneKind.on((*Server).handleSubmit)},
+		{"GET", "/v1/tune", "list submitted tune runs and their states", tuneKind.on((*Server).handleList)},
+		{"GET", "/v1/tune/{id}", "tune run status: state, spec, evaluations so far", tuneKind.onJob((*Server).handleStatus)},
+		{"GET", "/v1/tune/{id}/stream", "chunked NDJSON stream of per-candidate evaluation events", tuneKind.onJob((*Server).handleStream)},
+		{"GET", "/v1/tune/{id}/result", "full TuneResult document (when finished)", tuneKind.onJob((*Server).handleResult)},
 	}
 }
 
@@ -105,61 +109,43 @@ func New(cfg Config) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:    cfg,
+		mux:    http.NewServeMux(),
 		ctx:    ctx,
 		cancel: cancel,
-		sweeps: make(map[string]*sweep),
-		tunes:  make(map[string]*tuneRun),
+		jobs:   make(map[string]*job),
+		order:  make(map[*jobKind][]*job),
 	}
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /v1/routes", s.handleRoutes)
-	s.mux.HandleFunc("POST /v1/sweeps", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/sweeps", s.handleList)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleStatus)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}/stream", s.handleStream)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}/results", s.handleResults)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}/cells/{index}/trace", s.handleCellTrace)
-	s.mux.HandleFunc("GET /v1/cache/stats", s.handleCacheStats)
-	s.mux.HandleFunc("POST /v1/tune", s.handleTuneSubmit)
-	s.mux.HandleFunc("GET /v1/tune", s.handleTuneList)
-	s.mux.HandleFunc("GET /v1/tune/{id}", s.handleTuneStatus)
-	s.mux.HandleFunc("GET /v1/tune/{id}/stream", s.handleTuneStream)
-	s.mux.HandleFunc("GET /v1/tune/{id}/result", s.handleTuneResult)
+	for _, rt := range Routes() {
+		s.mux.HandleFunc(rt.Method+" "+rt.Pattern, func(w http.ResponseWriter, r *http.Request) {
+			rt.serve(s, w, r)
+		})
+	}
 	return s, nil
 }
 
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close cancels every running sweep's context. In-flight requests drain
+// Close cancels every running job's context. In-flight requests drain
 // under the http.Server's own shutdown; Close only stops the simulations.
 func (s *Server) Close() { s.cancel() }
 
-// sweepState enumerates a sweep's lifecycle; states are serialized into
-// every status payload.
+// A job's lifecycle states; they are serialized into every status payload.
 const (
 	stateRunning = "running"
 	stateDone    = "done"
 	stateFailed  = "failed"
 )
 
-// eventLog is the progress log of one job — a sweep or a tune run — and
-// the replay-then-follow NDJSON stream served from it. mu also guards the
-// embedding job's own mutable fields; cond broadcasts on every appended
-// event, and the terminal state is set under the same critical section
-// that appends the final "done" event.
+// eventLog is the progress log of one job and the replay-then-follow
+// NDJSON stream served from it. mu also guards the embedding job's counter
+// and its work's mutable fields; cond broadcasts on every appended event.
 type eventLog struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	state  string
 	errMsg string
 	events []json.RawMessage
-}
-
-// start marks the job running; call it before the job is published.
-func (l *eventLog) start() {
-	l.state = stateRunning
-	l.cond = sync.NewCond(&l.mu)
 }
 
 // appendLocked marshals and buffers one stream event and wakes every
@@ -173,22 +159,41 @@ func (l *eventLog) appendLocked(ev any) {
 	l.cond.Broadcast()
 }
 
+// finish ends the job, failed with err's text or done when err is nil, and
+// appends the "done" event that done builds from that state and message.
+func (l *eventLog) finish(err error, done func(state, errMsg string) any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.state = stateDone
+	if err != nil {
+		l.state, l.errMsg = stateFailed, err.Error()
+	}
+	l.appendLocked(done(l.state, l.errMsg))
+}
+
 // serveStream replays the buffered events, then follows live ones until
-// the job reaches a terminal state. Writes happen outside the lock so a
-// slow client never stalls the runner.
-func (l *eventLog) serveStream(w http.ResponseWriter) {
-	flusher, _ := w.(http.Flusher)
+// the job reaches a terminal state or ctx (the request's) is canceled,
+// which wakes the waiter: a follower does not outlive its client. Writes
+// happen outside the lock so a slow client never stalls the runner.
+func (l *eventLog) serveStream(ctx context.Context, w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 
+	stop := context.AfterFunc(ctx, func() {
+		l.mu.Lock()
+		l.cond.Broadcast()
+		l.mu.Unlock()
+	})
+	defer stop()
+
 	for next, terminal := 0, false; !terminal; {
 		l.mu.Lock()
-		for next >= len(l.events) && l.state == stateRunning {
+		for next >= len(l.events) && l.state == stateRunning && ctx.Err() == nil {
 			l.cond.Wait()
 		}
 		batch := l.events[next:]
 		next = len(l.events)
-		terminal = l.state != stateRunning
+		terminal = l.state != stateRunning || ctx.Err() != nil
 		l.mu.Unlock()
 
 		for _, ev := range batch {
@@ -196,133 +201,67 @@ func (l *eventLog) serveStream(w http.ResponseWriter) {
 				return
 			}
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		http.NewResponseController(w).Flush() // an error means w cannot flush; nothing to do
 	}
 }
 
-// sweep is one submitted sweep and its execution state.
-type sweep struct {
-	id    string
-	spec  *experiments.SweepSpec
-	cells []experiments.Cell
-	keys  []string
+// jobKind is one row of the kind table: what the lifecycle knows about
+// sweeps or tune runs as a class. The rest sits behind each job's work.
+type jobKind struct {
+	prefix string                          // ids are prefix-N, counted per kind
+	noun   string                          // what 404 and 409 messages call a job
+	list   string                          // key of the list response
+	parse  func(body []byte) (work, error) // a submitted spec document to the job's work
+}
+
+var (
+	sweepKind = &jobKind{"sw", "sweep", "sweeps", parseSweep}
+	tuneKind  = &jobKind{"tn", "tune run", "tunes", parseTune}
+)
+
+// on binds a handler of the kind as a whole to k, for the route table.
+func (k *jobKind) on(h func(*Server, *jobKind, http.ResponseWriter, *http.Request)) func(*Server, http.ResponseWriter, *http.Request) {
+	return func(s *Server, w http.ResponseWriter, r *http.Request) { h(s, k, w, r) }
+}
+
+// onJob binds a handler of one job to k: it finds the request's {id} among
+// the jobs of that kind and calls h with it, or writes the 404.
+func (k *jobKind) onJob(h func(*Server, *job, http.ResponseWriter, *http.Request)) func(*Server, http.ResponseWriter, *http.Request) {
+	return func(s *Server, w http.ResponseWriter, r *http.Request) {
+		s.mu.Lock()
+		j := s.jobs[r.PathValue("id")]
+		s.mu.Unlock()
+		if j == nil || j.kind != k {
+			writeErr(w, http.StatusNotFound, errNotFound, "no such "+k.noun)
+			return
+		}
+		h(s, j, w, r)
+	}
+}
+
+// work is the kind-specific half of a job. run is called once, on the
+// job's own goroutine: it records progress under j.mu as it goes and ends
+// with one j.finish. item, status and progressText are called with j.mu
+// held and given j.progress; writeResult is called without it, on a job in
+// stateDone, which no longer changes.
+type work interface {
+	run(s *Server, j *job)
+	accepted() map[string]any                     // the 202 body, less the id
+	item(progress int) map[string]any             // the list entry, less id and state
+	status(progress int) map[string]any           // the status body, less id, state and error
+	progressText(progress int) string             // the progress, worded for the 409
+	writeResult(w http.ResponseWriter, id string) // the whole 200 response
+}
+
+// job is one submitted sweep or tune run.
+type job struct {
+	id   string
+	kind *jobKind
+	work work
 
 	eventLog
-	done     int
-	hits     int
-	outcomes []*experiments.CellOutcome // indexed by cell, nil until finished
+	progress int // cells finished or candidates evaluated so far
 }
-
-// streamEvent is one NDJSON line of the progress stream.
-type streamEvent struct {
-	Type    string  `json:"type"` // "cell" or "done"
-	Index   int     `json:"index,omitempty"`
-	Key     string  `json:"key,omitempty"`
-	Label   string  `json:"label,omitempty"`
-	Cached  *bool   `json:"cached,omitempty"`
-	Done    int     `json:"done,omitempty"`
-	Total   int     `json:"total,omitempty"`
-	Elapsed float64 `json:"elapsed_ms,omitempty"`
-	Error   string  `json:"error,omitempty"`
-
-	CellStats json.RawMessage `json:"stats,omitempty"`
-	State     string          `json:"state,omitempty"`
-	CacheHits int             `json:"cache_hits,omitempty"`
-	Computed  int             `json:"computed,omitempty"`
-}
-
-// Submit resolves a normalized sweep spec into cells, registers the sweep,
-// and starts executing it asynchronously. It is the programmatic form of
-// POST /v1/sweeps.
-func (s *Server) Submit(spec *experiments.SweepSpec) *sweep {
-	cells := spec.Cells()
-	keys := make([]string, len(cells))
-	for i, c := range cells {
-		keys[i] = c.Key(experiments.ResultSchemaVersion)
-	}
-	s.mu.Lock()
-	s.nextID++
-	sw := &sweep{
-		id:       fmt.Sprintf("sw-%d", s.nextID),
-		spec:     spec,
-		cells:    cells,
-		keys:     keys,
-		outcomes: make([]*experiments.CellOutcome, len(cells)),
-	}
-	sw.start()
-	s.sweeps[sw.id] = sw
-	s.order = append(s.order, sw.id)
-	s.mu.Unlock()
-	go s.runSweep(sw)
-	return sw
-}
-
-// runSweep executes the sweep's cells through experiments.RunCells over
-// the server's store, emitting one stream event per finished cell and a
-// final "done" event.
-func (s *Server) runSweep(sw *sweep) {
-	outcomes, _ := experiments.RunCells(s.ctx, sw.cells, s.cfg.Store, harness.Options{
-		Parallel: s.cfg.Parallel,
-		Timeout:  s.cfg.Timeout,
-		OnDone:   func(p harness.Progress) { s.onCellDone(sw, p) },
-	})
-	failed := 0
-	for _, oc := range outcomes {
-		if oc.Err != nil {
-			failed++
-		}
-	}
-
-	sw.mu.Lock()
-	if failed > 0 {
-		sw.state = stateFailed
-		sw.errMsg = fmt.Sprintf("%d of %d cells failed", failed, len(sw.cells))
-	} else {
-		sw.state = stateDone
-	}
-	ev := streamEvent{Type: "done", State: sw.state, Total: len(sw.cells),
-		CacheHits: sw.hits, Computed: len(sw.cells) - sw.hits - failed, Error: sw.errMsg}
-	sw.appendLocked(ev)
-	sw.mu.Unlock()
-}
-
-// onCellDone records one finished cell and emits its stream event.
-// Harness progress callbacks are serialized, so event order is the
-// completion order.
-func (s *Server) onCellDone(sw *sweep, p harness.Progress) {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	sw.done = p.Done
-	ev := streamEvent{Type: "cell", Index: p.Index, Key: sw.keys[p.Index],
-		Label: p.Label, Done: p.Done, Total: p.Total,
-		Elapsed: float64(p.Elapsed.Microseconds()) / 1000}
-	if p.Err != nil {
-		sw.outcomes[p.Index] = &experiments.CellOutcome{Err: p.Err}
-		ev.Error = p.Err.Error()
-	} else {
-		oc := p.Value.(*experiments.CellOutcome)
-		sw.outcomes[p.Index] = oc
-		ev.Cached = &oc.Cached
-		if oc.Cached {
-			sw.hits++
-		}
-		if b, err := json.Marshal(oc.Result.Stats); err == nil {
-			ev.CellStats = b
-		}
-	}
-	sw.appendLocked(ev)
-}
-
-// lookup finds a sweep by id.
-func (s *Server) lookup(id string) *sweep {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sweeps[id]
-}
-
-// --- handlers ---
 
 // Error codes returned in the {"error":{"code":...}} envelope; the table
 // in docs/API.md documents each (test-enforced).
@@ -338,8 +277,7 @@ const (
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 // writeErr writes the error envelope.
@@ -360,9 +298,13 @@ func (s *Server) handleRoutes(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"routes": Routes()})
 }
 
-// readSpecBody reads a submitted spec document, bounded by MaxSpecBytes. On
-// failure it writes the error response and reports false.
-func (s *Server) readSpecBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, s.cfg.Store.Stats())
+}
+
+// handleSubmit reads a spec document (bounded by MaxSpecBytes), parses it
+// into the kind's work, registers the job and starts it asynchronously.
+func (s *Server) handleSubmit(k *jobKind, w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxSpecBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
@@ -372,125 +314,201 @@ func (s *Server) readSpecBody(w http.ResponseWriter, r *http.Request) ([]byte, b
 		} else {
 			writeErr(w, http.StatusBadRequest, errBadRequest, err.Error())
 		}
-		return nil, false
-	}
-	return body, true
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readSpecBody(w, r)
-	if !ok {
 		return
 	}
-	spec, err := experiments.ParseSweepSpec(body)
+	wk, err := k.parse(body)
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, errSpecInvalid, err.Error())
 		return
 	}
-	sw := s.Submit(spec)
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"id":    sw.id,
-		"cells": len(sw.cells),
-		"keys":  sw.keys,
-	})
+	j := &job{kind: k, work: wk}
+	j.state, j.cond = stateRunning, sync.NewCond(&j.mu)
+	s.mu.Lock()
+	j.id = fmt.Sprintf("%s-%d", k.prefix, len(s.order[k])+1)
+	s.jobs[j.id] = j
+	s.order[k] = append(s.order[k], j)
+	s.mu.Unlock()
+	go wk.run(s, j)
+
+	resp := wk.accepted()
+	resp["id"] = j.id
+	writeJSON(w, http.StatusAccepted, resp)
 }
 
-func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleList(k *jobKind, w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	type item struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
-		Cells int    `json:"cells"`
-		Done  int    `json:"done"`
-	}
-	items := make([]item, 0, len(s.order))
-	for _, id := range s.order {
-		sw := s.sweeps[id]
-		sw.mu.Lock()
-		items = append(items, item{ID: sw.id, State: sw.state, Cells: len(sw.cells), Done: sw.done})
-		sw.mu.Unlock()
+	items := make([]any, 0, len(s.order[k]))
+	for _, j := range s.order[k] {
+		j.mu.Lock()
+		item := j.work.item(j.progress)
+		item["id"], item["state"] = j.id, j.state
+		j.mu.Unlock()
+		items = append(items, item)
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"sweeps": items})
+	writeJSON(w, http.StatusOK, map[string]any{k.list: items})
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	sw := s.lookup(r.PathValue("id"))
-	if sw == nil {
-		writeErr(w, http.StatusNotFound, errNotFound, "no such sweep")
-		return
+func (s *Server) handleStatus(j *job, w http.ResponseWriter, _ *http.Request) {
+	j.mu.Lock()
+	resp := j.work.status(j.progress)
+	resp["id"], resp["state"] = j.id, j.state
+	if j.errMsg != "" {
+		resp["error"] = j.errMsg
 	}
-	type cellStatus struct {
-		Index  int    `json:"index"`
-		Key    string `json:"key"`
-		State  string `json:"state"`
-		Cached *bool  `json:"cached,omitempty"`
-		Error  string `json:"error,omitempty"`
-	}
-	sw.mu.Lock()
-	cells := make([]cellStatus, len(sw.cells))
-	for i := range sw.cells {
-		cs := cellStatus{Index: i, Key: sw.keys[i], State: "pending"}
-		if oc := sw.outcomes[i]; oc != nil {
-			if oc.Err != nil {
-				cs.State = "error"
-				cs.Error = oc.Err.Error()
-			} else {
-				cs.State = "done"
-				cached := oc.Cached
-				cs.Cached = &cached
-			}
-		}
-		cells[i] = cs
-	}
-	resp := map[string]any{
-		"id":         sw.id,
-		"state":      sw.state,
-		"spec":       sw.spec,
-		"total":      len(sw.cells),
-		"done":       sw.done,
-		"cache_hits": sw.hits,
-		"cells":      cells,
-	}
-	if sw.errMsg != "" {
-		resp["error"] = sw.errMsg
-	}
-	sw.mu.Unlock()
+	j.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	sw := s.lookup(r.PathValue("id"))
-	if sw == nil {
-		writeErr(w, http.StatusNotFound, errNotFound, "no such sweep")
-		return
-	}
-	sw.serveStream(w)
+func (s *Server) handleStream(j *job, w http.ResponseWriter, r *http.Request) {
+	j.serveStream(r.Context(), w)
 }
 
-func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	sw := s.lookup(r.PathValue("id"))
-	if sw == nil {
-		writeErr(w, http.StatusNotFound, errNotFound, "no such sweep")
-		return
+// handleResult serves a finished job's result; a running job's progress
+// or a failed job's error is the 409. It writes only after releasing j.mu:
+// responses are paced by the client, and holding the lock across one would
+// let a slow reader stall the job's progress callbacks.
+func (s *Server) handleResult(j *job, w http.ResponseWriter, _ *http.Request) {
+	j.mu.Lock()
+	state, msg := j.state, j.errMsg
+	if state == stateRunning {
+		msg = fmt.Sprintf("%s is still running (%s)", j.kind.noun, j.work.progressText(j.progress))
 	}
-	// Snapshot everything under the lock and write only after releasing
-	// it: writeErr/writeJSON are paced by the client, and holding sw.mu
-	// across them would let one slow reader stall every onCellDone.
-	sw.mu.Lock()
-	switch sw.state {
-	case stateRunning:
-		msg := fmt.Sprintf("sweep is still running (%d/%d cells)", sw.done, len(sw.cells))
-		sw.mu.Unlock()
-		writeErr(w, http.StatusConflict, errNotFinished, msg)
-		return
-	case stateFailed:
-		msg := sw.errMsg
-		sw.mu.Unlock()
+	j.mu.Unlock()
+	if state != stateDone {
 		writeErr(w, http.StatusConflict, errNotFinished, msg)
 		return
 	}
+	j.work.writeResult(w, j.id)
+}
 
+// sweep is the work of a sweep job: the spec's cell grid and, per cell,
+// what the status, results and trace handlers read. A result's encoded
+// bytes are not kept; the store holds them under the cell's key.
+type sweep struct {
+	spec  *experiments.SweepSpec
+	cells []experiments.Cell
+	keys  []string
+
+	hits, failed int
+	perCell      []cellStatus             // as the status route reports it
+	results      []experiments.CellResult // zero until the cell's state is "done"
+}
+
+// cellStatus is one cell of the status response.
+type cellStatus struct {
+	Index  int    `json:"index"`
+	Key    string `json:"key"`
+	State  string `json:"state"` // "pending", then "done" or "error"
+	Cached *bool  `json:"cached,omitempty"`
+	Error  string `json:"error,omitempty"`
+}
+
+// parseSweep parses a sweep spec and resolves it into cells and keys.
+func parseSweep(body []byte) (work, error) {
+	spec, err := experiments.ParseSweepSpec(body)
+	if err != nil {
+		return nil, err
+	}
+	cells := spec.Cells()
+	sw := &sweep{spec: spec, cells: cells, keys: make([]string, len(cells)),
+		perCell: make([]cellStatus, len(cells)), results: make([]experiments.CellResult, len(cells))}
+	for i, c := range cells {
+		sw.keys[i] = c.Key(experiments.ResultSchemaVersion)
+		sw.perCell[i] = cellStatus{Index: i, Key: sw.keys[i], State: "pending"}
+	}
+	return sw, nil
+}
+
+// streamEvent is one NDJSON line of a sweep's progress stream.
+type streamEvent struct {
+	Type    string  `json:"type"` // "cell" or "done"
+	Index   int     `json:"index,omitempty"`
+	Key     string  `json:"key,omitempty"`
+	Label   string  `json:"label,omitempty"`
+	Cached  *bool   `json:"cached,omitempty"`
+	Done    int     `json:"done,omitempty"`
+	Total   int     `json:"total,omitempty"`
+	Elapsed float64 `json:"elapsed_ms,omitempty"`
+	Error   string  `json:"error,omitempty"`
+
+	CellStats any    `json:"stats,omitempty"`
+	State     string `json:"state,omitempty"`
+	CacheHits int    `json:"cache_hits,omitempty"`
+	Computed  int    `json:"computed,omitempty"`
+}
+
+// run executes the cells through experiments.RunCells over the server's
+// store, emitting one stream event per finished cell and a final "done".
+// RunCells' return values are not needed: every cell, started or not,
+// reports through OnDone, so onCellDone has counted the failures.
+func (sw *sweep) run(s *Server, j *job) {
+	experiments.RunCells(s.ctx, sw.cells, s.cfg.Store, harness.Options{
+		Parallel: s.cfg.Parallel,
+		Timeout:  s.cfg.Timeout,
+		OnDone:   func(p harness.Progress) { sw.onCellDone(j, p) },
+	})
+	var err error
+	if sw.failed > 0 {
+		err = fmt.Errorf("%d of %d cells failed", sw.failed, len(sw.cells))
+	}
+	j.finish(err, func(state, errMsg string) any {
+		return streamEvent{Type: "done", State: state, Total: len(sw.cells), CacheHits: sw.hits,
+			Computed: len(sw.cells) - sw.hits - sw.failed, Error: errMsg}
+	})
+}
+
+// onCellDone records one finished cell and emits its stream event.
+// Harness progress callbacks are serialized, so event order is the
+// completion order.
+func (sw *sweep) onCellDone(j *job, p harness.Progress) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.progress = p.Done
+	ev := streamEvent{Type: "cell", Index: p.Index, Key: sw.keys[p.Index],
+		Label: p.Label, Done: p.Done, Total: p.Total,
+		Elapsed: float64(p.Elapsed.Microseconds()) / 1000}
+	st := &sw.perCell[p.Index]
+	if p.Err != nil {
+		st.State, st.Error, ev.Error = "error", p.Err.Error(), p.Err.Error()
+		sw.failed++
+	} else {
+		oc := p.Value.(*experiments.CellOutcome)
+		sw.results[p.Index] = oc.Result
+		cached := oc.Cached
+		st.State, st.Cached, ev.Cached = "done", &cached, &cached
+		if cached {
+			sw.hits++
+		}
+		ev.CellStats = &sw.results[p.Index].Stats
+	}
+	j.appendLocked(ev)
+}
+
+func (sw *sweep) accepted() map[string]any {
+	return map[string]any{"cells": len(sw.cells), "keys": sw.keys}
+}
+
+func (sw *sweep) item(done int) map[string]any {
+	return map[string]any{"cells": len(sw.cells), "done": done}
+}
+
+func (sw *sweep) status(done int) map[string]any {
+	return map[string]any{
+		"spec":       sw.spec,
+		"total":      len(sw.cells),
+		"done":       done,
+		"cache_hits": sw.hits,
+		"cells":      slices.Clone(sw.perCell), // written after j.mu is released
+	}
+}
+
+func (sw *sweep) progressText(done int) string {
+	return fmt.Sprintf("%d/%d cells", done, len(sw.cells))
+}
+
+// writeResult renders the per-cell results and pools them per load.
+func (sw *sweep) writeResult(w http.ResponseWriter, id string) {
 	type cellView struct {
 		Index    int              `json:"index"`
 		Key      string           `json:"key"`
@@ -505,31 +523,27 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		Counters map[string]int64 `json:"counters"`
 	}
 	cells := make([]cellView, len(sw.cells))
-	results := make([]experiments.CellResult, len(sw.cells))
-	for i, oc := range sw.outcomes {
-		res := oc.Result
-		results[i] = res
+	for i := range sw.results {
+		res := &sw.results[i]
 		cells[i] = cellView{
-			Index: i, Key: sw.keys[i], Cached: oc.Cached, Cell: res.Cell, Stats: res.Stats,
+			Index: i, Key: sw.keys[i], Cached: *sw.perCell[i].Cached, Cell: res.Cell, Stats: res.Stats,
 			Counters: counterMap(res.Drops, res.Marks, res.Timeouts, res.Retransmits,
 				res.Completed, res.Failed, res.Injected),
 		}
 	}
 	pools := make([]poolView, 0, len(sw.spec.Loads))
-	for _, p := range sw.spec.Pool(results) {
+	for _, p := range sw.spec.Pool(sw.results) {
 		pools = append(pools, poolView{Load: p.Load, Stats: p.Stats,
 			Counters: counterMap(p.Drops, p.Marks, p.Timeouts, p.Retransmits,
 				p.Completed, p.Failed, p.Injected)})
 	}
-	resp := map[string]any{
-		"id":         sw.id,
-		"state":      sw.state,
+	writeJSON(w, http.StatusOK, map[string]any{
+		"id":         id,
+		"state":      stateDone,
 		"cache_hits": sw.hits,
 		"pooled":     pools,
 		"cells":      cells,
-	}
-	sw.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 // counterMap renders the seven run counters under their API names.
@@ -540,38 +554,28 @@ func counterMap(drops, marks, timeouts, retransmits int64, completed, failed, in
 	}
 }
 
-func (s *Server) handleCellTrace(w http.ResponseWriter, r *http.Request) {
-	sw := s.lookup(r.PathValue("id"))
-	if sw == nil {
-		writeErr(w, http.StatusNotFound, errNotFound, "no such sweep")
-		return
-	}
+// handleCellTrace is the one route only sweeps have.
+func (s *Server) handleCellTrace(j *job, w http.ResponseWriter, r *http.Request) {
+	sw := j.work.(*sweep)
 	idx, err := strconv.Atoi(r.PathValue("index"))
 	if err != nil || idx < 0 || idx >= len(sw.cells) {
 		writeErr(w, http.StatusNotFound, errNotFound, "no such cell index")
 		return
 	}
-	sw.mu.Lock()
-	oc := sw.outcomes[idx]
-	sw.mu.Unlock()
-	if oc == nil {
+	j.mu.Lock()
+	st, trace := sw.perCell[idx], sw.results[idx].TraceJSONL
+	j.mu.Unlock()
+	switch {
+	case st.State == "pending":
 		writeErr(w, http.StatusConflict, errNotFinished, "cell has not finished")
-		return
-	}
-	if oc.Err != nil {
-		writeErr(w, http.StatusConflict, errNotFinished, oc.Err.Error())
-		return
-	}
-	if oc.Result.TraceJSONL == "" {
+	case st.State == "error":
+		writeErr(w, http.StatusConflict, errNotFinished, st.Error)
+	case trace == "":
 		writeErr(w, http.StatusNotFound, errNotFound,
 			"cell was run without tracing (set \"trace\" in the sweep spec)")
-		return
+	default:
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		io.WriteString(w, trace)
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	io.WriteString(w, oc.Result.TraceJSONL)
-}
-
-func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.cfg.Store.Stats())
 }

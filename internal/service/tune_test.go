@@ -1,21 +1,16 @@
 package service
 
 import (
-	"bufio"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
-	"time"
-
-	"ecnsharp/internal/tune"
 )
 
 // quickTuneSpec is a deliberately tiny tune: one load, two seeds, 40
 // flows, a hill climb with budget 3 over an explicit two-dimensional box.
 // It finishes in a few seconds while still exercising the whole
-// submit → stream → result lifecycle.
+// submit → stream → result lifecycle (TestJobLifecycle).
 const quickTuneSpec = `{
   "sweep": {"topo": "star", "scheme": "ecnsharp", "workload": "websearch",
             "loads": [0.5], "flows": 40, "seeds": [1, 2],
@@ -29,128 +24,9 @@ const quickTuneSpec = `{
   ]}
 }`
 
-// submitTune posts a tune spec and returns the run id.
-func submitTune(t *testing.T, base, spec string) string {
-	t.Helper()
-	resp, err := http.Post(base+"/v1/tune", "application/json", strings.NewReader(spec))
-	if err != nil {
-		t.Fatalf("POST /v1/tune: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("submit tune: status %d: %s", resp.StatusCode, body)
-	}
-	var out struct {
-		ID     string `json:"id"`
-		Budget int    `json:"budget"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("decode tune submit response: %v", err)
-	}
-	if !strings.HasPrefix(out.ID, "tn-") || out.Budget < 1 {
-		t.Fatalf("bad tune submit response: %+v", out)
-	}
-	return out.ID
-}
-
-// TestTuneLifecycle drives the full daemon tune flow: submit, follow the
-// NDJSON stream to the terminal event, then fetch and decode the result.
-func TestTuneLifecycle(t *testing.T) {
-	base := newTestServer(t, Config{Parallel: 2, Timeout: 2 * time.Minute})
-	id := submitTune(t, base, quickTuneSpec)
-
-	// Result before completion must be a 409 (the stream below is the
-	// wait primitive, so poke the result endpoint first — it is either
-	// running or already done, but never a 404/500).
-	resp := getJSON(t, base+"/v1/tune/"+id, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status endpoint: %d", resp.StatusCode)
-	}
-
-	// Stream to completion.
-	sresp, err := http.Get(base + "/v1/tune/" + id + "/stream")
-	if err != nil {
-		t.Fatalf("GET tune stream: %v", err)
-	}
-	defer sresp.Body.Close()
-	if ct := sresp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("tune stream content-type = %q", ct)
-	}
-	var events []map[string]any
-	sc := bufio.NewScanner(sresp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ev map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad tune stream line %q: %v", sc.Text(), err)
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("tune stream read: %v", err)
-	}
-	if len(events) < 2 {
-		t.Fatalf("tune stream produced %d events, want eval events plus done", len(events))
-	}
-	last := events[len(events)-1]
-	if last["type"] != "done" || last["state"] != stateDone {
-		t.Fatalf("tune stream terminal event = %v", last)
-	}
-	if events[0]["type"] != "eval" {
-		t.Fatalf("first tune stream event = %v, want an eval", events[0])
-	}
-
-	// Result decodes as a tune.Result with the anchor first and the best
-	// no worse than the default.
-	rresp, err := http.Get(base + "/v1/tune/" + id + "/result")
-	if err != nil {
-		t.Fatalf("GET tune result: %v", err)
-	}
-	defer rresp.Body.Close()
-	body, err := io.ReadAll(rresp.Body)
-	if err != nil {
-		t.Fatalf("read tune result: %v", err)
-	}
-	if rresp.StatusCode != http.StatusOK {
-		t.Fatalf("tune result: status %d: %s", rresp.StatusCode, body)
-	}
-	res, err := tune.DecodeResult(body)
-	if err != nil {
-		t.Fatalf("decode tune result: %v", err)
-	}
-	if res.SchemaVersion != tune.ResultSchemaVersion {
-		t.Errorf("result schema version %q", res.SchemaVersion)
-	}
-	if len(res.Evals) == 0 || res.Evals[0].Index != 0 {
-		t.Errorf("result is missing the anchor evaluation: %+v", res.Evals)
-	}
-	if res.Best.Score > res.Default.Score {
-		t.Errorf("best %v is worse than the default %v", res.Best.Score, res.Default.Score)
-	}
-	if res.BestTuned == nil {
-		t.Error("result has no BestTuned assignment")
-	}
-
-	// The run shows up in the list with a done state.
-	var list struct {
-		Tunes []struct {
-			ID    string `json:"id"`
-			State string `json:"state"`
-			Evals int    `json:"evals"`
-		} `json:"tunes"`
-	}
-	getJSON(t, base+"/v1/tune", &list)
-	if len(list.Tunes) != 1 || list.Tunes[0].ID != id || list.Tunes[0].State != stateDone {
-		t.Errorf("tune list = %+v", list)
-	}
-	if list.Tunes[0].Evals != len(res.Evals) {
-		t.Errorf("list evals %d != result evals %d", list.Tunes[0].Evals, len(res.Evals))
-	}
-}
-
-// TestTuneRejectsBadSpecs pins the error paths: invalid JSON, unknown
-// fields, inverted bounds, and unknown ids.
+// TestTuneRejectsBadSpecs pins the spec error paths: invalid JSON, unknown
+// fields, inverted bounds and an unknown searcher. (Unknown ids are
+// TestJobLifecycle's not_found case.)
 func TestTuneRejectsBadSpecs(t *testing.T) {
 	base := newTestServer(t, Config{Parallel: 2})
 	cases := []struct {
@@ -175,17 +51,6 @@ func TestTuneRejectsBadSpecs(t *testing.T) {
 		}
 		if !strings.Contains(string(body), errSpecInvalid) {
 			t.Errorf("%s: error code missing from %s", tc.name, body)
-		}
-	}
-
-	for _, path := range []string{"/v1/tune/tn-99", "/v1/tune/tn-99/stream", "/v1/tune/tn-99/result"} {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s: status %d, want 404", path, resp.StatusCode)
 		}
 	}
 }
