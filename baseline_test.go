@@ -1,0 +1,420 @@
+package main_test
+
+import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"maps"
+	"os"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"ecnsharp/internal/bench"
+	"ecnsharp/internal/experiments"
+)
+
+// update makes a baseline test rewrite its committed file instead of
+// comparing against it — the one spelling every golden in the tree is
+// refreshed by:
+//
+//	go test -run TestAllocBaseline -update .
+var update = flag.Bool("update", false, "rewrite the committed baseline the selected test checks (ESCAPES_baseline.json, BENCH_runtime.json, BENCH_scale.json) instead of comparing against it")
+
+// bytesTolerance is the relative growth bytes/op and bytes/host may show
+// over the baseline: size classes and map growth make bytes nearly, not
+// exactly, reproducible. Allocation, event and flow counts are exact.
+const bytesTolerance = 0.10
+
+const (
+	allocBaselineFile = "BENCH_runtime.json"
+	scaleBaselineFile = "BENCH_scale.json"
+)
+
+// readBaseline decodes a committed baseline file into v.
+func readBaseline(t *testing.T, path string, v any) {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(buf, v)
+	}
+	if err != nil {
+		t.Fatalf("%s: %v (generate with go test -run %s -update .)", path, err, t.Name())
+	}
+}
+
+// writeBaseline rewrites a committed baseline file from v.
+func writeBaseline(t *testing.T, path string, v any) {
+	t.Helper()
+	buf, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		err = os.WriteFile(path, append(buf, '\n'), 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %s", path)
+}
+
+// sortedKeys returns the union of both maps' keys in order, so a comparison
+// visits every entry either side knows and reports in a stable order.
+func sortedKeys[V any](a, b map[string]V) []string {
+	seen := make(map[string]bool, len(a))
+	for k := range a {
+		seen[k] = true
+	}
+	for k := range b {
+		seen[k] = true
+	}
+	keys := make([]string, 0, len(seen))
+	for k := range seen {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// allocSuite is the runtime benchmark suite (the bodies `go test -bench`
+// runs through each package's bench_test.go) with the fixed iteration count
+// each is measured at: a count, not a duration, so the gate reads no clock
+// and measures the same work on every machine. The four kernels amortize
+// their engine's and pool's growth to zero over 2^22 operations; the three
+// whole-stack bodies build a fresh network per op, and FlapStorm's map
+// growth follows per-process hash seeds (±2 allocations an op around
+// 4422.9), so it takes 64 ops to settle on one integer.
+var allocSuite = []struct {
+	name  string
+	fn    func(*testing.B)
+	iters int
+}{
+	{"ScheduleAndRun", bench.ScheduleAndRun, 1 << 22},
+	{"NestedAfter", bench.NestedAfter, 1 << 22},
+	{"TimerChurn", bench.TimerChurn, 1 << 22},
+	{"EgressFIFO", bench.EgressFIFO, 1 << 22},
+	{"BulkTransfer", bench.BulkTransfer, 32},
+	{"IncastBurst", bench.IncastBurst, 32},
+	{"FlapStorm", bench.FlapStorm, 64},
+}
+
+// allocResult is one benchmark's entry in BENCH_runtime.json: what does
+// not depend on the machine. ns/op is `go test -bench`'s to print.
+type allocResult struct {
+	AllocsPerOp int64 `json:"allocs_per_op"`
+	BytesPerOp  int64 `json:"bytes_per_op"`
+}
+
+// allocReport is the schema of BENCH_runtime.json.
+type allocReport struct {
+	Note       string                 `json:"note"`
+	Benchmarks map[string]allocResult `json:"benchmarks"`
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	info, _ := debug.ReadBuildInfo()
+	return info != nil && slices.ContainsFunc(info.Settings, func(s debug.BuildSetting) bool {
+		return s.Key == "-race" && s.Value == "true"
+	})
+}
+
+// measureAllocs runs every body of the suite for its fixed iteration count
+// (the documented -benchtime Nx form) and returns allocations and bytes per
+// op. The collector is off and one P runs, so that only the bodies' own
+// allocations are counted: with the collector on and two Ps the same bodies
+// read 0.1–1.5 allocs/op higher, by an amount that differs between a test
+// binary and a CLI (sync.Pool caches are per P and emptied every cycle).
+// Without that, BulkTransfer and IncastBurst repeat to within two
+// allocations a run.
+func measureAllocs(t *testing.T) map[string]allocResult {
+	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	benchtime := flag.Lookup("test.benchtime").Value
+	defer benchtime.Set(benchtime.String())
+	got := make(map[string]allocResult, len(allocSuite))
+	for _, s := range allocSuite {
+		if err := benchtime.Set(fmt.Sprintf("%dx", s.iters)); err != nil {
+			t.Fatal(err)
+		}
+		r := testing.Benchmark(s.fn)
+		if r.N != s.iters {
+			t.Fatalf("%s ran %d iterations, want %d (did the body fail?)", s.name, r.N, s.iters)
+		}
+		// Nearest, not testing's floor: FlapStorm's mean sits on an integer.
+		n := uint64(r.N)
+		m := allocResult{AllocsPerOp: int64((r.MemAllocs + n/2) / n), BytesPerOp: r.AllocedBytesPerOp()}
+		got[s.name] = m
+		t.Logf("%-16s %8d allocs/op %10d B/op (%d allocs over %d iters)", s.name, m.AllocsPerOp, m.BytesPerOp, r.MemAllocs, r.N)
+	}
+	return got
+}
+
+// compareAllocs returns one line per benchmark that regressed against base:
+// allocs/op may not exceed the baseline at all, bytes/op by more than
+// bytesTolerance, and both sides must know the same benchmarks.
+func compareAllocs(base, got map[string]allocResult) []string {
+	var failures []string
+	for _, name := range sortedKeys(base, got) {
+		want, inBase := base[name]
+		m, measured := got[name]
+		switch {
+		case !measured:
+			failures = append(failures, fmt.Sprintf("%s: in baseline but not measured", name))
+		case !inBase:
+			failures = append(failures, fmt.Sprintf("%s: measured but not in baseline", name))
+		default:
+			if m.AllocsPerOp > want.AllocsPerOp {
+				failures = append(failures, fmt.Sprintf("%s: %d allocs/op, baseline %d (allocation counts are exact)",
+					name, m.AllocsPerOp, want.AllocsPerOp))
+			}
+			if float64(m.BytesPerOp) > float64(want.BytesPerOp)*(1+bytesTolerance) {
+				failures = append(failures, fmt.Sprintf("%s: %d B/op, baseline %d (> %.0f%% tolerance)",
+					name, m.BytesPerOp, want.BytesPerOp, 100*bytesTolerance))
+			}
+		}
+	}
+	return failures
+}
+
+// TestAllocBaseline pins the runtime suite's allocs/op and bytes/op to the
+// committed BENCH_runtime.json. Fewer allocations pass but are logged so the
+// baseline gets refreshed:
+//
+//	go test -run TestAllocBaseline -update .
+func TestAllocBaseline(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race runtime allocates on the measured paths (its sync.Pool drops Puts at random): allocation counts are the uninstrumented build's")
+	}
+	got := measureAllocs(t)
+	if *update {
+		writeBaseline(t, allocBaselineFile, allocReport{
+			Note: "Regenerate with: go test -run TestAllocBaseline -update . " +
+				"(see README.md; allocation counts and bytes only: go test -bench prints ns/op, benchmark/ measures speed)",
+			Benchmarks: got,
+		})
+		return
+	}
+	var base allocReport
+	readBaseline(t, allocBaselineFile, &base)
+	for _, f := range compareAllocs(base.Benchmarks, got) {
+		t.Error(f)
+	}
+	for name, m := range got {
+		if want := base.Benchmarks[name]; m.AllocsPerOp < want.AllocsPerOp {
+			t.Logf("%s improved to %d allocs/op (baseline %d); refresh the baseline", name, m.AllocsPerOp, want.AllocsPerOp)
+		}
+	}
+}
+
+// scaleResult is one (hosts, shards) cell of BENCH_scale.json: what the cell
+// simulated and what it keeps in memory, both independent of the machine.
+// How fast it ran is BenchmarkScaleCell's and benchmark/'s to say.
+type scaleResult struct {
+	Hosts          int     `json:"hosts"`
+	Shards         int     `json:"shards"`
+	Events         uint64  `json:"events"`
+	BytesPerHost   float64 `json:"bytes_per_host"`
+	CompletedFlows int     `json:"completed_flows"`
+}
+
+// scaleReport is the schema of BENCH_scale.json.
+type scaleReport struct {
+	Note  string                 `json:"note"`
+	Cells map[string]scaleResult `json:"cells"`
+}
+
+// scaleWorkers are the worker counts every tier is measured at.
+var scaleWorkers = []int{1, 4}
+
+func scaleKey(hosts, shards int) string {
+	return fmt.Sprintf("hosts=%d/shards=%d", hosts, shards)
+}
+
+// liveHeap is the heap in use after a forced collection.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// measureScaleCell runs one cell. Memory is the live heap the finished run
+// still holds — the fabric plus flow bookkeeping, not transient garbage —
+// over what the test binary held before it, divided by the host count.
+func measureScaleCell(t *testing.T, cell experiments.ScaleCell, shards int) scaleResult {
+	t.Helper()
+	before := liveHeap()
+	res := experiments.Run(experiments.ScaleCellConfig(cell, shards))
+	after := liveHeap()
+	out := scaleResult{
+		Hosts:          cell.Hosts,
+		Shards:         shards,
+		Events:         res.Net.Shard.Processed(),
+		BytesPerHost:   float64(after-before) / float64(cell.Hosts),
+		CompletedFlows: res.Completed,
+	}
+	if res.Completed != res.Injected {
+		t.Errorf("%s completed %d/%d flows", scaleKey(cell.Hosts, shards), res.Completed, res.Injected)
+	}
+	t.Logf("%-24s %10d events %8.0f B/host %8d flows", scaleKey(cell.Hosts, shards), out.Events, out.BytesPerHost, out.CompletedFlows)
+	return out
+}
+
+// compareScale returns one line per cell that drifted from base: the event
+// and completed-flow counts must match, bytes/host may not grow beyond
+// bytesTolerance, every measured cell must be recorded, and every recorded
+// cell of a tier that ran (those up to maxHosts) must have been measured.
+func compareScale(base, got map[string]scaleResult, maxHosts int) []string {
+	var failures []string
+	for _, k := range sortedKeys(base, got) {
+		want, inBase := base[k]
+		m, measured := got[k]
+		switch {
+		case !measured:
+			if want.Hosts <= maxHosts {
+				failures = append(failures, fmt.Sprintf("%s: in baseline but not measured", k))
+			}
+		case !inBase:
+			failures = append(failures, fmt.Sprintf("%s: measured but not in baseline", k))
+		default:
+			if m.Events != want.Events || m.CompletedFlows != want.CompletedFlows {
+				failures = append(failures, fmt.Sprintf("%s: %d events and %d completed flows, baseline %d and %d (the cell is deterministic; a drift means the simulation changed)",
+					k, m.Events, m.CompletedFlows, want.Events, want.CompletedFlows))
+			}
+			if m.BytesPerHost > want.BytesPerHost*(1+bytesTolerance) {
+				failures = append(failures, fmt.Sprintf("%s: %.0f B/host, baseline %.0f (+%.0f%% > %.0f%% tolerance)",
+					k, m.BytesPerHost, want.BytesPerHost, 100*(m.BytesPerHost/want.BytesPerHost-1), 100*bytesTolerance))
+			}
+		}
+	}
+	return failures
+}
+
+// TestScaleBaseline pins the scale cells (experiments.ScaleCellConfig at 1
+// and 4 workers) to the committed BENCH_scale.json: the 1k-host tier always,
+// the 10k tier unless -short, the 100k tier (~30 s, ~0.45 GB) only when
+// refreshing, which rewrites every tier:
+//
+//	go test -run TestScaleBaseline -update .
+func TestScaleBaseline(t *testing.T) {
+	maxHosts := 10_240
+	switch {
+	case *update:
+		maxHosts = 100_000
+	case testing.Short():
+		maxHosts = 1_024
+	}
+	got := make(map[string]scaleResult)
+	for _, cell := range experiments.ScaleCells() {
+		if cell.Hosts > maxHosts {
+			continue
+		}
+		for _, w := range scaleWorkers {
+			got[scaleKey(cell.Hosts, w)] = measureScaleCell(t, cell, w)
+		}
+	}
+	if *update {
+		writeBaseline(t, scaleBaselineFile, scaleReport{
+			Note: "Regenerate with: go test -run TestScaleBaseline -update . " +
+				"(see EXPERIMENTS.md; event and flow counts are deterministic, bytes/host nearly so; " +
+				"go test -bench BenchmarkScaleCell prints speed, benchmark/ measures it)",
+			Cells: got,
+		})
+		return
+	}
+	var base scaleReport
+	readBaseline(t, scaleBaselineFile, &base)
+	for _, f := range compareScale(base.Cells, got, maxHosts) {
+		t.Error(f)
+	}
+}
+
+// BenchmarkScaleCell runs the cells TestScaleBaseline pins, one sub-benchmark
+// per (tier, worker count), and reports events/s beside ns/op; the sharded
+// speedup of a tier is the ratio of its shards=1 and shards=4 lines:
+//
+//	go test -run '^$' -bench 'BenchmarkScaleCell/hosts=1024$' .
+//
+// The 100k tier takes 10–20 s an iteration. Paired, noise-controlled speed is
+// benchmark/'s to measure.
+func BenchmarkScaleCell(b *testing.B) {
+	for _, cell := range experiments.ScaleCells() {
+		for _, w := range scaleWorkers {
+			b.Run(scaleKey(cell.Hosts, w), func(b *testing.B) {
+				var events uint64
+				for i := 0; i < b.N; i++ {
+					events += experiments.Run(experiments.ScaleCellConfig(cell, w)).Net.Shard.Processed()
+				}
+				b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+			})
+		}
+	}
+}
+
+// doctored returns a copy of m with edit applied to the entry at key (the
+// zero value if there is none).
+func doctored[V any](m map[string]V, key string, edit func(*V)) map[string]V {
+	out := maps.Clone(m)
+	v := out[key]
+	edit(&v)
+	out[key] = v
+	return out
+}
+
+// TestBaselineGatesDetectRegressions proves both comparisons fail, naming
+// the benchmark or cell, when the baseline sits just below the measurement
+// — as TestEscapeGateDetectsNewEscape does for escapes. The committed
+// numbers stand in for the measurement, so this runs under -race too.
+func TestBaselineGatesDetectRegressions(t *testing.T) {
+	expect := func(failures []string, wants ...string) {
+		t.Helper()
+		if len(failures) != 1 {
+			t.Errorf("want exactly one failure mentioning %q, got %q", wants, failures)
+			return
+		}
+		for _, w := range wants {
+			if !strings.Contains(failures[0], w) {
+				t.Errorf("failure %q does not mention %q", failures[0], w)
+			}
+		}
+	}
+
+	var allocs allocReport
+	readBaseline(t, allocBaselineFile, &allocs)
+	got := allocs.Benchmarks
+	if f := compareAllocs(got, got); len(f) != 0 {
+		t.Fatalf("baseline does not pass against itself: %q", f)
+	}
+	expect(compareAllocs(doctored(got, "BulkTransfer", func(r *allocResult) { r.AllocsPerOp-- }), got),
+		"BulkTransfer", "allocs/op")
+	expect(compareAllocs(doctored(got, "FlapStorm", func(r *allocResult) { r.BytesPerOp = r.BytesPerOp * 8 / 10 }), got),
+		"FlapStorm", "B/op")
+	phantom := doctored(got, "Phantom", func(*allocResult) {})
+	expect(compareAllocs(phantom, got), "Phantom", "in baseline but not measured")
+	expect(compareAllocs(got, phantom), "Phantom", "measured but not in baseline")
+
+	var scale scaleReport
+	readBaseline(t, scaleBaselineFile, &scale)
+	cells := scale.Cells
+	const all = 100_000
+	if f := compareScale(cells, cells, all); len(f) != 0 {
+		t.Fatalf("baseline does not pass against itself: %q", f)
+	}
+	const cell = "hosts=1024/shards=4"
+	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.Events-- }), cells, all), cell, "events")
+	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.CompletedFlows-- }), cells, all), cell, "completed flows")
+	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.BytesPerHost *= 0.8 }), cells, all), cell, "B/host")
+	const extra = "hosts=1024/shards=2"
+	unrecorded := doctored(cells, extra, func(r *scaleResult) { r.Hosts = 1_024 })
+	expect(compareScale(unrecorded, cells, all), extra, "in baseline but not measured")
+	expect(compareScale(cells, unrecorded, all), extra, "measured but not in baseline")
+	// The recorded cells of a tier the run skipped are not failures.
+	small := maps.Clone(cells)
+	maps.DeleteFunc(small, func(_ string, r scaleResult) bool { return r.Hosts == 100_000 })
+	if f := compareScale(cells, small, 10_240); len(small) == len(cells) || len(f) != 0 {
+		t.Errorf("cells of a tier that did not run were reported (%d of %d cells measured): %q", len(small), len(cells), f)
+	}
+}

@@ -3,23 +3,12 @@
 // Usage:
 //
 //	ecnsharp-bench [-scale quick|full|smoke] [-parallel N] [-list] [ids...]
-//	ecnsharp-bench -json FILE [-compare BASELINE] [-tolerance F]
 //
 // With no ids, every experiment runs in paper order. Each experiment
 // prints the rows/series of the corresponding paper artifact; EXPERIMENTS.md
 // records how to read them against the paper's numbers. Independent
 // (config, seed) runs execute on a worker pool; the tables are identical
 // at any -parallel setting.
-//
-// With -json the command instead runs the runtime benchmark suite
-// (internal/bench, the same bodies `go test -bench` runs) plus a
-// wall-clock smoke sweep of the fig6 experiment, and writes each
-// benchmark's allocs/op and bytes/op as JSON. -compare additionally
-// checks them against a committed baseline (BENCH_runtime.json at the
-// repository root): allocs/op must not exceed the baseline at all,
-// bytes/op by more than -tolerance (relative, default 0.10). ns/op and
-// the wall clock are printed but neither recorded nor gated: benchmark/
-// measures speed.
 package main
 
 import (
@@ -40,43 +29,12 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker pool size for independent runs (0 = one per CPU, 1 = serial)")
 	timeout := flag.Duration("timeout", 0, "wall-clock limit per individual run, e.g. 2m (0 = none)")
 	progress := flag.Bool("progress", false, "report each completed run on stderr")
-	jsonOut := flag.String("json", "", "run the runtime benchmark suite and write results to this file")
-	compare := flag.String("compare", "", "with -json/-scalejson: fail when results regress beyond the committed baseline in this file")
-	tolerance := flag.Float64("tolerance", 0.10, "with -compare: allowed relative growth in bytes before failing")
-	scaleJSON := flag.String("scalejson", "", "run the sharded scale benchmark and write results to this file")
-	scaleHosts := flag.String("scalehosts", "1024,10240", "with -scalejson: comma-separated host tiers (1024, 10240, 100000)")
-	scaleShards := flag.String("scaleshards", "1,4", "with -scalejson: comma-separated shard (worker) counts per tier")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ecnsharp-bench [-scale quick|full|smoke] [-parallel N] [-list] [ids...]\n")
-		fmt.Fprintf(os.Stderr, "       ecnsharp-bench -json FILE [-compare BASELINE] [-tolerance F]\n")
-		fmt.Fprintf(os.Stderr, "       ecnsharp-bench -scalejson FILE [-scalehosts T,..] [-scaleshards N,..] [-compare BASELINE]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: ecnsharp-bench [-scale quick|full|smoke] [-parallel N] [-list] [ids...]\n\n")
 		fmt.Fprintf(os.Stderr, "Regenerates the evaluation artifacts of the ECN# paper (CoNEXT'19).\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *jsonOut != "" {
-		if err := runBenchSuite(*jsonOut, *compare, *tolerance); err != nil {
-			fmt.Fprintln(os.Stderr, "ecnsharp-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *scaleJSON != "" {
-		tiers, err := parseIntList(*scaleHosts, "scalehosts")
-		if err == nil {
-			var shards []int
-			shards, err = parseIntList(*scaleShards, "scaleshards")
-			if err == nil {
-				err = runScaleSuite(*scaleJSON, tiers, shards, *compare, *tolerance)
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ecnsharp-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, e := range experiments.All() {

@@ -27,7 +27,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"ecnsharp/internal/cache"
@@ -149,17 +148,23 @@ func main() {
 			fail(2, err)
 		}
 		cfg.Faults = sched
+		// A schedule that parses can still name a link or switch this
+		// topology lacks; that is a bad flag value, not a crash mid-run.
+		if err := cfg.CheckFaults(); err != nil {
+			fail(2, err)
+		}
 		// Bound RTO retries so a schedule that permanently severs a path
 		// fails its flows (reported below) instead of hanging the run.
 		cfg.Transport = transport.DefaultConfig()
 		cfg.Transport.MaxConsecTimeouts = 20
 	}
 
-	// Event tracing: one writer per run. Under -seeds/-parallel every job
-	// gets its own file named by its harness job id, so concurrent runs
-	// never interleave writes; the files are flushed after all runs finish.
+	// Event tracing: one writer per run, every file created before any run
+	// starts so one that cannot be is the command's failure, not a silently
+	// untraced simulation. Under -seeds each job gets its own file named by
+	// its harness job id (its index in seeds), so concurrent runs never
+	// interleave writes; the files are flushed after all runs finish.
 	var (
-		traceMu    sync.Mutex
 		traceFlush []func() error
 		tracePaths []string
 	)
@@ -168,19 +173,15 @@ func main() {
 		if err != nil {
 			fail(2, err)
 		}
-		cfg.NewTracer = func(ctx context.Context, runSeed int64) trace.Tracer {
+		tracers := make([]trace.Tracer, len(seeds))
+		for id := range seeds {
 			path := *traceFile
 			if len(seeds) > 1 {
-				id, ok := harness.JobID(ctx)
-				if !ok {
-					id = int(runSeed)
-				}
 				path = jobTracePath(path, id)
 			}
 			f, err := os.Create(path)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "ecnsim:", err)
-				return nil
+				fail(1, err)
 			}
 			var (
 				t     trace.Tracer
@@ -193,7 +194,6 @@ func main() {
 				w := trace.NewJSONLWriter(f)
 				t, flush = w, w.Flush
 			}
-			traceMu.Lock()
 			traceFlush = append(traceFlush, func() error {
 				if err := flush(); err != nil {
 					f.Close()
@@ -202,8 +202,11 @@ func main() {
 				return f.Close()
 			})
 			tracePaths = append(tracePaths, path)
-			traceMu.Unlock()
-			return trace.NewFilter(t, mask, *traceSample)
+			tracers[id] = trace.NewFilter(t, mask, *traceSample)
+		}
+		cfg.NewTracer = func(ctx context.Context, _ int64) trace.Tracer {
+			id, _ := harness.JobID(ctx)
+			return tracers[id]
 		}
 	}
 

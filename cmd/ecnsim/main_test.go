@@ -138,9 +138,7 @@ func TestBadFlagsAreUsageErrors(t *testing.T) {
 		if code != 2 {
 			t.Errorf("%v: exit %d, want 2", tc.args, code)
 		}
-		if !strings.HasPrefix(stderr, "ecnsim: ") || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, tc.want) {
-			t.Errorf("%v: stderr is not the one-line usage error mentioning %q:\n%s", tc.args, tc.want, stderr)
-		}
+		oneLine(t, fmt.Sprint(tc.args), stderr, tc.want)
 		if tc.spec == "" {
 			continue
 		}
@@ -152,5 +150,57 @@ func TestBadFlagsAreUsageErrors(t *testing.T) {
 		if specCode != 2 || specErr != stderr {
 			t.Errorf("%v: -spec of the same value exits %d with %q, flags with %q", tc.args, specCode, specErr, stderr)
 		}
+	}
+}
+
+// oneLine asserts stderr is exactly one "ecnsim: ..." line containing want.
+func oneLine(t *testing.T, what, stderr, want string) {
+	t.Helper()
+	if !strings.HasPrefix(stderr, "ecnsim: ") || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, want) {
+		t.Errorf("%s: stderr is not the one-line error mentioning %q:\n%s", what, want, stderr)
+	}
+}
+
+// TestFaultsNamingMissingPartsAreUsageErrors: a -faults schedule that
+// parses but names a link or switch the chosen topology lacks is rejected
+// before any run starts — one line, exit 2 — not by a panic inside a worker.
+func TestFaultsNamingMissingPartsAreUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		topo, sched, want string
+	}{
+		{"leafspine", `{"events":[{"at_us":100,"action":"link-down","link":"leaf0-spine9"}]}`, `fault: unknown link "leaf0-spine9"`},
+		{"leafspine", `{"events":[{"at_us":100,"action":"switch-fail","switch":"spine77"}]}`, `fault: unknown switch "spine77"`},
+		{"star", `{"events":[{"at_us":100,"action":"link-down","link":"leaf0-spine1"}]}`, `fault: unknown link "leaf0-spine1"`},
+	} {
+		path := filepath.Join(t.TempDir(), "faults.json")
+		if err := os.WriteFile(path, []byte(tc.sched), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, seeds := range []string{"1", "1,2"} {
+			stdout, stderr, code := ecnsim(t, "-topo", tc.topo, "-flows", "20", "-seeds", seeds, "-faults", path)
+			if code != 2 || stdout != "" {
+				t.Errorf("%s -seeds %s: exit %d with stdout %q, want 2 and nothing run", tc.topo, seeds, code, stdout)
+			}
+			oneLine(t, tc.topo+" -seeds "+seeds, stderr, tc.want)
+		}
+	}
+}
+
+// TestUncreatableTraceFileFails: a -trace file that cannot be created
+// fails the command — one line, exit 1, nothing simulated — on the
+// single-seed path and the per-job (-seeds) path alike.
+func TestUncreatableTraceFileFails(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no", "such", "dir")
+	for _, tc := range []struct {
+		seeds, file string
+	}{
+		{"1", "x.jsonl"},
+		{"1,2", "x.job0.jsonl"},
+	} {
+		stdout, stderr, code := ecnsim(t, "-flows", "20", "-seeds", tc.seeds, "-trace", filepath.Join(missing, "x.jsonl"))
+		if code != 1 || stdout != "" {
+			t.Errorf("-seeds %s: exit %d with stdout %q, want 1 and nothing run", tc.seeds, code, stdout)
+		}
+		oneLine(t, "-seeds "+tc.seeds, stderr, filepath.Join(missing, tc.file))
 	}
 }

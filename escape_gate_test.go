@@ -109,14 +109,14 @@ func runEscapeAnalysis(t *testing.T, pkgs []string) map[string][]string {
 // TestEscapeGate pins the designated hot-path functions' heap escapes to
 // the committed baseline. Refresh after an intentional change with:
 //
-//	ESCAPEGATE_UPDATE=1 go test -run TestEscapeGate .
+//	go test -run TestEscapeGate -update .
 func TestEscapeGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping compiler escape analysis in -short mode")
 	}
 	observed := runEscapeAnalysis(t, escapeGatePackages)
 
-	if os.Getenv("ESCAPEGATE_UPDATE") == "1" {
+	if *update {
 		b := &escapegate.Baseline{
 			Version:   1,
 			Packages:  escapeGatePackages,
@@ -134,7 +134,7 @@ func TestEscapeGate(t *testing.T) {
 
 	b, err := escapegate.Load(escapeGateBaseline)
 	if err != nil {
-		t.Fatalf("%v (generate with ESCAPEGATE_UPDATE=1 go test -run TestEscapeGate .)", err)
+		t.Fatalf("%v (generate with go test -run TestEscapeGate -update .)", err)
 	}
 	// The baseline must cover exactly the designated list, so editing one
 	// without the other is caught.

@@ -19,7 +19,7 @@
 // panic), and Pool.Get's pool-empty fallback intentionally allocates.
 // Those known escapes are recorded per function; the gate fails only on
 // escapes beyond the recorded multiset. To refresh after an intentional
-// change: ESCAPEGATE_UPDATE=1 go test -run TestEscapeGate .
+// change: go test -run TestEscapeGate -update .
 package escapegate
 
 import (
@@ -220,7 +220,7 @@ func Check(b *Baseline, observed map[string][]string) []string {
 				continue
 			}
 			violations = append(violations, fmt.Sprintf(
-				"%s: new heap escape: %s (not in ESCAPES_baseline.json; if intentional, refresh with ESCAPEGATE_UPDATE=1 go test -run TestEscapeGate .)",
+				"%s: new heap escape: %s (not in ESCAPES_baseline.json; if intentional, refresh with go test -run TestEscapeGate -update .)",
 				fn, msg))
 		}
 	}

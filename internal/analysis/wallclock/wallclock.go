@@ -19,8 +19,8 @@
 // making reruns of the same (config, seed) diverge between worker counts.
 // Shard worker callbacks therefore get no allowlist entries at all —
 // anything a worker executes must derive time from its domain engine's
-// virtual clock; only coordinator-side measurement code (the scale
-// benchmark's events/sec stopwatch) may be annotated.
+// virtual clock; only coordinator-side measurement code (the harness's
+// per-job latency stopwatch) may be annotated.
 package wallclock
 
 import (

@@ -1,11 +1,12 @@
 // Package bench holds the benchmark bodies shared by `go test -bench`
-// (via thin wrappers in each package's bench_test.go) and the
-// `ecnsharp-bench -json` runtime snapshot, so CI's regression gate and
+// (via thin wrappers in each package's bench_test.go), the root package's
+// TestAllocBaseline and benchmark/'s kernels, so the allocation gate and
 // interactive benchmarking measure exactly the same code.
 //
 // Every body calls b.ReportAllocs: the hot-path contract (see DESIGN.md
-// "Hot path & memory discipline") is expressed in allocs/op, and the CI
-// compare treats allocation counts as exact, not toleranced.
+// "Hot path & memory discipline") is expressed in allocs/op, and
+// TestAllocBaseline treats allocation counts against BENCH_runtime.json as
+// exact, not toleranced.
 package bench
 
 import (

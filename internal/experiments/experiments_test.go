@@ -333,6 +333,34 @@ func TestAverageSeedsAggregates(t *testing.T) {
 	}
 }
 
+// TestGridResultsCarryNoNet: a batch keeps no run's network alive — pooled
+// and per-seed results coming out of runGrids have Net cleared, while a
+// direct Run of the same configuration still returns it.
+func TestGridResultsCarryNoNet(t *testing.T) {
+	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
+	sc := Scale{Seeds: []int64{1, 2}, FlowCount: 20}
+	g := newGrid([]string{"a", "b"}, oneCol, func(int, int) RunConfig {
+		return starCfg(TestbedSchemes()[3], workload.WebSearchCDF, 0.5, rtt, sc)
+	})
+	runGrids(sc, g)
+	for i, r := range g.res {
+		if r.Completed != 40 {
+			t.Errorf("grid point %d completed %d flows, want 40", i, r.Completed)
+		}
+		if r.Net != nil {
+			t.Errorf("grid point %d: pooled result carries a Net", i)
+		}
+		for _, s := range r.PerSeed {
+			if s.Net != nil {
+				t.Errorf("grid point %d: a per-seed result carries a Net", i)
+			}
+		}
+	}
+	if Run(g.cfgs[0]).Net == nil {
+		t.Error("a direct Run returned no Net")
+	}
+}
+
 func TestRunFlowsCompleteAndConserve(t *testing.T) {
 	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
 	sc := SmokeScale()

@@ -12,7 +12,7 @@ import (
 	"ecnsharp/internal/metrics"
 )
 
-var updateFigGolden = flag.Bool("update-fig-golden", false, "rewrite testdata/fig_tables_smoke.golden")
+var update = flag.Bool("update", false, "rewrite testdata/fig_tables_smoke.golden")
 
 // fig10Smoke and fig13Smoke keep what the registry closures discard (the
 // queue traces, the structured DWRR results) so the Shape tests can assert
@@ -60,7 +60,7 @@ func TestFigTablesGolden(t *testing.T) {
 	}
 
 	golden := filepath.Join("testdata", "fig_tables_smoke.golden")
-	if *updateFigGolden {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestFigTablesGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("%v (run `go test ./internal/experiments -run TestFigTablesGolden -update-fig-golden` to regenerate)", err)
+		t.Fatalf("%v (run `go test -run TestFigTablesGolden -update ./internal/experiments` to regenerate)", err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")

@@ -129,6 +129,8 @@ type RunResult struct {
 	AvgQueuePkts float64
 	MaxQueuePkts int
 
+	// Net is the network the run was simulated on — Run and RunContext set
+	// it; results that went through RunAll carry none (see runAll).
 	Net *topology.Net
 
 	// PerSeed holds the unmerged per-seed results when this result was
@@ -207,6 +209,49 @@ func pathRTT(c *RunConfig) sim.Time {
 	return sim.Time(2*hops)*c.PropDelay + sim.Time(hops)*(txData+txAck)
 }
 
+// newNet builds the topology cfg (defaults applied) describes.
+func (cfg *RunConfig) newNet(newAQMAt func(topology.PortLoc, int) aqm.AQM) *topology.Net {
+	opts := topology.Options{
+		Link: topology.LinkParams{
+			RateBps:     cfg.RateBps,
+			PropDelay:   cfg.PropDelay,
+			BufferBytes: cfg.BufferBytes,
+		},
+		NewAQMAt:          newAQMAt,
+		SharedBufferBytes: cfg.SharedBufferBytes,
+		DTAlpha:           cfg.DTAlpha,
+		Shards:            cfg.Shards,
+	}
+	if cfg.SharedBufferBytes > 0 {
+		opts.Link.BufferBytes = 0
+	}
+	switch cfg.Topo {
+	case TopoStar:
+		if cfg.Hosts < 2 {
+			panic("experiments: star needs Hosts >= 2")
+		}
+		return topology.NewStar(cfg.Hosts, opts)
+	case TopoLeafSpine:
+		return topology.NewLeafSpine(cfg.Spines, cfg.Leaves, cfg.HostsPerLeaf, opts)
+	default:
+		panic(fmt.Sprintf("experiments: unknown topology %d", cfg.Topo))
+	}
+}
+
+// CheckFaults reports whether cfg.Faults installs on the topology cfg
+// describes — every link and switch it names exists, no degrade undercuts
+// the sharded lookahead — by installing it on a scratch copy of that
+// topology, so a caller can reject a bad schedule before any run starts
+// (inside a run the same error is a panic).
+func (cfg RunConfig) CheckFaults() error {
+	if cfg.Faults == nil {
+		return nil
+	}
+	cfg.defaults()
+	_, err := fault.Install(cfg.newNet(nil), cfg.Faults)
+	return err
+}
+
 // Run executes the configured simulation and gathers results.
 func Run(cfg RunConfig) RunResult {
 	r, _ := RunContext(context.Background(), cfg)
@@ -227,33 +272,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 	} else {
 		newAQMAt = locBlind(cfg.Scheme.Factory(rng))
 	}
-	opts := topology.Options{
-		Link: topology.LinkParams{
-			RateBps:     cfg.RateBps,
-			PropDelay:   cfg.PropDelay,
-			BufferBytes: cfg.BufferBytes,
-		},
-		NewAQMAt:          newAQMAt,
-		SharedBufferBytes: cfg.SharedBufferBytes,
-		DTAlpha:           cfg.DTAlpha,
-		Shards:            cfg.Shards,
-	}
-	if cfg.SharedBufferBytes > 0 {
-		opts.Link.BufferBytes = 0
-	}
-
-	var net *topology.Net
-	switch cfg.Topo {
-	case TopoStar:
-		if cfg.Hosts < 2 {
-			panic("experiments: star needs Hosts >= 2")
-		}
-		net = topology.NewStar(cfg.Hosts, opts)
-	case TopoLeafSpine:
-		net = topology.NewLeafSpine(cfg.Spines, cfg.Leaves, cfg.HostsPerLeaf, opts)
-	default:
-		panic(fmt.Sprintf("experiments: unknown topology %d", cfg.Topo))
-	}
+	net := cfg.newNet(newAQMAt)
 
 	if cfg.NewTracer != nil {
 		if tr := cfg.NewTracer(ctx, cfg.Seed); tr != nil {
@@ -381,7 +400,7 @@ func MergeRuns(runs []RunResult) RunResult {
 		panic("experiments: MergeRuns of no runs")
 	}
 	pool := metrics.NewFCTCollector()
-	merged := RunResult{Net: runs[0].Net}
+	var merged RunResult
 	for _, r := range runs {
 		pool.Merge(r.Collector)
 		merged.Drops += r.Drops
@@ -437,7 +456,12 @@ func runAll(sc Scale, cfgs []RunConfig, names []string) []RunResult {
 		}
 	}
 	res := runJobs(sc, labels, func(ctx context.Context, i int) (RunResult, error) {
-		return RunContext(ctx, runs[i])
+		r, err := RunContext(ctx, runs[i])
+		// Nothing reads a batch result's network, and holding every run's
+		// topology, engines and flow endpoints until the figure is rendered
+		// is what a batch's memory would otherwise be.
+		r.Net = nil
+		return r, err
 	})
 	n := len(sc.Seeds)
 	out := make([]RunResult, len(cfgs))

@@ -32,7 +32,7 @@ func BenchmarkFIFOPushPop(b *testing.B) {
 
 // BenchmarkEgressFIFO measures the full egress path with a sojourn AQM;
 // the body lives in internal/bench so `go test -bench` and the
-// `ecnsharp-bench -json` regression snapshot measure identical code.
+// root package's TestAllocBaseline gate measure identical code.
 func BenchmarkEgressFIFO(b *testing.B) { bench.EgressFIFO(b) }
 
 // BenchmarkEgressFIFOTracedNop measures the same path as BenchmarkEgressFIFO

@@ -7,7 +7,7 @@ import (
 )
 
 // The bodies live in internal/bench so `go test -bench` and the
-// `ecnsharp-bench -json` regression snapshot measure identical code.
+// root package's TestAllocBaseline gate measure identical code.
 
 // BenchmarkScheduleAndRun measures raw event throughput: the entire
 // simulator's speed limit.

@@ -81,9 +81,6 @@ type Options struct {
 	// called once per (port, queue); nil (with NewAQM nil) means no
 	// marking.
 	NewAQMAt func(loc PortLoc, q int) aqm.AQM
-	// HostBufferBytes bounds the host NIC queue; 0 = unbounded (hosts do
-	// not mark or drop in the paper's setups).
-	HostBufferBytes int64
 	// SharedBufferBytes, when positive, replaces the per-port static
 	// buffer with one dynamically-thresholded pool per switch (how real
 	// switch ASICs buffer); DTAlpha is the threshold factor (default 1).
@@ -557,15 +554,16 @@ func (n *Net) switchLink(o *Options, b *portBlock, from, to *switchNode, leaf, s
 }
 
 // addHost builds host id in b, attached to switch s (whose domain it
-// shares): the host, its NIC (single FIFO, no marking) toward the switch
-// and the switch's port back down to it, entered in the census. It returns
-// the down port, which the caller routes the host's traffic to.
+// shares): the host, its NIC (single unbounded FIFO — hosts neither mark
+// nor drop in the paper's setups) toward the switch and the switch's port
+// back down to it, entered in the census. It returns the down port, which
+// the caller routes the host's traffic to.
 func (n *Net) addHost(o *Options, b *hostBlock, id int, s *switchNode) *device.Port {
 	pkts := n.PacketPools[s.dom]
 	h := &b.host
 	h.Init(n.Engines[s.dom], id)
 	h.Pool = pkts
-	b.nic.eg.Init(1, queue.FIFOSched{}, o.HostBufferBytes, nil)
+	b.nic.eg.Init(1, queue.FIFOSched{}, 0, nil)
 	b.nic.eg.PacketPool = pkts
 	h.NIC = n.initPort(&b.nic, s.dom, s.dom, o.Link.RateBps, o.Link.PropDelay, s.sw)
 	down := n.switchPort(o, &b.down, s, s.dom, o.Link.PropDelay, h)

@@ -94,7 +94,7 @@ func TestGoldenIncastTrace(t *testing.T) {
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("%v (run `go test ./internal/trace -run TestGoldenIncastTrace -update` to regenerate)", err)
+		t.Fatalf("%v (run `go test -run TestGoldenIncastTrace -update ./internal/trace` to regenerate)", err)
 	}
 	if !bytes.Equal(got, want) {
 		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))

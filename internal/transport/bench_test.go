@@ -7,7 +7,7 @@ import (
 )
 
 // The bodies live in internal/bench so `go test -bench` and the
-// `ecnsharp-bench -json` regression snapshot measure identical code.
+// root package's TestAllocBaseline gate measure identical code.
 
 // BenchmarkBulkTransfer measures whole-stack simulation throughput: two
 // 10 MB DCTCP flows through a marking switch.
