@@ -52,7 +52,7 @@ func main() {
 		progress   = flag.Bool("progress", false, "report each completed run on stderr")
 		topo       = flag.String("topo", "star", "topology: star (8-host testbed) or leafspine (128 hosts)")
 		shards     = flag.Int("shards", 0,
-			"0 = run the network as one simulation domain; N >= 1 = run the topology's\nnatural partition on N worker goroutines (results are identical at any\npositive value, and at any value on star — see DESIGN.md)")
+			"worker goroutines the topology's simulation domains run on (0 = one);\nresults are identical at any value (see DESIGN.md)")
 		rttMinUS   = flag.Float64("rtt-min", 70, "minimum base RTT in microseconds")
 		variation  = flag.Float64("rtt-variation", 3, "RTT variation factor (RTTmax/RTTmin)")
 		replayPath = flag.String("replay", "", "replay flows from this flow CSV instead of generating them")
@@ -128,7 +128,12 @@ func main() {
 		cfg.FlowGen = nil
 		cfg.Flows = specs
 	} else if *saveFlows != "" {
-		specs := cfg.FlowGen(rand.New(rand.NewSource(*seed ^ 0x5eed)))
+		// The saved flows replace generation, so they must be the ones the
+		// run would have drawn: those of its one seed.
+		if len(seeds) > 1 {
+			fail(2, fmt.Errorf("-save-flows writes one seed's flows, got %d seeds", len(seeds)))
+		}
+		specs := cfg.FlowGen(rand.New(rand.NewSource(seeds[0] ^ 0x5eed)))
 		f, err := os.Create(*saveFlows)
 		if err != nil {
 			fail(1, err)

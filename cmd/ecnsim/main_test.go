@@ -111,6 +111,41 @@ func TestFlagPathEqualsSpec(t *testing.T) {
 	}
 }
 
+// TestSaveFlowsChangesNothing: -save-flows is an output flag. With one
+// seed, given as -seed or -seeds, it writes that seed's flows and the
+// statistics are those of the same run without it; with several seeds,
+// which no one file can hold, it is a one-line usage error.
+func TestSaveFlowsChangesNothing(t *testing.T) {
+	for _, seedArgs := range [][]string{{"-seeds", "4"}, {"-seed", "4"}} {
+		args := append([]string{"-flows", "100"}, seedArgs...)
+		plain, stderr, code := ecnsim(t, args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, stderr)
+		}
+		path := filepath.Join(t.TempDir(), "f.csv")
+		saved, stderr, code := ecnsim(t, append(args, "-save-flows", path)...)
+		if code != 0 {
+			t.Fatalf("%v -save-flows: exit %d: %s", args, code, stderr)
+		}
+		p, s := numbers(t, plain), numbers(t, saved)
+		for i := range p {
+			if p[i] != s[i] {
+				t.Errorf("%v: -save-flows changed the statistics:\n without %s\n with    %s", args, p[i], s[i])
+			}
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "f.csv")
+	stdout, stderr, code := ecnsim(t, "-flows", "100", "-seeds", "1,2", "-save-flows", path)
+	if code != 2 || stdout != "" {
+		t.Errorf("-seeds 1,2 -save-flows: exit %d with stdout %q, want 2 and nothing run", code, stdout)
+	}
+	oneLine(t, "-seeds 1,2 -save-flows", stderr, "one seed")
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("-seeds 1,2 -save-flows wrote %s", path)
+	}
+}
+
 // TestBadFlagsAreUsageErrors: a value the spec layer rejects is a one-line
 // "ecnsim: <message>" on stderr and exit 2 — the message -spec gives for
 // the same value — never a panic trace from inside a worker.

@@ -180,11 +180,13 @@ func FlapStorm(b *testing.B) {
 		}
 		cfg := transport.DefaultConfig()
 		done := 0
+		table := transport.NewFlowTable(8)
+		table.OnDone = func(int) { done++ }
 		for f := 0; f < 8; f++ {
 			// Sources on leaf0 so every flow's uplink set is the one the
-			// flapping link belongs to; destinations spread across leaves.
-			transport.StartFlow(net.Engines[0], cfg, net.Host(f), net.Host(16*(1+f)+f),
-				uint64(f+1), 1_000_000, 0, func(*transport.Flow) { done++ })
+			// flapping link belongs to; destinations spread across leaves,
+			// each endpoint on its own host's domain.
+			table.Launch(cfg, net.Host(f), net.Host(16*(1+f)+f), uint64(f+1), 1_000_000, 0, false)
 		}
 		net.Shard.Run()
 		if done != 8 {

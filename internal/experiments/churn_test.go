@@ -82,8 +82,8 @@ func TestChurnRunsOnTheHarness(t *testing.T) {
 
 // TestShardedChurnFlapByteIdentical: the traced flapping-uplink churn run
 // — fault, reroute, queue and flow events together — is byte-identical
-// (trace, FCT record stream, counters) at 1, 2, 4 and 8 workers. This is
-// the churn extension of TestShardedByteIdenticalToSerial: transitions
+// (trace, FCT record stream, counters) at Shards 0, 1, 2, 4 and 8. This
+// is the churn extension of TestShardedByteIdenticalToSerial: transitions
 // are pre-scheduled per domain, so worker count must not reorder a single
 // event.
 func TestShardedChurnFlapByteIdentical(t *testing.T) {
@@ -113,7 +113,7 @@ func TestShardedChurnFlapByteIdentical(t *testing.T) {
 	if !strings.Contains(serialResult, "completed=84") {
 		t.Fatalf("flap run did not complete all flows:\n%s", serialResult)
 	}
-	for _, shards := range []int{2, 4, 8} {
+	for _, shards := range []int{0, 2, 4, 8} {
 		gotTrace, gotResult := render(shards)
 		if gotTrace != serialTrace {
 			t.Errorf("shards=%d: trace diverges at byte %d (of %d vs %d)",

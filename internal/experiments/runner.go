@@ -48,12 +48,9 @@ type RunConfig struct {
 	Leaves       int
 	HostsPerLeaf int
 
-	// Shards is topology.Options.Shards: zero runs the whole network as
-	// one simulation domain (the outputs existing goldens pin); a positive
-	// value runs the topology's natural partition (one domain per leaf and
-	// per spine on leaf-spine; see topology.Partition) on that many worker
-	// goroutines. Every simulated byte — traces, FCT records, counters —
-	// depends on which partition ran and never on the worker count.
+	// Shards is topology.Options.Shards: the number of worker goroutines
+	// the topology's domains run on (0 means one). Every simulated byte —
+	// traces, FCT records, counters — is independent of it.
 	Shards int
 
 	RateBps     float64
@@ -151,9 +148,6 @@ func (c *RunConfig) defaults() {
 	}
 	if c.Transport.MSS == 0 {
 		c.Transport = transport.DefaultConfig()
-	}
-	if c.Shards < 0 {
-		c.Shards = 0
 	}
 }
 
@@ -311,7 +305,6 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 	failedBy := make([]int, doms)
 
 	table := transport.NewFlowTable(len(specs))
-	table.CloseOnDone = doms == 1
 	table.OnDone = func(i int) {
 		d := net.DomainOfHost(table.Src[i])
 		completedBy[d]++

@@ -1,17 +1,13 @@
 package experiments
 
 // Worker-count invariance: the worker budget must be an execution
-// strategy, not a model change. For a fixed (config, seed) on the natural
-// partition, every simulated byte — the JSONL event trace, the FCT record
-// stream, and all counters — must be identical at any worker count.
-// "Serial" here is Shards=1 (one worker driving the partitioned engine);
-// the test pins 2, 4 and 8 workers against it on a traced incast golden,
-// and a second case pins 1 vs 4 workers on an untraced fig6-style Poisson
-// cell. (The Shards=0 one-domain partition is pinned separately by the
-// existing goldens; its same-timestamp tie-breaking uses one global
-// sequence rather than the partitioned path's domain-canonical barrier
-// order, so byte equality is only promised within a partition family —
-// which is why Cell.CanonicalJSON keeps the family in the cache key.)
+// strategy, not a model change. For a fixed (config, seed) every simulated
+// byte — the JSONL event trace, the FCT record stream, and all counters —
+// must be identical at any worker count, which is why Cell.CanonicalJSON
+// drops Shards from the cache key. "Serial" here is Shards=1 (one worker
+// driving the partitioned engine); the test pins Shards 0 and 2, 4 and 8
+// workers against it on a traced incast golden, and a second case pins 0
+// and 4 against 1 on an untraced fig6-style Poisson cell.
 
 import (
 	"bytes"
@@ -76,9 +72,9 @@ func incastCellCfg(shards int) RunConfig {
 	}
 }
 
-// TestShardedByteIdenticalToSerial: the traced incast golden at 2, 4 and 8
-// workers is byte-for-byte the serial (1-worker) run — trace, FCT records
-// and counters alike.
+// TestShardedByteIdenticalToSerial: the traced incast golden at Shards 0,
+// 2, 4 and 8 is byte-for-byte the serial (1-worker) run — trace, FCT
+// records and counters alike.
 func TestShardedByteIdenticalToSerial(t *testing.T) {
 	render := func(shards int) (string, string) {
 		var buf bytes.Buffer
@@ -99,7 +95,7 @@ func TestShardedByteIdenticalToSerial(t *testing.T) {
 	if !strings.Contains(serialResult, "completed=14") {
 		t.Fatalf("serial run did not complete all 14 flows:\n%s", serialResult)
 	}
-	for _, shards := range []int{2, 4, 8} {
+	for _, shards := range []int{0, 2, 4, 8} {
 		gotTrace, gotResult := render(shards)
 		if gotTrace != serialTrace {
 			t.Errorf("shards=%d: trace diverges from serial at byte %d (of %d vs %d)",
@@ -114,7 +110,7 @@ func TestShardedByteIdenticalToSerial(t *testing.T) {
 
 // TestShardedFig6CellByteIdentical: a fig6-style leaf-spine cell — Poisson
 // web-search arrivals over random pairs with a 3× RTT variation — produces
-// identical FCT records and counters at 1 and 4 workers. Unlike the incast
+// identical FCT records and counters at Shards 0, 1 and 4. Unlike the incast
 // golden this exercises the RTT assigner, Poisson arrival stream and ECMP
 // spreading under load, so a worker-count dependency anywhere in that
 // pipeline surfaces here.
@@ -152,9 +148,11 @@ func TestShardedFig6CellByteIdentical(t *testing.T) {
 	if !strings.Contains(serial, "completed=80") {
 		t.Fatalf("serial run did not complete all flows:\n%s", serial)
 	}
-	if got := render(4); got != serial {
-		t.Errorf("shards=4 diverges from serial:\n--- serial ---\n%s--- shards=4 ---\n%s",
-			serial, got)
+	for _, shards := range []int{0, 4} {
+		if got := render(shards); got != serial {
+			t.Errorf("shards=%d diverges from serial:\n--- serial ---\n%s--- shards=%d ---\n%s",
+				shards, serial, shards, got)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 // alters output bytes, a spec semantic change — and old cache entries stop
 // matching (they age out under the cache's size budget) instead of being
 // served wrong.
-const ResultSchemaVersion = "ecnsharp-result-v1"
+const ResultSchemaVersion = "ecnsharp-result-v2"
 
 // SweepSpec is the sweep description shared by `ecnsim -spec` and the
 // ecnsharpd daemon: one JSON document naming a (scheme, workload, topology)
@@ -52,12 +52,8 @@ type SweepSpec struct {
 	RTTMinUS float64 `json:"rtt_min_us,omitempty"`
 	// RTTVariation is the RTTmax/RTTmin factor (>= 1).
 	RTTVariation float64 `json:"rtt_variation,omitempty"`
-	// Shards is RunConfig.Shards for each run: 0 runs the network as one
-	// simulation domain, N >= 1 runs the topology's natural partition on
-	// N workers. On leafspine the two partitions order same-timestamp
-	// events differently, so 0 and >= 1 give different bytes and different
-	// cache keys; the worker count itself (1 vs 4, or any value on star,
-	// which is one domain either way) is a wall-clock knob and is excluded
+	// Shards is RunConfig.Shards for each run: the worker count (0 means
+	// one), a wall-clock knob that changes no result byte and is excluded
 	// from cache keys.
 	Shards int `json:"shards,omitempty"`
 	// Trace, when non-nil, captures a JSONL event trace per cell.
@@ -233,9 +229,8 @@ type Cell struct {
 	// RTTMinUS and RTTVariation are the base-RTT model parameters.
 	RTTMinUS     float64 `json:"rtt_min_us"`
 	RTTVariation float64 `json:"rtt_variation"`
-	// Shards is SweepSpec.Shards. Only the partition it selects reaches
-	// the cache key and the echoed result, not the worker count (see
-	// CanonicalJSON).
+	// Shards is SweepSpec.Shards. It reaches neither the cache key nor the
+	// echoed result (see CanonicalJSON).
 	Shards int `json:"shards,omitempty"`
 	// TraceEvents/TraceSample mirror TraceSpec; empty TraceEvents means
 	// the cell is untraced.
@@ -322,24 +317,17 @@ func (s *SweepSpec) Pool(results []CellResult) []LoadPool {
 	return pools
 }
 
-// canonical returns the cell with Shards reduced to the partition it
-// selects: 0 on star (one domain at any value), min(Shards, 1) on
-// leafspine (one domain, or the natural partition at any worker count —
-// byte-identical across workers, pinned by
-// TestShardedByteIdenticalToSerial).
+// canonical returns the cell with the worker count dropped: results are
+// byte-identical at any Shards (pinned by TestShardedByteIdenticalToSerial).
 func (c Cell) canonical() Cell {
-	if c.Topo == "star" {
-		c.Shards = 0
-	}
-	c.Shards = min(c.Shards, 1)
+	c.Shards = 0
 	return c
 }
 
 // CanonicalJSON returns the cell's canonical byte encoding: a single JSON
-// object with fields in declaration order and Shards reduced to the
-// partition it selects, so the worker count does not split the cache. Two
-// cells describe the same computation iff their canonical encodings are
-// equal.
+// object with fields in declaration order and Shards dropped, so the
+// worker count does not split the cache. Two cells describe the same
+// computation iff their canonical encodings are equal.
 func (c Cell) CanonicalJSON() []byte {
 	b, err := json.Marshal(c.canonical())
 	if err != nil {

@@ -105,17 +105,6 @@ func TestCellKeyDerivation(t *testing.T) {
 	if base.Key(ResultSchemaVersion) == base.Key(ResultSchemaVersion+".next") {
 		t.Error("version bump did not change the key")
 	}
-
-	// On a star the shard count is a wall-clock knob: one domain at any
-	// value, so it must NOT split the cache.
-	sharded := base
-	sharded.Shards = 4
-	if sharded.Key(ResultSchemaVersion) != base.Key(ResultSchemaVersion) {
-		t.Error("shards leaked into the cache key")
-	}
-	if !bytes.Equal(sharded.CanonicalJSON(), base.CanonicalJSON()) {
-		t.Error("shards leaked into the canonical encoding")
-	}
 }
 
 // TestCellRunDeterministicEncode pins the property the result cache
@@ -165,21 +154,15 @@ func TestCellRunDeterministicEncode(t *testing.T) {
 	}
 }
 
-// TestCellKeySplitsOnPartitionFamily pins what Shards may and may not do
-// to the cache: on leafspine 0 (one domain) and >= 1 (natural partition)
-// are different computations with different keys, while the worker count
-// within the natural partition — and any value on star — shares one key,
-// and a result's bytes (echoed cell included) do not depend on which
-// worker count computed it.
-func TestCellKeySplitsOnPartitionFamily(t *testing.T) {
+// TestCellKeyIndependentOfShards: Shards is a worker count and nothing
+// else, so on every topology the cache key, the canonical encoding and the
+// result bytes (echoed cell included) are the same at any value.
+func TestCellKeyIndependentOfShards(t *testing.T) {
 	encode := func(c Cell) []byte {
 		t.Helper()
 		r, err := c.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
-		}
-		if r.Cell != c.canonical() {
-			t.Errorf("%s shards=%d: echoed cell %+v is not canonical", c.Topo, c.Shards, r.Cell)
 		}
 		b, err := r.Encode()
 		if err != nil {
@@ -187,31 +170,20 @@ func TestCellKeySplitsOnPartitionFamily(t *testing.T) {
 		}
 		return b
 	}
-	withShards := func(c Cell, n int) Cell { c.Shards = n; return c }
-
-	fabric := Cell{Topo: "leafspine", Scheme: "ecnsharp", Workload: "websearch",
-		Load: 0.5, Flows: 60, Seed: 1, RTTMinUS: 70, RTTVariation: 3}
-	k0, k1, k4 := fabric.Key(ResultSchemaVersion),
-		withShards(fabric, 1).Key(ResultSchemaVersion), withShards(fabric, 4).Key(ResultSchemaVersion)
-	if k0 == k1 {
-		t.Error("leafspine: shards 0 and 1 run different partitions but share a key")
-	}
-	if k1 != k4 {
-		t.Error("leafspine: the worker count (1 vs 4) split the key")
-	}
-	if !bytes.Equal(encode(withShards(fabric, 1)), encode(withShards(fabric, 4))) {
-		t.Error("leafspine: shards 1 and 4 share a key but encode differently")
-	}
-
-	star := fabric
-	star.Topo = "star"
-	want := encode(star)
-	for _, n := range []int{1, 4} {
-		if withShards(star, n).Key(ResultSchemaVersion) != star.Key(ResultSchemaVersion) {
-			t.Errorf("star: shards %d split the key", n)
-		}
-		if !bytes.Equal(encode(withShards(star, n)), want) {
-			t.Errorf("star: shards %d shares the shards-0 key but encodes differently", n)
+	for _, topo := range []string{"star", "leafspine"} {
+		base := Cell{Topo: topo, Scheme: "ecnsharp", Workload: "websearch",
+			Load: 0.5, Flows: 60, Seed: 1, RTTMinUS: 70, RTTVariation: 3}
+		want := encode(base)
+		for _, n := range []int{1, 4} {
+			c := base
+			c.Shards = n
+			if c.Key(ResultSchemaVersion) != base.Key(ResultSchemaVersion) ||
+				!bytes.Equal(c.CanonicalJSON(), base.CanonicalJSON()) {
+				t.Errorf("%s: shards %d split the key", topo, n)
+			}
+			if !bytes.Equal(encode(c), want) {
+				t.Errorf("%s: shards %d encodes differently from shards 0", topo, n)
+			}
 		}
 	}
 }

@@ -10,10 +10,9 @@ import (
 	"ecnsharp/internal/topology"
 )
 
-func leafSpineOpts(shards int) topology.Options {
+func leafSpineOpts() topology.Options {
 	return topology.Options{
-		Link:   topology.LinkParams{RateBps: topology.TenGbps, PropDelay: sim.Microsecond},
-		Shards: shards,
+		Link: topology.LinkParams{RateBps: topology.TenGbps, PropDelay: sim.Microsecond},
 	}
 }
 
@@ -129,7 +128,7 @@ func TestInstallUnknownTargets(t *testing.T) {
 		{Events: []fault.Event{{AtUS: 1, Action: fault.LinkDown, Link: "leaf9-spine9"}}},
 		{Events: []fault.Event{{AtUS: 1, Action: fault.SwitchFail, Switch: "spine9"}}},
 	} {
-		net := topology.NewLeafSpine(2, 2, 2, leafSpineOpts(0))
+		net := topology.NewLeafSpine(2, 2, 2, leafSpineOpts())
 		if _, err := fault.Install(net, s); err == nil {
 			t.Errorf("install accepted unknown target: %+v", s.Events[0])
 		}
@@ -142,7 +141,7 @@ func TestInstallUnknownTargets(t *testing.T) {
 // shortening a boundary link's delay below the lookahead the windows
 // were sized from — must be refused at install time.
 func TestInstallRejectsSubLookaheadDegrade(t *testing.T) {
-	net := topology.NewLeafSpine(2, 2, 2, leafSpineOpts(2))
+	net := topology.NewLeafSpine(2, 2, 2, leafSpineOpts())
 	_, err := fault.Install(net, &fault.Schedule{Events: []fault.Event{
 		{AtUS: 1, Action: fault.Degrade, Link: "leaf0-spine0", PropDelayUS: 0.25},
 	}})
@@ -161,8 +160,8 @@ func TestInstallRejectsSubLookaheadDegrade(t *testing.T) {
 // fault injection must not change a single ECMP decision — the rebuilt
 // per-destination uplink sets equal the healthy fast path's.
 func TestEnableFaultsPreservesRouting(t *testing.T) {
-	baseline := topology.NewLeafSpine(4, 4, 2, leafSpineOpts(0))
-	enabled := topology.NewLeafSpine(4, 4, 2, leafSpineOpts(0))
+	baseline := topology.NewLeafSpine(4, 4, 2, leafSpineOpts())
+	enabled := topology.NewLeafSpine(4, 4, 2, leafSpineOpts())
 	if _, err := fault.Install(enabled, &fault.Schedule{}); err != nil {
 		t.Fatal(err)
 	}

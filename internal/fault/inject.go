@@ -157,9 +157,8 @@ func scheduleLink(net *topology.Net, t Transition) error {
 	// domain gets the health update at the same timestamp, applied by its
 	// own engine to its own view.
 	if fwd.FabricLeaf >= 0 && fwd.FabricSpine >= 0 {
-		scheduleFabricUpdate(net, t.At, t.Epoch, func(dom int) {
-			net.ApplyFabricLink(dom, fwd.FabricLeaf, fwd.FabricSpine, !down)
-		})
+		scheduleFabricUpdate(net, t.At, fabricUpdate{epoch: t.Epoch,
+			leaf: fwd.FabricLeaf, spine: fwd.FabricSpine, sw: -1, up: !down})
 	}
 	return nil
 }
@@ -196,21 +195,42 @@ func scheduleSwitch(net *topology.Net, t Transition) error {
 		emitFault(eng, kind, -1, idx, ep, 0, 0)
 	})
 	if l, s := net.SwitchFabric(idx); l >= 0 || s >= 0 {
-		scheduleFabricUpdate(net, t.At, t.Epoch, func(d int) {
-			net.ApplySwitchAlive(d, idx, !fail)
-		})
+		scheduleFabricUpdate(net, t.At, fabricUpdate{epoch: t.Epoch, sw: idx, up: !fail})
 	}
 	return nil
 }
 
-// scheduleFabricUpdate pre-schedules apply(dom) at time at on every
-// domain's engine, tracing the routing-epoch advance each causes.
-func scheduleFabricUpdate(net *topology.Net, at sim.Time, epoch uint64, apply func(dom int)) {
-	for d := 0; d < net.Domains(); d++ {
-		dom, eng := d, net.Engines[d]
-		eng.Schedule(at, func() {
-			apply(dom)
-			emitReroute(eng, dom, epoch)
-		})
+// fabricUpdate is one domain's share of a fabric transition: the health
+// change to apply to that domain's view — link (leaf, spine) when sw < 0,
+// else switch sw — and the epoch to trace.
+type fabricUpdate struct {
+	net             *topology.Net
+	dom             int
+	epoch           uint64
+	leaf, spine, sw int
+	up              bool
+}
+
+// applyFabricUpdate is the event every domain runs for its share of a
+// fabric transition; package-level, so scheduling it allocates nothing.
+func applyFabricUpdate(a any) {
+	u := a.(*fabricUpdate)
+	if u.sw >= 0 {
+		u.net.ApplySwitchAlive(u.dom, u.sw, u.up)
+	} else {
+		u.net.ApplyFabricLink(u.dom, u.leaf, u.spine, u.up)
+	}
+	emitReroute(u.net.Engines[u.dom], u.dom, u.epoch)
+}
+
+// scheduleFabricUpdate pre-schedules u at time at on every domain's
+// engine, tracing the routing-epoch advance each causes. The shares are
+// one slice, so a transition costs one allocation at any domain count.
+func scheduleFabricUpdate(net *topology.Net, at sim.Time, u fabricUpdate) {
+	shares := make([]fabricUpdate, net.Domains())
+	for d := range shares {
+		shares[d] = u
+		shares[d].net, shares[d].dom = net, d
+		net.Engines[d].ScheduleArg(at, applyFabricUpdate, &shares[d])
 	}
 }

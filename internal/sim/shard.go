@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"ecnsharp/internal/trace"
 )
@@ -62,6 +63,7 @@ import (
 type ShardedEngine struct {
 	engs      []*Engine
 	bufs      []domainTraceBuf
+	heads     []mergeHead // reused by mergeTraces: the window's non-empty bufs
 	handoffs  []*Handoff
 	lookahead Time
 	workers   int
@@ -424,30 +426,51 @@ func (se *ShardedEngine) drainHandoffs() {
 
 // mergeTraces forwards the window's buffered trace events to the user's
 // tracer in (time, domain, emission order) order, then resets the buffers
-// for the next window (keeping their backing arrays).
+// for the next window (keeping their backing arrays). Only the buffers
+// that received events take part, kept in domain order so the earliest
+// domain wins a tie, and each leaves as soon as it is drained. One scan of
+// the head times finds the earliest buffer and the runner-up, and the
+// earliest then forwards its whole run of events that still precede the
+// runner-up's head.
 func (se *ShardedEngine) mergeTraces() {
 	if se.tracer == nil {
 		return
 	}
-	total := 0
+	heads := se.heads[:0]
 	for d := range se.bufs {
-		total += len(se.bufs[d].evs)
+		if b := &se.bufs[d]; len(b.evs) > 0 {
+			heads = append(heads, mergeHead{b.evs[0].At, b})
+		}
 	}
-	for n := 0; n < total; n++ {
-		best := -1
-		var bestAt int64
-		for d := range se.bufs {
-			b := &se.bufs[d]
-			if b.pos < len(b.evs) && (best < 0 || b.evs[b.pos].At < bestAt) {
-				best, bestAt = d, b.evs[b.pos].At
+	for len(heads) > 0 {
+		best, next, nextIdx := 0, int64(math.MaxInt64), len(heads)
+		for i := 1; i < len(heads); i++ {
+			if at := heads[i].at; at < heads[best].at {
+				best, next, nextIdx = i, heads[best].at, best
+			} else if at < next {
+				next, nextIdx = at, i
 			}
 		}
-		b := &se.bufs[best]
-		se.tracer.Trace(b.evs[b.pos])
-		b.pos++
+		h := &heads[best]
+		b := h.b
+		for {
+			se.tracer.Trace(b.evs[b.pos])
+			if b.pos++; b.pos == len(b.evs) {
+				b.evs, b.pos = b.evs[:0], 0
+				heads = append(heads[:best], heads[best+1:]...)
+				break
+			}
+			if h.at = b.evs[b.pos].At; h.at > next || h.at == next && best > nextIdx {
+				break
+			}
+		}
 	}
-	for d := range se.bufs {
-		b := &se.bufs[d]
-		b.evs, b.pos = b.evs[:0], 0
-	}
+	se.heads = heads
+}
+
+// mergeHead is a buffer taking part in a barrier merge, with the time of
+// its next event.
+type mergeHead struct {
+	at int64
+	b  *domainTraceBuf
 }

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -89,6 +92,38 @@ func TestShardedTraceMergeOrder(t *testing.T) {
 	want := []string{"1@10", "2@10", "0@20", "0@30", "2@30"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("merged order = %v, want %v", got, want)
+	}
+}
+
+// TestShardedTraceMergeMatchesSort: on random emissions — few distinct
+// times, so ties across domains are the common case, and some domains
+// silent in a window — the merged stream is the stable sort of every
+// emission by (time, domain).
+func TestShardedTraceMergeMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 50; iter++ {
+		domains := 1 + rng.Intn(9)
+		se := NewShardedEngine(domains, 4*Nanosecond, 1+rng.Intn(3))
+		rec := &recorder{}
+		se.SetTracer(rec)
+		var want []trace.Event
+		for d := 0; d < domains; d++ {
+			eng := se.Domain(d)
+			for k, n := 0, rng.Intn(12); k < n; k++ {
+				e := trace.Event{Type: trace.Enqueue, At: int64(rng.Intn(16)), Src: d, Seq: int64(k)}
+				want = append(want, e)
+				eng.Schedule(Time(e.At), func() { eng.Tracer().Trace(e) })
+			}
+		}
+		se.Run()
+		// Each domain emits in (time, schedule order); the merge must keep
+		// that order within a domain and break time ties by domain.
+		slices.SortStableFunc(want, func(a, b trace.Event) int {
+			return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Src, b.Src))
+		})
+		if !slices.Equal(rec.evs, want) {
+			t.Fatalf("iter %d (%d domains): merged %v, want %v", iter, domains, rec.evs, want)
+		}
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // per host, allocated in per-domain slabs.
 
 // layoutOpts is the testbed ECN♯ configuration on 10 Gbps links.
-func layoutOpts(shards int) Options {
+func layoutOpts() Options {
 	return Options{
 		Link: LinkParams{RateBps: TenGbps, PropDelay: sim.Microsecond, BufferBytes: 600 * 1500},
 		NewAQM: func(int) aqm.AQM {
@@ -29,19 +29,15 @@ func layoutOpts(shards int) Options {
 				PstInterval: 200 * sim.Microsecond,
 			})
 		},
-		Shards: shards,
 	}
 }
 
-// layoutNets builds one network of every topology, partitioned where the
-// topology has a cut.
+// layoutNets builds one network of every topology.
 func layoutNets() map[string]*Net {
 	return map[string]*Net{
-		"star":           NewStar(9, layoutOpts(1)),
-		"dumbbell":       NewDumbbell(3, layoutOpts(1)),
-		"dumbbell/one":   NewDumbbell(3, layoutOpts(0)),
-		"leafspine":      NewLeafSpine(3, 5, 7, layoutOpts(1)),
-		"leafspine/one":  NewLeafSpine(3, 5, 7, layoutOpts(0)),
+		"star":           NewStar(9, layoutOpts()),
+		"dumbbell":       NewDumbbell(3, layoutOpts()),
+		"leafspine":      NewLeafSpine(3, 5, 7, layoutOpts()),
 		"leafspine/dwrr": NewLeafSpine(2, 2, 2, dwrrOpts()),
 	}
 }
@@ -49,7 +45,7 @@ func layoutNets() map[string]*Net {
 // dwrrOpts is the Figure 13 port: three service queues, whose FIFOs are a
 // heap slice and so lie outside the block.
 func dwrrOpts() Options {
-	o := layoutOpts(1)
+	o := layoutOpts()
 	o.NumQueues = 3
 	o.NewSched = func() queue.Scheduler { return queue.NewDWRR([]int{2, 1, 1}) }
 	return o
@@ -66,9 +62,9 @@ func TestLayoutMallocsPerHost(t *testing.T) {
 		name  string
 		build func() *Net
 	}{
-		{"leafspine", func() *Net { return NewLeafSpine(8, 64, 160, layoutOpts(1)) }},
-		{"star", func() *Net { return NewStar(2048, layoutOpts(1)) }},
-		{"dumbbell", func() *Net { return NewDumbbell(1024, layoutOpts(1)) }},
+		{"leafspine", func() *Net { return NewLeafSpine(8, 64, 160, layoutOpts()) }},
+		{"star", func() *Net { return NewStar(2048, layoutOpts()) }},
+		{"dumbbell", func() *Net { return NewDumbbell(1024, layoutOpts()) }},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -193,7 +189,7 @@ func pumpTick(a any) {
 // of objects per run, not one per packet.
 func TestLayoutForwardingAllocatesNothing(t *testing.T) {
 	const packets = 100_000
-	net := NewStar(2, layoutOpts(0))
+	net := NewStar(2, layoutOpts())
 	net.Host(0).SetFlowDelay(7, 3*sim.Microsecond)
 	pm := &pump{net: net}
 	run := func() {

@@ -3,15 +3,13 @@
 // structured routers that keep per-switch forwarding state O(ports)
 // instead of O(hosts) on large fabrics.
 //
-// There are two partition families. Options.Shards == 0 keeps the whole
-// network in one domain. Options.Shards >= 1 selects the natural
-// decomposition, a property of the *topology* and never of the worker
-// count: a leaf-spine fabric splits into one domain per leaf (the switch
-// plus its hosts — a host is never separated from its leaf) and one per
-// spine, a dumbbell into its two sides, a star stays a single domain.
-// Beyond picking the family, the -shards knob only chooses how many
-// goroutines execute the domains, which is why results are independent of
-// the worker count (see DESIGN.md "Sharded execution").
+// Every topology has exactly one partition, its natural one, a property of
+// the *topology* and never of the worker count: a leaf-spine fabric splits
+// into one domain per leaf (the switch plus its hosts — a host is never
+// separated from its leaf) and one per spine, a dumbbell into its two
+// sides, and a star stays a single domain. Options.Shards only chooses how
+// many goroutines execute the domains, which is why results are
+// independent of it (see DESIGN.md "Sharded execution").
 package topology
 
 import (
@@ -50,36 +48,27 @@ type Partition struct {
 	switchDom []int
 }
 
-// onePartition is the one-domain decomposition: Options.Shards == 0, or a
-// topology with no natural cut.
-func onePartition(hosts, switches int, lookahead sim.Time) Partition {
+// PartitionStar computes the decomposition of an n-host star: a single
+// domain (every link touches the one switch, so there is nothing to cut).
+func PartitionStar(n int, opts Options) Partition {
+	lookahead := opts.Link.PropDelay
 	if lookahead <= 0 {
 		lookahead = sim.Microsecond // the engine wants it positive; unused with no cuts
 	}
 	return Partition{
 		Domains:   1,
-		HostDom:   make([]int, hosts),
+		HostDom:   make([]int, n),
 		Lookahead: lookahead,
-		switchDom: make([]int, switches),
+		switchDom: make([]int, 1),
 	}
 }
 
-// PartitionStar computes the decomposition of an n-host star: a single
-// domain (every link touches the one switch, so there is nothing to cut).
-func PartitionStar(n int, opts Options) Partition {
-	return onePartition(n, 1, opts.Link.PropDelay)
-}
-
-// PartitionDumbbell computes the decomposition of a dumbbell: with
-// opts.Shards > 0 two domains, one per side, cut on the inter-switch
-// bottleneck link in both directions.
+// PartitionDumbbell computes the decomposition of a dumbbell: two domains,
+// one per side, cut on the inter-switch bottleneck link in both directions.
 func PartitionDumbbell(nPairs int, opts Options) Partition {
 	opts.defaults()
-	if opts.Shards == 0 {
-		return onePartition(2*nPairs, 2, opts.Link.PropDelay)
-	}
 	if opts.FabricPropDelay <= 0 {
-		panic("topology: sharded dumbbell needs a positive fabric propagation delay")
+		panic("topology: dumbbell needs a positive fabric propagation delay")
 	}
 	p := Partition{
 		Domains:   2,
@@ -95,20 +84,17 @@ func PartitionDumbbell(nPairs int, opts Options) Partition {
 }
 
 // PartitionLeafSpine computes the decomposition of a leaf-spine fabric:
-// with opts.Shards > 0 one domain per leaf (switch plus its hostsPerLeaf
-// hosts, ids leaf-major) and one per spine (domains
-// leaves..leaves+spines-1). Every leaf<->spine link is cut, in both
-// directions, so the lookahead is the fabric-link propagation delay.
+// one domain per leaf (switch plus its hostsPerLeaf hosts, ids leaf-major)
+// and one per spine (domains leaves..leaves+spines-1). Every leaf<->spine
+// link is cut, in both directions, so the lookahead is the fabric-link
+// propagation delay.
 func PartitionLeafSpine(spines, leaves, hostsPerLeaf int, opts Options) Partition {
 	opts.defaults()
 	if spines < 1 || leaves < 1 || hostsPerLeaf < 1 {
 		panic("topology: leaf-spine dimensions must be positive")
 	}
-	if opts.Shards == 0 {
-		return onePartition(leaves*hostsPerLeaf, spines+leaves, opts.Link.PropDelay)
-	}
 	if opts.FabricPropDelay <= 0 {
-		panic("topology: sharded leaf-spine needs a positive fabric propagation delay")
+		panic("topology: leaf-spine needs a positive fabric propagation delay")
 	}
 	p := Partition{
 		Domains:   leaves + spines,

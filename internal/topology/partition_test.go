@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ecnsharp/internal/sim"
@@ -10,9 +11,9 @@ import (
 // TestPartitionLeafSpineProperties: on randomized leaf-spine topologies,
 // the partitioner (a) never separates a host from its leaf switch — the
 // host's engine is its leaf domain's engine, and its last-hop egress port
-// is owned by the same domain — and (b) computes a lookahead equal to the
+// is owned by the same domain — (b) computes a lookahead equal to the
 // true minimum propagation delay over the cross-domain links the wiring
-// actually creates.
+// actually creates, and (c) returns the same partition at any Shards.
 func TestPartitionLeafSpineProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 40; iter++ {
@@ -21,7 +22,7 @@ func TestPartitionLeafSpineProperties(t *testing.T) {
 		hpl := 1 + rng.Intn(5)
 		access := sim.Time(1+rng.Intn(5000)) * sim.Nanosecond
 		fabric := sim.Time(1+rng.Intn(5000)) * sim.Nanosecond
-		shards := 1 + rng.Intn(8)
+		shards := rng.Intn(9)
 		opts := Options{
 			Link:            LinkParams{RateBps: TenGbps, PropDelay: access},
 			FabricPropDelay: fabric,
@@ -29,6 +30,13 @@ func TestPartitionLeafSpineProperties(t *testing.T) {
 		}
 
 		part := PartitionLeafSpine(spines, leaves, hpl, opts)
+		for _, w := range []int{0, 1, 4} {
+			o := opts
+			o.Shards = w
+			if other := PartitionLeafSpine(spines, leaves, hpl, o); !reflect.DeepEqual(other, part) {
+				t.Fatalf("dims (%d,%d,%d): shards %d and %d partition differently", spines, leaves, hpl, w, shards)
+			}
+		}
 		if part.Domains != leaves+spines {
 			t.Fatalf("dims (%d,%d,%d): Domains = %d, want %d", spines, leaves, hpl, part.Domains, leaves+spines)
 		}
@@ -88,24 +96,26 @@ func TestPartitionLeafSpineProperties(t *testing.T) {
 }
 
 // TestPartitionDumbbell: both sides become domains, cut on the bottleneck
-// in each direction.
+// in each direction, at any Shards.
 func TestPartitionDumbbell(t *testing.T) {
-	opts := Options{
-		Link:            LinkParams{RateBps: TenGbps, PropDelay: sim.Microsecond},
-		FabricPropDelay: 3 * sim.Microsecond,
-		Shards:          2,
-	}
-	part := PartitionDumbbell(4, opts)
-	if part.Domains != 2 || part.CutLinks != 2 || part.Lookahead != 3*sim.Microsecond {
-		t.Fatalf("unexpected partition %+v", part)
-	}
-	net := NewDumbbell(4, opts)
-	if len(net.Boundaries) != 2 {
-		t.Fatalf("boundaries = %d, want 2", len(net.Boundaries))
-	}
-	for i := 0; i < 4; i++ {
-		if net.DomainOfHost(i) != 0 || net.DomainOfHost(4+i) != 1 {
-			t.Fatalf("host domains wrong: %d->%d, %d->%d", i, net.DomainOfHost(i), 4+i, net.DomainOfHost(4+i))
+	for _, shards := range []int{0, 1, 4} {
+		opts := Options{
+			Link:            LinkParams{RateBps: TenGbps, PropDelay: sim.Microsecond},
+			FabricPropDelay: 3 * sim.Microsecond,
+			Shards:          shards,
+		}
+		part := PartitionDumbbell(4, opts)
+		if part.Domains != 2 || part.CutLinks != 2 || part.Lookahead != 3*sim.Microsecond {
+			t.Fatalf("shards=%d: unexpected partition %+v", shards, part)
+		}
+		net := NewDumbbell(4, opts)
+		if len(net.Boundaries) != 2 {
+			t.Fatalf("shards=%d: boundaries = %d, want 2", shards, len(net.Boundaries))
+		}
+		for i := 0; i < 4; i++ {
+			if net.DomainOfHost(i) != 0 || net.DomainOfHost(4+i) != 1 {
+				t.Fatalf("shards=%d: host domains wrong: %d->%d, %d->%d", shards, i, net.DomainOfHost(i), 4+i, net.DomainOfHost(4+i))
+			}
 		}
 	}
 }

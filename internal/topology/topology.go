@@ -3,15 +3,13 @@
 // experiments, a dumbbell, and the 128-host leaf-spine fabric of §5.3.
 //
 // There is one way to build and drive a network. The constructors
-// (NewStar, NewDumbbell, NewLeafSpine) choose a Partition — the whole
-// network as one simulation domain when Options.Shards is 0, the
-// topology's natural leaf/pod decomposition (see partition.go) when it is
-// positive — build one engine per domain under a sim.ShardedEngine, and
-// wire every component onto its domain's engine. Net.Shard drives the run
-// whatever the partition; a one-domain network runs on it serially, and
-// the natural partition is how fabrics scale to 100k hosts. Which domain
-// owns what is recorded as data (Part, SwitchDomain, Link.Dom), never
-// recomputed from a mode.
+// (NewStar, NewDumbbell, NewLeafSpine) take the topology's one Partition —
+// a star is one simulation domain, a dumbbell two, a leaf-spine one per
+// leaf and one per spine (see partition.go) — build one engine per domain
+// under a sim.ShardedEngine, and wire every component onto its domain's
+// engine. Net.Shard drives the run on Options.Shards workers; a one-domain
+// network runs on it serially. Which domain owns what is recorded as data
+// (Part, SwitchDomain, Link.Dom), never recomputed from a mode.
 package topology
 
 import (
@@ -91,14 +89,9 @@ type Options struct {
 	// the pool-hygiene regression test flips this to prove it — so the
 	// switch exists for debugging ownership bugs, not for correctness.
 	NoPacketPool bool
-	// Shards chooses the partition and the worker budget. Zero builds the
-	// whole network as one simulation domain. A positive value builds the
-	// topology's natural partition (one domain per leaf and per spine, the
-	// two sides of a dumbbell, the whole of a star) and executes it on
-	// that many worker goroutines. Simulated bytes depend on the
-	// partition — same-timestamp events order differently across a cut,
-	// so a leaf-spine run at 0 differs from one at >= 1 — and never on
-	// the worker count: 1, 2 and N are byte-identical.
+	// Shards is the worker goroutine budget the topology's domains run on
+	// (0 means one worker). It never changes the partition, so no
+	// simulated byte depends on it: 0, 1 and N are byte-identical.
 	Shards int
 }
 
@@ -108,9 +101,6 @@ func (o *Options) defaults() {
 	}
 	if o.FabricPropDelay <= 0 {
 		o.FabricPropDelay = o.Link.PropDelay
-	}
-	if o.Shards < 0 {
-		o.Shards = 0
 	}
 	if o.NewAQMAt == nil && o.NewAQM != nil {
 		blind := o.NewAQM
@@ -607,7 +597,7 @@ func (n *Net) addSwitchPort(dom int, p *device.Port) {
 // other; the testbed experiments use hosts 0..n-2 as senders and n-1 as
 // the receiver, making the switch egress toward host n-1 the bottleneck.
 // A star has no cuttable link — every path crosses the one switch — so it
-// is one domain at any Options.Shards.
+// is one domain.
 func NewStar(n int, o Options) *Net {
 	if n < 2 {
 		panic("topology: star needs at least two hosts")
@@ -625,9 +615,8 @@ func NewStar(n int, o Options) *Net {
 
 // NewDumbbell builds nPairs senders and nPairs receivers on two switches
 // joined by a single bottleneck link: senders 0..nPairs-1 attach to the
-// left switch, receivers nPairs..2nPairs-1 to the right. With
-// Options.Shards > 0 the two sides are separate domains cut on the
-// bottleneck link.
+// left switch, receivers nPairs..2nPairs-1 to the right. The two sides
+// are separate domains cut on the bottleneck link.
 func NewDumbbell(nPairs int, o Options) *Net {
 	if nPairs < 1 {
 		panic("topology: dumbbell needs at least one pair")
@@ -661,9 +650,8 @@ func NewDumbbell(nPairs int, o Options) *Net {
 // NewLeafSpine builds the §5.3 fabric: spines×leaves switches with
 // hostsPerLeaf hosts per leaf, ECMP across all spines for inter-leaf
 // traffic. Host ids are leaf-major: leaf l owns hosts [l·hostsPerLeaf,
-// (l+1)·hostsPerLeaf). With Options.Shards > 0 the fabric partitions into
-// one domain per leaf (switch plus hosts) and one per spine, cut on every
-// fabric link.
+// (l+1)·hostsPerLeaf). The fabric partitions into one domain per leaf
+// (switch plus hosts) and one per spine, cut on every fabric link.
 func NewLeafSpine(spines, leaves, hostsPerLeaf int, o Options) *Net {
 	opts := &o
 	opts.defaults()

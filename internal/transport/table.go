@@ -45,16 +45,11 @@ type FlowTable struct {
 	Senders   []*Sender
 	Receivers []*Receiver
 
-	// CloseOnDone closes a flow's receiver inside its completion callback,
-	// so a late duplicate segment finds no handler instead of drawing one
-	// more ACK. Only a one-domain run may set it: the callback runs on the
-	// source host's domain and the receiver lives in the destination
-	// host's, which another worker must not mutate. Either way, call
-	// CloseAll once the run has drained.
-	CloseOnDone bool
-
 	// OnDone, when non-nil, runs at flow completion (after FCT/Done are
-	// recorded and any CloseOnDone close) with the flow's index.
+	// recorded) with the flow's index. The flow's receiver stays open —
+	// it lives in the destination host's domain, which the source domain's
+	// worker must not mutate, and it ACKs a late duplicate as a real one
+	// would — until CloseAll.
 	OnDone func(i int)
 
 	// OnFail, when non-nil, runs when a flow gives up by RTO exhaustion
@@ -108,18 +103,12 @@ func (t *FlowTable) Launch(cfg Config, src, dst *device.Host, flowID uint64,
 	sender := NewSender(src.Engine(), cfg, src, flowID, dst.ID, size, func(fct sim.Time) {
 		t.FCT[i] = fct
 		t.Done[i] = true
-		if t.CloseOnDone {
-			t.Receivers[i].Close()
-		}
 		if t.OnDone != nil {
 			t.OnDone(i)
 		}
 	})
 	sender.SetOnFail(func() {
 		t.Failed[i] = true
-		if t.CloseOnDone {
-			t.Receivers[i].Close()
-		}
 		if t.OnFail != nil {
 			t.OnFail(i)
 		}

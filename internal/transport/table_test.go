@@ -3,6 +3,7 @@ package transport_test
 import (
 	"testing"
 
+	"ecnsharp/internal/packet"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/topology"
 	"ecnsharp/internal/transport"
@@ -10,7 +11,8 @@ import (
 
 // TestFlowTableSerialMatchesStartFlow: a FlowTable-launched flow completes
 // with the same FCT as the closure-based StartFlow on an identical network,
-// and records its state in the parallel arrays.
+// records its state in the parallel arrays, and keeps its receiver open
+// until CloseAll.
 func TestFlowTableSerialMatchesStartFlow(t *testing.T) {
 	cfg := transport.DefaultConfig()
 	const size = 500_000
@@ -27,7 +29,6 @@ func TestFlowTableSerialMatchesStartFlow(t *testing.T) {
 
 	netB := newStar(2, 0, nil)
 	table := transport.NewFlowTable(1)
-	table.CloseOnDone = true
 	var doneOrder []int
 	table.OnDone = func(i int) { doneOrder = append(doneOrder, i) }
 	idx := table.Launch(cfg, netB.Host(0), netB.Host(1), 1, size, 0, true)
@@ -53,6 +54,25 @@ func TestFlowTableSerialMatchesStartFlow(t *testing.T) {
 	if !table.Senders[0].Finished() {
 		t.Error("sender not finished")
 	}
+
+	// The finished flow's receiver stays registered — a late duplicate
+	// segment is handled, and ACKed, as a real receiver would — until
+	// CloseAll unregisters it.
+	dups := func() int64 {
+		p := netB.Host(1).AllocPacket()
+		p.FlowID, p.Src, p.Dst = 1, 0, 1
+		p.Kind, p.PayloadLen = packet.Data, packet.MSS
+		netB.Host(1).Receive(p)
+		netB.Shard.Run()
+		return table.Receivers[0].DupPackets
+	}
+	if got := dups(); got != 1 {
+		t.Errorf("finished flow's receiver counted %d duplicates of a late segment, want 1", got)
+	}
+	table.CloseAll()
+	if got := dups(); got != 1 {
+		t.Errorf("after CloseAll the receiver counted %d duplicates, want it closed at 1", got)
+	}
 }
 
 // TestFlowTableShardedEndpoints: under a sharded leaf-spine, each endpoint
@@ -66,8 +86,6 @@ func TestFlowTableShardedEndpoints(t *testing.T) {
 	net := topology.NewLeafSpine(2, 2, 2, opts)
 	cfg := transport.DefaultConfig()
 	table := transport.NewFlowTable(4)
-	// CloseOnDone stays false: completion runs on the source domain, which
-	// must not touch the destination-domain receiver.
 
 	// Two cross-leaf flows and one intra-leaf flow.
 	pairs := [][2]int{{0, 3}, {2, 1}, {0, 1}}

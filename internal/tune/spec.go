@@ -20,8 +20,8 @@ import (
 type Spec struct {
 	// Sweep configures the cells each candidate is evaluated on; the
 	// candidate's parameters override the sweep scheme's derived ones.
-	// Sweep.Shards means what it does in any sweep: it picks the partition
-	// (0 vs >= 1), and beyond that the worker count never affects bytes.
+	// Sweep.Shards means what it does in any sweep: a worker count that
+	// never affects bytes.
 	Sweep experiments.SweepSpec `json:"sweep"`
 	// Searcher is "grid", "random" or "hillclimb" (the default).
 	Searcher string `json:"searcher,omitempty"`
