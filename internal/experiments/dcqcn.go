@@ -10,6 +10,7 @@ import (
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/topology"
 	"ecnsharp/internal/transport"
+	"ecnsharp/internal/workload"
 )
 
 // DCQCNExtension closes the loop on §3.5: it runs rate-based DCQCN-lite
@@ -88,20 +89,15 @@ type dcqcnResult struct {
 func runDCQCNFairness(ctx context.Context, mk func(*rand.Rand) func(int) aqm.AQM, seed int64) (dcqcnResult, error) {
 	var out dcqcnResult
 	rng := rand.New(rand.NewSource(seed))
-	net := topology.NewStar(5, topology.Options{
-		Link: topology.LinkParams{
-			RateBps:     topology.TenGbps,
-			PropDelay:   2 * sim.Microsecond,
-			BufferBytes: DefaultBufferBytes,
-		},
-		NewAQM: mk(rng),
-	})
+	cfg := RunConfig{Topo: TopoStar, Hosts: 5, PropDelay: 2 * sim.Microsecond}
+	cfg.defaults()
+	net := cfg.newNet(locBlind(mk(rng)))
 	eng := net.Engines[0]
-	cfg := transport.DefaultDCQCNConfig()
+	tc := transport.DefaultDCQCNConfig()
 	var recvs []*transport.Receiver
 	for i := 0; i < 4; i++ {
-		_, r := transport.StartDCQCNFlow(eng, cfg, net.Host(i), net.Host(4),
-			uint64(i+1), 1<<40, 0, nil)
+		_, r := transport.StartDCQCNFlow(eng, tc, net.Host(i), net.Host(4),
+			uint64(i+1), workload.LongFlowBytes, 0, nil)
 		recvs = append(recvs, r)
 	}
 	const half = 100 * sim.Millisecond
@@ -123,16 +119,11 @@ func runDCQCNFairness(ctx context.Context, mk func(*rand.Rand) func(int) aqm.AQM
 		qsum += float64(eg.Len())
 		qn++
 	}
-	var sum, sumSq float64
+	goodput := make([]float64, len(recvs))
 	for i, r := range recvs {
-		g := float64(r.BytesInOrder-base[i]) * 8 / 0.1 / 1e9
-		sum += g
-		sumSq += g * g
+		goodput[i] = float64(r.BytesInOrder-base[i]) * 8 / 0.1 / 1e9
 	}
-	out.SumGbps = sum
-	if sumSq > 0 {
-		out.Jain = sum * sum / (4 * sumSq)
-	}
+	out.Jain, out.SumGbps = jainIndex(goodput)
 	out.AvgQueuePkts = qsum / float64(qn)
 	out.Drops = eg.Drops
 	return out, nil

@@ -8,11 +8,8 @@ import (
 	"ecnsharp/internal/asciiplot"
 	"ecnsharp/internal/dist"
 	"ecnsharp/internal/metrics"
-	"ecnsharp/internal/queue"
-	"ecnsharp/internal/rttvar"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/topology"
-	"ecnsharp/internal/transport"
 	"ecnsharp/internal/workload"
 )
 
@@ -39,94 +36,69 @@ type Fig13Result struct {
 	ShortFCTs   []float64
 }
 
+// fig13Cfg is the DWRR scenario on the 8-host star: senders 0–2 each
+// carry one long flow in their own class, started one phase apart; short
+// probes (uniform 3–60 KB, random class, Poisson at light load so they
+// sample delay without disturbing the shares) come from senders 3–6.
+func fig13Cfg(s Scheme, seed int64, probes int) RunConfig {
+	const receiver = TestbedHosts - 1
+	rtt := LeafSpineRTT()
+	return RunConfig{
+		Seed:    seed,
+		Topo:    TopoStar,
+		Hosts:   TestbedHosts,
+		Weights: []int{2, 1, 1},
+		Scheme:  s,
+		RTT:     &rtt,
+		FlowGen: func(rng *rand.Rand) []workload.FlowSpec {
+			var flows []workload.FlowSpec
+			for i := 0; i < 3; i++ {
+				f := workload.LongFlow(i, receiver, sim.Time(i)*dwrrPhase)
+				f.Class = i
+				flows = append(flows, f)
+			}
+			start := sim.Time(0)
+			gap := float64(dwrrDeadline) / float64(probes+1)
+			for k := 0; k < probes; k++ {
+				start += sim.Time(gap * (0.5 + rng.Float64()))
+				if start >= dwrrDeadline-5*sim.Millisecond {
+					break
+				}
+				flows = append(flows, workload.FlowSpec{
+					Size:  3_000 + rng.Int63n(57_001),
+					Src:   3 + rng.Intn(4),
+					Dst:   receiver,
+					Start: start,
+					Class: rng.Intn(3),
+				})
+			}
+			return flows
+		},
+		SampleQueueOf:  receiver,
+		SampleEnd:      dwrrDeadline,
+		SampleInterval: 5 * sim.Millisecond,
+		Deadline:       dwrrDeadline,
+	}
+}
+
 // runFig13 executes the DWRR scenario under the given scheme.
 func runFig13(ctx context.Context, s Scheme, seed int64, probes int) (Fig13Result, error) {
-	rng := rand.New(rand.NewSource(seed))
-	rtt := LeafSpineRTT()
-
-	weights := []int{2, 1, 1}
-	opts := topology.Options{
-		Link: topology.LinkParams{
-			RateBps:     topology.TenGbps,
-			PropDelay:   DefaultPropDelay,
-			BufferBytes: DefaultBufferBytes,
-		},
-		NumQueues: len(weights),
-		NewSched:  func() queue.Scheduler { return queue.NewDWRR(weights) },
-		NewAQM:    s.Factory(rng),
+	r, err := RunContext(ctx, fig13Cfg(s, seed, probes))
+	if err != nil {
+		return Fig13Result{}, err
 	}
-	net := topology.NewStar(8, opts)
-	eng := net.Engines[0]
-	receiver := 7
-
-	assigner := rttvar.NewAssigner(rtt, 10*sim.Microsecond, rng)
-	cfgBase := transport.DefaultConfig()
-
 	var res Fig13Result
-	nextID := uint64(1)
-
-	// Long flows: sender i, class i, staggered starts.
-	var meters [3]*metrics.GoodputMeter
-	for i := 0; i < 3; i++ {
-		cfg := cfgBase
-		cfg.Class = i
-		id := nextID
-		nextID++
-		_, extra := assigner.Next()
-		net.Host(i).SetFlowDelay(id, extra)
-		spec := workload.LongFlow(i, receiver, sim.Time(i)*dwrrPhase)
-		fl := transport.StartFlow(eng, cfg, net.Host(i), net.Host(receiver),
-			id, spec.Size, spec.Start, nil)
-		recv := fl.Receiver
-		meters[i] = metrics.NewGoodputMeter(eng, func() int64 { return recv.BytesInOrder },
-			0, dwrrDeadline, 5*sim.Millisecond)
-	}
-
-	// Short probes: uniform 3–60 KB, random class, Poisson at light load so
-	// they sample delay without disturbing the shares.
-	probeSenders := []int{3, 4, 5, 6}
-	collector := metrics.NewFCTCollector()
-	start := sim.Time(0)
-	gap := float64(dwrrDeadline) / float64(probes+1)
-	for k := 0; k < probes; k++ {
-		start += sim.Time(gap * (0.5 + rng.Float64()))
-		if start >= dwrrDeadline-5*sim.Millisecond {
-			break
-		}
-		size := int64(3_000 + rng.Int63n(57_001))
-		src := probeSenders[rng.Intn(len(probeSenders))]
-		cfg := cfgBase
-		cfg.Class = rng.Intn(3)
-		id := nextID
-		nextID++
-		_, extra := assigner.Next()
-		net.Host(src).SetFlowDelay(id, extra)
-		sz := size
-		transport.StartFlow(eng, cfg, net.Host(src), net.Host(receiver), id, sz, start,
-			func(f *transport.Flow) { collector.Record(f.Size, f.FCT, false) })
-	}
-
-	if err := net.Shard.RunPoll(dwrrDeadline, 4, ctx.Err); err != nil {
-		return res, err
-	}
-
-	for i, m := range meters {
-		res.Series[i] = m.Series
+	for i := range res.Series {
+		res.Series[i] = r.Goodput[i]
 		// Goodput during the final phase, when all three queues are active.
-		var sum float64
-		var n int
-		for _, p := range m.Series {
-			if p.At > 2*dwrrPhase {
-				sum += p.Gbps
-				n++
-			}
+		final := r.Goodput[i]
+		for len(final) > 0 && final[0].At <= 2*dwrrPhase {
+			final = final[1:]
 		}
-		if n > 0 {
-			res.GoodputGbps[i] = sum / float64(n)
-		}
+		res.GoodputGbps[i] = metrics.MeanGbps(final)
 	}
-	res.ShortAvgFCT = collector.Stats().ShortAvg
-	res.ShortFCTs = collector.ShortFCTsMicros()
+	res.ShortAvgFCT = r.Stats.ShortAvg
+	res.ShortFCTs = r.Collector.ShortFCTsMicros()
 	return res, nil
 }
 

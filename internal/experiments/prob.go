@@ -8,10 +8,9 @@ import (
 	"ecnsharp/internal/aqm"
 	"ecnsharp/internal/core"
 	"ecnsharp/internal/metrics"
-	"ecnsharp/internal/rttvar"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/topology"
-	"ecnsharp/internal/transport"
+	"ecnsharp/internal/workload"
 )
 
 // aqmHook is the type of RunConfig.AQMAt: given the run's rng, the
@@ -96,46 +95,49 @@ func probIncast(ctx context.Context, mk aqmHook, sc Scale) (RunResult, error) {
 	return RunContext(ctx, cfg)
 }
 
-// probFairness runs four synchronized long flows and reports Jain's index
-// of their goodput plus the aggregate.
+// probFairness runs four synchronized long flows into one port and reports
+// Jain's index of their goodput over the second half, plus the aggregate.
 func probFairness(ctx context.Context, mk aqmHook) (jain, sumGbps float64, err error) {
-	rng := rand.New(rand.NewSource(17))
-	net := topology.NewStar(5, topology.Options{
-		Link: topology.LinkParams{
-			RateBps:     topology.TenGbps,
-			PropDelay:   DefaultPropDelay,
-			BufferBytes: DefaultBufferBytes,
-		},
-		NewAQMAt: mk(rng),
-	})
-	eng := net.Engines[0]
-	rtt := LeafSpineRTT()
-	assigner := rttvar.NewAssigner(rtt, 10*sim.Microsecond, rng)
-
 	const horizon = 100 * sim.Millisecond
-	var meters [4]*metrics.GoodputMeter
-	for i := 0; i < 4; i++ {
-		cfg := transport.DefaultConfig()
-		id := uint64(i + 1)
-		_, extra := assigner.Next()
-		net.Host(i).SetFlowDelay(id, extra)
-		fl := transport.StartFlow(eng, cfg, net.Host(i), net.Host(4), id, 1<<40, 0, nil)
-		recv := fl.Receiver
-		meters[i] = metrics.NewGoodputMeter(eng, func() int64 { return recv.BytesInOrder },
-			horizon/2, horizon, 5*sim.Millisecond)
+	rtt := LeafSpineRTT()
+	flows := make([]workload.FlowSpec, 4)
+	for i := range flows {
+		flows[i] = workload.LongFlow(i, len(flows), 0)
 	}
-	if err := net.Shard.RunPoll(horizon, 4, ctx.Err); err != nil {
+	r, err := RunContext(ctx, RunConfig{
+		Seed:           17,
+		Topo:           TopoStar,
+		Hosts:          len(flows) + 1,
+		AQMAt:          mk,
+		RTT:            &rtt,
+		Flows:          flows,
+		SampleQueueOf:  len(flows),
+		SampleStart:    horizon / 2,
+		SampleEnd:      horizon,
+		SampleInterval: 5 * sim.Millisecond,
+		Deadline:       horizon,
+	})
+	if err != nil {
 		return 0, 0, err
 	}
+	goodput := make([]float64, len(r.Goodput))
+	for i, series := range r.Goodput {
+		goodput[i] = metrics.MeanGbps(series)
+	}
+	jain, sumGbps = jainIndex(goodput)
+	return jain, sumGbps, nil
+}
 
-	var sum, sumSq float64
-	for _, m := range meters {
-		g := m.AvgGbps()
-		sum += g
-		sumSq += g * g
+// jainIndex returns Jain's fairness index of the per-flow goodputs g
+// ((Σg)² / (n·Σg²), 0 when every flow is idle) and their sum.
+func jainIndex(g []float64) (jain, sum float64) {
+	var sumSq float64
+	for _, x := range g {
+		sum += x
+		sumSq += x * x
 	}
 	if sumSq == 0 {
-		return 0, 0, nil
+		return 0, sum
 	}
-	return sum * sum / (4 * sumSq), sum, nil
+	return sum * sum / (float64(len(g)) * sumSq), sum
 }

@@ -61,6 +61,10 @@ type RunConfig struct {
 	// ignored.
 	SharedBufferBytes int64
 	DTAlpha           float64
+	// Weights is topology.Options.Weights: nil for one FIFO queue per
+	// switch port, else one DWRR queue per weight. A flow joins the queue
+	// its FlowSpec.Class names.
+	Weights []int
 
 	Scheme    Scheme
 	Transport transport.Config
@@ -91,8 +95,10 @@ type RunConfig struct {
 	// after the runs complete.
 	NewTracer func(ctx context.Context, seed int64) trace.Tracer
 
-	// SampleQueueOf, when >= 0, samples the last-hop egress to that host
-	// every SampleInterval during [SampleStart, SampleEnd].
+	// SampleInterval > 0 opens one measurement window, [SampleStart,
+	// SampleEnd] sampled every SampleInterval: the last-hop egress to host
+	// SampleQueueOf (RunResult.QueueSamples) and the goodput of every
+	// workload.LongFlow (RunResult.Goodput).
 	SampleQueueOf  int
 	SampleStart    sim.Time
 	SampleEnd      sim.Time
@@ -125,6 +131,10 @@ type RunResult struct {
 	QueueSamples []metrics.QueueSample
 	AvgQueuePkts float64
 	MaxQueuePkts int
+	// Goodput holds one series per long flow, in flow order, over the
+	// sampling window (nil without one). MergeRuns does not pool it: a
+	// pooled result's series stay in its PerSeed entries.
+	Goodput [][]metrics.GoodputPoint
 
 	// Net is the network the run was simulated on — Run and RunContext set
 	// it; results that went through RunAll carry none (see runAll).
@@ -214,6 +224,7 @@ func (cfg *RunConfig) newNet(newAQMAt func(topology.PortLoc, int) aqm.AQM) *topo
 		NewAQMAt:          newAQMAt,
 		SharedBufferBytes: cfg.SharedBufferBytes,
 		DTAlpha:           cfg.DTAlpha,
+		Weights:           cfg.Weights,
 		Shards:            cfg.Shards,
 	}
 	if cfg.SharedBufferBytes > 0 {
@@ -313,6 +324,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 	table.OnFail = func(i int) {
 		failedBy[net.DomainOfHost(table.Src[i])]++
 	}
+	var meters []*metrics.GoodputMeter
 	for i, spec := range specs {
 		id := uint64(i + 1)
 		src := net.Host(spec.Src)
@@ -321,7 +333,15 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 			_, extra := assigner.Next()
 			src.SetFlowDelay(id, extra)
 		}
-		table.Launch(cfg.Transport, src, dst, id, spec.Size, spec.Start, spec.Query)
+		tc := cfg.Transport
+		tc.Class = spec.Class
+		table.Launch(tc, src, dst, id, spec.Size, spec.Start, spec.Query)
+		if cfg.SampleInterval > 0 && spec.Size == workload.LongFlowBytes {
+			recv := table.Receivers[i]
+			meters = append(meters, metrics.NewGoodputMeter(dst.Engine(),
+				func() int64 { return recv.BytesInOrder },
+				cfg.SampleStart, cfg.SampleEnd, cfg.SampleInterval))
+		}
 	}
 
 	var sampler *metrics.QueueSampler
@@ -372,6 +392,9 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 		res.QueueSamples = sampler.Samples
 		res.AvgQueuePkts = sampler.AvgPackets()
 		res.MaxQueuePkts = sampler.MaxPackets()
+	}
+	for _, m := range meters {
+		res.Goodput = append(res.Goodput, m.Series)
 	}
 	return res, runErr
 }

@@ -51,9 +51,10 @@ type Scheme struct {
 	Params core.Params
 }
 
-// Factory returns the per-queue AQM constructor for a run. rng is accepted
-// for schemes needing randomness (none of the paper's; kept for RED/PIE
-// extensions).
+// Factory returns the per-queue AQM constructor for a run. rng is ignored:
+// every scheme kind marks deterministically. AQMs that draw randomness
+// (RED, ECN♯-prob) are built through RunConfig.AQMAt, which gets the
+// run's rng.
 func (s Scheme) Factory(_ *rand.Rand) func(q int) aqm.AQM {
 	switch s.Kind {
 	case SchemeREDTail, SchemeREDAvg, SchemeREDFixed:

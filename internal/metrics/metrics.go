@@ -224,14 +224,14 @@ func NewGoodputMeter(eng *sim.Engine, read func() int64, start, end, interval si
 	return m
 }
 
-// AvgGbps returns the mean goodput over the sampled window.
-func (m *GoodputMeter) AvgGbps() float64 {
-	if len(m.Series) == 0 {
+// MeanGbps returns the mean goodput of a sampled series (0 when empty).
+func MeanGbps(series []GoodputPoint) float64 {
+	if len(series) == 0 {
 		return 0
 	}
 	total := 0.0
-	for _, p := range m.Series {
+	for _, p := range series {
 		total += p.Gbps
 	}
-	return total / float64(len(m.Series))
+	return total / float64(len(series))
 }

@@ -46,8 +46,7 @@ func layoutNets() map[string]*Net {
 // heap slice and so lie outside the block.
 func dwrrOpts() Options {
 	o := layoutOpts()
-	o.NumQueues = 3
-	o.NewSched = func() queue.Scheduler { return queue.NewDWRR([]int{2, 1, 1}) }
+	o.Weights = []int{2, 1, 1}
 	return o
 }
 

@@ -65,10 +65,10 @@ type Options struct {
 	// engine's lookahead; the default (Link.PropDelay) keeps the fabric
 	// uniform like the paper's networks.
 	FabricPropDelay sim.Time
-	// NumQueues is the number of service queues per switch egress port.
-	NumQueues int
-	// NewSched builds the per-port packet scheduler; nil means FIFO.
-	NewSched func() queue.Scheduler
+	// Weights, when non-nil, gives every switch egress port len(Weights)
+	// service queues under a DWRR scheduler with these weights (Figure 13);
+	// nil means one FIFO queue.
+	Weights []int
 	// NewAQM builds the AQM for switch egress queue q of some port,
 	// whatever the port's location; it is shorthand for a NewAQMAt that
 	// ignores loc, and is ignored when NewAQMAt is set.
@@ -96,9 +96,6 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
-	if o.NumQueues <= 0 {
-		o.NumQueues = 1
-	}
 	if o.FabricPropDelay <= 0 {
 		o.FabricPropDelay = o.Link.PropDelay
 	}
@@ -523,11 +520,11 @@ func (n *Net) initPort(b *portBlock, srcDom, dstDom int, rate float64, prop sim.
 // the buffer per the options (scheduler, the AQM for the switch's location,
 // the switch's shared pool), then the port.
 func (n *Net) switchPort(o *Options, b *portBlock, s *switchNode, dstDom int, prop sim.Time, dst device.Node) *device.Port {
-	var sched queue.Scheduler
-	if o.NewSched != nil {
-		sched = o.NewSched()
+	queues, sched := 1, queue.Scheduler(nil)
+	if o.Weights != nil {
+		queues, sched = len(o.Weights), queue.NewDWRR(o.Weights)
 	}
-	b.eg.Init(o.NumQueues, sched, o.Link.BufferBytes, s.aqmFor)
+	b.eg.Init(queues, sched, o.Link.BufferBytes, s.aqmFor)
 	b.eg.Pool = s.pool
 	b.eg.PacketPool = n.PacketPools[s.dom]
 	return n.initPort(b, s.dom, dstDom, o.Link.RateBps, prop, dst)

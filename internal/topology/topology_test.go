@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ecnsharp/internal/aqm"
-	"ecnsharp/internal/queue"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/transport"
 )
@@ -147,19 +146,22 @@ func TestLeafSpinePanics(t *testing.T) {
 }
 
 func TestOptionsAQMAndSchedulerAreApplied(t *testing.T) {
-	o := opts()
-	o.NumQueues = 3
-	o.NewSched = func() queue.Scheduler { return queue.NewDWRR([]int{2, 1, 1}) }
-	marks := 0
-	o.NewAQM = func(q int) aqm.AQM { marks++; return aqm.NewTCN(100 * sim.Microsecond) }
-	n := NewStar(3, o)
-	// 3 switch ports × 3 queues = 9 AQM instances.
-	if marks != 9 {
-		t.Errorf("AQM factory called %d times, want 9", marks)
-	}
-	eg := n.EgressTo(0).Egress
-	if eg.NumQueues() != 3 {
-		t.Errorf("queues = %d, want 3", eg.NumQueues())
+	for _, c := range []struct {
+		weights []int
+		queues  int
+	}{{nil, 1}, {[]int{2, 1, 1}, 3}} {
+		o := opts()
+		o.Weights = c.weights
+		aqms := 0
+		o.NewAQM = func(q int) aqm.AQM { aqms++; return aqm.NewTCN(100 * sim.Microsecond) }
+		n := NewStar(3, o)
+		// One AQM instance per queue of each of the 3 switch ports.
+		if aqms != 3*c.queues {
+			t.Errorf("weights %v: AQM factory called %d times, want %d", c.weights, aqms, 3*c.queues)
+		}
+		if got := n.EgressTo(0).Egress.NumQueues(); got != c.queues {
+			t.Errorf("weights %v: queues = %d, want %d", c.weights, got, c.queues)
+		}
 	}
 }
 

@@ -2,7 +2,9 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -105,5 +107,57 @@ func TestGoldenIncastTrace(t *testing.T) {
 			}
 		}
 		t.Fatalf("trace length differs from golden: got %d lines, want %d", len(gl), len(wl))
+	}
+}
+
+// TestGoldenTraceCadence replays Algorithm 1's conservative cadence from the
+// golden trace: once the burst's instantaneous marks end, the persistent
+// marks on the bottleneck port resume mid-episode, and each gap to the
+// previous mark tracks pst_interval/√k for k = 7..11 to within one packet
+// serialization (1.2 µs at 10 Gbps) — TRACING.md's worked example.
+func TestGoldenTraceCadence(t *testing.T) {
+	const (
+		port        = 4
+		pstInterval = 240 * sim.Microsecond
+		slack       = 1200 * sim.Nanosecond
+	)
+	data, err := os.ReadFile(filepath.Join("testdata", "incast_trace.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The persistent marks that follow the first run of instantaneous ones.
+	var marks []sim.Time
+	sawInstantaneous := false
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var e struct {
+			Ev, Kind string
+			At       sim.Time
+			Port     int
+		}
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Ev != "mark" || e.Port != port {
+			continue
+		}
+		switch e.Kind {
+		case "instantaneous":
+			sawInstantaneous = true
+		case "persistent":
+			if sawInstantaneous {
+				marks = append(marks, e.At)
+			}
+		}
+	}
+	const firstK, lastK = 7, 11
+	if len(marks) < lastK-firstK+2 {
+		t.Fatalf("%d persistent marks after the burst, want >= %d", len(marks), lastK-firstK+2)
+	}
+	for k := firstK; k <= lastK; k++ {
+		gap := marks[k-firstK+1] - marks[k-firstK]
+		sched := sim.Time(float64(pstInterval) / math.Sqrt(float64(k)))
+		if d := gap - sched; d < -slack || d > slack {
+			t.Errorf("k=%d: gap %v, schedule pst_interval/sqrt(k) = %v", k, gap, sched)
+		}
 	}
 }

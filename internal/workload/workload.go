@@ -78,6 +78,9 @@ type FlowSpec struct {
 	// Query tags incast query flows so metrics can separate them from
 	// background traffic (Figure 11).
 	Query bool
+	// Class is the service class the flow's packets carry: the switch
+	// queue they join under a multi-queue scheduler (Figure 13).
+	Class int
 }
 
 // PairPicker selects a (src, dst) host pair for each flow.
@@ -203,8 +206,12 @@ func QueryFlows(rng *rand.Rand, cfg QueryConfig) []FlowSpec {
 	return flows
 }
 
-// LongFlow returns a long-lived flow spec (effectively unbounded for the
-// experiment duration) used by the DWRR goodput experiment (Figure 13a).
+// LongFlowBytes is the size of a long-lived flow: effectively unbounded for
+// any experiment's duration.
+const LongFlowBytes = 1 << 40
+
+// LongFlow returns a long-lived flow spec, the elephants of the incast and
+// DWRR goodput experiments (Figures 10 and 13a).
 func LongFlow(src, dst int, start sim.Time) FlowSpec {
-	return FlowSpec{Src: src, Dst: dst, Size: 1 << 40, Start: start}
+	return FlowSpec{Src: src, Dst: dst, Size: LongFlowBytes, Start: start}
 }
