@@ -12,7 +12,7 @@
 //     the caller.
 //
 // The fix is always the same: collect the keys, sort them, then iterate
-// the sorted slice (see metrics.SummaryTracer.Ports for the idiom).
+// the sorted slice (see cache.Store.evictLocked for the idiom).
 // Order-insensitive loops that the heuristic still trips on are annotated
 // with "//lint:allow maporder -- <reason>" on the range statement line.
 package maporder

@@ -1,10 +1,9 @@
 // Package aqm implements the active queue management schemes compared in
-// the paper: DCTCP-RED (instantaneous marking on a single threshold,
-// queue-length or sojourn-time signal), CoDel (persistent-congestion
-// marking), TCN (instantaneous sojourn-time marking) and ECN♯ (the paper's
-// contribution, adapting internal/core). RED (min/max probabilistic) and
-// PIE are included as extensions for the related-work comparisons sketched
-// in §3.5 and §6.
+// the paper: DCTCP-RED (instantaneous marking on a single queue-length
+// threshold), CoDel (persistent-congestion marking), TCN (instantaneous
+// sojourn-time marking) and ECN♯ (the paper's contribution, adapting
+// internal/core). RED (min/max probabilistic) and ECN♯-prob are the §3.5
+// extensions for DCQCN-style transports.
 //
 // An AQM never drops packets itself in this model: marking-capable
 // datacenter switches mark ECT traffic and rely on tail drop only at buffer

@@ -40,15 +40,17 @@ func TestREDInstantQueueBytes(t *testing.T) {
 		t.Error("marked at exactly K")
 	}
 	if r.OnDequeue(0, p, sim.Second) {
-		t.Error("queue-bytes mode marked at dequeue")
+		t.Error("marked at dequeue")
 	}
 	if r.Marks() != 1 {
 		t.Errorf("Marks = %d", r.Marks())
 	}
 }
 
+// TestREDInstantSojourn checks the sojourn-time form of instantaneous RED
+// (K = C·T), which is TCN: it marks only at dequeue, and only strictly above T.
 func TestREDInstantSojourn(t *testing.T) {
-	r := NewREDInstantSojourn(200 * sim.Microsecond)
+	r := NewTCN(200 * sim.Microsecond)
 	p := dataPkt()
 	if r.OnEnqueue(0, p, Backlog{Bytes: 1 << 30}) {
 		t.Error("sojourn mode marked at enqueue")
@@ -266,73 +268,6 @@ func TestECNSharpVsCoDelBurstResponse(t *testing.T) {
 	}
 }
 
-func TestPIEProbabilityRisesAndFalls(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	pie := NewPIE(20*sim.Microsecond, 100*sim.Microsecond, rng)
-	p := dataPkt()
-	now := sim.Millis(1)
-	// Sustained delay far above target: probability must rise.
-	for i := 0; i < 2000; i++ {
-		now += 5 * sim.Microsecond
-		pie.OnDequeue(now, p, 500*sim.Microsecond)
-	}
-	if pie.Prob() <= 0 {
-		t.Fatalf("PIE probability %v did not rise under sustained delay", pie.Prob())
-	}
-	high := pie.Prob()
-	// Delay collapses to zero: probability must fall.
-	for i := 0; i < 4000; i++ {
-		now += 5 * sim.Microsecond
-		pie.OnDequeue(now, p, 0)
-	}
-	if pie.Prob() >= high {
-		t.Errorf("PIE probability did not fall: %v -> %v", high, pie.Prob())
-	}
-}
-
-func TestPIEMarksProportionally(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	pie := NewPIE(20*sim.Microsecond, 100*sim.Microsecond, rng)
-	p := dataPkt()
-	now := sim.Millis(1)
-	for i := 0; i < 3000; i++ {
-		now += 5 * sim.Microsecond
-		pie.OnDequeue(now, p, sim.Millisecond)
-	}
-	marked := 0
-	const n = 5000
-	for i := 0; i < n; i++ {
-		now += 5 * sim.Microsecond
-		if pie.OnEnqueue(now, p, Backlog{}) {
-			marked++
-		}
-	}
-	if marked == 0 {
-		t.Error("PIE never marked with a high probability")
-	}
-	if pie.Marks() == 0 {
-		t.Error("mark counter zero")
-	}
-}
-
-func TestPIEPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i, f := range []func(){
-		func() { NewPIE(0, 100, rng) },
-		func() { NewPIE(100, 0, rng) },
-		func() { NewPIE(100, 100, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: no panic", i)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestNames(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	params := core.Params{
@@ -341,19 +276,14 @@ func TestNames(t *testing.T) {
 	}
 	for _, a := range []AQM{
 		NewREDInstantBytes(1000),
-		NewREDInstantSojourn(sim.Microsecond),
 		NewTCN(sim.Microsecond),
 		NewRED(1, 2, 0.5, rng),
 		NewCoDel(sim.Microsecond, sim.Millisecond),
 		MustNewECNSharp(params),
-		NewPIE(sim.Microsecond, sim.Millisecond, rng),
 	} {
 		if a.Name() == "" {
 			t.Errorf("%T has empty name", a)
 		}
-	}
-	if QueueBytes.String() != "qlen" || SojournTime.String() != "sojourn" {
-		t.Error("SignalMode strings")
 	}
 }
 

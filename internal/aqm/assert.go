@@ -10,7 +10,6 @@ var (
 	_ AQM = (*CoDel)(nil)
 	_ AQM = (*ECNSharp)(nil)
 	_ AQM = (*ECNSharpProb)(nil)
-	_ AQM = (*PIE)(nil)
 	_ AQM = (*REDInstant)(nil)
 	_ AQM = (*TCN)(nil)
 	_ AQM = (*RED)(nil)
@@ -22,7 +21,6 @@ var (
 	_ MarkKinder = (*CoDel)(nil)
 	_ MarkKinder = (*ECNSharp)(nil)
 	_ MarkKinder = (*ECNSharpProb)(nil)
-	_ MarkKinder = (*PIE)(nil)
 	_ MarkKinder = (*REDInstant)(nil)
 	_ MarkKinder = (*TCN)(nil)
 	_ MarkKinder = (*RED)(nil)

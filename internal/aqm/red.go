@@ -10,52 +10,22 @@ import (
 )
 
 // REDInstant is the DCTCP-modified RED the paper calls DCTCP-RED:
-// instantaneous marking with a single cut-off threshold Kmin = Kmax = K.
-//
-// Two signal modes are supported. QueueBytes marks at enqueue when the
-// instantaneous backlog exceeds KBytes (how the DCTCP paper and the
-// testbed configure switches, thresholds quoted in KB). SojournTime marks
-// at dequeue when the packet's sojourn time exceeds TSojourn, the
-// Equation-2 equivalent; with a single FIFO queue the two are identical
-// (K = C·T), which is also why the paper notes DCTCP-RED equals TCN when
-// only one queue is active.
+// instantaneous marking with a single cut-off threshold Kmin = Kmax = K,
+// applied at enqueue to the instantaneous backlog in bytes (how the DCTCP
+// paper and the testbed configure switches, thresholds quoted in KB). Its
+// sojourn-time equivalent (K = C·T, Equation 2) is TCN, which is why the
+// paper notes DCTCP-RED equals TCN when only one queue is active.
 type REDInstant struct {
-	// KBytes is the queue-length threshold; used when Mode == QueueBytes.
+	// KBytes is the queue-length threshold.
 	KBytes int64
-	// TSojourn is the sojourn-time threshold; used when Mode == SojournTime.
-	TSojourn sim.Time
-	// Mode selects the congestion signal.
-	Mode SignalMode
 
 	label string
 	marks int64
 }
 
-// SignalMode selects the congestion signal of an instantaneous marker.
-type SignalMode uint8
-
-// Signal modes.
-const (
-	QueueBytes SignalMode = iota
-	SojournTime
-)
-
-// String returns the mode's short label ("qlen" or "sojourn").
-func (m SignalMode) String() string {
-	if m == QueueBytes {
-		return "qlen"
-	}
-	return "sojourn"
-}
-
 // NewREDInstantBytes builds a queue-length DCTCP-RED with threshold k bytes.
 func NewREDInstantBytes(k int64) *REDInstant {
-	return &REDInstant{KBytes: k, Mode: QueueBytes, label: fmt.Sprintf("dctcp-red(K=%dB)", k)}
-}
-
-// NewREDInstantSojourn builds a sojourn-time DCTCP-RED with threshold t.
-func NewREDInstantSojourn(t sim.Time) *REDInstant {
-	return &REDInstant{TSojourn: t, Mode: SojournTime, label: fmt.Sprintf("dctcp-red(T=%v)", t)}
+	return &REDInstant{KBytes: k, label: fmt.Sprintf("dctcp-red(K=%dB)", k)}
 }
 
 // Name identifies the instance and its threshold.
@@ -65,15 +35,12 @@ func (r *REDInstant) Name() string { return r.label }
 func (r *REDInstant) Marks() int64 { return r.marks }
 
 // LastMarkKind implements MarkKinder: DCTCP-RED's single cut-off threshold
-// is an instantaneous condition in both signal modes.
+// is an instantaneous condition.
 func (*REDInstant) LastMarkKind() trace.MarkKind { return trace.MarkInstantaneous }
 
 // OnEnqueue marks when the instantaneous queue length (including this
-// packet) exceeds K, in queue-length mode.
+// packet) exceeds K.
 func (r *REDInstant) OnEnqueue(_ sim.Time, p *packet.Packet, b Backlog) bool {
-	if r.Mode != QueueBytes {
-		return false
-	}
 	if b.Bytes+int64(p.Size()) > r.KBytes {
 		r.marks++
 		return true
@@ -81,17 +48,8 @@ func (r *REDInstant) OnEnqueue(_ sim.Time, p *packet.Packet, b Backlog) bool {
 	return false
 }
 
-// OnDequeue marks when the sojourn time exceeds T, in sojourn mode.
-func (r *REDInstant) OnDequeue(_ sim.Time, _ *packet.Packet, sojourn sim.Time) bool {
-	if r.Mode != SojournTime {
-		return false
-	}
-	if sojourn > r.TSojourn {
-		r.marks++
-		return true
-	}
-	return false
-}
+// OnDequeue never marks; DCTCP-RED is an enqueue-side scheme.
+func (*REDInstant) OnDequeue(sim.Time, *packet.Packet, sim.Time) bool { return false }
 
 // TCN is the instantaneous sojourn-time marker from "Enabling ECN over
 // Generic Packet Scheduling" (CoNEXT 2016): mark at dequeue when the

@@ -101,7 +101,7 @@ func TimerChurn(b *testing.B) {
 // steady state is zero allocs/op.
 func EgressFIFO(b *testing.B) {
 	eg := queue.NewEgress(1, nil, 0, func(int) aqm.AQM {
-		return aqm.NewREDInstantSojourn(100 * sim.Microsecond)
+		return aqm.NewTCN(100 * sim.Microsecond)
 	})
 	pool := &packet.Pool{}
 	b.ReportAllocs()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"ecnsharp/internal/aqm"
 	"ecnsharp/internal/core"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/topology"
@@ -35,27 +34,15 @@ func DCQCNExtension(sc Scale) *Table {
 	// Kmin/Kmax on a 10 G link.
 	tmin := sim.Time(float64(5*1500*8) / topology.TenGbps * float64(sim.Second))
 	tmax := sim.Time(float64(200*1500*8) / topology.TenGbps * float64(sim.Second))
+	probParams := pstParams
+	probParams.InsTarget = tmax
 
-	type variant struct {
-		name string
-		mk   func(rng *rand.Rand) func(int) aqm.AQM
-	}
-	variants := []variant{
-		{"ECN# cut-off", func(rng *rand.Rand) func(int) aqm.AQM {
-			return ECNSharpScheme(pstParams).Factory(rng)
-		}},
-		{"RED 5KB/200KB/25%", func(rng *rand.Rand) func(int) aqm.AQM {
-			return func(int) aqm.AQM { return aqm.NewRED(5*1500, 200*1500, 0.25, rng) }
-		}},
-		{"ECN#-prob", func(rng *rand.Rand) func(int) aqm.AQM {
-			return func(int) aqm.AQM {
-				a, err := aqm.NewECNSharpProb(pstParams, tmin, tmax, 0.25, rng)
-				if err != nil {
-					panic(err)
-				}
-				return a
-			}
-		}},
+	variants := []Scheme{
+		{Kind: SchemeECNSharp, Label: "ECN# cut-off", Params: pstParams},
+		{Kind: SchemeRED, Label: "RED 5KB/200KB/25%", KBytes: 200 * 1500,
+			Ramp: Ramp{KminBytes: 5 * 1500, Pmax: 0.25}},
+		{Kind: SchemeECNSharpProb, Label: "ECN#-prob", Params: probParams,
+			Ramp: Ramp{TMin: tmin, Pmax: 0.25}},
 	}
 
 	t := &Table{
@@ -65,12 +52,12 @@ func DCQCNExtension(sc Scale) *Table {
 			"avg queue(pkts)", "drops"},
 	}
 	// The three marking variants are independent; fan them out.
-	res := runJobs(sc, axis(variants, func(v variant) string { return "dcqcn " + v.name }),
+	res := runJobs(sc, axis(variants, func(v Scheme) string { return "dcqcn " + v.Label }),
 		func(ctx context.Context, i int) (dcqcnResult, error) {
-			return runDCQCNFairness(ctx, variants[i].mk, sc.Seeds[0])
+			return runDCQCNFairness(ctx, variants[i], sc.Seeds[0])
 		})
 	for i, o := range res {
-		t.AddRow(variants[i].name, f2(o.SumGbps), f3(o.Jain), f1(o.AvgQueuePkts), fmt.Sprintf("%d", o.Drops))
+		t.AddRow(variants[i].Label, f2(o.SumGbps), f3(o.Jain), f1(o.AvgQueuePkts), fmt.Sprintf("%d", o.Drops))
 	}
 	t.AddNote("DCQCN needs probabilistic marking: cut-off marking synchronizes cuts and wrecks utilization (§3.5)")
 	return t
@@ -85,13 +72,13 @@ type dcqcnResult struct {
 }
 
 // runDCQCNFairness runs four long-lived DCQCN flows into one port and
-// measures steady-state goodput statistics over the second half.
-func runDCQCNFairness(ctx context.Context, mk func(*rand.Rand) func(int) aqm.AQM, seed int64) (dcqcnResult, error) {
+// measures steady-state goodput statistics over the second half, with
+// the switch marking as scheme s.
+func runDCQCNFairness(ctx context.Context, s Scheme, seed int64) (dcqcnResult, error) {
 	var out dcqcnResult
-	rng := rand.New(rand.NewSource(seed))
-	cfg := RunConfig{Topo: TopoStar, Hosts: 5, PropDelay: 2 * sim.Microsecond}
+	cfg := RunConfig{Topo: TopoStar, Hosts: 5, PropDelay: 2 * sim.Microsecond, Scheme: s}
 	cfg.defaults()
-	net := cfg.newNet(locBlind(mk(rng)))
+	net := cfg.newNet(rand.New(rand.NewSource(seed)))
 	eng := net.Engines[0]
 	tc := transport.DefaultDCQCNConfig()
 	var recvs []*transport.Receiver

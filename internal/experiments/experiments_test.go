@@ -29,8 +29,14 @@ func TestSchemeFactories(t *testing.T) {
 		{CoDelScheme(85*sim.Microsecond, 200*sim.Microsecond), "*aqm.CoDel"},
 		{TCNScheme(150 * sim.Microsecond), "*aqm.TCN"},
 		{SimECNSharp(), "*aqm.ECNSharp"},
+		{Scheme{Kind: SchemeRED, Label: "RED", KBytes: 300_000,
+			Ramp: Ramp{KminBytes: 7_500, Pmax: 0.25}}, "*aqm.RED"},
+		{Scheme{Kind: SchemeECNSharpProb, Label: "ECN#-prob", Params: SimECNSharp().Params,
+			Ramp: Ramp{TMin: 6 * sim.Microsecond, Pmax: 0.25}}, "*aqm.ECNSharpProb"},
 	}
+	kinds := map[SchemeKind]bool{}
 	for _, c := range cases {
+		kinds[c.s.Kind] = true
 		a := c.s.Factory(rng)(0)
 		got := typeName(a)
 		if got != c.want {
@@ -39,6 +45,26 @@ func TestSchemeFactories(t *testing.T) {
 		if c.s.Label == "" {
 			t.Errorf("scheme %v has no label", c.s.Kind)
 		}
+		// A tunable scheme reports its own values under its dim names, and
+		// applying them back changes nothing.
+		dims := c.s.TunedDims()
+		names := TunedDimNames(c.s.Kind)
+		if len(dims) != len(names) {
+			t.Fatalf("%s: %d dims, %d names", c.s.Label, len(dims), len(names))
+		}
+		vals := make([]TunedValue, len(dims))
+		for i, d := range dims {
+			if d.Name != names[i] {
+				t.Errorf("%s: dim %d is %q, TunedDimNames says %q", c.s.Label, i, d.Name, names[i])
+			}
+			vals[i] = TunedValue{Name: d.Name, Value: d.Value}
+		}
+		if got, err := ApplyTuned(c.s, vals); err != nil || got != c.s {
+			t.Errorf("%s: applying its own values gave %+v, %v", c.s.Label, got, err)
+		}
+	}
+	if len(kinds) != int(numSchemeKinds) {
+		t.Errorf("table covers %d of %d scheme kinds", len(kinds), numSchemeKinds)
 	}
 }
 
@@ -65,6 +91,10 @@ func typeName(a aqm.AQM) string {
 		return "*aqm.TCN"
 	case *aqm.ECNSharp:
 		return "*aqm.ECNSharp"
+	case *aqm.RED:
+		return "*aqm.RED"
+	case *aqm.ECNSharpProb:
+		return "*aqm.ECNSharpProb"
 	default:
 		return "?"
 	}

@@ -3,19 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
-	"ecnsharp/internal/aqm"
 	"ecnsharp/internal/core"
 	"ecnsharp/internal/metrics"
 	"ecnsharp/internal/sim"
-	"ecnsharp/internal/topology"
 	"ecnsharp/internal/workload"
 )
-
-// aqmHook is the type of RunConfig.AQMAt: given the run's rng, the
-// location-aware AQM constructor.
-type aqmHook = func(rng *rand.Rand) func(topology.PortLoc, int) aqm.AQM
 
 // ProbExtension evaluates the §3.5 sketch: replacing ECN♯'s cut-off
 // instantaneous marking with a DCQCN-style probabilistic ramp while
@@ -34,32 +27,16 @@ func ProbExtension(sc Scale) *Table {
 		PstInterval: 240 * sim.Microsecond,
 	}
 
-	makeCutoff := func(rng *rand.Rand) func(topology.PortLoc, int) aqm.AQM {
-		return locBlind(ECNSharpScheme(base).Factory(rng))
-	}
-	makeProb := func(rng *rand.Rand) func(topology.PortLoc, int) aqm.AQM {
-		return func(topology.PortLoc, int) aqm.AQM {
-			a, err := aqm.NewECNSharpProb(base, base.InsTarget/2, base.InsTarget, 0.8, rng)
-			if err != nil {
-				panic(err)
-			}
-			return a
-		}
-	}
-
 	t := &Table{
 		ID:    "prob",
 		Title: "§3.5 extension: cut-off vs probabilistic instantaneous marking",
 		Columns: []string{"variant", "standing queue(pkts)", "drops",
 			"query p99(us)", "jain fairness", "goodput sum(Gbps)"},
 	}
-	type variant struct {
-		name string
-		mk   aqmHook
-	}
-	variants := []variant{
-		{"ECN# (cut-off)", makeCutoff},
-		{"ECN# (probabilistic)", makeProb},
+	variants := []Scheme{
+		{Kind: SchemeECNSharp, Label: "ECN# (cut-off)", Params: base},
+		{Kind: SchemeECNSharpProb, Label: "ECN# (probabilistic)", Params: base,
+			Ramp: Ramp{TMin: base.InsTarget / 2, Pmax: 0.8}},
 	}
 	// Each variant runs its incast and fairness checks as one harness job.
 	type probResult struct {
@@ -69,35 +46,34 @@ func ProbExtension(sc Scale) *Table {
 		jain     float64
 		sum      float64
 	}
-	res := runJobs(sc, axis(variants, func(v variant) string { return "prob " + v.name }),
+	res := runJobs(sc, axis(variants, func(v Scheme) string { return "prob " + v.Label }),
 		func(ctx context.Context, i int) (probResult, error) {
-			incast, err := probIncast(ctx, variants[i].mk, sc)
+			incast, err := probIncast(ctx, variants[i], sc)
 			if err != nil {
 				return probResult{}, err
 			}
-			jain, sum, err := probFairness(ctx, variants[i].mk)
+			jain, sum, err := probFairness(ctx, variants[i])
 			return probResult{incast.AvgQueuePkts, incast.Drops, incast.Stats.QueryP99, jain, sum}, err
 		})
 	for i, o := range res {
-		t.AddRow(variants[i].name, f1(o.standing), fmt.Sprintf("%d", o.drops), f1(o.qp99),
+		t.AddRow(variants[i].Label, f1(o.standing), fmt.Sprintf("%d", o.drops), f1(o.qp99),
 			f3(o.jain), f2(o.sum))
 	}
 	t.AddNote("both variants should be drop-free with a low standing queue; probabilistic marking must not hurt fairness")
 	return t
 }
 
-// probIncast reruns the Figure-10 scenario with a custom AQM factory.
-func probIncast(ctx context.Context, mk aqmHook, sc Scale) (RunResult, error) {
-	cfg := incastCfg(Scheme{}, 100, sc.FlowCount, true)
+// probIncast reruns the Figure-10 scenario under scheme s.
+func probIncast(ctx context.Context, s Scheme, sc Scale) (RunResult, error) {
+	cfg := incastCfg(s, 100, sc.FlowCount, true)
 	cfg.Seed = sc.Seeds[0]
-	cfg.AQMAt = mk
 	cfg.SampleEnd = incastQueryAt // standing queue only
 	return RunContext(ctx, cfg)
 }
 
 // probFairness runs four synchronized long flows into one port and reports
 // Jain's index of their goodput over the second half, plus the aggregate.
-func probFairness(ctx context.Context, mk aqmHook) (jain, sumGbps float64, err error) {
+func probFairness(ctx context.Context, s Scheme) (jain, sumGbps float64, err error) {
 	const horizon = 100 * sim.Millisecond
 	rtt := LeafSpineRTT()
 	flows := make([]workload.FlowSpec, 4)
@@ -108,7 +84,7 @@ func probFairness(ctx context.Context, mk aqmHook) (jain, sumGbps float64, err e
 		Seed:           17,
 		Topo:           TopoStar,
 		Hosts:          len(flows) + 1,
-		AQMAt:          mk,
+		Scheme:         s,
 		RTT:            &rtt,
 		Flows:          flows,
 		SampleQueueOf:  len(flows),

@@ -69,12 +69,9 @@ type RunConfig struct {
 	Scheme    Scheme
 	Transport transport.Config
 
-	// AQMAt, when non-nil, replaces Scheme's AQM construction: called once
-	// with the run's rng, it returns the topology.Options.NewAQMAt
-	// constructor. Extension experiments whose AQMs are not in the Scheme
-	// enum use it, and Cell.Tuned compiles into it (see
-	// TunedParams.AQMAt).
-	AQMAt func(rng *rand.Rand) func(loc topology.PortLoc, q int) aqm.AQM
+	// Tuned, when non-nil, overrides Scheme's parameters per switch
+	// location (see TunedParams).
+	Tuned *TunedParams
 
 	// RTT, when non-nil, injects per-flow base RTTs via netem-style
 	// sender delay.
@@ -213,15 +210,16 @@ func pathRTT(c *RunConfig) sim.Time {
 	return sim.Time(2*hops)*c.PropDelay + sim.Time(hops)*(txData+txAck)
 }
 
-// newNet builds the topology cfg (defaults applied) describes.
-func (cfg *RunConfig) newNet(newAQMAt func(topology.PortLoc, int) aqm.AQM) *topology.Net {
+// newNet builds the topology cfg (defaults applied) describes. Its switch
+// queues mark as cfg.Scheme and cfg.Tuned say, the randomized markers
+// drawing from rng; a nil rng builds a scratch network without AQMs.
+func (cfg *RunConfig) newNet(rng *rand.Rand) *topology.Net {
 	opts := topology.Options{
 		Link: topology.LinkParams{
 			RateBps:     cfg.RateBps,
 			PropDelay:   cfg.PropDelay,
 			BufferBytes: cfg.BufferBytes,
 		},
-		NewAQMAt:          newAQMAt,
 		SharedBufferBytes: cfg.SharedBufferBytes,
 		DTAlpha:           cfg.DTAlpha,
 		Weights:           cfg.Weights,
@@ -229,6 +227,9 @@ func (cfg *RunConfig) newNet(newAQMAt func(topology.PortLoc, int) aqm.AQM) *topo
 	}
 	if cfg.SharedBufferBytes > 0 {
 		opts.Link.BufferBytes = 0
+	}
+	if rng != nil {
+		opts.NewAQMAt = cfg.aqmAt(rng)
 	}
 	switch cfg.Topo {
 	case TopoStar:
@@ -257,6 +258,31 @@ func (cfg RunConfig) CheckFaults() error {
 	return err
 }
 
+// aqmAt compiles cfg.Scheme and cfg.Tuned into the constructor
+// topology.Options.NewAQMAt takes: a port matching no tuned scope marks as
+// cfg.Scheme does.
+func (cfg *RunConfig) aqmAt(rng *rand.Rand) func(topology.PortLoc, int) aqm.AQM {
+	base := cfg.Scheme.Factory(rng)
+	tp := cfg.Tuned
+	if tp == nil {
+		return func(_ topology.PortLoc, q int) aqm.AQM { return base(q) }
+	}
+	schemes, err := tp.Schemes(cfg.Scheme)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	tuned := make([]func(int) aqm.AQM, len(schemes))
+	for i, s := range schemes {
+		tuned[i] = s.Factory(rng)
+	}
+	return func(loc topology.PortLoc, q int) aqm.AQM {
+		if i := tp.scopeOf(loc); i >= 0 {
+			return tuned[i](q)
+		}
+		return base(q)
+	}
+}
+
 // Run executes the configured simulation and gathers results.
 func Run(cfg RunConfig) RunResult {
 	r, _ := RunContext(context.Background(), cfg)
@@ -271,13 +297,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	var newAQMAt func(topology.PortLoc, int) aqm.AQM
-	if cfg.AQMAt != nil {
-		newAQMAt = cfg.AQMAt(rng)
-	} else {
-		newAQMAt = locBlind(cfg.Scheme.Factory(rng))
-	}
-	net := cfg.newNet(newAQMAt)
+	net := cfg.newNet(rng)
 
 	if cfg.NewTracer != nil {
 		if tr := cfg.NewTracer(ctx, cfg.Seed); tr != nil {
@@ -397,12 +417,6 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 		res.Goodput = append(res.Goodput, m.Series)
 	}
 	return res, runErr
-}
-
-// locBlind adapts a location-blind AQM factory to the location-aware
-// constructor topology.Options.NewAQMAt takes.
-func locBlind(f func(q int) aqm.AQM) func(topology.PortLoc, int) aqm.AQM {
-	return func(_ topology.PortLoc, q int) aqm.AQM { return f(q) }
 }
 
 // MergeRuns pools per-seed results into one, deterministically in input

@@ -33,6 +33,15 @@ const (
 	SchemeTCN
 	// SchemeECNSharp is the paper's contribution.
 	SchemeECNSharp
+	// SchemeRED is min/max RED: probabilistic marking on queue length, as
+	// DCQCN deployments configure it (§3.5).
+	SchemeRED
+	// SchemeECNSharpProb is §3.5's ECN♯ variant: a probabilistic ramp on
+	// sojourn time instead of the cut-off, plus Algorithm 1's persistent
+	// marking.
+	SchemeECNSharpProb
+
+	numSchemeKinds // count of kinds; keep last
 )
 
 // Scheme is a fully parameterized AQM configuration for one run.
@@ -41,21 +50,36 @@ type Scheme struct {
 	// Label names the scheme in result tables.
 	Label string
 
-	// KBytes is the queue-length threshold for RED variants.
+	// KBytes is the queue-length threshold for the DCTCP-RED variants,
+	// and the top of SchemeRED's ramp.
 	KBytes int64
 	// Target/Interval parameterize CoDel.
 	Target, Interval sim.Time
 	// TCNThreshold parameterizes TCN.
 	TCNThreshold sim.Time
-	// Params parameterize ECN♯.
+	// Params parameterize ECN♯. For SchemeECNSharpProb, InsTarget is the
+	// top of the ramp.
 	Params core.Params
+	// Ramp parameterizes the two randomized kinds.
+	Ramp Ramp
 }
 
-// Factory returns the per-queue AQM constructor for a run. rng is ignored:
-// every scheme kind marks deterministically. AQMs that draw randomness
-// (RED, ECN♯-prob) are built through RunConfig.AQMAt, which gets the
-// run's rng.
-func (s Scheme) Factory(_ *rand.Rand) func(q int) aqm.AQM {
+// Ramp is the probabilistic part of SchemeRED and SchemeECNSharpProb: the
+// marking probability rises linearly from 0 at the floor to Pmax at the
+// top, above which every packet is marked. The top is the scheme's own
+// threshold (KBytes, or Params.InsTarget).
+type Ramp struct {
+	// KminBytes is SchemeRED's floor.
+	KminBytes int64
+	// TMin is SchemeECNSharpProb's floor.
+	TMin sim.Time
+	// Pmax is the marking probability at the top.
+	Pmax float64
+}
+
+// Factory returns the per-queue AQM constructor for a run. The randomized
+// kinds draw from rng, which must then be non-nil.
+func (s Scheme) Factory(rng *rand.Rand) func(q int) aqm.AQM {
 	switch s.Kind {
 	case SchemeREDTail, SchemeREDAvg, SchemeREDFixed:
 		k := s.KBytes
@@ -69,6 +93,18 @@ func (s Scheme) Factory(_ *rand.Rand) func(q int) aqm.AQM {
 	case SchemeECNSharp:
 		p := s.Params
 		return func(int) aqm.AQM { return aqm.MustNewECNSharp(p) }
+	case SchemeRED:
+		kmin, kmax, pmax := s.Ramp.KminBytes, s.KBytes, s.Ramp.Pmax
+		return func(int) aqm.AQM { return aqm.NewRED(kmin, kmax, pmax, rng) }
+	case SchemeECNSharpProb:
+		p, r := s.Params, s.Ramp
+		return func(int) aqm.AQM {
+			a, err := aqm.NewECNSharpProb(p, r.TMin, p.InsTarget, r.Pmax, rng)
+			if err != nil {
+				panic(err)
+			}
+			return a
+		}
 	default:
 		panic(fmt.Sprintf("experiments: unknown scheme kind %d", s.Kind))
 	}

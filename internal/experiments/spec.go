@@ -374,9 +374,10 @@ func (c Cell) RunConfig() (RunConfig, error) {
 	cfg.RTT = &rtt
 	cfg.Shards = c.Shards
 	if c.Tuned != nil {
-		if cfg.AQMAt, err = c.Tuned.AQMAt(scheme); err != nil {
+		if _, err := c.Tuned.Schemes(scheme); err != nil {
 			return RunConfig{}, err
 		}
+		cfg.Tuned = c.Tuned
 	}
 	return cfg, nil
 }

@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"slices"
 
-	"ecnsharp/internal/aqm"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/topology"
 )
@@ -41,23 +40,94 @@ type TunedValue struct {
 	Value float64 `json:"value"`
 }
 
-// TunedDimNames returns the tunable dimension names of a scheme, the
-// naming authority shared with internal/tune: ECN♯ exposes
-// ins_target_us / pst_target_us / pst_interval_us, the RED variants
-// k_bytes, CoDel target_us / interval_us, TCN threshold_us.
-func TunedDimNames(kind SchemeKind) []string {
-	switch kind {
-	case SchemeREDTail, SchemeREDAvg, SchemeREDFixed:
-		return []string{"k_bytes"}
-	case SchemeCoDel:
-		return []string{"target_us", "interval_us"}
-	case SchemeTCN:
-		return []string{"threshold_us"}
-	case SchemeECNSharp:
-		return []string{"ins_target_us", "pst_target_us", "pst_interval_us"}
-	default:
+// tunedDim is one tunable dimension of a scheme kind: its TunedValue
+// name, the floor under any search box, and the Scheme field it sets —
+// a time field tuned in microseconds (us) or a byte field tuned in bytes.
+type tunedDim struct {
+	name  string
+	floor float64
+	us    func(*Scheme) *sim.Time
+	bytes func(*Scheme) *int64
+}
+
+// get reads the dimension's value from s, in its unit.
+func (d tunedDim) get(s *Scheme) float64 {
+	if d.us != nil {
+		return d.us(s).Micros()
+	}
+	return float64(*d.bytes(s))
+}
+
+// set stores v into s, rejecting a value that converts to zero or less in
+// the field's unit (0.0001 µs is 0 ns; 0.5 bytes is 0 bytes).
+func (d tunedDim) set(s *Scheme, v float64) error {
+	if d.us != nil {
+		if t := sim.Micros(v); t > 0 {
+			*d.us(s) = t
+			return nil
+		}
+	} else if b := int64(v); b > 0 {
+		*d.bytes(s) = b
 		return nil
 	}
+	return fmt.Errorf("experiments: tuned param %q = %v is not positive in its unit", d.name, v)
+}
+
+// redDims is the DCTCP-RED variants' one dimension.
+var redDims = []tunedDim{
+	{name: "k_bytes", floor: 1500, bytes: func(s *Scheme) *int64 { return &s.KBytes }},
+}
+
+// tunedDims lists each tunable kind's dimensions in canonical order; a
+// kind missing here has none.
+var tunedDims = map[SchemeKind][]tunedDim{
+	SchemeREDTail:  redDims,
+	SchemeREDAvg:   redDims,
+	SchemeREDFixed: redDims,
+	SchemeCoDel: {
+		{name: "target_us", floor: 2, us: func(s *Scheme) *sim.Time { return &s.Target }},
+		{name: "interval_us", floor: 10, us: func(s *Scheme) *sim.Time { return &s.Interval }},
+	},
+	SchemeTCN: {
+		{name: "threshold_us", floor: 5, us: func(s *Scheme) *sim.Time { return &s.TCNThreshold }},
+	},
+	SchemeECNSharp: {
+		{name: "ins_target_us", floor: 5, us: func(s *Scheme) *sim.Time { return &s.Params.InsTarget }},
+		{name: "pst_target_us", floor: 2, us: func(s *Scheme) *sim.Time { return &s.Params.PstTarget }},
+		{name: "pst_interval_us", floor: 10, us: func(s *Scheme) *sim.Time { return &s.Params.PstInterval }},
+	},
+}
+
+// TunedDimNames returns the tunable dimension names of a scheme, the
+// naming authority shared with internal/tune: ECN♯ exposes
+// ins_target_us / pst_target_us / pst_interval_us, the DCTCP-RED variants
+// k_bytes, CoDel target_us / interval_us, TCN threshold_us.
+func TunedDimNames(kind SchemeKind) []string {
+	var names []string
+	for _, d := range tunedDims[kind] {
+		names = append(names, d.name)
+	}
+	return names
+}
+
+// TunedDim is one tunable dimension of a scheme as a search box sees it.
+type TunedDim struct {
+	// Name is the TunedValue name.
+	Name string
+	// Value is the scheme's own setting, in the dimension's unit.
+	Value float64
+	// Floor is the lowest bound a default search box should reach.
+	Floor float64
+}
+
+// TunedDims returns s's tunable dimensions in canonical order, at s's own
+// values (nil when its kind has none).
+func (s Scheme) TunedDims() []TunedDim {
+	var out []TunedDim
+	for _, d := range tunedDims[s.Kind] {
+		out = append(out, TunedDim{Name: d.name, Value: d.get(&s), Floor: d.floor})
+	}
+	return out
 }
 
 // Validate checks structural well-formedness: at least one group, unique
@@ -103,28 +173,17 @@ func (tp *TunedParams) Validate() error {
 // loudly instead of silently running the defaults.
 func ApplyTuned(base Scheme, vals []TunedValue) (Scheme, error) {
 	s := base
-	isRED := base.Kind == SchemeREDTail || base.Kind == SchemeREDAvg || base.Kind == SchemeREDFixed
+	dims := tunedDims[base.Kind]
 	for _, v := range vals {
 		if math.IsNaN(v.Value) || math.IsInf(v.Value, 0) || v.Value <= 0 {
 			return Scheme{}, fmt.Errorf("experiments: tuned param %q must be a finite positive value (got %v)", v.Name, v.Value)
 		}
-		switch {
-		case v.Name == "k_bytes" && isRED:
-			s.KBytes = int64(v.Value)
-		case v.Name == "target_us" && base.Kind == SchemeCoDel:
-			s.Target = sim.Micros(v.Value)
-		case v.Name == "interval_us" && base.Kind == SchemeCoDel:
-			s.Interval = sim.Micros(v.Value)
-		case v.Name == "threshold_us" && base.Kind == SchemeTCN:
-			s.TCNThreshold = sim.Micros(v.Value)
-		case v.Name == "ins_target_us" && base.Kind == SchemeECNSharp:
-			s.Params.InsTarget = sim.Micros(v.Value)
-		case v.Name == "pst_target_us" && base.Kind == SchemeECNSharp:
-			s.Params.PstTarget = sim.Micros(v.Value)
-		case v.Name == "pst_interval_us" && base.Kind == SchemeECNSharp:
-			s.Params.PstInterval = sim.Micros(v.Value)
-		default:
+		i := slices.IndexFunc(dims, func(d tunedDim) bool { return d.name == v.Name })
+		if i < 0 {
 			return Scheme{}, fmt.Errorf("experiments: param %q does not apply to scheme %q (tunable: %v)", v.Name, s.Label, TunedDimNames(base.Kind))
+		}
+		if err := dims[i].set(&s, v.Value); err != nil {
+			return Scheme{}, err
 		}
 	}
 	if s.Kind == SchemeECNSharp {
@@ -135,41 +194,33 @@ func ApplyTuned(base Scheme, vals []TunedValue) (Scheme, error) {
 	return s, nil
 }
 
-// AQMAt compiles the assignment into a RunConfig.AQMAt hook (which ignores
-// the run's rng): every group's parameters are applied to base up front
-// (so errors surface at configuration time, not mid-construction), and
-// locations matching no group fall back to base.
-func (tp *TunedParams) AQMAt(base Scheme) (func(*rand.Rand) func(topology.PortLoc, int) aqm.AQM, error) {
+// Schemes applies every group's parameters to base and returns one scheme
+// per group, in group order, so a bad assignment fails before any AQM is
+// built.
+func (tp *TunedParams) Schemes(base Scheme) ([]Scheme, error) {
 	if err := tp.Validate(); err != nil {
 		return nil, err
 	}
-	factories := make([]func(q int) aqm.AQM, len(tp.Groups))
+	out := make([]Scheme, len(tp.Groups))
 	for i, g := range tp.Groups {
 		s, err := ApplyTuned(base, g.Params)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: tuned scope %q: %w", g.Scope, err)
 		}
-		factories[i] = s.Factory(nil)
+		out[i] = s
 	}
-	fallback := base.Factory(nil)
-	groups := tp.Groups
-	at := func(loc topology.PortLoc, q int) aqm.AQM {
-		for i := range groups {
-			if groups[i].Scope == loc.Name {
-				return factories[i](q)
+	return out, nil
+}
+
+// scopeOf returns the index of the group governing a switch location —
+// exact name, then tier, then "all" — or -1 when none does.
+func (tp *TunedParams) scopeOf(loc topology.PortLoc) int {
+	for _, scope := range [...]string{loc.Name, loc.Tier, "all"} {
+		for i := range tp.Groups {
+			if tp.Groups[i].Scope == scope {
+				return i
 			}
 		}
-		for i := range groups {
-			if groups[i].Scope == loc.Tier {
-				return factories[i](q)
-			}
-		}
-		for i := range groups {
-			if groups[i].Scope == "all" {
-				return factories[i](q)
-			}
-		}
-		return fallback(q)
 	}
-	return func(*rand.Rand) func(topology.PortLoc, int) aqm.AQM { return at }, nil
+	return -1
 }

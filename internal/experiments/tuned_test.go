@@ -83,33 +83,44 @@ func TestTunedPerTierAssignment(t *testing.T) {
 // TestTunedValidation pins the failure modes: bad scopes, bad values and
 // scheme-mismatched names fail loudly at RunConfig time.
 func TestTunedValidation(t *testing.T) {
-	mk := func(mutate func(*TunedParams)) error {
+	mk := func(mutate func(*Cell)) error {
 		c := testCell()
 		c.Tuned = &TunedParams{Groups: []TunedGroup{{Scope: "all",
 			Params: []TunedValue{{Name: "ins_target_us", Value: 100}}}}}
-		mutate(c.Tuned)
+		mutate(&c)
 		_, err := c.RunConfig()
 		return err
 	}
-	if err := mk(func(*TunedParams) {}); err != nil {
+	if err := mk(func(*Cell) {}); err != nil {
 		t.Fatalf("valid tuned cell rejected: %v", err)
 	}
-	cases := map[string]func(*TunedParams){
-		"no groups":      func(tp *TunedParams) { tp.Groups = nil },
-		"empty scope":    func(tp *TunedParams) { tp.Groups[0].Scope = "" },
-		"empty params":   func(tp *TunedParams) { tp.Groups[0].Params = nil },
-		"zero value":     func(tp *TunedParams) { tp.Groups[0].Params[0].Value = 0 },
-		"negative value": func(tp *TunedParams) { tp.Groups[0].Params[0].Value = -5 },
-		"wrong scheme param": func(tp *TunedParams) {
-			tp.Groups[0].Params[0].Name = "k_bytes" // RED's dimension, ECN# cell
+	// only turns the cell into a scheme cell tuning just name = v.
+	only := func(scheme, name string, v float64) func(*Cell) {
+		return func(c *Cell) {
+			c.Scheme = scheme
+			c.Tuned.Groups[0].Params = []TunedValue{{Name: name, Value: v}}
+		}
+	}
+	cases := map[string]func(*Cell){
+		"no groups":      func(c *Cell) { c.Tuned.Groups = nil },
+		"empty scope":    func(c *Cell) { c.Tuned.Groups[0].Scope = "" },
+		"empty params":   func(c *Cell) { c.Tuned.Groups[0].Params = nil },
+		"zero value":     func(c *Cell) { c.Tuned.Groups[0].Params[0].Value = 0 },
+		"negative value": func(c *Cell) { c.Tuned.Groups[0].Params[0].Value = -5 },
+		"wrong scheme param": func(c *Cell) {
+			c.Tuned.Groups[0].Params[0].Name = "k_bytes" // RED's dimension, ECN# cell
 		},
-		"unknown param": func(tp *TunedParams) { tp.Groups[0].Params[0].Name = "bogus" },
-		"pst above ins": func(tp *TunedParams) {
-			tp.Groups[0].Params = append(tp.Groups[0].Params, TunedValue{Name: "pst_target_us", Value: 500})
+		"unknown param": func(c *Cell) { c.Tuned.Groups[0].Params[0].Name = "bogus" },
+		"pst above ins": func(c *Cell) {
+			c.Tuned.Groups[0].Params = append(c.Tuned.Groups[0].Params, TunedValue{Name: "pst_target_us", Value: 500})
 		},
-		"duplicate scope": func(tp *TunedParams) {
-			tp.Groups = append(tp.Groups, tp.Groups[0])
+		"duplicate scope": func(c *Cell) {
+			c.Tuned.Groups = append(c.Tuned.Groups, c.Tuned.Groups[0])
 		},
+		// Positive values that truncate to zero in the scheme's unit.
+		"codel target 0 ns":  only("codel", "target_us", 0.0001),
+		"tcn threshold 0 ns": only("tcn", "threshold_us", 0.0001),
+		"red k 0 bytes":      only("red-tail", "k_bytes", 0.0001),
 	}
 	for name, mutate := range cases {
 		if err := mk(mutate); err == nil {

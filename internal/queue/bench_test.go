@@ -42,7 +42,7 @@ func BenchmarkEgressFIFO(b *testing.B) { bench.EgressFIFO(b) }
 // costs only the branch.
 func BenchmarkEgressFIFOTracedNop(b *testing.B) {
 	eg := queue.NewEgress(1, nil, 0, func(int) aqm.AQM {
-		return aqm.NewREDInstantSojourn(100 * sim.Microsecond)
+		return aqm.NewTCN(100 * sim.Microsecond)
 	})
 	eg.SetTracer(trace.Nop{}, 0)
 	b.ReportAllocs()

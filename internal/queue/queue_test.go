@@ -276,7 +276,7 @@ func TestEgressTailDrop(t *testing.T) {
 
 func TestEgressMarkingOnlyECT(t *testing.T) {
 	eg := NewEgress(1, nil, 0, func(int) aqm.AQM {
-		return aqm.NewREDInstantSojourn(0) // marks every packet with sojourn > 0
+		return aqm.NewTCN(0) // marks every packet with sojourn > 0
 	})
 	ect := pkt(1500)
 	notEct := pkt(1500)

@@ -110,7 +110,7 @@ func TestEgressTraceMarkKinds(t *testing.T) {
 func TestEgressTraceSkipsNotECTMark(t *testing.T) {
 	rec := trace.NewRingRecorder(16)
 	eg := NewEgress(1, nil, 0, func(int) aqm.AQM {
-		return aqm.NewREDInstantSojourn(0) // would mark every packet
+		return aqm.NewTCN(0) // would mark every packet
 	})
 	eg.SetTracer(rec, 0)
 	p := pkt(1500)

@@ -9,5 +9,4 @@ var (
 	_ Tracer = (*JSONLWriter)(nil)
 	_ Tracer = (*CSVWriter)(nil)
 	_ Tracer = (*Filter)(nil)
-	_ Tracer = Tee(nil)
 )

@@ -339,24 +339,3 @@ func (f *Filter) Trace(e Event) {
 	}
 	f.Next.Trace(e)
 }
-
-// Tee duplicates every event to all of its tracers, in order.
-type Tee []Tracer
-
-// NewTee builds a Tee over the given tracers (nil entries are skipped).
-func NewTee(tracers ...Tracer) Tee {
-	out := make(Tee, 0, len(tracers))
-	for _, t := range tracers {
-		if t != nil {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// Trace forwards the event to every tracer.
-func (tt Tee) Trace(e Event) {
-	for _, t := range tt {
-		t.Trace(e)
-	}
-}

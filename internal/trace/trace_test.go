@@ -185,20 +185,6 @@ func TestFilterForwardsSampledSubset(t *testing.T) {
 		}
 	}
 }
-
-func TestTeeDuplicatesAndSkipsNil(t *testing.T) {
-	a := NewRingRecorder(4)
-	b := NewRingRecorder(4)
-	tee := NewTee(a, nil, b)
-	if len(tee) != 2 {
-		t.Fatalf("NewTee kept %d tracers, want 2", len(tee))
-	}
-	tee.Trace(ev(Drop, 7))
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatalf("tee delivered a=%d b=%d, want 1 each", a.Len(), b.Len())
-	}
-}
-
 func TestJSONLWriterFormat(t *testing.T) {
 	cases := []struct {
 		name string

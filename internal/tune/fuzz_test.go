@@ -3,14 +3,19 @@ package tune
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
+
+	"ecnsharp/internal/experiments"
 )
 
 // FuzzParseTuneSpec fuzzes the spec loader the way FuzzReadSpecs fuzzes
 // the workload trace loader: arbitrary bytes either fail cleanly or
 // produce a normalized spec whose canonical form round-trips to an
 // identical spec — parse(canonical(parse(x))) == parse(x) — with sane
-// invariants (finite ordered bounds, positive budget, anchors in-box).
+// invariants (finite ordered bounds, positive budget, anchors in-box), and
+// the box's all-Min, all-Default and all-Max vectors apply to the sweep's
+// scheme and build an AQM.
 func FuzzParseTuneSpec(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"sweep":{}}`))
@@ -49,6 +54,27 @@ func FuzzParseTuneSpec(f *testing.F) {
 		}
 		if spec.Budget < 1 {
 			t.Fatalf("accepted budget %d", spec.Budget)
+		}
+		scheme, err := sweepScheme(&spec.Sweep)
+		if err != nil {
+			t.Fatalf("accepted spec names no scheme: %v", err)
+		}
+		for _, corner := range []func(Dim) float64{
+			func(d Dim) float64 { return d.Min },
+			func(d Dim) float64 { return d.Default },
+			func(d Dim) float64 { return d.Max },
+		} {
+			v := make([]float64, spec.Space.NumParams())
+			for p := range v {
+				v[p] = corner(spec.Space.dim(p))
+			}
+			for _, g := range spec.Space.ToTuned(v).Groups {
+				s, err := experiments.ApplyTuned(scheme, g.Params)
+				if err != nil {
+					t.Fatalf("accepted space %+v, but %v does not apply: %v", spec.Space, g.Params, err)
+				}
+				s.Factory(rand.New(rand.NewSource(1)))(0)
+			}
 		}
 
 		// Canonicalize → reparse → canonicalize must be a fixed point.

@@ -40,6 +40,36 @@ func TestSpaceValidate(t *testing.T) {
 	}
 }
 
+// TestDefaultSpaceMatchesSchemes: for every named tunable scheme, the
+// default box has the scheme's dims in TunedDimNames order, anchored at
+// the scheme's own values.
+func TestDefaultSpaceMatchesSchemes(t *testing.T) {
+	for _, name := range []string{"ecnsharp", "red-tail", "red-avg", "codel", "tcn"} {
+		sweep := experiments.SweepSpec{Scheme: name}
+		if err := sweep.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		sp, err := DefaultSpace(&sweep, false)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		scheme, err := experiments.SchemeByName(name, testRTT())
+		if err != nil {
+			t.Fatal(err)
+		}
+		own := scheme.TunedDims()
+		names := experiments.TunedDimNames(scheme.Kind)
+		if len(sp.Dims) != len(names) || len(own) != len(names) {
+			t.Fatalf("%s: %d dims, %d own values, names %v", name, len(sp.Dims), len(own), names)
+		}
+		for i, d := range sp.Dims {
+			if d.Name != names[i] || d.Default != own[i].Value {
+				t.Errorf("%s: dim %d = %s anchored at %v, want %s at %v", name, i, d.Name, d.Default, names[i], own[i].Value)
+			}
+		}
+	}
+}
+
 func TestSpaceClampSnaps(t *testing.T) {
 	sp := &Space{Dims: []Dim{{Name: "x", Min: 10, Max: 20, Default: 10, Step: 4}}}
 	for _, tc := range []struct{ in, want float64 }{
@@ -93,12 +123,12 @@ func TestToTunedRepairsECNSharpCoupling(t *testing.T) {
 		t.Errorf("repair gave ins=%v pst=%v, want pst clamped to ins=50", ins, pst)
 	}
 	// The repaired assignment must pass the experiments-layer validation
-	// all the way into an AQM factory.
+	// all the way into the per-scope schemes.
 	scheme, err := experiments.SchemeByName("ecnsharp", testRTT())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tuned.AQMAt(scheme); err != nil {
+	if _, err := tuned.Schemes(scheme); err != nil {
 		t.Errorf("repaired params rejected: %v", err)
 	}
 }

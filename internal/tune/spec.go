@@ -121,14 +121,37 @@ func (s *Spec) Normalize() error {
 	if err := s.Space.Validate(); err != nil {
 		return err
 	}
-	// Space values become scheme parameters, which must be positive.
-	for _, d := range s.Space.Dims {
-		if d.Min <= 0 {
-			return fmt.Errorf("tune: dimension %q min must be positive (got %v) — values are scheme parameters", d.Name, d.Min)
-		}
+	if err := s.checkCorners(); err != nil {
+		return err
 	}
 	if s.Searcher == "grid" && gridTotal(s.GridPoints, s.Space.NumParams()) > MaxGridPoints {
 		return fmt.Errorf("tune: grid lattice exceeds %d points — reduce grid_points or dimensions", MaxGridPoints)
+	}
+	return nil
+}
+
+// checkCorners rejects a space whose values the sweep's scheme cannot
+// take: the all-Min, all-Default and all-Max vectors must each apply
+// through ToTuned and experiments.ApplyTuned. That covers the whole box —
+// every check ApplyTuned makes is monotone in each value, and ToTuned
+// repairs the one coupling between two dimensions.
+func (s *Spec) checkCorners() error {
+	scheme, err := sweepScheme(&s.Sweep)
+	if err != nil {
+		return err
+	}
+	for _, corner := range []func(Dim) float64{
+		func(d Dim) float64 { return d.Min },
+		func(d Dim) float64 { return d.Default },
+		func(d Dim) float64 { return d.Max },
+	} {
+		v := make([]float64, s.Space.NumParams())
+		for p := range v {
+			v[p] = corner(s.Space.dim(p))
+		}
+		if _, err := s.Space.ToTuned(v).Schemes(scheme); err != nil {
+			return fmt.Errorf("tune: space does not fit scheme %q: %w", s.Sweep.Scheme, err)
+		}
 	}
 	return nil
 }
@@ -140,42 +163,28 @@ func (s *Spec) CanonicalJSON() ([]byte, error) {
 	return json.Marshal(s)
 }
 
+// sweepScheme resolves the normalized sweep's scheme the way its cells do.
+func sweepScheme(sweep *experiments.SweepSpec) (experiments.Scheme, error) {
+	rtt := rttvar.NewVariation(sim.Micros(sweep.RTTMinUS), sweep.RTTVariation)
+	return experiments.SchemeByName(sweep.Scheme, rtt)
+}
+
 // DefaultSpace derives the search box for the sweep's scheme, anchored at
 // the same §3.4 derivation SchemeByName performs: each dimension spans
 // [anchor/8, anchor·4] (floored at a few microseconds or one MTU) around
 // the hand-derived default. perTier splits a leafspine sweep into leaf
 // and spine scopes; otherwise the single "all" scope is shared.
 func DefaultSpace(sweep *experiments.SweepSpec, perTier bool) (*Space, error) {
-	rtt := rttvar.NewVariation(sim.Micros(sweep.RTTMinUS), sweep.RTTVariation)
-	scheme, err := experiments.SchemeByName(sweep.Scheme, rtt)
+	scheme, err := sweepScheme(sweep)
 	if err != nil {
 		return nil, err
 	}
-	anchored := func(name string, anchor, floor float64) Dim {
-		if anchor < floor {
-			anchor = floor
-		}
-		return Dim{Name: name, Min: math.Max(floor, anchor/8), Max: anchor * 4, Default: anchor}
-	}
 	var dims []Dim
-	switch scheme.Kind {
-	case experiments.SchemeECNSharp:
-		p := scheme.Params
-		dims = []Dim{
-			anchored("ins_target_us", p.InsTarget.Micros(), 5),
-			anchored("pst_target_us", p.PstTarget.Micros(), 2),
-			anchored("pst_interval_us", p.PstInterval.Micros(), 10),
-		}
-	case experiments.SchemeREDTail, experiments.SchemeREDAvg, experiments.SchemeREDFixed:
-		dims = []Dim{anchored("k_bytes", float64(scheme.KBytes), 1500)}
-	case experiments.SchemeCoDel:
-		dims = []Dim{
-			anchored("target_us", scheme.Target.Micros(), 2),
-			anchored("interval_us", scheme.Interval.Micros(), 10),
-		}
-	case experiments.SchemeTCN:
-		dims = []Dim{anchored("threshold_us", scheme.TCNThreshold.Micros(), 5)}
-	default:
+	for _, d := range scheme.TunedDims() {
+		anchor := math.Max(d.Value, d.Floor)
+		dims = append(dims, Dim{Name: d.Name, Min: math.Max(d.Floor, anchor/8), Max: anchor * 4, Default: anchor})
+	}
+	if dims == nil {
 		return nil, fmt.Errorf("tune: scheme %q has no tunable dimensions", sweep.Scheme)
 	}
 	sp := &Space{Dims: dims}
