@@ -84,7 +84,9 @@ func sortedKeys[V any](a, b map[string]V) []string {
 // their engine's and pool's growth to zero over 2^22 operations; the three
 // whole-stack bodies build a fresh network per op, and FlapStorm's map
 // growth follows per-process hash seeds (±2 allocations an op around
-// 4422.9), so it takes 64 ops to settle on one integer.
+// 4422.9), so it takes 64 ops to settle on one integer. DecodeCellResult
+// allocates the same on every op, and 1,024 ops keep the collector-off
+// heap near 11 MB.
 var allocSuite = []struct {
 	name  string
 	fn    func(*testing.B)
@@ -97,6 +99,7 @@ var allocSuite = []struct {
 	{"BulkTransfer", bench.BulkTransfer, 32},
 	{"IncastBurst", bench.IncastBurst, 32},
 	{"FlapStorm", bench.FlapStorm, 64},
+	{"DecodeCellResult", bench.DecodeCellResult, 1 << 10},
 }
 
 // allocResult is one benchmark's entry in BENCH_runtime.json: what does

@@ -13,7 +13,9 @@ import (
 	"testing"
 
 	"ecnsharp/internal/aqm"
+	"ecnsharp/internal/experiments"
 	"ecnsharp/internal/fault"
+	"ecnsharp/internal/metrics"
 	"ecnsharp/internal/packet"
 	"ecnsharp/internal/queue"
 	"ecnsharp/internal/sim"
@@ -218,6 +220,40 @@ func IncastBurst(b *testing.B) {
 		net.Shard.Run()
 		if done != 64 {
 			b.Fatal("burst incomplete")
+		}
+	}
+}
+
+// DecodeCellResult measures a result-cache hit's decode: one fixed
+// synthetic cell of 400 completed flows (no simulator run), encoded once
+// and decoded every op, the way the daemon reads back a stored cell.
+func DecodeCellResult(b *testing.B) {
+	res := experiments.CellResult{
+		SchemaVersion: experiments.ResultSchemaVersion,
+		Cell: experiments.Cell{Topo: "star", Scheme: "ecnsharp", Workload: "websearch",
+			Load: 0.5, Flows: 400, Seed: 1, RTTMinUS: 70, RTTVariation: 3},
+		Completed: 400, Injected: 400, Drops: 12, Marks: 3456, Timeouts: 2, Retransmits: 40,
+	}
+	size, fct := int64(1), int64(1)
+	for i := 0; i < 400; i++ {
+		size = size*6364136223846793005 + 1442695040888963407 // an LCG: fixed, varied digit counts
+		fct = fct*2862933555777941757 + 3037000493
+		res.Records = append(res.Records, metrics.FCTRecord{
+			Size:  1 + (size>>1)%30_000_000,
+			FCT:   sim.Time(10_000 + (fct>>1)%100_000_000),
+			Query: i%10 == 0,
+		})
+	}
+	res.Stats = metrics.StatsOf(res.Records)
+	payload, err := res.Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.DecodeCellResult(payload); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 
 	"ecnsharp/internal/cache"
 	"ecnsharp/internal/harness"
@@ -295,14 +297,20 @@ type LoadPool struct {
 }
 
 // Pool groups the results of the spec's cells — results[i] belonging to
-// Cells()[i] — into one LoadPool per load.
+// Cells()[i] — into one LoadPool per load. Each record is copied once,
+// into the pool's own stream.
 func (s *SweepSpec) Pool(results []CellResult) []LoadPool {
 	pools := make([]LoadPool, len(s.Loads))
 	for li, load := range s.Loads {
 		p := LoadPool{Load: load}
-		pooled := metrics.NewFCTCollector()
-		for _, r := range results[li*len(s.Seeds) : (li+1)*len(s.Seeds)] {
-			pooled.Merge(r.Collector())
+		group := results[li*len(s.Seeds) : (li+1)*len(s.Seeds)]
+		n := 0
+		for _, r := range group {
+			n += len(r.Records)
+		}
+		p.Records = slices.Grow([]metrics.FCTRecord(nil), n) // nil when no flow completed
+		for _, r := range group {
+			p.Records = append(p.Records, r.Records...)
 			p.Drops += r.Drops
 			p.Marks += r.Marks
 			p.Timeouts += r.Timeouts
@@ -311,7 +319,7 @@ func (s *SweepSpec) Pool(results []CellResult) []LoadPool {
 			p.Failed += r.Failed
 			p.Injected += r.Injected
 		}
-		p.Stats, p.Records = pooled.Stats(), pooled.Records()
+		p.Stats = metrics.StatsOf(p.Records)
 		pools[li] = p
 	}
 	return pools
@@ -419,13 +427,85 @@ func (r CellResult) Encode() ([]byte, error) {
 	return json.Marshal(r)
 }
 
-// DecodeCellResult parses bytes produced by Encode.
+// DecodeCellResult parses bytes produced by Encode. Encode owns the bytes:
+// the record stream, nearly all of a payload, goes through
+// metrics.DecodeFCTRecords, which accepts only what json.Marshal writes
+// for it, and the ~500 bytes around it through encoding/json with the
+// records cut out. A payload that does not have that form is an error; a
+// result the store returns passed its checksum and was written by Encode.
 func DecodeCellResult(data []byte) (CellResult, error) {
-	var r CellResult
-	if err := json.Unmarshal(data, &r); err != nil {
+	r, err := decodeCellResult(data)
+	if err != nil {
 		return CellResult{}, fmt.Errorf("experiments: bad cell result: %w", err)
 	}
 	return r, nil
+}
+
+// cellEnvelope is a CellResult whose "records" key decodes into a counter:
+// the one value there is DecodeCellResult's placeholder, and a second key
+// encoding/json would read as "records" (a duplicate, or another case)
+// shows as a count above one.
+type cellEnvelope struct {
+	CellResult
+	Records recordsSlot `json:"records"`
+}
+
+// recordsSlot counts the values encoding/json hands it.
+type recordsSlot int
+
+func (n *recordsSlot) UnmarshalJSON([]byte) error {
+	*n++
+	return nil
+}
+
+func decodeCellResult(data []byte) (CellResult, error) {
+	at := topLevelValue(data, `"records":`)
+	if at < 0 {
+		return CellResult{}, errors.New(`no top-level "records"`)
+	}
+	recs, n, err := metrics.DecodeFCTRecords(data[at:])
+	if err != nil {
+		return CellResult{}, err
+	}
+	env := make([]byte, 0, len(data)-n+len("null"))
+	env = append(append(append(env, data[:at]...), "null"...), data[at+n:]...)
+	var e cellEnvelope
+	if err := json.Unmarshal(env, &e); err != nil {
+		return CellResult{}, err
+	}
+	if e.Records != 1 {
+		return CellResult{}, fmt.Errorf(`%d keys decode as "records"`, e.Records)
+	}
+	e.CellResult.Records = recs
+	return e.CellResult, nil
+}
+
+// topLevelValue returns the offset just past the first occurrence of key
+// (a quoted name and its colon) at depth one of the JSON text data, or -1.
+// It tracks only strings and nesting; json.Unmarshal of the spliced
+// envelope checks the rest of the syntax.
+func topLevelValue(data []byte, key string) int {
+	depth, inString := 0, false
+	for i := 0; i < len(data); i++ {
+		switch c := data[i]; {
+		case inString:
+			if c == '\\' {
+				i++
+			} else if c == '"' {
+				inString = false
+			}
+		case c == '"':
+			if depth == 1 && bytes.HasPrefix(data[i:], []byte(key)) {
+				return i + len(key)
+			}
+			inString = true
+		case c == '{' || c == '[':
+			depth++
+		case c == '}' || c == ']':
+			depth--
+		}
+	}
+	return -1
 }
 
 // Collector rebuilds an FCT collector over the result's records, so cached

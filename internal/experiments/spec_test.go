@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -141,13 +142,17 @@ func TestCellRunDeterministicEncode(t *testing.T) {
 		t.Error("traced cell captured no events")
 	}
 
-	// Round trip: decoded results rebuild the same statistics.
+	// Round trip: the decoded result is the result, field for field, and
+	// its records rebuild the same statistics.
 	dec, err := DecodeCellResult(b1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dec.SchemaVersion != ResultSchemaVersion {
-		t.Errorf("schema version %q", dec.SchemaVersion)
+		t.Errorf("schema version %q, want %q", dec.SchemaVersion, ResultSchemaVersion)
+	}
+	if !reflect.DeepEqual(dec, r1) {
+		t.Errorf("round-tripped result differs:\n%+v\n%+v", dec, r1)
 	}
 	if got := dec.Collector().Stats(); got != r1.Stats {
 		t.Errorf("round-tripped stats differ:\n%+v\n%+v", got, r1.Stats)

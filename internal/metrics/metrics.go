@@ -5,6 +5,12 @@
 package metrics
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+
 	"ecnsharp/internal/dist"
 	"ecnsharp/internal/queue"
 	"ecnsharp/internal/sim"
@@ -24,6 +30,82 @@ type FCTRecord struct {
 	Size  int64    `json:"size"`
 	FCT   sim.Time `json:"fct_ns"`
 	Query bool     `json:"query,omitempty"`
+}
+
+// DecodeFCTRecords parses the JSON value at the start of data that
+// json.Marshal writes for a []FCTRecord, and nothing else: null (a nil
+// slice), [] or objects {"size":N,"fct_ns":N} with an optional
+// ,"query":true, integers in Marshal's form with no whitespace. It returns
+// the records and the length of the value; the rest of data is not read.
+// Digits are parsed in place, so the result slice is the one allocation.
+func DecodeFCTRecords(data []byte) ([]FCTRecord, int, error) {
+	p := recordParser{b: data}
+	if p.lit("null") {
+		return nil, p.i, nil
+	}
+	// A record holds no array or string, so the first ']' closes the array.
+	end := bytes.IndexByte(data, ']')
+	if end < 0 || !p.lit("[") {
+		return nil, 0, errors.New("metrics: FCT records are not a JSON array")
+	}
+	p.b = data[:end+1]
+	recs := make([]FCTRecord, 0, bytes.Count(p.b, []byte{'{'}))
+	for p.i < end {
+		var size, fct int64
+		ok := (len(recs) == 0 || p.lit(",")) && p.lit(`{"size":`) && p.int(&size) &&
+			p.lit(`,"fct_ns":`) && p.int(&fct)
+		query := ok && p.lit(`,"query":true`)
+		if !ok || !p.lit("}") {
+			return nil, 0, fmt.Errorf("metrics: bad FCT record at byte %d", p.i)
+		}
+		recs = append(recs, FCTRecord{Size: size, FCT: sim.Time(fct), Query: query})
+	}
+	return recs, end + 1, nil
+}
+
+// recordParser walks one FCT record array; i is the next unread byte of b.
+type recordParser struct {
+	b []byte
+	i int
+}
+
+// lit consumes s if b continues with it.
+func (p *recordParser) lit(s string) bool {
+	if len(p.b)-p.i < len(s) || string(p.b[p.i:p.i+len(s)]) != s {
+		return false
+	}
+	p.i += len(s)
+	return true
+}
+
+// int consumes an integer as strconv.AppendInt writes it into *v: an
+// optional minus, then 0 or a nonzero digit and at most 18 more, within
+// int64.
+func (p *recordParser) int(v *int64) bool {
+	b := p.b[p.i:]
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	n := 0
+	var u uint64 // 19 digits never overflow a uint64
+	for n < len(b) && n < 20 && '0' <= b[n] && b[n] <= '9' {
+		u = 10*u + uint64(b[n]-'0')
+		n++
+	}
+	switch {
+	case n == 0 || n > 19 || (b[0] == '0' && (n > 1 || neg)):
+		return false
+	case u > math.MaxInt64 && !(neg && u == 1<<63):
+		return false
+	}
+	*v = int64(u)
+	if neg {
+		*v = -*v
+		p.i++
+	}
+	p.i += n
+	return true
 }
 
 // FCTCollector accumulates flow completion times.
@@ -64,10 +146,11 @@ func (c *FCTCollector) Count() int { return len(c.records) }
 // Records returns the raw records (not a copy; treat as read-only).
 func (c *FCTCollector) Records() []FCTRecord { return c.records }
 
-// filter returns FCTs in microseconds for flows matching pred.
-func (c *FCTCollector) filter(pred func(FCTRecord) bool) []float64 {
+// filter returns FCTs in microseconds for the records matching pred, in a
+// new slice.
+func filter(recs []FCTRecord, pred func(FCTRecord) bool) []float64 {
 	var out []float64
-	for _, r := range c.records {
+	for _, r := range recs {
 		if pred(r) {
 			out = append(out, r.FCT.Micros())
 		}
@@ -94,35 +177,43 @@ type FCTStats struct {
 
 // Stats computes the breakdown. Query flows are excluded from the
 // size-class statistics (they are reported separately in Figure 11).
-func (c *FCTCollector) Stats() FCTStats {
+func (c *FCTCollector) Stats() FCTStats { return StatsOf(c.records) }
+
+// StatsOf is Stats over a record slice, which it only reads.
+func StatsOf(recs []FCTRecord) FCTStats {
 	background := func(r FCTRecord) bool { return !r.Query }
 	short := func(r FCTRecord) bool { return !r.Query && r.Size <= ShortFlowMax }
 	large := func(r FCTRecord) bool { return !r.Query && r.Size >= LargeFlowMin }
 	query := func(r FCTRecord) bool { return r.Query }
 
-	all := c.filter(background)
-	sh := c.filter(short)
-	lg := c.filter(large)
-	qr := c.filter(query)
+	all := filter(recs, background)
+	sh := filter(recs, short)
+	lg := filter(recs, large)
+	qr := filter(recs, query)
 
-	return FCTStats{
+	// Means first: they sum in completion order, and a sum's last bit
+	// depends on its order. The filtered slices are this call's own, so
+	// the percentiles sort them in place.
+	s := FCTStats{
 		OverallAvg:   dist.Mean(all),
 		ShortAvg:     dist.Mean(sh),
-		ShortP99:     dist.Percentile(sh, 99),
 		LargeAvg:     dist.Mean(lg),
 		QueryAvg:     dist.Mean(qr),
-		QueryP99:     dist.Percentile(qr, 99),
 		OverallCount: len(all),
 		ShortCount:   len(sh),
 		LargeCount:   len(lg),
 		QueryCount:   len(qr),
 	}
+	slices.Sort(sh)
+	slices.Sort(qr)
+	s.ShortP99, s.QueryP99 = dist.PercentileSorted(sh, 99), dist.PercentileSorted(qr, 99)
+	return s
 }
 
 // ShortFCTsMicros returns the short-flow FCT samples in µs (for CDFs,
 // Figure 13b).
 func (c *FCTCollector) ShortFCTsMicros() []float64 {
-	return c.filter(func(r FCTRecord) bool { return !r.Query && r.Size <= ShortFlowMax })
+	return filter(c.records, func(r FCTRecord) bool { return !r.Query && r.Size <= ShortFlowMax })
 }
 
 // QueueSample is one point of a queue-occupancy trace.

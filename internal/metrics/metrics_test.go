@@ -1,7 +1,10 @@
 package metrics
 
 import (
+	"encoding/json"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"ecnsharp/internal/packet"
@@ -188,5 +191,66 @@ func TestFCTCollectorMerge(t *testing.T) {
 	pooledP99 := pooled.Stats().ShortP99
 	if pooledP99 == avgOfP99s {
 		t.Errorf("pooled p99 %.1f equals averaged p99 — pooling not in effect", pooledP99)
+	}
+}
+
+// TestDecodeFCTRecords round-trips what json.Marshal writes for record
+// slices, extremes included, and rejects every near miss: the parser takes
+// exactly Marshal's form and says how long the value was.
+func TestDecodeFCTRecords(t *testing.T) {
+	for _, recs := range [][]FCTRecord{
+		nil,
+		{},
+		{{Size: 1, FCT: 2}},
+		{{Size: 0, FCT: 0, Query: true}, {Size: -7, FCT: 10}},
+		{{Size: math.MaxInt64, FCT: math.MinInt64}, {Size: math.MinInt64, FCT: math.MaxInt64, Query: true}},
+	} {
+		b, err := json.Marshal(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, n, err := DecodeFCTRecords(append(b, `,"drops":3}`...))
+		if err != nil || n != len(b) || !reflect.DeepEqual(got, recs) {
+			t.Errorf("%s: got %v (length %d, err %v), want %v (length %d)", b, got, n, err, recs, len(b))
+		}
+	}
+	for _, bad := range []string{
+		``, `nul`, `{}`, `[`, `[1]`, `[{}]`, `[,]`,
+		`[{"size":1,"fct_ns":2},]`,
+		`[{"size":1,"fct_ns":2}{"size":1,"fct_ns":2}]`,
+		`[ {"size":1,"fct_ns":2}]`,
+		`[{"size": 1,"fct_ns":2}]`,
+		`[{"fct_ns":2,"size":1}]`,
+		`[{"size":1}]`,
+		`[{"size":1,"fct_ns":2,"query":false}]`,
+		`[{"size":1,"fct_ns":2,"query":true,"query":true}]`,
+		`[{"size":1,"fct_ns":2,"extra":0}]`,
+		`[{"size":01,"fct_ns":2}]`,
+		`[{"size":-0,"fct_ns":2}]`,
+		`[{"size":-,"fct_ns":2}]`,
+		`[{"size":1.5,"fct_ns":2}]`,
+		`[{"size":1e3,"fct_ns":2}]`,
+		`[{"size":"1","fct_ns":2}]`,
+		`[{"size":9223372036854775808,"fct_ns":2}]`,
+		`[{"size":-9223372036854775809,"fct_ns":2}]`,
+		`[{"size":10000000000000000000,"fct_ns":2}]`,
+		`[{"size":1,"fct_ns":2}`,
+	} {
+		if got, _, err := DecodeFCTRecords([]byte(bad)); err == nil {
+			t.Errorf("%s: accepted as %v", bad, got)
+		}
+	}
+}
+
+// TestStatsOfLeavesRecords: StatsOf sorts only its own filtered copies, so
+// the records keep their completion order.
+func TestStatsOfLeavesRecords(t *testing.T) {
+	recs := []FCTRecord{{Size: 10, FCT: 30}, {Size: 10, FCT: 10, Query: true}, {Size: 10, FCT: 20}, {Size: 10, FCT: 5, Query: true}}
+	want := slices.Clone(recs)
+	if s := StatsOf(recs); s.ShortP99 == 0 || s.QueryP99 == 0 {
+		t.Errorf("stats = %+v", s)
+	}
+	if !slices.Equal(recs, want) {
+		t.Errorf("StatsOf reordered its input: %v, want %v", recs, want)
 	}
 }

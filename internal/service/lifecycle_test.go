@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -171,9 +172,22 @@ func (tc lifecycleCase) done(t *testing.T) {
 		t.Errorf("status = %v", status)
 	}
 
+	// Eight more followers attach while the job runs and read its buffered
+	// events concurrently with the one below: each gets the whole stream.
+	const followers = 8
+	streams := make(chan []byte, followers)
+	for range followers {
+		go func() { streams <- getBody(job + "/stream") }()
+	}
 	events := followStream(t, job+"/stream")
 	if last := events[len(events)-1]; last["state"] != stateDone {
 		t.Fatalf("stream terminal event = %v", last)
+	}
+	want := <-streams
+	for range followers - 1 {
+		if got := <-streams; len(want) == 0 || !bytes.Equal(got, want) {
+			t.Errorf("concurrent followers read different streams:\n%s\n%s", got, want)
+		}
 	}
 
 	resp, err := http.Get(job + tc.result)

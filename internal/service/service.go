@@ -145,17 +145,18 @@ type eventLog struct {
 	cond   *sync.Cond
 	state  string
 	errMsg string
-	events []json.RawMessage
+	events [][]byte // each one NDJSON line, newline included
 }
 
 // appendLocked marshals and buffers one stream event and wakes every
-// follower; caller holds l.mu.
+// follower; caller holds l.mu. The newline is stored with the event, once:
+// followers share these bytes and only read them.
 func (l *eventLog) appendLocked(ev any) {
 	b, err := json.Marshal(ev)
 	if err != nil {
 		b = []byte(`{"type":"error","error":"event marshal failure"}`)
 	}
-	l.events = append(l.events, b)
+	l.events = append(l.events, append(b, '\n'))
 	l.cond.Broadcast()
 }
 
@@ -197,7 +198,7 @@ func (l *eventLog) serveStream(ctx context.Context, w http.ResponseWriter) {
 		l.mu.Unlock()
 
 		for _, ev := range batch {
-			if _, err := w.Write(append(ev, '\n')); err != nil {
+			if _, err := w.Write(ev); err != nil {
 				return
 			}
 		}
@@ -384,7 +385,9 @@ func (s *Server) handleResult(j *job, w http.ResponseWriter, _ *http.Request) {
 
 // sweep is the work of a sweep job: the spec's cell grid and, per cell,
 // what the status, results and trace handlers read. A result's encoded
-// bytes are not kept; the store holds them under the cell's key.
+// bytes are not kept; the store holds them under the cell's key. A
+// finished sweep keeps its answer, not its inputs: the per-load pooled
+// view, and each result without its records.
 type sweep struct {
 	spec  *experiments.SweepSpec
 	cells []experiments.Cell
@@ -393,6 +396,14 @@ type sweep struct {
 	hits, failed int
 	perCell      []cellStatus             // as the status route reports it
 	results      []experiments.CellResult // zero until the cell's state is "done"
+	pooled       []poolView               // set when the sweep finishes done
+}
+
+// poolView is one load of the results route's "pooled" list.
+type poolView struct {
+	Load     float64          `json:"load"`
+	Stats    any              `json:"stats"`
+	Counters map[string]int64 `json:"counters"`
 }
 
 // cellStatus is one cell of the status response.
@@ -451,6 +462,13 @@ func (sw *sweep) run(s *Server, j *job) {
 	var err error
 	if sw.failed > 0 {
 		err = fmt.Errorf("%d of %d cells failed", sw.failed, len(sw.cells))
+	} else {
+		sw.pool()
+	}
+	// Nothing reads a record once the sweep is pooled, and a failed sweep
+	// has no results route, so every outcome drops them.
+	for i := range sw.results {
+		sw.results[i].Records = nil
 	}
 	j.finish(err, func(state, errMsg string) any {
 		return streamEvent{Type: "done", State: state, Total: len(sw.cells), CacheHits: sw.hits,
@@ -507,18 +525,24 @@ func (sw *sweep) progressText(done int) string {
 	return fmt.Sprintf("%d/%d cells", done, len(sw.cells))
 }
 
-// writeResult renders the per-cell results and pools them per load.
+// pool pools the finished results per load into sw.pooled. It runs on the
+// sweep's goroutine once every cell is done, before finish publishes the
+// state; the handlers that run meanwhile read only status rows and traces.
+func (sw *sweep) pool() {
+	for _, p := range sw.spec.Pool(sw.results) {
+		sw.pooled = append(sw.pooled, poolView{Load: p.Load, Stats: p.Stats,
+			Counters: counterMap(p.Drops, p.Marks, p.Timeouts, p.Retransmits,
+				p.Completed, p.Failed, p.Injected)})
+	}
+}
+
+// writeResult renders the per-cell results and the pooled view.
 func (sw *sweep) writeResult(w http.ResponseWriter, id string) {
 	type cellView struct {
 		Index    int              `json:"index"`
 		Key      string           `json:"key"`
 		Cached   bool             `json:"cached"`
 		Cell     experiments.Cell `json:"cell"`
-		Stats    any              `json:"stats"`
-		Counters map[string]int64 `json:"counters"`
-	}
-	type poolView struct {
-		Load     float64          `json:"load"`
 		Stats    any              `json:"stats"`
 		Counters map[string]int64 `json:"counters"`
 	}
@@ -531,17 +555,11 @@ func (sw *sweep) writeResult(w http.ResponseWriter, id string) {
 				res.Completed, res.Failed, res.Injected),
 		}
 	}
-	pools := make([]poolView, 0, len(sw.spec.Loads))
-	for _, p := range sw.spec.Pool(sw.results) {
-		pools = append(pools, poolView{Load: p.Load, Stats: p.Stats,
-			Counters: counterMap(p.Drops, p.Marks, p.Timeouts, p.Retransmits,
-				p.Completed, p.Failed, p.Injected)})
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"id":         id,
 		"state":      stateDone,
 		"cache_hits": sw.hits,
-		"pooled":     pools,
+		"pooled":     sw.pooled,
 		"cells":      cells,
 	})
 }

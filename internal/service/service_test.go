@@ -54,6 +54,18 @@ func getJSON(t *testing.T, url string, into any) *http.Response {
 	return resp
 }
 
+// getBody returns url's body, or nil on any error. It never stops the
+// test, so other goroutines may call it.
+func getBody(url string) []byte {
+	resp, err := http.Get(url)
+	if err != nil {
+		return nil
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	return b
+}
+
 // submitJob posts a spec to a collection URL (…/v1/sweeps or …/v1/tune),
 // requires the 202 and returns the decoded body.
 func submitJob(t *testing.T, url, spec string) map[string]any {
@@ -271,6 +283,12 @@ func TestRepeatSubmissionServedFromCache(t *testing.T) {
 		if !bytes.Equal(firstTraces[i], secondTraces[i]) {
 			t.Errorf("cell %d trace bytes differ (%d vs %d bytes)", i, len(firstTraces[i]), len(secondTraces[i]))
 		}
+	}
+
+	// A finished sweep keeps its pooled answer: the results are the same
+	// bytes on every fetch.
+	if r1, r2 := getBody(base+"/v1/sweeps/sw-2/results"), getBody(base+"/v1/sweeps/sw-2/results"); len(r1) == 0 || !bytes.Equal(r1, r2) {
+		t.Errorf("two fetches of one finished sweep's results differ:\n%s\n%s", r1, r2)
 	}
 
 	// The daemon's cache counters must agree: 2 misses (first run's two
