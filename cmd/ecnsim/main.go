@@ -116,6 +116,10 @@ func main() {
 	}
 
 	if *replayPath != "" {
+		// Replayed flows are not generated, so there is nothing to save.
+		if *saveFlows != "" {
+			fail(2, fmt.Errorf("-save-flows writes generated flows; it cannot be combined with -replay"))
+		}
 		f, err := os.Open(*replayPath)
 		if err != nil {
 			fail(1, err)

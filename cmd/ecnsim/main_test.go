@@ -144,6 +144,21 @@ func TestSaveFlowsChangesNothing(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("-seeds 1,2 -save-flows wrote %s", path)
 	}
+
+	// -replay brings its own flows: -save-flows next to it used to be
+	// dropped silently (exit 0, nothing written); it is a usage error.
+	replay := filepath.Join(t.TempDir(), "replay.csv")
+	if _, stderr, code := ecnsim(t, "-flows", "20", "-save-flows", replay); code != 0 {
+		t.Fatalf("writing the replay file: exit %d: %s", code, stderr)
+	}
+	stdout, stderr, code = ecnsim(t, "-replay", replay, "-save-flows", path)
+	if code != 2 || stdout != "" {
+		t.Errorf("-replay -save-flows: exit %d with stdout %q, want 2 and nothing run", code, stdout)
+	}
+	oneLine(t, "-replay -save-flows", stderr, "-replay")
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("-replay -save-flows wrote %s", path)
+	}
 }
 
 // TestBadFlagsAreUsageErrors: a value the spec layer rejects is a one-line

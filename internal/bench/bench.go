@@ -137,12 +137,12 @@ func BulkTransfer(b *testing.B) {
 			},
 			NewAQM: func(int) aqm.AQM { return aqm.NewREDInstantBytes(100 * 1500) },
 		})
-		eng := net.Engines[0]
 		cfg := transport.DefaultConfig()
-		fl1 := transport.StartFlow(eng, cfg, net.Host(0), net.Host(2), 1, 10_000_000, 0, nil)
-		fl2 := transport.StartFlow(eng, cfg, net.Host(1), net.Host(2), 2, 10_000_000, 0, nil)
+		table := transport.NewFlowTable(2)
+		table.Launch(cfg, net.Host(0), net.Host(2), 1, 10_000_000, 0, false)
+		table.Launch(cfg, net.Host(1), net.Host(2), 2, 10_000_000, 0, false)
 		net.Shard.Run()
-		if !fl1.Done || !fl2.Done {
+		if !table.Done[0] || !table.Done[1] {
 			b.Fatal("flows incomplete")
 		}
 	}
@@ -213,9 +213,10 @@ func IncastBurst(b *testing.B) {
 		cfg := transport.DefaultConfig()
 		cfg.InitCwndSegments = 2
 		done := 0
+		table := transport.NewFlowTable(64)
+		table.OnDone = func(int) { done++ }
 		for f := 0; f < 64; f++ {
-			transport.StartFlow(net.Engines[0], cfg, net.Host(f%16), net.Host(16),
-				uint64(f+1), 30_000, 0, func(*transport.Flow) { done++ })
+			table.Launch(cfg, net.Host(f%16), net.Host(16), uint64(f+1), 30_000, 0, false)
 		}
 		net.Shard.Run()
 		if done != 64 {

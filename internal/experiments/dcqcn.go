@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"ecnsharp/internal/core"
 	"ecnsharp/internal/sim"
@@ -24,6 +23,29 @@ import (
 //   - ECN♯-prob (the §3.5 variant): the RED-style ramp plus ECN♯'s
 //     persistent-queue marking, which RED lacks.
 func DCQCNExtension(sc Scale) *Table {
+	variants := dcqcnSchemes()
+	t := &Table{
+		ID:    "dcqcn",
+		Title: "§3.5 closed loop: DCQCN-lite endpoints under cut-off vs probabilistic marking",
+		Columns: []string{"marking", "goodput sum(Gbps)", "jain fairness",
+			"avg queue(pkts)", "drops"},
+	}
+	// The three marking variants are independent; fan them out.
+	res := runJobs(sc, axis(variants, func(v Scheme) string { return "dcqcn " + v.Label }),
+		func(ctx context.Context, i int) (RunResult, error) {
+			return RunContext(ctx, dcqcnCfg(variants[i], sc.Seeds[0]))
+		})
+	for i, r := range res {
+		jain, sum := longFlowFairness(r)
+		t.AddRow(variants[i].Label, f2(sum), f3(jain), f1(r.AvgQueuePkts), fmt.Sprintf("%d", r.Drops))
+	}
+	t.AddNote("DCQCN needs probabilistic marking: cut-off marking synchronizes cuts and wrecks utilization (§3.5)")
+	return t
+}
+
+// dcqcnSchemes returns the three switch marking schemes DCQCNExtension
+// compares, cut-off ECN♯ first.
+func dcqcnSchemes() []Scheme {
 	rtt := LeafSpineRTT()
 	pstParams := core.Params{
 		InsTarget:   rtt.Percentile(90),
@@ -37,81 +59,39 @@ func DCQCNExtension(sc Scale) *Table {
 	probParams := pstParams
 	probParams.InsTarget = tmax
 
-	variants := []Scheme{
+	return []Scheme{
 		{Kind: SchemeECNSharp, Label: "ECN# cut-off", Params: pstParams},
 		{Kind: SchemeRED, Label: "RED 5KB/200KB/25%", KBytes: 200 * 1500,
 			Ramp: Ramp{KminBytes: 5 * 1500, Pmax: 0.25}},
 		{Kind: SchemeECNSharpProb, Label: "ECN#-prob", Params: probParams,
 			Ramp: Ramp{TMin: tmin, Pmax: 0.25}},
 	}
-
-	t := &Table{
-		ID:    "dcqcn",
-		Title: "§3.5 closed loop: DCQCN-lite endpoints under cut-off vs probabilistic marking",
-		Columns: []string{"marking", "goodput sum(Gbps)", "jain fairness",
-			"avg queue(pkts)", "drops"},
-	}
-	// The three marking variants are independent; fan them out.
-	res := runJobs(sc, axis(variants, func(v Scheme) string { return "dcqcn " + v.Label }),
-		func(ctx context.Context, i int) (dcqcnResult, error) {
-			return runDCQCNFairness(ctx, variants[i], sc.Seeds[0])
-		})
-	for i, o := range res {
-		t.AddRow(variants[i].Label, f2(o.SumGbps), f3(o.Jain), f1(o.AvgQueuePkts), fmt.Sprintf("%d", o.Drops))
-	}
-	t.AddNote("DCQCN needs probabilistic marking: cut-off marking synchronizes cuts and wrecks utilization (§3.5)")
-	return t
 }
 
-// dcqcnResult is the measured outcome of one DCQCN fairness run.
-type dcqcnResult struct {
-	SumGbps      float64
-	Jain         float64
-	AvgQueuePkts float64
-	Drops        int64
-}
-
-// runDCQCNFairness runs four long-lived DCQCN flows into one port and
-// measures steady-state goodput statistics over the second half, with
-// the switch marking as scheme s.
-func runDCQCNFairness(ctx context.Context, s Scheme, seed int64) (dcqcnResult, error) {
-	var out dcqcnResult
-	cfg := RunConfig{Topo: TopoStar, Hosts: 5, PropDelay: 2 * sim.Microsecond, Scheme: s}
-	cfg.defaults()
-	net := cfg.newNet(rand.New(rand.NewSource(seed)))
-	eng := net.Engines[0]
-	tc := transport.DefaultDCQCNConfig()
-	var recvs []*transport.Receiver
-	for i := 0; i < 4; i++ {
-		_, r := transport.StartDCQCNFlow(eng, tc, net.Host(i), net.Host(4),
-			uint64(i+1), workload.LongFlowBytes, 0, nil)
-		recvs = append(recvs, r)
-	}
+// dcqcnCfg is one closed-loop run under marking scheme s: four DCQCN-lite
+// long flows into host 4 of a 5-host star, the last-hop queue and every
+// flow's goodput sampled each ms over the second 100 ms.
+func dcqcnCfg(s Scheme, seed int64) RunConfig {
 	const half = 100 * sim.Millisecond
-	if err := net.Shard.RunPoll(half, 4, ctx.Err); err != nil {
-		return out, err
+	rate := transport.DefaultDCQCNConfig()
+	tc := transport.DefaultConfig()
+	tc.DCQCN = &rate
+	flows := make([]workload.FlowSpec, 4)
+	for i := range flows {
+		flows[i] = workload.LongFlow(i, len(flows), 0)
 	}
-	base := make([]int64, len(recvs))
-	for i, r := range recvs {
-		base[i] = r.BytesInOrder
+	return RunConfig{
+		Seed:           seed,
+		Topo:           TopoStar,
+		Hosts:          len(flows) + 1,
+		PropDelay:      2 * sim.Microsecond,
+		Scheme:         s,
+		Transport:      tc,
+		Flows:          flows,
+		SampleQueueOf:  len(flows),
+		SampleStart:    half,
+		SampleEnd:      2 * half,
+		SampleInterval: sim.Millisecond,
+		Deadline:       2 * half,
 	}
-	// Sample the queue each ms over the measured half.
-	eg := net.EgressTo(4).Egress
-	var qsum float64
-	var qn int
-	for ms := 1; ms <= 100; ms++ {
-		if err := net.Shard.RunPoll(half+sim.Time(ms)*sim.Millisecond, 4, ctx.Err); err != nil {
-			return out, err
-		}
-		qsum += float64(eg.Len())
-		qn++
-	}
-	goodput := make([]float64, len(recvs))
-	for i, r := range recvs {
-		goodput[i] = float64(r.BytesInOrder-base[i]) * 8 / 0.1 / 1e9
-	}
-	out.Jain, out.SumGbps = jainIndex(goodput)
-	out.AvgQueuePkts = qsum / float64(qn)
-	out.Drops = eg.Drops
-	return out, nil
 }

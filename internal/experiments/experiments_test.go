@@ -758,3 +758,18 @@ func TestDCQCNExtensionShape(t *testing.T) {
 		t.Error("ECN#-prob queues much more than RED")
 	}
 }
+
+// TestDCQCNRunCountsRateSenders: the cut-off row of the dcqcn table drops
+// packets, and a DCQCN-lite sender recovers them go-back-N, so the run's
+// Retransmits — summed over the table's rate senders, whose Senders entries
+// are nil — must be positive.
+func TestDCQCNRunCountsRateSenders(t *testing.T) {
+	r := Run(dcqcnCfg(dcqcnSchemes()[0], SmokeScale().Seeds[0]))
+	if r.Drops != 245 {
+		t.Errorf("cut-off run dropped %d packets, the golden table says 245", r.Drops)
+	}
+	if r.Retransmits <= 0 {
+		t.Errorf("%d drops but Retransmits = %d", r.Drops, r.Retransmits)
+	}
+	t.Logf("drops %d, retransmits %d, timeouts %d", r.Drops, r.Retransmits, r.Timeouts)
+}

@@ -96,24 +96,22 @@ func probFairness(ctx context.Context, s Scheme) (jain, sumGbps float64, err err
 	if err != nil {
 		return 0, 0, err
 	}
-	goodput := make([]float64, len(r.Goodput))
-	for i, series := range r.Goodput {
-		goodput[i] = metrics.MeanGbps(series)
-	}
-	jain, sumGbps = jainIndex(goodput)
+	jain, sumGbps = longFlowFairness(r)
 	return jain, sumGbps, nil
 }
 
-// jainIndex returns Jain's fairness index of the per-flow goodputs g
-// ((Σg)² / (n·Σg²), 0 when every flow is idle) and their sum.
-func jainIndex(g []float64) (jain, sum float64) {
+// longFlowFairness returns Jain's fairness index of the long flows' mean
+// goodputs over r's sampling window ((Σg)² / (n·Σg²), 0 when every flow is
+// idle) and their sum in Gbps.
+func longFlowFairness(r RunResult) (jain, sum float64) {
 	var sumSq float64
-	for _, x := range g {
-		sum += x
-		sumSq += x * x
+	for _, series := range r.Goodput {
+		g := metrics.MeanGbps(series)
+		sum += g
+		sumSq += g * g
 	}
 	if sumSq == 0 {
 		return 0, sum
 	}
-	return sum * sum / (float64(len(g)) * sumSq), sum
+	return sum * sum / (float64(len(r.Goodput)) * sumSq), sum
 }

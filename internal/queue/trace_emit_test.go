@@ -76,9 +76,10 @@ func TestEgressTraceMarkKinds(t *testing.T) {
 	}
 
 	// Sojourn above InsTarget: instantaneous.
-	rec := trace.NewRingRecorder(16).SetMask(trace.MaskOf(trace.ECNMark))
+	marks := trace.MaskOf(trace.ECNMark)
+	rec := trace.NewRingRecorder(16)
 	eg := NewEgress(1, nil, 0, func(int) aqm.AQM { return aqm.MustNewECNSharp(params) })
-	eg.SetTracer(rec, 0)
+	eg.SetTracer(trace.NewFilter(rec, marks, 1), 0)
 	eg.Enqueue(0, pkt(1500))
 	eg.Dequeue(200 * sim.Microsecond)
 	evs := rec.Events()
@@ -88,9 +89,9 @@ func TestEgressTraceMarkKinds(t *testing.T) {
 
 	// Sojourn between PstTarget and InsTarget, sustained past PstInterval:
 	// persistent (Algorithm 1's first conservative mark).
-	rec = trace.NewRingRecorder(16).SetMask(trace.MaskOf(trace.ECNMark))
+	rec = trace.NewRingRecorder(16)
 	eg = NewEgress(1, nil, 0, func(int) aqm.AQM { return aqm.MustNewECNSharp(params) })
-	eg.SetTracer(rec, 0)
+	eg.SetTracer(trace.NewFilter(rec, marks, 1), 0)
 	for i := 0; i < 4; i++ {
 		at := sim.Time(i) * 60 * sim.Microsecond
 		eg.Enqueue(at, pkt(1500))

@@ -66,14 +66,13 @@ func PartitionStar(n int, opts Options) Partition {
 // PartitionDumbbell computes the decomposition of a dumbbell: two domains,
 // one per side, cut on the inter-switch bottleneck link in both directions.
 func PartitionDumbbell(nPairs int, opts Options) Partition {
-	opts.defaults()
-	if opts.FabricPropDelay <= 0 {
-		panic("topology: dumbbell needs a positive fabric propagation delay")
+	if opts.Link.PropDelay <= 0 {
+		panic("topology: dumbbell needs a positive propagation delay")
 	}
 	p := Partition{
 		Domains:   2,
 		HostDom:   make([]int, 2*nPairs),
-		Lookahead: opts.FabricPropDelay,
+		Lookahead: opts.Link.PropDelay,
 		CutLinks:  2,
 		switchDom: []int{0, 1},
 	}
@@ -86,20 +85,19 @@ func PartitionDumbbell(nPairs int, opts Options) Partition {
 // PartitionLeafSpine computes the decomposition of a leaf-spine fabric:
 // one domain per leaf (switch plus its hostsPerLeaf hosts, ids leaf-major)
 // and one per spine (domains leaves..leaves+spines-1). Every leaf<->spine
-// link is cut, in both directions, so the lookahead is the fabric-link
+// link is cut, in both directions, so the lookahead is the link
 // propagation delay.
 func PartitionLeafSpine(spines, leaves, hostsPerLeaf int, opts Options) Partition {
-	opts.defaults()
 	if spines < 1 || leaves < 1 || hostsPerLeaf < 1 {
 		panic("topology: leaf-spine dimensions must be positive")
 	}
-	if opts.FabricPropDelay <= 0 {
-		panic("topology: leaf-spine needs a positive fabric propagation delay")
+	if opts.Link.PropDelay <= 0 {
+		panic("topology: leaf-spine needs a positive propagation delay")
 	}
 	p := Partition{
 		Domains:   leaves + spines,
 		HostDom:   make([]int, leaves*hostsPerLeaf),
-		Lookahead: opts.FabricPropDelay,
+		Lookahead: opts.Link.PropDelay,
 		CutLinks:  2 * leaves * spines,
 		switchDom: make([]int, spines+leaves),
 	}

@@ -20,13 +20,11 @@ func TestPartitionLeafSpineProperties(t *testing.T) {
 		spines := 1 + rng.Intn(5)
 		leaves := 1 + rng.Intn(6)
 		hpl := 1 + rng.Intn(5)
-		access := sim.Time(1+rng.Intn(5000)) * sim.Nanosecond
-		fabric := sim.Time(1+rng.Intn(5000)) * sim.Nanosecond
+		prop := sim.Time(1+rng.Intn(5000)) * sim.Nanosecond
 		shards := rng.Intn(9)
 		opts := Options{
-			Link:            LinkParams{RateBps: TenGbps, PropDelay: access},
-			FabricPropDelay: fabric,
-			Shards:          shards,
+			Link:   LinkParams{RateBps: TenGbps, PropDelay: prop},
+			Shards: shards,
 		}
 
 		part := PartitionLeafSpine(spines, leaves, hpl, opts)
@@ -85,8 +83,9 @@ func TestPartitionLeafSpineProperties(t *testing.T) {
 				t.Fatalf("boundary %+v is not cross-domain", b)
 			}
 		}
-		if part.Lookahead != minCut {
-			t.Fatalf("partition lookahead %v != true min cut delay %v", part.Lookahead, minCut)
+		if part.Lookahead != minCut || minCut != prop {
+			t.Fatalf("partition lookahead %v, true min cut delay %v, link delay %v: want all equal",
+				part.Lookahead, minCut, prop)
 		}
 		if net.Lookahead != part.Lookahead || net.Shard.Lookahead() != part.Lookahead {
 			t.Fatalf("net/engine lookahead (%v, %v) disagree with partition %v",
@@ -96,21 +95,22 @@ func TestPartitionLeafSpineProperties(t *testing.T) {
 }
 
 // TestPartitionDumbbell: both sides become domains, cut on the bottleneck
-// in each direction, at any Shards.
+// in each direction with the link delay as lookahead, at any Shards.
 func TestPartitionDumbbell(t *testing.T) {
-	for _, shards := range []int{0, 1, 4} {
+	for k, shards := range []int{0, 1, 4} {
+		prop := sim.Time(1+2*k) * sim.Microsecond
 		opts := Options{
-			Link:            LinkParams{RateBps: TenGbps, PropDelay: sim.Microsecond},
-			FabricPropDelay: 3 * sim.Microsecond,
-			Shards:          shards,
+			Link:   LinkParams{RateBps: TenGbps, PropDelay: prop},
+			Shards: shards,
 		}
 		part := PartitionDumbbell(4, opts)
-		if part.Domains != 2 || part.CutLinks != 2 || part.Lookahead != 3*sim.Microsecond {
+		if part.Domains != 2 || part.CutLinks != 2 || part.Lookahead != prop {
 			t.Fatalf("shards=%d: unexpected partition %+v", shards, part)
 		}
 		net := NewDumbbell(4, opts)
-		if len(net.Boundaries) != 2 {
-			t.Fatalf("shards=%d: boundaries = %d, want 2", shards, len(net.Boundaries))
+		if len(net.Boundaries) != 2 || net.Lookahead != prop {
+			t.Fatalf("shards=%d: boundaries = %d, lookahead %v; want 2 and the link delay %v",
+				shards, len(net.Boundaries), net.Lookahead, prop)
 		}
 		for i := 0; i < 4; i++ {
 			if net.DomainOfHost(i) != 0 || net.DomainOfHost(4+i) != 1 {

@@ -50,11 +50,12 @@ func runTracedIncast(t *testing.T, noPool bool) (string, *topology.Net) {
 	cfg.InitCwndSegments = 8
 	cfg.DelayedAckCount = 2
 	var fcts []sim.Time
+	table := transport.NewFlowTable(32)
+	table.OnDone = func(i int) { fcts = append(fcts, table.FCT[i]) }
 	for f := 0; f < 32; f++ {
 		src := net.Host(f % 16)
 		src.SetFlowDelay(uint64(f+1), sim.Time(f%5)*sim.Microsecond)
-		transport.StartFlow(net.Engines[0], cfg, src, net.Host(16), uint64(f+1), 50_000, 0,
-			func(fl *transport.Flow) { fcts = append(fcts, fl.FCT) })
+		table.Launch(cfg, src, net.Host(16), uint64(f+1), 50_000, 0, false)
 	}
 	net.Shard.Run()
 	if len(fcts) != 32 {

@@ -58,13 +58,10 @@ type PortLoc struct {
 // Options configures topology construction.
 type Options struct {
 	// Link parameterizes every link (the paper's networks are uniform).
+	// The switch-to-switch links (dumbbell bottleneck, leaf<->spine) are
+	// the cut links between domains, so Link.PropDelay is also the
+	// sharded engine's lookahead.
 	Link LinkParams
-	// FabricPropDelay, when positive, overrides Link.PropDelay on the
-	// switch-to-switch links (dumbbell bottleneck, leaf<->spine). Under
-	// sharding these are the cut links, so this is also the sharded
-	// engine's lookahead; the default (Link.PropDelay) keeps the fabric
-	// uniform like the paper's networks.
-	FabricPropDelay sim.Time
 	// Weights, when non-nil, gives every switch egress port len(Weights)
 	// service queues under a DWRR scheduler with these weights (Figure 13);
 	// nil means one FIFO queue.
@@ -96,9 +93,6 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
-	if o.FabricPropDelay <= 0 {
-		o.FabricPropDelay = o.Link.PropDelay
-	}
 	if o.NewAQMAt == nil && o.NewAQM != nil {
 		blind := o.NewAQM
 		o.NewAQMAt = func(_ PortLoc, q int) aqm.AQM { return blind(q) }
@@ -519,7 +513,7 @@ func (n *Net) initPort(b *portBlock, srcDom, dstDom int, rate float64, prop sim.
 // switchPort builds, in b, an egress port of switch s toward dst in dstDom:
 // the buffer per the options (scheduler, the AQM for the switch's location,
 // the switch's shared pool), then the port.
-func (n *Net) switchPort(o *Options, b *portBlock, s *switchNode, dstDom int, prop sim.Time, dst device.Node) *device.Port {
+func (n *Net) switchPort(o *Options, b *portBlock, s *switchNode, dstDom int, dst device.Node) *device.Port {
 	queues, sched := 1, queue.Scheduler(nil)
 	if o.Weights != nil {
 		queues, sched = len(o.Weights), queue.NewDWRR(o.Weights)
@@ -527,14 +521,14 @@ func (n *Net) switchPort(o *Options, b *portBlock, s *switchNode, dstDom int, pr
 	b.eg.Init(queues, sched, o.Link.BufferBytes, s.aqmFor)
 	b.eg.Pool = s.pool
 	b.eg.PacketPool = n.PacketPools[s.dom]
-	return n.initPort(b, s.dom, dstDom, o.Link.RateBps, prop, dst)
+	return n.initPort(b, s.dom, dstDom, o.Link.RateBps, o.Link.PropDelay, dst)
 }
 
 // switchLink builds, in b, the port of switch from toward switch to over a
 // fabric link, and enters it in the census as "from-to"; leaf and spine are
 // the link's fabric coordinates (-1 outside a leaf-spine).
 func (n *Net) switchLink(o *Options, b *portBlock, from, to *switchNode, leaf, spine int) *device.Port {
-	pt := n.switchPort(o, b, from, to.dom, o.FabricPropDelay, to.sw)
+	pt := n.switchPort(o, b, from, to.dom, to.sw)
 	n.addSwitchPort(from.dom, pt)
 	n.addLink(from.sw.Name()+"-"+to.sw.Name(), pt, from.dom, from.idx, leaf, spine)
 	return pt
@@ -553,7 +547,7 @@ func (n *Net) addHost(o *Options, b *hostBlock, id int, s *switchNode) *device.P
 	b.nic.eg.Init(1, queue.FIFOSched{}, 0, nil)
 	b.nic.eg.PacketPool = pkts
 	h.NIC = n.initPort(&b.nic, s.dom, s.dom, o.Link.RateBps, o.Link.PropDelay, s.sw)
-	down := n.switchPort(o, &b.down, s, s.dom, o.Link.PropDelay, h)
+	down := n.switchPort(o, &b.down, s, s.dom, h)
 	n.hostPorts[id] = down
 	n.addSwitchPort(s.dom, down)
 	host, sw := "host"+strconv.Itoa(id), s.sw.Name()

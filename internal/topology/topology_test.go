@@ -55,15 +55,16 @@ func TestEgressToUnknownHostPanics(t *testing.T) {
 func endToEnd(t *testing.T, n *Net, src, dst int) {
 	t.Helper()
 	const size = 300_000
-	eng := n.Engines[0]
-	fl := transport.StartFlow(eng, transport.DefaultConfig(),
-		n.Host(src), n.Host(dst), uint64(src*1000+dst+1), size, eng.Now(), nil)
+	table := transport.NewFlowTable(1)
+	table.Launch(transport.DefaultConfig(), n.Host(src), n.Host(dst),
+		uint64(src*1000+dst+1), size, n.EngineOf(src).Now(), false)
 	n.Shard.Run()
-	if !fl.Done {
+	table.CloseAll()
+	if !table.Done[0] {
 		t.Fatalf("flow %d->%d incomplete", src, dst)
 	}
-	if fl.Receiver.RcvNxt() != size {
-		t.Fatalf("flow %d->%d delivered %d bytes", src, dst, fl.Receiver.RcvNxt())
+	if got := table.Receivers[0].RcvNxt(); got != size {
+		t.Fatalf("flow %d->%d delivered %d bytes", src, dst, got)
 	}
 }
 
@@ -118,11 +119,11 @@ func TestLeafSpineEndToEnd(t *testing.T) {
 func TestLeafSpineECMPUsesMultipleSpines(t *testing.T) {
 	n := NewLeafSpine(4, 2, 4, opts())
 	// Many inter-leaf flows: spine switches should all see traffic.
+	table := transport.NewFlowTable(32)
 	for f := 0; f < 32; f++ {
 		src := f % 4       // leaf 0
 		dst := 4 + (f % 4) // leaf 1
-		transport.StartFlow(n.Engines[0], transport.DefaultConfig(),
-			n.Host(src), n.Host(dst), uint64(f+1), 20_000, 0, nil)
+		table.Launch(transport.DefaultConfig(), n.Host(src), n.Host(dst), uint64(f+1), 20_000, 0, false)
 	}
 	n.Shard.Run()
 	busySpines := 0
@@ -170,9 +171,9 @@ func TestTotalDropsAndMarks(t *testing.T) {
 	o.Link.BufferBytes = 6 * 1500 // tiny: force drops
 	o.NewAQM = func(int) aqm.AQM { return aqm.NewREDInstantBytes(3 * 1500) }
 	n := NewStar(4, o)
+	table := transport.NewFlowTable(3)
 	for i := 0; i < 3; i++ {
-		transport.StartFlow(n.Engines[0], transport.DefaultConfig(),
-			n.Host(i), n.Host(3), uint64(i+1), 400_000, 0, nil)
+		table.Launch(transport.DefaultConfig(), n.Host(i), n.Host(3), uint64(i+1), 400_000, 0, false)
 	}
 	n.Shard.Run()
 	if n.TotalDrops() == 0 {

@@ -44,8 +44,6 @@ func goldenIncast(t *testing.T) []byte {
 		},
 	})
 
-	eng := net.Engines[0]
-
 	var buf bytes.Buffer
 	w := trace.NewJSONLWriter(&buf)
 	mask := trace.MaskOf(trace.ECNMark, trace.Drop, trace.FlowStart, trace.FlowFinish)
@@ -55,13 +53,13 @@ func goldenIncast(t *testing.T) []byte {
 	cfg.InitCwndSegments = 2
 	// Two long-lived flows build the standing queue that triggers
 	// Algorithm 1; four queries burst into it at 1.5ms.
+	table := transport.NewFlowTable(6)
 	for i := 0; i < 2; i++ {
-		transport.StartFlow(eng, cfg, net.Host(i), net.Host(receiver),
-			uint64(i+1), 1<<30, 0, nil)
+		table.Launch(cfg, net.Host(i), net.Host(receiver), uint64(i+1), 1<<30, 0, false)
 	}
 	for i := 0; i < 4; i++ {
-		transport.StartFlow(eng, cfg, net.Host(i), net.Host(receiver),
-			uint64(100+i), 30_000, 1500*sim.Microsecond+sim.Time(i)*10*sim.Microsecond, nil)
+		table.Launch(cfg, net.Host(i), net.Host(receiver),
+			uint64(100+i), 30_000, 1500*sim.Microsecond+sim.Time(i)*10*sim.Microsecond, true)
 	}
 	net.Shard.RunUntil(3 * sim.Millisecond)
 

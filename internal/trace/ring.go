@@ -1,51 +1,23 @@
 package trace
 
 // RingRecorder keeps the most recent events in a fixed-capacity ring
-// buffer, with an optional sampling stride and per-event-type filter. It
-// is the in-memory tracer for tests and interactive debugging: bounded
-// memory no matter how long the run, zero allocation per event after
-// construction.
-//
-// Filtering happens before the stride: the stride counter advances only on
-// events whose type the mask enables, so "every 10th mark event" means
-// every 10th mark, not every mark that lands on a multiple of 10 of all
-// traffic.
+// buffer. It is the in-memory tracer for tests and interactive debugging:
+// bounded memory no matter how long the run, zero allocation per event
+// after construction. To keep only some event types, or every n-th event,
+// put a Filter in front of it: NewFilter(ring, mask, stride).
 type RingRecorder struct {
-	buf   []Event
-	head  int // index of the oldest stored event
-	count int
-
-	mask   Mask
-	stride int
-
-	seen uint64 // mask-passing events offered (pre-stride)
-	kept uint64 // events stored (post-stride, pre-eviction)
+	buf     []Event
+	head    int // index of the oldest stored event
+	count   int
+	evicted uint64
 }
 
-// NewRingRecorder builds a recorder holding at most capacity events,
-// recording every event type with stride 1 (keep all).
+// NewRingRecorder builds a recorder holding at most capacity events.
 func NewRingRecorder(capacity int) *RingRecorder {
 	if capacity <= 0 {
 		panic("trace: ring capacity must be positive")
 	}
-	return &RingRecorder{buf: make([]Event, capacity), mask: AllEvents, stride: 1}
-}
-
-// SetMask restricts recording to the event types enabled in m. It returns
-// the recorder for chaining.
-func (r *RingRecorder) SetMask(m Mask) *RingRecorder {
-	r.mask = m
-	return r
-}
-
-// SetStride keeps only every n-th mask-passing event (n < 2 keeps all).
-// It returns the recorder for chaining.
-func (r *RingRecorder) SetStride(n int) *RingRecorder {
-	if n < 1 {
-		n = 1
-	}
-	r.stride = n
-	return r
+	return &RingRecorder{buf: make([]Event, capacity)}
 }
 
 // Cap returns the ring capacity in events.
@@ -54,27 +26,12 @@ func (r *RingRecorder) Cap() int { return len(r.buf) }
 // Len returns the number of events currently stored.
 func (r *RingRecorder) Len() int { return r.count }
 
-// Seen returns how many events passed the type mask (before striding).
-func (r *RingRecorder) Seen() uint64 { return r.seen }
-
-// Kept returns how many events were stored (after striding), including
-// those since evicted by wraparound.
-func (r *RingRecorder) Kept() uint64 { return r.kept }
-
 // Evicted returns how many stored events were overwritten by wraparound.
-func (r *RingRecorder) Evicted() uint64 { return r.kept - uint64(r.count) }
+func (r *RingRecorder) Evicted() uint64 { return r.evicted }
 
-// Trace records the event, subject to the mask and stride, evicting the
-// oldest stored event when the ring is full.
+// Trace records the event, evicting the oldest stored event when the ring
+// is full.
 func (r *RingRecorder) Trace(e Event) {
-	if !r.mask.Has(e.Type) {
-		return
-	}
-	r.seen++
-	if r.stride > 1 && (r.seen-1)%uint64(r.stride) != 0 {
-		return
-	}
-	r.kept++
 	if r.count < len(r.buf) {
 		r.buf[(r.head+r.count)%len(r.buf)] = e
 		r.count++
@@ -82,6 +39,7 @@ func (r *RingRecorder) Trace(e Event) {
 	}
 	r.buf[r.head] = e
 	r.head = (r.head + 1) % len(r.buf)
+	r.evicted++
 }
 
 // Events returns the stored events, oldest first, as a fresh slice.
@@ -93,9 +51,8 @@ func (r *RingRecorder) Events() []Event {
 	return out
 }
 
-// Reset discards all stored events and counters, keeping the capacity,
-// mask and stride.
+// Reset discards all stored events and the eviction count, keeping the
+// capacity.
 func (r *RingRecorder) Reset() {
-	r.head, r.count = 0, 0
-	r.seen, r.kept = 0, 0
+	r.head, r.count, r.evicted = 0, 0, 0
 }

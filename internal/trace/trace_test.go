@@ -76,6 +76,8 @@ func TestParseMaskRoundTripsAllNames(t *testing.T) {
 	}
 }
 
+// TestRingRecorder: a ring behind a Filter keeps the most recent of the
+// events the filter passes, oldest first.
 func TestRingRecorder(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -84,56 +86,56 @@ func TestRingRecorder(t *testing.T) {
 		mask    Mask
 		offer   []Event
 		wantAts []int64 // At values expected in Events(), oldest first
-		wantSee uint64
 		wantEvi uint64
 	}{
 		{
 			name: "under capacity keeps all in order",
 			cap:  4, stride: 1, mask: AllEvents,
 			offer:   []Event{ev(Enqueue, 1), ev(Dequeue, 2), ev(Drop, 3)},
-			wantAts: []int64{1, 2, 3}, wantSee: 3, wantEvi: 0,
+			wantAts: []int64{1, 2, 3}, wantEvi: 0,
 		},
 		{
 			name: "wraparound evicts oldest",
 			cap:  3, stride: 1, mask: AllEvents,
 			offer: []Event{ev(Enqueue, 1), ev(Enqueue, 2), ev(Enqueue, 3),
 				ev(Enqueue, 4), ev(Enqueue, 5)},
-			wantAts: []int64{3, 4, 5}, wantSee: 5, wantEvi: 2,
+			wantAts: []int64{3, 4, 5}, wantEvi: 2,
 		},
 		{
 			name: "stride keeps first of each window",
 			cap:  10, stride: 3, mask: AllEvents,
 			offer: []Event{ev(Enqueue, 1), ev(Enqueue, 2), ev(Enqueue, 3),
 				ev(Enqueue, 4), ev(Enqueue, 5), ev(Enqueue, 6), ev(Enqueue, 7)},
-			wantAts: []int64{1, 4, 7}, wantSee: 7, wantEvi: 0,
+			wantAts: []int64{1, 4, 7}, wantEvi: 0,
 		},
 		{
 			name: "type filter drops other events entirely",
 			cap:  10, stride: 1, mask: MaskOf(ECNMark),
 			offer: []Event{ev(Enqueue, 1), ev(ECNMark, 2), ev(Dequeue, 3),
 				ev(ECNMark, 4)},
-			wantAts: []int64{2, 4}, wantSee: 2, wantEvi: 0,
+			wantAts: []int64{2, 4}, wantEvi: 0,
 		},
 		{
 			name: "stride counts only mask-passing events",
 			cap:  10, stride: 2, mask: MaskOf(ECNMark),
 			offer: []Event{ev(Enqueue, 1), ev(ECNMark, 2), ev(Enqueue, 3),
 				ev(ECNMark, 4), ev(ECNMark, 5), ev(Enqueue, 6), ev(ECNMark, 7)},
-			wantAts: []int64{2, 5}, wantSee: 4, wantEvi: 0,
+			wantAts: []int64{2, 5}, wantEvi: 0,
 		},
 		{
 			name: "stride then wraparound compose",
 			cap:  2, stride: 2, mask: AllEvents,
 			offer: []Event{ev(Enqueue, 1), ev(Enqueue, 2), ev(Enqueue, 3),
 				ev(Enqueue, 4), ev(Enqueue, 5), ev(Enqueue, 6), ev(Enqueue, 7)},
-			wantAts: []int64{5, 7}, wantSee: 7, wantEvi: 2,
+			wantAts: []int64{5, 7}, wantEvi: 2,
 		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			r := NewRingRecorder(c.cap).SetMask(c.mask).SetStride(c.stride)
+			r := NewRingRecorder(c.cap)
+			f := NewFilter(r, c.mask, c.stride)
 			for _, e := range c.offer {
-				r.Trace(e)
+				f.Trace(e)
 			}
 			got := r.Events()
 			if len(got) != len(c.wantAts) {
@@ -144,15 +146,12 @@ func TestRingRecorder(t *testing.T) {
 					t.Errorf("event[%d].At = %d, want %d", i, e.At, c.wantAts[i])
 				}
 			}
-			if r.Seen() != c.wantSee {
-				t.Errorf("Seen = %d, want %d", r.Seen(), c.wantSee)
-			}
 			if r.Evicted() != c.wantEvi {
 				t.Errorf("Evicted = %d, want %d", r.Evicted(), c.wantEvi)
 			}
 			r.Reset()
-			if r.Len() != 0 || r.Seen() != 0 || r.Kept() != 0 {
-				t.Errorf("Reset left state: len=%d seen=%d kept=%d", r.Len(), r.Seen(), r.Kept())
+			if r.Len() != 0 || r.Evicted() != 0 {
+				t.Errorf("Reset left state: len=%d evicted=%d", r.Len(), r.Evicted())
 			}
 		})
 	}

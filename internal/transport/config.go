@@ -45,6 +45,11 @@ type Config struct {
 	// Class is the service class stamped on the flow's packets, selecting
 	// the egress queue under multi-queue scheduling (Figure 13).
 	Class int
+	// DCQCN, when non-nil, makes the flow rate-based: FlowTable.Launch
+	// builds a DCQCNSender with these rate-controller parameters (segments
+	// of MSS bytes, go-back-N timer MinRTO) instead of the window Sender.
+	// The receiver is the same either way. Nil keeps the window sender.
+	DCQCN *DCQCNConfig
 }
 
 // DefaultConfig returns the parameters used throughout the experiments:
@@ -87,6 +92,9 @@ func (c Config) Validate() error {
 	}
 	if c.NewControl == nil {
 		return fmt.Errorf("transport: NewControl must be set")
+	}
+	if c.DCQCN != nil {
+		return c.DCQCN.Validate()
 	}
 	return nil
 }

@@ -22,13 +22,16 @@ import (
 //
 // The receiver side reuses Receiver unchanged: its per-packet ECN echo is
 // the CNP signal. Loss is recovered go-back-N (RoCE NICs do the same),
-// driven by duplicate ACKs or an RTO.
+// driven by duplicate ACKs or an RTO. A flow is rate-based when its
+// Config.DCQCN is set; FlowTable.Launch then starts it in place of the
+// window Sender.
 //
 // DCQCN expects *probabilistic* marking (RED-like, or ECN♯'s §3.5
 // variant): with cut-off marking every flow crossing the threshold cuts
 // simultaneously, which the `dcqcn` experiment shows as rate oscillation.
 
-// DCQCNConfig parameterizes the rate controller.
+// DCQCNConfig parameterizes the rate controller. Segment size and the
+// go-back-N timer come from the flow's Config (MSS, MinRTO).
 type DCQCNConfig struct {
 	// LineRateBps caps the sending rate (the NIC speed).
 	LineRateBps float64
@@ -44,10 +47,6 @@ type DCQCNConfig struct {
 	CNPInterval sim.Time
 	// FastRecoverySteps is F: increase stages before additive increase.
 	FastRecoverySteps int
-	// MinRTO bounds the go-back-N retransmission timer.
-	MinRTO sim.Time
-	// MSS is the segment payload size.
-	MSS int
 }
 
 // DefaultDCQCNConfig returns conventional parameters scaled to 10 GbE.
@@ -60,8 +59,6 @@ func DefaultDCQCNConfig() DCQCNConfig {
 		AlphaTimer:        55 * sim.Microsecond,
 		CNPInterval:       50 * sim.Microsecond,
 		FastRecoverySteps: 5,
-		MinRTO:            2 * sim.Millisecond,
-		MSS:               1460,
 	}
 }
 
@@ -73,20 +70,24 @@ func (c DCQCNConfig) Validate() error {
 	if c.RaiBps <= 0 || c.G <= 0 || c.G > 1 {
 		return fmt.Errorf("transport: invalid DCQCN Rai/G")
 	}
-	if c.AlphaTimer <= 0 || c.CNPInterval <= 0 || c.MinRTO <= 0 {
+	if c.AlphaTimer <= 0 || c.CNPInterval <= 0 {
 		return fmt.Errorf("transport: invalid DCQCN timers")
 	}
-	if c.FastRecoverySteps < 1 || c.MSS <= 0 {
-		return fmt.Errorf("transport: invalid DCQCN F/MSS")
+	if c.FastRecoverySteps < 1 {
+		return fmt.Errorf("transport: invalid DCQCN F")
 	}
 	return nil
 }
 
-// DCQCNSender is the rate-based sending endpoint of one flow.
+// DCQCNSender is the rate-based sending endpoint of one flow. It has no
+// RTO budget (Config.MaxConsecTimeouts is a window-sender rule): a rate
+// flow retries until it finishes, and never fails.
 type DCQCNSender struct {
-	eng  *sim.Engine
-	cfg  DCQCNConfig
-	host *device.Host
+	eng    *sim.Engine
+	cfg    DCQCNConfig
+	mss    int64
+	minRTO sim.Time
+	host   *device.Host
 
 	flowID uint64
 	dst    int
@@ -128,27 +129,33 @@ type DCQCNSender struct {
 	}
 }
 
-// NewDCQCNSender builds (but does not start) a DCQCN-lite sender.
-func NewDCQCNSender(eng *sim.Engine, cfg DCQCNConfig, host *device.Host,
+// NewDCQCNSender builds (but does not start) a DCQCN-lite sender for a
+// flow whose cfg.DCQCN is set.
+func NewDCQCNSender(eng *sim.Engine, cfg Config, host *device.Host,
 	flowID uint64, dst int, size int64, onDone func(fct sim.Time)) *DCQCNSender {
+	if cfg.DCQCN == nil {
+		panic("transport: DCQCN sender needs Config.DCQCN")
+	}
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	if size <= 0 {
 		panic("transport: DCQCN flow needs positive size")
 	}
+	rate := *cfg.DCQCN
 	return &DCQCNSender{
-		eng: eng, cfg: cfg, host: host,
+		eng: eng, cfg: rate, mss: int64(cfg.MSS), minRTO: cfg.MinRTO, host: host,
 		flowID: flowID, dst: dst, size: size,
-		rc: cfg.LineRateBps, rt: cfg.LineRateBps,
+		rc: rate.LineRateBps, rt: rate.LineRateBps,
 		alpha:  1,
 		jitter: sim.Time(flowID%13) * sim.Microsecond,
 		onDone: onDone,
 	}
 }
 
-// The paced send loop and the periodic timers of every DCQCN sender: the
-// sender is the argument, so arming one allocates nothing.
+// The start, paced send loop and periodic timers of every DCQCN sender:
+// the sender is the argument, so scheduling one allocates nothing.
+func dcqcnStart(a any)    { a.(*DCQCNSender).Start() }
 func dcqcnSendLoop(a any) { a.(*DCQCNSender).sendLoop() }
 func dcqcnAlpha(a any)    { a.(*DCQCNSender).onAlphaTimer() }
 func dcqcnRTO(a any)      { a.(*DCQCNSender).onRTO() }
@@ -291,8 +298,8 @@ func (s *DCQCNSender) sendLoop() {
 		return
 	}
 	n := s.size - s.sndNxt
-	if n > int64(s.cfg.MSS) {
-		n = int64(s.cfg.MSS)
+	if n > s.mss {
+		n = s.mss
 	}
 	s.emit(s.sndNxt, int(n))
 	s.sndNxt += n
@@ -336,7 +343,7 @@ func (s *DCQCNSender) armRTO() {
 	if s.rtoTimer.Valid() {
 		s.eng.Cancel(s.rtoTimer)
 	}
-	s.rtoTimer = s.eng.AfterArg(s.cfg.MinRTO, dcqcnRTO, s)
+	s.rtoTimer = s.eng.AfterArg(s.minRTO, dcqcnRTO, s)
 }
 
 func (s *DCQCNSender) onRTO() {
@@ -364,24 +371,4 @@ func (s *DCQCNSender) finish(now sim.Time) {
 	if s.onDone != nil {
 		s.onDone(now - s.startAt)
 	}
-}
-
-// StartDCQCNFlow wires a DCQCN-lite sender to the standard Receiver (whose
-// per-packet ECN echo doubles as the CNP stream) and schedules its start.
-func StartDCQCNFlow(eng *sim.Engine, cfg DCQCNConfig, src, dst *device.Host,
-	flowID uint64, size int64, start sim.Time, onDone func(fct sim.Time)) (*DCQCNSender, *Receiver) {
-	if src == dst {
-		panic("transport: DCQCN flow has identical endpoints")
-	}
-	rcfg := DefaultConfig()
-	rcfg.MSS = cfg.MSS
-	recv := NewReceiver(eng, rcfg, dst, flowID, src.ID)
-	sender := NewDCQCNSender(eng, cfg, src, flowID, dst.ID, size, func(fct sim.Time) {
-		recv.Close()
-		if onDone != nil {
-			onDone(fct)
-		}
-	})
-	eng.Schedule(start, sender.Start)
-	return sender, recv
 }

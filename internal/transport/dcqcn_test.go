@@ -26,9 +26,7 @@ func TestDCQCNConfigValidate(t *testing.T) {
 		func(c *transport.DCQCNConfig) { c.G = 2 },
 		func(c *transport.DCQCNConfig) { c.AlphaTimer = 0 },
 		func(c *transport.DCQCNConfig) { c.CNPInterval = 0 },
-		func(c *transport.DCQCNConfig) { c.MinRTO = 0 },
 		func(c *transport.DCQCNConfig) { c.FastRecoverySteps = 0 },
-		func(c *transport.DCQCNConfig) { c.MSS = 0 },
 	}
 	for i, mutate := range bad {
 		c := transport.DefaultDCQCNConfig()
@@ -36,19 +34,28 @@ func TestDCQCNConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+		// A flow's Config checks the rate parameters it carries.
+		if err := rateConfig(c).Validate(); err == nil {
+			t.Errorf("case %d: transport config with invalid DCQCN accepted", i)
+		}
 	}
+}
+
+// rateConfig is the default transport config made rate-based with dc.
+func rateConfig(dc transport.DCQCNConfig) transport.Config {
+	cfg := transport.DefaultConfig()
+	cfg.DCQCN = &dc
+	return cfg
 }
 
 func TestDCQCNDeliversAllBytes(t *testing.T) {
 	net := topology.NewStar(2, topology.Options{
 		Link: topology.LinkParams{RateBps: topology.TenGbps, PropDelay: 2 * sim.Microsecond},
 	})
-	eng := net.Engines[0]
 	const size = 2_000_000
-	var fct sim.Time
-	sender, recv := transport.StartDCQCNFlow(eng, transport.DefaultDCQCNConfig(),
-		net.Host(0), net.Host(1), 1, size, 0, func(d sim.Time) { fct = d })
+	fl := launch(rateConfig(transport.DefaultDCQCNConfig()), net.Host(0), net.Host(1), 1, size, 0)
 	net.Shard.Run()
+	sender, recv, fct := fl.Rate[0], fl.Receivers[0], fl.FCT[0]
 	if !sender.Finished() || recv.RcvNxt() != size {
 		t.Fatalf("incomplete: finished=%v rcv=%d", sender.Finished(), recv.RcvNxt())
 	}
@@ -70,11 +77,12 @@ func TestDCQCNCutsOnMarksAndRecovers(t *testing.T) {
 		},
 		NewAQM: func(int) aqm.AQM { return aqm.NewREDInstantBytes(30 * 1500) },
 	})
-	eng := net.Engines[0]
-	cfg := transport.DefaultDCQCNConfig()
-	s1, _ := transport.StartDCQCNFlow(eng, cfg, net.Host(0), net.Host(2), 1, 8_000_000, 0, nil)
-	s2, _ := transport.StartDCQCNFlow(eng, cfg, net.Host(1), net.Host(2), 2, 8_000_000, 0, nil)
+	cfg := rateConfig(transport.DefaultDCQCNConfig())
+	table := transport.NewFlowTable(2)
+	table.Launch(cfg, net.Host(0), net.Host(2), 1, 8_000_000, 0, false)
+	table.Launch(cfg, net.Host(1), net.Host(2), 2, 8_000_000, 0, false)
 	net.Shard.Run()
+	s1, s2 := table.Rate[0], table.Rate[1]
 	if !s1.Finished() || !s2.Finished() {
 		t.Fatal("flows incomplete")
 	}
@@ -95,7 +103,7 @@ func TestDCQCNRateFloor(t *testing.T) {
 	host.NIC = device.NewPort(eng, newEgress(), 10e9, 0, sink)
 	_ = peer
 	cfg := transport.DefaultDCQCNConfig()
-	s := transport.NewDCQCNSender(eng, cfg, host, 1, 1, 1_000_000, nil)
+	s := transport.NewDCQCNSender(eng, rateConfig(cfg), host, 1, 1, 1_000_000, nil)
 	eng.Schedule(0, s.Start)
 	eng.RunUntil(sim.Millisecond)
 	// Hammer it with synthetic CNPs spaced past the CNP interval.
@@ -123,9 +131,9 @@ func TestDCQCNLossRecoveryGoBackN(t *testing.T) {
 	h1.NIC = device.NewPort(eng, newEgress(), 10e9, 2*sim.Microsecond, h0)
 
 	const size = 300 * 1460
-	sender, recv := transport.StartDCQCNFlow(eng, transport.DefaultDCQCNConfig(),
-		h0, h1, 1, size, 0, nil)
+	fl := launch(rateConfig(transport.DefaultDCQCNConfig()), h0, h1, 1, size, 0)
 	eng.Run()
+	sender, recv := fl.Rate[0], fl.Receivers[0]
 	if !sender.Finished() || recv.RcvNxt() != size {
 		t.Fatalf("incomplete after loss: rcv=%d", recv.RcvNxt())
 	}
@@ -150,14 +158,12 @@ func TestDCQCNSharesFairly(t *testing.T) {
 			return aqm.NewRED(5*1500, 200*1500, 0.25, rng)
 		},
 	})
-	eng := net.Engines[0]
-	cfg := transport.DefaultDCQCNConfig()
-	var recvs []*transport.Receiver
+	cfg := rateConfig(transport.DefaultDCQCNConfig())
+	table := transport.NewFlowTable(4)
 	for i := 0; i < 4; i++ {
-		_, r := transport.StartDCQCNFlow(eng, cfg, net.Host(i), net.Host(4),
-			uint64(i+1), 1<<40, 0, nil)
-		recvs = append(recvs, r)
+		table.Launch(cfg, net.Host(i), net.Host(4), uint64(i+1), 1<<40, 0, false)
 	}
+	recvs := table.Receivers
 	// Measure goodput over the second half of the run (converged regime).
 	net.Shard.RunUntil(100 * sim.Millisecond)
 	base := make([]int64, 4)

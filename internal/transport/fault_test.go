@@ -28,22 +28,22 @@ func TestSingleLossRecoversByFastRetransmit(t *testing.T) {
 	tap.Drop = device.DropSeqOnce(20 * 1460) // one segment mid-flow
 
 	const size = 100 * 1460
-	fl := transport.StartFlow(eng, transport.DefaultConfig(), h0, h1, 1, size, 0, nil)
+	fl := launch(transport.DefaultConfig(), h0, h1, 1, size, 0)
 	eng.Run()
 
-	if !fl.Done || fl.Receiver.RcvNxt() != size {
-		t.Fatalf("flow incomplete: done=%v rcv=%d", fl.Done, fl.Receiver.RcvNxt())
+	if !fl.Done[0] || fl.Receivers[0].RcvNxt() != size {
+		t.Fatalf("flow incomplete: done=%v rcv=%d", fl.Done[0], fl.Receivers[0].RcvNxt())
 	}
 	if tap.Dropped != 1 {
 		t.Fatalf("tap dropped %d packets", tap.Dropped)
 	}
-	if fl.Sender.Stats.FastRecoveries != 1 {
-		t.Errorf("fast recoveries = %d, want 1", fl.Sender.Stats.FastRecoveries)
+	if fl.Senders[0].Stats.FastRecoveries != 1 {
+		t.Errorf("fast recoveries = %d, want 1", fl.Senders[0].Stats.FastRecoveries)
 	}
-	if fl.Sender.Stats.Timeouts != 0 {
-		t.Errorf("timeouts = %d; single loss should not need an RTO", fl.Sender.Stats.Timeouts)
+	if fl.Senders[0].Stats.Timeouts != 0 {
+		t.Errorf("timeouts = %d; single loss should not need an RTO", fl.Senders[0].Stats.Timeouts)
 	}
-	if fl.Sender.Stats.Retransmits == 0 {
+	if fl.Senders[0].Stats.Retransmits == 0 {
 		t.Error("no retransmissions recorded")
 	}
 }
@@ -63,18 +63,18 @@ func TestBurstLossRecoversViaPartialAcks(t *testing.T) {
 	}
 
 	const size = 200 * 1460
-	fl := transport.StartFlow(eng, transport.DefaultConfig(), h0, h1, 1, size, 0, nil)
+	fl := launch(transport.DefaultConfig(), h0, h1, 1, size, 0)
 	eng.Run()
 
-	if !fl.Done || fl.Receiver.RcvNxt() != size {
+	if !fl.Done[0] || fl.Receivers[0].RcvNxt() != size {
 		t.Fatalf("flow incomplete after burst loss")
 	}
-	if fl.Sender.Stats.Timeouts != 0 {
+	if fl.Senders[0].Stats.Timeouts != 0 {
 		t.Errorf("timeouts = %d; partial-ACK recovery should avoid RTOs",
-			fl.Sender.Stats.Timeouts)
+			fl.Senders[0].Stats.Timeouts)
 	}
-	if fl.Sender.Stats.Retransmits < 3 {
-		t.Errorf("retransmits = %d, want >= 3", fl.Sender.Stats.Retransmits)
+	if fl.Senders[0].Stats.Retransmits < 3 {
+		t.Errorf("retransmits = %d, want >= 3", fl.Senders[0].Stats.Retransmits)
 	}
 }
 
@@ -92,13 +92,13 @@ func TestLostRetransmissionNeedsRTO(t *testing.T) {
 	}
 
 	const size = 120 * 1460
-	fl := transport.StartFlow(eng, transport.DefaultConfig(), h0, h1, 1, size, 0, nil)
+	fl := launch(transport.DefaultConfig(), h0, h1, 1, size, 0)
 	eng.Run()
 
-	if !fl.Done || fl.Receiver.RcvNxt() != size {
+	if !fl.Done[0] || fl.Receivers[0].RcvNxt() != size {
 		t.Fatal("flow incomplete after double loss")
 	}
-	if fl.Sender.Stats.Timeouts == 0 {
+	if fl.Senders[0].Stats.Timeouts == 0 {
 		t.Error("no RTO despite a lost retransmission")
 	}
 }
@@ -121,18 +121,18 @@ func TestAckLossIsAbsorbedByCumulativeAcks(t *testing.T) {
 	h1.NIC = device.NewPort(eng, queue.NewEgress(1, nil, 0, nil), 10e9, 2*sim.Microsecond, ackTap)
 
 	const size = 150 * 1460
-	fl := transport.StartFlow(eng, transport.DefaultConfig(), h0, h1, 1, size, 0, nil)
+	fl := launch(transport.DefaultConfig(), h0, h1, 1, size, 0)
 	eng.Run()
 
-	if !fl.Done || fl.Receiver.RcvNxt() != size {
+	if !fl.Done[0] || fl.Receivers[0].RcvNxt() != size {
 		t.Fatal("flow incomplete under ACK loss")
 	}
 	if ackTap.Dropped == 0 {
 		t.Fatal("test broken: no ACKs dropped")
 	}
-	if fl.Sender.Stats.Retransmits > 2 {
+	if fl.Senders[0].Stats.Retransmits > 2 {
 		t.Errorf("retransmits = %d; cumulative ACKs should absorb ACK loss",
-			fl.Sender.Stats.Retransmits)
+			fl.Senders[0].Stats.Retransmits)
 	}
 }
 
@@ -149,16 +149,16 @@ func TestDuplicatedPacketsAreHarmless(t *testing.T) {
 	}
 
 	const size = 100 * 1460
-	fl := transport.StartFlow(eng, transport.DefaultConfig(), h0, h1, 1, size, 0, nil)
+	fl := launch(transport.DefaultConfig(), h0, h1, 1, size, 0)
 	eng.Run()
 
-	if !fl.Done || fl.Receiver.RcvNxt() != size {
+	if !fl.Done[0] || fl.Receivers[0].RcvNxt() != size {
 		t.Fatal("flow incomplete under duplication")
 	}
 	if tap.Duplicated == 0 {
 		t.Fatal("test broken: nothing duplicated")
 	}
-	if fl.Receiver.DupPackets == 0 {
+	if fl.Receivers[0].DupPackets == 0 {
 		t.Error("receiver did not classify duplicates")
 	}
 }
@@ -169,13 +169,13 @@ func TestSteadyLossRateStillCompletes(t *testing.T) {
 	tap.Drop = device.DropNth(50) // 2% loss
 
 	const size = 400 * 1460
-	fl := transport.StartFlow(eng, transport.DefaultConfig(), h0, h1, 1, size, 0, nil)
+	fl := launch(transport.DefaultConfig(), h0, h1, 1, size, 0)
 	eng.Run()
 
-	if !fl.Done || fl.Receiver.RcvNxt() != size {
+	if !fl.Done[0] || fl.Receivers[0].RcvNxt() != size {
 		t.Fatal("flow incomplete under steady loss")
 	}
-	if fl.Sender.Stats.Retransmits == 0 {
+	if fl.Senders[0].Stats.Retransmits == 0 {
 		t.Error("no retransmissions under 2% loss")
 	}
 }
@@ -189,16 +189,16 @@ func TestReorderingDeliversExactByteStream(t *testing.T) {
 	}
 
 	const size = 300 * 1460
-	fl := transport.StartFlow(eng, transport.DefaultConfig(), h0, h1, 1, size, 0, nil)
+	fl := launch(transport.DefaultConfig(), h0, h1, 1, size, 0)
 	eng.Run()
 
-	if !fl.Done {
+	if !fl.Done[0] {
 		t.Fatal("flow incomplete under reordering")
 	}
-	if fl.Receiver.RcvNxt() != size {
-		t.Fatalf("delivered %d bytes, want %d", fl.Receiver.RcvNxt(), size)
+	if fl.Receivers[0].RcvNxt() != size {
+		t.Fatalf("delivered %d bytes, want %d", fl.Receivers[0].RcvNxt(), size)
 	}
-	if fl.Receiver.OutOfOrder == 0 {
+	if fl.Receivers[0].OutOfOrder == 0 {
 		t.Error("test broken: nothing arrived out of order")
 	}
 }
@@ -209,14 +209,14 @@ func TestCwndNeverExceedsCap(t *testing.T) {
 	cfg := transport.DefaultConfig()
 	cfg.MaxCwndSegments = 64
 
-	fl := transport.StartFlow(eng, cfg, h0, h1, 1, 20_000_000, 0, nil)
+	fl := launch(cfg, h0, h1, 1, 20_000_000, 0)
 	max := 0.0
 	var probe func()
 	probe = func() {
-		if c := fl.Sender.Cwnd(); c > max {
+		if c := fl.Senders[0].Cwnd(); c > max {
 			max = c
 		}
-		if !fl.Done {
+		if !fl.Done[0] {
 			eng.After(100*sim.Microsecond, probe)
 		}
 	}
@@ -227,7 +227,7 @@ func TestCwndNeverExceedsCap(t *testing.T) {
 	if max > cap {
 		t.Errorf("cwnd reached %.0f, cap %.0f", max, cap)
 	}
-	if !fl.Done {
+	if !fl.Done[0] {
 		t.Fatal("flow incomplete")
 	}
 }
@@ -274,13 +274,13 @@ func TestRandomFaultsProperty(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			size += int64(rng.Intn(1459)) + 1 // non-MSS-aligned tail
 		}
-		fl := transport.StartFlow(eng, transport.DefaultConfig(), h0, h1, 1, size, 0, nil)
+		fl := launch(transport.DefaultConfig(), h0, h1, 1, size, 0)
 		eng.Run()
-		if !fl.Done {
+		if !fl.Done[0] {
 			t.Fatalf("seed %d: flow incomplete (size %d, drop %.3f)", seed, size, dropP)
 		}
-		if fl.Receiver.RcvNxt() != size {
-			t.Fatalf("seed %d: delivered %d of %d bytes", seed, fl.Receiver.RcvNxt(), size)
+		if fl.Receivers[0].RcvNxt() != size {
+			t.Fatalf("seed %d: delivered %d of %d bytes", seed, fl.Receivers[0].RcvNxt(), size)
 		}
 	}
 	for seed := int64(1); seed <= 40; seed++ {
@@ -310,22 +310,22 @@ func TestRTOBackoffBoundedProperty(t *testing.T) {
 			now := eng.Now()
 			return p.Kind == packet.Data && now >= start && now < start+dur
 		}
-		fl := transport.StartFlow(eng, cfg, h0, h1, 1, size, 0, nil)
+		fl := launch(cfg, h0, h1, 1, size, 0)
 		var probe func()
 		probe = func() {
-			if rto := fl.Sender.RTO(); rto < cfg.MinRTO || rto > cfg.MaxRTO {
+			if rto := fl.Senders[0].RTO(); rto < cfg.MinRTO || rto > cfg.MaxRTO {
 				t.Fatalf("RTO %v outside [%v, %v]", rto, cfg.MinRTO, cfg.MaxRTO)
 			}
-			if b := fl.Sender.Backoff(); b > 10 {
+			if b := fl.Senders[0].Backoff(); b > 10 {
 				t.Fatalf("backoff exponent %d above cap", b)
 			}
-			if !fl.Done {
+			if !fl.Done[0] {
 				eng.After(50*sim.Microsecond, probe)
 			}
 		}
 		eng.Schedule(0, probe)
 		eng.Run()
-		return outcome{fl.Sender.Stats.Retransmits, fl.Sender.Stats.Timeouts, fl.Done}
+		return outcome{fl.Senders[0].Stats.Retransmits, fl.Senders[0].Stats.Timeouts, fl.Done[0]}
 	}
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -35,15 +35,19 @@ type FlowTable struct {
 	// Done marks completed flows.
 	Done []bool
 	// Failed marks flows that gave up by RTO exhaustion (only possible
-	// with Config.MaxConsecTimeouts set); Done and FCT stay unset.
+	// for a window flow with Config.MaxConsecTimeouts set; a rate flow
+	// never fails); Done and FCT stay unset.
 	Failed []bool
 	// Query marks query (incast-style) flows for FCT bucketing.
 	Query []bool
 
 	// Senders and Receivers are the live endpoints, index-aligned with
-	// the field slices.
+	// the field slices. A rate flow's Senders entry is nil.
 	Senders   []*Sender
 	Receivers []*Receiver
+	// Rate holds the senders of the rate flows (Config.DCQCN set), in
+	// launch order; it is not index-aligned with the field slices.
+	Rate []*DCQCNSender
 
 	// OnDone, when non-nil, runs at flow completion (after FCT/Done are
 	// recorded) with the flow's index. The flow's receiver stays open —
@@ -83,7 +87,8 @@ func (t *FlowTable) Len() int { return len(t.IDs) }
 // registers immediately on the destination host's engine (it must exist
 // before the first segment can arrive); the sender transmits on the
 // source host's engine from start: each endpoint lives in its host's
-// domain.
+// domain. The sender is a DCQCNSender when cfg.DCQCN is set, else the
+// window Sender; completion is recorded the same way for both.
 func (t *FlowTable) Launch(cfg Config, src, dst *device.Host, flowID uint64,
 	size int64, start sim.Time, query bool) int {
 	if src == dst {
@@ -100,13 +105,21 @@ func (t *FlowTable) Launch(cfg Config, src, dst *device.Host, flowID uint64,
 	t.Failed = append(t.Failed, false)
 	t.Query = append(t.Query, query)
 	t.Receivers = append(t.Receivers, NewReceiver(dst.Engine(), cfg, dst, flowID, src.ID))
-	sender := NewSender(src.Engine(), cfg, src, flowID, dst.ID, size, func(fct sim.Time) {
+	done := func(fct sim.Time) {
 		t.FCT[i] = fct
 		t.Done[i] = true
 		if t.OnDone != nil {
 			t.OnDone(i)
 		}
-	})
+	}
+	if cfg.DCQCN != nil {
+		rate := NewDCQCNSender(src.Engine(), cfg, src, flowID, dst.ID, size, done)
+		t.Senders = append(t.Senders, nil)
+		t.Rate = append(t.Rate, rate)
+		src.Engine().ScheduleArg(start, dcqcnStart, rate)
+		return i
+	}
+	sender := NewSender(src.Engine(), cfg, src, flowID, dst.ID, size, done)
 	sender.SetOnFail(func() {
 		t.Failed[i] = true
 		if t.OnFail != nil {

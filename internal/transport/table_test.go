@@ -9,61 +9,81 @@ import (
 	"ecnsharp/internal/transport"
 )
 
-// TestFlowTableSerialMatchesStartFlow: a FlowTable-launched flow completes
-// with the same FCT as the closure-based StartFlow on an identical network,
-// records its state in the parallel arrays, and keeps its receiver open
-// until CloseAll.
-func TestFlowTableSerialMatchesStartFlow(t *testing.T) {
-	cfg := transport.DefaultConfig()
-	const size = 500_000
-
-	netA := newStar(2, 0, nil)
-	engA := netA.Engines[0]
-	var legacy *transport.Flow
-	transport.StartFlow(engA, cfg, netA.Host(0), netA.Host(1), 1, size, 0,
-		func(fl *transport.Flow) { legacy = fl })
-	netA.Shard.Run()
-	if legacy == nil {
-		t.Fatal("legacy flow did not complete")
+// TestFlowTableWindowFlow: a window flow launched through the table
+// finishes its Sender and keeps the table's bookkeeping (checkOneFlow).
+func TestFlowTableWindowFlow(t *testing.T) {
+	table, net, onDone := launchOne(transport.DefaultConfig())
+	if table.Senders[0] == nil || !table.Senders[0].Finished() || len(table.Rate) != 0 {
+		t.Errorf("window flow: Senders[0] = %v, Rate = %v", table.Senders[0], table.Rate)
 	}
+	checkOneFlow(t, table, net, onDone)
+}
 
-	netB := newStar(2, 0, nil)
+// TestFlowTableRateFlow: a flow whose Config carries DCQCN parameters runs
+// as a rate sender — its Senders entry is nil and Rate[0] finishes — with
+// the same bookkeeping as a window flow (checkOneFlow).
+func TestFlowTableRateFlow(t *testing.T) {
+	table, net, onDone := launchOne(rateConfig(transport.DefaultDCQCNConfig()))
+	if table.Senders[0] != nil || len(table.Rate) != 1 || !table.Rate[0].Finished() {
+		t.Errorf("rate flow: Senders[0] = %v, Rate = %v", table.Senders[0], table.Rate)
+	}
+	checkOneFlow(t, table, net, onDone)
+}
+
+// TestFlowPanicsOnSelfLoop: a rate flow with identical endpoints is
+// refused as loudly as a window one (TestFlowTableRejectsSelfFlow).
+func TestFlowPanicsOnSelfLoop(t *testing.T) {
+	net := newStar(2, 0, nil)
+	defer func() {
+		if recover() == nil {
+			t.Error("self-loop rate flow did not panic")
+		}
+	}()
+	launch(rateConfig(transport.DefaultDCQCNConfig()), net.Host(0), net.Host(0), 1, 10, 0)
+}
+
+const oneFlowSize = 500_000
+
+// launchOne runs one query flow of oneFlowSize bytes from host 0 to host 1
+// of a 2-host star through a fresh table, and returns the table, the
+// network and the indices OnDone was called with.
+func launchOne(cfg transport.Config) (*transport.FlowTable, *topology.Net, []int) {
+	net := newStar(2, 0, nil)
 	table := transport.NewFlowTable(1)
-	var doneOrder []int
-	table.OnDone = func(i int) { doneOrder = append(doneOrder, i) }
-	idx := table.Launch(cfg, netB.Host(0), netB.Host(1), 1, size, 0, true)
-	netB.Shard.Run()
+	var onDone []int
+	table.OnDone = func(i int) { onDone = append(onDone, i) }
+	table.Launch(cfg, net.Host(0), net.Host(1), 1, oneFlowSize, 0, true)
+	net.Shard.Run()
+	return table, net, onDone
+}
 
-	if table.Len() != 1 || idx != 0 {
-		t.Fatalf("table has %d flows, launch returned index %d", table.Len(), idx)
+// checkOneFlow checks launchOne's outcome: every byte delivered, the row
+// recorded (Done, FCT, endpoints, size, start, query), OnDone called once
+// with index 0, and the finished flow's receiver still registered — a late
+// duplicate segment is handled, and ACKed, as a real receiver would —
+// until CloseAll unregisters it.
+func checkOneFlow(t *testing.T, table *transport.FlowTable, net *topology.Net, onDone []int) {
+	t.Helper()
+	if table.Len() != 1 || !table.Done[0] || table.FCT[0] <= 0 {
+		t.Fatalf("table has %d flows, done=%v fct=%v", table.Len(), table.Done[0], table.FCT[0])
 	}
-	if !table.Done[0] {
-		t.Fatal("table flow did not complete")
-	}
-	if table.FCT[0] != legacy.FCT {
-		t.Errorf("table FCT %v != StartFlow FCT %v", table.FCT[0], legacy.FCT)
+	if got := table.Receivers[0].RcvNxt(); got != oneFlowSize {
+		t.Errorf("delivered %d bytes, want %d", got, oneFlowSize)
 	}
 	if table.IDs[0] != 1 || table.Src[0] != 0 || table.Dst[0] != 1 ||
-		table.Size[0] != size || table.Start[0] != 0 || !table.Query[0] {
-		t.Errorf("table row mismatch: id=%d src=%d dst=%d size=%d start=%v query=%v",
-			table.IDs[0], table.Src[0], table.Dst[0], table.Size[0], table.Start[0], table.Query[0])
+		table.Size[0] != oneFlowSize || table.Start[0] != 0 || !table.Query[0] || table.Failed[0] {
+		t.Errorf("table row mismatch: id=%d src=%d dst=%d size=%d start=%v query=%v failed=%v",
+			table.IDs[0], table.Src[0], table.Dst[0], table.Size[0], table.Start[0], table.Query[0], table.Failed[0])
 	}
-	if len(doneOrder) != 1 || doneOrder[0] != 0 {
-		t.Errorf("OnDone fired with %v, want [0]", doneOrder)
+	if len(onDone) != 1 || onDone[0] != 0 {
+		t.Errorf("OnDone fired with %v, want [0]", onDone)
 	}
-	if !table.Senders[0].Finished() {
-		t.Error("sender not finished")
-	}
-
-	// The finished flow's receiver stays registered — a late duplicate
-	// segment is handled, and ACKed, as a real receiver would — until
-	// CloseAll unregisters it.
 	dups := func() int64 {
-		p := netB.Host(1).AllocPacket()
+		p := net.Host(1).AllocPacket()
 		p.FlowID, p.Src, p.Dst = 1, 0, 1
 		p.Kind, p.PayloadLen = packet.Data, packet.MSS
-		netB.Host(1).Receive(p)
-		netB.Shard.Run()
+		net.Host(1).Receive(p)
+		net.Shard.Run()
 		return table.Receivers[0].DupPackets
 	}
 	if got := dups(); got != 1 {

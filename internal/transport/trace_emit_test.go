@@ -25,12 +25,12 @@ func TestTraceFlowLifecycle(t *testing.T) {
 	net := newStar(3, 0, func(int) aqm.AQM {
 		return aqm.NewREDInstantBytes(10 * 1500)
 	})
-	eng := net.Engines[0]
 	rec := trace.NewRingRecorder(1 << 18)
 	net.AttachTracer(rec)
 	cfg := transport.DefaultConfig()
-	transport.StartFlow(eng, cfg, net.Host(0), net.Host(2), 1, 2_000_000, 0, nil)
-	transport.StartFlow(eng, cfg, net.Host(1), net.Host(2), 2, 2_000_000, 0, nil)
+	table := transport.NewFlowTable(2)
+	table.Launch(cfg, net.Host(0), net.Host(2), 1, 2_000_000, 0, false)
+	table.Launch(cfg, net.Host(1), net.Host(2), 2, 2_000_000, 0, false)
 	net.Shard.Run()
 
 	evs := rec.Events()
@@ -95,12 +95,10 @@ func TestTraceDCQCNRateEvents(t *testing.T) {
 	net := newStar(2, 0, func(int) aqm.AQM {
 		return aqm.NewREDInstantBytes(10 * 1500)
 	})
-	eng := net.Engines[0]
-	rec := trace.NewRingRecorder(1 << 16).
-		SetMask(trace.MaskOf(trace.FlowStart, trace.FlowFinish, trace.RateUpdate))
-	net.AttachTracer(rec)
-	transport.StartDCQCNFlow(eng, transport.DefaultDCQCNConfig(),
-		net.Host(0), net.Host(1), 7, 1_000_000, 0, nil)
+	rec := trace.NewRingRecorder(1 << 16)
+	net.AttachTracer(trace.NewFilter(rec,
+		trace.MaskOf(trace.FlowStart, trace.FlowFinish, trace.RateUpdate), 1))
+	launch(rateConfig(transport.DefaultDCQCNConfig()), net.Host(0), net.Host(1), 7, 1_000_000, 0)
 	net.Shard.Run()
 
 	counts := countByType(rec.Events(), 7)

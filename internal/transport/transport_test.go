@@ -6,6 +6,7 @@ import (
 
 	"ecnsharp/internal/aqm"
 	"ecnsharp/internal/core"
+	"ecnsharp/internal/device"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/topology"
 	"ecnsharp/internal/transport"
@@ -24,53 +25,55 @@ func newStar(n int, bufBytes int64, newAQM func(int) aqm.AQM) *topology.Net {
 	})
 }
 
+// launch starts one flow through a fresh FlowTable, the one way a run
+// starts flows, and returns the table: the flow is its row 0.
+func launch(cfg transport.Config, src, dst *device.Host, id uint64, size int64, start sim.Time) *transport.FlowTable {
+	table := transport.NewFlowTable(1)
+	table.Launch(cfg, src, dst, id, size, start, false)
+	return table
+}
+
 func TestSingleFlowDeliversAllBytes(t *testing.T) {
 	net := newStar(2, 0, nil)
-	eng := net.Engines[0]
 	cfg := transport.DefaultConfig()
 
 	const size = 1_000_000
-	var done *transport.Flow
-	f := transport.StartFlow(eng, cfg, net.Host(0), net.Host(1), 1, size, 0,
-		func(fl *transport.Flow) { done = fl })
+	f := launch(cfg, net.Host(0), net.Host(1), 1, size, 0)
 	net.Shard.Run()
 
-	if done == nil {
+	if !f.Done[0] {
 		t.Fatal("flow did not complete")
 	}
-	if !f.Sender.Finished() {
+	if !f.Senders[0].Finished() {
 		t.Error("sender not finished")
 	}
-	if f.Receiver.RcvNxt() != size {
-		t.Errorf("receiver got %d bytes in order, want %d", f.Receiver.RcvNxt(), size)
+	if f.Receivers[0].RcvNxt() != size {
+		t.Errorf("receiver got %d bytes in order, want %d", f.Receivers[0].RcvNxt(), size)
 	}
-	if f.FCT <= 0 {
-		t.Errorf("FCT = %v", f.FCT)
+	fct := f.FCT[0]
+	if fct <= 0 {
+		t.Errorf("FCT = %v", fct)
 	}
 	// Lower bound: serialization of size bytes at 10 Gbps through two links
 	// plus propagation. 1 MB -> >= 800 µs.
 	minFCT := sim.Time(float64(size) * 8 / topology.TenGbps * float64(sim.Second))
-	if f.FCT < minFCT {
-		t.Errorf("FCT %v below serialization bound %v", f.FCT, minFCT)
+	if fct < minFCT {
+		t.Errorf("FCT %v below serialization bound %v", fct, minFCT)
 	}
 	// Sanity: an unloaded path should finish within a few times the bound.
-	if f.FCT > 3*minFCT {
-		t.Errorf("FCT %v way above bound %v on an idle path", f.FCT, minFCT)
+	if fct > 3*minFCT {
+		t.Errorf("FCT %v way above bound %v on an idle path", fct, minFCT)
 	}
-	if f.Sender.Stats.Timeouts != 0 {
-		t.Errorf("timeouts on an idle path: %d", f.Sender.Stats.Timeouts)
+	if f.Senders[0].Stats.Timeouts != 0 {
+		t.Errorf("timeouts on an idle path: %d", f.Senders[0].Stats.Timeouts)
 	}
 }
 
 func TestTinyFlow(t *testing.T) {
 	net := newStar(2, 0, nil)
-	eng := net.Engines[0]
-	cfg := transport.DefaultConfig()
-	var fct sim.Time
-	transport.StartFlow(eng, cfg, net.Host(0), net.Host(1), 1, 1, 0,
-		func(fl *transport.Flow) { fct = fl.FCT })
+	f := launch(transport.DefaultConfig(), net.Host(0), net.Host(1), 1, 1, 0)
 	net.Shard.Run()
-	if fct <= 0 {
+	if !f.Done[0] || f.FCT[0] <= 0 {
 		t.Fatal("1-byte flow did not complete")
 	}
 }
@@ -80,29 +83,21 @@ func TestManyParallelFlowsConserveBytes(t *testing.T) {
 	net := newStar(hosts, 300_000, func(int) aqm.AQM {
 		return aqm.NewREDInstantBytes(65 * 1460)
 	})
-	eng := net.Engines[0]
 	cfg := transport.DefaultConfig()
 
-	type result struct {
-		size int64
-		fl   *transport.Flow
-	}
-	var done []result
-	id := uint64(1)
+	table := transport.NewFlowTable(hosts - 1)
 	for s := 0; s < hosts-1; s++ {
 		size := int64(200_000 + 37_000*s)
-		fl := transport.StartFlow(eng, cfg, net.Host(s), net.Host(hosts-1), id, size, 0, nil)
-		done = append(done, result{size, fl})
-		id++
+		table.Launch(cfg, net.Host(s), net.Host(hosts-1), uint64(s+1), size, 0, false)
 	}
 	net.Shard.Run()
 
-	for i, r := range done {
-		if !r.fl.Done {
+	for i, size := range table.Size {
+		if !table.Done[i] {
 			t.Fatalf("flow %d incomplete", i)
 		}
-		if r.fl.Receiver.RcvNxt() != r.size {
-			t.Errorf("flow %d: delivered %d, want %d", i, r.fl.Receiver.RcvNxt(), r.size)
+		if got := table.Receivers[i].RcvNxt(); got != size {
+			t.Errorf("flow %d: delivered %d, want %d", i, got, size)
 		}
 	}
 }
@@ -112,21 +107,22 @@ func TestECNMarkingCutsWindow(t *testing.T) {
 	net := newStar(3, 0, func(int) aqm.AQM {
 		return aqm.NewREDInstantBytes(10 * 1500)
 	})
-	eng := net.Engines[0]
 	cfg := transport.DefaultConfig()
 
-	f1 := transport.StartFlow(eng, cfg, net.Host(0), net.Host(2), 1, 3_000_000, 0, nil)
-	f2 := transport.StartFlow(eng, cfg, net.Host(1), net.Host(2), 2, 3_000_000, 0, nil)
+	table := transport.NewFlowTable(2)
+	table.Launch(cfg, net.Host(0), net.Host(2), 1, 3_000_000, 0, false)
+	table.Launch(cfg, net.Host(1), net.Host(2), 2, 3_000_000, 0, false)
 	net.Shard.Run()
 
-	if f1.Sender.Stats.ECECuts == 0 && f2.Sender.Stats.ECECuts == 0 {
+	s, r := table.Senders, table.Receivers
+	if s[0].Stats.ECECuts == 0 && s[1].Stats.ECECuts == 0 {
 		t.Error("no ECN-driven window cuts despite a tiny marking threshold")
 	}
-	if f1.Receiver.CEMarksSeen == 0 && f2.Receiver.CEMarksSeen == 0 {
+	if r[0].CEMarksSeen == 0 && r[1].CEMarksSeen == 0 {
 		t.Error("no CE marks observed at receivers")
 	}
 	// DCTCP α should have moved off its initial value.
-	d := f1.Sender.Control().(*transport.DCTCP)
+	d := s[0].Control().(*transport.DCTCP)
 	if d.Alpha == 1 {
 		t.Error("DCTCP alpha never updated")
 	}
@@ -136,14 +132,11 @@ func TestLossRecoveryUnderTinyBuffer(t *testing.T) {
 	// 8 packets of buffer and no marking: drops are guaranteed with
 	// concurrent senders; flows must still complete via retransmission.
 	net := newStar(5, 8*1500, nil)
-	eng := net.Engines[0]
 	cfg := transport.DefaultConfig()
 
-	var flows []*transport.Flow
+	table := transport.NewFlowTable(4)
 	for s := 0; s < 4; s++ {
-		fl := transport.StartFlow(eng, cfg, net.Host(s), net.Host(4), uint64(s+1),
-			500_000, 0, nil)
-		flows = append(flows, fl)
+		table.Launch(cfg, net.Host(s), net.Host(4), uint64(s+1), 500_000, 0, false)
 	}
 	net.Shard.Run()
 
@@ -152,14 +145,14 @@ func TestLossRecoveryUnderTinyBuffer(t *testing.T) {
 		t.Fatal("expected tail drops with an 8-packet buffer")
 	}
 	anyRetx := false
-	for i, fl := range flows {
-		if !fl.Done {
+	for i, done := range table.Done {
+		if !done {
 			t.Fatalf("flow %d incomplete after losses", i)
 		}
-		if fl.Receiver.RcvNxt() != 500_000 {
-			t.Errorf("flow %d delivered %d bytes", i, fl.Receiver.RcvNxt())
+		if got := table.Receivers[i].RcvNxt(); got != 500_000 {
+			t.Errorf("flow %d delivered %d bytes", i, got)
 		}
-		if fl.Sender.Stats.Retransmits > 0 {
+		if table.Senders[i].Stats.Retransmits > 0 {
 			anyRetx = true
 		}
 	}
@@ -190,9 +183,10 @@ func TestECNTCPHalvesVsDCTCPGentler(t *testing.T) {
 		cfg := transport.DefaultConfig()
 		cfg.NewControl = newCC
 		var last sim.Time
-		onDone := func(*transport.Flow) { last = eng.Now() }
-		transport.StartFlow(eng, cfg, net.Host(0), net.Host(2), 1, 5_000_000, 0, onDone)
-		transport.StartFlow(eng, cfg, net.Host(1), net.Host(2), 2, 5_000_000, 0, onDone)
+		table := transport.NewFlowTable(2)
+		table.OnDone = func(int) { last = eng.Now() }
+		table.Launch(cfg, net.Host(0), net.Host(2), 1, 5_000_000, 0, false)
+		table.Launch(cfg, net.Host(1), net.Host(2), 2, 5_000_000, 0, false)
 		net.Shard.Run()
 		if last == 0 {
 			t.Fatal("flows did not finish")
@@ -211,19 +205,15 @@ func TestDelayedAcksStillComplete(t *testing.T) {
 	net := newStar(2, 0, func(int) aqm.AQM {
 		return aqm.NewREDInstantBytes(30 * 1460)
 	})
-	eng := net.Engines[0]
 	cfg := transport.DefaultConfig()
 	cfg.DelayedAckCount = 2
-	var done bool
-	fl := transport.StartFlow(eng, cfg, net.Host(0), net.Host(1), 1, 2_000_000, 0,
-		func(*transport.Flow) { done = true })
+	fl := launch(cfg, net.Host(0), net.Host(1), 1, 2_000_000, 0)
 	net.Shard.Run()
-	if !done {
+	if !fl.Done[0] {
 		t.Fatal("flow with delayed ACKs did not complete")
 	}
-	if fl.Receiver.AcksSent >= fl.Receiver.DataPackets {
-		t.Errorf("delayed ACKs not batching: %d acks for %d packets",
-			fl.Receiver.AcksSent, fl.Receiver.DataPackets)
+	if r := fl.Receivers[0]; r.AcksSent >= r.DataPackets {
+		t.Errorf("delayed ACKs not batching: %d acks for %d packets", r.AcksSent, r.DataPackets)
 	}
 }
 
@@ -238,17 +228,15 @@ func TestRTORearmKeepsEventQueueSmall(t *testing.T) {
 	})
 	eng := net.Engines[0]
 	cfg := transport.DefaultConfig() // DCTCP, one ACK per data packet
-	done := false
-	fl := transport.StartFlow(eng, cfg, net.Host(0), net.Host(1), 1, 3_000_000, 0,
-		func(*transport.Flow) { done = true })
+	fl := launch(cfg, net.Host(0), net.Host(1), 1, 3_000_000, 0)
 	peak := 0
 	for eng.Step() {
 		if n := eng.Len(); n > peak {
 			peak = n
 		}
 	}
-	if !done || fl.Receiver.AcksSent < 2000 {
-		t.Fatalf("flow done=%v after %d ACKs; the test needs a few thousand re-arms", done, fl.Receiver.AcksSent)
+	if !fl.Done[0] || fl.Receivers[0].AcksSent < 2000 {
+		t.Fatalf("flow done=%v after %d ACKs; the test needs a few thousand re-arms", fl.Done[0], fl.Receivers[0].AcksSent)
 	}
 	if peak > 64 {
 		t.Errorf("event queue peaked at %d entries for one flow, want <= 64", peak)
@@ -261,14 +249,14 @@ func TestRTORearmKeepsEventQueueSmall(t *testing.T) {
 func TestFlowStartsAtScheduledTime(t *testing.T) {
 	net := newStar(2, 0, nil)
 	eng := net.Engines[0]
-	cfg := transport.DefaultConfig()
 	start := 5 * sim.Millisecond
 	var completedAt sim.Time
-	transport.StartFlow(eng, cfg, net.Host(0), net.Host(1), 1, 10_000, start,
-		func(*transport.Flow) { completedAt = eng.Now() })
+	table := transport.NewFlowTable(1)
+	table.OnDone = func(int) { completedAt = eng.Now() }
+	table.Launch(transport.DefaultConfig(), net.Host(0), net.Host(1), 1, 10_000, start, false)
 	net.Shard.Run()
-	if completedAt < start {
-		t.Errorf("flow completed at %v before its start %v", completedAt, start)
+	if !table.Done[0] || completedAt < start {
+		t.Errorf("flow done=%v at %v, want done after its start %v", table.Done[0], completedAt, start)
 	}
 }
 
@@ -314,17 +302,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestFlowPanicsOnSelfLoop(t *testing.T) {
-	net := newStar(2, 0, nil)
-	eng := net.Engines[0]
-	defer func() {
-		if recover() == nil {
-			t.Error("self-loop flow did not panic")
-		}
-	}()
-	transport.StartFlow(eng, transport.DefaultConfig(), net.Host(0), net.Host(0), 1, 10, 0, nil)
-}
-
 func TestEffectiveLambda(t *testing.T) {
 	if l := transport.EffectiveLambda(transport.NewECNTCP()); l != 1 {
 		t.Errorf("lambda(ecn-tcp) = %v", l)
@@ -348,12 +325,12 @@ func TestECNSharpEndToEnd(t *testing.T) {
 		sharp = a // last one constructed; receiver port is built last
 		return a
 	})
-	eng := net.Engines[0]
 	cfg := transport.DefaultConfig()
-	f1 := transport.StartFlow(eng, cfg, net.Host(0), net.Host(2), 1, 4_000_000, 0, nil)
-	f2 := transport.StartFlow(eng, cfg, net.Host(1), net.Host(2), 2, 4_000_000, 0, nil)
+	table := transport.NewFlowTable(2)
+	table.Launch(cfg, net.Host(0), net.Host(2), 1, 4_000_000, 0, false)
+	table.Launch(cfg, net.Host(1), net.Host(2), 2, 4_000_000, 0, false)
 	net.Shard.Run()
-	if !f1.Done || !f2.Done {
+	if !table.Done[0] || !table.Done[1] {
 		t.Fatal("flows incomplete under ECN♯")
 	}
 	if sharp == nil {
