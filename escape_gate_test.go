@@ -78,6 +78,13 @@ var escapeGateFunctions = []string{
 	"internal/transport.(*Sender).sendSegment",
 	"internal/transport.(*Sender).armRTO",
 	"internal/transport.senderRTO",
+	// The rate mode: the ACK branch, pacing, go-back-N and the rate timer.
+	"internal/transport.(*Sender).onRateAck",
+	"internal/transport.(*Sender).pace",
+	"internal/transport.senderPace",
+	"internal/transport.(*Sender).goBackN",
+	"internal/transport.(*Sender).onRateTimer",
+	"internal/transport.senderRateTimer",
 	"internal/transport.(*Receiver).HandlePacket",
 	"internal/transport.(*Receiver).sendAck",
 	"internal/transport.receiverAckTimer",

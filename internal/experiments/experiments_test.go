@@ -760,9 +760,9 @@ func TestDCQCNExtensionShape(t *testing.T) {
 }
 
 // TestDCQCNRunCountsRateSenders: the cut-off row of the dcqcn table drops
-// packets, and a DCQCN-lite sender recovers them go-back-N, so the run's
-// Retransmits — summed over the table's rate senders, whose Senders entries
-// are nil — must be positive.
+// packets, and a rate-mode sender recovers them go-back-N, so the run's
+// Retransmits — summed over the table's Senders, rate flows included —
+// must be positive.
 func TestDCQCNRunCountsRateSenders(t *testing.T) {
 	r := Run(dcqcnCfg(dcqcnSchemes()[0], SmokeScale().Seeds[0]))
 	if r.Drops != 245 {

@@ -405,12 +405,6 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 		Net:       net,
 	}
 	for _, s := range table.Senders {
-		if s != nil {
-			res.Timeouts += s.Stats.Timeouts
-			res.Retransmits += s.Stats.Retransmits
-		}
-	}
-	for _, s := range table.Rate {
 		res.Timeouts += s.Stats.Timeouts
 		res.Retransmits += s.Stats.Retransmits
 	}

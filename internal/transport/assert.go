@@ -2,14 +2,10 @@ package transport
 
 import "ecnsharp/internal/device"
 
-// Compile-time checks that the congestion-response strategies satisfy
-// ECNControl and that every flow endpoint satisfies device.PacketHandler,
-// so a signature drift breaks the build rather than a registration site.
+// Compile-time checks that every flow endpoint satisfies
+// device.PacketHandler, so a signature drift breaks the build rather than
+// a registration site.
 var (
-	_ ECNControl = (*DCTCP)(nil)
-	_ ECNControl = (*ECNTCP)(nil)
-
 	_ device.PacketHandler = (*Sender)(nil)
 	_ device.PacketHandler = (*Receiver)(nil)
-	_ device.PacketHandler = (*DCQCNSender)(nil)
 )

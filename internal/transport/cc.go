@@ -1,7 +1,7 @@
 // Package transport implements the end-host half of ECN-based datacenter
-// transports: a reliable window-based byte-stream sender/receiver pair with
-// pluggable ECN reaction — DCTCP (proportional cut driven by the marked
-// fraction, λ≈α/2) and standard ECN-TCP (halve on any mark, λ=1).
+// transports: a reliable byte-stream sender/receiver pair. A flow's Sender
+// is window-based DCTCP (proportional cut driven by the marked fraction,
+// λ≈α/2) or, when its Config.DCQCN is set, a DCQCN-style rate sender.
 //
 // The model is packet-granular and deliberately simple where the paper's
 // results do not depend on the detail (no SACK, NewReno-style recovery
@@ -10,98 +10,3 @@
 // a configurable minimum (timeouts dominate incast FCTs in Figure 11),
 // and optional delayed ACKs with DCTCP's CE-change immediate-ACK rule.
 package transport
-
-import "math"
-
-// ECNControl is the congestion-response strategy for ECN marks. The sender
-// owns window growth and loss response; the strategy only decides the
-// multiplicative decrease applied when an ECN-echo ACK arrives (at most
-// once per window) and observes per-window marked fractions.
-type ECNControl interface {
-	Name() string
-	// OnWindowEnd is invoked once per congestion window with the fraction
-	// of acked bytes that carried ECN-echo during that window.
-	OnWindowEnd(fracMarked float64)
-	// CutFraction returns the multiplicative decrease factor in (0, 1]:
-	// upon ECN feedback the window becomes cwnd × (1 − CutFraction()).
-	CutFraction() float64
-}
-
-// DCTCP keeps the running marked-fraction estimate α (RFC 8257):
-//
-//	α ← (1 − g)·α + g·F
-//
-// and cuts the window by α/2. With small α the cut is gentle, letting the
-// window hover just above the marking threshold; this is what gives DCTCP
-// its λ ≈ 0.17 equivalent in Equation 1.
-type DCTCP struct {
-	// G is the EWMA gain (default 1/16).
-	G float64
-	// Alpha is the current marked-fraction estimate in [0,1].
-	Alpha float64
-}
-
-// NewDCTCP returns a DCTCP responder with conventional parameters
-// (g = 1/16, α₀ = 1 as in the Linux implementation: conservative until the
-// first window completes).
-func NewDCTCP() *DCTCP { return &DCTCP{G: 1.0 / 16.0, Alpha: 1} }
-
-// Name returns "dctcp".
-func (d *DCTCP) Name() string { return "dctcp" }
-
-// OnWindowEnd folds the window's marked fraction into α.
-func (d *DCTCP) OnWindowEnd(frac float64) {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	d.Alpha = (1-d.G)*d.Alpha + d.G*frac
-}
-
-// CutFraction returns α/2, clamped away from zero so a mark always has
-// some effect (matching implementations that floor the cut at one segment;
-// the sender separately floors cwnd at one MSS).
-func (d *DCTCP) CutFraction() float64 {
-	cut := d.Alpha / 2
-	if cut < 0 {
-		cut = 0
-	}
-	if cut > 0.5 {
-		cut = 0.5
-	}
-	return cut
-}
-
-// ECNTCP is classic ECN-enabled TCP: any ECN-echo in a window halves the
-// window, exactly like a loss, giving λ = 1 in Equation 1.
-type ECNTCP struct{}
-
-// NewECNTCP returns the λ=1 responder.
-func NewECNTCP() *ECNTCP { return &ECNTCP{} }
-
-// Name returns "ecn-tcp".
-func (*ECNTCP) Name() string { return "ecn-tcp" }
-
-// OnWindowEnd ignores the marked fraction.
-func (*ECNTCP) OnWindowEnd(float64) {}
-
-// CutFraction returns 1/2.
-func (*ECNTCP) CutFraction() float64 { return 0.5 }
-
-// EffectiveLambda estimates the Equation-1 λ a responder exhibits given a
-// steady-state marked fraction; used by threshold-derivation helpers and
-// tests (DCTCP's theoretical value is ≈0.17 at the knee).
-func EffectiveLambda(c ECNControl) float64 {
-	switch cc := c.(type) {
-	case *ECNTCP:
-		return 1
-	case *DCTCP:
-		// λ for DCTCP at the stability knee per the DCTCP analysis paper.
-		_ = cc
-		return 0.17
-	default:
-		return math.NaN()
-	}
-}

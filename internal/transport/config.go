@@ -40,15 +40,14 @@ type Config struct {
 	// flow whose every path died terminates the run via RTO exhaustion
 	// rather than deadlocking it.
 	MaxConsecTimeouts int
-	// NewControl builds the per-flow ECN responder (DCTCP by default).
-	NewControl func() ECNControl
 	// Class is the service class stamped on the flow's packets, selecting
 	// the egress queue under multi-queue scheduling (Figure 13).
 	Class int
-	// DCQCN, when non-nil, makes the flow rate-based: FlowTable.Launch
-	// builds a DCQCNSender with these rate-controller parameters (segments
-	// of MSS bytes, go-back-N timer MinRTO) instead of the window Sender.
-	// The receiver is the same either way. Nil keeps the window sender.
+	// DCQCN, when non-nil, makes the flow rate-based: its Sender paces
+	// MSS-byte segments at the DCQCN rate these parameters control, goes
+	// back N on loss with a fixed MinRTO timer, and cuts its rate on
+	// ECN-echo. Nil keeps the DCTCP window sender. The receiver is the same
+	// either way, and so is the RTO budget (MaxConsecTimeouts).
 	DCQCN *DCQCNConfig
 }
 
@@ -65,7 +64,6 @@ func DefaultConfig() Config {
 		InitialRTO:        2 * sim.Millisecond,
 		DelayedAckCount:   1,
 		DelayedAckTimeout: 500 * sim.Microsecond,
-		NewControl:        func() ECNControl { return NewDCTCP() },
 	}
 }
 
@@ -89,9 +87,6 @@ func (c Config) Validate() error {
 	}
 	if c.DelayedAckCount <= 0 {
 		return fmt.Errorf("transport: DelayedAckCount must be >= 1, got %d", c.DelayedAckCount)
-	}
-	if c.NewControl == nil {
-		return fmt.Errorf("transport: NewControl must be set")
 	}
 	if c.DCQCN != nil {
 		return c.DCQCN.Validate()

@@ -11,6 +11,7 @@ import (
 	"ecnsharp/internal/queue"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/topology"
+	"ecnsharp/internal/trace"
 	"ecnsharp/internal/transport"
 )
 
@@ -55,7 +56,7 @@ func TestDCQCNDeliversAllBytes(t *testing.T) {
 	const size = 2_000_000
 	fl := launch(rateConfig(transport.DefaultDCQCNConfig()), net.Host(0), net.Host(1), 1, size, 0)
 	net.Shard.Run()
-	sender, recv, fct := fl.Rate[0], fl.Receivers[0], fl.FCT[0]
+	sender, recv, fct := fl.Senders[0], fl.Receivers[0], fl.FCT[0]
 	if !sender.Finished() || recv.RcvNxt() != size {
 		t.Fatalf("incomplete: finished=%v rcv=%d", sender.Finished(), recv.RcvNxt())
 	}
@@ -82,11 +83,11 @@ func TestDCQCNCutsOnMarksAndRecovers(t *testing.T) {
 	table.Launch(cfg, net.Host(0), net.Host(2), 1, 8_000_000, 0, false)
 	table.Launch(cfg, net.Host(1), net.Host(2), 2, 8_000_000, 0, false)
 	net.Shard.Run()
-	s1, s2 := table.Rate[0], table.Rate[1]
+	s1, s2 := table.Senders[0], table.Senders[1]
 	if !s1.Finished() || !s2.Finished() {
 		t.Fatal("flows incomplete")
 	}
-	if s1.Stats.RateCuts == 0 && s2.Stats.RateCuts == 0 {
+	if s1.Stats.ECECuts == 0 && s2.Stats.ECECuts == 0 {
 		t.Error("no rate cuts despite marking")
 	}
 	drops := net.EgressTo(2).Egress.Drops
@@ -101,10 +102,8 @@ func TestDCQCNRateFloor(t *testing.T) {
 	peer := device.NewHost(eng, 1)
 	sink := &ackSink{}
 	host.NIC = device.NewPort(eng, newEgress(), 10e9, 0, sink)
-	_ = peer
 	cfg := transport.DefaultDCQCNConfig()
-	s := transport.NewDCQCNSender(eng, rateConfig(cfg), host, 1, 1, 1_000_000, nil)
-	eng.Schedule(0, s.Start)
+	s := launch(rateConfig(cfg), host, peer, 1, 1_000_000, 0).Senders[0]
 	eng.RunUntil(sim.Millisecond)
 	// Hammer it with synthetic CNPs spaced past the CNP interval.
 	for i := 0; i < 200; i++ {
@@ -133,12 +132,77 @@ func TestDCQCNLossRecoveryGoBackN(t *testing.T) {
 	const size = 300 * 1460
 	fl := launch(rateConfig(transport.DefaultDCQCNConfig()), h0, h1, 1, size, 0)
 	eng.Run()
-	sender, recv := fl.Rate[0], fl.Receivers[0]
+	sender, recv := fl.Senders[0], fl.Receivers[0]
 	if !sender.Finished() || recv.RcvNxt() != size {
 		t.Fatalf("incomplete after loss: rcv=%d", recv.RcvNxt())
 	}
 	if sender.Stats.Retransmits == 0 {
 		t.Error("no go-back-N after a drop")
+	}
+}
+
+// TestDCQCNStampsClass: a rate flow's data packets carry its Config.Class,
+// which selects the egress queue under DWRR weights, and its sender
+// counts the bytes it sends and the ACKs it receives.
+func TestDCQCNStampsClass(t *testing.T) {
+	eng := sim.NewEngine()
+	h0, h1, tap := faultPath(eng)
+	var data, wrong int
+	tap.Drop = func(p *packet.Packet) bool {
+		if p.Kind == packet.Data {
+			data++
+			if p.Class != 1 {
+				wrong++
+			}
+		}
+		return false
+	}
+	cfg := rateConfig(transport.DefaultDCQCNConfig())
+	cfg.Class = 1
+	fl := launch(cfg, h0, h1, 1, 100*1460, 0)
+	eng.Run()
+	if !fl.Done[0] || data == 0 || wrong != 0 {
+		t.Fatalf("done=%v: %d of %d data packets not in class 1", fl.Done[0], wrong, data)
+	}
+	if st := fl.Senders[0].Stats; st.SentBytes < 100*1460 || st.AcksReceived == 0 {
+		t.Errorf("sender counted %d bytes sent and %d ACKs", st.SentBytes, st.AcksReceived)
+	}
+}
+
+// TestDCQCNBlackholedFlowFails: a rate flow whose every data packet is
+// dropped has the same RTO budget as a window flow. After
+// MaxConsecTimeouts go-back-N timeouts it fails: Failed is recorded,
+// OnFail runs once, a FlowFail event is traced, and its timers stop, long
+// before the deadline guard.
+func TestDCQCNBlackholedFlowFails(t *testing.T) {
+	eng := sim.NewEngine()
+	h0, h1, tap := faultPath(eng)
+	tap.Drop = func(p *packet.Packet) bool { return p.Kind == packet.Data }
+	rec := trace.NewRingRecorder(64)
+	eng.SetTracer(trace.NewFilter(rec, trace.MaskOf(trace.FlowFail), 1))
+	cfg := rateConfig(transport.DefaultDCQCNConfig())
+	cfg.MaxConsecTimeouts = 3
+	table := transport.NewFlowTable(1)
+	var failed []int
+	table.OnFail = func(i int) { failed = append(failed, i) }
+	table.Launch(cfg, h0, h1, 1, 1_000_000, 0, false)
+
+	const guard = 100 * sim.Millisecond
+	eng.RunUntil(guard)
+	if !table.Failed[0] || table.Done[0] {
+		t.Fatalf("after %v: failed=%v done=%v, want the flow failed", guard, table.Failed[0], table.Done[0])
+	}
+	if len(failed) != 1 || failed[0] != 0 {
+		t.Errorf("OnFail fired with %v, want [0]", failed)
+	}
+	if evs := rec.Events(); len(evs) != 1 || evs[0].FlowID != 1 || evs[0].At >= int64(guard) {
+		t.Errorf("traced FlowFail events %+v, want one for flow 1 before %v", evs, guard)
+	}
+	if n := eng.Len(); n != 0 {
+		t.Errorf("%d events still queued after the flow failed, want 0", n)
+	}
+	if got := table.Senders[0].Stats.Timeouts; got != int64(cfg.MaxConsecTimeouts)+1 {
+		t.Errorf("%d timeouts, want %d", got, cfg.MaxConsecTimeouts+1)
 	}
 }
 

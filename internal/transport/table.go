@@ -35,19 +35,15 @@ type FlowTable struct {
 	// Done marks completed flows.
 	Done []bool
 	// Failed marks flows that gave up by RTO exhaustion (only possible
-	// for a window flow with Config.MaxConsecTimeouts set; a rate flow
-	// never fails); Done and FCT stay unset.
+	// with Config.MaxConsecTimeouts set); Done and FCT stay unset.
 	Failed []bool
 	// Query marks query (incast-style) flows for FCT bucketing.
 	Query []bool
 
 	// Senders and Receivers are the live endpoints, index-aligned with
-	// the field slices. A rate flow's Senders entry is nil.
+	// the field slices.
 	Senders   []*Sender
 	Receivers []*Receiver
-	// Rate holds the senders of the rate flows (Config.DCQCN set), in
-	// launch order; it is not index-aligned with the field slices.
-	Rate []*DCQCNSender
 
 	// OnDone, when non-nil, runs at flow completion (after FCT/Done are
 	// recorded) with the flow's index. The flow's receiver stays open —
@@ -87,8 +83,7 @@ func (t *FlowTable) Len() int { return len(t.IDs) }
 // registers immediately on the destination host's engine (it must exist
 // before the first segment can arrive); the sender transmits on the
 // source host's engine from start: each endpoint lives in its host's
-// domain. The sender is a DCQCNSender when cfg.DCQCN is set, else the
-// window Sender; completion is recorded the same way for both.
+// domain. The sender records the flow's completion or failure in its row.
 func (t *FlowTable) Launch(cfg Config, src, dst *device.Host, flowID uint64,
 	size int64, start sim.Time, query bool) int {
 	if src == dst {
@@ -105,27 +100,7 @@ func (t *FlowTable) Launch(cfg Config, src, dst *device.Host, flowID uint64,
 	t.Failed = append(t.Failed, false)
 	t.Query = append(t.Query, query)
 	t.Receivers = append(t.Receivers, NewReceiver(dst.Engine(), cfg, dst, flowID, src.ID))
-	done := func(fct sim.Time) {
-		t.FCT[i] = fct
-		t.Done[i] = true
-		if t.OnDone != nil {
-			t.OnDone(i)
-		}
-	}
-	if cfg.DCQCN != nil {
-		rate := NewDCQCNSender(src.Engine(), cfg, src, flowID, dst.ID, size, done)
-		t.Senders = append(t.Senders, nil)
-		t.Rate = append(t.Rate, rate)
-		src.Engine().ScheduleArg(start, dcqcnStart, rate)
-		return i
-	}
-	sender := NewSender(src.Engine(), cfg, src, flowID, dst.ID, size, done)
-	sender.SetOnFail(func() {
-		t.Failed[i] = true
-		if t.OnFail != nil {
-			t.OnFail(i)
-		}
-	})
+	sender := newSender(t, i, cfg, src)
 	t.Senders = append(t.Senders, sender)
 	src.Engine().ScheduleArg(start, senderStart, sender)
 	return i

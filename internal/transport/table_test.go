@@ -13,19 +13,27 @@ import (
 // finishes its Sender and keeps the table's bookkeeping (checkOneFlow).
 func TestFlowTableWindowFlow(t *testing.T) {
 	table, net, onDone := launchOne(transport.DefaultConfig())
-	if table.Senders[0] == nil || !table.Senders[0].Finished() || len(table.Rate) != 0 {
-		t.Errorf("window flow: Senders[0] = %v, Rate = %v", table.Senders[0], table.Rate)
+	if len(table.Senders) != 1 || !table.Senders[0].Finished() || table.Senders[0].Rate() != 0 {
+		t.Errorf("window flow: Senders = %v", table.Senders)
 	}
 	checkOneFlow(t, table, net, onDone)
 }
 
 // TestFlowTableRateFlow: a flow whose Config carries DCQCN parameters runs
-// as a rate sender — its Senders entry is nil and Rate[0] finishes — with
-// the same bookkeeping as a window flow (checkOneFlow).
+// its Sender in rate mode, in the same index-aligned Senders slice and
+// with the same bookkeeping as a window flow (checkOneFlow).
 func TestFlowTableRateFlow(t *testing.T) {
 	table, net, onDone := launchOne(rateConfig(transport.DefaultDCQCNConfig()))
-	if table.Senders[0] != nil || len(table.Rate) != 1 || !table.Rate[0].Finished() {
-		t.Errorf("rate flow: Senders[0] = %v, Rate = %v", table.Senders[0], table.Rate)
+	if len(table.Senders) != table.Len() {
+		t.Fatalf("%d senders for %d flows", len(table.Senders), table.Len())
+	}
+	for i, s := range table.Senders {
+		if s == nil {
+			t.Fatalf("Senders[%d] is nil", i)
+		}
+	}
+	if s := table.Senders[0]; !s.Finished() || s.Rate() <= 0 || s.Stats.SentPackets == 0 {
+		t.Errorf("rate flow: finished=%v rate=%v sent=%d", s.Finished(), s.Rate(), s.Stats.SentPackets)
 	}
 	checkOneFlow(t, table, net, onDone)
 }
