@@ -213,14 +213,25 @@ func TestAllocBaseline(t *testing.T) {
 }
 
 // scaleResult is one (hosts, shards) cell of BENCH_scale.json: what the cell
-// simulated and what it keeps in memory, both independent of the machine.
-// How fast it ran is BenchmarkScaleCell's and benchmark/'s to say.
+// simulated and what it keeps in memory, both independent of the machine,
+// and the run's window and handoff counts (sim.RunReport), independent of
+// the worker count too. How fast it ran is BenchmarkScaleCell's and
+// benchmark/'s to say.
 type scaleResult struct {
 	Hosts          int     `json:"hosts"`
 	Shards         int     `json:"shards"`
 	Events         uint64  `json:"events"`
+	Windows        uint64  `json:"windows"`
+	HandoffMsgs    uint64  `json:"handoff_msgs"`
+	HandoffDrains  uint64  `json:"handoff_drains"`
 	BytesPerHost   float64 `json:"bytes_per_host"`
 	CompletedFlows int     `json:"completed_flows"`
+}
+
+// counts is the part of a scaleResult the gate compares exactly.
+func (r scaleResult) counts() string {
+	return fmt.Sprintf("%d events, %d windows, %d handoff messages, %d handoff drains and %d completed flows",
+		r.Events, r.Windows, r.HandoffMsgs, r.HandoffDrains, r.CompletedFlows)
 }
 
 // scaleReport is the schema of BENCH_scale.json.
@@ -256,18 +267,22 @@ func measureScaleCell(t *testing.T, cell experiments.ScaleCell, shards int) scal
 		Hosts:          cell.Hosts,
 		Shards:         shards,
 		Events:         res.Net.Shard.Processed(),
+		Windows:        res.Report.Windows,
+		HandoffMsgs:    res.Report.HandoffMsgs,
+		HandoffDrains:  res.Report.HandoffDrains,
 		BytesPerHost:   float64(after-before) / float64(cell.Hosts),
 		CompletedFlows: res.Completed,
 	}
 	if res.Completed != res.Injected {
 		t.Errorf("%s completed %d/%d flows", scaleKey(cell.Hosts, shards), res.Completed, res.Injected)
 	}
-	t.Logf("%-24s %10d events %8.0f B/host %8d flows", scaleKey(cell.Hosts, shards), out.Events, out.BytesPerHost, out.CompletedFlows)
+	t.Logf("%-24s %10d events %6d windows %8d handoffs %8d drains %8.0f B/host %8d flows", scaleKey(cell.Hosts, shards),
+		out.Events, out.Windows, out.HandoffMsgs, out.HandoffDrains, out.BytesPerHost, out.CompletedFlows)
 	return out
 }
 
-// compareScale returns one line per cell that drifted from base: the event
-// and completed-flow counts must match, bytes/host may not grow beyond
+// compareScale returns one line per cell that drifted from base: the event,
+// window, handoff and completed-flow counts must match, bytes/host may not grow beyond
 // bytesTolerance, every measured cell must be recorded, and every recorded
 // cell of a tier that ran (those up to maxHosts) must have been measured.
 func compareScale(base, got map[string]scaleResult, maxHosts int) []string {
@@ -283,9 +298,9 @@ func compareScale(base, got map[string]scaleResult, maxHosts int) []string {
 		case !inBase:
 			failures = append(failures, fmt.Sprintf("%s: measured but not in baseline", k))
 		default:
-			if m.Events != want.Events || m.CompletedFlows != want.CompletedFlows {
-				failures = append(failures, fmt.Sprintf("%s: %d events and %d completed flows, baseline %d and %d (the cell is deterministic; a drift means the simulation changed)",
-					k, m.Events, m.CompletedFlows, want.Events, want.CompletedFlows))
+			if m.counts() != want.counts() {
+				failures = append(failures, fmt.Sprintf("%s: %s, baseline %s (the cell is deterministic; a drift means the simulation or its windowing changed)",
+					k, m.counts(), want.counts()))
 			}
 			if m.BytesPerHost > want.BytesPerHost*(1+bytesTolerance) {
 				failures = append(failures, fmt.Sprintf("%s: %.0f B/host, baseline %.0f (+%.0f%% > %.0f%% tolerance)",
@@ -318,6 +333,14 @@ func TestScaleBaseline(t *testing.T) {
 		for _, w := range scaleWorkers {
 			got[scaleKey(cell.Hosts, w)] = measureScaleCell(t, cell, w)
 		}
+		// Every count is worker-independent: each worker count must
+		// reproduce the first's.
+		first := got[scaleKey(cell.Hosts, scaleWorkers[0])]
+		for _, w := range scaleWorkers[1:] {
+			if c := got[scaleKey(cell.Hosts, w)]; c.counts() != first.counts() {
+				t.Errorf("hosts=%d: %d workers ran %s, %d workers %s", cell.Hosts, w, c.counts(), scaleWorkers[0], first.counts())
+			}
+		}
 	}
 	if *update {
 		writeBaseline(t, scaleBaselineFile, scaleReport{
@@ -335,17 +358,19 @@ func TestScaleBaseline(t *testing.T) {
 	}
 }
 
-// BenchmarkScaleCell runs the cells TestScaleBaseline pins, one sub-benchmark
-// per (tier, worker count), and reports events/s beside ns/op; the sharded
-// speedup of a tier is the ratio of its shards=1 and shards=4 lines:
+// BenchmarkScaleCell runs the cells TestScaleBaseline pins at 1, 2 and 4
+// workers, one sub-benchmark per (tier, worker count), and reports events/s
+// beside ns/op; the sharded speedup of a tier is the ratio of its shards=1
+// line to another (a run uses at most GOMAXPROCS workers, so on 2 CPUs the
+// shards=4 line runs two):
 //
-//	go test -run '^$' -bench 'BenchmarkScaleCell/hosts=1024$' .
+//	go test -run '^$' -bench 'BenchmarkScaleCell/hosts=1024/' .
 //
 // The 100k tier takes 10–20 s an iteration. Paired, noise-controlled speed is
 // benchmark/'s to measure.
 func BenchmarkScaleCell(b *testing.B) {
 	for _, cell := range experiments.ScaleCells() {
-		for _, w := range scaleWorkers {
+		for _, w := range []int{1, 2, 4} {
 			b.Run(scaleKey(cell.Hosts, w), func(b *testing.B) {
 				var events uint64
 				for i := 0; i < b.N; i++ {
@@ -408,6 +433,9 @@ func TestBaselineGatesDetectRegressions(t *testing.T) {
 	}
 	const cell = "hosts=1024/shards=4"
 	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.Events-- }), cells, all), cell, "events")
+	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.Windows++ }), cells, all), cell, "windows")
+	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.HandoffMsgs-- }), cells, all), cell, "handoff messages")
+	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.HandoffDrains++ }), cells, all), cell, "handoff drains")
 	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.CompletedFlows-- }), cells, all), cell, "completed flows")
 	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.BytesPerHost *= 0.8 }), cells, all), cell, "B/host")
 	const extra = "hosts=1024/shards=2"

@@ -11,6 +11,7 @@
 //	ecnsim -scheme red-tail -workload datamining -load 0.5 -flows 500
 //	ecnsim -topo leafspine -scheme codel -load 0.4
 //	ecnsim -seeds 1,2,3 -parallel 3   # pooled statistics over three seeds
+//	ecnsim -topo leafspine -report    # run counts as one JSON line on stderr
 //	ecnsim -trace run.jsonl -trace-events mark,drop -trace-sample 10
 //	ecnsim -topo leafspine -faults flaps.json -trace churn.jsonl -trace-events fault,reroute,flow_fail
 //	ecnsim -spec sweep.json -parallel 4   # run a JSON sweep spec (same schema ecnsharpd serves)
@@ -19,6 +20,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -73,6 +75,8 @@ func main() {
 		traceEvents = flag.String("trace-events", "all",
 			"comma-separated event types to trace: enqueue,dequeue,drop,mark,sojourn,cwnd,rate,echo,flow_start,flow_finish,fault,reroute,flow_fail or all")
 		traceSample = flag.Int("trace-sample", 1, "keep every n-th selected event (sampling stride)")
+		report      = flag.Bool("report", false,
+			"print the run's report (windows, per-domain events, handoff messages and drains; summed over -seeds) as one JSON line on stderr")
 	)
 	flag.Parse()
 
@@ -226,6 +230,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ecnsim: trace:", err)
 			os.Exit(1)
 		}
+	}
+	if *report {
+		line, err := json.Marshal(r.Report)
+		if err != nil {
+			fail(1, err)
+		}
+		fmt.Fprintf(os.Stderr, "%s\n", line)
 	}
 	s := r.Stats
 	fmt.Printf("scheme    %s\n", cfg.Scheme.Label)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -175,6 +176,7 @@ func TestBadFlagsAreUsageErrors(t *testing.T) {
 		{[]string{"-rtt-variation", "0.5"}, `{"rtt_variation":0.5}`, "rtt_variation must be >= 1"},
 		{[]string{"-rtt-min", "-1"}, `{"rtt_min_us":-1}`, "rtt_min_us must be positive"},
 		{[]string{"-flows", "-3"}, `{"flows":-3}`, "flows must be positive"},
+		{[]string{"-flows", "2000000000"}, `{"flows":2000000000}`, "flows 2000000000 above the per-cell cap of 100000"},
 		{[]string{"-shards", "-1"}, `{"shards":-1}`, "shards must be >= 0"},
 		{[]string{"-scheme", "pie9"}, `{"scheme":"pie9"}`, `unknown scheme "pie9"`},
 		{[]string{"-workload", "cachefollower"}, `{"workload":"cachefollower"}`, `unknown workload "cachefollower"`},
@@ -200,6 +202,49 @@ func TestBadFlagsAreUsageErrors(t *testing.T) {
 		if specCode != 2 || specErr != stderr {
 			t.Errorf("%v: -spec of the same value exits %d with %q, flags with %q", tc.args, specCode, specErr, stderr)
 		}
+	}
+}
+
+// TestSweepCellCapIsUsageError: a spec whose loads × seeds grid exceeds
+// the per-sweep cap is a one-line usage error, nothing run.
+func TestSweepCellCapIsUsageError(t *testing.T) {
+	seeds := strings.TrimSuffix(strings.Repeat("1,", 513), ",")
+	spec := filepath.Join(t.TempDir(), "big.json")
+	if err := os.WriteFile(spec, []byte(`{"loads":[0.3,0.6],"seeds":[`+seeds+`]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := ecnsim(t, "-spec", spec)
+	if code != 2 || stdout != "" {
+		t.Errorf("exit %d with stdout %q, want 2 and nothing run", code, stdout)
+	}
+	oneLine(t, "2 loads × 513 seeds", stderr, "1026 cells, above the per-sweep cap of 1024")
+}
+
+// TestReportLeavesStdoutAlone: -report adds one JSON line on stderr and
+// changes no byte of stdout.
+func TestReportLeavesStdoutAlone(t *testing.T) {
+	args := []string{"-topo", "leafspine", "-flows", "40", "-seeds", "1,2", "-shards", "2"}
+	plain, _, code := ecnsim(t, args...)
+	if code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	reported, stderr, code := ecnsim(t, append(args, "-report")...)
+	if code != 0 {
+		t.Fatalf("-report: exit %d: %s", code, stderr)
+	}
+	if reported != plain {
+		t.Errorf("-report changed stdout:\n without:\n%s\n with:\n%s", plain, reported)
+	}
+	var r struct {
+		Windows      uint64   `json:"windows"`
+		DomainEvents []uint64 `json:"domain_events"`
+		HandoffMsgs  uint64   `json:"handoff_msgs"`
+	}
+	if strings.Count(stderr, "\n") != 1 || json.Unmarshal([]byte(stderr), &r) != nil {
+		t.Fatalf("stderr is not one JSON line:\n%s", stderr)
+	}
+	if r.Windows == 0 || len(r.DomainEvents) != 16 || r.HandoffMsgs == 0 {
+		t.Errorf("report %+v: want windows, 16 domains and handoff messages", r)
 	}
 }
 

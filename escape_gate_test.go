@@ -46,8 +46,12 @@ var escapeGateFunctions = []string{
 	"internal/sim.(*Engine).Cancel",
 	"internal/sim.(*Engine).Step",
 	"internal/sim.(*Engine).RunChunk",
-	// Cross-domain handoff send path.
+	// Cross-domain handoff send path, and a domain's share of a window:
+	// the drain of its inbound handoffs, its events, its next time.
 	"internal/sim.(*Handoff).Send",
+	"internal/sim.(*ShardedEngine).drain",
+	"internal/sim.(*ShardedEngine).share",
+	"internal/sim.(*domain).next",
 	// Egress queueing.
 	"internal/queue.(*Egress).Enqueue",
 	"internal/queue.(*Egress).Dequeue",

@@ -136,6 +136,11 @@ type RunResult struct {
 	// Net is the network the run was simulated on — Run and RunContext set
 	// it; results that went through RunAll carry none (see runAll).
 	Net *topology.Net
+	// Report counts the run's windows, per-domain events and handoffs
+	// (summed over seeds by MergeRuns). It is deterministic but describes
+	// the execution, not the simulated network, so no result encoding or
+	// cache key includes it.
+	Report sim.RunReport
 
 	// PerSeed holds the unmerged per-seed results when this result was
 	// pooled across seeds by MergeRuns (nil for a direct single run), so
@@ -403,6 +408,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 		Failed:    failed,
 		Injected:  len(specs),
 		Net:       net,
+		Report:    net.Shard.Report(),
 	}
 	for _, s := range table.Senders {
 		res.Timeouts += s.Stats.Timeouts
@@ -440,6 +446,7 @@ func MergeRuns(runs []RunResult) RunResult {
 		merged.Completed += r.Completed
 		merged.Failed += r.Failed
 		merged.Injected += r.Injected
+		merged.Report.Add(r.Report)
 		merged.QueueSamples = append(merged.QueueSamples, r.QueueSamples...)
 		if r.MaxQueuePkts > merged.MaxQueuePkts {
 			merged.MaxQueuePkts = r.MaxQueuePkts

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -74,9 +75,10 @@ func incastCellCfg(shards int) RunConfig {
 
 // TestShardedByteIdenticalToSerial: the traced incast golden at Shards 0,
 // 2, 4 and 8 is byte-for-byte the serial (1-worker) run — trace, FCT
-// records and counters alike.
+// records and counters alike — and so is its RunReport: windows,
+// per-domain events and handoff counts.
 func TestShardedByteIdenticalToSerial(t *testing.T) {
-	render := func(shards int) (string, string) {
+	render := func(shards int) (string, string, sim.RunReport) {
 		var buf bytes.Buffer
 		jw := trace.NewJSONLWriter(&buf)
 		cfg := incastCellCfg(shards)
@@ -85,10 +87,13 @@ func TestShardedByteIdenticalToSerial(t *testing.T) {
 		if err := jw.Flush(); err != nil {
 			t.Fatalf("shards=%d: trace flush: %v", shards, err)
 		}
-		return buf.String(), renderResult(res)
+		return buf.String(), renderResult(res), res.Report
 	}
 
-	serialTrace, serialResult := render(1)
+	serialTrace, serialResult, serialReport := render(1)
+	if serialReport.Windows == 0 || len(serialReport.DomainEvents) != 6 || serialReport.HandoffMsgs == 0 {
+		t.Fatalf("serial report %+v: want windows, 6 domains and handoff messages", serialReport)
+	}
 	if serialTrace == "" {
 		t.Fatal("serial run produced no trace")
 	}
@@ -96,7 +101,10 @@ func TestShardedByteIdenticalToSerial(t *testing.T) {
 		t.Fatalf("serial run did not complete all 14 flows:\n%s", serialResult)
 	}
 	for _, shards := range []int{0, 2, 4, 8} {
-		gotTrace, gotResult := render(shards)
+		gotTrace, gotResult, gotReport := render(shards)
+		if !reflect.DeepEqual(gotReport, serialReport) {
+			t.Errorf("shards=%d: report %+v, serial %+v", shards, gotReport, serialReport)
+		}
 		if gotTrace != serialTrace {
 			t.Errorf("shards=%d: trace diverges from serial at byte %d (of %d vs %d)",
 				shards, firstDiff(gotTrace, serialTrace), len(gotTrace), len(serialTrace))

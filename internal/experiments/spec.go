@@ -28,6 +28,16 @@ import (
 // served wrong.
 const ResultSchemaVersion = "ecnsharp-result-v2"
 
+// Upper bounds on what one spec may ask for, so a request cannot make a
+// worker allocate without limit (workload generation sizes its flow slice
+// by the flow count up front). MaxFlows is 25× the 4 000 flows of a
+// FullScale leaf-spine cell and equals the largest scale tier's flow
+// count; MaxSweepCells bounds a sweep's loads × seeds grid.
+const (
+	MaxFlows      = 100_000
+	MaxSweepCells = 1_024
+)
+
 // SweepSpec is the sweep description shared by `ecnsim -spec` and the
 // ecnsharpd daemon: one JSON document naming a (scheme, workload, topology)
 // and the load × seed grid to sweep. Every field has a default, so `{}` is
@@ -126,6 +136,10 @@ func (s *SweepSpec) Normalize() error {
 		}
 	}
 
+	if n := len(s.Loads) * len(s.Seeds); n > MaxSweepCells {
+		return fmt.Errorf("experiments: %d loads × %d seeds is %d cells, above the per-sweep cap of %d",
+			len(s.Loads), len(s.Seeds), n, MaxSweepCells)
+	}
 	// One representative cell per load carries every validated field.
 	for _, load := range s.Loads {
 		if err := s.cell(load, s.Seeds[0]).Validate(); err != nil {
@@ -149,6 +163,9 @@ func (c Cell) Validate() error {
 	}
 	if c.Flows < 1 {
 		return fmt.Errorf("experiments: flows must be positive (got %d)", c.Flows)
+	}
+	if c.Flows > MaxFlows {
+		return fmt.Errorf("experiments: flows %d above the per-cell cap of %d", c.Flows, MaxFlows)
 	}
 	if c.RTTMinUS <= 0 {
 		return fmt.Errorf("experiments: rtt_min_us must be positive (got %v)", c.RTTMinUS)

@@ -157,10 +157,12 @@ func TestHealthzAndRoutes(t *testing.T) {
 func TestSubmitRejectsBadSpecs(t *testing.T) {
 	base := newTestServer(t, Config{Parallel: 2})
 	for name, body := range map[string]string{
-		"not json":      "{",
-		"unknown field": `{"topoo": "star"}`,
-		"bad scheme":    `{"scheme": "wondernet"}`,
-		"bad load":      `{"loads": [1.5]}`,
+		"not json":       "{",
+		"unknown field":  `{"topoo": "star"}`,
+		"bad scheme":     `{"scheme": "wondernet"}`,
+		"bad load":       `{"loads": [1.5]}`,
+		"flows over cap": `{"flows": 2000000000}`,
+		"cells over cap": `{"loads": [0.2, 0.4, 0.6, 0.8], "seeds": [` + strings.Repeat("1,", 256) + `1]}`,
 	} {
 		resp, err := http.Post(base+"/v1/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -115,8 +115,9 @@ func TestEngineScheduleBelowNextAfterDeadline(t *testing.T) {
 }
 
 // TestShardedHandoffBelowNextLocalEvent is the same trap at a window
-// barrier: the coordinator peeks every domain, and drainHandoffs then
-// injects a message that arrives before the destination's next local event.
+// boundary: the destination peeks its engine at the end of a window, and
+// its drain at the start of the next injects a message that arrives before
+// its next local event.
 func TestShardedHandoffBelowNextLocalEvent(t *testing.T) {
 	const lookahead = 1000
 	se := NewShardedEngine(2, lookahead, 1)

@@ -3,6 +3,9 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"ecnsharp/internal/trace"
 )
@@ -20,12 +23,16 @@ import (
 // engine's *lookahead* L. The run proceeds in windows aligned to an
 // absolute grid of length L anchored at time zero:
 //
-//  1. find the earliest pending event across all domains and align its
-//     window [T, T+L) to the grid (T = next - next mod L);
+//  1. take the earliest pending time — the domains' next events and the
+//     handoff messages sent in the last window — and align its window
+//     [T, T+L) to the grid (T = next - next mod L);
 //  2. execute every domain's events with timestamp < T+L, in parallel on
 //     up to `workers` goroutines (domain i runs on worker i mod W);
-//  3. barrier: inject all buffered cross-domain handoffs into their
-//     destination engines and merge the per-domain trace streams.
+//  3. each domain starts its share of a window by injecting the handoff
+//     messages sent to it in the previous one (buffers alternate by
+//     window parity, so senders of this window never touch them), and
+//     ends it by reporting its earliest pending time. The barrier between
+//     windows only merges the per-domain trace streams.
 //
 // Because a cross-domain message sent at time t arrives at t+prop >= t+L
 // >= T+L, no handoff can land inside the window that produced it, so step
@@ -36,12 +43,15 @@ import (
 //
 // The domain decomposition is fixed by the topology — never by the worker
 // count — so every quantity that orders execution is worker-independent:
-// the window grid depends only on event times; handoffs are injected at
-// the barrier in Handoff registration order (wiring order), entries in
-// send order, making destination sequence numbers reproducible; and trace
-// events are merged on (time, domain, emission order). A run on 1 worker
-// and a run on N workers are therefore byte-identical in traces, metrics
-// and flow records. See DESIGN.md "Sharded execution".
+// the window grid depends only on event times, and trace events are
+// merged on (time, domain, emission order). Sequence numbers are per
+// engine, so the only handoff order that matters is the order in which
+// one destination injects its messages: registration order (wiring
+// order) of its inbound handoffs, each handoff's messages in send order,
+// before the destination's first event of the window — where a serial
+// drain of every handoff at the barrier would have put them. A run on 1
+// worker and a run on N workers are therefore byte-identical in traces,
+// metrics and flow records. See DESIGN.md "Sharded execution".
 //
 // # Threading rules
 //
@@ -51,7 +61,10 @@ import (
 // into another domain's state except through Handoff.Send. Worker
 // goroutines run simulation callbacks only — they must stay free of wall
 // clocks and other nondeterminism, exactly like serial engine callbacks
-// (ecnlint's wallclock analyzer covers this package).
+// (ecnlint's wallclock analyzer covers this package). A run uses at most
+// GOMAXPROCS workers, the coordinator goroutine being the first; between
+// windows a worker spins on its epoch, yielding, and parks only when a
+// window keeps it waiting.
 //
 // # One domain
 //
@@ -61,27 +74,50 @@ import (
 // straight to it. Execution order, Processed, clocks and the trace stream
 // equal those of a bare Engine given the same events.
 type ShardedEngine struct {
-	engs      []*Engine
+	doms      []domain
 	bufs      []domainTraceBuf
 	heads     []mergeHead // reused by mergeTraces: the window's non-empty bufs
-	handoffs  []*Handoff
 	lookahead Time
 	workers   int
+
+	// Handoffs in registration order, linked through next; layout groups
+	// them by destination into inbound, with one dirty flag per handoff
+	// and window parity.
+	first, last *Handoff
+	inbound     []*Handoff
+	dirty       [2][]bool
 
 	tracer  trace.Tracer
 	running bool
 
-	// windowEnd is the exclusive upper bound of the window being executed;
-	// written by the coordinator before workers start (their channel
-	// receive orders the read), used to assert the lookahead contract.
+	// windowEnd is the exclusive upper bound of the window being executed
+	// and windows its number (its parity picks the handoff buffers being
+	// filled); both written by the coordinator before workers start (their
+	// epoch load orders the read).
 	windowEnd Time
+	windows   uint64
+}
 
-	windows uint64
+// domain is one domain's engine and what the run keeps for it. Only the
+// worker running the domain writes it during a window; the padding keeps
+// domains run by different workers off each other's cache lines.
+type domain struct {
+	eng *Engine
+	// in and nin locate the domain's inbound handoffs in inbound and dirty.
+	in, nin int
+	// sent is the earliest arrival time of the messages the domain sent in
+	// the current window (MaxTime when none).
+	sent Time
+	// msgs and drains count the handoff messages injected into the domain
+	// and the non-empty handoff buffers they came in.
+	msgs, drains uint64
+	_            [16]byte
 }
 
 // NewShardedEngine builds a coordinator over `domains` fresh engines with
 // the given lookahead (the minimum cross-domain link propagation delay;
-// must be positive) and worker goroutine budget (clamped to [1, domains]).
+// must be positive) and worker goroutine budget (clamped to [1, domains];
+// a run further clamps it to GOMAXPROCS).
 func NewShardedEngine(domains int, lookahead Time, workers int) *ShardedEngine {
 	if domains < 1 {
 		panic(fmt.Sprintf("sim: sharded engine needs at least one domain, got %d", domains))
@@ -89,19 +125,13 @@ func NewShardedEngine(domains int, lookahead Time, workers int) *ShardedEngine {
 	if lookahead <= 0 {
 		panic(fmt.Sprintf("sim: sharded engine needs positive lookahead, got %v", lookahead))
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > domains {
-		workers = domains
-	}
 	se := &ShardedEngine{
-		engs:      make([]*Engine, domains),
+		doms:      make([]domain, domains),
 		lookahead: lookahead,
-		workers:   workers,
+		workers:   min(max(workers, 1), domains),
 	}
-	for d := range se.engs {
-		se.engs[d] = NewEngine()
+	for d := range se.doms {
+		se.doms[d] = domain{eng: NewEngine(), sent: MaxTime}
 	}
 	if domains > 1 {
 		se.bufs = make([]domainTraceBuf, domains)
@@ -110,11 +140,11 @@ func NewShardedEngine(domains int, lookahead Time, workers int) *ShardedEngine {
 }
 
 // Domains returns the number of domains.
-func (se *ShardedEngine) Domains() int { return len(se.engs) }
+func (se *ShardedEngine) Domains() int { return len(se.doms) }
 
 // Domain returns domain d's engine, on which that domain's network
 // elements schedule their events.
-func (se *ShardedEngine) Domain(d int) *Engine { return se.engs[d] }
+func (se *ShardedEngine) Domain(d int) *Engine { return se.doms[d].eng }
 
 // Lookahead returns the conservative window length.
 func (se *ShardedEngine) Lookahead() Time { return se.lookahead }
@@ -128,18 +158,57 @@ func (se *ShardedEngine) Windows() uint64 { return se.windows }
 // Processed sums the events executed across all domains.
 func (se *ShardedEngine) Processed() uint64 {
 	var n uint64
-	for _, e := range se.engs {
-		n += e.Processed
+	for d := range se.doms {
+		n += se.doms[d].eng.Processed
 	}
 	return n
+}
+
+// RunReport counts what the runs of a ShardedEngine executed. Every count
+// is a function of the simulation alone — equal at any worker count and on
+// any machine — so tests may assert it exactly.
+type RunReport struct {
+	// Windows is the number of synchronization windows (0 on one domain).
+	Windows uint64 `json:"windows"`
+	// DomainEvents holds the events each domain executed, by domain.
+	DomainEvents []uint64 `json:"domain_events"`
+	// HandoffMsgs is the number of messages delivered across domains.
+	HandoffMsgs uint64 `json:"handoff_msgs"`
+	// HandoffDrains is the number of non-empty handoff buffers drained:
+	// at most one per handoff per window.
+	HandoffDrains uint64 `json:"handoff_drains"`
+}
+
+// Report returns the counts of every run so far.
+func (se *ShardedEngine) Report() RunReport {
+	r := RunReport{Windows: se.windows, DomainEvents: make([]uint64, len(se.doms))}
+	for d := range se.doms {
+		dm := &se.doms[d]
+		r.DomainEvents[d] = dm.eng.Processed
+		r.HandoffMsgs += dm.msgs
+		r.HandoffDrains += dm.drains
+	}
+	return r
+}
+
+// Add accumulates o into r, domain by domain, as when pooling the runs of
+// one network over several seeds.
+func (r *RunReport) Add(o RunReport) {
+	r.Windows += o.Windows
+	r.HandoffMsgs += o.HandoffMsgs
+	r.HandoffDrains += o.HandoffDrains
+	r.DomainEvents = append(r.DomainEvents, make([]uint64, max(0, len(o.DomainEvents)-len(r.DomainEvents)))...)
+	for d, e := range o.DomainEvents {
+		r.DomainEvents[d] += e
+	}
 }
 
 // Stop halts the run after the current window completes. It must be
 // called from a RunPoll poll function or while the engine is not running;
 // stopping from another goroutine mid-window would race with the workers.
 func (se *ShardedEngine) Stop() {
-	for _, e := range se.engs {
-		e.Stop()
+	for d := range se.doms {
+		se.doms[d].eng.Stop()
 	}
 }
 
@@ -155,8 +224,8 @@ func (se *ShardedEngine) SetTracer(t trace.Tracer) {
 		panic("sim: SetTracer on a running ShardedEngine")
 	}
 	se.tracer = t
-	for d := range se.engs {
-		se.engs[d].SetTracer(se.DomainTracer(d))
+	for d := range se.doms {
+		se.doms[d].eng.SetTracer(se.DomainTracer(d))
 	}
 }
 
@@ -170,7 +239,7 @@ func (se *ShardedEngine) Tracer() trace.Tracer { return se.tracer }
 // domain d that hold their own tracer reference (switch egress queues)
 // must use it instead of the user's tracer so ordering stays canonical.
 func (se *ShardedEngine) DomainTracer(d int) trace.Tracer {
-	if se.tracer == nil || len(se.engs) == 1 {
+	if se.tracer == nil || len(se.doms) == 1 {
 		return se.tracer
 	}
 	return &se.bufs[d]
@@ -188,15 +257,19 @@ type domainTraceBuf struct {
 func (b *domainTraceBuf) Trace(e trace.Event) { b.evs = append(b.evs, e) }
 
 // Handoff carries simulation messages across one directed domain
-// boundary. The source domain calls Send during a window; the coordinator
-// drains the buffer into the destination engine at the barrier. The
-// buffer's backing array is reused across windows, so steady-state
-// handoff traffic does not allocate.
+// boundary. The source domain calls Send during a window, into the buffer
+// of that window's parity; the destination injects the buffer into its
+// engine when it starts the next window. The buffers' backing arrays are
+// reused, so steady-state handoff traffic does not allocate.
 type Handoff struct {
-	se      *ShardedEngine
-	dst     *Engine
-	deliver func(any)
-	buf     []handoffMsg
+	se       *ShardedEngine
+	src, dst *domain
+	deliver  func(any)
+	bufs     [2][]handoffMsg
+	// rank is the handoff's place among its destination's inbound
+	// handoffs, pos its index in inbound and dirty (-1 until laid out).
+	rank, pos int
+	next      *Handoff // the next handoff registered
 }
 
 type handoffMsg struct {
@@ -204,34 +277,87 @@ type handoffMsg struct {
 	msg any
 }
 
-// NewHandoff registers a boundary into the domain owned by dst. deliver
-// is invoked on the destination engine at each message's arrival time.
-// Registration order is part of the deterministic contract (it fixes the
-// barrier injection order), so wiring must happen in topology order,
-// before the run starts.
-func (se *ShardedEngine) NewHandoff(dst *Engine, deliver func(any)) *Handoff {
+// NewHandoffFrom registers a boundary from the domain owned by src into
+// the domain owned by dst. deliver is invoked on the destination engine at
+// each message's arrival time. Registration order is part of the
+// deterministic contract (it fixes the order in which a destination
+// injects its messages), so wiring must happen in topology order, before
+// the run starts.
+func (se *ShardedEngine) NewHandoffFrom(src, dst *Engine, deliver func(any)) *Handoff {
 	if se.running {
 		panic("sim: NewHandoff on a running ShardedEngine")
 	}
 	if deliver == nil {
 		panic("sim: NewHandoff with nil deliver")
 	}
-	if len(se.engs) == 1 {
+	if len(se.doms) == 1 {
 		panic("sim: NewHandoff on a one-domain ShardedEngine, which has no boundary to cross")
 	}
-	owned := false
-	for _, e := range se.engs {
-		if e == dst {
-			owned = true
-			break
+	h := &Handoff{se: se, src: se.domainOf(src, "source"), dst: se.domainOf(dst, "destination"), deliver: deliver, pos: -1}
+	h.rank = h.dst.nin
+	h.dst.nin++
+	if se.last == nil {
+		se.first = h
+	} else {
+		se.last.next = h
+	}
+	se.last = h
+	return h
+}
+
+// NewHandoff is NewHandoffFrom on a two-domain engine, whose only possible
+// source is the domain other than dst.
+func (se *ShardedEngine) NewHandoff(dst *Engine, deliver func(any)) *Handoff {
+	var src *Engine
+	if len(se.doms) == 2 {
+		src = se.doms[0].eng
+		if src == dst {
+			src = se.doms[1].eng
 		}
 	}
-	if !owned {
-		panic("sim: NewHandoff destination engine is not a domain of this ShardedEngine")
+	return se.NewHandoffFrom(src, dst, deliver)
+}
+
+// domainOf returns the domain owning e, naming role in the panic when
+// there is none.
+func (se *ShardedEngine) domainOf(e *Engine, role string) *domain {
+	for d := range se.doms {
+		if se.doms[d].eng == e {
+			return &se.doms[d]
+		}
 	}
-	h := &Handoff{se: se, dst: dst, deliver: deliver}
-	se.handoffs = append(se.handoffs, h)
-	return h
+	panic(fmt.Sprintf("sim: NewHandoff %s engine is not a domain of this ShardedEngine", role))
+}
+
+// handoffCap is the capacity a handoff buffer starts with: in one 1 µs
+// window a 10 Gb/s link carries one full-size segment or a few ACKs.
+const handoffCap = 4
+
+// layout groups the registered handoffs by destination, registration order
+// within each, into inbound, rebuilds the dirty flags from the buffers,
+// and carves the buffers that have none from one slab.
+func (se *ShardedEngine) layout() {
+	n := 0
+	for d := range se.doms {
+		dm := &se.doms[d]
+		dm.in = n
+		n += dm.nin
+	}
+	se.inbound = make([]*Handoff, n)
+	flags := make([]bool, 2*n)
+	se.dirty = [2][]bool{flags[:n], flags[n:]}
+	slab := make([]handoffMsg, 2*n*handoffCap)
+	for h := se.first; h != nil; h = h.next {
+		h.pos = h.dst.in + h.rank
+		se.inbound[h.pos] = h
+		for p := range h.bufs {
+			se.dirty[p][h.pos] = len(h.bufs[p]) > 0
+			if cap(h.bufs[p]) == 0 {
+				k := (p*n + h.pos) * handoffCap
+				h.bufs[p] = slab[k : k : k+handoffCap]
+			}
+		}
+	}
 }
 
 // Send buffers msg for delivery at absolute time at. It must be called
@@ -243,7 +369,14 @@ func (h *Handoff) Send(at Time, msg any) {
 	if at < h.se.windowEnd {
 		panic(fmt.Sprintf("sim: handoff at %v violates lookahead (window ends %v)", at, h.se.windowEnd))
 	}
-	h.buf = append(h.buf, handoffMsg{at: at, msg: msg})
+	p := h.se.windows & 1
+	if len(h.bufs[p]) == 0 {
+		h.se.dirty[p][h.pos] = true
+	}
+	h.bufs[p] = append(h.bufs[p], handoffMsg{at: at, msg: msg})
+	if at < h.src.sent {
+		h.src.sent = at
+	}
 }
 
 // Run executes windows until every domain drains or Stop is called.
@@ -262,7 +395,8 @@ func (se *ShardedEngine) RunUntil(deadline Time) {
 // (every < 1 means every window; a one-domain engine, which has no
 // windows, counts directChunk events as one); a non-nil error stops the
 // run and is returned. A MaxTime deadline means run to completion and
-// leaves the domain clocks at their last event.
+// leaves the domain clocks at their last event. However the run ends, its
+// worker goroutines have exited when RunPoll returns or panics.
 func (se *ShardedEngine) RunPoll(deadline Time, every int, poll func() error) error {
 	if se.running {
 		panic("sim: ShardedEngine is already running")
@@ -272,74 +406,53 @@ func (se *ShardedEngine) RunPoll(deadline Time, every int, poll func() error) er
 	if every < 1 {
 		every = 1
 	}
-	if len(se.engs) == 1 {
+	if len(se.doms) == 1 {
 		return se.runDirect(deadline, every*directChunk, poll)
 	}
-
-	w := se.workers
-	var starts []chan Time
-	var done chan workerResult
-	if w > 1 {
-		starts = make([]chan Time, w)
-		done = make(chan workerResult, w)
-		for i := range starts {
-			starts[i] = make(chan Time, 1)
-			go se.workerLoop(i, w, starts[i], done)
-		}
-		defer func() {
-			for _, c := range starts {
-				close(c)
-			}
-		}()
+	if se.last != nil && se.last.pos < 0 {
+		se.layout() // handoffs were registered since the last run
+	}
+	var c *crew
+	if w := min(se.workers, runtime.GOMAXPROCS(0)); w > 1 {
+		c = startCrew(se, w)
+		defer c.stop()
 	}
 
+	next := MaxTime
+	for d := range se.doms {
+		next = min(next, se.doms[d].next())
+	}
 	sincePoll := every // fire the first poll before the first window
 	for {
 		if poll != nil {
 			if sincePoll++; sincePoll > every {
 				sincePoll = 1
 				if err := poll(); err != nil {
+					se.flush()
 					se.Stop()
 					return err
 				}
 			}
 		}
-		next, ok := se.nextEventTime()
-		if !ok || next > deadline {
+		if next == MaxTime || next > deadline {
 			break
 		}
 		start := next - next%se.lookahead
 		end := start + se.lookahead
-		limit := end - Nanosecond
-		if limit > deadline {
-			limit = deadline
-		}
+		limit := min(end-Nanosecond, deadline)
 		se.windowEnd = end
 		se.windows++
-		if w > 1 {
-			for _, c := range starts {
-				c <- limit
-			}
-			var failure any
-			for i := 0; i < w; i++ {
-				if r := <-done; r.panicked && failure == nil {
-					failure = r.value
-				}
-			}
-			if failure != nil {
-				panic(failure)
-			}
+		if c != nil {
+			next = c.run(limit)
 		} else {
-			for _, e := range se.engs {
-				runWindow(e, limit)
-			}
+			next = se.share(0, 1, limit)
 		}
-		se.drainHandoffs()
 		se.mergeTraces()
 	}
+	se.flush()
 	if deadline < MaxTime {
-		for _, e := range se.engs {
-			e.AdvanceTo(deadline)
+		for d := range se.doms {
+			se.doms[d].eng.AdvanceTo(deadline)
 		}
 	}
 	return nil
@@ -351,7 +464,7 @@ const directChunk = 1 << 12
 // runDirect is RunPoll for a one-domain engine: the serial event loop,
 // with poll (when non-nil) called before every chunk events.
 func (se *ShardedEngine) runDirect(deadline Time, chunk int, poll func() error) error {
-	e := se.engs[0]
+	e := se.doms[0].eng
 	for more := true; more; more = e.RunChunk(deadline, chunk) {
 		if poll != nil {
 			if err := poll(); err != nil {
@@ -366,31 +479,28 @@ func (se *ShardedEngine) runDirect(deadline Time, chunk int, poll func() error) 
 	return nil
 }
 
-// workerResult carries a worker's window outcome; a callback panic is
-// captured and re-raised on the coordinator so it surfaces like a serial
-// engine panic instead of crashing the process from a bare goroutine.
-type workerResult struct {
-	panicked bool
-	value    any
+// share runs worker i of w through the current window — domains i, i+w,
+// i+2w, … — and returns the earliest time they have pending afterwards.
+func (se *ShardedEngine) share(i, w int, limit Time) Time {
+	p := se.windows & 1
+	next := MaxTime
+	for d := i; d < len(se.doms); d += w {
+		dm := &se.doms[d]
+		se.drain(dm, p^1)
+		dm.sent = MaxTime
+		runWindow(dm.eng, limit)
+		next = min(next, dm.next())
+	}
+	return next
 }
 
-// workerLoop runs domains i, i+stride, i+2*stride, … for each window
-// limit received, until the start channel closes.
-func (se *ShardedEngine) workerLoop(i, stride int, start <-chan Time, done chan<- workerResult) {
-	for limit := range start {
-		var res workerResult
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					res = workerResult{panicked: true, value: r}
-				}
-			}()
-			for d := i; d < len(se.engs); d += stride {
-				runWindow(se.engs[d], limit)
-			}
-		}()
-		done <- res
+// next returns the earliest time dm has pending: its next event, or a
+// message it sent that is not injected yet.
+func (dm *domain) next() Time {
+	if at, ok := dm.eng.peek(); ok {
+		return min(at, dm.sent)
 	}
+	return dm.sent
 }
 
 // runWindow drains one engine's events with timestamps <= limit.
@@ -399,28 +509,178 @@ func runWindow(e *Engine, limit Time) {
 	}
 }
 
-// nextEventTime returns the earliest pending event time across domains.
-func (se *ShardedEngine) nextEventTime() (Time, bool) {
-	var best Time
-	found := false
-	for _, e := range se.engs {
-		if at, ok := e.peek(); ok && (!found || at < best) {
-			best, found = at, true
+// drain injects the messages sent to dm in the window of parity p into its
+// engine: the handoffs a sender marked dirty, in registration order, each
+// one's messages in send order.
+func (se *ShardedEngine) drain(dm *domain, p uint64) {
+	dirty := se.dirty[p][dm.in : dm.in+dm.nin]
+	for i, set := range dirty {
+		if !set {
+			continue
 		}
-	}
-	return best, found
-}
-
-// drainHandoffs injects every buffered cross-domain message into its
-// destination engine, in the canonical (registration, send) order.
-func (se *ShardedEngine) drainHandoffs() {
-	for _, h := range se.handoffs {
-		for i := range h.buf {
-			m := &h.buf[i]
-			h.dst.ScheduleArg(m.at, h.deliver, m.msg)
+		dirty[i] = false
+		h := se.inbound[dm.in+i]
+		buf := h.bufs[p]
+		for j := range buf {
+			m := &buf[j]
+			dm.eng.ScheduleArg(m.at, h.deliver, m.msg)
 			m.msg = nil // drop the reference; the backing array is reused
 		}
-		h.buf = h.buf[:0]
+		dm.msgs += uint64(len(buf))
+		dm.drains++
+		h.bufs[p] = buf[:0]
+	}
+}
+
+// flush injects the messages of the last window, so that none stays
+// buffered between runs.
+func (se *ShardedEngine) flush() {
+	p := se.windows & 1
+	for d := range se.doms {
+		dm := &se.doms[d]
+		se.drain(dm, p)
+		dm.sent = MaxTime
+	}
+}
+
+// crew is the worker goroutines of one multi-worker run. The coordinator
+// is worker 0 and runs its share itself; worker i > 0 waits for its epoch
+// to reach the window number, runs its share and counts itself done.
+type crew struct {
+	se      *ShardedEngine
+	workers []crewWorker
+	limit   Time
+	// done counts the shares workers 1.. finished over the run; the
+	// coordinator waits for it to reach target, parking in worker 0's slot.
+	done   atomic.Uint64
+	target uint64
+	exited sync.WaitGroup
+}
+
+// crewWorker is one worker's slot, padded so workers do not share lines.
+type crewWorker struct {
+	epoch   atomic.Uint64
+	parked  atomic.Bool
+	wake    chan struct{}
+	next    Time
+	failure any
+	_       [64]byte
+}
+
+// quit is the epoch that tells a worker to exit.
+const quit = math.MaxUint64
+
+func startCrew(se *ShardedEngine, w int) *crew {
+	c := &crew{se: se, workers: make([]crewWorker, w)}
+	for i := range c.workers {
+		c.workers[i].wake = make(chan struct{}, 1)
+	}
+	c.exited.Add(w - 1)
+	for i := 1; i < w; i++ {
+		go c.loop(i)
+	}
+	return c
+}
+
+// loop is worker i: one share per epoch until quit. A callback panic is
+// captured and re-raised on the coordinator, so it surfaces like a serial
+// engine panic instead of crashing the process from a bare goroutine.
+func (c *crew) loop(i int) {
+	defer c.exited.Done()
+	w := &c.workers[i]
+	for epoch := uint64(1); ; epoch++ {
+		if await(&w.epoch, epoch, &w.parked, w.wake) == quit {
+			return
+		}
+		w.next, w.failure = c.share(i)
+		c.done.Add(1)
+		wakeUp(&c.workers[0].parked, c.workers[0].wake)
+	}
+}
+
+// share is ShardedEngine.share for worker i, returning a panic instead of
+// raising it.
+func (c *crew) share(i int) (next Time, failure any) {
+	defer func() {
+		if r := recover(); r != nil {
+			next, failure = MaxTime, r
+		}
+	}()
+	return c.se.share(i, len(c.workers), c.limit), nil
+}
+
+// run executes one window on every worker and returns the earliest time
+// pending afterwards; a worker's panic (the lowest worker's, when several
+// panicked) is re-raised here.
+func (c *crew) run(limit Time) Time {
+	c.limit = limit
+	c.target += uint64(len(c.workers) - 1)
+	for i := 1; i < len(c.workers); i++ {
+		w := &c.workers[i]
+		w.epoch.Add(1)
+		wakeUp(&w.parked, w.wake)
+	}
+	w0 := &c.workers[0]
+	w0.next, w0.failure = c.share(0)
+	await(&c.done, c.target, &w0.parked, w0.wake)
+	next := MaxTime
+	for i := range c.workers {
+		if f := c.workers[i].failure; f != nil {
+			panic(f)
+		}
+		next = min(next, c.workers[i].next)
+	}
+	return next
+}
+
+// stop makes every worker exit and waits until they have.
+func (c *crew) stop() {
+	for i := 1; i < len(c.workers); i++ {
+		w := &c.workers[i]
+		w.epoch.Store(quit)
+		wakeUp(&w.parked, w.wake)
+	}
+	c.exited.Wait()
+}
+
+// Waiting between windows: a waiter re-reads its word spinPolls times, the
+// polls after pureSpins yielding the processor so that a waiter sharing
+// one with the goroutine it waits for lets that goroutine run, and then
+// parks until woken.
+const (
+	pureSpins = 1 << 7
+	spinPolls = 1 << 10
+)
+
+// await returns once v reaches target. Parking is a handshake with wakeUp:
+// the waiter sets parked and re-reads v; whoever clears parked owns the
+// one wake token, so no wake-up is lost and none is left behind.
+func await(v *atomic.Uint64, target uint64, parked *atomic.Bool, wake chan struct{}) uint64 {
+	for i := 0; ; i++ {
+		if x := v.Load(); x >= target {
+			return x
+		}
+		switch {
+		case i < pureSpins:
+		case i < spinPolls:
+			runtime.Gosched()
+		default:
+			parked.Store(true)
+			if x := v.Load(); x >= target {
+				if !parked.CompareAndSwap(true, false) {
+					<-wake // a waker claimed the park: take its token
+				}
+				return x
+			}
+			<-wake
+		}
+	}
+}
+
+// wakeUp wakes the waiter behind parked if it is parked.
+func wakeUp(parked *atomic.Bool, wake chan struct{}) {
+	if parked.Load() && parked.CompareAndSwap(true, false) {
+		wake <- struct{}{}
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"ecnsharp/internal/trace"
 )
@@ -279,5 +281,119 @@ func TestShardedProcessedMatchesSerial(t *testing.T) {
 	}
 	if se1.Windows() == 0 {
 		t.Error("no synchronization windows executed")
+	}
+}
+
+// withProcs runs f with GOMAXPROCS at least n, so a run asking for n
+// workers gets them on any machine.
+func withProcs(n int, f func()) {
+	if runtime.GOMAXPROCS(0) < n {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	}
+	f()
+}
+
+// TestShardedWorkersExit: however a multi-worker run ends — drained, a
+// poll error, or a callback panic re-raised on the caller — its worker
+// goroutines are gone when RunPoll returns, and they did exist during it.
+func TestShardedWorkersExit(t *testing.T) {
+	type ending struct {
+		name string
+		run  func(se *ShardedEngine) (panicked any, err error)
+	}
+	endings := []ending{
+		{"drained", func(se *ShardedEngine) (any, error) { return nil, se.RunPoll(MaxTime, 0, nil) }},
+		{"poll error", func(se *ShardedEngine) (any, error) {
+			polls := 0
+			return nil, se.RunPoll(MaxTime, 1, func() error {
+				if polls++; polls > 3 {
+					return fmt.Errorf("canceled")
+				}
+				return nil
+			})
+		}},
+		{"panic", func(se *ShardedEngine) (panicked any, err error) {
+			se.Domain(len(se.doms)-1).Schedule(30*Microsecond, func() { panic("worker callback failure") })
+			defer func() { panicked = recover() }()
+			return nil, se.RunPoll(MaxTime, 0, nil)
+		}},
+	}
+	for _, workers := range []int{2, 4} {
+		for _, end := range endings {
+			withProcs(workers, func() {
+				before := runtime.NumGoroutine()
+				se := NewShardedEngine(workers, Microsecond, workers)
+				during := make([]int, workers) // per domain: domains run concurrently
+				for d := 0; d < workers; d++ {
+					eng, d := se.Domain(d), d
+					for i := 0; i < 100; i++ {
+						eng.Schedule(Time(i)*Microsecond, func() { during[d] = max(during[d], runtime.NumGoroutine()) })
+					}
+				}
+				panicked, err := end.run(se)
+				switch end.name {
+				case "drained":
+					if err != nil || se.Processed() != uint64(100*workers) {
+						t.Errorf("%d workers, %s: err %v after %d events", workers, end.name, err, se.Processed())
+					}
+				case "poll error":
+					if err == nil || se.Processed() == uint64(100*workers) {
+						t.Errorf("%d workers, %s: err %v after %d events, want a partial run", workers, end.name, err, se.Processed())
+					}
+				case "panic":
+					if !strings.Contains(fmt.Sprint(panicked), "worker callback failure") {
+						t.Errorf("%d workers, %s: recovered %v on the caller", workers, end.name, panicked)
+					}
+				}
+				if peak := slices.Max(during); peak < before+workers-1 {
+					t.Errorf("%d workers, %s: %d goroutines during the run, %d before: the workers never started", workers, end.name, peak, before)
+				}
+				// RunPoll waits for its workers to finish, but a goroutine
+				// that has signalled its exit still counts until it returns.
+				after := runtime.NumGoroutine()
+				for i := 0; i < 100 && after != before; i++ {
+					time.Sleep(time.Millisecond)
+					after = runtime.NumGoroutine()
+				}
+				if after != before {
+					t.Errorf("%d workers, %s: %d goroutines after the run, %d before", workers, end.name, after, before)
+				}
+			})
+		}
+	}
+}
+
+// TestHandoffTieFiresInRegistrationOrder: two handoffs into one
+// destination deliver at the same nanosecond. They are registered in the
+// opposite order to their source domains and to those domains' workers,
+// so only a drain in registration order fires them as registered, at any
+// worker count.
+func TestHandoffTieFiresInRegistrationOrder(t *testing.T) {
+	const lookahead = Microsecond
+	for _, workers := range []int{1, 2, 4} {
+		withProcs(workers, func() {
+			se := NewShardedEngine(4, lookahead, workers)
+			dst := se.Domain(0)
+			var got []string
+			// Domain 3 runs on a later worker than domain 2 at 2 and 4
+			// workers; its handoff is registered first.
+			from3 := se.NewHandoffFrom(se.Domain(3), dst, func(any) { got = append(got, fmt.Sprintf("from3@%d", dst.Now())) })
+			from2 := se.NewHandoffFrom(se.Domain(2), dst, func(any) { got = append(got, fmt.Sprintf("from2@%d", dst.Now())) })
+			for _, s := range []struct {
+				src int
+				h   *Handoff
+			}{{2, from2}, {3, from3}} {
+				eng, h := se.Domain(s.src), s.h
+				eng.Schedule(100, func() { h.Send(eng.Now()+lookahead, nil) })
+			}
+			se.Run()
+			want := "from3@1100 from2@1100"
+			if g := strings.Join(got, " "); g != want {
+				t.Errorf("%d workers: delivered %q, want %q", workers, g, want)
+			}
+			if r := se.Report(); r.HandoffMsgs != 2 || r.HandoffDrains != 2 {
+				t.Errorf("%d workers: report %+v, want 2 messages in 2 drains", workers, r)
+			}
+		})
 	}
 }

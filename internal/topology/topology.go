@@ -504,7 +504,7 @@ func (n *Net) initPort(b *portBlock, srcDom, dstDom int, rate float64, prop sim.
 		if prop < n.Lookahead {
 			panic(fmt.Sprintf("topology: cross-domain link delay %v below lookahead %v", prop, n.Lookahead))
 		}
-		b.port.SetRemote(n.Shard.NewHandoff(n.Engines[dstDom], device.Deliver))
+		b.port.SetRemote(n.Shard.NewHandoffFrom(n.Engines[srcDom], n.Engines[dstDom], device.Deliver))
 		n.Boundaries = append(n.Boundaries, Boundary{SrcDom: srcDom, DstDom: dstDom, Prop: prop})
 	}
 	return &b.port
