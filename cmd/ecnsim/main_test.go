@@ -175,6 +175,10 @@ func TestBadFlagsAreUsageErrors(t *testing.T) {
 		{[]string{"-load", "0"}, `{"loads":[0]}`, "load 0 outside (0, 1]"},
 		{[]string{"-rtt-variation", "0.5"}, `{"rtt_variation":0.5}`, "rtt_variation must be >= 1"},
 		{[]string{"-rtt-min", "-1"}, `{"rtt_min_us":-1}`, "rtt_min_us must be positive"},
+		// Values whose times would not fit in sim.Time.
+		{[]string{"-rtt-variation", "1e300"}, `{"rtt_variation":1e300}`, "rtt_variation 1e+300 puts the largest RTT"},
+		{[]string{"-rtt-min", "1e300"}, `{"rtt_min_us":1e300}`, "rtt_min_us 1e+300 outside [0.001, 1e+06]"},
+		{[]string{"-load", "1e-300"}, `{"loads":[1e-300]}`, "load 1e-300 below the minimum of 0.001"},
 		{[]string{"-flows", "-3"}, `{"flows":-3}`, "flows must be positive"},
 		{[]string{"-flows", "2000000000"}, `{"flows":2000000000}`, "flows 2000000000 above the per-cell cap of 100000"},
 		{[]string{"-shards", "-1"}, `{"shards":-1}`, "shards must be >= 0"},

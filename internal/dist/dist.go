@@ -37,7 +37,7 @@ type Uniform struct{ Low, High float64 }
 
 // Sample draws a uniform variate in [Low, High].
 func (u Uniform) Sample(rng *rand.Rand) float64 {
-	return u.Low + rng.Float64()*(u.High-u.Low)
+	return u.Low + float64(rng.Float64()*(u.High-u.Low))
 }
 
 // Mean returns (Low+High)/2.
@@ -57,18 +57,18 @@ func LogNormalFromMoments(mean, std float64) LogNormal {
 	m2 := mean * mean
 	sigma2 := math.Log(1 + v/m2)
 	return LogNormal{
-		Mu:    math.Log(mean) - sigma2/2,
+		Mu:    math.Log(mean) - float64(sigma2/2),
 		Sigma: math.Sqrt(sigma2),
 	}
 }
 
 // Sample draws a log-normal variate.
 func (l LogNormal) Sample(rng *rand.Rand) float64 {
-	return math.Exp(l.Mu + l.Sigma*rng.NormFloat64())
+	return math.Exp(l.Mu + float64(l.Sigma*rng.NormFloat64()))
 }
 
 // Mean returns the analytic mean exp(mu + sigma^2/2).
-func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
+func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + float64(l.Sigma*l.Sigma/2)) }
 
 // Constant always returns Value.
 type Constant struct{ Value float64 }
@@ -184,11 +184,11 @@ func (c *EmpiricalCDF) computeMean() float64 {
 	for i := 1; i < len(c.points); i++ {
 		p0, p1 := c.points[i-1], c.points[i]
 		dp := p1.Prob - p0.Prob
-		mean += dp * (p0.Value + p1.Value) / 2
+		mean += float64(dp * (p0.Value + p1.Value) / 2)
 	}
 	// Probability mass below the first knot (if the CDF does not start at 0)
 	// is attributed to the first value.
-	mean += c.points[0].Prob * c.points[0].Value
+	mean += float64(c.points[0].Prob * c.points[0].Value)
 	return mean
 }
 
@@ -213,7 +213,7 @@ func (c *EmpiricalCDF) Quantile(u float64) float64 {
 		return p1.Value
 	}
 	f := (u - p0.Prob) / (p1.Prob - p0.Prob)
-	return p0.Value + f*(p1.Value-p0.Value)
+	return p0.Value + float64(f*(p1.Value-p0.Value))
 }
 
 // Mean returns the analytic mean of the piecewise-linear distribution.

@@ -59,7 +59,7 @@ func Std(xs []float64) float64 {
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(xs)))
 }
@@ -90,14 +90,14 @@ func PercentileSorted(sorted []float64, p float64) float64 {
 	if p >= 100 {
 		return sorted[n-1]
 	}
-	rank := p / 100 * float64(n-1)
+	rank := float64(p / 100 * float64(n-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return sorted[lo]
 	}
 	f := rank - float64(lo)
-	return sorted[lo]*(1-f) + sorted[hi]*f
+	return float64(sorted[lo]*(1-f)) + float64(sorted[hi]*f)
 }
 
 // CDF returns (value, cumulative probability) pairs for xs, one per sample,

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"ecnsharp/internal/cache"
@@ -28,7 +31,7 @@ func TestRunCellsStoreIsInvisibleInBytes(t *testing.T) {
 	cells := smallSweep(t).Cells()
 	opts := harness.Options{Parallel: 2}
 
-	direct, err := RunCells(context.Background(), cells, nil, opts)
+	direct, err := RunCells(context.Background(), cells, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +39,11 @@ func TestRunCellsStoreIsInvisibleInBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := RunCells(context.Background(), cells, store, opts)
+	cold, err := RunCells(context.Background(), cells, store, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunCells(context.Background(), cells, store, opts)
+	warm, err := RunCells(context.Background(), cells, store, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +78,59 @@ func TestRunCellsStoreIsInvisibleInBytes(t *testing.T) {
 	}
 }
 
+// recordingTable is a CellTable that decodes every payload itself and
+// records the keys it was asked for.
+type recordingTable struct {
+	mu   sync.Mutex
+	keys []string
+}
+
+func (rt *recordingTable) Decode(key string, payload []byte) (CellResult, uint64, error) {
+	rt.mu.Lock()
+	rt.keys = append(rt.keys, key)
+	rt.mu.Unlock()
+	r, err := DecodeCellResult(payload)
+	return r, 7, err
+}
+
+// TestRunCellsTableDecodesOnlyHits: RunCells hands a table only the
+// payloads the store served, under their cells' keys, and reports the
+// table's entry id; computed cells are decoded without it.
+func TestRunCellsTableDecodesOnlyHits(t *testing.T) {
+	cells := smallSweep(t).Cells()
+	store, err := cache.Open(t.TempDir(), cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := new(recordingTable)
+	opts := harness.Options{Parallel: 2}
+	cold, err := RunCells(context.Background(), cells, store, rt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rt.keys) != 0 {
+		t.Errorf("computed cells reached the table: %v", rt.keys)
+	}
+	warm, err := RunCells(context.Background(), cells, store, rt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(rt.keys)
+	var want []string
+	for i, c := range cells {
+		want = append(want, c.Key(ResultSchemaVersion))
+		if cold[i].Entry != 0 || warm[i].Entry != 7 {
+			t.Errorf("cell %d: entries %d cold, %d warm; want 0 and 7", i, cold[i].Entry, warm[i].Entry)
+		}
+		if !reflect.DeepEqual(cold[i].Result, warm[i].Result) {
+			t.Errorf("cell %d: the table's result differs from the computed one", i)
+		}
+	}
+	if slices.Sort(want); !slices.Equal(rt.keys, want) {
+		t.Errorf("table asked for %v, want each cell's key once: %v", rt.keys, want)
+	}
+}
+
 // TestRunCellsReportsFailuresPerCell: one unrunnable cell fails alone, and
 // OnDone sees every cell with its outcome.
 func TestRunCellsReportsFailuresPerCell(t *testing.T) {
@@ -82,7 +138,7 @@ func TestRunCellsReportsFailuresPerCell(t *testing.T) {
 	cells[1].Scheme = "pie9"
 
 	seen := make([]bool, len(cells))
-	outcomes, err := RunCells(context.Background(), cells, nil, harness.Options{Parallel: 1,
+	outcomes, err := RunCells(context.Background(), cells, nil, nil, harness.Options{Parallel: 1,
 		OnDone: func(p harness.Progress) {
 			seen[p.Index] = true
 			if _, ok := p.Value.(*CellOutcome); ok == (p.Err != nil) {
@@ -113,7 +169,7 @@ func TestRunCellsReportsFailuresPerCell(t *testing.T) {
 func TestRunCellsCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	outcomes, err := RunCells(ctx, smallSweep(t).Cells(), nil, harness.Options{Parallel: 2})
+	outcomes, err := RunCells(ctx, smallSweep(t).Cells(), nil, nil, harness.Options{Parallel: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -131,7 +187,7 @@ func TestRunCellsCanceled(t *testing.T) {
 func TestPoolEqualsMergeRuns(t *testing.T) {
 	spec := smallSweep(t)
 	cells := spec.Cells()
-	outcomes, err := RunCells(context.Background(), cells, nil, harness.Options{Parallel: 2})
+	outcomes, err := RunCells(context.Background(), cells, nil, nil, harness.Options{Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

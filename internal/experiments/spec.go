@@ -38,6 +38,18 @@ const (
 	MaxSweepCells = 1_024
 )
 
+// Bounds that keep a cell's times inside sim.Time, whose unit is the
+// nanosecond. MaxRTTUS caps the largest base RTT, rtt_min_us ×
+// rtt_variation, at one second; MinRTTUS is one nanosecond. MinLoad
+// bounds the Poisson schedule: MaxFlows datamining flows (mean 14.1 MB)
+// into one 10 Gb/s link at load 0.001 arrive over about 1.1e15 ns, 8 000
+// times inside sim.Time's 9.2e18.
+const (
+	MaxRTTUS = 1e6
+	MinRTTUS = 1e-3
+	MinLoad  = 1e-3
+)
+
 // SweepSpec is the sweep description shared by `ecnsim -spec` and the
 // ecnsharpd daemon: one JSON document naming a (scheme, workload, topology)
 // and the load × seed grid to sweep. Every field has a default, so `{}` is
@@ -158,8 +170,11 @@ func (c Cell) Validate() error {
 	if _, err := topoByName(c.Topo); err != nil {
 		return err
 	}
-	if c.Load <= 0 || c.Load > 1 {
+	if !(c.Load > 0 && c.Load <= 1) {
 		return fmt.Errorf("experiments: load %v outside (0, 1]", c.Load)
+	}
+	if c.Load < MinLoad {
+		return fmt.Errorf("experiments: load %v below the minimum of %v", c.Load, MinLoad)
 	}
 	if c.Flows < 1 {
 		return fmt.Errorf("experiments: flows must be positive (got %d)", c.Flows)
@@ -167,11 +182,18 @@ func (c Cell) Validate() error {
 	if c.Flows > MaxFlows {
 		return fmt.Errorf("experiments: flows %d above the per-cell cap of %d", c.Flows, MaxFlows)
 	}
-	if c.RTTMinUS <= 0 {
+	if !(c.RTTMinUS > 0) {
 		return fmt.Errorf("experiments: rtt_min_us must be positive (got %v)", c.RTTMinUS)
 	}
-	if c.RTTVariation < 1 {
+	if c.RTTMinUS < MinRTTUS || c.RTTMinUS > MaxRTTUS {
+		return fmt.Errorf("experiments: rtt_min_us %v outside [%v, %v]", c.RTTMinUS, MinRTTUS, MaxRTTUS)
+	}
+	if !(c.RTTVariation >= 1) {
 		return fmt.Errorf("experiments: rtt_variation must be >= 1 (got %v)", c.RTTVariation)
+	}
+	if c.RTTMinUS*c.RTTVariation > MaxRTTUS {
+		return fmt.Errorf("experiments: rtt_variation %v puts the largest RTT, rtt_min_us × rtt_variation, above %v µs",
+			c.RTTVariation, MaxRTTUS)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("experiments: shards must be >= 0 (got %d)", c.Shards)
@@ -314,32 +336,36 @@ type LoadPool struct {
 }
 
 // Pool groups the results of the spec's cells — results[i] belonging to
-// Cells()[i] — into one LoadPool per load. Each record is copied once,
-// into the pool's own stream.
+// Cells()[i] — into one LoadPool per load.
 func (s *SweepSpec) Pool(results []CellResult) []LoadPool {
 	pools := make([]LoadPool, len(s.Loads))
 	for li, load := range s.Loads {
-		p := LoadPool{Load: load}
-		group := results[li*len(s.Seeds) : (li+1)*len(s.Seeds)]
-		n := 0
-		for _, r := range group {
-			n += len(r.Records)
-		}
-		p.Records = slices.Grow([]metrics.FCTRecord(nil), n) // nil when no flow completed
-		for _, r := range group {
-			p.Records = append(p.Records, r.Records...)
-			p.Drops += r.Drops
-			p.Marks += r.Marks
-			p.Timeouts += r.Timeouts
-			p.Retransmits += r.Retransmits
-			p.Completed += r.Completed
-			p.Failed += r.Failed
-			p.Injected += r.Injected
-		}
-		p.Stats = metrics.StatsOf(p.Records)
-		pools[li] = p
+		pools[li] = PoolLoad(load, results[li*len(s.Seeds):(li+1)*len(s.Seeds)])
 	}
 	return pools
+}
+
+// PoolLoad pools the results of one load's cells, in seed order. Each
+// record is copied once, into the pool's own stream.
+func PoolLoad(load float64, group []CellResult) LoadPool {
+	p := LoadPool{Load: load}
+	n := 0
+	for _, r := range group {
+		n += len(r.Records)
+	}
+	p.Records = slices.Grow([]metrics.FCTRecord(nil), n) // nil when no flow completed
+	for _, r := range group {
+		p.Records = append(p.Records, r.Records...)
+		p.Drops += r.Drops
+		p.Marks += r.Marks
+		p.Timeouts += r.Timeouts
+		p.Retransmits += r.Retransmits
+		p.Completed += r.Completed
+		p.Failed += r.Failed
+		p.Injected += r.Injected
+	}
+	p.Stats = metrics.StatsOf(p.Records)
+	return p
 }
 
 // canonical returns the cell with the worker count dropped: results are
@@ -581,6 +607,17 @@ func (c Cell) Run(ctx context.Context) (CellResult, error) {
 	return out, nil
 }
 
+// CellTable is a table of results decoded before, which RunCells consults
+// instead of decoding a payload again. RunCells hands it only payloads the
+// store served as hits, so a computed cell never enters it.
+type CellTable interface {
+	// Decode returns what DecodeCellResult(payload) returns for the cell
+	// stored under key, and the id of the table entry holding that result
+	// (0 when none does). The result's slices and strings may be shared
+	// with the table and with other callers: they are read-only.
+	Decode(key string, payload []byte) (CellResult, uint64, error)
+}
+
 // CellOutcome is what RunCells reports for one cell.
 type CellOutcome struct {
 	// Payload is the cell's canonical result bytes — CellResult.Encode's
@@ -590,6 +627,9 @@ type CellOutcome struct {
 	Cached bool
 	// Result is Payload decoded.
 	Result CellResult
+	// Entry is the id of the CellTable entry Result came from; 0 when
+	// there was no table, the cell was computed, or the table holds none.
+	Entry uint64
 	// Err, when non-nil, is why the cell has no result (a failed or
 	// timed-out run, a store error, cancellation before it started),
 	// prefixed with the cell's job label.
@@ -600,12 +640,13 @@ type CellOutcome struct {
 // tuner: it fans the cells out over the harness pool, each through
 // store.Do(Key) around Run and Encode, decodes the payload, and returns one
 // outcome per cell in submission order. A nil store computes every cell
-// directly; the bytes are the same either way. Per-cell failures are
+// directly; the bytes are the same either way. A non-nil table decodes
+// every payload the store served as a hit. Per-cell failures are
 // reported in the outcome, never hide the other cells, and the returned
 // error is non-nil only when ctx was canceled. opts.OnDone observes each
 // completion as it happens; its Progress.Value is the finished cell's
 // *CellOutcome (nil when Progress.Err is set).
-func RunCells(ctx context.Context, cells []Cell, store *cache.Store, opts harness.Options) ([]CellOutcome, error) {
+func RunCells(ctx context.Context, cells []Cell, store *cache.Store, table CellTable, opts harness.Options) ([]CellOutcome, error) {
 	jobs := make([]harness.Job, len(cells))
 	for i, cell := range cells {
 		jobs[i] = harness.Job{
@@ -619,16 +660,23 @@ func RunCells(ctx context.Context, cells []Cell, store *cache.Store, opts harnes
 					return res.Encode()
 				}
 				out := new(CellOutcome)
+				var key string
 				var err error
 				if store == nil {
 					out.Payload, err = compute()
 				} else {
-					out.Payload, out.Cached, err = store.Do(cell.Key(ResultSchemaVersion), compute)
+					key = cell.Key(ResultSchemaVersion)
+					out.Payload, out.Cached, err = store.Do(key, compute)
 				}
 				if err != nil {
 					return nil, err
 				}
-				if out.Result, err = DecodeCellResult(out.Payload); err != nil {
+				if out.Cached && table != nil {
+					out.Result, out.Entry, err = table.Decode(key, out.Payload)
+				} else {
+					out.Result, err = DecodeCellResult(out.Payload)
+				}
+				if err != nil {
 					return nil, err
 				}
 				return out, nil

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -36,6 +37,10 @@ func TestParseSweepSpecRejects(t *testing.T) {
 		{"load too high", `{"loads":[0.5,1.5]}`, "outside (0, 1]"},
 		{"negative flows", `{"flows":-3}`, "flows must be positive"},
 		{"variation below 1", `{"rtt_variation":0.5}`, "rtt_variation"},
+		{"largest RTT above a second", `{"rtt_min_us":700,"rtt_variation":1e300}`, "rtt_variation"},
+		{"rtt min above a second", `{"rtt_min_us":1e300}`, "rtt_min_us"},
+		{"rtt min below a nanosecond", `{"rtt_min_us":1e-300}`, "rtt_min_us"},
+		{"load below the minimum", `{"loads":[0.5,1e-300]}`, "load 1e-300"},
 		{"negative shards", `{"shards":-1}`, "shards"},
 		{"bad trace events", `{"trace":{"events":"marc"}}`, "trace spec"},
 		{"bad trace sample", `{"trace":{"events":"all","sample":-2}}`, "trace sample"},
@@ -191,4 +196,45 @@ func TestCellKeyIndependentOfShards(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzParseSweepSpec: ParseSweepSpec never panics, and a spec it accepts,
+// marshalled and parsed again, expands into the same cell keys. The seeds
+// include three values whose times overflowed sim.Time before Validate
+// bounded them: they panicked while parsing or in the cell.
+func FuzzParseSweepSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"topo":"leafspine","scheme":"red-tail","workload":"datamining","loads":[0.3,0.7],"flows":40,"seeds":[1,2],"rtt_min_us":50,"rtt_variation":8,"shards":2}`,
+		`{"scheme":"codel","trace":{"events":"mark,drop","sample":3}}`,
+		`{"scheme":"tcn","loads":[0.001,1],"rtt_min_us":0.001,"rtt_variation":1e9}`,
+		`{"rtt_variation": 1e300}`,
+		`{"rtt_min_us": 1e300}`,
+		`{"loads": [1e-300]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSweepSpec(data)
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("marshalling accepted spec %s: %v", data, err)
+		}
+		s2, err := ParseSweepSpec(again)
+		if err != nil {
+			t.Fatalf("re-parsing %s (from %s): %v", again, data, err)
+		}
+		a, b := s.Cells(), s2.Cells()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d cells, re-parsed %d", data, len(a), len(b))
+		}
+		for i := range a {
+			if ka, kb := a[i].Key(ResultSchemaVersion), b[i].Key(ResultSchemaVersion); ka != kb {
+				t.Fatalf("%s: cell %d key %s, re-parsed %s", data, i, ka, kb)
+			}
+		}
+	})
 }

@@ -60,6 +60,9 @@ type Server struct {
 	mu    sync.Mutex
 	jobs  map[string]*job
 	order map[*jobKind][]*job
+
+	// table holds decoded cells and pooled loads for sweeps to reuse.
+	table *table
 }
 
 // Route describes one registered API endpoint: the method, the
@@ -114,6 +117,7 @@ func New(cfg Config) (*Server, error) {
 		cancel: cancel,
 		jobs:   make(map[string]*job),
 		order:  make(map[*jobKind][]*job),
+		table:  newTable(tableBudget),
 	}
 	for _, rt := range Routes() {
 		s.mux.HandleFunc(rt.Method+" "+rt.Pattern, func(w http.ResponseWriter, r *http.Request) {
@@ -396,6 +400,7 @@ type sweep struct {
 	hits, failed int
 	perCell      []cellStatus             // as the status route reports it
 	results      []experiments.CellResult // zero until the cell's state is "done"
+	entries      []uint64                 // the table entry each result came from, or 0
 	pooled       []poolView               // set when the sweep finishes done
 }
 
@@ -423,7 +428,8 @@ func parseSweep(body []byte) (work, error) {
 	}
 	cells := spec.Cells()
 	sw := &sweep{spec: spec, cells: cells, keys: make([]string, len(cells)),
-		perCell: make([]cellStatus, len(cells)), results: make([]experiments.CellResult, len(cells))}
+		perCell: make([]cellStatus, len(cells)), results: make([]experiments.CellResult, len(cells)),
+		entries: make([]uint64, len(cells))}
 	for i, c := range cells {
 		sw.keys[i] = c.Key(experiments.ResultSchemaVersion)
 		sw.perCell[i] = cellStatus{Index: i, Key: sw.keys[i], State: "pending"}
@@ -450,11 +456,12 @@ type streamEvent struct {
 }
 
 // run executes the cells through experiments.RunCells over the server's
-// store, emitting one stream event per finished cell and a final "done".
+// store and table, emitting one stream event per finished cell and a final
+// "done".
 // RunCells' return values are not needed: every cell, started or not,
 // reports through OnDone, so onCellDone has counted the failures.
 func (sw *sweep) run(s *Server, j *job) {
-	experiments.RunCells(s.ctx, sw.cells, s.cfg.Store, harness.Options{
+	experiments.RunCells(s.ctx, sw.cells, s.cfg.Store, s.table, harness.Options{
 		Parallel: s.cfg.Parallel,
 		Timeout:  s.cfg.Timeout,
 		OnDone:   func(p harness.Progress) { sw.onCellDone(j, p) },
@@ -463,13 +470,14 @@ func (sw *sweep) run(s *Server, j *job) {
 	if sw.failed > 0 {
 		err = fmt.Errorf("%d of %d cells failed", sw.failed, len(sw.cells))
 	} else {
-		sw.pool()
+		sw.pool(s.table)
 	}
-	// Nothing reads a record once the sweep is pooled, and a failed sweep
-	// has no results route, so every outcome drops them.
+	// Nothing reads a record or an entry id once the sweep is pooled, and
+	// a failed sweep has no results route, so every outcome drops them.
 	for i := range sw.results {
 		sw.results[i].Records = nil
 	}
+	sw.entries = nil
 	j.finish(err, func(state, errMsg string) any {
 		return streamEvent{Type: "done", State: state, Total: len(sw.cells), CacheHits: sw.hits,
 			Computed: len(sw.cells) - sw.hits - sw.failed, Error: errMsg}
@@ -492,7 +500,7 @@ func (sw *sweep) onCellDone(j *job, p harness.Progress) {
 		sw.failed++
 	} else {
 		oc := p.Value.(*experiments.CellOutcome)
-		sw.results[p.Index] = oc.Result
+		sw.results[p.Index], sw.entries[p.Index] = oc.Result, oc.Entry
 		cached := oc.Cached
 		st.State, st.Cached, ev.Cached = "done", &cached, &cached
 		if cached {
@@ -525,14 +533,16 @@ func (sw *sweep) progressText(done int) string {
 	return fmt.Sprintf("%d/%d cells", done, len(sw.cells))
 }
 
-// pool pools the finished results per load into sw.pooled. It runs on the
-// sweep's goroutine once every cell is done, before finish publishes the
-// state; the handlers that run meanwhile read only status rows and traces.
-func (sw *sweep) pool() {
-	for _, p := range sw.spec.Pool(sw.results) {
-		sw.pooled = append(sw.pooled, poolView{Load: p.Load, Stats: p.Stats,
-			Counters: counterMap(p.Drops, p.Marks, p.Timeouts, p.Retransmits,
-				p.Completed, p.Failed, p.Injected)})
+// pool pools the finished results per load into sw.pooled, through t: a
+// load whose cells all came from the entries it was last pooled from
+// reuses that view. It runs on the sweep's goroutine once every cell is
+// done, before finish publishes the state; the handlers that run meanwhile
+// read only status rows and traces.
+func (sw *sweep) pool(t *table) {
+	n := len(sw.spec.Seeds)
+	for li, load := range sw.spec.Loads {
+		lo, hi := li*n, (li+1)*n
+		sw.pooled = append(sw.pooled, t.view(load, sw.keys[lo:hi], sw.entries[lo:hi], sw.results[lo:hi]))
 	}
 }
 

@@ -19,6 +19,13 @@ import (
 // its base URL.
 func newTestServer(t *testing.T, cfg Config) string {
 	t.Helper()
+	_, base := newTestDaemon(t, cfg)
+	return base
+}
+
+// newTestDaemon is newTestServer that also returns the Server.
+func newTestDaemon(t *testing.T, cfg Config) (*Server, string) {
+	t.Helper()
 	if cfg.Store == nil {
 		store, err := cache.Open(t.TempDir(), cache.Options{})
 		if err != nil {
@@ -32,7 +39,7 @@ func newTestServer(t *testing.T, cfg Config) string {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
-	return ts.URL
+	return srv, ts.URL
 }
 
 func getJSON(t *testing.T, url string, into any) *http.Response {
@@ -163,6 +170,9 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		"bad load":       `{"loads": [1.5]}`,
 		"flows over cap": `{"flows": 2000000000}`,
 		"cells over cap": `{"loads": [0.2, 0.4, 0.6, 0.8], "seeds": [` + strings.Repeat("1,", 256) + `1]}`,
+		"huge variation": `{"rtt_variation": 1e300}`,
+		"huge rtt min":   `{"rtt_min_us": 1e300}`,
+		"tiny load":      `{"loads": [1e-300]}`,
 	} {
 		resp, err := http.Post(base+"/v1/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -235,7 +235,7 @@ func (t *tuner) scoreBatch(ctx context.Context, round int, batch [][]float64) ([
 		cells = append(cells, withTuned(baseCells, t.sp.ToTuned(v))...)
 	}
 
-	outcomes, err := experiments.RunCells(ctx, cells, t.opts.Store,
+	outcomes, err := experiments.RunCells(ctx, cells, t.opts.Store, nil,
 		harness.Options{Parallel: t.opts.Parallel, Timeout: t.opts.Timeout})
 	if err != nil {
 		return nil, err
