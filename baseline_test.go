@@ -85,8 +85,8 @@ func sortedKeys[V any](a, b map[string]V) []string {
 // whole-stack bodies build a fresh network per op, and FlapStorm's map
 // growth follows per-process hash seeds (±2 allocations an op around
 // 4422.9), so it takes 64 ops to settle on one integer. DecodeCellResult
-// allocates the same on every op, and 1,024 ops keep the collector-off
-// heap near 11 MB.
+// and both StoreHit bodies allocate the same on every op, and 1,024 ops
+// keep each one's collector-off heap under 20 MB.
 var allocSuite = []struct {
 	name  string
 	fn    func(*testing.B)
@@ -100,6 +100,8 @@ var allocSuite = []struct {
 	{"IncastBurst", bench.IncastBurst, 32},
 	{"FlapStorm", bench.FlapStorm, 64},
 	{"DecodeCellResult", bench.DecodeCellResult, 1 << 10},
+	{"StoreHit/prior", bench.StoreHit(true), 1 << 10},
+	{"StoreHit/verify", bench.StoreHit(false), 1 << 10},
 }
 
 // allocResult is one benchmark's entry in BENCH_runtime.json: what does

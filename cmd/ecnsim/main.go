@@ -305,7 +305,7 @@ func runSpec(path string, parallel int, timeout time.Duration, progress bool, tr
 	if err != nil {
 		fail(2, err)
 	}
-	outcomes, _ := experiments.RunCells(context.Background(), spec.Cells(), nil, nil,
+	outcomes, _ := experiments.RunCells(context.Background(), spec.Cells(), nil, nil, nil,
 		harness.Options{Parallel: parallel, Timeout: timeout, OnDone: progressTo(progress)})
 	results := make([]experiments.CellResult, len(outcomes))
 	for i, o := range outcomes {

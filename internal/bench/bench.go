@@ -10,9 +10,12 @@
 package bench
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"ecnsharp/internal/aqm"
+	"ecnsharp/internal/cache"
 	"ecnsharp/internal/experiments"
 	"ecnsharp/internal/fault"
 	"ecnsharp/internal/metrics"
@@ -225,10 +228,9 @@ func IncastBurst(b *testing.B) {
 	}
 }
 
-// DecodeCellResult measures a result-cache hit's decode: one fixed
-// synthetic cell of 400 completed flows (no simulator run), encoded once
-// and decoded every op, the way the daemon reads back a stored cell.
-func DecodeCellResult(b *testing.B) {
+// cellPayload returns the encoded result of one fixed synthetic cell of 400
+// completed flows (no simulator run).
+func cellPayload(b *testing.B) []byte {
 	res := experiments.CellResult{
 		SchemaVersion: experiments.ResultSchemaVersion,
 		Cell: experiments.Cell{Topo: "star", Scheme: "ecnsharp", Workload: "websearch",
@@ -250,11 +252,48 @@ func DecodeCellResult(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return payload
+}
+
+// DecodeCellResult measures a result-cache hit's decode: cellPayload's
+// 400-flow cell, encoded once and decoded every op, the way the daemon
+// reads back a stored cell.
+func DecodeCellResult(b *testing.B) {
+	payload := cellPayload(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.DecodeCellResult(payload); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// StoreHit measures a result-cache hit's read: Store.DoPrior on the present
+// entry of cellPayload's 400-flow cell, every op a hit. With prior, each op
+// is handed the entry's bytes from an earlier hit, so the file is read and
+// compared; without, it is read, parsed and hashed.
+func StoreHit(prior bool) func(*testing.B) {
+	return func(b *testing.B) {
+		store, err := cache.Open(b.TempDir(), cache.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		key := strings.Repeat("5a", 32) // a SHA-256 hex digest's shape
+		if err := store.Put(key, cellPayload(b)); err != nil {
+			b.Fatal(err)
+		}
+		var entry []byte
+		if prior {
+			entry, _, _, _ = store.GetPrior(key, nil)
+		}
+		compute := func() ([]byte, error) { return nil, errors.New("bench: the stored entry was not read") }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, hit, err := store.DoPrior(key, entry, compute); !hit || err != nil {
+				b.Fatalf("hit=%v, err=%v", hit, err)
+			}
 		}
 	}
 }

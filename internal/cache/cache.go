@@ -12,7 +12,13 @@
 //     writer never leaves a half-entry under a valid name.
 //   - Corruption detection: every entry embeds a SHA-256 of its payload;
 //     a mismatch (truncation, bit rot, hand-editing) deletes the entry and
-//     reports a miss — the caller recomputes, nothing crashes.
+//     reports a miss — the caller recomputes, nothing crashes. A caller
+//     that kept the bytes of an earlier hit may hand them back (GetPrior,
+//     DoPrior): a file equal to them is served without parsing or hashing
+//     it again, any other file is verified in full.
+//   - I/O failures are misses: a read that fails is a miss and a write
+//     that fails leaves the computed bytes uncached; both are counted in
+//     Stats.Errors, and only a malformed key is an error.
 //   - In-flight dedupe: concurrent Do calls for one key share a single
 //     compute execution and all receive its bytes.
 //   - Bounded size: when the store exceeds its byte budget, least-recently
@@ -27,10 +33,13 @@
 package cache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -61,6 +70,9 @@ type Stats struct {
 	Puts        int64 `json:"puts"`
 	Evictions   int64 `json:"evictions"`
 	Corruptions int64 `json:"corruptions"`
+	// Errors counts failed entry reads (each also a miss) and failed
+	// entry writes (each leaving the computed bytes uncached).
+	Errors int64 `json:"cache_errors"`
 	// Entries and Bytes are the current occupancy (payload bytes).
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
@@ -90,9 +102,10 @@ type entry struct {
 
 // flight is one in-progress computation that concurrent Do calls join.
 type flight struct {
-	done chan struct{}
-	val  []byte
-	err  error
+	done  chan struct{}
+	entry []byte // the entry bytes val was read from; nil when computed
+	val   []byte
+	err   error
 }
 
 // header is the first line of an entry file; the payload follows the
@@ -195,27 +208,44 @@ func validKey(key string) error {
 }
 
 // Get returns the payload stored under key. ok is false on a miss — absent
-// entry, or an entry whose checksum, length or recorded key does not match
-// (the corrupt file is deleted and counted in Stats.Corruptions). The
-// returned error reports I/O failures other than absence.
+// entry, an entry whose checksum, length or recorded key does not match
+// (the corrupt file is deleted and counted in Stats.Corruptions), or a read
+// that failed (counted in Stats.Errors). The returned error reports a
+// malformed key.
 func (s *Store) Get(key string) (payload []byte, ok bool, err error) {
+	_, payload, ok, err = s.GetPrior(key, nil)
+	return payload, ok, err
+}
+
+// GetPrior is Get for a caller that kept the entry of an earlier hit on key:
+// on a hit it also returns entry, the entry file's bytes (header line and
+// payload), of which payload is the tail. Given such bytes back as prior, a
+// read that finds the file byte-equal to them serves prior and its payload
+// without parsing or hashing: verify is a pure function of key and the
+// file's bytes, and prior passed it. Any other file is verified in full.
+// The whole file is still read, and hits, misses and recency are counted
+// exactly as by Get.
+func (s *Store) GetPrior(key string, prior []byte) (entry, payload []byte, ok bool, err error) {
 	if err := validKey(key); err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
-	data, err := os.ReadFile(s.path(key))
-	if os.IsNotExist(err) {
+	data, same, err := readEntry(s.path(key), prior)
+	if err != nil {
 		s.mu.Lock()
 		s.stats.Misses++
+		if !errors.Is(err, fs.ErrNotExist) {
+			s.stats.Errors++
+		}
 		s.mu.Unlock()
-		return nil, false, nil
+		return nil, nil, false, nil
 	}
-	if err != nil {
-		return nil, false, fmt.Errorf("cache: %w", err)
-	}
-	payload, verr := verify(key, data)
-	if verr != nil {
+	if same {
+		entry, payload = prior, prior[bytes.IndexByte(prior, '\n')+1:]
+	} else if payload, err = verify(key, data); err != nil {
 		s.discardCorrupt(key)
-		return nil, false, nil
+		return nil, nil, false, nil
+	} else {
+		entry = data
 	}
 	s.mu.Lock()
 	if e := s.entries[key]; e != nil {
@@ -224,7 +254,45 @@ func (s *Store) Get(key string) (payload []byte, ok bool, err error) {
 	}
 	s.stats.Hits++
 	s.mu.Unlock()
-	return payload, true, nil
+	return entry, payload, true, nil
+}
+
+// readEntry reads the entry file at path whole. Given a non-empty prior, it
+// reads the file through a fixed buffer, comparing as it goes, and reports
+// same with no data when the file equals prior byte for byte; a file that
+// differs is read again whole into data.
+func readEntry(path string, prior []byte) (data []byte, same bool, err error) {
+	if len(prior) == 0 {
+		data, err = os.ReadFile(path)
+		return data, false, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, false, err
+	}
+	defer f.Close()
+	var buf [8 << 10]byte // stays on the stack: an unchanged entry allocates nothing
+	for rest := prior; ; {
+		n, err := f.Read(buf[:])
+		if n > len(rest) || !bytes.Equal(buf[:n], rest[:n]) {
+			break
+		}
+		rest = rest[n:]
+		if err == io.EOF {
+			if len(rest) == 0 {
+				return nil, true, nil
+			}
+			break
+		}
+		if err != nil {
+			return nil, false, err
+		}
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, false, err
+	}
+	data, err = io.ReadAll(f)
+	return data, false, err
 }
 
 // verify parses an entry file and returns its payload, or an error
@@ -294,7 +362,7 @@ func (s *Store) Put(key string, payload []byte) error {
 	}
 	path := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("cache: %w", err)
+		return s.writeFailed(err)
 	}
 	sum := sha256.Sum256(payload)
 	hdr, err := json.Marshal(header{
@@ -306,22 +374,22 @@ func (s *Store) Put(key string, payload []byte) error {
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
-		return fmt.Errorf("cache: %w", err)
+		return s.writeFailed(err)
 	}
 	cleanup := func() { tmp.Close(); os.Remove(tmp.Name()) }
 	for _, chunk := range [][]byte{hdr, {'\n'}, payload} {
 		if _, err := tmp.Write(chunk); err != nil {
 			cleanup()
-			return fmt.Errorf("cache: %w", err)
+			return s.writeFailed(err)
 		}
 	}
 	if err := tmp.Close(); err != nil {
 		cleanup()
-		return fmt.Errorf("cache: %w", err)
+		return s.writeFailed(err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("cache: %w", err)
+		return s.writeFailed(err)
 	}
 	size := int64(len(hdr)) + 1 + int64(len(payload))
 
@@ -338,6 +406,14 @@ func (s *Store) Put(key string, payload []byte) error {
 	s.stats.Bytes = s.bytes
 	s.mu.Unlock()
 	return nil
+}
+
+// writeFailed counts a failed entry write in Stats.Errors and returns err.
+func (s *Store) writeFailed(err error) error {
+	s.mu.Lock()
+	s.stats.Errors++
+	s.mu.Unlock()
+	return fmt.Errorf("cache: %w", err)
 }
 
 // evictLocked removes least-recently used entries until the store fits its
@@ -377,10 +453,21 @@ func (s *Store) evictLocked() {
 // in-flight computation for the same key is joined (hit=true for the
 // joiners — they did not compute); otherwise compute runs, its result is
 // stored, and hit=false. compute errors are returned to every waiter and
-// nothing is stored.
+// nothing is stored. A failed read is a miss and a failed write serves the
+// computed bytes uncached (both counted in Stats.Errors), so the only
+// other error is a malformed key.
 func (s *Store) Do(key string, compute func() ([]byte, error)) (payload []byte, hit bool, err error) {
+	_, payload, hit, err = s.DoPrior(key, nil, compute)
+	return payload, hit, err
+}
+
+// DoPrior is Do for a caller that kept the entry of an earlier hit on key,
+// as GetPrior is Get for one: prior is handed to GetPrior, and entry is the
+// entry bytes payload was read from — nil when payload was computed, by
+// this call or by the in-flight one it joined.
+func (s *Store) DoPrior(key string, prior []byte, compute func() ([]byte, error)) (entry, payload []byte, hit bool, err error) {
 	if err := validKey(key); err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
 	s.mu.Lock()
 	if f, ok := s.inflight[key]; ok {
@@ -388,40 +475,36 @@ func (s *Store) Do(key string, compute func() ([]byte, error)) (payload []byte, 
 		s.mu.Unlock()
 		<-f.done
 		if f.err != nil {
-			return nil, false, f.err
+			return nil, nil, false, f.err
 		}
-		return f.val, true, nil
+		return f.entry, f.val, true, nil
 	}
 	f := &flight{done: make(chan struct{})}
 	s.inflight[key] = f
 	s.mu.Unlock()
 
 	// Leader: check disk, compute on miss.
-	finish := func(val []byte, err error) {
-		f.val, f.err = val, err
+	finish := func(entry, val []byte, err error) {
+		f.entry, f.val, f.err = entry, val, err
 		s.mu.Lock()
 		delete(s.inflight, key)
 		s.mu.Unlock()
 		close(f.done)
 	}
-	if val, ok, err := s.Get(key); err != nil {
-		finish(nil, err)
-		return nil, false, err
-	} else if ok {
-		finish(val, nil)
-		return val, true, nil
+	if entry, val, ok, _ := s.GetPrior(key, prior); ok { // its one error, a malformed key, is ruled out above
+		finish(entry, val, nil)
+		return entry, val, true, nil
 	}
 	val, err := compute()
 	if err != nil {
-		finish(nil, err)
-		return nil, false, err
+		finish(nil, nil, err)
+		return nil, nil, false, err
 	}
-	if err := s.Put(key, val); err != nil {
-		finish(nil, err)
-		return nil, false, err
-	}
-	finish(val, nil)
-	return val, false, nil
+	// A failed write is counted in Stats.Errors; the bytes are served
+	// uncached.
+	_ = s.Put(key, val)
+	finish(nil, val, nil)
+	return nil, val, false, nil
 }
 
 // Stats returns a snapshot of the store's counters and occupancy.

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -341,13 +342,119 @@ func TestStoreStatsJSONShape(t *testing.T) {
 	// The stats struct is served verbatim by GET /v1/cache/stats; pin the
 	// field names the API documents.
 	st := Stats{Hits: 1, Misses: 2, Shared: 3, Puts: 4, Evictions: 5,
-		Corruptions: 6, Entries: 7, Bytes: 8, MaxBytes: 9}
+		Corruptions: 6, Errors: 10, Entries: 7, Bytes: 8, MaxBytes: 9}
 	b, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"hits":1,"misses":2,"shared":3,"puts":4,"evictions":5,"corruptions":6,"entries":7,"bytes":8,"max_bytes":9}`
+	want := `{"hits":1,"misses":2,"shared":3,"puts":4,"evictions":5,"corruptions":6,"cache_errors":10,"entries":7,"bytes":8,"max_bytes":9}`
 	if string(b) != want {
 		t.Fatalf("stats JSON\n got %s\nwant %s", b, want)
 	}
+}
+
+// TestIOErrorsAreMisses: a read that fails is a miss and the value is
+// computed; a write that fails serves the computed bytes uncached. Both are
+// counted in Stats.Errors. A regular file where the key's shard directory
+// belongs fails the read and the write alike, also as root, whom file
+// permissions would not stop.
+func TestIOErrorsAreMisses(t *testing.T) {
+	s := mustOpen(t, Options{})
+	const k = "ab0123"
+	if err := os.WriteFile(filepath.Join(s.Dir(), "ab"), []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for round := int64(1); round <= 2; round++ {
+		calls := 0
+		got, hit, err := s.Do(k, func() ([]byte, error) {
+			calls++
+			return []byte("computed"), nil
+		})
+		if err != nil || hit || calls != 1 || string(got) != "computed" {
+			t.Fatalf("round %d: Do = %q, hit=%v, err=%v after %d computes; want the computed bytes, uncached",
+				round, got, hit, err, calls)
+		}
+		st := s.Stats()
+		if st.Misses != round || st.Errors != 2*round || st.Hits != 0 || st.Puts != 0 || st.Entries != 0 {
+			t.Errorf("round %d: stats %+v; want %d misses and %d errors (a read and a write each round), nothing stored",
+				round, st, round, 2*round)
+		}
+	}
+	if got, ok, err := s.Get(k); ok || err != nil || got != nil {
+		t.Errorf("Get = %q, ok=%v, err=%v; want a miss and no error", got, ok, err)
+	}
+	if err := s.Put(k, []byte("x")); err == nil {
+		t.Error("Put into a blocked shard reported no error")
+	}
+	if st := s.Stats(); st.Errors != 6 || st.Misses != 3 {
+		t.Errorf("stats %+v; want 6 errors and 3 misses", st)
+	}
+}
+
+// getBoth reads key from two stores holding the same file, from a with
+// prior and from b without it, and fails t unless both agree on ok, the
+// payload and every counter.
+func getBoth(t *testing.T, a, b *Store, key string, prior []byte) {
+	t.Helper()
+	_, pa, oka, erra := a.GetPrior(key, prior)
+	pb, okb, errb := b.Get(key)
+	if erra != nil || errb != nil {
+		t.Fatalf("errors: with prior %v, without %v", erra, errb)
+	}
+	if oka != okb || !bytes.Equal(pa, pb) {
+		t.Fatalf("with prior: ok=%v %q; without: ok=%v %q", oka, pa, okb, pb)
+	}
+	if sa, sb := a.Stats(), b.Stats(); sa != sb {
+		t.Fatalf("stats with prior %+v, without %+v", sa, sb)
+	}
+}
+
+// FuzzStoreHitPrior: for a valid entry and a mutation of its file — a byte
+// flipped, the tail cut, bytes appended, the header line replaced — Get
+// handed the entry's bytes as prior and Get without them return the same
+// ok and payload and count the same hits, misses and corruptions.
+func FuzzStoreHitPrior(f *testing.F) {
+	payload := []byte(`{"cell":{"seed":1},"drops":12}`)
+	// The first seed flips one payload byte, the "d" of "drops" (the file is
+	// a 109-byte header, a newline and the payload): same length, same
+	// header, wrong checksum.
+	f.Add(payload, 130, byte(0x20), 0, []byte(nil), "")
+	f.Add(payload, 0, byte(0), 0, []byte(nil), "")
+	f.Add(payload, 3, byte(0x01), 0, []byte(nil), "")
+	f.Add(payload, 0, byte(0), 5, []byte(nil), "")
+	f.Add(payload, 0, byte(0), 0, []byte("x"), "")
+	f.Add(payload, 0, byte(0), 0, []byte(nil), `{"v":1,"key":"k","sha256":"","len":0}`)
+	f.Fuzz(func(t *testing.T, payload []byte, at int, flip byte, cut int, tail []byte, header string) {
+		const key = "0123abcd"
+		a, b := mustOpen(t, Options{}), mustOpen(t, Options{})
+		for _, s := range []*Store{a, b} {
+			if err := s.Put(key, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prior, _, ok, err := a.GetPrior(key, nil)
+		if !ok || err != nil {
+			t.Fatalf("fresh entry: ok=%v err=%v", ok, err)
+		}
+		b.Get(key)                   // b counts the same hit
+		getBoth(t, a, b, key, prior) // the file is prior itself
+		file := bytes.Clone(prior)
+		if header != "" {
+			file = append([]byte(header), file[bytes.IndexByte(file, '\n'):]...)
+		}
+		if len(file) > 0 && flip != 0 {
+			file[uint(at)%uint(len(file))] ^= flip
+		}
+		if cut > 0 {
+			file = file[:len(file)-cut%(len(file)+1)]
+		}
+		file = append(file, tail...)
+		for _, s := range []*Store{a, b} {
+			if err := os.WriteFile(s.path(key), file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		getBoth(t, a, b, key, prior)
+		getBoth(t, a, b, key, prior) // a corrupt file is gone now, on both
+	})
 }

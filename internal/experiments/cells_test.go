@@ -31,7 +31,7 @@ func TestRunCellsStoreIsInvisibleInBytes(t *testing.T) {
 	cells := smallSweep(t).Cells()
 	opts := harness.Options{Parallel: 2}
 
-	direct, err := RunCells(context.Background(), cells, nil, nil, opts)
+	direct, err := RunCells(context.Background(), cells, nil, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +39,11 @@ func TestRunCellsStoreIsInvisibleInBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := RunCells(context.Background(), cells, store, nil, opts)
+	cold, err := RunCells(context.Background(), cells, nil, store, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunCells(context.Background(), cells, store, nil, opts)
+	warm, err := RunCells(context.Background(), cells, nil, store, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,24 +78,30 @@ func TestRunCellsStoreIsInvisibleInBytes(t *testing.T) {
 	}
 }
 
-// recordingTable is a CellTable that decodes every payload itself and
-// records the keys it was asked for.
+// recordingTable is a CellTable that holds no prior entries, decodes
+// every payload itself and records the keys it was asked to decode.
 type recordingTable struct {
 	mu   sync.Mutex
 	keys []string
 }
 
-func (rt *recordingTable) Decode(key string, payload []byte) (CellResult, uint64, error) {
+func (rt *recordingTable) Prior(string) []byte { return nil }
+
+func (rt *recordingTable) Decode(key string, entry, payload []byte) (CellResult, uint64, error) {
 	rt.mu.Lock()
 	rt.keys = append(rt.keys, key)
 	rt.mu.Unlock()
+	if !bytes.HasSuffix(entry, payload) {
+		return CellResult{}, 0, errors.New("payload is not the tail of its entry")
+	}
 	r, err := DecodeCellResult(payload)
 	return r, 7, err
 }
 
 // TestRunCellsTableDecodesOnlyHits: RunCells hands a table only the
-// payloads the store served, under their cells' keys, and reports the
-// table's entry id; computed cells are decoded without it.
+// entries the store read, under their cells' keys (the caller's, when it
+// passes them), and reports the table's entry id; computed cells are
+// decoded without it.
 func TestRunCellsTableDecodesOnlyHits(t *testing.T) {
 	cells := smallSweep(t).Cells()
 	store, err := cache.Open(t.TempDir(), cache.Options{})
@@ -104,21 +110,23 @@ func TestRunCellsTableDecodesOnlyHits(t *testing.T) {
 	}
 	rt := new(recordingTable)
 	opts := harness.Options{Parallel: 2}
-	cold, err := RunCells(context.Background(), cells, store, rt, opts)
+	cold, err := RunCells(context.Background(), cells, nil, store, rt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rt.keys) != 0 {
 		t.Errorf("computed cells reached the table: %v", rt.keys)
 	}
-	warm, err := RunCells(context.Background(), cells, store, rt, opts)
+	var want []string
+	for _, c := range cells {
+		want = append(want, c.Key(ResultSchemaVersion))
+	}
+	warm, err := RunCells(context.Background(), cells, want, store, rt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	slices.Sort(rt.keys)
-	var want []string
-	for i, c := range cells {
-		want = append(want, c.Key(ResultSchemaVersion))
+	for i := range cells {
 		if cold[i].Entry != 0 || warm[i].Entry != 7 {
 			t.Errorf("cell %d: entries %d cold, %d warm; want 0 and 7", i, cold[i].Entry, warm[i].Entry)
 		}
@@ -138,7 +146,7 @@ func TestRunCellsReportsFailuresPerCell(t *testing.T) {
 	cells[1].Scheme = "pie9"
 
 	seen := make([]bool, len(cells))
-	outcomes, err := RunCells(context.Background(), cells, nil, nil, harness.Options{Parallel: 1,
+	outcomes, err := RunCells(context.Background(), cells, nil, nil, nil, harness.Options{Parallel: 1,
 		OnDone: func(p harness.Progress) {
 			seen[p.Index] = true
 			if _, ok := p.Value.(*CellOutcome); ok == (p.Err != nil) {
@@ -169,7 +177,7 @@ func TestRunCellsReportsFailuresPerCell(t *testing.T) {
 func TestRunCellsCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	outcomes, err := RunCells(ctx, smallSweep(t).Cells(), nil, nil, harness.Options{Parallel: 2})
+	outcomes, err := RunCells(ctx, smallSweep(t).Cells(), nil, nil, nil, harness.Options{Parallel: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -187,7 +195,7 @@ func TestRunCellsCanceled(t *testing.T) {
 func TestPoolEqualsMergeRuns(t *testing.T) {
 	spec := smallSweep(t)
 	cells := spec.Cells()
-	outcomes, err := RunCells(context.Background(), cells, nil, nil, harness.Options{Parallel: 2})
+	outcomes, err := RunCells(context.Background(), cells, nil, nil, nil, harness.Options{Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

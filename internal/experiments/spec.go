@@ -608,14 +608,19 @@ func (c Cell) Run(ctx context.Context) (CellResult, error) {
 }
 
 // CellTable is a table of results decoded before, which RunCells consults
-// instead of decoding a payload again. RunCells hands it only payloads the
-// store served as hits, so a computed cell never enters it.
+// instead of verifying and decoding a stored entry again. RunCells hands it
+// only entries the store read from disk, so a computed cell never enters it.
 type CellTable interface {
+	// Prior returns the entry bytes held for key (cache.Store.GetPrior's
+	// entry, which the store may serve without verifying them again), or
+	// nil.
+	Prior(key string) []byte
 	// Decode returns what DecodeCellResult(payload) returns for the cell
-	// stored under key, and the id of the table entry holding that result
-	// (0 when none does). The result's slices and strings may be shared
-	// with the table and with other callers: they are read-only.
-	Decode(key string, payload []byte) (CellResult, uint64, error)
+	// stored under key, payload being the tail of entry, and the id of the
+	// table entry holding that result (0 when none does). The result's
+	// slices and strings may be shared with the table and with other
+	// callers: they are read-only.
+	Decode(key string, entry, payload []byte) (CellResult, uint64, error)
 }
 
 // CellOutcome is what RunCells reports for one cell.
@@ -638,15 +643,17 @@ type CellOutcome struct {
 
 // RunCells is the one executor behind ecnsim -spec, the daemon and the
 // tuner: it fans the cells out over the harness pool, each through
-// store.Do(Key) around Run and Encode, decodes the payload, and returns one
-// outcome per cell in submission order. A nil store computes every cell
-// directly; the bytes are the same either way. A non-nil table decodes
-// every payload the store served as a hit. Per-cell failures are
-// reported in the outcome, never hide the other cells, and the returned
-// error is non-nil only when ctx was canceled. opts.OnDone observes each
-// completion as it happens; its Progress.Value is the finished cell's
-// *CellOutcome (nil when Progress.Err is set).
-func RunCells(ctx context.Context, cells []Cell, store *cache.Store, table CellTable, opts harness.Options) ([]CellOutcome, error) {
+// store.DoPrior(key) around Run and Encode, decodes the payload, and returns
+// one outcome per cell in submission order. keys, when non-nil, are the
+// cells' cache keys (Cell.Key(ResultSchemaVersion) each) as the caller
+// already derived them; nil derives them here. A nil store computes every
+// cell directly; the bytes are the same either way. A non-nil table
+// supplies each cell's prior entry bytes and decodes every entry the store
+// read. Per-cell failures are reported in the outcome, never hide the other
+// cells, and the returned error is non-nil only when ctx was canceled.
+// opts.OnDone observes each completion as it happens; its Progress.Value is
+// the finished cell's *CellOutcome (nil when Progress.Err is set).
+func RunCells(ctx context.Context, cells []Cell, keys []string, store *cache.Store, table CellTable, opts harness.Options) ([]CellOutcome, error) {
 	jobs := make([]harness.Job, len(cells))
 	for i, cell := range cells {
 		jobs[i] = harness.Job{
@@ -661,18 +668,27 @@ func RunCells(ctx context.Context, cells []Cell, store *cache.Store, table CellT
 				}
 				out := new(CellOutcome)
 				var key string
+				var entry []byte
 				var err error
 				if store == nil {
 					out.Payload, err = compute()
 				} else {
-					key = cell.Key(ResultSchemaVersion)
-					out.Payload, out.Cached, err = store.Do(key, compute)
+					if keys != nil {
+						key = keys[i]
+					} else {
+						key = cell.Key(ResultSchemaVersion)
+					}
+					var prior []byte
+					if table != nil {
+						prior = table.Prior(key)
+					}
+					entry, out.Payload, out.Cached, err = store.DoPrior(key, prior, compute)
 				}
 				if err != nil {
 					return nil, err
 				}
-				if out.Cached && table != nil {
-					out.Result, out.Entry, err = table.Decode(key, out.Payload)
+				if entry != nil && table != nil {
+					out.Result, out.Entry, err = table.Decode(key, entry, out.Payload)
 				} else {
 					out.Result, err = DecodeCellResult(out.Payload)
 				}

@@ -401,7 +401,8 @@ type sweep struct {
 	perCell      []cellStatus             // as the status route reports it
 	results      []experiments.CellResult // zero until the cell's state is "done"
 	entries      []uint64                 // the table entry each result came from, or 0
-	pooled       []poolView               // set when the sweep finishes done
+	cellJSON     [][]byte                 // the table's encodeCell of each result, or nil
+	pooled       [][]byte                 // each load's poolView JSON, set when the sweep finishes done
 }
 
 // poolView is one load of the results route's "pooled" list.
@@ -429,7 +430,7 @@ func parseSweep(body []byte) (work, error) {
 	cells := spec.Cells()
 	sw := &sweep{spec: spec, cells: cells, keys: make([]string, len(cells)),
 		perCell: make([]cellStatus, len(cells)), results: make([]experiments.CellResult, len(cells)),
-		entries: make([]uint64, len(cells))}
+		entries: make([]uint64, len(cells)), cellJSON: make([][]byte, len(cells))}
 	for i, c := range cells {
 		sw.keys[i] = c.Key(experiments.ResultSchemaVersion)
 		sw.perCell[i] = cellStatus{Index: i, Key: sw.keys[i], State: "pending"}
@@ -461,10 +462,10 @@ type streamEvent struct {
 // RunCells' return values are not needed: every cell, started or not,
 // reports through OnDone, so onCellDone has counted the failures.
 func (sw *sweep) run(s *Server, j *job) {
-	experiments.RunCells(s.ctx, sw.cells, s.cfg.Store, s.table, harness.Options{
+	experiments.RunCells(s.ctx, sw.cells, sw.keys, s.cfg.Store, s.table, harness.Options{
 		Parallel: s.cfg.Parallel,
 		Timeout:  s.cfg.Timeout,
-		OnDone:   func(p harness.Progress) { sw.onCellDone(j, p) },
+		OnDone:   func(p harness.Progress) { sw.onCellDone(s.table, j, p) },
 	})
 	var err error
 	if sw.failed > 0 {
@@ -484,10 +485,15 @@ func (sw *sweep) run(s *Server, j *job) {
 	})
 }
 
-// onCellDone records one finished cell and emits its stream event.
-// Harness progress callbacks are serialized, so event order is the
-// completion order.
-func (sw *sweep) onCellDone(j *job, p harness.Progress) {
+// onCellDone records one finished cell and emits its stream event, with
+// the cell's JSON from t when its result came from there. Harness progress
+// callbacks are serialized, so event order is the completion order.
+func (sw *sweep) onCellDone(t *table, j *job, p harness.Progress) {
+	oc, _ := p.Value.(*experiments.CellOutcome) // nil when p.Err is set
+	var doc, stats []byte
+	if oc != nil {
+		doc, stats = t.cellJSON(sw.keys[p.Index], oc.Entry)
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.progress = p.Done
@@ -499,14 +505,16 @@ func (sw *sweep) onCellDone(j *job, p harness.Progress) {
 		st.State, st.Error, ev.Error = "error", p.Err.Error(), p.Err.Error()
 		sw.failed++
 	} else {
-		oc := p.Value.(*experiments.CellOutcome)
-		sw.results[p.Index], sw.entries[p.Index] = oc.Result, oc.Entry
+		sw.results[p.Index], sw.entries[p.Index], sw.cellJSON[p.Index] = oc.Result, oc.Entry, doc
 		cached := oc.Cached
 		st.State, st.Cached, ev.Cached = "done", &cached, &cached
 		if cached {
 			sw.hits++
 		}
 		ev.CellStats = &sw.results[p.Index].Stats
+		if stats != nil {
+			ev.CellStats = json.RawMessage(stats)
+		}
 	}
 	j.appendLocked(ev)
 }
@@ -546,32 +554,78 @@ func (sw *sweep) pool(t *table) {
 	}
 }
 
-// writeResult renders the per-cell results and the pooled view.
+// writeResult renders the per-cell results and the pooled view: the bytes
+// writeJSON would write for {"id", "state", "cache_hits", "pooled",
+// "cells"}, built from each load's JSON and each cell's, the table's when
+// the cell came from there and encoded here otherwise. Ids and keys
+// (sw-N, hex digests) need no JSON escaping.
 func (sw *sweep) writeResult(w http.ResponseWriter, id string) {
-	type cellView struct {
-		Index    int              `json:"index"`
-		Key      string           `json:"key"`
-		Cached   bool             `json:"cached"`
-		Cell     experiments.Cell `json:"cell"`
-		Stats    any              `json:"stats"`
-		Counters map[string]int64 `json:"counters"`
-	}
-	cells := make([]cellView, len(sw.cells))
-	for i := range sw.results {
-		res := &sw.results[i]
-		cells[i] = cellView{
-			Index: i, Key: sw.keys[i], Cached: *sw.perCell[i].Cached, Cell: res.Cell, Stats: res.Stats,
-			Counters: counterMap(res.Drops, res.Marks, res.Timeouts, res.Retransmits,
-				res.Completed, res.Failed, res.Injected),
+	docs := slices.Clone(sw.cellJSON)
+	size := 64 + len(id)
+	for i := range docs {
+		if docs[i] == nil {
+			docs[i], _ = encodeCell(&sw.results[i])
 		}
+		size += 48 + len(sw.keys[i]) + len(docs[i])
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"id":         id,
-		"state":      stateDone,
-		"cache_hits": sw.hits,
-		"pooled":     sw.pooled,
-		"cells":      cells,
-	})
+	for _, p := range sw.pooled {
+		size += 1 + len(p)
+	}
+	b := append(make([]byte, 0, size), `{"cache_hits":`...)
+	b = strconv.AppendInt(b, int64(sw.hits), 10)
+	b = append(b, `,"cells":[`...)
+	for i, doc := range docs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"index":`...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, `,"key":"`...)
+		b = append(b, sw.keys[i]...)
+		b = append(b, `","cached":`...)
+		b = strconv.AppendBool(b, *sw.perCell[i].Cached)
+		b = append(b, ',')
+		b = append(b, doc[1:]...) // the fields of doc's object, and its end
+	}
+	b = append(b, `],"id":"`...)
+	b = append(b, id...)
+	b = append(b, `","pooled":[`...)
+	for li, p := range sw.pooled {
+		if li > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, p...)
+	}
+	b = append(b, `],"state":"`+stateDone+`"}`+"\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(b)
+}
+
+// encodeCell returns the fields a results document gives a cell's result,
+// as one JSON object, {"cell":...,"stats":...,"counters":...}, and the
+// "stats" value within it.
+func encodeCell(r *experiments.CellResult) (doc, stats []byte) {
+	doc = append([]byte(`{"cell":`), mustMarshal(r.Cell)...)
+	doc = append(doc, `,"stats":`...)
+	lo := len(doc)
+	doc = append(doc, mustMarshal(r.Stats)...)
+	hi := len(doc)
+	doc = append(doc, `,"counters":`...)
+	doc = append(doc, mustMarshal(counterMap(r.Drops, r.Marks, r.Timeouts, r.Retransmits,
+		r.Completed, r.Failed, r.Injected))...)
+	doc = append(doc, '}')
+	return doc, doc[lo:hi:hi]
+}
+
+// mustMarshal is json.Marshal of a value that always encodes: results hold
+// strings and finite numbers, decoded from JSON or pooled from those.
+func mustMarshal(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(fmt.Sprintf("service: encoding a result: %v", err))
+	}
+	return b
 }
 
 // counterMap renders the seven run counters under their API names.

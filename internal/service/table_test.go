@@ -198,6 +198,15 @@ func TestTableNeverServesChangedBytes(t *testing.T) {
 	})
 }
 
+// tableEntryBytes returns a store entry whose payload is a cell result with n
+// records, and that payload. The table reads only the payload, so the
+// header line is a stand-in.
+func tableEntryBytes(t *testing.T, seed int64, n int) (entry, payload []byte) {
+	t.Helper()
+	entry = append([]byte("{}\n"), tablePayload(t, seed, n)...)
+	return entry, entry[3:]
+}
+
 // tablePayload encodes a cell result with n records.
 func tablePayload(t *testing.T, seed int64, n int) []byte {
 	t.Helper()
@@ -219,8 +228,19 @@ func tablePayload(t *testing.T, seed int64, n int) []byte {
 // least recently used entries first and never holds more than the budget;
 // an entry larger than the whole budget is decoded but not admitted.
 func TestTableEvictsLeastRecentlyUsed(t *testing.T) {
-	payload := tablePayload(t, 1, 100)
-	one := int64(len("k0")+cap(payload)+100*24) + entryOverhead
+	entries := make([][]byte, 5)
+	payloads := make([][]byte, 5)
+	for i := range payloads {
+		entries[i], payloads[i] = tableEntryBytes(t, int64(i), 100)
+	}
+	sizer := newTable(1 << 30)
+	if _, _, err := sizer.Decode("k0", entries[0], payloads[0]); err != nil {
+		t.Fatal(err)
+	}
+	one := sizer.bytes // each of the five is charged as much
+	if min := int64(len("k0")+len(entries[0])+100*24) + entryOverhead; one < min {
+		t.Fatalf("an entry is charged %d bytes, less than its key, store entry and records (%d)", one, min)
+	}
 	tb := newTable(3*one + one/2) // room for three entries
 	held := func() []string {
 		var keys []string
@@ -229,9 +249,9 @@ func TestTableEvictsLeastRecentlyUsed(t *testing.T) {
 		}
 		return keys
 	}
-	decode := func(key string, payload []byte) uint64 {
+	decode := func(key string, entry, payload []byte) uint64 {
 		t.Helper()
-		_, id, err := tb.Decode(key, payload)
+		_, id, err := tb.Decode(key, entry, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,19 +261,15 @@ func TestTableEvictsLeastRecentlyUsed(t *testing.T) {
 		return id
 	}
 
-	payloads := make([][]byte, 5)
-	for i := range payloads {
-		payloads[i] = tablePayload(t, int64(i), 100)
-	}
 	for i := range 3 {
-		decode(fmt.Sprint("k", i), payloads[i])
+		decode(fmt.Sprint("k", i), entries[i], payloads[i])
 	}
-	decode("k0", payloads[0]) // k0 is now the most recently used
-	decode("k3", payloads[3])
+	decode("k0", entries[0], payloads[0]) // k0 is now the most recently used
+	decode("k3", entries[3], payloads[3])
 	if got := fmt.Sprint(held()); got != "[k3 k0 k2]" {
 		t.Errorf("held %s, want [k3 k0 k2] (k1 least recently used)", got)
 	}
-	decode("k4", payloads[4])
+	decode("k4", entries[4], payloads[4])
 	if got := fmt.Sprint(held()); got != "[k4 k3 k0]" {
 		t.Errorf("held %s, want [k4 k3 k0]", got)
 	}
@@ -261,8 +277,8 @@ func TestTableEvictsLeastRecentlyUsed(t *testing.T) {
 		t.Errorf("decoded %d payloads, want 5 (k0 once)", d)
 	}
 
-	big := tablePayload(t, 9, 1000)
-	if id := decode("big", big); id != 0 {
+	bigEntry, big := tableEntryBytes(t, 9, 1000)
+	if id := decode("big", bigEntry, big); id != 0 {
 		t.Errorf("an entry above the budget was admitted as %d", id)
 	}
 	if got := fmt.Sprint(held()); got != "[k4 k3 k0]" {
@@ -321,5 +337,46 @@ func TestConcurrentIdenticalSubmissions(t *testing.T) {
 	defer srv.table.mu.Unlock()
 	if cells := len(srv.table.byKey); cells > 4+2 {
 		t.Errorf("table holds %d entries, want at most 4 cells and 2 loads", cells)
+	}
+}
+
+// TestSweepSurvivesCacheIOErrors: a cell whose store entry can be neither
+// read nor written (a regular file stands where its shard directory
+// belongs) is computed and served uncached, the sweep finishes done with
+// the results of a daemon whose store works, and /v1/cache/stats counts a
+// failed read and a failed write for each such cell of each sweep.
+func TestSweepSurvivesCacheIOErrors(t *testing.T) {
+	srv, base := newTestDaemon(t, Config{Parallel: 2})
+	keys := cellKeys(t)
+	shard := keys[0][:2]
+	if err := os.WriteFile(filepath.Join(srv.cfg.Store.Dir(), shard), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	blocked := 0
+	for _, k := range keys {
+		if k[:2] == shard {
+			blocked++
+		}
+	}
+	first := runSweep(t, base, tableSpec)
+	again := runSweep(t, base, tableSpec)
+	if cellCached(t, base, again, 0) {
+		t.Error("a cell whose entry cannot be stored was reported cached")
+	}
+	var st struct {
+		Errors int64 `json:"cache_errors"`
+		Puts   int64 `json:"puts"`
+	}
+	getJSON(t, base+"/v1/cache/stats", &st)
+	if st.Errors != int64(4*blocked) || st.Puts != int64(len(keys)-blocked) {
+		t.Errorf("cache_errors %d, puts %d; want %d and %d", st.Errors, st.Puts, 4*blocked, len(keys)-blocked)
+	}
+
+	_, ref := newTestDaemon(t, Config{Parallel: 2})
+	want := resultsOf(t, ref, runSweep(t, ref, tableSpec), false)
+	for _, id := range []string{first, again} {
+		if got := resultsOf(t, base, id, false); !bytes.Equal(got, want) {
+			t.Errorf("%s: results differ from a working store's:\n%s\n%s", id, got, want)
+		}
 	}
 }
