@@ -23,9 +23,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,9 +62,9 @@ func main() {
 		faultsPath = flag.String("faults", "",
 			"inject topology faults from this JSON schedule (link flaps, switch\nfailures, degrades — see internal/fault and DESIGN.md)")
 		specPath = flag.String("spec", "",
-			"run a JSON sweep spec instead of the flag-built single config — the\nsame schema ecnsharpd accepts (see docs/API.md); ignores the scheme/\nworkload/topology flags")
+			"run a JSON sweep spec instead of the flag-built single config — the\nsame schema ecnsharpd accepts (see docs/API.md); combines only with\n-parallel, -timeout, -progress and -trace")
 		tunePath = flag.String("tune", "",
-			"run a JSON tune spec: search AQM parameters over the spec's sweep\ngrid (same schema ecnsharpd's POST /v1/tune accepts; see docs/API.md\nand DESIGN.md); ignores the scheme/workload/topology flags")
+			"run a JSON tune spec: search AQM parameters over the spec's sweep\ngrid (same schema ecnsharpd's POST /v1/tune accepts; see docs/API.md\nand DESIGN.md); combines only with -tune-out, -tune-cache, -parallel,\n-timeout and -progress")
 		tuneOut = flag.String("tune-out", "",
 			"with -tune: write the full TuneResult JSON document to this file")
 		tuneCache = flag.String("tune-cache", "",
@@ -79,6 +79,30 @@ func main() {
 			"print the run's report (windows, per-domain events, handoff messages and drains; summed over -seeds) as one JSON line on stderr")
 	)
 	flag.Parse()
+
+	// Each path reads only some flags; one set explicitly that the chosen
+	// path would not read is a usage error, not a silent no-op. The flag
+	// path reads every flag but the four that only -spec or -tune read.
+	path, reads := "flag", map[string][]string{
+		"-spec": {"spec", "parallel", "timeout", "progress", "trace"},
+		"-tune": {"tune", "tune-out", "tune-cache", "parallel", "timeout", "progress"},
+	}
+	flag.VisitAll(func(f *flag.Flag) {
+		if !slices.Contains([]string{"spec", "tune", "tune-out", "tune-cache"}, f.Name) {
+			reads["flag"] = append(reads["flag"], f.Name)
+		}
+	})
+	switch {
+	case *specPath != "":
+		path = "-spec"
+	case *tunePath != "":
+		path = "-tune"
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if !slices.Contains(reads[path], f.Name) {
+			fail(2, fmt.Errorf("-%s is not read by the %s path", f.Name, path))
+		}
+	})
 
 	if *specPath != "" {
 		runSpec(*specPath, *parallel, *timeout, *progress, *traceFile)
@@ -133,7 +157,7 @@ func main() {
 		if err != nil {
 			fail(1, err)
 		}
-		cfg.FlowGen = nil
+		cfg.Traffic = experiments.Traffic{}
 		cfg.Flows = specs
 	} else if *saveFlows != "" {
 		// The saved flows replace generation, so they must be the ones the
@@ -141,7 +165,7 @@ func main() {
 		if len(seeds) > 1 {
 			fail(2, fmt.Errorf("-save-flows writes one seed's flows, got %d seeds", len(seeds)))
 		}
-		specs := cfg.FlowGen(rand.New(rand.NewSource(seeds[0] ^ 0x5eed)))
+		specs := cfg.FlowGen(experiments.TrafficRand(seeds[0]))
 		f, err := os.Create(*saveFlows)
 		if err != nil {
 			fail(1, err)
@@ -151,7 +175,7 @@ func main() {
 		}
 		f.Close()
 		fmt.Printf("flows written to %s (%d flows)\n", *saveFlows, len(specs))
-		cfg.FlowGen = nil
+		cfg.Traffic = experiments.Traffic{}
 		cfg.Flows = specs
 	}
 

@@ -164,8 +164,13 @@ func TestSaveFlowsChangesNothing(t *testing.T) {
 
 // TestBadFlagsAreUsageErrors: a value the spec layer rejects is a one-line
 // "ecnsim: <message>" on stderr and exit 2 — the message -spec gives for
-// the same value — never a panic trace from inside a worker.
+// the same value — never a panic trace from inside a worker. So is a flag
+// set explicitly that the chosen path would not read.
 func TestBadFlagsAreUsageErrors(t *testing.T) {
+	valid := filepath.Join(t.TempDir(), "ok.json")
+	if err := os.WriteFile(valid, []byte(`{"loads":[0.6],"flows":20,"seeds":[1]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		args []string
 		spec string // the same bad value as a sweep spec
@@ -189,7 +194,21 @@ func TestBadFlagsAreUsageErrors(t *testing.T) {
 		// only a spec document defaults it.
 		{[]string{"-flows", "0"}, "", "flows must be positive (got 0)"},
 		{[]string{"-rtt-min", "0"}, "", "rtt_min_us must be positive (got 0)"},
+		// Flags the chosen path does not read; SPEC names a valid sweep spec.
+		{[]string{"-spec", "SPEC", "-faults", "/nonexistent.json", "-replay", "/nonexistent.csv", "-report", "-seeds", "1,2,3"},
+			"", "-faults is not read by the -spec path"},
+		{[]string{"-spec", "SPEC", "-seeds", "1,2,3"}, "", "-seeds is not read by the -spec path"},
+		{[]string{"-spec", "SPEC", "-report"}, "", "-report is not read by the -spec path"},
+		{[]string{"-spec", "SPEC", "-tune", "tune.json"}, "", "-tune is not read by the -spec path"},
+		{[]string{"-tune", "tune.json", "-load", "0.5"}, "", "-load is not read by the -tune path"},
+		{[]string{"-tune-out", "out.json"}, "", "-tune-out is not read by the flag path"},
+		{[]string{"-tune-cache", "cache"}, "", "-tune-cache is not read by the flag path"},
 	} {
+		for i, a := range tc.args {
+			if a == "SPEC" {
+				tc.args[i] = valid
+			}
+		}
 		_, stderr, code := ecnsim(t, tc.args...)
 		if code != 2 {
 			t.Errorf("%v: exit %d, want 2", tc.args, code)

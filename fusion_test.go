@@ -13,11 +13,13 @@ var fusedOp = regexp.MustCompile(`\bF(N?)M(ADD|SUB)D\b`)
 
 // noFusionPackages are the packages kept free of fused multiply-adds, each
 // with one function whose listing must appear: internal/transport's
-// congestion control and internal/dist's samplers, which draw every flow
-// size and base RTT.
+// congestion control, internal/dist's samplers, which draw every flow
+// size and base RTT, and internal/experiments, whose traffic generator
+// times fig13's probes and whose tables report Jain's index.
 var noFusionPackages = []struct{ dir, listed string }{
 	{"./internal/transport/", "transport.(*Sender).onAck STEXT"},
 	{"./internal/dist/", "dist.LogNormal.Sample STEXT"},
+	{"./internal/experiments/", "experiments.RunConfig.FlowGen STEXT"},
 }
 
 // TestNoFusedMultiplyAdd compiles each package for arm64 and fails on any

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"math/rand"
 	"strconv"
 
 	"ecnsharp/internal/fault"
 	"ecnsharp/internal/sim"
-	"ecnsharp/internal/topology"
 	"ecnsharp/internal/transport"
 	"ecnsharp/internal/workload"
 )
@@ -49,23 +47,6 @@ func churnCell(seed int64, scheme Scheme) RunConfig {
 func churnSchemes() []Scheme {
 	s := TestbedSchemes()
 	return []Scheme{s[0], s[3]}
-}
-
-// websearchFlows generates the background load shared by the flap and
-// maintenance scenarios: Poisson web-search arrivals over random pairs at
-// moderate load.
-func websearchFlows(count int) func(rng *rand.Rand) []workload.FlowSpec {
-	hosts := hostRange(16)
-	return func(rng *rand.Rand) []workload.FlowSpec {
-		return workload.PoissonFlows(rng, workload.PoissonConfig{
-			SizeDist:    workload.WebSearchCDF,
-			Load:        0.4,
-			CapacityBps: topology.TenGbps,
-			RefLinks:    16,
-			Pairs:       workload.RandomPairs(hosts),
-			FlowCount:   count,
-		})
-	}
 }
 
 // FlapSchedule is the churn-flap fault plan: one spine uplink
@@ -112,30 +93,36 @@ func MaintenanceSchedule() *fault.Schedule {
 // schedule.
 type churnScenario struct {
 	id, title string
-	flowGen   func(rng *rand.Rand) []workload.FlowSpec
+	flows     []workload.FlowSpec
+	traffic   Traffic
 	faults    *fault.Schedule
 }
 
+// cfg is the scenario's run under scheme on the shared cell, healthy until
+// its faults are set.
+func (s churnScenario) cfg(seed int64, scheme Scheme) RunConfig {
+	cfg := churnCell(seed, scheme)
+	cfg.Flows, cfg.Traffic = s.flows, s.traffic
+	return cfg
+}
+
 func flapScenario() churnScenario {
-	websearch := websearchFlows(80)
 	return churnScenario{
 		id:    "churn-flap",
 		title: "Churn: flapping spine uplink under web-search load",
-		flowGen: func(rng *rand.Rand) []workload.FlowSpec {
-			// Long flows pinned through leaf0 in both directions: the
-			// web-search load alone leaves the fabric idle enough that a
-			// 40 µs outage rarely catches a packet in flight, but these
-			// keep windows outstanding across every flap, so the outages
-			// visibly cost drops and retransmissions.
-			flows := []workload.FlowSpec{
-				{Src: 0, Dst: 4, Size: 1_000_000, Start: 0},
-				{Src: 5, Dst: 1, Size: 1_000_000, Start: 0},
-				{Src: 2, Dst: 12, Size: 1_000_000, Start: 0},
-				{Src: 13, Dst: 3, Size: 1_000_000, Start: 0},
-			}
-			return append(flows, websearch(rng)...)
+		// Long flows pinned through leaf0 in both directions: the
+		// web-search load alone leaves the fabric idle enough that a 40 µs
+		// outage rarely catches a packet in flight, but these keep windows
+		// outstanding across every flap, so the outages visibly cost drops
+		// and retransmissions.
+		flows: []workload.FlowSpec{
+			{Src: 0, Dst: 4, Size: 1_000_000, Start: 0},
+			{Src: 5, Dst: 1, Size: 1_000_000, Start: 0},
+			{Src: 2, Dst: 12, Size: 1_000_000, Start: 0},
+			{Src: 13, Dst: 3, Size: 1_000_000, Start: 0},
 		},
-		faults: FlapSchedule(),
+		traffic: Traffic{Poisson: Poisson{Workload: workload.WebSearch, Load: 0.4, Count: 80}},
+		faults:  FlapSchedule(),
 	}
 }
 
@@ -143,26 +130,15 @@ func incastScenario() churnScenario {
 	return churnScenario{
 		id:    "churn-incast",
 		title: "Churn: leaf failure mid-incast",
-		flowGen: func(rng *rand.Rand) []workload.FlowSpec {
-			// Two cross-fabric background flows plus a 12-way incast into
-			// host 0; four of the responders sit on leaf2, which dies while
-			// their responses are in flight.
-			flows := []workload.FlowSpec{
-				{Src: 1, Dst: 8, Size: 1_000_000, Start: 0},
-				{Src: 12, Dst: 5, Size: 1_000_000, Start: 5 * sim.Microsecond},
-			}
-			senders := make([]int, 0, 12)
-			for h := 4; h < 16; h++ {
-				senders = append(senders, h)
-			}
-			return append(flows, workload.QueryFlows(rng, workload.QueryConfig{
-				Senders:  senders,
-				Receiver: 0,
-				At:       10 * sim.Microsecond,
-				MinBytes: 3_000,
-				MaxBytes: 60_000,
-			})...)
+		// Two cross-fabric background flows plus a 12-way incast into host
+		// 0; four of the responders sit on leaf2, which dies while their
+		// responses are in flight.
+		flows: []workload.FlowSpec{
+			{Src: 1, Dst: 8, Size: 1_000_000, Start: 0},
+			{Src: 12, Dst: 5, Size: 1_000_000, Start: 5 * sim.Microsecond},
 		},
+		traffic: Traffic{Query: workload.QueryConfig{Senders: hostRange(16)[4:], Receiver: 0,
+			At: 10 * sim.Microsecond, MinBytes: 3_000, MaxBytes: 60_000}},
 		faults: IncastFailSchedule(),
 	}
 }
@@ -171,7 +147,7 @@ func maintScenario() churnScenario {
 	return churnScenario{
 		id:      "churn-maint",
 		title:   "Churn: rolling spine maintenance under web-search load",
-		flowGen: websearchFlows(120),
+		traffic: Traffic{Poisson: Poisson{Workload: workload.WebSearch, Load: 0.4, Count: 120}},
 		faults:  MaintenanceSchedule(),
 	}
 }
@@ -181,8 +157,7 @@ func maintScenario() churnScenario {
 func runChurnScenario(sc Scale, s churnScenario) *Table {
 	schemes := churnSchemes()
 	g := newGrid(axis(schemes, schemeLabel), []string{"healthy", "churn"}, func(r, c int) RunConfig {
-		cfg := churnCell(sc.Seeds[0], schemes[r])
-		cfg.FlowGen = s.flowGen
+		cfg := s.cfg(sc.Seeds[0], schemes[r])
 		if c == 1 {
 			cfg.Faults = s.faults
 		}

@@ -27,8 +27,7 @@ import (
 func TestChurnScenariosComplete(t *testing.T) {
 	for _, s := range []churnScenario{flapScenario(), incastScenario(), maintScenario()} {
 		for _, scheme := range churnSchemes() {
-			cfg := churnCell(1, scheme)
-			cfg.FlowGen = s.flowGen
+			cfg := s.cfg(1, scheme)
 			cfg.Faults = s.faults
 			r := Run(cfg)
 			if r.Completed != r.Injected || r.Failed != 0 {
@@ -91,9 +90,8 @@ func TestShardedChurnFlapByteIdentical(t *testing.T) {
 	render := func(shards int) (string, string) {
 		var buf bytes.Buffer
 		jw := trace.NewJSONLWriter(&buf)
-		cfg := churnCell(1, TestbedSchemes()[3])
+		cfg := s.cfg(1, TestbedSchemes()[3])
 		cfg.Shards = shards
-		cfg.FlowGen = s.flowGen
 		cfg.Faults = s.faults
 		cfg.NewTracer = func(context.Context, int64) trace.Tracer { return jw }
 		res := Run(cfg)
@@ -169,7 +167,7 @@ func TestChurnKillEveryPath(t *testing.T) {
 func TestChurnDegradeBelowLookaheadRejected(t *testing.T) {
 	cfg := churnCell(1, TestbedSchemes()[3])
 	cfg.Shards = 2
-	cfg.FlowGen = websearchFlows(4)
+	cfg.Traffic.Poisson = Poisson{Workload: workload.WebSearch, Load: 0.4, Count: 4}
 	cfg.Faults = &fault.Schedule{Events: []fault.Event{
 		{AtUS: 10, Action: fault.Degrade, Link: "leaf0-spine1", PropDelayUS: 0.5},
 	}}

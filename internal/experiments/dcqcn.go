@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"ecnsharp/internal/core"
@@ -30,14 +29,14 @@ func DCQCNExtension(sc Scale) *Table {
 		Columns: []string{"marking", "goodput sum(Gbps)", "jain fairness",
 			"avg queue(pkts)", "drops"},
 	}
-	// The three marking variants are independent; fan them out.
-	res := runJobs(sc, axis(variants, func(v Scheme) string { return "dcqcn " + v.Label }),
-		func(ctx context.Context, i int) (RunResult, error) {
-			return RunContext(ctx, dcqcnCfg(variants[i], sc.Seeds[0]))
-		})
-	for i, r := range res {
+	g := newGrid(axis(variants, schemeLabel), oneCol, func(r, _ int) RunConfig {
+		return dcqcnCfg(variants[r])
+	})
+	runGrids(sc.firstSeed(), g)
+	for i, label := range g.rows {
+		r := g.first(i, 0)
 		jain, sum := longFlowFairness(r)
-		t.AddRow(variants[i].Label, f2(sum), f3(jain), f1(r.AvgQueuePkts), fmt.Sprintf("%d", r.Drops))
+		t.AddRow(label, f2(sum), f3(jain), f1(r.AvgQueuePkts), fmt.Sprintf("%d", r.Drops))
 	}
 	t.AddNote("DCQCN needs probabilistic marking: cut-off marking synchronizes cuts and wrecks utilization (§3.5)")
 	return t
@@ -71,7 +70,7 @@ func dcqcnSchemes() []Scheme {
 // dcqcnCfg is one closed-loop run under marking scheme s: four DCQCN-lite
 // long flows into host 4 of a 5-host star, the last-hop queue and every
 // flow's goodput sampled each ms over the second 100 ms.
-func dcqcnCfg(s Scheme, seed int64) RunConfig {
+func dcqcnCfg(s Scheme) RunConfig {
 	const half = 100 * sim.Millisecond
 	rate := transport.DefaultDCQCNConfig()
 	tc := transport.DefaultConfig()
@@ -81,7 +80,6 @@ func dcqcnCfg(s Scheme, seed int64) RunConfig {
 		flows[i] = workload.LongFlow(i, len(flows), 0)
 	}
 	return RunConfig{
-		Seed:           seed,
 		Topo:           TopoStar,
 		Hosts:          len(flows) + 1,
 		PropDelay:      2 * sim.Microsecond,

@@ -2,7 +2,6 @@ package experiments_test
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ecnsharp/internal/experiments"
 	"ecnsharp/internal/rttvar"
@@ -23,16 +22,11 @@ func Example() {
 			Topo:   experiments.TopoStar,
 			Hosts:  8,
 			Scheme: s,
-			RTT:    &rtt,
-			FlowGen: func(rng *rand.Rand) []workload.FlowSpec {
-				return workload.PoissonFlows(rng, workload.PoissonConfig{
-					SizeDist:    workload.WebSearchCDF,
-					Load:        0.6,
-					CapacityBps: topology.TenGbps,
-					Pairs:       workload.StarPairs([]int{0, 1, 2, 3, 4, 5, 6}, 7),
-					FlowCount:   150,
-				})
-			},
+			RTT:    rtt,
+			// Hosts 0–6 send to host 7.
+			Traffic: experiments.Traffic{Poisson: experiments.Poisson{
+				Workload: workload.WebSearch, Load: 0.6, Count: 150,
+			}},
 		})
 	}
 

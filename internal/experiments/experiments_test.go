@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"ecnsharp/internal/aqm"
-	"ecnsharp/internal/dist"
 	"ecnsharp/internal/metrics"
 	"ecnsharp/internal/rttvar"
 	"ecnsharp/internal/sim"
@@ -69,7 +68,7 @@ func TestSchemeFactories(t *testing.T) {
 }
 
 // starRun executes one testbed configuration pooled over seeds.
-func starRun(scheme Scheme, wl *dist.EmpiricalCDF, load float64,
+func starRun(scheme Scheme, wl string, load float64,
 	rtt rttvar.RTTDistribution, sc Scale) RunResult {
 	return RunSeeds(sc, starCfg(scheme, wl, load, rtt, sc))
 }
@@ -212,8 +211,8 @@ func TestECNSharpBeatsTailForShortFlows(t *testing.T) {
 	sc.FlowCount = 250
 	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
 	schemes := TestbedSchemes()
-	tail := starRun(schemes[0], workload.WebSearchCDF, 0.6, rtt, sc)
-	sharp := starRun(schemes[3], workload.WebSearchCDF, 0.6, rtt, sc)
+	tail := starRun(schemes[0], workload.WebSearch, 0.6, rtt, sc)
+	sharp := starRun(schemes[3], workload.WebSearch, 0.6, rtt, sc)
 
 	if sharp.Stats.ShortAvg >= tail.Stats.ShortAvg {
 		t.Errorf("ECN# short avg %.1f not below Tail %.1f",
@@ -237,8 +236,8 @@ func TestREDAvgHurtsLargeFlows(t *testing.T) {
 	sc.FlowCount = 250
 	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
 	schemes := TestbedSchemes()
-	tail := starRun(schemes[0], workload.WebSearchCDF, 0.6, rtt, sc)
-	avg := starRun(schemes[1], workload.WebSearchCDF, 0.6, rtt, sc)
+	tail := starRun(schemes[0], workload.WebSearch, 0.6, rtt, sc)
+	avg := starRun(schemes[1], workload.WebSearch, 0.6, rtt, sc)
 	if avg.Stats.LargeAvg <= tail.Stats.LargeAvg {
 		t.Errorf("RED-AVG large avg %.1f not above Tail %.1f",
 			avg.Stats.LargeAvg, tail.Stats.LargeAvg)
@@ -331,8 +330,8 @@ func TestRunDeterminism(t *testing.T) {
 	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
 	sc := SmokeScale()
 	sc.FlowCount = 100
-	a := starRun(TestbedSchemes()[3], workload.WebSearchCDF, 0.5, rtt, sc)
-	b := starRun(TestbedSchemes()[3], workload.WebSearchCDF, 0.5, rtt, sc)
+	a := starRun(TestbedSchemes()[3], workload.WebSearch, 0.5, rtt, sc)
+	b := starRun(TestbedSchemes()[3], workload.WebSearch, 0.5, rtt, sc)
 	if a.Stats != b.Stats {
 		t.Errorf("non-deterministic results:\n%+v\n%+v", a.Stats, b.Stats)
 	}
@@ -348,8 +347,8 @@ func TestAverageSeedsAggregates(t *testing.T) {
 		Topo:    TopoStar,
 		Hosts:   TestbedHosts,
 		Scheme:  TestbedSchemes()[0],
-		RTT:     &rtt,
-		FlowGen: shapeCfg(TopoStar, workload.WebSearchCDF, 0.4, 80).FlowGen,
+		RTT:     rtt,
+		Traffic: Traffic{Poisson: Poisson{Workload: workload.WebSearch, Load: 0.4, Count: 80}},
 	}
 	r := RunSeeds(Scale{Seeds: []int64{1, 2}}, cfg)
 	if r.Injected != 160 {
@@ -370,7 +369,7 @@ func TestGridResultsCarryNoNet(t *testing.T) {
 	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
 	sc := Scale{Seeds: []int64{1, 2}, FlowCount: 20}
 	g := newGrid([]string{"a", "b"}, oneCol, func(int, int) RunConfig {
-		return starCfg(TestbedSchemes()[3], workload.WebSearchCDF, 0.5, rtt, sc)
+		return starCfg(TestbedSchemes()[3], workload.WebSearch, 0.5, rtt, sc)
 	})
 	runGrids(sc, g)
 	for i, r := range g.res {
@@ -395,7 +394,7 @@ func TestRunFlowsCompleteAndConserve(t *testing.T) {
 	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
 	sc := SmokeScale()
 	sc.FlowCount = 150
-	r := starRun(TestbedSchemes()[3], workload.WebSearchCDF, 0.7, rtt, sc)
+	r := starRun(TestbedSchemes()[3], workload.WebSearch, 0.7, rtt, sc)
 	if r.Completed != r.Injected {
 		t.Errorf("completed %d/%d flows", r.Completed, r.Injected)
 	}
@@ -405,11 +404,6 @@ func TestRunFlowsCompleteAndConserve(t *testing.T) {
 }
 
 func TestLeafSpineRunSmoke(t *testing.T) {
-	rtt := LeafSpineRTT()
-	hosts := make([]int, 128)
-	for i := range hosts {
-		hosts[i] = i
-	}
 	cfg := RunConfig{
 		Seed:         1,
 		Topo:         TopoLeafSpine,
@@ -417,18 +411,9 @@ func TestLeafSpineRunSmoke(t *testing.T) {
 		Leaves:       8,
 		HostsPerLeaf: 16,
 		Scheme:       SimECNSharp(),
-		RTT:          &rtt,
+		RTT:          LeafSpineRTT(),
 		Transport:    SimTransport(),
-		FlowGen: func(rng *rand.Rand) []workload.FlowSpec {
-			return workload.PoissonFlows(rng, workload.PoissonConfig{
-				SizeDist:    workload.WebSearchCDF,
-				Load:        0.4,
-				CapacityBps: topology.TenGbps,
-				RefLinks:    len(hosts),
-				Pairs:       workload.RandomPairs(hosts),
-				FlowCount:   150,
-			})
-		},
+		Traffic:      Traffic{Poisson: Poisson{Workload: workload.WebSearch, Load: 0.4, Count: 150}},
 	}
 	r := Run(cfg)
 	if r.Completed != 150 {
@@ -694,7 +679,7 @@ func TestParallelDeterminism(t *testing.T) {
 	sc := SmokeScale()
 	sc.FlowCount = 100
 	sc.Seeds = []int64{1, 2}
-	cfg := starCfg(TestbedSchemes()[3], workload.WebSearchCDF, 0.5, rtt, sc)
+	cfg := starCfg(TestbedSchemes()[3], workload.WebSearch, 0.5, rtt, sc)
 
 	serial := sc
 	serial.Parallel = 1
@@ -764,7 +749,9 @@ func TestDCQCNExtensionShape(t *testing.T) {
 // Retransmits — summed over the table's Senders, rate flows included —
 // must be positive.
 func TestDCQCNRunCountsRateSenders(t *testing.T) {
-	r := Run(dcqcnCfg(dcqcnSchemes()[0], SmokeScale().Seeds[0]))
+	cfg := dcqcnCfg(dcqcnSchemes()[0])
+	cfg.Seed = SmokeScale().Seeds[0]
+	r := Run(cfg)
 	if r.Drops != 245 {
 		t.Errorf("cut-off run dropped %d packets, the golden table says 245", r.Drops)
 	}

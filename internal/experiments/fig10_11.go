@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math/rand"
 	"slices"
 	"strconv"
 
@@ -47,63 +46,43 @@ func MicroscopicSchemes() []Scheme {
 	return []Scheme{tail, CoDelScheme(10*sim.Microsecond, 240*sim.Microsecond), SimECNSharp()}
 }
 
-// incastFlowGen produces background data-mining traffic plus one query
-// burst of fanout senders at incastQueryAt.
+// incastCfg builds one incast configuration; the seed is assigned per run.
+// Its traffic is data-mining background plus one query burst of fanout
+// senders at incastQueryAt, the run bounded by a deadline rather than full
+// completion since background flows may extend far past the burst.
 //
 // The background has two parts, standing in for the steady state the
 // paper reaches after 4 s of warm-up: a handful of long-lived flows (the
 // established data-mining elephants, which are what builds the standing
-// queue the microscopic view is about) and a Poisson stream of
+// queue the microscopic view is about) and bgFlows Poisson
 // data-mining-distributed flows truncated at 10 MB (the untruncated tail
 // has 1 GB flows whose arrival is a minutes-scale overload transient that
 // the paper's long run averages out but a 500 ms window cannot).
-func incastFlowGen(fanout, bgFlows int) func(*rand.Rand) []workload.FlowSpec {
-	senders := hostRange(incastSenders)
-	bgDist := workload.DataMiningCDF.Truncated(10_000_000)
-	return func(rng *rand.Rand) []workload.FlowSpec {
-		var flows []workload.FlowSpec
-		// Long-lived elephants from the first four senders.
-		for i := 0; i < 4; i++ {
-			flows = append(flows, workload.LongFlow(i, incastSenders, 0))
-		}
-		if bgFlows > 0 {
-			flows = append(flows, workload.PoissonFlows(rng, workload.PoissonConfig{
-				SizeDist:    bgDist,
-				Load:        incastBackgroundLoad,
-				CapacityBps: topology.TenGbps,
-				Pairs:       workload.StarPairs(senders, incastSenders),
-				FlowCount:   bgFlows,
-			})...)
-		}
-		// The query burst reuses senders round-robin when fanout exceeds
-		// the host count, emulating N concurrent query responders.
-		qsenders := make([]int, fanout)
-		for i := range qsenders {
-			qsenders[i] = senders[i%len(senders)]
-		}
-		flows = append(flows, workload.QueryFlows(rng, workload.QueryConfig{
-			Senders:  qsenders,
-			Receiver: incastSenders,
-			At:       incastQueryAt,
-			MinBytes: 3_000,
-			MaxBytes: 60_000,
-		})...)
-		return flows
-	}
-}
-
-// incastCfg builds one incast configuration; the seed is assigned per run.
-// The run is bounded by a deadline rather than full completion since
-// background flows may extend far past the burst.
 func incastCfg(s Scheme, fanout, bgFlows int, sample bool) RunConfig {
-	rtt := LeafSpineRTT()
+	// Long-lived elephants from the first four senders.
+	elephants := make([]workload.FlowSpec, 4)
+	for i := range elephants {
+		elephants[i] = workload.LongFlow(i, incastSenders, 0)
+	}
+	// The query burst reuses senders round-robin when fanout exceeds the
+	// host count, emulating N concurrent query responders.
+	responders := make([]int, fanout)
+	for i := range responders {
+		responders[i] = i % incastSenders
+	}
 	cfg := RunConfig{
 		Topo:      TopoStar,
 		Hosts:     incastHosts,
 		Scheme:    s,
-		RTT:       &rtt,
+		RTT:       LeafSpineRTT(),
 		Transport: SimTransport(),
-		FlowGen:   incastFlowGen(fanout, bgFlows),
+		Flows:     elephants,
+		Traffic: Traffic{
+			Poisson: Poisson{Workload: workload.DataMining, MaxBytes: 10_000_000,
+				Load: incastBackgroundLoad, Count: bgFlows},
+			Query: workload.QueryConfig{Senders: responders, Receiver: incastSenders,
+				At: incastQueryAt, MinBytes: 3_000, MaxBytes: 60_000},
+		},
 		// Generous runway for query retransmissions after the burst.
 		Deadline: incastQueryAt + 300*sim.Millisecond,
 	}
@@ -248,17 +227,13 @@ func Fig12(sc Scale) []*Table {
 	// sweep is the settings × workloads grid of one parameter axis.
 	sweep := func(settings []sim.Time, set func(p *core.Params, v sim.Time)) *grid {
 		return newGrid(axis(settings, micros), workloads, func(r, c int) RunConfig {
-			cdf, err := workload.ByName(workloads[c])
-			if err != nil {
-				panic(err)
-			}
 			scale := sc
 			if workloads[c] == workload.DataMining && sc.HeavyFlowCount > 0 {
 				scale.FlowCount = sc.HeavyFlowCount
 			}
 			p := base
 			set(&p, settings[r])
-			return starCfg(ECNSharpScheme(p), cdf, 0.5, rtt, scale)
+			return starCfg(ECNSharpScheme(p), workloads[c], 0.5, rtt, scale)
 		})
 	}
 	intervals := sweep([]sim.Time{100 * sim.Microsecond, 150 * sim.Microsecond,

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 
 	"ecnsharp/internal/asciiplot"
 	"ecnsharp/internal/dist"
@@ -19,8 +17,9 @@ import (
 // queueing delay across all classes. ECN♯ must preserve the 2:1:1 goodput
 // split while beating TCN on short-flow FCT.
 const (
-	dwrrPhase    = 50 * sim.Millisecond // time between long-flow starts
-	dwrrDeadline = 3 * dwrrPhase        // measurement horizon
+	dwrrPhase     = 50 * sim.Millisecond // time between long-flow starts
+	dwrrDeadline  = 3 * dwrrPhase        // measurement horizon
+	dwrrProbeFrom = 3                    // first probe sender; 0–2 carry the long flows
 )
 
 // Fig13Result carries the structured outcome for tests.
@@ -40,40 +39,21 @@ type Fig13Result struct {
 // carry one long flow in their own class, started one phase apart; short
 // probes (uniform 3–60 KB, random class, Poisson at light load so they
 // sample delay without disturbing the shares) come from senders 3–6.
-func fig13Cfg(s Scheme, seed int64, probes int) RunConfig {
+func fig13Cfg(s Scheme, probes int) RunConfig {
 	const receiver = TestbedHosts - 1
-	rtt := LeafSpineRTT()
+	flows := make([]workload.FlowSpec, 3)
+	for i := range flows {
+		flows[i] = workload.LongFlow(i, receiver, sim.Time(i)*dwrrPhase)
+		flows[i].Class = i
+	}
 	return RunConfig{
-		Seed:    seed,
-		Topo:    TopoStar,
-		Hosts:   TestbedHosts,
-		Weights: []int{2, 1, 1},
-		Scheme:  s,
-		RTT:     &rtt,
-		FlowGen: func(rng *rand.Rand) []workload.FlowSpec {
-			var flows []workload.FlowSpec
-			for i := 0; i < 3; i++ {
-				f := workload.LongFlow(i, receiver, sim.Time(i)*dwrrPhase)
-				f.Class = i
-				flows = append(flows, f)
-			}
-			start := sim.Time(0)
-			gap := float64(dwrrDeadline) / float64(probes+1)
-			for k := 0; k < probes; k++ {
-				start += sim.Time(gap * (0.5 + rng.Float64()))
-				if start >= dwrrDeadline-5*sim.Millisecond {
-					break
-				}
-				flows = append(flows, workload.FlowSpec{
-					Size:  3_000 + rng.Int63n(57_001),
-					Src:   3 + rng.Intn(4),
-					Dst:   receiver,
-					Start: start,
-					Class: rng.Intn(3),
-				})
-			}
-			return flows
-		},
+		Topo:           TopoStar,
+		Hosts:          TestbedHosts,
+		Weights:        []int{2, 1, 1},
+		Scheme:         s,
+		RTT:            LeafSpineRTT(),
+		Flows:          flows,
+		Traffic:        Traffic{Probes: probes},
 		SampleQueueOf:  receiver,
 		SampleEnd:      dwrrDeadline,
 		SampleInterval: 5 * sim.Millisecond,
@@ -81,12 +61,8 @@ func fig13Cfg(s Scheme, seed int64, probes int) RunConfig {
 	}
 }
 
-// runFig13 executes the DWRR scenario under the given scheme.
-func runFig13(ctx context.Context, s Scheme, seed int64, probes int) (Fig13Result, error) {
-	r, err := RunContext(ctx, fig13Cfg(s, seed, probes))
-	if err != nil {
-		return Fig13Result{}, err
-	}
+// fig13Result reads the DWRR scenario's outcome off run r.
+func fig13Result(r RunResult) Fig13Result {
 	var res Fig13Result
 	for i := range res.Series {
 		res.Series[i] = r.Goodput[i]
@@ -99,7 +75,7 @@ func runFig13(ctx context.Context, s Scheme, seed int64, probes int) (Fig13Resul
 	}
 	res.ShortAvgFCT = r.Stats.ShortAvg
 	res.ShortFCTs = r.Collector.ShortFCTsMicros()
-	return res, nil
+	return res
 }
 
 // Fig13 reproduces Figure 13: (a) per-flow goodput under ECN♯ with DWRR
@@ -110,17 +86,13 @@ func Fig13(sc Scale) ([]*Table, Fig13Result, Fig13Result) {
 	_, _, sharpScheme := DeriveSchemes(rtt, topology.TenGbps)
 	tcn := TCNScheme(150 * sim.Microsecond)
 
-	probes := sc.FlowCount / 2
-	if probes < 40 {
-		probes = 40
-	}
-	// The two scheme runs are independent; fan them out on the harness.
+	probes := max(sc.FlowCount/2, 40)
 	schemes := []Scheme{sharpScheme, tcn}
-	res := runJobs(sc, axis(schemes, func(s Scheme) string { return "fig13 " + s.Label }),
-		func(ctx context.Context, i int) (Fig13Result, error) {
-			return runFig13(ctx, schemes[i], sc.Seeds[0], probes)
-		})
-	sharp, tcnRes := res[0], res[1]
+	g := newGrid(axis(schemes, schemeLabel), oneCol, func(r, _ int) RunConfig {
+		return fig13Cfg(schemes[r], probes)
+	})
+	runGrids(sc.firstSeed(), g)
+	sharp, tcnRes := fig13Result(g.first(0, 0)), fig13Result(g.first(1, 0))
 
 	ta := &Table{
 		ID:      "fig13a",
@@ -160,7 +132,7 @@ func Fig13(sc Scale) ([]*Table, Fig13Result, Fig13Result) {
 		Columns: []string{"scheme", "avg FCT(us)", "p50(us)", "p90(us)", "p99(us)", "samples"},
 	}
 	var cdfSeries []asciiplot.Series
-	for i, r := range res {
+	for i, r := range []Fig13Result{sharp, tcnRes} {
 		tb.AddRow(schemes[i].Label, f1(r.ShortAvgFCT),
 			f1(dist.Percentile(r.ShortFCTs, 50)),
 			f1(dist.Percentile(r.ShortFCTs, 90)),

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"ecnsharp/internal/core"
-	"ecnsharp/internal/dist"
 	"ecnsharp/internal/rttvar"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/topology"
@@ -17,11 +16,11 @@ const TestbedRTTMin = 70 * sim.Microsecond
 
 // starCfg builds one testbed configuration; the seed is assigned by the
 // harness per run.
-func starCfg(scheme Scheme, wl *dist.EmpiricalCDF, load float64,
+func starCfg(scheme Scheme, wl string, load float64,
 	rtt rttvar.RTTDistribution, sc Scale) RunConfig {
 	cfg := shapeCfg(TopoStar, wl, load, sc.FlowCount)
 	cfg.Scheme = scheme
-	cfg.RTT = &rtt
+	cfg.RTT = rtt
 	return cfg
 }
 
@@ -34,7 +33,7 @@ func Fig2(sc Scale) *Table {
 	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
 	thresholds := []int64{50_000, 100_000, 150_000, 200_000, 250_000}
 	g := newGrid(axis(thresholds, kiloBytes), oneCol, func(r, _ int) RunConfig {
-		return starCfg(REDFixed(thresholds[r]), workload.WebSearchCDF, 0.5, rtt, sc)
+		return starCfg(REDFixed(thresholds[r]), workload.WebSearch, 0.5, rtt, sc)
 	})
 	runGrids(sc, g)
 
@@ -75,7 +74,7 @@ func Fig3(sc Scale) *Table {
 		ks[i][1] = core.ThresholdBytes(core.LambdaECNTCP, topology.TenGbps, rtts[i].Percentile(90))
 	}
 	g := newGrid(axis(variations, f1), []string{"AVG", "Tail"}, func(r, c int) RunConfig {
-		return starCfg(REDFixed(ks[r][c]), workload.WebSearchCDF, 0.5, rtts[r], sc)
+		return starCfg(REDFixed(ks[r][c]), workload.WebSearch, 0.5, rtts[r], sc)
 	})
 	runGrids(sc, g)
 

@@ -57,7 +57,7 @@ func Fig6(sc Scale) []*Table {
 	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
 	return fctSweep("fig6", "[Testbed] web search FCT", TestbedSchemes(), sc.Loads, sc,
 		func(s Scheme, load float64) RunConfig {
-			return starCfg(s, workload.WebSearchCDF, load, rtt, sc)
+			return starCfg(s, workload.WebSearch, load, rtt, sc)
 		})
 }
 
@@ -70,7 +70,7 @@ func Fig7(sc Scale) []*Table {
 	}
 	return fctSweep("fig7", "[Testbed] data mining FCT", TestbedSchemes(), sc.Loads, sc,
 		func(s Scheme, load float64) RunConfig {
-			return starCfg(s, workload.DataMiningCDF, load, rtt, heavy)
+			return starCfg(s, workload.DataMining, load, rtt, heavy)
 		})
 }
 
@@ -91,7 +91,7 @@ func Fig8(sc Scale) []*Table {
 		return newGrid(axis(sc.Loads, percent),
 			axis(variations, func(v float64) string { return fmt.Sprintf("NFCT %gx", v) }),
 			func(r, c int) RunConfig {
-				return starCfg(schemes[c], workload.WebSearchCDF, sc.Loads[r], rtts[c], sc)
+				return starCfg(schemes[c], workload.WebSearch, sc.Loads[r], rtts[c], sc)
 			})
 	}
 	tail, sharp := schemeGrid(tails), schemeGrid(sharps)
@@ -149,9 +149,9 @@ func Fig9(sc Scale) []*Table {
 	tables := fctSweep("fig9", "[Simulation] 128-host leaf-spine, web search FCT",
 		schemes, sc.Loads, sc,
 		func(s Scheme, load float64) RunConfig {
-			cfg := shapeCfg(TopoLeafSpine, workload.WebSearchCDF, load, sc.LeafSpineFlowCount)
+			cfg := shapeCfg(TopoLeafSpine, workload.WebSearch, load, sc.LeafSpineFlowCount)
 			cfg.Scheme = s
-			cfg.RTT = &rtt
+			cfg.RTT = rtt
 			return cfg
 		})
 	// The paper's Figure 9 shows (a) overall avg and (b) short avg.

@@ -1,35 +1,6 @@
 package experiments
 
-import (
-	"context"
-	"fmt"
-	"strings"
-
-	"ecnsharp/internal/harness"
-)
-
-// runJobs is the one job loop of the figure layer: it runs one job per label
-// on the worker pool sc describes (so -parallel, -timeout and -progress
-// apply) and returns the values in submission order. A failed job (per-run
-// timeout, or a panic on a worker goroutine) aborts with a panic naming the
-// run.
-func runJobs[T any](sc Scale, labels []string, run func(ctx context.Context, i int) (T, error)) []T {
-	jobs := make([]harness.Job, len(labels))
-	for i, label := range labels {
-		jobs[i] = harness.Job{Label: label, Run: func(ctx context.Context) (any, error) {
-			return run(ctx, i)
-		}}
-	}
-	res, _ := harness.Execute(context.Background(), jobs, sc.harnessOptions())
-	out := make([]T, len(res))
-	for i, r := range res {
-		if r.Err != nil {
-			panic(fmt.Sprintf("experiments: %s: %v", r.Label, r.Err))
-		}
-		out[i] = r.Value.(T)
-	}
-	return out
-}
+import "strings"
 
 // grid is what every simulated figure is: rows × cols run configurations,
 // each pooled over the scale's seeds and addressed by (row, col). The labels
@@ -62,7 +33,7 @@ func newGrid(rows, cols []string, mk func(r, c int) RunConfig) *grid {
 	return g
 }
 
-// runGrids executes every point of the given grids as one RunAll batch, so a
+// runGrids executes every point of the given grids as one runAll batch, so a
 // figure made of several grids still fills the worker pool once.
 func runGrids(sc Scale, grids ...*grid) {
 	var cfgs []RunConfig
@@ -79,6 +50,10 @@ func runGrids(sc Scale, grids ...*grid) {
 
 // at returns the seed-pooled result of grid point (r, c).
 func (g *grid) at(r, c int) RunResult { return g.res[r*len(g.cols)+c] }
+
+// first returns the unpooled first-seed run of grid point (r, c): what a
+// single-seed view reads, goodput series included (MergeRuns pools none).
+func (g *grid) first(r, c int) RunResult { return g.at(r, c).PerSeed[0] }
 
 // axis formats the values along one grid axis into its labels.
 func axis[T any](xs []T, f func(T) string) []string {

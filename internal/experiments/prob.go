@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"ecnsharp/internal/core"
@@ -38,66 +37,52 @@ func ProbExtension(sc Scale) *Table {
 		{Kind: SchemeECNSharpProb, Label: "ECN# (probabilistic)", Params: base,
 			Ramp: Ramp{TMin: base.InsTarget / 2, Pmax: 0.8}},
 	}
-	// Each variant runs its incast and fairness checks as one harness job.
-	type probResult struct {
-		standing float64
-		drops    int64
-		qp99     float64
-		jain     float64
-		sum      float64
-	}
-	res := runJobs(sc, axis(variants, func(v Scheme) string { return "prob " + v.Label }),
-		func(ctx context.Context, i int) (probResult, error) {
-			incast, err := probIncast(ctx, variants[i], sc)
-			if err != nil {
-				return probResult{}, err
-			}
-			jain, sum, err := probFairness(ctx, variants[i])
-			return probResult{incast.AvgQueuePkts, incast.Drops, incast.Stats.QueryP99, jain, sum}, err
-		})
-	for i, o := range res {
-		t.AddRow(variants[i].Label, f1(o.standing), fmt.Sprintf("%d", o.drops), f1(o.qp99),
-			f3(o.jain), f2(o.sum))
+	// The incast check reruns the Figure-10 scenario on the first seed,
+	// sampling the standing queue only; the fairness check runs four
+	// synchronized long flows into one port on its own fixed seed.
+	labels := axis(variants, schemeLabel)
+	incast := newGrid(labels, []string{"incast"}, func(r, _ int) RunConfig {
+		cfg := incastCfg(variants[r], 100, sc.FlowCount, true)
+		cfg.SampleEnd = incastQueryAt
+		return cfg
+	})
+	fair := newGrid(labels, []string{"fairness"}, func(r, _ int) RunConfig {
+		return probFairnessCfg(variants[r])
+	})
+	runGrids(sc.firstSeed(), incast)
+	fixed := sc
+	fixed.Seeds = []int64{17}
+	runGrids(fixed, fair)
+	for r, label := range labels {
+		in := incast.first(r, 0)
+		jain, sum := longFlowFairness(fair.first(r, 0))
+		t.AddRow(label, f1(in.AvgQueuePkts), fmt.Sprintf("%d", in.Drops), f1(in.Stats.QueryP99),
+			f3(jain), f2(sum))
 	}
 	t.AddNote("both variants should be drop-free with a low standing queue; probabilistic marking must not hurt fairness")
 	return t
 }
 
-// probIncast reruns the Figure-10 scenario under scheme s.
-func probIncast(ctx context.Context, s Scheme, sc Scale) (RunResult, error) {
-	cfg := incastCfg(s, 100, sc.FlowCount, true)
-	cfg.Seed = sc.Seeds[0]
-	cfg.SampleEnd = incastQueryAt // standing queue only
-	return RunContext(ctx, cfg)
-}
-
-// probFairness runs four synchronized long flows into one port and reports
-// Jain's index of their goodput over the second half, plus the aggregate.
-func probFairness(ctx context.Context, s Scheme) (jain, sumGbps float64, err error) {
+// probFairnessCfg is four synchronized long flows into one port under
+// scheme s, their goodput sampled over the second half of 100 ms.
+func probFairnessCfg(s Scheme) RunConfig {
 	const horizon = 100 * sim.Millisecond
-	rtt := LeafSpineRTT()
 	flows := make([]workload.FlowSpec, 4)
 	for i := range flows {
 		flows[i] = workload.LongFlow(i, len(flows), 0)
 	}
-	r, err := RunContext(ctx, RunConfig{
-		Seed:           17,
+	return RunConfig{
 		Topo:           TopoStar,
 		Hosts:          len(flows) + 1,
 		Scheme:         s,
-		RTT:            &rtt,
+		RTT:            LeafSpineRTT(),
 		Flows:          flows,
 		SampleQueueOf:  len(flows),
 		SampleStart:    horizon / 2,
 		SampleEnd:      horizon,
 		SampleInterval: 5 * sim.Millisecond,
 		Deadline:       horizon,
-	})
-	if err != nil {
-		return 0, 0, err
 	}
-	jain, sumGbps = longFlowFairness(r)
-	return jain, sumGbps, nil
 }
 
 // longFlowFairness returns Jain's fairness index of the long flows' mean
@@ -108,7 +93,7 @@ func longFlowFairness(r RunResult) (jain, sum float64) {
 	for _, series := range r.Goodput {
 		g := metrics.MeanGbps(series)
 		sum += g
-		sumSq += g * g
+		sumSq += float64(g * g)
 	}
 	if sumSq == 0 {
 		return 0, sum

@@ -6,8 +6,8 @@ import (
 	"math/rand"
 
 	"ecnsharp/internal/aqm"
-	"ecnsharp/internal/dist"
 	"ecnsharp/internal/fault"
+	"ecnsharp/internal/harness"
 	"ecnsharp/internal/metrics"
 	"ecnsharp/internal/packet"
 	"ecnsharp/internal/rttvar"
@@ -53,7 +53,6 @@ type RunConfig struct {
 	// traces, FCT records, counters — is independent of it.
 	Shards int
 
-	RateBps     float64
 	PropDelay   sim.Time
 	BufferBytes int64
 	// SharedBufferBytes/DTAlpha switch to per-switch shared-pool buffering
@@ -73,18 +72,18 @@ type RunConfig struct {
 	// location (see TunedParams).
 	Tuned *TunedParams
 
-	// RTT, when non-nil, injects per-flow base RTTs via netem-style
+	// RTT, when not zero, injects per-flow base RTTs via netem-style
 	// sender delay.
-	RTT *rttvar.RTTDistribution
+	RTT rttvar.RTTDistribution
 
-	// Flows is the traffic to inject. If FlowGen is set it takes
-	// precedence and regenerates the traffic per seed, so multi-seed
-	// averaging also averages over arrival patterns.
+	// Flows and Traffic are the run's flows: Flows as given, then the
+	// flows Traffic generates from the run's seed, so multi-seed averaging
+	// also averages over arrival patterns (see FlowGen).
 	Flows   []workload.FlowSpec
-	FlowGen func(rng *rand.Rand) []workload.FlowSpec
+	Traffic Traffic
 
 	// NewTracer, when non-nil, builds the run's event tracer: it is called
-	// once per run (so once per seed under RunAll) with the run's context —
+	// once per run (so once per seed under RunSeeds) with the run's context —
 	// carrying the harness job id under -parallel — and seed, and the
 	// returned tracer is attached to the whole network before any flow
 	// starts. Returning nil leaves the run untraced. Flushing or closing
@@ -134,7 +133,8 @@ type RunResult struct {
 	Goodput [][]metrics.GoodputPoint
 
 	// Net is the network the run was simulated on — Run and RunContext set
-	// it; results that went through RunAll carry none (see runAll).
+	// it; results that went through RunSeeds or a grid carry none (see
+	// runAll).
 	Net *topology.Net
 	// Report counts the run's windows, per-domain events and handoffs
 	// (summed over seeds by MergeRuns). It is deterministic but describes
@@ -149,9 +149,6 @@ type RunResult struct {
 }
 
 func (c *RunConfig) defaults() {
-	if c.RateBps == 0 {
-		c.RateBps = topology.TenGbps
-	}
 	if c.PropDelay == 0 {
 		c.PropDelay = DefaultPropDelay
 	}
@@ -166,30 +163,14 @@ func (c *RunConfig) defaults() {
 // shapeCfg builds the skeleton of a run on one of the two named shapes every
 // load sweep uses — the 8-host testbed star (§5.2: senders 0–6, receiver 7)
 // or the 128-host 8×8×16 leaf-spine (§5.3: uniform random pairs) — with
-// Poisson arrivals of the given flow sizes at the given load. Callers set
-// the seed, scheme and RTT model on the result.
-func shapeCfg(topo TopoKind, sizes dist.Sampler, load float64, flows int) RunConfig {
-	traffic := workload.PoissonConfig{
-		SizeDist:    sizes,
-		Load:        load,
-		CapacityBps: topology.TenGbps,
-		FlowCount:   flows,
-	}
-	var cfg RunConfig
-	switch topo {
-	case TopoStar:
-		cfg = RunConfig{Topo: TopoStar, Hosts: TestbedHosts}
-		traffic.Pairs = workload.StarPairs(hostRange(TestbedHosts-1), TestbedHosts-1)
-	case TopoLeafSpine:
+// Poisson arrivals of the named workload's flow sizes at the given load.
+// Callers set the seed, scheme and RTT model on the result.
+func shapeCfg(topo TopoKind, wl string, load float64, flows int) RunConfig {
+	cfg := RunConfig{Topo: TopoStar, Hosts: TestbedHosts}
+	if topo == TopoLeafSpine {
 		cfg = RunConfig{Topo: TopoLeafSpine, Spines: 8, Leaves: 8, HostsPerLeaf: 16}
-		traffic.RefLinks = 128
-		traffic.Pairs = workload.RandomPairs(hostRange(128))
-	default:
-		panic(fmt.Sprintf("experiments: unknown topology %d", topo))
 	}
-	cfg.FlowGen = func(rng *rand.Rand) []workload.FlowSpec {
-		return workload.PoissonFlows(rng, traffic)
-	}
+	cfg.Traffic.Poisson = Poisson{Workload: wl, Load: load, Count: flows}
 	return cfg
 }
 
@@ -210,8 +191,8 @@ func pathRTT(c *RunConfig) sim.Time {
 	if c.Topo == TopoLeafSpine {
 		hops = 4 // host->leaf->spine->leaf->host
 	}
-	txData := sim.Time(float64(packet.MTU) * 8 / c.RateBps * float64(sim.Second))
-	txAck := sim.Time(float64(packet.HeaderSize) * 8 / c.RateBps * float64(sim.Second))
+	txData := sim.Time(float64(packet.MTU) * 8 / topology.TenGbps * float64(sim.Second))
+	txAck := sim.Time(float64(packet.HeaderSize) * 8 / topology.TenGbps * float64(sim.Second))
 	return sim.Time(2*hops)*c.PropDelay + sim.Time(hops)*(txData+txAck)
 }
 
@@ -221,7 +202,7 @@ func pathRTT(c *RunConfig) sim.Time {
 func (cfg *RunConfig) newNet(rng *rand.Rand) *topology.Net {
 	opts := topology.Options{
 		Link: topology.LinkParams{
-			RateBps:     cfg.RateBps,
+			RateBps:     topology.TenGbps,
 			PropDelay:   cfg.PropDelay,
 			BufferBytes: cfg.BufferBytes,
 		},
@@ -317,14 +298,11 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 	}
 
 	var assigner *rttvar.Assigner
-	if cfg.RTT != nil {
-		assigner = rttvar.NewAssigner(*cfg.RTT, pathRTT(&cfg), rng)
+	if cfg.RTT != (rttvar.RTTDistribution{}) {
+		assigner = rttvar.NewAssigner(cfg.RTT, pathRTT(&cfg), rng)
 	}
 
-	specs := cfg.Flows
-	if cfg.FlowGen != nil {
-		specs = cfg.FlowGen(rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)))
-	}
+	specs := cfg.FlowGen(TrafficRand(cfg.Seed))
 
 	// Completion accounting is kept per domain: a flow's completion
 	// callback runs on its source host's domain worker, so each domain
@@ -465,51 +443,54 @@ func MergeRuns(runs []RunResult) RunResult {
 	return merged
 }
 
-// RunAll executes one job per (config, seed) pair on a worker pool sized by
-// sc.Parallel — each job on its own engine, preserving per-seed determinism
-// — and returns one seed-pooled result per config, in config order. The
-// merge order is fixed by the submission order, so the output is identical
-// at any parallelism. A failed job (per-run timeout, or a panic on a worker
+// runAll executes one job per (config, seed) pair on the worker pool sc
+// describes (so -parallel, -timeout and -progress apply), each on its own
+// engine, the jobs of config i labelled names[i] and their seed. It returns
+// one seed-pooled result per config, in config order; the merge order is
+// fixed by the submission order, so the output is identical at any
+// parallelism. A failed job (per-run timeout, or a panic on a worker
 // goroutine) aborts with a panic naming the run.
-func RunAll(sc Scale, cfgs []RunConfig) []RunResult { return runAll(sc, cfgs, nil) }
-
-// runAll is RunAll with each config's jobs labelled names[i] instead of its
-// scheme label (nil names keep the scheme label).
 func runAll(sc Scale, cfgs []RunConfig, names []string) []RunResult {
 	if len(sc.Seeds) == 0 {
 		panic("experiments: no seeds")
 	}
-	runs := make([]RunConfig, 0, len(cfgs)*len(sc.Seeds))
-	labels := make([]string, 0, cap(runs))
+	jobs := make([]harness.Job, 0, len(cfgs)*len(sc.Seeds))
 	for ci, c := range cfgs {
-		name := c.Scheme.Label
-		if names != nil {
-			name = names[ci]
-		}
 		for _, seed := range sc.Seeds {
-			c.Seed = seed
-			runs = append(runs, c)
-			labels = append(labels, fmt.Sprintf("%s seed=%d", name, seed))
+			run := c
+			run.Seed = seed
+			jobs = append(jobs, harness.Job{
+				Label: fmt.Sprintf("%s seed=%d", names[ci], seed),
+				Run: func(ctx context.Context) (any, error) {
+					r, err := RunContext(ctx, run)
+					// Nothing reads a batch result's network, and holding
+					// every run's topology, engines and flow endpoints until
+					// the figure is rendered is what a batch's memory would
+					// otherwise be.
+					r.Net = nil
+					return r, err
+				},
+			})
 		}
 	}
-	res := runJobs(sc, labels, func(ctx context.Context, i int) (RunResult, error) {
-		r, err := RunContext(ctx, runs[i])
-		// Nothing reads a batch result's network, and holding every run's
-		// topology, engines and flow endpoints until the figure is rendered
-		// is what a batch's memory would otherwise be.
-		r.Net = nil
-		return r, err
-	})
+	res, _ := harness.Execute(context.Background(), jobs, sc.harnessOptions())
+	runs := make([]RunResult, len(res))
+	for i, r := range res {
+		if r.Err != nil {
+			panic(fmt.Sprintf("experiments: %s: %v", r.Label, r.Err))
+		}
+		runs[i] = r.Value.(RunResult)
+	}
 	n := len(sc.Seeds)
 	out := make([]RunResult, len(cfgs))
 	for ci := range out {
-		out[ci] = MergeRuns(res[:n:n])
-		res = res[n:]
+		out[ci] = MergeRuns(runs[ci*n : (ci+1)*n : (ci+1)*n])
 	}
 	return out
 }
 
-// RunSeeds executes cfg once per configured seed and pools the results.
+// RunSeeds executes cfg once per configured seed on the worker pool sc
+// describes and pools the results (see runAll).
 func RunSeeds(sc Scale, cfg RunConfig) RunResult {
-	return RunAll(sc, []RunConfig{cfg})[0]
+	return runAll(sc, []RunConfig{cfg}, []string{cfg.Scheme.Label})[0]
 }

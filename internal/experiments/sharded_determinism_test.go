@@ -53,23 +53,17 @@ func incastCellCfg(shards int) RunConfig {
 		HostsPerLeaf: 4,
 		Shards:       shards,
 		Scheme:       TestbedSchemes()[3],
-		FlowGen: func(rng *rand.Rand) []workload.FlowSpec {
-			flows := []workload.FlowSpec{
-				{Src: 1, Dst: 8, Size: 1_000_000, Start: 0},
-				{Src: 12, Dst: 5, Size: 1_000_000, Start: 5 * sim.Microsecond},
-			}
-			senders := make([]int, 0, 12)
-			for h := 4; h < 16; h++ {
-				senders = append(senders, h)
-			}
-			return append(flows, workload.QueryFlows(rng, workload.QueryConfig{
-				Senders:  senders,
-				Receiver: 0,
-				At:       10 * sim.Microsecond,
-				MinBytes: 3_000,
-				MaxBytes: 60_000,
-			})...)
+		Flows: []workload.FlowSpec{
+			{Src: 1, Dst: 8, Size: 1_000_000, Start: 0},
+			{Src: 12, Dst: 5, Size: 1_000_000, Start: 5 * sim.Microsecond},
 		},
+		Traffic: Traffic{Query: workload.QueryConfig{
+			Senders:  []int{4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+			Receiver: 0,
+			At:       10 * sim.Microsecond,
+			MinBytes: 3_000,
+			MaxBytes: 60_000,
+		}},
 	}
 }
 
@@ -123,11 +117,6 @@ func TestShardedByteIdenticalToSerial(t *testing.T) {
 // spreading under load, so a worker-count dependency anywhere in that
 // pipeline surfaces here.
 func TestShardedFig6CellByteIdentical(t *testing.T) {
-	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
-	hosts := make([]int, 16)
-	for i := range hosts {
-		hosts[i] = i
-	}
 	render := func(shards int) string {
 		cfg := RunConfig{
 			Seed:         3,
@@ -137,17 +126,8 @@ func TestShardedFig6CellByteIdentical(t *testing.T) {
 			HostsPerLeaf: 4,
 			Shards:       shards,
 			Scheme:       TestbedSchemes()[3],
-			RTT:          &rtt,
-			FlowGen: func(rng *rand.Rand) []workload.FlowSpec {
-				return workload.PoissonFlows(rng, workload.PoissonConfig{
-					SizeDist:    workload.WebSearchCDF,
-					Load:        0.5,
-					CapacityBps: topology.TenGbps,
-					RefLinks:    16,
-					Pairs:       workload.RandomPairs(hosts),
-					FlowCount:   80,
-				})
-			},
+			RTT:          rttvar.NewVariation(TestbedRTTMin, 3),
+			Traffic:      Traffic{Poisson: Poisson{Workload: workload.WebSearch, Load: 0.5, Count: 80}},
 		}
 		return renderResult(Run(cfg))
 	}
@@ -194,7 +174,7 @@ func TestScaleCellQueuesHoldLiveEventsOnly(t *testing.T) {
 	cfg.defaults()
 	net := topology.NewLeafSpine(cell.Spines, cell.Leaves, cell.HostsPerLeaf, topology.Options{
 		Link: topology.LinkParams{
-			RateBps:     cfg.RateBps,
+			RateBps:     topology.TenGbps,
 			PropDelay:   cfg.PropDelay,
 			BufferBytes: cfg.BufferBytes,
 		},

@@ -415,14 +415,13 @@ func (c Cell) RunConfig() (RunConfig, error) {
 	if err != nil {
 		return RunConfig{}, err
 	}
-	cdf, err := workload.ByName(c.Workload)
-	if err != nil {
+	if _, err := workload.ByName(c.Workload); err != nil {
 		return RunConfig{}, err
 	}
-	cfg := shapeCfg(topo, cdf, c.Load, c.Flows)
+	cfg := shapeCfg(topo, c.Workload, c.Load, c.Flows)
 	cfg.Seed = c.Seed
 	cfg.Scheme = scheme
-	cfg.RTT = &rtt
+	cfg.RTT = rtt
 	cfg.Shards = c.Shards
 	if c.Tuned != nil {
 		if _, err := c.Tuned.Schemes(scheme); err != nil {
