@@ -22,7 +22,7 @@ import (
 // refreshed by:
 //
 //	go test -run TestAllocBaseline -update .
-var update = flag.Bool("update", false, "rewrite the committed baseline the selected test checks (ESCAPES_baseline.json, BENCH_runtime.json, BENCH_scale.json) instead of comparing against it")
+var update = flag.Bool("update", false, "rewrite the committed baseline the selected test checks (ESCAPES_baseline.json, BENCH_runtime.json, BENCH_scale.json, testdata/result_digests.json) instead of comparing against it")
 
 // bytesTolerance is the relative growth bytes/op and bytes/host may show
 // over the baseline: size classes and map growth make bytes nearly, not
