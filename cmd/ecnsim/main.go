@@ -198,10 +198,11 @@ func main() {
 
 	// Event tracing: one writer per run, every file created before any run
 	// starts so one that cannot be is the command's failure, not a silently
-	// untraced simulation. Under -seeds each job gets its own file named by
-	// its harness job id (its index in seeds), so concurrent runs never
-	// interleave writes; the files are flushed after all runs finish.
+	// untraced simulation. Under -seeds each run gets its own file named by
+	// its seed's index, so concurrent runs never interleave writes; the
+	// files are flushed after all runs finish.
 	var (
+		sinks      []trace.Tracer
 		traceFlush []func() error
 		tracePaths []string
 	)
@@ -210,7 +211,7 @@ func main() {
 		if err != nil {
 			fail(2, err)
 		}
-		tracers := make([]trace.Tracer, len(seeds))
+		sinks = make([]trace.Tracer, len(seeds))
 		for id := range seeds {
 			path := *traceFile
 			if len(seeds) > 1 {
@@ -239,16 +240,12 @@ func main() {
 				return f.Close()
 			})
 			tracePaths = append(tracePaths, path)
-			tracers[id] = trace.NewFilter(t, mask, *traceSample)
-		}
-		cfg.NewTracer = func(ctx context.Context, _ int64) trace.Tracer {
-			id, _ := harness.JobID(ctx)
-			return tracers[id]
+			sinks[id] = trace.NewFilter(t, mask, *traceSample)
 		}
 	}
 
 	sc := experiments.Scale{Seeds: seeds, Parallel: *parallel, Timeout: *timeout, Progress: progressTo(*progress)}
-	r := experiments.RunSeeds(sc, cfg)
+	r := experiments.RunSeeds(sc, cfg, sinks)
 	for _, flush := range traceFlush {
 		if err := flush(); err != nil {
 			fmt.Fprintln(os.Stderr, "ecnsim: trace:", err)

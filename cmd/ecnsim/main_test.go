@@ -322,3 +322,58 @@ func TestUncreatableTraceFileFails(t *testing.T) {
 		oneLine(t, "-seeds "+tc.seeds, stderr, filepath.Join(missing, tc.file))
 	}
 }
+
+// TestFlagTraceEqualsSpecTrace: the trace the flag path streams to the
+// file of seed i is byte for byte the one -spec writes from cell i's
+// CellResult.TraceJSONL, at any -parallel: both filter the same events
+// into the same JSONL encoder, each run into its own sink.
+func TestFlagTraceEqualsSpecTrace(t *testing.T) {
+	read := func(dir string) [2][]byte {
+		var files [2][]byte
+		for i := range files {
+			b, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("x.job%d.jsonl", i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(b) == 0 {
+				t.Fatalf("%s: trace of seed index %d is empty", dir, i)
+			}
+			files[i] = b
+		}
+		return files
+	}
+	var flagTraces [][2][]byte
+	for _, parallel := range []string{"1", "2"} {
+		dir := t.TempDir()
+		if _, stderr, code := ecnsim(t, "-topo", "leafspine", "-load", "0.6", "-flows", "50", "-seeds", "1,2",
+			"-parallel", parallel, "-trace", filepath.Join(dir, "x.jsonl"),
+			"-trace-events", "mark,drop,flow_finish", "-trace-sample", "2"); code != 0 {
+			t.Fatalf("flag path -parallel %s: exit %d: %s", parallel, code, stderr)
+		}
+		flagTraces = append(flagTraces, read(dir))
+	}
+
+	dir := t.TempDir()
+	spec := filepath.Join(dir, "spec.json")
+	doc := `{"topo":"leafspine","loads":[0.6],"flows":50,"seeds":[1,2],"trace":{"events":"mark,drop,flow_finish","sample":2}}`
+	if err := os.WriteFile(spec, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, stderr, code := ecnsim(t, "-spec", spec, "-trace", filepath.Join(dir, "x.jsonl")); code != 0 {
+		t.Fatalf("-spec exit %d: %s", code, stderr)
+	}
+	specTraces := read(dir)
+
+	for i := range specTraces {
+		if !bytes.Equal(flagTraces[0][i], flagTraces[1][i]) {
+			t.Errorf("seed index %d: -parallel 1 and -parallel 2 wrote different traces", i)
+		}
+		if !bytes.Equal(flagTraces[0][i], specTraces[i]) {
+			t.Errorf("seed index %d: flag path wrote %d trace bytes, -spec %d, not the same", i,
+				len(flagTraces[0][i]), len(specTraces[i]))
+		}
+	}
+	if bytes.Equal(specTraces[0], specTraces[1]) {
+		t.Error("seeds 1 and 2 wrote the same trace")
+	}
+}

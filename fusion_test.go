@@ -14,12 +14,15 @@ var fusedOp = regexp.MustCompile(`\bF(N?)M(ADD|SUB)D\b`)
 // noFusionPackages are the packages kept free of fused multiply-adds, each
 // with one function whose listing must appear: internal/transport's
 // congestion control, internal/dist's samplers, which draw every flow
-// size and base RTT, and internal/experiments, whose traffic generator
-// times fig13's probes and whose tables report Jain's index.
+// size and base RTT, internal/experiments, whose traffic generator times
+// fig13's probes and whose tables report Jain's index, and internal/tune,
+// whose searchers draw and step the candidates and whose objectives score
+// them.
 var noFusionPackages = []struct{ dir, listed string }{
 	{"./internal/transport/", "transport.(*Sender).onAck STEXT"},
 	{"./internal/dist/", "dist.LogNormal.Sample STEXT"},
 	{"./internal/experiments/", "experiments.RunConfig.FlowGen STEXT"},
+	{"./internal/tune/", "tune.(*Space).Clamp STEXT"},
 }
 
 // TestNoFusedMultiplyAdd compiles each package for arm64 and fails on any

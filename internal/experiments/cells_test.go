@@ -217,7 +217,7 @@ func TestPoolEqualsMergeRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := RunContext(context.Background(), cfg)
+			r, err := RunContext(context.Background(), cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

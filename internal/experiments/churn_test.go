@@ -93,8 +93,7 @@ func TestShardedChurnFlapByteIdentical(t *testing.T) {
 		cfg := s.cfg(1, TestbedSchemes()[3])
 		cfg.Shards = shards
 		cfg.Faults = s.faults
-		cfg.NewTracer = func(context.Context, int64) trace.Tracer { return jw }
-		res := Run(cfg)
+		res, _ := RunContext(context.Background(), cfg, jw)
 		if err := jw.Flush(); err != nil {
 			t.Fatalf("shards=%d: trace flush: %v", shards, err)
 		}

@@ -86,7 +86,6 @@ func dcqcnCfg(s Scheme) RunConfig {
 		Scheme:         s,
 		Transport:      tc,
 		Flows:          flows,
-		SampleQueueOf:  len(flows),
 		SampleStart:    half,
 		SampleEnd:      2 * half,
 		SampleInterval: sim.Millisecond,

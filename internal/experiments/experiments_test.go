@@ -70,7 +70,7 @@ func TestSchemeFactories(t *testing.T) {
 // starRun executes one testbed configuration pooled over seeds.
 func starRun(scheme Scheme, wl string, load float64,
 	rtt rttvar.RTTDistribution, sc Scale) RunResult {
-	return RunSeeds(sc, starCfg(scheme, wl, load, rtt, sc))
+	return RunSeeds(sc, starCfg(scheme, wl, load, rtt, sc), nil)
 }
 
 // parseF reads a rendered table cell back as a number (0 when it is not one).
@@ -350,7 +350,7 @@ func TestAverageSeedsAggregates(t *testing.T) {
 		RTT:     rtt,
 		Traffic: Traffic{Poisson: Poisson{Workload: workload.WebSearch, Load: 0.4, Count: 80}},
 	}
-	r := RunSeeds(Scale{Seeds: []int64{1, 2}}, cfg)
+	r := RunSeeds(Scale{Seeds: []int64{1, 2}}, cfg, nil)
 	if r.Injected != 160 {
 		t.Errorf("Injected = %d, want 160", r.Injected)
 	}
@@ -685,8 +685,8 @@ func TestParallelDeterminism(t *testing.T) {
 	serial.Parallel = 1
 	wide := sc
 	wide.Parallel = 8
-	a := RunSeeds(serial, cfg)
-	b := RunSeeds(wide, cfg)
+	a := RunSeeds(serial, cfg, nil)
+	b := RunSeeds(wide, cfg, nil)
 
 	if a.Stats != b.Stats {
 		t.Errorf("stats differ across parallelism:\n%+v\n%+v", a.Stats, b.Stats)

@@ -90,7 +90,6 @@ func incastCfg(s Scheme, fanout, bgFlows int, sample bool) RunConfig {
 		// Window straddles the burst: the pre-burst half shows the standing
 		// queue (the paper's 182-vs-8 comparison), the post-burst half the
 		// burst response.
-		cfg.SampleQueueOf = incastSenders
 		cfg.SampleStart = incastQueryAt - 5*sim.Millisecond
 		cfg.SampleEnd = incastQueryAt + 5*sim.Millisecond
 		cfg.SampleInterval = 10 * sim.Microsecond

@@ -54,7 +54,6 @@ func fig13Cfg(s Scheme, probes int) RunConfig {
 		RTT:            LeafSpineRTT(),
 		Flows:          flows,
 		Traffic:        Traffic{Probes: probes},
-		SampleQueueOf:  receiver,
 		SampleEnd:      dwrrDeadline,
 		SampleInterval: 5 * sim.Millisecond,
 		Deadline:       dwrrDeadline,

@@ -42,7 +42,7 @@ func runGrids(sc Scale, grids ...*grid) {
 		cfgs = append(cfgs, g.cfgs...)
 		names = append(names, g.names...)
 	}
-	res := runAll(sc, cfgs, names)
+	res := runAll(sc, cfgs, names, nil)
 	for _, g := range grids {
 		g.res, res = res[:len(g.cfgs)], res[len(g.cfgs):]
 	}

@@ -77,7 +77,6 @@ func probFairnessCfg(s Scheme) RunConfig {
 		Scheme:         s,
 		RTT:            LeafSpineRTT(),
 		Flows:          flows,
-		SampleQueueOf:  len(flows),
 		SampleStart:    horizon / 2,
 		SampleEnd:      horizon,
 		SampleInterval: 5 * sim.Millisecond,

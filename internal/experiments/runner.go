@@ -82,20 +82,10 @@ type RunConfig struct {
 	Flows   []workload.FlowSpec
 	Traffic Traffic
 
-	// NewTracer, when non-nil, builds the run's event tracer: it is called
-	// once per run (so once per seed under RunSeeds) with the run's context —
-	// carrying the harness job id under -parallel — and seed, and the
-	// returned tracer is attached to the whole network before any flow
-	// starts. Returning nil leaves the run untraced. Flushing or closing
-	// whatever the tracer writes to remains the caller's responsibility
-	// after the runs complete.
-	NewTracer func(ctx context.Context, seed int64) trace.Tracer
-
 	// SampleInterval > 0 opens one measurement window, [SampleStart,
-	// SampleEnd] sampled every SampleInterval: the last-hop egress to host
-	// SampleQueueOf (RunResult.QueueSamples) and the goodput of every
-	// workload.LongFlow (RunResult.Goodput).
-	SampleQueueOf  int
+	// SampleEnd] sampled every SampleInterval: the last-hop egress to the
+	// last host, a star's receiver (RunResult.QueueSamples), and the goodput
+	// of every workload.LongFlow (RunResult.Goodput).
 	SampleStart    sim.Time
 	SampleEnd      sim.Time
 	SampleInterval sim.Time
@@ -269,26 +259,25 @@ func (cfg *RunConfig) aqmAt(rng *rand.Rand) func(topology.PortLoc, int) aqm.AQM 
 	}
 }
 
-// Run executes the configured simulation and gathers results.
+// Run executes the configured simulation untraced and gathers results.
 func Run(cfg RunConfig) RunResult {
-	r, _ := RunContext(context.Background(), cfg)
+	r, _ := RunContext(context.Background(), cfg, nil)
 	return r
 }
 
-// RunContext is Run with cancellation: the engine polls ctx between event
-// chunks, so a canceled context or expired per-job deadline stops the run
-// early. On cancellation the returned result is partial and the error is
-// ctx's.
-func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
+// RunContext is Run with cancellation and an event sink: the engine polls
+// ctx between event chunks, so a canceled context or expired per-job
+// deadline stops the run early, and a non-nil tr is attached to the whole
+// network before any flow starts (flushing whatever it writes to is the
+// caller's job). On cancellation the returned result is partial and the
+// error is ctx's.
+func RunContext(ctx context.Context, cfg RunConfig, tr trace.Tracer) (RunResult, error) {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	net := cfg.newNet(rng)
-
-	if cfg.NewTracer != nil {
-		if tr := cfg.NewTracer(ctx, cfg.Seed); tr != nil {
-			net.AttachTracer(tr)
-		}
+	if tr != nil {
+		net.AttachTracer(tr)
 	}
 
 	if cfg.Faults != nil {
@@ -349,8 +338,8 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 
 	var sampler *metrics.QueueSampler
 	if cfg.SampleInterval > 0 {
-		eg := net.EgressTo(cfg.SampleQueueOf).Egress
-		sampler = metrics.NewQueueSampler(net.EngineOf(cfg.SampleQueueOf), eg,
+		last := len(net.Hosts) - 1
+		sampler = metrics.NewQueueSampler(net.EngineOf(last), net.EgressTo(last).Egress,
 			cfg.SampleStart, cfg.SampleEnd, cfg.SampleInterval)
 	}
 
@@ -445,24 +434,29 @@ func MergeRuns(runs []RunResult) RunResult {
 
 // runAll executes one job per (config, seed) pair on the worker pool sc
 // describes (so -parallel, -timeout and -progress apply), each on its own
-// engine, the jobs of config i labelled names[i] and their seed. It returns
+// engine, the jobs of config i labelled names[i] and their seed, the run of
+// seed i traced into sinks[i] (nil sinks: every run untraced). It returns
 // one seed-pooled result per config, in config order; the merge order is
 // fixed by the submission order, so the output is identical at any
 // parallelism. A failed job (per-run timeout, or a panic on a worker
 // goroutine) aborts with a panic naming the run.
-func runAll(sc Scale, cfgs []RunConfig, names []string) []RunResult {
+func runAll(sc Scale, cfgs []RunConfig, names []string, sinks []trace.Tracer) []RunResult {
 	if len(sc.Seeds) == 0 {
 		panic("experiments: no seeds")
 	}
 	jobs := make([]harness.Job, 0, len(cfgs)*len(sc.Seeds))
 	for ci, c := range cfgs {
-		for _, seed := range sc.Seeds {
+		for si, seed := range sc.Seeds {
 			run := c
 			run.Seed = seed
+			var tr trace.Tracer
+			if sinks != nil {
+				tr = sinks[si]
+			}
 			jobs = append(jobs, harness.Job{
 				Label: fmt.Sprintf("%s seed=%d", names[ci], seed),
 				Run: func(ctx context.Context) (any, error) {
-					r, err := RunContext(ctx, run)
+					r, err := RunContext(ctx, run, tr)
 					// Nothing reads a batch result's network, and holding
 					// every run's topology, engines and flow endpoints until
 					// the figure is rendered is what a batch's memory would
@@ -490,7 +484,8 @@ func runAll(sc Scale, cfgs []RunConfig, names []string) []RunResult {
 }
 
 // RunSeeds executes cfg once per configured seed on the worker pool sc
-// describes and pools the results (see runAll).
-func RunSeeds(sc Scale, cfg RunConfig) RunResult {
-	return runAll(sc, []RunConfig{cfg}, []string{cfg.Scheme.Label})[0]
+// describes, the run of sc.Seeds[i] traced into sinks[i] (nil sinks: every
+// run untraced), and pools the results (see runAll).
+func RunSeeds(sc Scale, cfg RunConfig, sinks []trace.Tracer) RunResult {
+	return runAll(sc, []RunConfig{cfg}, []string{cfg.Scheme.Label}, sinks)[0]
 }

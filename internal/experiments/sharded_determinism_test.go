@@ -76,8 +76,7 @@ func TestShardedByteIdenticalToSerial(t *testing.T) {
 		var buf bytes.Buffer
 		jw := trace.NewJSONLWriter(&buf)
 		cfg := incastCellCfg(shards)
-		cfg.NewTracer = func(context.Context, int64) trace.Tracer { return jw }
-		res := Run(cfg)
+		res, _ := RunContext(context.Background(), cfg, jw)
 		if err := jw.Flush(); err != nil {
 			t.Fatalf("shards=%d: trace flush: %v", shards, err)
 		}

@@ -564,22 +564,22 @@ func (c Cell) Run(ctx context.Context) (CellResult, error) {
 	if err != nil {
 		return CellResult{}, err
 	}
-	var capture *trace.Capture
+	// A traced cell's events are encoded into an in-memory buffer, so a
+	// store can keep and replay them byte-identical to a streamed file.
+	var (
+		buf bytes.Buffer
+		w   *trace.JSONLWriter
+		tr  trace.Tracer
+	)
 	if c.TraceEvents != "" {
 		mask, err := trace.ParseMask(c.TraceEvents)
 		if err != nil {
 			return CellResult{}, err
 		}
-		capture = trace.NewCapture()
-		stride := c.TraceSample
-		if stride < 1 {
-			stride = 1
-		}
-		cfg.NewTracer = func(context.Context, int64) trace.Tracer {
-			return trace.NewFilter(capture, mask, stride)
-		}
+		w = trace.NewJSONLWriter(&buf)
+		tr = trace.NewFilter(w, mask, c.TraceSample)
 	}
-	res, err := RunContext(ctx, cfg)
+	res, err := RunContext(ctx, cfg, tr)
 	if err != nil {
 		return CellResult{}, err
 	}
@@ -596,12 +596,11 @@ func (c Cell) Run(ctx context.Context) (CellResult, error) {
 		Failed:        res.Failed,
 		Injected:      res.Injected,
 	}
-	if capture != nil {
-		b, err := capture.Bytes()
-		if err != nil {
+	if w != nil {
+		if err := w.Flush(); err != nil {
 			return CellResult{}, err
 		}
-		out.TraceJSONL = string(b)
+		out.TraceJSONL = buf.String()
 	}
 	return out, nil
 }

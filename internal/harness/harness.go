@@ -106,8 +106,7 @@ func Execute(ctx context.Context, jobs []Job, opts Options) ([]Result, error) {
 			finish(i, Result{Label: job.Label, Err: err})
 			return
 		}
-		jctx := context.WithValue(ctx, jobIDKey{}, i)
-		cancel := context.CancelFunc(func() {})
+		jctx, cancel := ctx, context.CancelFunc(func() {})
 		if opts.Timeout > 0 {
 			jctx, cancel = context.WithTimeout(jctx, opts.Timeout)
 		}
@@ -150,19 +149,6 @@ func Execute(ctx context.Context, jobs []Job, opts Options) ([]Result, error) {
 	close(idx)
 	wg.Wait()
 	return results, ctx.Err()
-}
-
-// jobIDKey is the context key carrying a job's submission-order index.
-type jobIDKey struct{}
-
-// JobID returns the submission-order index of the job whose Run received
-// ctx, and whether ctx actually came from an Execute worker. The index is
-// stable across parallelism levels (it identifies the job, not the worker),
-// which makes it suitable for deriving per-job output names — e.g. one
-// trace file per job under ecnsim -parallel.
-func JobID(ctx context.Context) (int, bool) {
-	id, ok := ctx.Value(jobIDKey{}).(int)
-	return id, ok
 }
 
 // runJob invokes job.Run, converting a panic into an error.

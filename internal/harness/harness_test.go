@@ -207,44 +207,3 @@ func TestExecuteDefaultParallelism(t *testing.T) {
 		t.Errorf("ran %d/30 jobs", ran.Load())
 	}
 }
-
-func TestJobID(t *testing.T) {
-	if _, ok := JobID(context.Background()); ok {
-		t.Error("JobID on a plain context reported ok")
-	}
-	const n = 8
-	got := make([]int, n)
-	jobs := make([]Job, n)
-	for i := range jobs {
-		i := i
-		jobs[i] = Job{
-			Label: fmt.Sprintf("job%d", i),
-			Run: func(ctx context.Context) (any, error) {
-				id, ok := JobID(ctx)
-				if !ok {
-					return nil, errors.New("no job id in worker context")
-				}
-				got[i] = id
-				return nil, nil
-			},
-		}
-	}
-	// The id must be the submission index at every parallelism level.
-	for _, workers := range []int{1, 4} {
-		for i := range got {
-			got[i] = -1
-		}
-		res, err := Execute(context.Background(), jobs, Options{Parallel: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range res {
-			if r.Err != nil {
-				t.Fatalf("parallel=%d job %d: %v", workers, i, r.Err)
-			}
-			if got[i] != i {
-				t.Errorf("parallel=%d job %d saw id %d", workers, i, got[i])
-			}
-		}
-	}
-}

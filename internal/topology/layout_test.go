@@ -36,7 +36,6 @@ func layoutOpts() Options {
 func layoutNets() map[string]*Net {
 	return map[string]*Net{
 		"star":           NewStar(9, layoutOpts()),
-		"dumbbell":       NewDumbbell(3, layoutOpts()),
 		"leafspine":      NewLeafSpine(3, 5, 7, layoutOpts()),
 		"leafspine/dwrr": NewLeafSpine(2, 2, 2, dwrrOpts()),
 	}
@@ -63,7 +62,6 @@ func TestLayoutMallocsPerHost(t *testing.T) {
 	}{
 		{"leafspine", func() *Net { return NewLeafSpine(8, 64, 160, layoutOpts()) }},
 		{"star", func() *Net { return NewStar(2048, layoutOpts()) }},
-		{"dumbbell", func() *Net { return NewDumbbell(1024, layoutOpts()) }},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -6,10 +6,10 @@
 // Every topology has exactly one partition, its natural one, a property of
 // the *topology* and never of the worker count: a leaf-spine fabric splits
 // into one domain per leaf (the switch plus its hosts — a host is never
-// separated from its leaf) and one per spine, a dumbbell into its two
-// sides, and a star stays a single domain. Options.Shards only chooses how
-// many goroutines execute the domains, which is why results are
-// independent of it (see DESIGN.md "Sharded execution").
+// separated from its leaf) and one per spine, and a star stays a single
+// domain. Options.Shards only chooses how many goroutines execute the
+// domains, which is why results are independent of it (see DESIGN.md
+// "Sharded execution").
 package topology
 
 import (
@@ -61,25 +61,6 @@ func PartitionStar(n int, opts Options) Partition {
 		Lookahead: lookahead,
 		switchDom: make([]int, 1),
 	}
-}
-
-// PartitionDumbbell computes the decomposition of a dumbbell: two domains,
-// one per side, cut on the inter-switch bottleneck link in both directions.
-func PartitionDumbbell(nPairs int, opts Options) Partition {
-	if opts.Link.PropDelay <= 0 {
-		panic("topology: dumbbell needs a positive propagation delay")
-	}
-	p := Partition{
-		Domains:   2,
-		HostDom:   make([]int, 2*nPairs),
-		Lookahead: opts.Link.PropDelay,
-		CutLinks:  2,
-		switchDom: []int{0, 1},
-	}
-	for i := nPairs; i < 2*nPairs; i++ {
-		p.HostDom[i] = 1
-	}
-	return p
 }
 
 // PartitionLeafSpine computes the decomposition of a leaf-spine fabric:

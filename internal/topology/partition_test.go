@@ -94,32 +94,6 @@ func TestPartitionLeafSpineProperties(t *testing.T) {
 	}
 }
 
-// TestPartitionDumbbell: both sides become domains, cut on the bottleneck
-// in each direction with the link delay as lookahead, at any Shards.
-func TestPartitionDumbbell(t *testing.T) {
-	for k, shards := range []int{0, 1, 4} {
-		prop := sim.Time(1+2*k) * sim.Microsecond
-		opts := Options{
-			Link:   LinkParams{RateBps: TenGbps, PropDelay: prop},
-			Shards: shards,
-		}
-		part := PartitionDumbbell(4, opts)
-		if part.Domains != 2 || part.CutLinks != 2 || part.Lookahead != prop {
-			t.Fatalf("shards=%d: unexpected partition %+v", shards, part)
-		}
-		net := NewDumbbell(4, opts)
-		if len(net.Boundaries) != 2 || net.Lookahead != prop {
-			t.Fatalf("shards=%d: boundaries = %d, lookahead %v; want 2 and the link delay %v",
-				shards, len(net.Boundaries), net.Lookahead, prop)
-		}
-		for i := 0; i < 4; i++ {
-			if net.DomainOfHost(i) != 0 || net.DomainOfHost(4+i) != 1 {
-				t.Fatalf("shards=%d: host domains wrong: %d->%d, %d->%d", shards, i, net.DomainOfHost(i), 4+i, net.DomainOfHost(4+i))
-			}
-		}
-	}
-}
-
 // TestPartitionStarSingleDomain: a star cannot be cut; sharded
 // construction still works (one domain, whatever the worker request).
 func TestPartitionStarSingleDomain(t *testing.T) {

@@ -1,15 +1,15 @@
 // Package topology wires hosts, switches and links into the networks the
 // paper evaluates on: the star used for the 8-server testbed and incast
-// experiments, a dumbbell, and the 128-host leaf-spine fabric of §5.3.
+// experiments, and the 128-host leaf-spine fabric of §5.3.
 //
 // There is one way to build and drive a network. The constructors
-// (NewStar, NewDumbbell, NewLeafSpine) take the topology's one Partition —
-// a star is one simulation domain, a dumbbell two, a leaf-spine one per
-// leaf and one per spine (see partition.go) — build one engine per domain
-// under a sim.ShardedEngine, and wire every component onto its domain's
-// engine. Net.Shard drives the run on Options.Shards workers; a one-domain
-// network runs on it serially. Which domain owns what is recorded as data
-// (Part, SwitchDomain, Link.Dom), never recomputed from a mode.
+// (NewStar, NewLeafSpine) take the topology's one Partition — a star is
+// one simulation domain, a leaf-spine one per leaf and one per spine (see
+// partition.go) — build one engine per domain under a sim.ShardedEngine,
+// and wire every component onto its domain's engine. Net.Shard drives the
+// run on Options.Shards workers; a one-domain network runs on it serially.
+// Which domain owns what is recorded as data (Part, SwitchDomain,
+// Link.Dom), never recomputed from a mode.
 package topology
 
 import (
@@ -36,7 +36,7 @@ const TenGbps = 10e9
 
 // Switch tier names reported in PortLoc.Tier.
 const (
-	// TierEdge is the single switch layer of star and dumbbell networks.
+	// TierEdge is the single switch layer of a star network.
 	TierEdge = "edge"
 	// TierLeaf is the host-facing layer of a leaf-spine fabric.
 	TierLeaf = "leaf"
@@ -51,16 +51,15 @@ type PortLoc struct {
 	Tier string
 	// Switch indexes the owning switch in Net.Switches.
 	Switch int
-	// Name is the owning switch's name ("sw0", "left", "leaf3", "spine1").
+	// Name is the owning switch's name ("sw0", "leaf3", "spine1").
 	Name string
 }
 
 // Options configures topology construction.
 type Options struct {
 	// Link parameterizes every link (the paper's networks are uniform).
-	// The switch-to-switch links (dumbbell bottleneck, leaf<->spine) are
-	// the cut links between domains, so Link.PropDelay is also the
-	// sharded engine's lookahead.
+	// The switch-to-switch links (leaf<->spine) are the cut links between
+	// domains, so Link.PropDelay is also the sharded engine's lookahead.
 	Link LinkParams
 	// Weights, when non-nil, gives every switch egress port len(Weights)
 	// service queues under a DWRR scheduler with these weights (Figure 13);
@@ -200,7 +199,7 @@ func (n *Net) LinkIndex(name string) int {
 	return -1
 }
 
-// SwitchIndex resolves a switch name ("sw0", "left", "leaf2", "spine1")
+// SwitchIndex resolves a switch name ("sw0", "leaf2", "spine1")
 // to its index in Switches, or -1 when unknown.
 func (n *Net) SwitchIndex(name string) int {
 	for i, sw := range n.Switches {
@@ -526,7 +525,7 @@ func (n *Net) switchPort(o *Options, b *portBlock, s *switchNode, dstDom int, ds
 
 // switchLink builds, in b, the port of switch from toward switch to over a
 // fabric link, and enters it in the census as "from-to"; leaf and spine are
-// the link's fabric coordinates (-1 outside a leaf-spine).
+// the link's fabric coordinates.
 func (n *Net) switchLink(o *Options, b *portBlock, from, to *switchNode, leaf, spine int) *device.Port {
 	pt := n.switchPort(o, b, from, to.dom, to.sw)
 	n.addSwitchPort(from.dom, pt)
@@ -600,40 +599,6 @@ func NewStar(n int, o Options) *Net {
 	blocks := make([]hostBlock, n)
 	for i := range blocks {
 		sw.sw.AddRoute(i, net.addHost(opts, &blocks[i], i, sw))
-	}
-	return net
-}
-
-// NewDumbbell builds nPairs senders and nPairs receivers on two switches
-// joined by a single bottleneck link: senders 0..nPairs-1 attach to the
-// left switch, receivers nPairs..2nPairs-1 to the right. The two sides
-// are separate domains cut on the bottleneck link.
-func NewDumbbell(nPairs int, o Options) *Net {
-	if nPairs < 1 {
-		panic("topology: dumbbell needs at least one pair")
-	}
-	opts := &o
-	opts.defaults()
-	net := newNet(PartitionDumbbell(nPairs, o), opts, 2)
-	left := net.addSwitch(opts, "left", TierEdge)
-	right := net.addSwitch(opts, "right", TierEdge)
-
-	// The inter-switch bottleneck carries AQM in both directions. Each
-	// direction is its own allocation: the two sides may be two domains.
-	l2r := net.switchLink(opts, new(portBlock), left, right, -1, -1)
-	r2l := net.switchLink(opts, new(portBlock), right, left, -1, -1)
-
-	for _, side := range []*switchNode{left, right} {
-		blocks := make([]hostBlock, nPairs)
-		for k := range blocks {
-			id := len(net.Hosts)
-			side.sw.AddRoute(id, net.addHost(opts, &blocks[k], id, side))
-		}
-	}
-	// Cross routes traverse the bottleneck.
-	for i := 0; i < nPairs; i++ {
-		right.sw.AddRoute(i, r2l)
-		left.sw.AddRoute(nPairs+i, l2r)
 	}
 	return net
 }

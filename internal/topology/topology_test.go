@@ -74,28 +74,6 @@ func TestStarEndToEnd(t *testing.T) {
 	endToEnd(t, n, 2, 1)
 }
 
-func TestDumbbellShapeAndEndToEnd(t *testing.T) {
-	n := NewDumbbell(3, opts())
-	if len(n.Hosts) != 6 || len(n.Switches) != 2 {
-		t.Fatalf("hosts=%d switches=%d", len(n.Hosts), len(n.Switches))
-	}
-	// 6 host-facing ports + 2 bottleneck directions.
-	if len(n.SwitchPorts) != 8 {
-		t.Errorf("switch ports = %d, want 8", len(n.SwitchPorts))
-	}
-	endToEnd(t, n, 0, 3) // cross the bottleneck
-	endToEnd(t, n, 4, 1) // and back
-}
-
-func TestDumbbellPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic")
-		}
-	}()
-	NewDumbbell(0, opts())
-}
-
 func TestLeafSpineShape(t *testing.T) {
 	n := NewLeafSpine(8, 8, 16, opts())
 	if len(n.Hosts) != 128 {

@@ -62,7 +62,7 @@ func ObjectiveByName(name string, rttMinUS, p99Weight, avgWeight float64) (Objec
 				if s.OverallCount == 0 {
 					return PenaltyScore
 				}
-				return p99Weight*s.ShortP99 + avgWeight*s.OverallAvg
+				return float64(p99Weight*s.ShortP99) + float64(avgWeight*s.OverallAvg)
 			})
 		}}, nil
 	default:
@@ -85,7 +85,7 @@ func meanOverLoads(pools []experiments.LoadPool, stat func(metrics.FCTStats) flo
 // slowdown is one flow's FCT divided by its ideal completion time:
 // serialization at the fabric rate plus one base RTT.
 func slowdown(r metrics.FCTRecord, rttMinUS float64) float64 {
-	idealUS := float64(r.Size+int64(packet.HeaderSize))*8/topology.TenGbps*1e6 + rttMinUS
+	idealUS := float64(float64(r.Size+int64(packet.HeaderSize))*8/topology.TenGbps*1e6) + rttMinUS
 	if idealUS <= 0 {
 		return PenaltyScore
 	}

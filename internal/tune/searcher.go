@@ -128,7 +128,7 @@ func (r *Random) Propose(sp *Space, rng *rand.Rand) [][]float64 {
 		v := make([]float64, n)
 		for p := range v {
 			d := sp.dim(p)
-			v[p] = d.Min + rng.Float64()*(d.Max-d.Min)
+			v[p] = d.Min + float64(rng.Float64()*(d.Max-d.Min))
 		}
 		batch[i] = sp.Clamp(v)
 	}
@@ -200,7 +200,7 @@ func (h *HillClimb) Propose(sp *Space, rng *rand.Rand) [][]float64 {
 			v := make([]float64, n)
 			for p := range v {
 				d := sp.dim(p)
-				v[p] = d.Min + rng.Float64()*(d.Max-d.Min)
+				v[p] = d.Min + float64(rng.Float64()*(d.Max-d.Min))
 			}
 			batch = append(batch, sp.Clamp(v))
 		}
@@ -222,7 +222,7 @@ func (h *HillClimb) Propose(sp *Space, rng *rand.Rand) [][]float64 {
 			}
 			for _, dir := range []float64{+1, -1} {
 				v := append([]float64(nil), h.incumbent...)
-				v[p] += dir * h.steps[p]
+				v[p] += float64(dir * h.steps[p])
 				sp.Clamp(v)
 				if !equalVec(v, h.incumbent) {
 					batch = append(batch, v)

@@ -145,7 +145,7 @@ func (sp *Space) Clamp(v []float64) []float64 {
 		d := sp.dim(p)
 		x := v[p]
 		if d.Step > 0 {
-			x = d.Min + math.Round((x-d.Min)/d.Step)*d.Step
+			x = d.Min + float64(math.Round((x-d.Min)/d.Step)*d.Step)
 		}
 		v[p] = math.Min(d.Max, math.Max(d.Min, x))
 	}
