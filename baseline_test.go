@@ -24,6 +24,10 @@ import (
 //	go test -run TestAllocBaseline -update .
 var update = flag.Bool("update", false, "rewrite the committed baseline the selected test checks (ESCAPES_baseline.json, BENCH_runtime.json, BENCH_scale.json, testdata/result_digests.json) instead of comparing against it")
 
+// hosts100k adds TestScaleBaseline's 100k-host tier to a plain run; CI's
+// bench job sets it, go test ./... leaves it off.
+var hosts100k = flag.Bool("hosts100k", false, "also check TestScaleBaseline's 100k-host tier (~30 s, ~0.4 GB)")
+
 // bytesTolerance is the relative growth bytes/op and bytes/host may show
 // over the baseline: size classes and map growth make bytes nearly, not
 // exactly, reproducible. Allocation, event and flow counts are exact.
@@ -216,8 +220,9 @@ func TestAllocBaseline(t *testing.T) {
 
 // scaleResult is one (hosts, shards) cell of BENCH_scale.json: what the cell
 // simulated and what it keeps in memory, both independent of the machine,
-// and the run's window and handoff counts (sim.RunReport), independent of
-// the worker count too. How fast it ran is BenchmarkScaleCell's and
+// and the run's window and handoff counts (sim.RunReport) and packet pool
+// counts (RunResult.Pools, summed over domains), independent of the worker
+// count too. How fast it ran is BenchmarkScaleCell's and
 // benchmark/'s to say.
 type scaleResult struct {
 	Hosts          int     `json:"hosts"`
@@ -228,12 +233,14 @@ type scaleResult struct {
 	HandoffDrains  uint64  `json:"handoff_drains"`
 	BytesPerHost   float64 `json:"bytes_per_host"`
 	CompletedFlows int     `json:"completed_flows"`
+	PoolGets       int64   `json:"pool_gets"`
+	PoolNews       int64   `json:"pool_news"`
 }
 
 // counts is the part of a scaleResult the gate compares exactly.
 func (r scaleResult) counts() string {
-	return fmt.Sprintf("%d events, %d windows, %d handoff messages, %d handoff drains and %d completed flows",
-		r.Events, r.Windows, r.HandoffMsgs, r.HandoffDrains, r.CompletedFlows)
+	return fmt.Sprintf("%d events, %d windows, %d handoff messages, %d handoff drains, %d completed flows, %d pool gets and %d pool news",
+		r.Events, r.Windows, r.HandoffMsgs, r.HandoffDrains, r.CompletedFlows, r.PoolGets, r.PoolNews)
 }
 
 // scaleReport is the schema of BENCH_scale.json.
@@ -275,16 +282,20 @@ func measureScaleCell(t *testing.T, cell experiments.ScaleCell, shards int) scal
 		BytesPerHost:   float64(after-before) / float64(cell.Hosts),
 		CompletedFlows: res.Completed,
 	}
+	for _, c := range res.Pools {
+		out.PoolGets += c.Gets
+		out.PoolNews += c.News
+	}
 	if res.Completed != res.Injected {
 		t.Errorf("%s completed %d/%d flows", scaleKey(cell.Hosts, shards), res.Completed, res.Injected)
 	}
-	t.Logf("%-24s %10d events %6d windows %8d handoffs %8d drains %8.0f B/host %8d flows", scaleKey(cell.Hosts, shards),
-		out.Events, out.Windows, out.HandoffMsgs, out.HandoffDrains, out.BytesPerHost, out.CompletedFlows)
+	t.Logf("%-24s %10d events %6d windows %8d handoffs %8d drains %8.0f B/host %8d flows %8d gets %7d news", scaleKey(cell.Hosts, shards),
+		out.Events, out.Windows, out.HandoffMsgs, out.HandoffDrains, out.BytesPerHost, out.CompletedFlows, out.PoolGets, out.PoolNews)
 	return out
 }
 
 // compareScale returns one line per cell that drifted from base: the event,
-// window, handoff and completed-flow counts must match, bytes/host may not grow beyond
+// window, handoff, completed-flow and pool counts must match, bytes/host may not grow beyond
 // bytesTolerance, every measured cell must be recorded, and every recorded
 // cell of a tier that ran (those up to maxHosts) must have been measured.
 func compareScale(base, got map[string]scaleResult, maxHosts int) []string {
@@ -315,14 +326,15 @@ func compareScale(base, got map[string]scaleResult, maxHosts int) []string {
 
 // TestScaleBaseline pins the scale cells (experiments.ScaleCellConfig at 1
 // and 4 workers) to the committed BENCH_scale.json: the 1k-host tier always,
-// the 10k tier unless -short, the 100k tier (~30 s, ~0.45 GB) only when
-// refreshing, which rewrites every tier:
+// the 10k tier unless -short, the 100k tier (~30 s, ~0.45 GB) only with
+// -hosts100k or when refreshing, which rewrites every tier:
 //
+//	go test -run TestScaleBaseline -hosts100k .
 //	go test -run TestScaleBaseline -update .
 func TestScaleBaseline(t *testing.T) {
 	maxHosts := 10_240
 	switch {
-	case *update:
+	case *update || *hosts100k:
 		maxHosts = 100_000
 	case testing.Short():
 		maxHosts = 1_024
@@ -439,6 +451,8 @@ func TestBaselineGatesDetectRegressions(t *testing.T) {
 	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.HandoffMsgs-- }), cells, all), cell, "handoff messages")
 	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.HandoffDrains++ }), cells, all), cell, "handoff drains")
 	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.CompletedFlows-- }), cells, all), cell, "completed flows")
+	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.PoolGets-- }), cells, all), cell, "pool gets")
+	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.PoolNews++ }), cells, all), cell, "pool news")
 	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.BytesPerHost *= 0.8 }), cells, all), cell, "B/host")
 	const extra = "hosts=1024/shards=2"
 	unrecorded := doctored(cells, extra, func(r *scaleResult) { r.Hosts = 1_024 })

@@ -35,6 +35,7 @@ import (
 	"ecnsharp/internal/experiments"
 	"ecnsharp/internal/fault"
 	"ecnsharp/internal/harness"
+	"ecnsharp/internal/sim"
 	"ecnsharp/internal/trace"
 	"ecnsharp/internal/transport"
 	"ecnsharp/internal/tune"
@@ -76,7 +77,7 @@ func main() {
 			"comma-separated event types to trace: enqueue,dequeue,drop,mark,sojourn,cwnd,rate,echo,flow_start,flow_finish,fault,reroute,flow_fail or all")
 		traceSample = flag.Int("trace-sample", 1, "keep every n-th selected event (sampling stride)")
 		report      = flag.Bool("report", false,
-			"print the run's report (windows, per-domain events, handoff messages and drains; summed over -seeds) as one JSON line on stderr")
+			"print the run's report (windows, per-domain events, handoff messages and drains, per-domain packet pool gets and news; summed over -seeds) as one JSON line on stderr")
 	)
 	flag.Parse()
 
@@ -253,7 +254,10 @@ func main() {
 		}
 	}
 	if *report {
-		line, err := json.Marshal(r.Report)
+		line, err := json.Marshal(struct {
+			sim.RunReport
+			Pools []experiments.PoolCount `json:"pools"`
+		}{r.Report, r.Pools})
 		if err != nil {
 			fail(1, err)
 		}

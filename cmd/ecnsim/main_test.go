@@ -262,12 +262,23 @@ func TestReportLeavesStdoutAlone(t *testing.T) {
 		Windows      uint64   `json:"windows"`
 		DomainEvents []uint64 `json:"domain_events"`
 		HandoffMsgs  uint64   `json:"handoff_msgs"`
+		Pools        []struct {
+			Gets, News int64
+		} `json:"pools"`
 	}
 	if strings.Count(stderr, "\n") != 1 || json.Unmarshal([]byte(stderr), &r) != nil {
 		t.Fatalf("stderr is not one JSON line:\n%s", stderr)
 	}
-	if r.Windows == 0 || len(r.DomainEvents) != 16 || r.HandoffMsgs == 0 {
-		t.Errorf("report %+v: want windows, 16 domains and handoff messages", r)
+	if r.Windows == 0 || len(r.DomainEvents) != 16 || r.HandoffMsgs == 0 || len(r.Pools) != 16 {
+		t.Errorf("report %+v: want windows, 16 domains, handoff messages and 16 pools", r)
+	}
+	var gets, news int64
+	for _, p := range r.Pools {
+		gets += p.Gets
+		news += p.News
+	}
+	if gets == 0 || news == 0 || news > gets {
+		t.Errorf("pools got %d packets and allocated %d: want both positive, news <= gets", gets, news)
 	}
 }
 

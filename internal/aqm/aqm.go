@@ -40,10 +40,11 @@ type AQM interface {
 // MarkKinder is an optional interface an AQM implements to attribute its
 // marks for tracing: after OnEnqueue or OnDequeue returns true,
 // LastMarkKind reports which condition decided that mark (instantaneous,
-// persistent, or probabilistic). The queue layer type-asserts once at
-// construction and calls LastMarkKind only for packets actually marked, so
-// schemes with a single marking condition can return a constant. AQMs that
-// do not implement it have their marks traced as trace.MarkUnknown.
+// persistent, or probabilistic). The queue layer asks for it (one type
+// assertion) each time it applies a mark, to count and trace the mark by
+// kind, so schemes with a single marking condition can return a constant.
+// AQMs that do not implement it have their marks counted and traced as
+// trace.MarkUnknown.
 type MarkKinder interface {
 	LastMarkKind() trace.MarkKind
 }

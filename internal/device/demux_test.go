@@ -12,7 +12,7 @@ import (
 // from inside HandlePacket on the first one, as Sender.finish does.
 type countingFlow struct {
 	h    *Host
-	id   uint64
+	id   uint32
 	quit bool
 	got  int
 }
@@ -44,7 +44,7 @@ func TestHostDemux(t *testing.T) {
 			h := NewHost(sim.NewEngine(), 0)
 			flows := make([]*countingFlow, n)
 			for i := range flows {
-				flows[i] = &countingFlow{h: h, id: uint64(100 + i)}
+				flows[i] = &countingFlow{h: h, id: uint32(100 + i)}
 				h.Register(flows[i].id, flows[i])
 			}
 			// deliver sends one packet to every flow id and checks who got it.
@@ -122,12 +122,12 @@ func TestHostDemux(t *testing.T) {
 func TestHostDemuxRepresentation(t *testing.T) {
 	h := NewHost(sim.NewEngine(), 0)
 	for i := 0; i < hostInlineFlows; i++ {
-		h.Register(uint64(i+1), &countingFlow{})
+		h.Register(uint32(i+1), &countingFlow{})
 	}
 	if h.nflows != hostInlineFlows || h.spill != nil {
 		t.Fatalf("%d flows: %d inline, spill %v", hostInlineFlows, h.nflows, h.spill)
 	}
-	h.Register(uint64(hostInlineFlows+1), &countingFlow{})
+	h.Register(uint32(hostInlineFlows+1), &countingFlow{})
 	if h.nflows != 0 || len(h.spill) != hostInlineFlows+1 {
 		t.Fatalf("%d flows: %d inline, %d in the map", hostInlineFlows+1, h.nflows, len(h.spill))
 	}
@@ -176,13 +176,13 @@ func BenchmarkHostDemux(b *testing.B) {
 			h := NewHost(sim.NewEngine(), 0)
 			f := &benchFlow{}
 			for i := 0; i < n; i++ {
-				h.Register(uint64(1000+i), f)
+				h.Register(uint32(1000+i), f)
 			}
 			p := dataPkt(0, 0)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.FlowID = uint64(1000 + i&(n-1)) // n is a power of two
+				p.FlowID = uint32(1000 + i&(n-1)) // n is a power of two
 				h.Receive(p)
 			}
 			if f.got != b.N {

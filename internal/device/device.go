@@ -45,28 +45,30 @@ type Port struct {
 	// one converts nothing.
 	Dst packet.Sink
 
-	busy  bool
-	txPkt *packet.Packet // packet occupying the transmitter while busy
+	txPkt *packet.Packet // packet occupying the transmitter; nil when idle
 	txEv  sim.Event      // in-flight serialization event (cancelled on link-down)
-
-	// Fault state. down discards traffic at the transmitter (SetDown);
-	// closed rejects Send entirely (Close, after teardown).
-	down   bool
-	closed bool
 
 	// remote, when non-nil, marks this port as a domain boundary under a
 	// sharded engine: instead of scheduling delivery on the local engine,
 	// finished packets are handed to the destination domain (see SetRemote).
 	remote *sim.Handoff
 
-	// TxBytes and TxPackets count transmitted (dequeued) traffic.
+	// TxBytes and TxPackets count the traffic that finished serializing,
+	// onto the link (or, on a boundary port, out of the domain).
 	TxBytes   int64
 	TxPackets int64
-	// FaultDrops counts packets the port's fault logic discarded outside
-	// the egress accounting: the packet on the transmitter when the link
-	// went down, and packets arriving at a downed port. (Queued packets
-	// drained on link-down are counted as egress Drops like any tail drop.)
-	FaultDrops int64
+	// FaultDrops and FaultDropBytes count packets the port's fault logic
+	// discarded outside the egress accounting: the packet on the
+	// transmitter when the link went down, and packets arriving at a
+	// downed port. (Queued packets drained on link-down are counted as
+	// egress Drops like any tail drop.)
+	FaultDrops     int64
+	FaultDropBytes int64
+
+	// Fault state. down discards traffic at the transmitter (SetDown);
+	// closed rejects Send entirely (Close, after teardown).
+	down   bool
+	closed bool
 }
 
 // NewPort builds a transmit port. The egress must be non-nil.
@@ -106,8 +108,7 @@ func (pt *Port) Send(p *packet.Packet) {
 		panic(fmt.Sprintf("device: Send on closed port to %s after teardown", pt.Dst.(Node).Name()))
 	}
 	if pt.down {
-		pt.FaultDrops++
-		pt.Egress.PacketPool.Put(p)
+		pt.faultDrop(p)
 		return
 	}
 	if pt.Egress.Enqueue(pt.eng.Now(), p) {
@@ -115,19 +116,34 @@ func (pt *Port) Send(p *packet.Packet) {
 	}
 }
 
+// faultDrop counts p as lost to the port's fault logic and releases it.
+func (pt *Port) faultDrop(p *packet.Packet) {
+	pt.FaultDrops++
+	pt.FaultDropBytes += int64(p.Size())
+	pt.Egress.PacketPool.Put(p)
+}
+
+// Held returns the packets and bytes the port holds: its queued backlog
+// plus the packet on its transmitter.
+func (pt *Port) Held() (pkts, bytes int64) {
+	pkts, bytes = int64(pt.Egress.Len()), pt.Egress.Bytes()
+	if p := pt.txPkt; p != nil {
+		pkts++
+		bytes += int64(p.Size())
+	}
+	return pkts, bytes
+}
+
 // kick starts transmitting if the port is idle and has queued packets.
 func (pt *Port) kick() {
-	if pt.busy || pt.Egress.Empty() {
+	if pt.txPkt != nil || pt.Egress.Empty() {
 		return
 	}
 	p := pt.Egress.Dequeue(pt.eng.Now())
 	if p == nil {
 		return
 	}
-	pt.busy = true
 	pt.txPkt = p
-	pt.TxBytes += int64(p.Size())
-	pt.TxPackets++
 	// Transmitter frees after serialization; the packet lands at the
 	// destination one propagation delay later (see txDone). The event
 	// handle is kept so a link-down can cancel the in-flight transmission.
@@ -152,14 +168,11 @@ func (pt *Port) SetDown(down bool) {
 		pt.kick()
 		return
 	}
-	if pt.busy {
+	if p := pt.txPkt; p != nil {
 		pt.eng.Cancel(pt.txEv)
 		pt.txEv = sim.Event{}
-		pt.busy = false
-		pt.FaultDrops++
-		p := pt.txPkt
 		pt.txPkt = nil
-		pt.Egress.PacketPool.Put(p)
+		pt.faultDrop(p)
 	}
 	pt.Egress.DropAll(pt.eng.Now())
 }
@@ -208,8 +221,9 @@ func portTxDone(a any) { a.(*Port).txDone() }
 func (pt *Port) txDone() {
 	p := pt.txPkt
 	pt.txPkt = nil
-	pt.busy = false
 	pt.txEv = sim.Event{}
+	pt.TxBytes += int64(p.Size())
+	pt.TxPackets++
 	p.Next = pt.Dst
 	if pt.remote != nil {
 		pt.remote.Send(pt.eng.Now()+pt.PropDelay, p)
@@ -267,9 +281,11 @@ type Switch struct {
 	blackholePool *packet.Pool
 	// RxPackets counts packets received for forwarding.
 	RxPackets int64
-	// Blackholed counts packets discarded because the switch had failed or
-	// no surviving route existed (only once EnableBlackhole was called).
-	Blackholed int64
+	// Blackholed and BlackholedBytes count packets discarded because the
+	// switch had failed or no surviving route existed (only once
+	// EnableBlackhole was called).
+	Blackholed      int64
+	BlackholedBytes int64
 }
 
 // NewSwitch builds an empty switch.
@@ -325,20 +341,18 @@ func (s *Switch) Routes(dst int) []*Port {
 func (s *Switch) Receive(p *packet.Packet) {
 	s.RxPackets++
 	if s.failed {
-		s.Blackholed++
-		s.blackholePool.Put(p)
+		s.blackhole(p)
 		return
 	}
 	var ports []*Port
 	if s.router != nil {
-		ports = s.router.Route(p.Dst)
+		ports = s.router.Route(int(p.Dst))
 	} else {
-		ports = s.fib[p.Dst]
+		ports = s.fib[int(p.Dst)]
 	}
 	if len(ports) == 0 {
 		if s.blackholeOK {
-			s.Blackholed++
-			s.blackholePool.Put(p)
+			s.blackhole(p)
 			return
 		}
 		panic(fmt.Sprintf("device: switch %s has no route to host %d", s.id, p.Dst))
@@ -347,9 +361,16 @@ func (s *Switch) Receive(p *packet.Packet) {
 	if len(ports) == 1 {
 		pt = ports[0]
 	} else {
-		pt = ports[ecmpHash(p.FlowID)%uint64(len(ports))]
+		pt = ports[ecmpHash(uint64(p.FlowID))%uint64(len(ports))]
 	}
 	pt.Send(p)
+}
+
+// blackhole counts p as discarded by the switch and releases it.
+func (s *Switch) blackhole(p *packet.Packet) {
+	s.Blackholed++
+	s.BlackholedBytes += int64(p.Size())
+	s.blackholePool.Put(p)
 }
 
 // ecmpHash mixes the flow id (splitmix64 finalizer) so that consecutive
@@ -383,12 +404,14 @@ type Host struct {
 	Pool *packet.Pool
 
 	// spill holds the flow handlers of a host with many flows, see below.
-	spill map[uint64]PacketHandler
+	spill map[uint32]PacketHandler
 	// flowDelays is nil until the first SetFlowDelay.
-	flowDelays map[uint64]sim.Time
+	flowDelays map[uint32]sim.Time
 
-	RxPackets int64
-	TxPackets int64
+	// RxPackets and RxBytes count what the host received, TxPackets and
+	// TxBytes what it sent.
+	RxPackets, RxBytes int64
+	TxPackets, TxBytes int64
 
 	// Flow demux. A host with few flows (hostInlineFlows or fewer, the
 	// common case: two on a scale cell) keeps them in flowIDs and handlers,
@@ -398,7 +421,7 @@ type Host struct {
 	// incast receiver with hundreds of flows looks up a map, as every host
 	// used to).
 	nflows   int
-	flowIDs  [hostInlineFlows]uint64
+	flowIDs  [hostInlineFlows]uint32
 	handlers [hostInlineFlows]PacketHandler
 
 	// Default extra delay applied to flows with no specific entry.
@@ -434,7 +457,7 @@ func (h *Host) Engine() *sim.Engine { return h.eng }
 // Register attaches a handler for packets of the given flow arriving at
 // this host. Registering twice for one flow panics: it indicates colliding
 // flow ids.
-func (h *Host) Register(flowID uint64, ph PacketHandler) {
+func (h *Host) Register(flowID uint32, ph PacketHandler) {
 	if h.handler(flowID) != nil {
 		panic(fmt.Sprintf("device: host %d: duplicate handler for flow %d", h.ID, flowID))
 	}
@@ -447,7 +470,7 @@ func (h *Host) Register(flowID uint64, ph PacketHandler) {
 			h.nflows++
 			return
 		}
-		h.spill = make(map[uint64]PacketHandler, hostInlineFlows+1)
+		h.spill = make(map[uint32]PacketHandler, hostInlineFlows+1)
 		for i := 0; i < h.nflows; i++ {
 			h.spill[h.flowIDs[i]] = h.handlers[i]
 			h.handlers[i] = nil
@@ -459,7 +482,7 @@ func (h *Host) Register(flowID uint64, ph PacketHandler) {
 
 // Unregister removes the flow handler (after flow completion). A handler
 // may unregister itself, or another flow, from inside HandlePacket.
-func (h *Host) Unregister(flowID uint64) {
+func (h *Host) Unregister(flowID uint32) {
 	if h.spill != nil {
 		delete(h.spill, flowID)
 		if len(h.spill) == 0 {
@@ -479,7 +502,7 @@ func (h *Host) Unregister(flowID uint64) {
 }
 
 // handler returns the handler registered for flowID, or nil.
-func (h *Host) handler(flowID uint64) PacketHandler {
+func (h *Host) handler(flowID uint32) PacketHandler {
 	if h.spill != nil {
 		return h.spill[flowID]
 	}
@@ -494,18 +517,18 @@ func (h *Host) handler(flowID uint64) PacketHandler {
 // SetFlowDelay sets the netem-style extra one-way delay this host adds to
 // every packet it sends for the given flow. The experiments use it to give
 // each flow its base-RTT contribution from processing components.
-func (h *Host) SetFlowDelay(flowID uint64, d sim.Time) {
+func (h *Host) SetFlowDelay(flowID uint32, d sim.Time) {
 	if d < 0 {
 		panic("device: negative flow delay")
 	}
 	if h.flowDelays == nil {
-		h.flowDelays = make(map[uint64]sim.Time)
+		h.flowDelays = make(map[uint32]sim.Time)
 	}
 	h.flowDelays[flowID] = d
 }
 
 // FlowDelay returns the extra delay configured for a flow.
-func (h *Host) FlowDelay(flowID uint64) sim.Time {
+func (h *Host) FlowDelay(flowID uint32) sim.Time {
 	if d, ok := h.flowDelays[flowID]; ok {
 		return d
 	}
@@ -519,6 +542,7 @@ func (h *Host) Send(p *packet.Packet) {
 		panic(fmt.Sprintf("device: host %d has no NIC", h.ID))
 	}
 	h.TxPackets++
+	h.TxBytes += int64(p.Size())
 	d := h.FlowDelay(p.FlowID)
 	if d == 0 {
 		h.NIC.Send(p)
@@ -542,6 +566,7 @@ func (n *nicEntry) Receive(p *packet.Packet) { n.NIC.Send(p) }
 // field they need rather than keep the pointer.
 func (h *Host) Receive(p *packet.Packet) {
 	h.RxPackets++
+	h.RxBytes += int64(p.Size())
 	if ph := h.handler(p.FlowID); ph != nil {
 		ph.HandlePacket(h.eng.Now(), p)
 	}

@@ -21,7 +21,7 @@ func (s *sink) Receive(p *packet.Packet) {
 }
 func (s *sink) Name() string { return "sink" }
 
-func dataPkt(flow uint64, dst int) *packet.Packet {
+func dataPkt(flow uint32, dst int32) *packet.Packet {
 	return &packet.Packet{FlowID: flow, Dst: dst, Kind: packet.Data,
 		PayloadLen: packet.MSS, ECN: packet.ECT}
 }
@@ -147,9 +147,9 @@ func TestSwitchECMPIsPerFlowAndBalanced(t *testing.T) {
 		sw.AddRoute(1, newPort(eng, 100e9, 0, sinks[i]))
 	}
 	// Per-flow: all packets of one flow take the same path.
-	perFlow := map[uint64]int{}
+	perFlow := map[uint32]int{}
 	const flows = 400
-	for f := uint64(0); f < flows; f++ {
+	for f := uint32(0); f < flows; f++ {
 		for k := 0; k < 3; k++ {
 			sw.Receive(dataPkt(f, 1))
 		}

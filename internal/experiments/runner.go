@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -131,6 +132,10 @@ type RunResult struct {
 	// the execution, not the simulated network, so no result encoding or
 	// cache key includes it.
 	Report sim.RunReport
+	// Pools counts each domain's packet pool (summed over seeds by
+	// MergeRuns); like Report it describes the execution and stays out of
+	// every encoding.
+	Pools []PoolCount
 
 	// PerSeed holds the unmerged per-seed results when this result was
 	// pooled across seeds by MergeRuns (nil for a direct single run), so
@@ -259,9 +264,14 @@ func (cfg *RunConfig) aqmAt(rng *rand.Rand) func(topology.PortLoc, int) aqm.AQM 
 	}
 }
 
-// Run executes the configured simulation untraced and gathers results.
+// Run executes the configured simulation untraced and gathers results. It
+// panics when the run fails its conservation audit: with no context to
+// cancel, that is the only way RunContext fails.
 func Run(cfg RunConfig) RunResult {
-	r, _ := RunContext(context.Background(), cfg, nil)
+	r, err := RunContext(context.Background(), cfg, nil)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
 	return r
 }
 
@@ -270,7 +280,9 @@ func Run(cfg RunConfig) RunResult {
 // deadline stops the run early, and a non-nil tr is attached to the whole
 // network before any flow starts (flushing whatever it writes to is the
 // caller's job). On cancellation the returned result is partial and the
-// error is ctx's.
+// error is ctx's. Every run ends with a conservation audit (Net.Audit and
+// the flow count, see auditFlows); an equation that does not balance is a
+// simulator bug, returned as an error naming it.
 func RunContext(ctx context.Context, cfg RunConfig, tr trace.Tracer) (RunResult, error) {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -323,7 +335,7 @@ func RunContext(ctx context.Context, cfg RunConfig, tr trace.Tracer) (RunResult,
 		dst := net.Host(spec.Dst)
 		if assigner != nil {
 			_, extra := assigner.Next()
-			src.SetFlowDelay(id, extra)
+			src.SetFlowDelay(uint32(id), extra)
 		}
 		tc := cfg.Transport
 		tc.Class = spec.Class
@@ -352,6 +364,13 @@ func RunContext(ctx context.Context, cfg RunConfig, tr trace.Tracer) (RunResult,
 	}
 	runErr := net.Shard.RunPoll(limit, 4, ctx.Err)
 	table.CloseAll()
+	audit := net.Audit()
+	if audit == nil {
+		audit = auditFlows(net, table, completedBy, failedBy, runErr == nil && cfg.Deadline <= 0)
+	}
+	if audit != nil {
+		runErr = errors.Join(runErr, audit)
+	}
 
 	collector := collectors[0]
 	if doms > 1 {
@@ -376,6 +395,7 @@ func RunContext(ctx context.Context, cfg RunConfig, tr trace.Tracer) (RunResult,
 		Injected:  len(specs),
 		Net:       net,
 		Report:    net.Shard.Report(),
+		Pools:     poolCounts(net),
 	}
 	for _, s := range table.Senders {
 		res.Timeouts += s.Stats.Timeouts
@@ -390,6 +410,64 @@ func RunContext(ctx context.Context, cfg RunConfig, tr trace.Tracer) (RunResult,
 		res.Goodput = append(res.Goodput, m.Series)
 	}
 	return res, runErr
+}
+
+// auditFlows checks, domain by domain and summed, that every flow the
+// table launched finished, failed or is still active, counting finished
+// and failed flows by their completion callbacks and active ones by their
+// senders' state; after a drained run (no deadline, not cancelled) none may
+// still be active.
+func auditFlows(net *topology.Net, table *transport.FlowTable, completedBy, failedBy []int, drained bool) error {
+	active := make([]int, len(completedBy))
+	launched := make([]int, len(completedBy))
+	for i, s := range table.Senders {
+		d := net.DomainOfHost(table.Src[i])
+		launched[d]++
+		if !s.Finished() && !s.Failed() {
+			active[d]++
+		}
+	}
+	check := func(where string, launched, finished, failed, active int) error {
+		if launched != finished+failed+active || (drained && active > 0) {
+			return fmt.Errorf("conservation audit: %s: flows: launched %d != finished %d + failed %d + active %d (drained run: %t)",
+				where, launched, finished, failed, active, drained)
+		}
+		return nil
+	}
+	for d := range launched {
+		if err := check(fmt.Sprintf("domain %d", d), launched[d], completedBy[d], failedBy[d], active[d]); err != nil {
+			return err
+		}
+	}
+	return check("all domains", sumOf(launched), sumOf(completedBy), sumOf(failedBy), sumOf(active))
+}
+
+// sumOf returns the sum of xs.
+func sumOf(xs []int) int {
+	n := 0
+	for _, x := range xs {
+		n += x
+	}
+	return n
+}
+
+// PoolCount is one domain's packet pool over a run: the packets it handed
+// out and those it allocated because its free list was empty. Both are
+// functions of the simulation alone, equal at any worker count.
+type PoolCount struct {
+	Gets int64 `json:"gets"`
+	News int64 `json:"news"`
+}
+
+// poolCounts reads the counts of net's packet pools, by domain.
+func poolCounts(net *topology.Net) []PoolCount {
+	counts := make([]PoolCount, len(net.PacketPools))
+	for d, pl := range net.PacketPools {
+		if pl != nil {
+			counts[d] = PoolCount{Gets: pl.Gets, News: pl.News}
+		}
+	}
+	return counts
 }
 
 // MergeRuns pools per-seed results into one, deterministically in input
@@ -414,6 +492,11 @@ func MergeRuns(runs []RunResult) RunResult {
 		merged.Failed += r.Failed
 		merged.Injected += r.Injected
 		merged.Report.Add(r.Report)
+		merged.Pools = append(merged.Pools, make([]PoolCount, max(0, len(r.Pools)-len(merged.Pools)))...)
+		for d, c := range r.Pools {
+			merged.Pools[d].Gets += c.Gets
+			merged.Pools[d].News += c.News
+		}
 		merged.QueueSamples = append(merged.QueueSamples, r.QueueSamples...)
 		if r.MaxQueuePkts > merged.MaxQueuePkts {
 			merged.MaxQueuePkts = r.MaxQueuePkts

@@ -116,7 +116,7 @@ func scheduleLink(net *topology.Net, t Transition) error {
 		// Lookahead conservatism: a boundary link's propagation delay is a
 		// floor the sharded windows were sized from; shrinking it would let
 		// a handoff land inside the current window. Reject instead.
-		if fwd.Cross && t.Prop > 0 && t.Prop < net.Lookahead {
+		if fwd.Port.IsBoundary() && t.Prop > 0 && t.Prop < net.Lookahead {
 			return fmt.Errorf("fault: degrade of cross-domain link %q to %v below lookahead %v",
 				t.Link, t.Prop, net.Lookahead)
 		}
@@ -158,7 +158,7 @@ func scheduleLink(net *topology.Net, t Transition) error {
 	// own engine to its own view.
 	if fwd.FabricLeaf >= 0 && fwd.FabricSpine >= 0 {
 		scheduleFabricUpdate(net, t.At, fabricUpdate{epoch: t.Epoch,
-			leaf: fwd.FabricLeaf, spine: fwd.FabricSpine, sw: -1, up: !down})
+			leaf: int(fwd.FabricLeaf), spine: int(fwd.FabricSpine), sw: -1, up: !down})
 	}
 	return nil
 }
@@ -182,7 +182,7 @@ func scheduleSwitch(net *topology.Net, t Transition) error {
 	// same asymmetry a real dead switch shows.
 	ports := make([]*topology.Link, 0, 8)
 	for i := range net.Links {
-		if net.Links[i].SwitchIdx == idx {
+		if net.Links[i].From == sw {
 			ports = append(ports, &net.Links[i])
 		}
 	}

@@ -11,6 +11,7 @@ package packet
 
 import (
 	"fmt"
+	"math"
 
 	"ecnsharp/internal/sim"
 )
@@ -71,30 +72,41 @@ type Sink interface {
 
 // Packet is one simulated packet. Data packets carry [Seq, Seq+PayloadLen)
 // of the flow's byte stream; ACK packets carry the receiver's cumulative
-// AckSeq and the ECN-echo flag.
+// acknowledgement in Seq and the ECN-echo flag.
+//
+// A Packet is 64 bytes, one cache line, and the allocator's 64-byte size
+// class starts every object on a line: a packet arriving cold costs a hop
+// or an endpoint one miss, whatever field it reads. What keeps it there:
+// host and flow ids are 32 bits, the class is a byte, and the fields only
+// one kind uses share a word with the other kind's (Seq, TS).
 type Packet struct {
-	// The first 64 bytes hold everything a forwarding hop reads or writes,
-	// so that a packet arriving cold costs a switch one cache line, not
-	// two; what only the endpoints use follows.
-
-	FlowID     uint64
-	Dst        int // destination host id
-	PayloadLen int // data payload bytes (0 for pure ACKs)
-
-	// Class selects the egress service queue under multi-queue scheduling
-	// (DWRR experiment, Figure 13). Class 0 is the default best-effort queue.
-	Class int
-
-	// EnqueuedAt is stamped by the switch queue at enqueue time and read at
-	// dequeue to compute the sojourn time the AQMs act on.
-	EnqueuedAt sim.Time
-
 	// Next is where the packet lands when the delay it is sitting out ends:
 	// the far end of the link it is propagating on, or the NIC behind its
 	// flow's extra host delay. The sender of that hop sets it, delivery
 	// clears it, and while it is set the packet belongs to the pending
 	// event — nobody may release it (Pool.Put panics).
 	Next Sink
+
+	// EnqueuedAt is stamped by the switch queue at enqueue time and read at
+	// dequeue to compute the sojourn time the AQMs act on.
+	EnqueuedAt sim.Time
+
+	// Seq is a data packet's first payload byte, and an ACK's cumulative
+	// next-expected byte (TCP's AckSeq).
+	Seq int64
+	// TS carries, on a data packet, the sender's clock at transmission
+	// (TCP's TSVal); the receiver echoes it on the ACK (TSEcr), so the
+	// sender measures RTT without per-packet state (RFC 7323).
+	TS sim.Time
+
+	FlowID     uint32
+	Src, Dst   int32 // source and destination host ids
+	PayloadLen int32 // data payload bytes (0 for pure ACKs)
+
+	// Class selects the egress service queue under multi-queue scheduling
+	// (DWRR experiment, Figure 13). Class 0 is the default best-effort
+	// queue; ClassOf narrows a flow's class to it.
+	Class uint8
 
 	Kind Kind
 	ECN  ECN  // IP ECN codepoint; AQMs set CE on ECT packets
@@ -103,24 +115,21 @@ type Packet struct {
 	// pooled marks packets currently resting in a Pool's free list; Put
 	// panics when it sees it set, catching double-release ownership bugs.
 	pooled bool
+}
 
-	Src    int   // source host id
-	Seq    int64 // data: first payload byte; ack: unused
-	AckSeq int64 // ack: cumulative next-expected byte
+// MaxClass is the highest service class a packet carries.
+const MaxClass = math.MaxUint8
 
-	// TSVal carries the sender's clock at transmission; the receiver echoes
-	// it in TSEcr so the sender measures RTT without per-packet state
-	// (TCP timestamps, RFC 7323).
-	TSVal sim.Time
-	TSEcr sim.Time
-
-	// The pad keeps a Packet in the allocator's 128-byte size class, whose
-	// objects start on a cache line (the 112-byte class's do not).
-	_ [16]byte
+// ClassOf narrows a flow's service class to a packet's, clamping it the
+// way the queue layer clamps a class to its queues: a negative class is
+// class 0 and one above MaxClass is MaxClass, which an egress with at most
+// MaxClass+1 queues maps to its last queue as it would the original.
+func ClassOf(c int) uint8 {
+	return uint8(min(max(c, 0), MaxClass))
 }
 
 // Size returns the wire size of the packet in bytes.
-func (p *Packet) Size() int { return HeaderSize + p.PayloadLen }
+func (p *Packet) Size() int { return HeaderSize + int(p.PayloadLen) }
 
 // SojournTime returns how long the packet has spent queued as of now.
 func (p *Packet) SojournTime(now sim.Time) sim.Time { return now - p.EnqueuedAt }
@@ -131,5 +140,5 @@ func (p *Packet) String() string {
 			p.FlowID, p.Src, p.Dst, p.Seq, p.PayloadLen, p.ECN)
 	}
 	return fmt.Sprintf("ACK flow=%d %d->%d ack=%d ece=%v",
-		p.FlowID, p.Src, p.Dst, p.AckSeq, p.ECE)
+		p.FlowID, p.Src, p.Dst, p.Seq, p.ECE)
 }

@@ -19,29 +19,19 @@ func TestSize(t *testing.T) {
 	}
 }
 
-// TestPacketLayout: what a forwarding hop reads or writes — next hop,
-// destination, flow id (ECMP), size, class, enqueue stamp, ECN codepoint —
-// lies in the packet's first cache line, and the packet stays in the
-// 128-byte size class, whose objects are line-aligned; so a packet that
-// arrives cold costs a switch one miss.
+// TestPacketLayout: a packet is one cache line — 64 bytes, in the
+// allocator's 64-byte size class, whose objects start on a line — so a
+// packet that arrives cold costs a hop or an endpoint one miss, whatever
+// field it reads.
 func TestPacketLayout(t *testing.T) {
-	var p Packet
-	for name, end := range map[string]uintptr{
-		"FlowID":     unsafe.Offsetof(p.FlowID) + unsafe.Sizeof(p.FlowID),
-		"Dst":        unsafe.Offsetof(p.Dst) + unsafe.Sizeof(p.Dst),
-		"PayloadLen": unsafe.Offsetof(p.PayloadLen) + unsafe.Sizeof(p.PayloadLen),
-		"Class":      unsafe.Offsetof(p.Class) + unsafe.Sizeof(p.Class),
-		"EnqueuedAt": unsafe.Offsetof(p.EnqueuedAt) + unsafe.Sizeof(p.EnqueuedAt),
-		"Next":       unsafe.Offsetof(p.Next) + unsafe.Sizeof(p.Next),
-		"Kind":       unsafe.Offsetof(p.Kind) + unsafe.Sizeof(p.Kind),
-		"ECN":        unsafe.Offsetof(p.ECN) + unsafe.Sizeof(p.ECN),
-	} {
-		if end > 64 {
-			t.Errorf("%s ends at byte %d, beyond the first cache line", name, end)
-		}
+	if size := unsafe.Sizeof(Packet{}); size != 64 {
+		t.Errorf("Packet is %d bytes, want 64: one cache line", size)
 	}
-	if size := unsafe.Sizeof(p); size <= 112 || size > 128 {
-		t.Errorf("Packet is %d bytes, outside the 128-byte size class (113..128)", size)
+	var pl Pool
+	for i := 0; i < 1000; i++ {
+		if p := pl.Get(); uintptr(unsafe.Pointer(p))%64 != 0 {
+			t.Fatalf("packet %d at %p spans two cache lines", i, p)
+		}
 	}
 }
 
@@ -81,7 +71,7 @@ func TestPacketString(t *testing.T) {
 			t.Errorf("data string %q missing %q", s, want)
 		}
 	}
-	a := &Packet{FlowID: 7, Src: 2, Dst: 1, Kind: Ack, AckSeq: 2920, ECE: true}
+	a := &Packet{FlowID: 7, Src: 2, Dst: 1, Kind: Ack, Seq: 2920, ECE: true}
 	s = a.String()
 	for _, want := range []string{"ACK", "ack=2920", "ece=true"} {
 		if !strings.Contains(s, want) {

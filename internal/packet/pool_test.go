@@ -10,8 +10,8 @@ func TestPoolRecyclesZeroed(t *testing.T) {
 	p := pl.Get()
 	*p = Packet{
 		FlowID: 7, Src: 1, Dst: 2, Kind: Ack,
-		Seq: 1460, PayloadLen: MSS, AckSeq: 2920, ECE: true,
-		ECN: CE, TSVal: 123, TSEcr: 456, Class: 3, EnqueuedAt: 789,
+		Seq: 1460, PayloadLen: MSS, ECE: true,
+		ECN: CE, TS: 123, Class: 3, EnqueuedAt: 789,
 	}
 	pl.Put(p)
 	q := pl.Get()

@@ -67,7 +67,7 @@ func BenchmarkEgressDWRR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		now += 1200
 		p := benchPacket()
-		p.Class = i % 3
+		p.Class = uint8(i % 3)
 		eg.Enqueue(now, p)
 		if eg.Len() > 256 {
 			for eg.Len() > 32 {

@@ -21,8 +21,8 @@ import (
 //
 // An Egress holds its service queues by value, and for the single-queue
 // port (every port but the DWRR experiment's) the queue, its initial ring
-// and the AQM/kind slots all lie inside the Egress itself, so an enqueue
-// or dequeue reads one object plus the AQM. Its slices point into itself:
+// and the AQM slot all lie inside the Egress itself, so an enqueue or
+// dequeue reads one object plus the AQM. Its slices point into itself:
 // build it where it will live (Init) and never copy it afterwards.
 type Egress struct {
 	queues []FIFO
@@ -48,11 +48,9 @@ type Egress struct {
 	bytes int64
 
 	// Tracing. tracer is nil unless attached via SetTracer, so untraced
-	// runs pay one nil check per enqueue/dequeue; kinds caches which AQMs
-	// can attribute their marks (one type assertion at construction).
+	// runs pay one nil check per enqueue/dequeue.
 	tracer trace.Tracer
 	port   int
-	kinds  []aqm.MarkKinder
 
 	// Counters.
 	Enqueued  int64
@@ -61,11 +59,13 @@ type Egress struct {
 	DropBytes int64
 	EnqMarks  int64
 	DeqMarks  int64
+	// MarkKinds counts the applied marks by the condition that decided
+	// them (indexed by trace.MarkKind): they sum to EnqMarks + DeqMarks.
+	MarkKinds [trace.MarkProbabilistic + 1]int64
 
-	// Backing arrays of queues, aqms and kinds on a single-queue port.
+	// Backing arrays of queues and aqms on a single-queue port.
 	queue0 [1]FIFO
 	aqm0   [1]aqm.AQM
-	kind0  [1]aqm.MarkKinder
 }
 
 // NewEgress builds an egress port with n service queues. aqmFor is called
@@ -88,11 +88,10 @@ func (e *Egress) Init(n int, sched Scheduler, bufferBytes int64, aqmFor func(i i
 	}
 	*e = Egress{sched: sched, BufferBytes: bufferBytes, port: -1}
 	if n == 1 {
-		e.queues, e.aqms, e.kinds = e.queue0[:], e.aqm0[:], e.kind0[:]
+		e.queues, e.aqms = e.queue0[:], e.aqm0[:]
 	} else {
 		e.queues = make([]FIFO, n)
 		e.aqms = make([]aqm.AQM, n)
-		e.kinds = make([]aqm.MarkKinder, n)
 	}
 	for i := range e.queues {
 		e.queues[i].Init()
@@ -101,9 +100,6 @@ func (e *Egress) Init(n int, sched Scheduler, bufferBytes int64, aqmFor func(i i
 		}
 		if e.aqms[i] == nil {
 			e.aqms[i] = aqm.Nop{}
-		}
-		if k, ok := e.aqms[i].(aqm.MarkKinder); ok {
-			e.kinds[i] = k
 		}
 	}
 }
@@ -140,16 +136,20 @@ func (e *Egress) HeadAge(now sim.Time) sim.Time {
 // emit builds and delivers one queue-layer event. Callers must have checked
 // e.tracer != nil so that untraced runs never reach the event construction.
 func (e *Egress) emit(typ trace.Type, kind trace.MarkKind, now sim.Time, qi int, p *packet.Packet, sojourn sim.Time) {
+	var seq int64 // an ACK's Seq is its acknowledgement, not a payload offset
+	if p.Kind == packet.Data {
+		seq = p.Seq
+	}
 	e.tracer.Trace(trace.Event{
 		Type:         typ,
 		Mark:         kind,
 		At:           int64(now),
 		Port:         e.port,
 		Queue:        qi,
-		FlowID:       p.FlowID,
-		Src:          p.Src,
-		Dst:          p.Dst,
-		Seq:          p.Seq,
+		FlowID:       uint64(p.FlowID),
+		Src:          int(p.Src),
+		Dst:          int(p.Dst),
+		Seq:          seq,
 		Size:         int64(p.Size()),
 		Dur:          int64(sojourn),
 		QueuePackets: e.Len(),
@@ -198,12 +198,15 @@ func (e *Egress) DropAll(now sim.Time) int {
 	return n
 }
 
-// markKind attributes a mark applied by queue qi's AQM.
-func (e *Egress) markKind(qi int) trace.MarkKind {
-	if k := e.kinds[qi]; k != nil {
-		return k.LastMarkKind()
+// mark counts a mark queue qi's AQM decided and returns its kind, asked of
+// the AQM.
+func (e *Egress) mark(qi int) trace.MarkKind {
+	kind := trace.MarkUnknown
+	if k, ok := e.aqms[qi].(aqm.MarkKinder); ok {
+		kind = k.LastMarkKind()
 	}
-	return trace.MarkUnknown
+	e.MarkKinds[kind]++
+	return kind
 }
 
 // NumQueues implements View.
@@ -245,16 +248,10 @@ func (e *Egress) AQM(i int) aqm.AQM { return e.aqms[i] }
 // Empty reports whether all service queues are empty.
 func (e *Egress) Empty() bool { return e.bytes == 0 && e.Len() == 0 }
 
-// classQueue maps a packet class to a queue index.
+// classQueue maps a packet class to a queue index: a class beyond the
+// last queue joins the last.
 func (e *Egress) classQueue(p *packet.Packet) int {
-	c := p.Class
-	if c < 0 {
-		c = 0
-	}
-	if c >= len(e.queues) {
-		c = len(e.queues) - 1
-	}
-	return c
+	return min(int(p.Class), len(e.queues)-1)
 }
 
 // Enqueue admits p at time now, applying enqueue-side AQM marking. It
@@ -275,9 +272,11 @@ func (e *Egress) Enqueue(now sim.Time, p *packet.Packet) bool {
 	q := &e.queues[qi]
 	backlog := aqm.Backlog{Bytes: q.Bytes(), Packets: q.Len()}
 	marked := e.aqms[qi].OnEnqueue(now, p, backlog) && p.ECN == packet.ECT
+	kind := trace.MarkUnknown
 	if marked {
 		p.ECN = packet.CE
 		e.EnqMarks++
+		kind = e.mark(qi)
 	}
 	p.EnqueuedAt = now
 	q.Push(p)
@@ -286,7 +285,7 @@ func (e *Egress) Enqueue(now sim.Time, p *packet.Packet) bool {
 	if e.tracer != nil {
 		e.emit(trace.Enqueue, trace.MarkUnknown, now, qi, p, 0)
 		if marked {
-			e.emit(trace.ECNMark, e.markKind(qi), now, qi, p, 0)
+			e.emit(trace.ECNMark, kind, now, qi, p, 0)
 		}
 	}
 	return true
@@ -315,14 +314,16 @@ func (e *Egress) Dequeue(now sim.Time) *packet.Packet {
 		panic("queue: negative sojourn time")
 	}
 	marked := e.aqms[qi].OnDequeue(now, p, sojourn) && p.ECN == packet.ECT
+	kind := trace.MarkUnknown
 	if marked {
 		p.ECN = packet.CE
 		e.DeqMarks++
+		kind = e.mark(qi)
 	}
 	if e.tracer != nil {
 		e.emit(trace.Dequeue, trace.MarkUnknown, now, qi, p, sojourn)
 		if marked {
-			e.emit(trace.ECNMark, e.markKind(qi), now, qi, p, sojourn)
+			e.emit(trace.ECNMark, kind, now, qi, p, sojourn)
 		}
 	}
 	return p

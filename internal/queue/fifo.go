@@ -12,11 +12,12 @@ const fifoInline = 16
 // FIFO is a byte-accounted packet queue backed by a growable ring buffer.
 // The ring starts inside the FIFO (buf points at ring), so a queue that
 // never holds more than fifoInline packets touches no second object; grow
-// leaves it for the heap. A FIFO must not be copied after Init.
+// leaves it for the heap. The ring's length is a power of two, so a
+// position wraps by mask. A FIFO must not be copied after Init.
 type FIFO struct {
 	buf   []*packet.Packet
-	head  int
-	count int
+	head  uint32
+	count uint32
 	bytes int64
 	ring  [fifoInline]*packet.Packet
 }
@@ -35,7 +36,7 @@ func (f *FIFO) Init() {
 }
 
 // Len returns the number of queued packets.
-func (f *FIFO) Len() int { return f.count }
+func (f *FIFO) Len() int { return int(f.count) }
 
 // Bytes returns the queued bytes.
 func (f *FIFO) Bytes() int64 { return f.bytes }
@@ -45,10 +46,10 @@ func (f *FIFO) Empty() bool { return f.count == 0 }
 
 // Push appends p to the tail.
 func (f *FIFO) Push(p *packet.Packet) {
-	if f.count == len(f.buf) {
+	if int(f.count) == len(f.buf) {
 		f.grow()
 	}
-	f.buf[(f.head+f.count)%len(f.buf)] = p
+	f.buf[f.at(f.count)] = p
 	f.count++
 	f.bytes += int64(p.Size())
 }
@@ -60,7 +61,7 @@ func (f *FIFO) Pop() *packet.Packet {
 	}
 	p := f.buf[f.head]
 	f.buf[f.head] = nil
-	f.head = (f.head + 1) % len(f.buf)
+	f.head = f.at(1)
 	f.count--
 	f.bytes -= int64(p.Size())
 	return p
@@ -74,10 +75,13 @@ func (f *FIFO) Peek() *packet.Packet {
 	return f.buf[f.head]
 }
 
+// at returns the ring index i places past the head.
+func (f *FIFO) at(i uint32) uint32 { return (f.head + i) & uint32(len(f.buf)-1) }
+
 func (f *FIFO) grow() {
 	next := make([]*packet.Packet, 2*len(f.buf))
-	for i := 0; i < f.count; i++ {
-		next[i] = f.buf[(f.head+i)%len(f.buf)]
+	for i := uint32(0); i < f.count; i++ {
+		next[i] = f.buf[f.at(i)]
 	}
 	f.buf = next
 	f.head = 0

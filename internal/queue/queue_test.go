@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -11,7 +12,7 @@ import (
 )
 
 func pkt(size int) *packet.Packet {
-	return &packet.Packet{Kind: packet.Data, PayloadLen: size - packet.HeaderSize, ECN: packet.ECT}
+	return &packet.Packet{Kind: packet.Data, PayloadLen: int32(size - packet.HeaderSize), ECN: packet.ECT}
 }
 
 func TestFIFOBasics(t *testing.T) {
@@ -136,7 +137,7 @@ func drainDWRR(t *testing.T, weights []int, perQueue int, n int) []int64 {
 	for q := 0; q < len(weights); q++ {
 		for i := 0; i < perQueue; i++ {
 			p := pkt(1500)
-			p.Class = q
+			p.Class = uint8(q)
 			eg.Enqueue(0, p)
 		}
 	}
@@ -228,7 +229,7 @@ func TestDWRRFairnessProperty(t *testing.T) {
 		for q := 0; q < n; q++ {
 			for i := 0; i < perQueue; i++ {
 				p := pkt(1500)
-				p.Class = q
+				p.Class = uint8(q)
 				eg.Enqueue(0, p)
 			}
 		}
@@ -309,16 +310,22 @@ func TestEgressSojournStamp(t *testing.T) {
 	}
 }
 
+// TestEgressClassClamping: a flow's class, narrowed to the packet's byte by
+// packet.ClassOf, picks the queue the int class picked before the packet
+// had a byte for it: below 0 the first queue, past the last queue the last,
+// on an egress of 2 queues and on one of 256.
 func TestEgressClassClamping(t *testing.T) {
-	eg := NewEgress(2, nil, 0, nil)
-	hi := pkt(100)
-	hi.Class = 99
-	lo := pkt(100)
-	lo.Class = -5
-	eg.Enqueue(0, hi)
-	eg.Enqueue(0, lo)
-	if eg.QueueLen(1) != 1 || eg.QueueLen(0) != 1 {
-		t.Errorf("class clamping failed: q0=%d q1=%d", eg.QueueLen(0), eg.QueueLen(1))
+	for _, queues := range []int{2, packet.MaxClass + 1} {
+		for _, class := range []int{-5, -1, 0, 1, 99, 255, 256, 300, math.MaxInt} {
+			eg := NewEgress(queues, nil, 0, nil)
+			p := pkt(100)
+			p.Class = packet.ClassOf(class)
+			eg.Enqueue(0, p)
+			want := min(max(class, 0), queues-1)
+			if eg.QueueLen(want) != 1 {
+				t.Errorf("%d queues: class %d (packet class %d) missed queue %d", queues, class, p.Class, want)
+			}
+		}
 	}
 }
 

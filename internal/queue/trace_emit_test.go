@@ -46,6 +46,34 @@ func TestEgressTraceEnqueueDequeue(t *testing.T) {
 	}
 }
 
+// TestEgressTraceSeq: a data packet's enqueue and dequeue events carry its
+// Seq; an ACK's carry seq 0, though the ACK's Seq field holds its
+// cumulative acknowledgement.
+func TestEgressTraceSeq(t *testing.T) {
+	rec := trace.NewRingRecorder(16)
+	eg := NewEgress(1, nil, 0, nil)
+	eg.SetTracer(rec, 0)
+	data := pkt(1500)
+	data.Seq = 2920
+	ack := &packet.Packet{Kind: packet.Ack, Seq: 4380}
+	eg.Enqueue(0, data)
+	eg.Enqueue(0, ack)
+	eg.Dequeue(sim.Microsecond)
+	eg.Dequeue(2 * sim.Microsecond)
+	evs := rec.Events()
+	if len(evs) != 4 {
+		t.Fatalf("got %d events, want 4", len(evs))
+	}
+	for i, want := range []struct {
+		typ trace.Type
+		seq int64
+	}{{trace.Enqueue, 2920}, {trace.Enqueue, 0}, {trace.Dequeue, 2920}, {trace.Dequeue, 0}} {
+		if evs[i].Type != want.typ || evs[i].Seq != want.seq {
+			t.Errorf("event %d: %v seq %d, want %v seq %d", i, evs[i].Type, evs[i].Seq, want.typ, want.seq)
+		}
+	}
+}
+
 func TestEgressTraceDrop(t *testing.T) {
 	rec := trace.NewRingRecorder(16)
 	eg := NewEgress(1, nil, 1500, nil)
@@ -105,6 +133,42 @@ func TestEgressTraceMarkKinds(t *testing.T) {
 		if e.Mark != trace.MarkPersistent {
 			t.Errorf("mark kind = %v, want persistent", e.Mark)
 		}
+	}
+}
+
+// TestEgressCountsMarkKinds: untraced, an egress still attributes every
+// mark it applies to a kind, asked of the AQM, and the kinds sum to the
+// marks; a mark the AQM decides on a NotECT packet is neither.
+func TestEgressCountsMarkKinds(t *testing.T) {
+	params := core.Params{
+		InsTarget:   100 * sim.Microsecond,
+		PstTarget:   10 * sim.Microsecond,
+		PstInterval: 100 * sim.Microsecond,
+	}
+	eg := NewEgress(1, nil, 0, func(int) aqm.AQM { return aqm.MustNewECNSharp(params) })
+	for i, c := range []struct {
+		sojournUS sim.Time
+		ecn       packet.ECN
+	}{{200, packet.ECT}, {50, packet.ECT}, {50, packet.ECT}, {50, packet.ECT}, {200, packet.NotECT}, {200, packet.ECT}} {
+		at := sim.Time(i) * 60 * sim.Microsecond
+		p := pkt(1500)
+		p.ECN = c.ecn
+		eg.Enqueue(at, p)
+		eg.Dequeue(at + c.sojournUS*sim.Microsecond)
+	}
+	var sum int64
+	for _, n := range eg.MarkKinds {
+		sum += n
+	}
+	if sum != eg.EnqMarks+eg.DeqMarks || eg.MarkKinds[trace.MarkInstantaneous] != 2 || eg.MarkKinds[trace.MarkUnknown] != 0 {
+		t.Errorf("mark kinds %v, %d marks applied: want 2 instantaneous and the kinds summing to the marks",
+			eg.MarkKinds, eg.EnqMarks+eg.DeqMarks)
+	}
+	bare := NewEgress(1, nil, 0, func(int) aqm.AQM { return aqm.NewTCN(0) })
+	bare.Enqueue(0, pkt(1500))
+	bare.Dequeue(sim.Microsecond)
+	if bare.DeqMarks != 1 || bare.MarkKinds[trace.MarkInstantaneous] != 1 {
+		t.Errorf("TCN mark counted as %v", bare.MarkKinds)
 	}
 }
 

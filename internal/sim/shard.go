@@ -111,7 +111,9 @@ type domain struct {
 	// msgs and drains count the handoff messages injected into the domain
 	// and the non-empty handoff buffers they came in.
 	msgs, drains uint64
-	_            [16]byte
+	// id is the domain's index in doms.
+	id int
+	_  [8]byte
 }
 
 // NewShardedEngine builds a coordinator over `domains` fresh engines with
@@ -131,7 +133,7 @@ func NewShardedEngine(domains int, lookahead Time, workers int) *ShardedEngine {
 		workers:   min(max(workers, 1), domains),
 	}
 	for d := range se.doms {
-		se.doms[d] = domain{eng: NewEngine(), sent: MaxTime}
+		se.doms[d] = domain{eng: NewEngine(), sent: MaxTime, id: d}
 	}
 	if domains > 1 {
 		se.bufs = make([]domainTraceBuf, domains)
@@ -189,6 +191,24 @@ func (se *ShardedEngine) Report() RunReport {
 		r.HandoffDrains += dm.drains
 	}
 	return r
+}
+
+// HandoffTotals returns, per domain, the handoff messages the domain sent
+// (out), those sent to it (to) and those injected into it (in). A run
+// injects every buffered message before it returns, so to equals in domain
+// by domain; the conservation audit checks it.
+func (se *ShardedEngine) HandoffTotals() (out, to, in []uint64) {
+	out = make([]uint64, len(se.doms))
+	to = make([]uint64, len(se.doms))
+	in = make([]uint64, len(se.doms))
+	for h := se.first; h != nil; h = h.next {
+		out[h.src.id] += h.sent
+		to[h.dst.id] += h.sent
+	}
+	for d := range se.doms {
+		in[d] = se.doms[d].msgs
+	}
+	return out, to, in
 }
 
 // Add accumulates o into r, domain by domain, as when pooling the runs of
@@ -270,6 +290,9 @@ type Handoff struct {
 	// handoffs, pos its index in inbound and dirty (-1 until laid out).
 	rank, pos int
 	next      *Handoff // the next handoff registered
+	// sent counts the messages Send buffered; only the source's worker
+	// writes it.
+	sent uint64
 }
 
 type handoffMsg struct {
@@ -374,6 +397,7 @@ func (h *Handoff) Send(at Time, msg any) {
 		h.se.dirty[p][h.pos] = true
 	}
 	h.bufs[p] = append(h.bufs[p], handoffMsg{at: at, msg: msg})
+	h.sent++
 	if at < h.src.sent {
 		h.src.sent = at
 	}

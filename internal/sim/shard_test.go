@@ -397,3 +397,39 @@ func TestHandoffTieFiresInRegistrationOrder(t *testing.T) {
 		})
 	}
 }
+
+// TestHandoffTotals: a run stopped by its poll function mid-traffic, and
+// the same traffic drained, both inject every message a domain sent, so
+// HandoffTotals' sent-to and injected counts agree domain by domain, and
+// each domain's sent count is what it sent.
+func TestHandoffTotals(t *testing.T) {
+	for _, stopAfter := range []int{3, 1 << 30} {
+		se := NewShardedEngine(3, Microsecond, 2)
+		hs := []*Handoff{
+			se.NewHandoffFrom(se.Domain(0), se.Domain(1), func(any) {}),
+			se.NewHandoffFrom(se.Domain(0), se.Domain(2), func(any) {}),
+			se.NewHandoffFrom(se.Domain(2), se.Domain(1), func(any) {}),
+		}
+		src := []int{0, 0, 2}
+		for i := 0; i < 30; i++ {
+			h, eng := hs[i%3], se.Domain(src[i%3])
+			eng.Schedule(Time(i)*3*Microsecond, func() { h.Send(eng.Now()+Microsecond, nil) })
+		}
+		polls := 0
+		err := se.RunPoll(MaxTime, 1, func() error {
+			if polls++; polls > stopAfter {
+				return fmt.Errorf("stop")
+			}
+			return nil
+		})
+		out, to, in := se.HandoffTotals()
+		for d := range to {
+			if to[d] != in[d] {
+				t.Errorf("stop after %d polls (err %v): domain %d was sent %d messages, %d injected", stopAfter, err, d, to[d], in[d])
+			}
+		}
+		if stopAfter > 30 && (out[0] != 20 || out[1] != 0 || out[2] != 10 || to[1] != 20 || to[2] != 10) {
+			t.Errorf("drained run: domains sent %v and were sent %v, want [20 0 10] and [0 20 10]", out, to)
+		}
+	}
+}

@@ -416,6 +416,18 @@ func (e *Engine) Pending(ev Event) bool {
 	return e.slots[i].gen == ev.gen
 }
 
+// EachArg calls f with the argument of every queued event scheduled with
+// one (ScheduleArg, AfterArg), in arena order; a conservation check uses it
+// to find what is still in flight when a run stops. f must not schedule or
+// cancel.
+func (e *Engine) EachArg(f func(arg any)) {
+	for i := range e.slots {
+		if sl := &e.slots[i]; sl.afn != nil {
+			f(sl.arg)
+		}
+	}
+}
+
 // Step executes the next event. It reports false when no events remain or
 // the engine was stopped.
 func (e *Engine) Step() bool {

@@ -51,8 +51,8 @@ func dwrrOpts() Options {
 
 // TestLayoutMallocsPerHost: building a fabric costs a bounded number of heap
 // objects per host — the block slabs amortize to nothing, what is left is
-// the AQM of the host-facing port, the two census names and the growth of
-// the census map. The one-object-per-component layout cost 29.45 on the
+// the AQM of the host-facing port (the census stores no names and builds
+// no map). The one-object-per-component layout cost 29.45 on the
 // leaf-spine case.
 func TestLayoutMallocsPerHost(t *testing.T) {
 	const bound = 8
@@ -94,9 +94,9 @@ func TestLayoutPortStateInsideItsBlock(t *testing.T) {
 			block := spanOf(unsafe.Pointer(l.Port), unsafe.Sizeof(portBlock{}))
 			eg := l.Port.Egress
 			if !spanOf(unsafe.Pointer(eg), unsafe.Sizeof(*eg)).inside(block) {
-				t.Fatalf("%s %s: egress at %p is outside the port's block at %p", name, l.Name, eg, l.Port)
+				t.Fatalf("%s %s: egress at %p is outside the port's block at %p", name, l.Name(), eg, l.Port)
 			}
-			if multiQueue && l.SwitchIdx >= 0 {
+			if multiQueue && l.From != nil {
 				continue
 			}
 			queues := reflect.ValueOf(eg).Elem().FieldByName("queues")
@@ -105,7 +105,7 @@ func TestLayoutPortStateInsideItsBlock(t *testing.T) {
 			ringSpan := span{ring.Pointer(), ring.Pointer() + uintptr(ring.Len())*unsafe.Sizeof(uintptr(0))}
 			if queues.Len() != 1 || !fifo.inside(block) || ring.Len() == 0 || !ringSpan.inside(block) {
 				t.Fatalf("%s %s: queue %v or its %d-slot ring %v is outside the port's block %v",
-					name, l.Name, fifo, ring.Len(), ringSpan, block)
+					name, l.Name(), fifo, ring.Len(), ringSpan, block)
 			}
 		}
 		for id, h := range net.Hosts {
@@ -136,7 +136,7 @@ func TestLayoutDomainsShareNoCacheLine(t *testing.T) {
 			}
 		}
 		for _, l := range net.Links {
-			claim(spanOf(unsafe.Pointer(l.Port), unsafe.Sizeof(portBlock{})), l.Dom, l.Name)
+			claim(spanOf(unsafe.Pointer(l.Port), unsafe.Sizeof(portBlock{})), int(l.Dom), l.Name())
 		}
 		for id, h := range net.Hosts {
 			claim(spanOf(unsafe.Pointer(h), unsafe.Sizeof(hostBlock{})), net.DomainOfHost(id), h.Name())
@@ -144,15 +144,18 @@ func TestLayoutDomainsShareNoCacheLine(t *testing.T) {
 	}
 }
 
-// TestLayoutBlockSizes pins the two block sizes to the numbers DESIGN.md gives:
-// a field added to Port, Egress, FIFO or Host grows every port of a
-// 100k-host fabric, and should be a decision.
+// TestLayoutBlockSizes pins the two block sizes and the census record to the
+// numbers DESIGN.md gives: a field added to Port, Egress, FIFO, Host or Link
+// grows every port of a 100k-host fabric, and should be a decision.
 func TestLayoutBlockSizes(t *testing.T) {
-	if got := unsafe.Sizeof(portBlock{}); got != 512 {
-		t.Errorf("portBlock is %d bytes, DESIGN.md says 512", got)
+	if got := unsafe.Sizeof(portBlock{}); got != 496 {
+		t.Errorf("portBlock is %d bytes, DESIGN.md says 496", got)
 	}
-	if got := unsafe.Sizeof(hostBlock{}); got != 1296 {
-		t.Errorf("hostBlock is %d bytes, DESIGN.md says 1296", got)
+	if got := unsafe.Sizeof(hostBlock{}); got != 1248 {
+		t.Errorf("hostBlock is %d bytes, DESIGN.md says 1248", got)
+	}
+	if got := unsafe.Sizeof(Link{}); got != 32 {
+		t.Errorf("Link is %d bytes, DESIGN.md says 32", got)
 	}
 }
 
@@ -172,7 +175,7 @@ func pumpTick(a any) {
 	pm.left--
 	h := pm.net.Host(0)
 	p := h.AllocPacket()
-	p.FlowID, p.Src, p.Dst = 7+uint64(pm.left&1), 0, 1 // flow 7 carries an extra delay, flow 8 none
+	p.FlowID, p.Src, p.Dst = 7+uint32(pm.left&1), 0, 1 // flow 7 carries an extra delay, flow 8 none
 	p.Kind, p.PayloadLen, p.ECN = packet.Data, packet.MSS, packet.ECT
 	h.Send(p)
 	pm.net.Engines[0].AfterArg(1300*sim.Nanosecond, pumpTick, pm)

@@ -27,6 +27,8 @@ type Boundary struct {
 	// domain is guaranteed to lag behind the source (the lookahead
 	// contribution of this link).
 	Prop sim.Time
+	// Port is the link's transmitting port.
+	Port *device.Port
 }
 
 // Partition fixes a topology's domain decomposition before wiring.

@@ -54,7 +54,7 @@ func runTracedIncast(t *testing.T, noPool bool) (string, *topology.Net) {
 	table.OnDone = func(i int) { fcts = append(fcts, table.FCT[i]) }
 	for f := 0; f < 32; f++ {
 		src := net.Host(f % 16)
-		src.SetFlowDelay(uint64(f+1), sim.Time(f%5)*sim.Microsecond)
+		src.SetFlowDelay(uint32(f+1), sim.Time(f%5)*sim.Microsecond)
 		table.Launch(cfg, src, net.Host(16), uint64(f+1), 50_000, 0, false)
 	}
 	net.Shard.Run()
@@ -124,7 +124,7 @@ func runTerminalPaths(t *testing.T, noPool bool) (string, []*packet.Packet, *top
 	send := func(src, n int) {
 		for i := 0; i < n; i++ {
 			p := net.Host(src).AllocPacket()
-			p.FlowID, p.Src, p.Dst = 99, src, 2
+			p.FlowID, p.Src, p.Dst = 99, int32(src), 2
 			p.Kind, p.PayloadLen, p.ECN = packet.Data, packet.MSS, packet.ECT
 			sent = append(sent, p)
 			net.Host(src).Send(p)

@@ -33,8 +33,8 @@ func sendAt(net *Net, src, dst int, at sim.Time) {
 	h := net.Host(src)
 	net.EngineOf(src).Schedule(at, func() {
 		p := h.AllocPacket()
-		p.FlowID = uint64(src*1000 + dst)
-		p.Src, p.Dst = src, dst
+		p.FlowID = uint32(src*1000 + dst)
+		p.Src, p.Dst = int32(src), int32(dst)
 		p.Kind = packet.Data
 		p.PayloadLen = 1000
 		p.ECN = packet.ECT

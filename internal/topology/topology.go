@@ -132,11 +132,13 @@ type Net struct {
 	portDoms []int
 
 	// Links is the directed link census: every transmit port in the
-	// network (host NICs included) under a canonical "src-dst" name —
-	// "host3-leaf0", "leaf0-spine1", "sw0-host2" — built in wiring order.
-	// Fault injection targets links by these names, and LinkFault trace
-	// events carry the census index.
-	Links   []Link
+	// network (host NICs included), built in wiring order. Fault injection
+	// targets links by their canonical names (Link.Name, LinkIndex), and
+	// LinkFault trace events carry the census index.
+	Links []Link
+	// linkIdx maps canonical link names to census indices; LinkIndex
+	// builds it on its first call, so only runs that name links pay for
+	// it.
 	linkIdx map[string]int
 	// switchDoms[i] is the domain owning Switches[i].
 	switchDoms []int
@@ -149,23 +151,45 @@ type Net struct {
 	hostPorts []*device.Port
 }
 
-// Link is one entry of the census: a directed transmit port under its
-// canonical name.
+// Link is one entry of the census: a directed transmit port and where the
+// wiring put it, in 32 bytes. It stores no name; Name formats it.
 type Link struct {
-	// Name is the canonical "src-dst" identifier.
-	Name string
 	// Port is the transmitting port.
 	Port *device.Port
+	// From is the transmitting switch, or nil for a host NIC.
+	From *device.Switch
 	// Dom is the simulation domain that owns the port.
-	Dom int
-	// SwitchIdx indexes Net.Switches for the transmitting switch, or -1
-	// for a host NIC.
-	SwitchIdx int
-	// Cross marks a cross-domain boundary link.
-	Cross bool
+	Dom int32
+	// Host is the host at the link's host end — the source of a NIC, the
+	// destination of an access switch port — or -1 on a fabric link.
+	Host int32
 	// FabricLeaf and FabricSpine are the (leaf, spine) coordinates of a
 	// leaf-spine fabric link (either direction); -1 otherwise.
-	FabricLeaf, FabricSpine int
+	FabricLeaf, FabricSpine int32
+}
+
+// Name returns the link's canonical "src-dst" name — "host3-leaf0",
+// "leaf0-spine1", "sw0-host2" — from the nodes at its ends.
+func (l *Link) Name() string {
+	var buf [32]byte
+	b := buf[:0]
+	if l.From == nil { // a NIC: the host sends
+		b = appendHost(b, l.Host)
+	} else {
+		b = append(b, l.From.Name()...)
+	}
+	b = append(b, '-')
+	if l.From != nil && l.Host >= 0 { // an access switch port: the host receives
+		b = appendHost(b, l.Host)
+	} else {
+		b = append(b, l.Port.Dst.(device.Node).Name()...)
+	}
+	return string(b)
+}
+
+// appendHost appends host id's name ("host3") to b.
+func appendHost(b []byte, id int32) []byte {
+	return strconv.AppendInt(append(b, "host"...), int64(id), 10)
 }
 
 // fabricInfo records the leaf-spine structure needed to re-resolve ECMP
@@ -191,8 +215,20 @@ func (n *Net) DomainOfHost(id int) int { return n.Part.HostDom[id] }
 func (n *Net) EngineOf(host int) *sim.Engine { return n.Engines[n.DomainOfHost(host)] }
 
 // LinkIndex resolves a canonical directed link name ("leaf0-spine1",
-// "host3-leaf0") to its census index, or -1 when unknown.
+// "host3-leaf0") to its census index, or -1 when unknown. The first call
+// indexes the census by name; like the wiring, it is not safe for
+// concurrent use.
 func (n *Net) LinkIndex(name string) int {
+	if n.linkIdx == nil {
+		n.linkIdx = make(map[string]int, len(n.Links))
+		for i := range n.Links {
+			name := n.Links[i].Name()
+			if _, dup := n.linkIdx[name]; dup {
+				panic(fmt.Sprintf("topology: duplicate link name %q", name))
+			}
+			n.linkIdx[name] = i
+		}
+	}
 	if i, ok := n.linkIdx[name]; ok {
 		return i
 	}
@@ -466,7 +502,6 @@ func newNet(part Partition, opts *Options, switchLinks int) *Net {
 		portDoms:    make([]int, 0, hosts+switchLinks),
 		Links:       make([]Link, 0, 2*hosts+switchLinks),
 		hostPorts:   make([]*device.Port, hosts),
-		linkIdx:     make(map[string]int, 2*hosts+switchLinks),
 		switchDoms:  part.switchDom,
 	}
 	for d := range net.Engines {
@@ -504,7 +539,7 @@ func (n *Net) initPort(b *portBlock, srcDom, dstDom int, rate float64, prop sim.
 			panic(fmt.Sprintf("topology: cross-domain link delay %v below lookahead %v", prop, n.Lookahead))
 		}
 		b.port.SetRemote(n.Shard.NewHandoffFrom(n.Engines[srcDom], n.Engines[dstDom], device.Deliver))
-		n.Boundaries = append(n.Boundaries, Boundary{SrcDom: srcDom, DstDom: dstDom, Prop: prop})
+		n.Boundaries = append(n.Boundaries, Boundary{SrcDom: srcDom, DstDom: dstDom, Prop: prop, Port: &b.port})
 	}
 	return &b.port
 }
@@ -524,12 +559,12 @@ func (n *Net) switchPort(o *Options, b *portBlock, s *switchNode, dstDom int, ds
 }
 
 // switchLink builds, in b, the port of switch from toward switch to over a
-// fabric link, and enters it in the census as "from-to"; leaf and spine are
-// the link's fabric coordinates.
+// fabric link, and enters it in the census; leaf and spine are the link's
+// fabric coordinates.
 func (n *Net) switchLink(o *Options, b *portBlock, from, to *switchNode, leaf, spine int) *device.Port {
 	pt := n.switchPort(o, b, from, to.dom, to.sw)
 	n.addSwitchPort(from.dom, pt)
-	n.addLink(from.sw.Name()+"-"+to.sw.Name(), pt, from.dom, from.idx, leaf, spine)
+	n.Links = append(n.Links, Link{Port: pt, From: from.sw, Dom: int32(from.dom), Host: -1, FabricLeaf: int32(leaf), FabricSpine: int32(spine)})
 	return pt
 }
 
@@ -549,31 +584,11 @@ func (n *Net) addHost(o *Options, b *hostBlock, id int, s *switchNode) *device.P
 	down := n.switchPort(o, &b.down, s, s.dom, h)
 	n.hostPorts[id] = down
 	n.addSwitchPort(s.dom, down)
-	host, sw := "host"+strconv.Itoa(id), s.sw.Name()
-	n.addLink(host+"-"+sw, h.NIC, s.dom, -1, -1, -1)
-	n.addLink(sw+"-"+host, down, s.dom, s.idx, -1, -1)
+	n.Links = append(n.Links,
+		Link{Port: h.NIC, Dom: int32(s.dom), Host: int32(id), FabricLeaf: -1, FabricSpine: -1},
+		Link{Port: down, From: s.sw, Dom: int32(s.dom), Host: int32(id), FabricLeaf: -1, FabricSpine: -1})
 	n.Hosts = append(n.Hosts, h)
 	return down
-}
-
-// addLink registers a transmit port in the directed link census under its
-// canonical name. swIdx is the transmitting switch's Net.Switches index
-// (-1 for a host NIC); leaf/spine are the fabric coordinates of a
-// leaf<->spine link, -1 otherwise.
-func (n *Net) addLink(name string, pt *device.Port, dom, swIdx, leaf, spine int) {
-	if _, dup := n.linkIdx[name]; dup {
-		panic(fmt.Sprintf("topology: duplicate link name %q", name))
-	}
-	n.linkIdx[name] = len(n.Links)
-	n.Links = append(n.Links, Link{
-		Name:        name,
-		Port:        pt,
-		Dom:         dom,
-		SwitchIdx:   swIdx,
-		Cross:       pt.IsBoundary(),
-		FabricLeaf:  leaf,
-		FabricSpine: spine,
-	})
 }
 
 // addSwitchPort records a switch egress port and its owning domain for

@@ -109,7 +109,7 @@ func TestDCQCNRateFloor(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		eng.RunUntil(eng.Now() + cfg.CNPInterval + sim.Microsecond)
 		s.HandlePacket(eng.Now(), &packet.Packet{
-			FlowID: 1, Kind: packet.Ack, AckSeq: 0, ECE: true,
+			FlowID: 1, Kind: packet.Ack, Seq: 0, ECE: true,
 		})
 	}
 	if s.Rate() < cfg.MinRateBps {

@@ -17,11 +17,14 @@ import (
 // state changes, so the sender's marked-byte accounting stays accurate
 // (RFC 8257 §3.2).
 type Receiver struct {
-	eng  *sim.Engine
-	cfg  Config
+	eng *sim.Engine
+	// cfg is the configuration the flows of a table share; the flow's own
+	// service class is class.
+	cfg  *Config
 	host *device.Host
 
-	flowID uint64
+	flowID uint32
+	class  uint8
 	src    int
 
 	rcvNxt int64
@@ -46,17 +49,24 @@ type Receiver struct {
 	BytesInOrder int64
 }
 
-// NewReceiver builds a receiver for flowID arriving at host from src.
-// It registers itself immediately.
-func NewReceiver(eng *sim.Engine, cfg Config, host *device.Host, flowID uint64, src int) *Receiver {
+// NewReceiver builds a receiver for flowID arriving at host from src, on
+// its own copy of cfg. It registers itself immediately.
+func NewReceiver(eng *sim.Engine, cfg Config, host *device.Host, flowID uint32, src int) *Receiver {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	return newReceiver(eng, &cfg, packet.ClassOf(cfg.Class), host, flowID, src)
+}
+
+// newReceiver is NewReceiver on a shared, validated cfg, with the flow's
+// class given apart.
+func newReceiver(eng *sim.Engine, cfg *Config, class uint8, host *device.Host, flowID uint32, src int) *Receiver {
 	r := &Receiver{
 		eng:    eng,
 		cfg:    cfg,
 		host:   host,
 		flowID: flowID,
+		class:  class,
 		src:    src,
 	}
 	host.Register(flowID, r)
@@ -102,7 +112,7 @@ func (r *Receiver) HandlePacket(now sim.Time, p *packet.Packet) {
 			// The event keeps the flow's orientation: Src is the flow's
 			// sender, Dst this receiving host.
 			tr.Trace(trace.Event{Type: trace.ECNEcho, At: int64(now),
-				Port: -1, Queue: -1, FlowID: r.flowID, Src: r.src, Dst: r.host.ID,
+				Port: -1, Queue: -1, FlowID: uint64(r.flowID), Src: r.src, Dst: r.host.ID,
 				Seq: p.Seq, Size: int64(p.Size())})
 		}
 	}
@@ -127,7 +137,7 @@ func (r *Receiver) HandlePacket(now sim.Time, p *packet.Packet) {
 			if r.ooo == nil {
 				r.ooo = make(map[int64]int)
 			}
-			r.ooo[p.Seq] = p.PayloadLen
+			r.ooo[p.Seq] = int(p.PayloadLen)
 		}
 		// Out-of-order data triggers an immediate duplicate ACK so the
 		// sender's fast-retransmit can fire.
@@ -156,13 +166,13 @@ func (r *Receiver) drainOOO() {
 // ackData runs the (delayed-)ACK state machine for a data arrival.
 func (r *Receiver) ackData(now sim.Time, p *packet.Packet, ce, immediate bool) {
 	if r.cfg.DelayedAckCount <= 1 {
-		r.sendAck(now, p.TSVal, ce)
+		r.sendAck(now, p.TS, ce)
 		return
 	}
 	r.lastCE = ce
 	r.haveCE = true
 	r.pendingAcks++
-	r.pendingTS = p.TSVal
+	r.pendingTS = p.TS
 	if immediate || r.pendingAcks >= r.cfg.DelayedAckCount {
 		r.sendAck(now, r.pendingTS, r.lastCE)
 		return
@@ -181,14 +191,14 @@ func (r *Receiver) sendAck(_ sim.Time, tsEcr sim.Time, ece bool) {
 	}
 	ack := r.host.AllocPacket()
 	ack.FlowID = r.flowID
-	ack.Src = r.host.ID
-	ack.Dst = r.src
+	ack.Src = int32(r.host.ID)
+	ack.Dst = int32(r.src)
 	ack.Kind = packet.Ack
-	ack.AckSeq = r.rcvNxt
+	ack.Seq = r.rcvNxt
 	ack.ECE = ece
 	ack.ECN = packet.NotECT
-	ack.TSEcr = tsEcr
-	ack.Class = r.cfg.Class
+	ack.TS = tsEcr
+	ack.Class = r.class
 	r.AcksSent++
 	r.host.Send(ack)
 }

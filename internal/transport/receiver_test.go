@@ -38,7 +38,7 @@ func newReceiverFixture(t *testing.T, cfg transport.Config) (*sim.Engine, *trans
 func seg(seq int64, n int, ecn packet.ECN) *packet.Packet {
 	return &packet.Packet{
 		FlowID: 7, Src: 0, Dst: 1, Kind: packet.Data,
-		Seq: seq, PayloadLen: n, ECN: ecn, TSVal: sim.Microsecond,
+		Seq: seq, PayloadLen: int32(n), ECN: ecn, TS: sim.Microsecond,
 	}
 }
 
@@ -60,8 +60,8 @@ func TestReceiverPerPacketAcksEchoCEExactly(t *testing.T) {
 		if a.ECE != wantECE {
 			t.Errorf("ack %d: ECE=%v, want %v", i, a.ECE, wantECE)
 		}
-		if a.AckSeq != int64(i+1)*1460 {
-			t.Errorf("ack %d: AckSeq=%d", i, a.AckSeq)
+		if a.Seq != int64(i+1)*1460 {
+			t.Errorf("ack %d: Seq=%d", i, a.Seq)
 		}
 	}
 }
@@ -79,8 +79,8 @@ func TestReceiverDelayedAckBatches(t *testing.T) {
 	if len(sink.acks) != 2 {
 		t.Fatalf("%d acks for 8 packets with DelayedAckCount=4", len(sink.acks))
 	}
-	if sink.acks[0].AckSeq != 4*1460 || sink.acks[1].AckSeq != 8*1460 {
-		t.Errorf("cumulative acks: %d, %d", sink.acks[0].AckSeq, sink.acks[1].AckSeq)
+	if sink.acks[0].Seq != 4*1460 || sink.acks[1].Seq != 8*1460 {
+		t.Errorf("cumulative acks: %d, %d", sink.acks[0].Seq, sink.acks[1].Seq)
 	}
 }
 
@@ -105,8 +105,8 @@ func TestReceiverDelayedAckCEFlipForcesImmediateAck(t *testing.T) {
 	if first.ECE {
 		t.Error("flush ACK carries the new CE state; must carry the old")
 	}
-	if first.AckSeq != 2*1460 {
-		t.Errorf("flush ACK covers %d bytes, want %d", first.AckSeq, 2*1460)
+	if first.Seq != 2*1460 {
+		t.Errorf("flush ACK covers %d bytes, want %d", first.Seq, 2*1460)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestReceiverDelayedAckTimeoutFlushes(t *testing.T) {
 	if len(sink.acks) != 1 {
 		t.Fatalf("%d acks after timeout", len(sink.acks))
 	}
-	if sink.acks[0].AckSeq != 1460 {
+	if sink.acks[0].Seq != 1460 {
 		t.Error("timeout ACK not cumulative")
 	}
 }
@@ -155,8 +155,8 @@ func TestReceiverOutOfOrderAndDuplicates(t *testing.T) {
 		t.Errorf("acks = %d, want 5", len(sink.acks))
 	}
 	// The dupack for the gap acked 1460, not beyond.
-	if sink.acks[1].AckSeq != 1460 {
-		t.Errorf("dupack AckSeq = %d, want 1460", sink.acks[1].AckSeq)
+	if sink.acks[1].Seq != 1460 {
+		t.Errorf("dupack Seq = %d, want 1460", sink.acks[1].Seq)
 	}
 }
 

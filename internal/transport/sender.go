@@ -25,8 +25,10 @@ import (
 // the RTO budget (Config.MaxConsecTimeouts) and the completion and
 // failure bookkeeping in the flow's FlowTable row.
 type Sender struct {
-	eng  *sim.Engine
-	cfg  Config
+	eng *sim.Engine
+	// cfg is the configuration every flow of the table shares; the flow's
+	// own service class is class.
+	cfg  *Config
 	host *device.Host
 
 	// table and row locate the flow's FlowTable row, where finish and
@@ -38,7 +40,8 @@ type Sender struct {
 	// a window flow.
 	rate *rateState
 
-	flowID uint64
+	flowID uint32
+	class  uint8
 	dst    int
 	size   int64
 
@@ -135,11 +138,8 @@ const dctcpG = 1.0 / 16.0
 func ewma(alpha, g, f float64) float64 { return float64((1-g)*alpha) + float64(g*f) }
 
 // newSender builds (but does not start) the sender of FlowTable row i,
-// sending from host.
-func newSender(t *FlowTable, i int, cfg Config, host *device.Host) *Sender {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
+// sending its class's packets from host.
+func newSender(t *FlowTable, i int, cfg *Config, class uint8, host *device.Host) *Sender {
 	if t.Size[i] <= 0 {
 		panic(fmt.Sprintf("transport: flow %d has non-positive size %d", t.IDs[i], t.Size[i]))
 	}
@@ -150,6 +150,7 @@ func newSender(t *FlowTable, i int, cfg Config, host *device.Host) *Sender {
 		table:  t,
 		row:    i,
 		flowID: t.IDs[i],
+		class:  class,
 		dst:    t.Dst[i],
 		size:   t.Size[i],
 		alpha:  1, // conservative until the first update, as in Linux DCTCP
@@ -213,7 +214,7 @@ func (s *Sender) start() {
 	s.host.Register(s.flowID, s)
 	if tr := s.eng.Tracer(); tr != nil {
 		tr.Trace(trace.Event{Type: trace.FlowStart, At: int64(s.eng.Now()),
-			Port: -1, Queue: -1, FlowID: s.flowID, Src: s.host.ID, Dst: s.dst,
+			Port: -1, Queue: -1, FlowID: uint64(s.flowID), Src: s.host.ID, Dst: s.dst,
 			Size: s.size})
 	}
 	if s.rate != nil {
@@ -236,7 +237,7 @@ func (s *Sender) traceControl() {
 			typ, v = trace.RateUpdate, s.rate.rc
 		}
 		tr.Trace(trace.Event{Type: typ, At: int64(s.eng.Now()),
-			Port: -1, Queue: -1, FlowID: s.flowID, Src: s.host.ID, Dst: s.dst,
+			Port: -1, Queue: -1, FlowID: uint64(s.flowID), Src: s.host.ID, Dst: s.dst,
 			Value: v})
 	}
 }
@@ -259,11 +260,11 @@ func (s *Sender) minCwnd() float64 { return float64(s.cfg.MSS) }
 
 func (s *Sender) onAck(now sim.Time, p *packet.Packet) {
 	// RTT sample from the echoed timestamp.
-	if p.TSEcr > 0 {
-		s.rttSample(now - p.TSEcr)
+	if p.TS > 0 {
+		s.rttSample(now - p.TS)
 	}
 
-	ack := p.AckSeq
+	ack := p.Seq // an ACK's cumulative acknowledgement
 	if ack > s.sndNxt {
 		ack = s.sndNxt // never ack beyond what was sent
 	}
@@ -333,7 +334,7 @@ func (s *Sender) onAck(now sim.Time, p *packet.Packet) {
 	}
 
 	// Duplicate ACK handling (only meaningful with data outstanding).
-	if s.sndUna < s.sndNxt && p.AckSeq == s.sndUna {
+	if s.sndUna < s.sndNxt && p.Seq == s.sndUna {
 		s.dupAcks++
 		if s.dupAcks == 3 && !s.inRecovery {
 			s.fastRetransmit()
@@ -398,14 +399,14 @@ func (s *Sender) segLen(seq int64) int {
 func (s *Sender) sendSegment(seq int64, isRetransmit bool) {
 	p := s.host.AllocPacket()
 	p.FlowID = s.flowID
-	p.Src = s.host.ID
-	p.Dst = s.dst
+	p.Src = int32(s.host.ID)
+	p.Dst = int32(s.dst)
 	p.Kind = packet.Data
 	p.Seq = seq
-	p.PayloadLen = s.segLen(seq)
+	p.PayloadLen = int32(s.segLen(seq))
 	p.ECN = packet.ECT
-	p.TSVal = s.eng.Now()
-	p.Class = s.cfg.Class
+	p.TS = s.eng.Now()
+	p.Class = s.class
 	s.Stats.SentPackets++
 	s.Stats.SentBytes += int64(p.Size())
 	if isRetransmit {
@@ -503,7 +504,7 @@ func (s *Sender) onRateAck(now sim.Time, p *packet.Packet) {
 		r.cnpSeen = true
 		s.cutRate(now)
 	}
-	ack := p.AckSeq
+	ack := p.Seq // an ACK's cumulative acknowledgement
 	if ack > s.sndNxt {
 		ack = s.sndNxt
 	}
@@ -521,7 +522,7 @@ func (s *Sender) onRateAck(now sim.Time, p *packet.Packet) {
 	}
 	// While a go-back-N is already in flight, further duplicates are
 	// echoes of the retransmission burst itself and must not re-trigger it.
-	if !r.recovering && s.sndUna < s.sndNxt && p.AckSeq == s.sndUna {
+	if !r.recovering && s.sndUna < s.sndNxt && p.Seq == s.sndUna {
 		s.dupAcks++
 		if s.dupAcks == 3 {
 			s.dupAcks = 0
@@ -638,7 +639,7 @@ func (s *Sender) stop() {
 func (s *Sender) traceEnd(typ trace.Type, now sim.Time) {
 	if tr := s.eng.Tracer(); tr != nil {
 		tr.Trace(trace.Event{Type: typ, At: int64(now),
-			Port: -1, Queue: -1, FlowID: s.flowID, Src: s.host.ID, Dst: s.dst,
+			Port: -1, Queue: -1, FlowID: uint64(s.flowID), Src: s.host.ID, Dst: s.dst,
 			Size: s.size, Dur: int64(now - s.startTime)})
 	}
 }

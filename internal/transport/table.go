@@ -2,8 +2,10 @@ package transport
 
 import (
 	"fmt"
+	"math"
 
 	"ecnsharp/internal/device"
+	"ecnsharp/internal/packet"
 	"ecnsharp/internal/sim"
 )
 
@@ -23,7 +25,7 @@ import (
 // (see experiments.RunContext).
 type FlowTable struct {
 	// IDs[i] is flow i's wire identifier (unique per run).
-	IDs []uint64
+	IDs []uint32
 	// Src and Dst are the endpoint host ids.
 	Src, Dst []int
 	// Size is the flow length in bytes.
@@ -56,12 +58,16 @@ type FlowTable struct {
 	// (after Failed is recorded), with the flow's index. Same threading
 	// contract as OnDone: it runs on the flow's source-domain worker.
 	OnFail func(i int)
+
+	// cfg is the configuration the table's endpoints share: the last one
+	// Launch was given, less the class, which each endpoint keeps apart.
+	cfg *Config
 }
 
 // NewFlowTable returns a table with capacity reserved for n flows.
 func NewFlowTable(n int) *FlowTable {
 	return &FlowTable{
-		IDs:       make([]uint64, 0, n),
+		IDs:       make([]uint32, 0, n),
 		Src:       make([]int, 0, n),
 		Dst:       make([]int, 0, n),
 		Size:      make([]int64, 0, n),
@@ -84,13 +90,29 @@ func (t *FlowTable) Len() int { return len(t.IDs) }
 // before the first segment can arrive); the sender transmits on the
 // source host's engine from start: each endpoint lives in its host's
 // domain. The sender records the flow's completion or failure in its row.
+// Both endpoints point at one copy of cfg for all the flows launched with
+// it, keeping only cfg.Class, narrowed by packet.ClassOf, as their own. A
+// flow id must fit the packet's 32 bits.
 func (t *FlowTable) Launch(cfg Config, src, dst *device.Host, flowID uint64,
 	size int64, start sim.Time, query bool) int {
 	if src == dst {
 		panic(fmt.Sprintf("transport: flow %d has identical endpoints", flowID))
 	}
+	if flowID > math.MaxUint32 {
+		panic(fmt.Sprintf("transport: flow id %d does not fit a packet's 32 bits", flowID))
+	}
+	class := packet.ClassOf(cfg.Class)
+	cfg.Class = 0
+	if t.cfg == nil || *t.cfg != cfg {
+		if err := cfg.Validate(); err != nil {
+			panic(err)
+		}
+		shared := cfg
+		t.cfg = &shared
+	}
+	id := uint32(flowID)
 	i := len(t.IDs)
-	t.IDs = append(t.IDs, flowID)
+	t.IDs = append(t.IDs, id)
 	t.Src = append(t.Src, src.ID)
 	t.Dst = append(t.Dst, dst.ID)
 	t.Size = append(t.Size, size)
@@ -99,8 +121,8 @@ func (t *FlowTable) Launch(cfg Config, src, dst *device.Host, flowID uint64,
 	t.Done = append(t.Done, false)
 	t.Failed = append(t.Failed, false)
 	t.Query = append(t.Query, query)
-	t.Receivers = append(t.Receivers, NewReceiver(dst.Engine(), cfg, dst, flowID, src.ID))
-	sender := newSender(t, i, cfg, src)
+	t.Receivers = append(t.Receivers, newReceiver(dst.Engine(), t.cfg, class, dst, id, src.ID))
+	sender := newSender(t, i, t.cfg, class, src)
 	t.Senders = append(t.Senders, sender)
 	src.Engine().ScheduleArg(start, senderStart, sender)
 	return i

@@ -1,8 +1,10 @@
 package transport_test
 
 import (
+	"math"
 	"testing"
 
+	"ecnsharp/internal/device"
 	"ecnsharp/internal/packet"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/topology"
@@ -151,4 +153,62 @@ func TestFlowTableRejectsSelfFlow(t *testing.T) {
 		}
 	}()
 	table.Launch(transport.DefaultConfig(), net.Host(0), net.Host(0), 1, 1000, 0, false)
+}
+
+// TestFlowTableRejectsWideFlowID: a packet carries a 32-bit flow id, so
+// the table refuses an id that would not survive the narrowing, and takes
+// the widest one that does.
+func TestFlowTableRejectsWideFlowID(t *testing.T) {
+	net := newStar(2, 0, nil)
+	table := transport.NewFlowTable(2)
+	table.Launch(transport.DefaultConfig(), net.Host(0), net.Host(1), math.MaxUint32, 1000, 0, false)
+	if table.IDs[0] != math.MaxUint32 {
+		t.Errorf("flow id %d stored as %d", uint64(math.MaxUint32), table.IDs[0])
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("flow id above MaxUint32 did not panic")
+		}
+	}()
+	table.Launch(transport.DefaultConfig(), net.Host(1), net.Host(0), math.MaxUint32+1, 1000, 0, false)
+}
+
+// TestFlowTableSharesConfig: flows launched with one configuration share
+// one copy of it whatever their class, and each still stamps its own class
+// — clamped to a byte — on its data packets and ACKs.
+func TestFlowTableSharesConfig(t *testing.T) {
+	net := newStar(3, 0, nil)
+	var got [2][]uint8
+	for h := 1; h <= 2; h++ {
+		nic := net.Host(h).NIC
+		tap := device.NewTap(net.Engines[0], nic.Dst.(device.Node))
+		tap.Drop = func(p *packet.Packet) bool {
+			got[p.Kind] = append(got[p.Kind], p.Class)
+			return false
+		}
+		nic.Dst = tap
+	}
+	table := transport.NewFlowTable(2)
+	for i, class := range []int{-3, 300} {
+		cfg := transport.DefaultConfig()
+		cfg.Class = class
+		table.Launch(cfg, net.Host(1+i), net.Host(2-i), uint64(i+1), 2*packet.MSS, 0, false)
+	}
+	net.Shard.Run()
+	if !table.Done[0] || !table.Done[1] {
+		t.Fatal("flows did not complete")
+	}
+	if !transport.SameConfig(table.Senders[0], table.Senders[1], table.Receivers[0], table.Receivers[1]) {
+		t.Error("the endpoints of two flows launched with one configuration hold different copies")
+	}
+	for kind, classes := range got {
+		if len(classes) == 0 {
+			t.Fatalf("no %v packets seen", packet.Kind(kind))
+		}
+		for _, c := range classes {
+			if c != 0 && c != packet.MaxClass {
+				t.Errorf("%v packet of class %d, want 0 (class -3) or %d (class 300)", packet.Kind(kind), c, packet.MaxClass)
+			}
+		}
+	}
 }
