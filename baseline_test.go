@@ -15,6 +15,7 @@ import (
 
 	"ecnsharp/internal/bench"
 	"ecnsharp/internal/experiments"
+	"ecnsharp/internal/trace"
 )
 
 // update makes a baseline test rewrite its committed file instead of
@@ -219,28 +220,34 @@ func TestAllocBaseline(t *testing.T) {
 }
 
 // scaleResult is one (hosts, shards) cell of BENCH_scale.json: what the cell
-// simulated and what it keeps in memory, both independent of the machine,
-// and the run's window and handoff counts (sim.RunReport) and packet pool
-// counts (RunResult.Pools, summed over domains), independent of the worker
-// count too. How fast it ran is BenchmarkScaleCell's and
-// benchmark/'s to say.
+// simulated and what it keeps in memory, both independent of the machine;
+// the run's counts (sim.RunReport: windows, handoffs, drains, event-queue
+// refills and moves, marks by kind) and packet pool gets (RunResult.Pools,
+// summed over domains), independent of the worker count too; and the pool
+// news, which depend on it: the pools of one worker group share a free
+// list. How fast it ran is BenchmarkScaleCell's and benchmark/'s to say.
 type scaleResult struct {
-	Hosts          int     `json:"hosts"`
-	Shards         int     `json:"shards"`
-	Events         uint64  `json:"events"`
-	Windows        uint64  `json:"windows"`
-	HandoffMsgs    uint64  `json:"handoff_msgs"`
-	HandoffDrains  uint64  `json:"handoff_drains"`
-	BytesPerHost   float64 `json:"bytes_per_host"`
-	CompletedFlows int     `json:"completed_flows"`
-	PoolGets       int64   `json:"pool_gets"`
-	PoolNews       int64   `json:"pool_news"`
+	Hosts          int                                 `json:"hosts"`
+	Shards         int                                 `json:"shards"`
+	Events         uint64                              `json:"events"`
+	Windows        uint64                              `json:"windows"`
+	HandoffMsgs    uint64                              `json:"handoff_msgs"`
+	HandoffDrains  uint64                              `json:"handoff_drains"`
+	EmptyDrains    uint64                              `json:"empty_drains"`
+	Refills        uint64                              `json:"refills"`
+	RadixMoves     uint64                              `json:"radix_moves"`
+	MarkKinds      [trace.MarkProbabilistic + 1]uint64 `json:"mark_kinds"`
+	BytesPerHost   float64                             `json:"bytes_per_host"`
+	CompletedFlows int                                 `json:"completed_flows"`
+	PoolGets       int64                               `json:"pool_gets"`
+	PoolNews       int64                               `json:"pool_news"`
 }
 
-// counts is the part of a scaleResult the gate compares exactly.
+// counts is the part of a scaleResult the gate compares exactly and
+// requires equal at every worker count.
 func (r scaleResult) counts() string {
-	return fmt.Sprintf("%d events, %d windows, %d handoff messages, %d handoff drains, %d completed flows, %d pool gets and %d pool news",
-		r.Events, r.Windows, r.HandoffMsgs, r.HandoffDrains, r.CompletedFlows, r.PoolGets, r.PoolNews)
+	return fmt.Sprintf("%d events, %d windows, %d handoff messages, %d handoff drains, %d empty drains, %d refills, %d radix moves, marks by kind %v, %d completed flows and %d pool gets",
+		r.Events, r.Windows, r.HandoffMsgs, r.HandoffDrains, r.EmptyDrains, r.Refills, r.RadixMoves, r.MarkKinds, r.CompletedFlows, r.PoolGets)
 }
 
 // scaleReport is the schema of BENCH_scale.json.
@@ -279,6 +286,10 @@ func measureScaleCell(t *testing.T, cell experiments.ScaleCell, shards int) scal
 		Windows:        res.Report.Windows,
 		HandoffMsgs:    res.Report.HandoffMsgs,
 		HandoffDrains:  res.Report.HandoffDrains,
+		EmptyDrains:    res.Report.EmptyDrains,
+		Refills:        res.Report.Refills,
+		RadixMoves:     res.Report.RadixMoves,
+		MarkKinds:      res.Report.MarkKinds,
 		BytesPerHost:   float64(after-before) / float64(cell.Hosts),
 		CompletedFlows: res.Completed,
 	}
@@ -289,13 +300,14 @@ func measureScaleCell(t *testing.T, cell experiments.ScaleCell, shards int) scal
 	if res.Completed != res.Injected {
 		t.Errorf("%s completed %d/%d flows", scaleKey(cell.Hosts, shards), res.Completed, res.Injected)
 	}
-	t.Logf("%-24s %10d events %6d windows %8d handoffs %8d drains %8.0f B/host %8d flows %8d gets %7d news", scaleKey(cell.Hosts, shards),
-		out.Events, out.Windows, out.HandoffMsgs, out.HandoffDrains, out.BytesPerHost, out.CompletedFlows, out.PoolGets, out.PoolNews)
+	t.Logf("%-24s %10d events %6d windows %8d handoffs %8d drains %8d empty %8d refills %9d moves %v marks %8.0f B/host %8d flows %8d gets %7d news",
+		scaleKey(cell.Hosts, shards), out.Events, out.Windows, out.HandoffMsgs, out.HandoffDrains, out.EmptyDrains, out.Refills, out.RadixMoves,
+		out.MarkKinds, out.BytesPerHost, out.CompletedFlows, out.PoolGets, out.PoolNews)
 	return out
 }
 
-// compareScale returns one line per cell that drifted from base: the event,
-// window, handoff, completed-flow and pool counts must match, bytes/host may not grow beyond
+// compareScale returns one line per cell that drifted from base: the counts
+// and the pool news must match, bytes/host may not grow beyond
 // bytesTolerance, every measured cell must be recorded, and every recorded
 // cell of a tier that ran (those up to maxHosts) must have been measured.
 func compareScale(base, got map[string]scaleResult, maxHosts int) []string {
@@ -314,6 +326,10 @@ func compareScale(base, got map[string]scaleResult, maxHosts int) []string {
 			if m.counts() != want.counts() {
 				failures = append(failures, fmt.Sprintf("%s: %s, baseline %s (the cell is deterministic; a drift means the simulation or its windowing changed)",
 					k, m.counts(), want.counts()))
+			}
+			if m.PoolNews != want.PoolNews {
+				failures = append(failures, fmt.Sprintf("%s: %d pool news, baseline %d (deterministic at a given worker count; a drift means the packet lifetimes or the free lists changed)",
+					k, m.PoolNews, want.PoolNews))
 			}
 			if m.BytesPerHost > want.BytesPerHost*(1+bytesTolerance) {
 				failures = append(failures, fmt.Sprintf("%s: %.0f B/host, baseline %.0f (+%.0f%% > %.0f%% tolerance)",
@@ -347,8 +363,8 @@ func TestScaleBaseline(t *testing.T) {
 		for _, w := range scaleWorkers {
 			got[scaleKey(cell.Hosts, w)] = measureScaleCell(t, cell, w)
 		}
-		// Every count is worker-independent: each worker count must
-		// reproduce the first's.
+		// Every count but the pool news is worker-independent: each worker
+		// count must reproduce the first's.
 		first := got[scaleKey(cell.Hosts, scaleWorkers[0])]
 		for _, w := range scaleWorkers[1:] {
 			if c := got[scaleKey(cell.Hosts, w)]; c.counts() != first.counts() {
@@ -450,6 +466,10 @@ func TestBaselineGatesDetectRegressions(t *testing.T) {
 	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.Windows++ }), cells, all), cell, "windows")
 	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.HandoffMsgs-- }), cells, all), cell, "handoff messages")
 	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.HandoffDrains++ }), cells, all), cell, "handoff drains")
+	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.EmptyDrains-- }), cells, all), cell, "empty drains")
+	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.Refills++ }), cells, all), cell, "refills")
+	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.RadixMoves-- }), cells, all), cell, "radix moves")
+	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.MarkKinds[2]++ }), cells, all), cell, "marks by kind")
 	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.CompletedFlows-- }), cells, all), cell, "completed flows")
 	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.PoolGets-- }), cells, all), cell, "pool gets")
 	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.PoolNews++ }), cells, all), cell, "pool news")

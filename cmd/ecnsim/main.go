@@ -77,7 +77,7 @@ func main() {
 			"comma-separated event types to trace: enqueue,dequeue,drop,mark,sojourn,cwnd,rate,echo,flow_start,flow_finish,fault,reroute,flow_fail or all")
 		traceSample = flag.Int("trace-sample", 1, "keep every n-th selected event (sampling stride)")
 		report      = flag.Bool("report", false,
-			"print the run's report (windows, per-domain events, handoff messages and drains, per-domain packet pool gets and news; summed over -seeds) as one JSON line on stderr")
+			"print the run's report (windows, per-domain events, handoff messages, non-empty and empty drains, event-queue refills and moves, marks by kind, per-domain packet pool gets and news; summed over -seeds) as one JSON line on stderr")
 	)
 	flag.Parse()
 

@@ -262,6 +262,9 @@ func TestReportLeavesStdoutAlone(t *testing.T) {
 		Windows      uint64   `json:"windows"`
 		DomainEvents []uint64 `json:"domain_events"`
 		HandoffMsgs  uint64   `json:"handoff_msgs"`
+		Refills      uint64   `json:"refills"`
+		RadixMoves   uint64   `json:"radix_moves"`
+		MarkKinds    []uint64 `json:"mark_kinds"`
 		Pools        []struct {
 			Gets, News int64
 		} `json:"pools"`
@@ -271,6 +274,9 @@ func TestReportLeavesStdoutAlone(t *testing.T) {
 	}
 	if r.Windows == 0 || len(r.DomainEvents) != 16 || r.HandoffMsgs == 0 || len(r.Pools) != 16 {
 		t.Errorf("report %+v: want windows, 16 domains, handoff messages and 16 pools", r)
+	}
+	if r.Refills == 0 || r.RadixMoves < r.Refills || len(r.MarkKinds) != 4 {
+		t.Errorf("report %+v: want refills, at least one move per refill and 4 mark kinds", r)
 	}
 	var gets, news int64
 	for _, p := range r.Pools {

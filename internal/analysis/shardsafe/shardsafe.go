@@ -3,6 +3,14 @@
 // touch its own domain's state, with Handoff.Send as the sole sanctioned
 // cross-domain path.
 //
+// Worker-owned state is legal too, when no two workers reach it: the
+// domains of one worker group (ShardedEngine.Group) never run at the same
+// time, at any GOMAXPROCS and in the same order on every machine, so state
+// only one group's domains share — topology's packet free list per group —
+// is as race-free and as deterministic as one domain's. It is wired
+// before the run, like a handoff, and no rule below needs an exception
+// for it.
+//
 // The conservative-time engine (sim.ShardedEngine) gets byte-determinism
 // by construction — each domain worker executes its own Engine's events in
 // timestamp order, and anything crossing domains is timestamped at least

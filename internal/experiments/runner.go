@@ -127,10 +127,10 @@ type RunResult struct {
 	// it; results that went through RunSeeds or a grid carry none (see
 	// runAll).
 	Net *topology.Net
-	// Report counts the run's windows, per-domain events and handoffs
-	// (summed over seeds by MergeRuns). It is deterministic but describes
-	// the execution, not the simulated network, so no result encoding or
-	// cache key includes it.
+	// Report counts the run's windows, per-domain events, handoffs,
+	// event-queue refills and marks by kind (summed over seeds by
+	// MergeRuns). It is deterministic but describes the execution, not the
+	// simulated network, so no result encoding or cache key includes it.
 	Report sim.RunReport
 	// Pools counts each domain's packet pool (summed over seeds by
 	// MergeRuns); like Report it describes the execution and stays out of
@@ -394,7 +394,7 @@ func RunContext(ctx context.Context, cfg RunConfig, tr trace.Tracer) (RunResult,
 		Failed:    failed,
 		Injected:  len(specs),
 		Net:       net,
-		Report:    net.Shard.Report(),
+		Report:    net.Report(),
 		Pools:     poolCounts(net),
 	}
 	for _, s := range table.Senders {

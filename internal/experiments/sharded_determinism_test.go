@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -105,6 +106,41 @@ func TestShardedByteIdenticalToSerial(t *testing.T) {
 		if gotResult != serialResult {
 			t.Errorf("shards=%d: results diverge:\n--- serial ---\n%s--- shards=%d ---\n%s",
 				shards, serialResult, shards, gotResult)
+		}
+	}
+}
+
+// TestShardedPacketListsIndependentOfGOMAXPROCS: the domains of a worker
+// group share one packet free list, and a run on fewer Ps than groups runs
+// several groups on one worker (group g on worker g mod W). At Shards 3
+// and 4 on the six-domain incast golden, under GOMAXPROCS 1, 2 and 4,
+// the trace, results, report and every domain's pool counts equal those
+// under GOMAXPROCS 1; Shards 3 on 2 Ps is a worker count that does not
+// divide the group count.
+func TestShardedPacketListsIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, shards := range []int{3, 4} {
+		var want string
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			var buf bytes.Buffer
+			jw := trace.NewJSONLWriter(&buf)
+			res, err := RunContext(context.Background(), incastCellCfg(shards), jw)
+			if err == nil {
+				err = jw.Flush()
+			}
+			if err != nil {
+				t.Fatalf("shards=%d GOMAXPROCS=%d: %v", shards, procs, err)
+			}
+			got := fmt.Sprintf("%s%s%+v\npools %+v\n", buf.String(), renderResult(res), res.Report, res.Pools)
+			if procs == 1 {
+				want = got
+				continue
+			}
+			if got != want {
+				t.Errorf("shards=%d: GOMAXPROCS %d diverges from 1 at byte %d (of %d vs %d)",
+					shards, procs, firstDiff(got, want), len(got), len(want))
+			}
 		}
 	}
 }

@@ -97,3 +97,40 @@ func TestPoolCounters(t *testing.T) {
 		t.Errorf("Free() = %d, want 2", pl.Free())
 	}
 }
+
+// TestPoolSharedList: handles sharing a free list keep their own counters,
+// reuse is LIFO across handles, and a packet already on the list panics
+// when put again through any handle of it.
+func TestPoolSharedList(t *testing.T) {
+	var a, b, c Pool
+	b.Share(&a)
+	c.Share(&b) // b's list is a's: so is c's
+	p, q := a.Get(), b.Get()
+	b.Put(p)
+	c.Put(q)
+	if a.Free() != 2 || b.Free() != 2 || c.Free() != 2 {
+		t.Fatalf("free lists %d/%d/%d, want one list of 2", a.Free(), b.Free(), c.Free())
+	}
+	if got := a.Get(); got != q {
+		t.Errorf("a got %p, want %p, the packet c put last", got, q)
+	}
+	if got := c.Get(); got != p {
+		t.Errorf("c got %p, want %p, the packet b put", got, p)
+	}
+	for _, h := range []struct {
+		name string
+		pl   *Pool
+		want [3]int64
+	}{{"a", &a, [3]int64{2, 1, 0}}, {"b", &b, [3]int64{1, 1, 1}}, {"c", &c, [3]int64{1, 0, 1}}} {
+		if got := [3]int64{h.pl.Gets, h.pl.News, h.pl.Puts}; got != h.want {
+			t.Errorf("%s: gets/news/puts %v, want %v", h.name, got, h.want)
+		}
+	}
+	a.Put(p)
+	defer func() {
+		if recover() == nil {
+			t.Error("a second Put through another handle of the list did not panic")
+		}
+	}()
+	b.Put(p)
+}

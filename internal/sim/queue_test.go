@@ -27,6 +27,9 @@ func TestEngineEntryAndSlotSizes(t *testing.T) {
 	if got := unsafe.Sizeof(slot{}); got > 48 {
 		t.Errorf("slot is %d bytes, want <= 48", got)
 	}
+	if got := unsafe.Sizeof(domain{}); got != 64 {
+		t.Errorf("domain is %d bytes, want 64: one cache line, which no other worker's domain shares", got)
+	}
 }
 
 // TestEngineCancelFreesAtOnce: a canceled event leaves the queue and its

@@ -27,7 +27,9 @@ import (
 //     handoff messages sent in the last window — and align its window
 //     [T, T+L) to the grid (T = next - next mod L);
 //  2. execute every domain's events with timestamp < T+L, in parallel on
-//     up to `workers` goroutines (domain i runs on worker i mod W);
+//     up to `workers` goroutines (domain d belongs to group d mod
+//     `workers`, and a run on W goroutines runs group g on worker g mod W;
+//     see Group);
 //  3. each domain starts its share of a window by injecting the handoff
 //     messages sent to it in the previous one (buffers alternate by
 //     window parity, so senders of this window never touch them), and
@@ -61,7 +63,9 @@ import (
 // into another domain's state except through Handoff.Send. Worker
 // goroutines run simulation callbacks only — they must stay free of wall
 // clocks and other nondeterminism, exactly like serial engine callbacks
-// (ecnlint's wallclock analyzer covers this package). A run uses at most
+// (ecnlint's wallclock analyzer covers this package). State that only the
+// domains of one group reach is worker-owned: they never run at the same
+// time, at any GOMAXPROCS, so it needs no synchronization. A run uses at most
 // GOMAXPROCS workers, the coordinator goroutine being the first; between
 // windows a worker spins on its epoch, yielding, and parks only when a
 // window keeps it waiting.
@@ -99,8 +103,9 @@ type ShardedEngine struct {
 }
 
 // domain is one domain's engine and what the run keeps for it. Only the
-// worker running the domain writes it during a window; the padding keeps
-// domains run by different workers off each other's cache lines.
+// worker running the domain writes it during a window; at 64 bytes, one
+// line of the slice, it shares no cache line with a domain another worker
+// runs.
 type domain struct {
 	eng *Engine
 	// in and nin locate the domain's inbound handoffs in inbound and dirty.
@@ -109,11 +114,11 @@ type domain struct {
 	// the current window (MaxTime when none).
 	sent Time
 	// msgs and drains count the handoff messages injected into the domain
-	// and the non-empty handoff buffers they came in.
-	msgs, drains uint64
+	// and the non-empty handoff buffers they came in, empty the windows it
+	// began with none to inject.
+	msgs, drains, empty uint64
 	// id is the domain's index in doms.
 	id int
-	_  [8]byte
 }
 
 // NewShardedEngine builds a coordinator over `domains` fresh engines with
@@ -151,8 +156,19 @@ func (se *ShardedEngine) Domain(d int) *Engine { return se.doms[d].eng }
 // Lookahead returns the conservative window length.
 func (se *ShardedEngine) Lookahead() Time { return se.lookahead }
 
-// Workers returns the worker goroutine budget.
+// Workers returns the worker goroutine budget, which is also the number of
+// worker groups.
 func (se *ShardedEngine) Workers() int { return se.workers }
+
+// Group returns domain d's worker group, d mod Workers(). A run on W
+// worker goroutines (Workers() clamped to GOMAXPROCS) runs group g on
+// worker g mod W, and a worker runs each of its groups' domains in
+// ascending order; so two domains of one group never run at the same
+// time, and the order in which they run is the same on every machine.
+// State only one group reaches (topology's packet free lists) is
+// therefore as deterministic and as free of synchronization as one
+// domain's. On W = Workers() goroutines this is the stride d mod W.
+func (se *ShardedEngine) Group(d int) int { return d % se.workers }
 
 // Windows returns the number of synchronization windows executed so far.
 func (se *ShardedEngine) Windows() uint64 { return se.windows }
@@ -179,6 +195,17 @@ type RunReport struct {
 	// HandoffDrains is the number of non-empty handoff buffers drained:
 	// at most one per handoff per window.
 	HandoffDrains uint64 `json:"handoff_drains"`
+	// EmptyDrains is the number of windows a domain began with no handoff
+	// buffer to inject: Windows × domains − the windows that injected.
+	EmptyDrains uint64 `json:"empty_drains"`
+	// Refills is the number of radix-heap refills of every domain's event
+	// queue, and RadixMoves the queue entries they redistributed.
+	Refills    uint64 `json:"refills"`
+	RadixMoves uint64 `json:"radix_moves"`
+	// MarkKinds counts the marks the network's egress queues applied, by
+	// the kind they were attributed to (indexed by trace.MarkKind). The
+	// engine knows no queues: topology.Net.Report fills it.
+	MarkKinds [trace.MarkProbabilistic + 1]uint64 `json:"mark_kinds"`
 }
 
 // Report returns the counts of every run so far.
@@ -189,6 +216,9 @@ func (se *ShardedEngine) Report() RunReport {
 		r.DomainEvents[d] = dm.eng.Processed
 		r.HandoffMsgs += dm.msgs
 		r.HandoffDrains += dm.drains
+		r.EmptyDrains += dm.empty
+		r.Refills += dm.eng.refills
+		r.RadixMoves += dm.eng.moves
 	}
 	return r
 }
@@ -217,6 +247,12 @@ func (r *RunReport) Add(o RunReport) {
 	r.Windows += o.Windows
 	r.HandoffMsgs += o.HandoffMsgs
 	r.HandoffDrains += o.HandoffDrains
+	r.EmptyDrains += o.EmptyDrains
+	r.Refills += o.Refills
+	r.RadixMoves += o.RadixMoves
+	for k, m := range o.MarkKinds {
+		r.MarkKinds[k] += m
+	}
 	r.DomainEvents = append(r.DomainEvents, make([]uint64, max(0, len(o.DomainEvents)-len(r.DomainEvents)))...)
 	for d, e := range o.DomainEvents {
 		r.DomainEvents[d] += e
@@ -503,17 +539,22 @@ func (se *ShardedEngine) runDirect(deadline Time, chunk int, poll func() error) 
 	return nil
 }
 
-// share runs worker i of w through the current window — domains i, i+w,
-// i+2w, … — and returns the earliest time they have pending afterwards.
+// share runs worker i of w through the current window — the domains of
+// groups i, i+w, i+2w, …, group by group (see Group) — and returns the
+// earliest time they have pending afterwards.
 func (se *ShardedEngine) share(i, w int, limit Time) Time {
 	p := se.windows & 1
 	next := MaxTime
-	for d := i; d < len(se.doms); d += w {
-		dm := &se.doms[d]
-		se.drain(dm, p^1)
-		dm.sent = MaxTime
-		runWindow(dm.eng, limit)
-		next = min(next, dm.next())
+	for g := i; g < se.workers; g += w {
+		for d := g; d < len(se.doms); d += se.workers {
+			dm := &se.doms[d]
+			if !se.drain(dm, p^1) {
+				dm.empty++
+			}
+			dm.sent = MaxTime
+			runWindow(dm.eng, limit)
+			next = min(next, dm.next())
+		}
 	}
 	return next
 }
@@ -535,8 +576,9 @@ func runWindow(e *Engine, limit Time) {
 
 // drain injects the messages sent to dm in the window of parity p into its
 // engine: the handoffs a sender marked dirty, in registration order, each
-// one's messages in send order.
-func (se *ShardedEngine) drain(dm *domain, p uint64) {
+// one's messages in send order. It reports whether there were any.
+func (se *ShardedEngine) drain(dm *domain, p uint64) bool {
+	drains := dm.drains
 	dirty := se.dirty[p][dm.in : dm.in+dm.nin]
 	for i, set := range dirty {
 		if !set {
@@ -554,6 +596,7 @@ func (se *ShardedEngine) drain(dm *domain, p uint64) {
 		dm.drains++
 		h.bufs[p] = buf[:0]
 	}
+	return dm.drains != drains
 }
 
 // flush injects the messages of the last window, so that none stays

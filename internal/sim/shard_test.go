@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -391,10 +392,55 @@ func TestHandoffTieFiresInRegistrationOrder(t *testing.T) {
 			if g := strings.Join(got, " "); g != want {
 				t.Errorf("%d workers: delivered %q, want %q", workers, g, want)
 			}
-			if r := se.Report(); r.HandoffMsgs != 2 || r.HandoffDrains != 2 {
-				t.Errorf("%d workers: report %+v, want 2 messages in 2 drains", workers, r)
+			// Two windows of four domains, one of which injected.
+			if r := se.Report(); r.HandoffMsgs != 2 || r.HandoffDrains != 2 || r.EmptyDrains != 7 {
+				t.Errorf("%d workers: report %+v, want 2 messages in 2 drains and 7 empty drains", workers, r)
 			}
 		})
+	}
+}
+
+// TestShardedGroupsRunInTurn: the domains of one worker group never run at
+// the same time and run in ascending order, whatever the worker count
+// GOMAXPROCS leaves, including 2 workers under 3 groups. Seven domains
+// run one event a window for ten windows; each group logs who ran, and
+// the race detector sees any overlap the busy flag misses.
+func TestShardedGroupsRunInTurn(t *testing.T) {
+	const domains, windows = 7, 10
+	for _, groups := range []int{3, 4} {
+		for _, procs := range []int{1, 2, 4} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				se := NewShardedEngine(domains, Microsecond, groups)
+				busy := make([]atomic.Bool, groups)
+				order := make([][]int, groups)
+				for d := range domains {
+					eng, g := se.Domain(d), se.Group(d)
+					for w := range windows {
+						eng.Schedule(Time(w)*Microsecond, func() {
+							if !busy[g].CompareAndSwap(false, true) {
+								t.Errorf("%d groups, GOMAXPROCS %d: domain %d ran while another of group %d did", groups, procs, d, g)
+							}
+							order[g] = append(order[g], d)
+							runtime.Gosched()
+							busy[g].Store(false)
+						})
+					}
+				}
+				se.Run()
+				for g, got := range order {
+					var want []int
+					for range windows {
+						for d := g; d < domains; d += groups {
+							want = append(want, d)
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Errorf("%d groups, GOMAXPROCS %d: group %d ran %v, want %v", groups, procs, g, got, want)
+					}
+				}
+			}()
+		}
 	}
 }
 

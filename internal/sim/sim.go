@@ -152,6 +152,9 @@ type Engine struct {
 	// Processed counts events executed; useful for progress reporting and
 	// runaway detection in tests.
 	Processed uint64
+	// refills counts the refills of bucket 0 and moves the entries they
+	// redistributed (RunReport).
+	refills, moves uint64
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -262,6 +265,8 @@ func (e *Engine) refill(b int) {
 		e.minAt = minTime(src)
 	}
 	e.last = e.minAt
+	e.refills++
+	e.moves += uint64(len(src))
 	e.buckets[b] = src[:0]
 	e.mask &^= 1 << b
 	// Push the entries again, now relative to the new last. Lower buckets

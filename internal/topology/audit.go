@@ -77,7 +77,10 @@ func (l *ledger) check(pooled bool) error {
 //     put back + departed over cut links + in flight, that is Get = Put +
 //     outstanding (not checked under Options.NoPacketPool);
 //   - bytes: bytes sent + arrived = bytes delivered, dropped, blackholed,
-//     departed and in flight.
+//     departed and in flight;
+//   - pool lists, summed over the worker groups' free lists: packets
+//     allocated (news) = packets on free lists + outstanding (gets − puts)
+//     (not checked under Options.NoPacketPool).
 //
 // It must run on the goroutine that ran the network, between runs.
 func (n *Net) Audit() error {
@@ -129,6 +132,18 @@ func (n *Net) Audit() error {
 	}
 	if err := sum.check(pooled); err != nil {
 		return fmt.Errorf("conservation audit: all domains: %w", err)
+	}
+	if pooled {
+		var news, free int64
+		for _, pl := range n.PacketPools {
+			news += pl.News
+		}
+		for g := range n.Shard.Workers() {
+			free += int64(n.PacketPools[g].Free()) // group g's list is its first domain's
+		}
+		if out := sum.gets - sum.puts; news != free+out {
+			return fmt.Errorf("conservation audit: pool lists: allocated %d != on free lists %d + outstanding %d", news, free, out)
+		}
 	}
 	return nil
 }

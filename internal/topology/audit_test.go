@@ -11,10 +11,12 @@ import (
 )
 
 // auditedRun runs flows across a marking leaf-spine, stopped at deadline
-// (sim.MaxTime: drained), and returns the network.
+// (sim.MaxTime: drained), and returns the network. Three workers make
+// three packet free lists.
 func auditedRun(deadline sim.Time) *Net {
 	o := opts()
 	o.NewAQM = func(int) aqm.AQM { return aqm.NewTCN(20 * sim.Microsecond) }
+	o.Shards = 3
 	net := NewLeafSpine(2, 3, 4, o)
 	table := transport.NewFlowTable(12)
 	for i := 0; i < 12; i++ {
@@ -50,6 +52,7 @@ func TestAuditNamesTheEquation(t *testing.T) {
 		{"bytes", func(n *Net) { n.Host(3).RxBytes++ }},
 		{"bytes", func(n *Net) { n.Links[0].Port.FaultDropBytes++ }},
 		{"pool", func(n *Net) { n.PacketPools[n.DomainOfHost(0)].Puts++ }},
+		{"pool lists", func(n *Net) { n.PacketPools[n.DomainOfHost(0)].News++ }},
 		{"marks", func(n *Net) { n.SwitchPorts[0].Egress.MarkKinds[trace.MarkPersistent]++ }},
 	} {
 		net := auditedRun(40 * sim.Microsecond)

@@ -32,12 +32,16 @@ func layoutOpts() Options {
 	}
 }
 
-// layoutNets builds one network of every topology.
+// layoutNets builds one network of every topology, and a leaf-spine with
+// four worker groups.
 func layoutNets() map[string]*Net {
+	groups := layoutOpts()
+	groups.Shards = 4
 	return map[string]*Net{
-		"star":           NewStar(9, layoutOpts()),
-		"leafspine":      NewLeafSpine(3, 5, 7, layoutOpts()),
-		"leafspine/dwrr": NewLeafSpine(2, 2, 2, dwrrOpts()),
+		"star":             NewStar(9, layoutOpts()),
+		"leafspine":        NewLeafSpine(3, 5, 7, layoutOpts()),
+		"leafspine/dwrr":   NewLeafSpine(2, 2, 2, dwrrOpts()),
+		"leafspine/groups": NewLeafSpine(3, 5, 7, groups),
 	}
 }
 
@@ -122,7 +126,8 @@ func TestLayoutPortStateInsideItsBlock(t *testing.T) {
 // TestLayoutDomainsShareNoCacheLine: domains run on different
 // workers, so a 64-byte line holding state of two of them would bounce
 // between cores on every event. Slabs are per domain and at least 512
-// bytes, which the allocator places on lines of their own.
+// bytes, which the allocator places on lines of their own; packet pools
+// are 64 bytes each, in one slice, so each has a line to itself.
 func TestLayoutDomainsShareNoCacheLine(t *testing.T) {
 	const line = 64
 	for name, net := range layoutNets() {
@@ -140,6 +145,9 @@ func TestLayoutDomainsShareNoCacheLine(t *testing.T) {
 		}
 		for id, h := range net.Hosts {
 			claim(spanOf(unsafe.Pointer(h), unsafe.Sizeof(hostBlock{})), net.DomainOfHost(id), h.Name())
+		}
+		for d, pl := range net.PacketPools {
+			claim(spanOf(unsafe.Pointer(pl), unsafe.Sizeof(*pl)), d, "packet pool")
 		}
 	}
 }

@@ -119,11 +119,14 @@ type Net struct {
 	// partition's min cut propagation delay).
 	Lookahead sim.Time
 
-	// PacketPools recycles packets, one free list per domain so sharded
-	// workers never contend: transports allocate from their host's
-	// domain pool, destination hosts and dropping queues release to
-	// theirs (a packet crossing a boundary migrates pools, which a free
-	// list does not mind). Nil entries when Options.NoPacketPool was set.
+	// PacketPools recycles packets: one pool per domain, which counts what
+	// the domain got and put, over one free list per worker group
+	// (sim.ShardedEngine.Group), which only one worker ever touches.
+	// Transports allocate from their host's domain pool, destination
+	// hosts and dropping queues release to theirs, so a packet that dies
+	// in another group's domain moves to that group's list; the domains of
+	// one group reuse each other's. Nil entries when Options.NoPacketPool
+	// was set.
 	PacketPools []*packet.Pool
 
 	// SwitchPorts lists every switch egress port (for drop/mark census).
@@ -423,6 +426,18 @@ func (n *Net) TotalMarks() int64 {
 	return m
 }
 
+// Report returns the engine's run report (sim.ShardedEngine.Report) with
+// the marks of every switch egress by kind.
+func (n *Net) Report() sim.RunReport {
+	r := n.Shard.Report()
+	for _, p := range n.SwitchPorts {
+		for k, m := range p.Egress.MarkKinds {
+			r.MarkKinds[k] += uint64(m)
+		}
+	}
+	return r
+}
+
 // Host returns host id (panics if out of range).
 func (n *Net) Host(id int) *device.Host { return n.Hosts[id] }
 
@@ -485,7 +500,9 @@ type switchNode struct {
 }
 
 // newNet starts a build over part: one engine and one packet pool per
-// domain, under a coordinator with opts.Shards workers. The builders then
+// domain, under a coordinator with opts.Shards workers, and the pools of a
+// worker group sharing the free list of its first domain's. The pools are
+// one slice, so that a build allocates them once. The builders then
 // populate it, indexing Engines and PacketPools by domain. switchLinks is
 // the number of directed switch-to-switch links the builder will add, which
 // with the host count sizes the census.
@@ -506,8 +523,14 @@ func newNet(part Partition, opts *Options, switchLinks int) *Net {
 	}
 	for d := range net.Engines {
 		net.Engines[d] = net.Shard.Domain(d)
-		if !opts.NoPacketPool {
-			net.PacketPools[d] = &packet.Pool{}
+	}
+	if !opts.NoPacketPool {
+		pools := make([]packet.Pool, part.Domains)
+		for d := range pools {
+			if g := net.Shard.Group(d); g != d {
+				pools[d].Share(&pools[g])
+			}
+			net.PacketPools[d] = &pools[d]
 		}
 	}
 	return net
