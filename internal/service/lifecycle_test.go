@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -301,5 +303,162 @@ func (tc lifecycleCase) allCellsFail(t *testing.T) {
 	tc.failed(t, msg, status)
 	if status, code, got := getErr(t, job+tc.result); status != http.StatusConflict || code != errNotFinished || got != msg {
 		t.Errorf("result of a failed job: %d %s %q, want 409 %s %q", status, code, got, errNotFinished, msg)
+	}
+}
+
+// TestFinishedJobsExpire drives the registry's retention bound through both
+// kinds: see evicted.
+func TestFinishedJobsExpire(t *testing.T) {
+	for _, tc := range lifecycleCases {
+		t.Run(tc.kind, tc.evicted)
+	}
+}
+
+// evicted submits a slow job and then finishedJobs+1 quick ones, each
+// followed to its end. The first quick job has then been dropped: its id
+// answers 410 on every {id} route, while ids never issued stay 404. The
+// list holds the slow job, still running, and the newest finishedJobs
+// quick ones, in submission order; the next submission takes a new id.
+// Closing the server ends the slow job.
+func (tc lifecycleCase) evicted(t *testing.T) {
+	srv, base := newTestDaemon(t, Config{Parallel: 1})
+	coll := base + tc.base
+	slow := submitJob(t, coll, tc.slowSpec)["id"].(string)
+	if slow != tc.prefix+"1" {
+		t.Fatalf("first id = %q, want %s1", slow, tc.prefix)
+	}
+	var quick []string
+	for i := range finishedJobs + 1 {
+		id := submitJob(t, coll, tc.spec)["id"].(string)
+		if want := fmt.Sprintf("%s%d", tc.prefix, i+2); id != want {
+			t.Fatalf("submission %d got id %q, want %q", i+2, id, want)
+		}
+		followStream(t, coll+"/"+id+"/stream")
+		quick = append(quick, id)
+	}
+
+	routes := append(tc.idRoutes, tc.result)
+	for _, route := range routes {
+		path := tc.base + "/" + quick[0] + route
+		status, code, msg := getErr(t, base+path)
+		if status != http.StatusGone || code != errExpired || !strings.Contains(msg, "resubmit the spec") {
+			t.Errorf("GET %s: %d %s %q, want 410 %s asking for a resubmit", path, status, code, msg, errExpired)
+		}
+	}
+	next := fmt.Sprintf("%s%d", tc.prefix, finishedJobs+3)
+	for _, id := range []string{tc.prefix + "0", tc.prefix + "x", tc.prefix + "02", next} {
+		for _, route := range routes {
+			path := tc.base + "/" + id + route
+			if status, code, _ := getErr(t, base+path); status != http.StatusNotFound || code != errNotFound {
+				t.Errorf("GET %s: %d %s, want 404 %s", path, status, code, errNotFound)
+			}
+		}
+	}
+
+	var list map[string][]map[string]any
+	getJSON(t, coll, &list)
+	items := list[tc.listKey]
+	want := append([]string{slow}, quick[1:]...)
+	if len(items) != len(want) {
+		t.Fatalf("listed %d jobs, want %d", len(items), len(want))
+	}
+	for i, item := range items {
+		if item["id"] != want[i] {
+			t.Fatalf("list entry %d is %v, want %s", i, item["id"], want[i])
+		}
+	}
+	if items[0]["state"] != stateRunning {
+		t.Errorf("slow job %s is %v, want %s", slow, items[0]["state"], stateRunning)
+	}
+
+	if id := submitJob(t, coll, tc.spec)["id"].(string); id != next {
+		t.Errorf("next submission got id %q, want %q", id, next)
+	}
+	followStream(t, coll+"/"+next+"/stream")
+	if status, code, _ := getErr(t, coll+"/"+quick[1]); status != http.StatusGone || code != errExpired {
+		t.Errorf("%s after one more job finished: %d %s, want 410 %s", quick[1], status, code, errExpired)
+	}
+
+	srv.Close()
+	events := followStream(t, coll+"/"+slow+"/stream")
+	if last := events[len(events)-1]; last["state"] != stateFailed {
+		t.Errorf("slow job after Close ended with %v, want state %s", last, stateFailed)
+	}
+}
+
+// TestRetentionSoak resubmits quickSpec 4 × finishedJobs times to one
+// server, following each sweep to its end and reading its results, every
+// cell a cache hit after the first sweep. The registry never holds more
+// than finishedJobs finished jobs beside the running ones; the heap after
+// the last sweep is within soakHeapSlack of the heap halfway, when every
+// later sweep only replaces a dropped one; and once the client's idle
+// connections close, the goroutine count is back at its start.
+func TestRetentionSoak(t *testing.T) {
+	const soakHeapSlack = 128 << 10
+	srv, base := newTestDaemon(t, Config{Parallel: 2})
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	goroutines := runtime.NumGoroutine()
+
+	bound := func(when string, i int) {
+		t.Helper()
+		srv.mu.Lock()
+		jobs, running := len(srv.jobs), 0
+		for _, j := range srv.jobs {
+			j.mu.Lock()
+			if j.state == stateRunning {
+				running++
+			}
+			j.mu.Unlock()
+		}
+		srv.mu.Unlock()
+		if jobs > finishedJobs+running {
+			t.Fatalf("%s sweep %d: %d jobs retained, %d of them running; want at most %d finished",
+				when, i, jobs, running, finishedJobs)
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	var half uint64
+	for i := 1; i <= 4*finishedJobs; i++ {
+		id := submit(t, base, quickSpec)
+		bound("submitting", i)
+		if done := streamEvents(t, base, id); done[len(done)-1]["state"] != stateDone {
+			t.Fatalf("sweep %d ended with %v", i, done[len(done)-1])
+		}
+		bound("after", i)
+		var rv resultsView
+		if resp := getJSON(t, base+"/v1/sweeps/"+id+"/results", &rv); resp.StatusCode != http.StatusOK || (i > 1 && rv.CacheHits != len(rv.Cells)) {
+			t.Fatalf("sweep %d results: status %d, %d of %d cells cached", i, resp.StatusCode, rv.CacheHits, len(rv.Cells))
+		}
+		if i == 2*finishedJobs {
+			half = heap()
+		}
+	}
+	end := heap()
+	t.Logf("heap %d B at %d sweeps, %d B at %d", half, 2*finishedJobs, end, 4*finishedJobs)
+	if end > half+soakHeapSlack {
+		t.Errorf("heap grew from %d B at %d sweeps to %d B at %d, more than %d B",
+			half, 2*finishedJobs, end, 4*finishedJobs, soakHeapSlack)
+	}
+	srv.mu.Lock()
+	retained := len(srv.jobs)
+	srv.mu.Unlock()
+	if retained != finishedJobs {
+		t.Errorf("%d jobs retained after the soak, want %d", retained, finishedJobs)
+	}
+
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines once the streams closed, %d at the start", n, goroutines)
 	}
 }

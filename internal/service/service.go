@@ -23,6 +23,7 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -55,11 +56,15 @@ type Server struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// The job registry: every job by id, and each kind's jobs in
-	// submission order (the length is the kind's id counter).
+	// The job registry: every retained job by id, and each kind's half.
 	mu    sync.Mutex
 	jobs  map[string]*job
-	order map[*jobKind][]*job
+	kinds map[*jobKind]*kindJobs
+	// The sweep spec document parsed last and its grid, under mu: a
+	// resubmitted spec shares the grid instead of parsing and keying it
+	// again.
+	lastSpec string
+	lastGrid *grid
 
 	// table holds decoded cells and pooled loads for sweeps to reuse.
 	table *table
@@ -116,7 +121,7 @@ func New(cfg Config) (*Server, error) {
 		ctx:    ctx,
 		cancel: cancel,
 		jobs:   make(map[string]*job),
-		order:  make(map[*jobKind][]*job),
+		kinds:  map[*jobKind]*kindJobs{sweepKind: {}, tuneKind: {}},
 		table:  newTable(tableBudget),
 	}
 	for _, rt := range Routes() {
@@ -152,15 +157,20 @@ type eventLog struct {
 	events [][]byte // each one NDJSON line, newline included
 }
 
-// appendLocked marshals and buffers one stream event and wakes every
-// follower; caller holds l.mu. The newline is stored with the event, once:
-// followers share these bytes and only read them.
+// appendLocked marshals and buffers one stream event; caller holds l.mu.
 func (l *eventLog) appendLocked(ev any) {
 	b, err := json.Marshal(ev)
 	if err != nil {
 		b = []byte(`{"type":"error","error":"event marshal failure"}`)
 	}
-	l.events = append(l.events, append(b, '\n'))
+	l.appendLineLocked(append(b, '\n'))
+}
+
+// appendLineLocked buffers one stream event's NDJSON line, its newline
+// included, and wakes every follower; caller holds l.mu. Followers share
+// these bytes and only read them.
+func (l *eventLog) appendLineLocked(line []byte) {
+	l.events = append(l.events, line)
 	l.cond.Broadcast()
 }
 
@@ -213,10 +223,10 @@ func (l *eventLog) serveStream(ctx context.Context, w http.ResponseWriter) {
 // jobKind is one row of the kind table: what the lifecycle knows about
 // sweeps or tune runs as a class. The rest sits behind each job's work.
 type jobKind struct {
-	prefix string                          // ids are prefix-N, counted per kind
-	noun   string                          // what 404 and 409 messages call a job
-	list   string                          // key of the list response
-	parse  func(body []byte) (work, error) // a submitted spec document to the job's work
+	prefix string                                     // ids are prefix-N, counted per kind
+	noun   string                                     // what 404, 409 and 410 messages call a job
+	list   string                                     // key of the list response
+	parse  func(s *Server, body []byte) (work, error) // a submitted spec document to the job's work
 }
 
 var (
@@ -230,23 +240,69 @@ func (k *jobKind) on(h func(*Server, *jobKind, http.ResponseWriter, *http.Reques
 }
 
 // onJob binds a handler of one job to k: it finds the request's {id} among
-// the jobs of that kind and calls h with it, or writes the 404.
+// the retained jobs of that kind and calls h with it, or writes the 410 for
+// an id that was issued and has since been dropped, or the 404.
 func (k *jobKind) onJob(h func(*Server, *job, http.ResponseWriter, *http.Request)) func(*Server, http.ResponseWriter, *http.Request) {
 	return func(s *Server, w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
 		s.mu.Lock()
-		j := s.jobs[r.PathValue("id")]
+		j, issued := s.jobs[id], s.kinds[k].issued
 		s.mu.Unlock()
-		if j == nil || j.kind != k {
+		switch n := k.seq(id); {
+		case j != nil && j.kind == k:
+			h(s, j, w, r)
+		case n > 0 && n <= issued:
+			writeErr(w, http.StatusGone, errExpired, fmt.Sprintf(
+				"%s %s has expired: only the newest %d finished %ss are kept; resubmit the spec, and cells still in the cache are served from it",
+				k.noun, id, finishedJobs, k.noun))
+		default:
 			writeErr(w, http.StatusNotFound, errNotFound, "no such "+k.noun)
-			return
 		}
-		h(s, j, w, r)
 	}
+}
+
+// seq returns N when id is k's id prefix-N, and 0 when it is no id of k.
+func (k *jobKind) seq(id string) int {
+	digits, ok := strings.CutPrefix(id, k.prefix+"-")
+	n, err := strconv.Atoi(digits)
+	if !ok || err != nil || n < 1 || strconv.Itoa(n) != digits {
+		return 0
+	}
+	return n
+}
+
+// kindJobs is one kind's half of the job registry. A running job is always
+// retained, a finished one until finishedJobs newer jobs of its kind have
+// finished.
+type kindJobs struct {
+	issued   int    // ids issued so far, prefix-1 to prefix-issued; none is reused
+	order    []*job // the retained jobs, in submission order
+	finished []*job // the retained finished jobs, in finish order
+}
+
+// finish ends j: it moves j to its kind's finished jobs, drops the oldest
+// of them beyond finishedJobs from the registry, and then ends j's event
+// log. Trimming first means a client that has read j's "done" event finds
+// the registry already trimmed. A handler that holds a dropped job serves
+// it to the end.
+func (s *Server) finish(j *job, err error, done func(state, errMsg string) any) {
+	s.mu.Lock()
+	kj := s.kinds[j.kind]
+	kj.finished = append(kj.finished, j)
+	if len(kj.finished) > finishedJobs {
+		old := kj.finished[0]
+		kj.finished = slices.Delete(kj.finished, 0, 1)
+		i := slices.Index(kj.order, old)
+		kj.order = slices.Delete(kj.order, i, i+1)
+		delete(s.jobs, old.id)
+	}
+	s.mu.Unlock()
+	j.finish(err, done)
 }
 
 // work is the kind-specific half of a job. run is called once, on the
 // job's own goroutine: it records progress under j.mu as it goes and ends
-// with one j.finish. item, status and progressText are called with j.mu
+// with one s.finish. item, status and progressText are called with j.mu
 // held and given j.progress; writeResult is called without it, on a job in
 // stateDone, which no longer changes.
 type work interface {
@@ -273,6 +329,7 @@ type job struct {
 const (
 	errSpecInvalid  = "spec_invalid"
 	errNotFound     = "not_found"
+	errExpired      = "expired"
 	errNotFinished  = "not_finished"
 	errBodyTooLarge = "body_too_large"
 	errBadRequest   = "bad_request"
@@ -321,7 +378,7 @@ func (s *Server) handleSubmit(k *jobKind, w http.ResponseWriter, r *http.Request
 		}
 		return
 	}
-	wk, err := k.parse(body)
+	wk, err := k.parse(s, body)
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, errSpecInvalid, err.Error())
 		return
@@ -329,9 +386,11 @@ func (s *Server) handleSubmit(k *jobKind, w http.ResponseWriter, r *http.Request
 	j := &job{kind: k, work: wk}
 	j.state, j.cond = stateRunning, sync.NewCond(&j.mu)
 	s.mu.Lock()
-	j.id = fmt.Sprintf("%s-%d", k.prefix, len(s.order[k])+1)
+	kj := s.kinds[k]
+	kj.issued++
+	j.id = fmt.Sprintf("%s-%d", k.prefix, kj.issued)
 	s.jobs[j.id] = j
-	s.order[k] = append(s.order[k], j)
+	kj.order = append(kj.order, j)
 	s.mu.Unlock()
 	go wk.run(s, j)
 
@@ -342,8 +401,9 @@ func (s *Server) handleSubmit(k *jobKind, w http.ResponseWriter, r *http.Request
 
 func (s *Server) handleList(k *jobKind, w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	items := make([]any, 0, len(s.order[k]))
-	for _, j := range s.order[k] {
+	order := s.kinds[k].order
+	items := make([]any, 0, len(order))
+	for _, j := range order {
 		j.mu.Lock()
 		item := j.work.item(j.progress)
 		item["id"], item["state"] = j.id, j.state
@@ -393,9 +453,7 @@ func (s *Server) handleResult(j *job, w http.ResponseWriter, _ *http.Request) {
 // finished sweep keeps its answer, not its inputs: the per-load pooled
 // view, and each result without its records.
 type sweep struct {
-	spec  *experiments.SweepSpec
-	cells []experiments.Cell
-	keys  []string
+	*grid
 
 	hits, failed int
 	perCell      []cellStatus             // as the status route reports it
@@ -421,19 +479,42 @@ type cellStatus struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// parseSweep parses a sweep spec and resolves it into cells and keys.
-func parseSweep(body []byte) (work, error) {
-	spec, err := experiments.ParseSweepSpec(body)
-	if err != nil {
-		return nil, err
+// grid is a parsed sweep spec: the spec, its cells and their cache keys.
+// Nothing writes it once built, so the sweeps of one spec share it.
+type grid struct {
+	spec  *experiments.SweepSpec
+	cells []experiments.Cell
+	keys  []string
+}
+
+// parseSweep parses a sweep spec and resolves it into cells and keys, or
+// takes them from s when the spec is the one it parsed last.
+func parseSweep(s *Server, body []byte) (work, error) {
+	s.mu.Lock()
+	g := s.lastGrid
+	if s.lastSpec != string(body) {
+		g = nil
 	}
-	cells := spec.Cells()
-	sw := &sweep{spec: spec, cells: cells, keys: make([]string, len(cells)),
-		perCell: make([]cellStatus, len(cells)), results: make([]experiments.CellResult, len(cells)),
-		entries: make([]uint64, len(cells)), cellJSON: make([][]byte, len(cells))}
-	for i, c := range cells {
-		sw.keys[i] = c.Key(experiments.ResultSchemaVersion)
-		sw.perCell[i] = cellStatus{Index: i, Key: sw.keys[i], State: "pending"}
+	s.mu.Unlock()
+	if g == nil {
+		spec, err := experiments.ParseSweepSpec(body)
+		if err != nil {
+			return nil, err
+		}
+		g = &grid{spec: spec, cells: spec.Cells()}
+		g.keys = make([]string, len(g.cells))
+		for i, c := range g.cells {
+			g.keys[i] = c.Key(experiments.ResultSchemaVersion)
+		}
+		s.mu.Lock()
+		s.lastSpec, s.lastGrid = string(body), g
+		s.mu.Unlock()
+	}
+	n := len(g.cells)
+	sw := &sweep{grid: g, perCell: make([]cellStatus, n), results: make([]experiments.CellResult, n),
+		entries: make([]uint64, n), cellJSON: make([][]byte, n)}
+	for i, key := range g.keys {
+		sw.perCell[i] = cellStatus{Index: i, Key: key, State: "pending"}
 	}
 	return sw, nil
 }
@@ -479,7 +560,7 @@ func (sw *sweep) run(s *Server, j *job) {
 		sw.results[i].Records = nil
 	}
 	sw.entries = nil
-	j.finish(err, func(state, errMsg string) any {
+	s.finish(j, err, func(state, errMsg string) any {
 		return streamEvent{Type: "done", State: state, Total: len(sw.cells), CacheHits: sw.hits,
 			Computed: len(sw.cells) - sw.hits - sw.failed, Error: errMsg}
 	})
@@ -511,10 +592,18 @@ func (sw *sweep) onCellDone(t *table, j *job, p harness.Progress) {
 		if cached {
 			sw.hits++
 		}
-		ev.CellStats = &sw.results[p.Index].Stats
 		if stats != nil {
-			ev.CellStats = json.RawMessage(stats)
+			// stats is Marshal's output, compact and escaped, and the
+			// event's last field: spliced in, it gives the bytes Marshal
+			// writes for it as a json.RawMessage, without compacting it
+			// once more.
+			b := mustMarshal(ev)
+			line := make([]byte, 0, len(b)+len(`,"stats":`)+len(stats)+len("\n"))
+			line = append(append(line, b[:len(b)-1]...), `,"stats":`...)
+			j.appendLineLocked(append(append(line, stats...), "}\n"...))
+			return
 		}
+		ev.CellStats = &sw.results[p.Index].Stats
 	}
 	j.appendLocked(ev)
 }
@@ -554,27 +643,25 @@ func (sw *sweep) pool(t *table) {
 	}
 }
 
+// resultBufs holds buffers of written results documents for reuse.
+var resultBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // writeResult renders the per-cell results and the pooled view: the bytes
 // writeJSON would write for {"id", "state", "cache_hits", "pooled",
 // "cells"}, built from each load's JSON and each cell's, the table's when
 // the cell came from there and encoded here otherwise. Ids and keys
-// (sw-N, hex digests) need no JSON escaping.
+// (sw-N, hex digests) need no JSON escaping. The document is built in a
+// reused buffer: Write has consumed it when it returns.
 func (sw *sweep) writeResult(w http.ResponseWriter, id string) {
-	docs := slices.Clone(sw.cellJSON)
-	size := 64 + len(id)
-	for i := range docs {
-		if docs[i] == nil {
-			docs[i], _ = encodeCell(&sw.results[i])
-		}
-		size += 48 + len(sw.keys[i]) + len(docs[i])
-	}
-	for _, p := range sw.pooled {
-		size += 1 + len(p)
-	}
-	b := append(make([]byte, 0, size), `{"cache_hits":`...)
+	buf := resultBufs.Get().(*[]byte)
+	defer resultBufs.Put(buf)
+	b := append((*buf)[:0], `{"cache_hits":`...)
 	b = strconv.AppendInt(b, int64(sw.hits), 10)
 	b = append(b, `,"cells":[`...)
-	for i, doc := range docs {
+	for i, doc := range sw.cellJSON {
+		if doc == nil {
+			doc, _ = encodeCell(&sw.results[i])
+		}
 		if i > 0 {
 			b = append(b, ',')
 		}
@@ -597,6 +684,7 @@ func (sw *sweep) writeResult(w http.ResponseWriter, id string) {
 		b = append(b, p...)
 	}
 	b = append(b, `],"state":"`+stateDone+`"}`+"\n"...)
+	*buf = b
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(b)
@@ -618,8 +706,9 @@ func encodeCell(r *experiments.CellResult) (doc, stats []byte) {
 	return doc, doc[lo:hi:hi]
 }
 
-// mustMarshal is json.Marshal of a value that always encodes: results hold
-// strings and finite numbers, decoded from JSON or pooled from those.
+// mustMarshal is json.Marshal of a value that always encodes: results and
+// stream events hold strings and finite numbers, results decoded from JSON
+// or pooled from those.
 func mustMarshal(v any) []byte {
 	b, err := json.Marshal(v)
 	if err != nil {

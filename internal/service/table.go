@@ -19,6 +19,11 @@ import (
 // 400-flow sweep about a hundred times over.
 const tableBudget = 32 << 20
 
+// finishedJobs is how many finished jobs of each kind a Server keeps: a
+// finished job is dropped once finishedJobs newer jobs of its kind have
+// finished, and its id then answers 410. Running jobs are always kept.
+const finishedJobs = 128
+
 // entryOverhead is what an entry is charged beyond the bytes it counts:
 // the entry, its list element and map slot, a CellResult's or poolView's
 // fixed fields.

@@ -82,6 +82,31 @@ func TestResubmittedSweepDecodesAndPoolsNothing(t *testing.T) {
 		t.Errorf("second resubmission: decoded %d, pooled %d in all; want no more than 4 and 4", d, p)
 	}
 
+	// A resubmitted spec shares its grid with the sweep before it.
+	srv.mu.Lock()
+	if a, b := srv.jobs[warm].work.(*sweep).grid, srv.jobs[again].work.(*sweep).grid; a != b {
+		t.Errorf("resubmitted spec parsed again: grids %p and %p", a, b)
+	}
+	srv.mu.Unlock()
+
+	// A cell served from the table has its stats JSON spliced into its
+	// stream event: the line must be what Marshal writes for the event.
+	cells := 0
+	for _, line := range bytes.SplitAfter(getBody(base+"/v1/sweeps/"+again+"/stream"), []byte("\n")) {
+		var stats json.RawMessage
+		ev := streamEvent{CellStats: &stats}
+		if err := json.Unmarshal(line, &ev); err != nil || ev.Type != "cell" {
+			continue
+		}
+		cells++
+		if want := append(mustMarshal(ev), '\n'); !bytes.Equal(line, want) {
+			t.Errorf("table-served cell event:\n%s\nMarshal writes it as\n%s", line, want)
+		}
+	}
+	if cells != 4 {
+		t.Errorf("stream of %s has %d cell events, want 4", again, cells)
+	}
+
 	if w, a := resultsOf(t, base, warm, true), resultsOf(t, base, again, true); !bytes.Equal(w, a) {
 		t.Errorf("results served from the table differ:\n%s\n%s", w, a)
 	}

@@ -15,7 +15,7 @@ type tuneRun struct {
 }
 
 // parseTune parses a tune spec; tune.ParseSpec returns it normalized.
-func parseTune(body []byte) (work, error) {
+func parseTune(_ *Server, body []byte) (work, error) {
 	spec, err := tune.ParseSpec(body)
 	if err != nil {
 		return nil, err
@@ -45,7 +45,7 @@ func (tr *tuneRun) run(s *Server, j *job) {
 	if err == nil {
 		tr.result, err = res.Encode()
 	}
-	j.finish(err, func(state, errMsg string) any {
+	s.finish(j, err, func(state, errMsg string) any {
 		if err != nil {
 			return map[string]any{"type": "done", "state": state, "error": errMsg}
 		}
