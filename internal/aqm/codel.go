@@ -30,8 +30,6 @@ type CoDel struct {
 	count          int      // marks in the current episode
 	lastCount      int      // count at the end of the previous episode
 	marking        bool     // inside a marking episode
-
-	marks int64
 }
 
 // NewCoDel builds a CoDel marker with the given target and interval.
@@ -46,9 +44,6 @@ func NewCoDel(target, interval sim.Time) *CoDel {
 func (c *CoDel) Name() string {
 	return fmt.Sprintf("codel(target=%v,interval=%v)", c.Target, c.Interval)
 }
-
-// Marks returns how many packets this AQM marked.
-func (c *CoDel) Marks() int64 { return c.marks }
 
 // LastMarkKind implements MarkKinder: every CoDel mark comes from the
 // persistent-congestion control law (CoDel has no instantaneous component).
@@ -68,7 +63,6 @@ func (c *CoDel) OnDequeue(now sim.Time, _ *packet.Packet, sojourn sim.Time) bool
 		if now >= c.markNext {
 			c.count++
 			c.markNext += c.controlInterval()
-			c.marks++
 			return true
 		}
 		return false
@@ -87,7 +81,6 @@ func (c *CoDel) OnDequeue(now sim.Time, _ *packet.Packet, sojourn sim.Time) bool
 	}
 	c.lastCount = c.count
 	c.markNext = now + c.controlInterval()
-	c.marks++
 	return true
 }
 

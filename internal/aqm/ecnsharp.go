@@ -42,9 +42,6 @@ func (e *ECNSharp) Name() string {
 		p.InsTarget, p.PstTarget, p.PstInterval)
 }
 
-// Core exposes the underlying state machine (for tests and introspection).
-func (e *ECNSharp) Core() *core.ECNSharp { return &e.core }
-
 // OnEnqueue never marks; ECN♯ is a dequeue-side scheme.
 func (*ECNSharp) OnEnqueue(sim.Time, *packet.Packet, Backlog) bool { return false }
 

@@ -25,11 +25,9 @@ type ECNSharpProb struct {
 	// is marked.
 	Pmax float64
 
-	core core.ECNSharp
-	rng  *rand.Rand
-
-	instMarks int64
-	lastKind  trace.MarkKind
+	core     core.ECNSharp
+	rng      *rand.Rand
+	lastKind trace.MarkKind
 }
 
 // NewECNSharpProb builds the probabilistic variant. The persistent
@@ -57,20 +55,13 @@ func (e *ECNSharpProb) Name() string {
 	return fmt.Sprintf("ecnsharp-prob(Tmin=%v,Tmax=%v,Pmax=%.2f)", e.TMin, e.TMax, e.Pmax)
 }
 
-// Core exposes the persistent-marking state machine (for tests).
-func (e *ECNSharpProb) Core() *core.ECNSharp { return &e.core }
-
-// InstMarks returns how many packets the probabilistic ramp marked.
-func (e *ECNSharpProb) InstMarks() int64 { return e.instMarks }
-
 // OnEnqueue never marks; both conditions act on sojourn time at dequeue.
 func (*ECNSharpProb) OnEnqueue(sim.Time, *packet.Packet, Backlog) bool { return false }
 
 // OnDequeue combines the probabilistic ramp with Algorithm 1.
 func (e *ECNSharpProb) OnDequeue(now sim.Time, _ *packet.Packet, sojourn sim.Time) bool {
 	persistent := e.core.PersistentMark(now, sojourn)
-	if inst := e.rampMark(sojourn); inst {
-		e.instMarks++
+	if e.rampMark(sojourn) {
 		e.lastKind = trace.MarkProbabilistic
 		return true
 	}

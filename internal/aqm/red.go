@@ -20,7 +20,6 @@ type REDInstant struct {
 	KBytes int64
 
 	label string
-	marks int64
 }
 
 // NewREDInstantBytes builds a queue-length DCTCP-RED with threshold k bytes.
@@ -31,9 +30,6 @@ func NewREDInstantBytes(k int64) *REDInstant {
 // Name identifies the instance and its threshold.
 func (r *REDInstant) Name() string { return r.label }
 
-// Marks returns how many packets this AQM marked.
-func (r *REDInstant) Marks() int64 { return r.marks }
-
 // LastMarkKind implements MarkKinder: DCTCP-RED's single cut-off threshold
 // is an instantaneous condition.
 func (*REDInstant) LastMarkKind() trace.MarkKind { return trace.MarkInstantaneous }
@@ -41,11 +37,7 @@ func (*REDInstant) LastMarkKind() trace.MarkKind { return trace.MarkInstantaneou
 // OnEnqueue marks when the instantaneous queue length (including this
 // packet) exceeds K.
 func (r *REDInstant) OnEnqueue(_ sim.Time, p *packet.Packet, b Backlog) bool {
-	if b.Bytes+int64(p.Size()) > r.KBytes {
-		r.marks++
-		return true
-	}
-	return false
+	return b.Bytes+int64(p.Size()) > r.KBytes
 }
 
 // OnDequeue never marks; DCTCP-RED is an enqueue-side scheme.
@@ -60,7 +52,6 @@ func (*REDInstant) OnDequeue(sim.Time, *packet.Packet, sim.Time) bool { return f
 type TCN struct {
 	// Threshold is the sojourn-time marking threshold.
 	Threshold sim.Time
-	marks     int64
 }
 
 // NewTCN builds a TCN marker with the given sojourn threshold.
@@ -68,9 +59,6 @@ func NewTCN(threshold sim.Time) *TCN { return &TCN{Threshold: threshold} }
 
 // Name returns "tcn".
 func (t *TCN) Name() string { return fmt.Sprintf("tcn(T=%v)", t.Threshold) }
-
-// Marks returns how many packets this AQM marked.
-func (t *TCN) Marks() int64 { return t.marks }
 
 // LastMarkKind implements MarkKinder: TCN marks on the instantaneous
 // sojourn time only.
@@ -81,11 +69,7 @@ func (*TCN) OnEnqueue(sim.Time, *packet.Packet, Backlog) bool { return false }
 
 // OnDequeue marks when sojourn exceeds the threshold.
 func (t *TCN) OnDequeue(_ sim.Time, _ *packet.Packet, sojourn sim.Time) bool {
-	if sojourn > t.Threshold {
-		t.marks++
-		return true
-	}
-	return false
+	return sojourn > t.Threshold
 }
 
 // RED is classic min/max-threshold probabilistic marking on the
@@ -97,7 +81,6 @@ type RED struct {
 	KmaxBytes int64
 	Pmax      float64
 	rng       *rand.Rand
-	marks     int64
 }
 
 // NewRED builds a probabilistic RED marker. rng must be non-nil; it keeps
@@ -120,9 +103,6 @@ func (r *RED) Name() string {
 	return fmt.Sprintf("red(Kmin=%dB,Kmax=%dB,Pmax=%.2f)", r.KminBytes, r.KmaxBytes, r.Pmax)
 }
 
-// Marks returns how many packets this AQM marked.
-func (r *RED) Marks() int64 { return r.marks }
-
 // LastMarkKind implements MarkKinder: every RED mark is a draw from the
 // probabilistic marking curve.
 func (*RED) LastMarkKind() trace.MarkKind { return trace.MarkProbabilistic }
@@ -134,15 +114,10 @@ func (r *RED) OnEnqueue(_ sim.Time, p *packet.Packet, b Backlog) bool {
 	case q <= r.KminBytes:
 		return false
 	case q >= r.KmaxBytes:
-		r.marks++
 		return true
 	default:
 		frac := float64(q-r.KminBytes) / float64(r.KmaxBytes-r.KminBytes)
-		if r.rng.Float64() < frac*r.Pmax {
-			r.marks++
-			return true
-		}
-		return false
+		return r.rng.Float64() < frac*r.Pmax
 	}
 }
 

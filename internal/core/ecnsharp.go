@@ -26,15 +26,12 @@ import (
 	"ecnsharp/internal/sim"
 )
 
-// Reaction factors λ for Equation 1/2 (K = λ·C·RTT, T = λ·RTT).
-//
+// LambdaECNTCP is the reaction factor λ of Equation 1/2 (K = λ·C·RTT,
+// T = λ·RTT) for standard ECN-TCP, which halves its window on a mark.
 // λ captures how aggressively the end-host congestion control reacts to a
-// mark: standard ECN-TCP halves its window (λ = 1) while DCTCP cuts in
-// proportion to the marked fraction (λ ≈ 0.17 in theory).
-const (
-	LambdaECNTCP = 1.0
-	LambdaDCTCP  = 0.17
-)
+// mark; DCTCP, cutting in proportion to the marked fraction, has λ ≈ 0.17
+// in theory.
+const LambdaECNTCP = 1.0
 
 // ThresholdBytes computes Equation 1: the ideal instantaneous ECN marking
 // threshold in bytes, K = λ × C × RTT, for link capacity in bits/second.
@@ -151,11 +148,6 @@ func (r Reason) String() string {
 type ECNSharp struct {
 	params Params
 	state  State
-
-	// Counters for observability and tests.
-	instMarks int64
-	pstMarks  int64
-	seen      int64
 }
 
 // NewECNSharp builds an ECN♯ marker; Params are validated.
@@ -193,17 +185,6 @@ func (e *ECNSharp) Params() Params { return e.params }
 // State returns a copy of Algorithm 1's current variables.
 func (e *ECNSharp) State() State { return e.state }
 
-// Counts returns (packets seen, instantaneous marks, persistent marks).
-func (e *ECNSharp) Counts() (seen, inst, pst int64) {
-	return e.seen, e.instMarks, e.pstMarks
-}
-
-// Reset returns the state machine to its initial state, keeping parameters.
-func (e *ECNSharp) Reset() {
-	e.state = State{}
-	e.instMarks, e.pstMarks, e.seen = 0, 0, 0
-}
-
 // ShouldMark decides whether the packet dequeued at time now with the given
 // sojourn time must be ECN-marked, and why. It combines instantaneous
 // marking (§3.2 "ECN marking based on instantaneous queue") with
@@ -211,34 +192,22 @@ func (e *ECNSharp) Reset() {
 // condition decides to mark it; the reason reported prefers the
 // instantaneous condition since it is the one that bounds bursts.
 func (e *ECNSharp) ShouldMark(now, sojourn sim.Time) Reason {
-	e.seen++
-	persistent := e.shouldPersistentMark(now, sojourn)
+	persistent := e.PersistentMark(now, sojourn)
 	if sojourn > e.params.InsTarget {
-		e.instMarks++
 		return MarkInstantaneous
 	}
 	if persistent {
-		e.pstMarks++
 		return MarkPersistent
 	}
 	return NotMarked
 }
 
-// PersistentMark runs only Algorithm 1's persistent-congestion decision,
-// bypassing the instantaneous condition. It exists for the §3.5 variant
-// that replaces cut-off instantaneous marking with probabilistic marking
-// (for DCQCN-style transports) while keeping persistent marking unchanged.
+// PersistentMark is Algorithm 1's ShouldPersistentMark procedure: the
+// persistent-congestion decision alone, bypassing the instantaneous
+// condition. Besides ShouldMark, the §3.5 variant calls it directly: it
+// replaces cut-off instantaneous marking with probabilistic marking (for
+// DCQCN-style transports) while keeping persistent marking unchanged.
 func (e *ECNSharp) PersistentMark(now, sojourn sim.Time) bool {
-	e.seen++
-	if e.shouldPersistentMark(now, sojourn) {
-		e.pstMarks++
-		return true
-	}
-	return false
-}
-
-// shouldPersistentMark is Algorithm 1's ShouldPersistentMark procedure.
-func (e *ECNSharp) shouldPersistentMark(now, sojourn sim.Time) bool {
 	detected := e.isPersistentQueueBuildup(now, sojourn)
 	s := &e.state
 	if s.MarkingState {

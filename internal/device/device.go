@@ -65,10 +65,8 @@ type Port struct {
 	FaultDrops     int64
 	FaultDropBytes int64
 
-	// Fault state. down discards traffic at the transmitter (SetDown);
-	// closed rejects Send entirely (Close, after teardown).
-	down   bool
-	closed bool
+	// Fault state: down discards traffic at the transmitter (SetDown).
+	down bool
 }
 
 // NewPort builds a transmit port. The egress must be non-nil.
@@ -100,13 +98,8 @@ func (pt *Port) TxTime(n int) sim.Time {
 // Send enqueues p for transmission (possibly dropping on buffer overflow)
 // and kicks the transmitter. A dropped packet is recycled by the egress;
 // the caller relinquishes ownership either way. Sending on a downed link
-// loses the packet (counted in FaultDrops); sending on a closed port —
-// one the net tore down — panics with a clear message instead of
-// scheduling onto a finished engine.
+// loses the packet (counted in FaultDrops).
 func (pt *Port) Send(p *packet.Packet) {
-	if pt.closed {
-		panic(fmt.Sprintf("device: Send on closed port to %s after teardown", pt.Dst.(Node).Name()))
-	}
 	if pt.down {
 		pt.faultDrop(p)
 		return
@@ -177,9 +170,6 @@ func (pt *Port) SetDown(down bool) {
 	pt.Egress.DropAll(pt.eng.Now())
 }
 
-// Down reports whether the link is currently down.
-func (pt *Port) Down() bool { return pt.down }
-
 // Degrade re-parameterizes the link mid-run: a positive rate and/or
 // propagation delay replaces the current value (zero keeps it). A packet
 // already serializing keeps its old timing; subsequent packets use the
@@ -194,11 +184,6 @@ func (pt *Port) Degrade(rateBps float64, prop sim.Time) {
 		pt.PropDelay = prop
 	}
 }
-
-// Close marks the port torn down: any later Send panics with a clear
-// error instead of scheduling onto a finished engine. There is no reopen;
-// teardown is terminal.
-func (pt *Port) Close() { pt.closed = true }
 
 // IsBoundary reports whether the port transmits through a cross-domain
 // handoff (a cut link of a sharded build).
@@ -324,9 +309,6 @@ func (s *Switch) SetFailed(failed bool) {
 	}
 	s.failed = failed
 }
-
-// Failed reports whether the switch is currently failed.
-func (s *Switch) Failed() bool { return s.failed }
 
 // Routes returns the ECMP port set for dst (for tests).
 func (s *Switch) Routes(dst int) []*Port {

@@ -23,25 +23,11 @@ type Sampler interface {
 // Exponential is an exponential distribution with the given Mean.
 type Exponential struct{ MeanValue float64 }
 
-// NewExponential returns an exponential sampler with mean m.
-func NewExponential(m float64) Exponential { return Exponential{MeanValue: m} }
-
 // Sample draws an exponential variate.
 func (e Exponential) Sample(rng *rand.Rand) float64 { return rng.ExpFloat64() * e.MeanValue }
 
 // Mean returns the configured mean.
 func (e Exponential) Mean() float64 { return e.MeanValue }
-
-// Uniform is a uniform distribution over [Low, High].
-type Uniform struct{ Low, High float64 }
-
-// Sample draws a uniform variate in [Low, High].
-func (u Uniform) Sample(rng *rand.Rand) float64 {
-	return u.Low + float64(rng.Float64()*(u.High-u.Low))
-}
-
-// Mean returns (Low+High)/2.
-func (u Uniform) Mean() float64 { return (u.Low + u.High) / 2 }
 
 // LogNormal is a log-normal distribution parameterized by the underlying
 // normal's mu and sigma.
@@ -69,58 +55,6 @@ func (l LogNormal) Sample(rng *rand.Rand) float64 {
 
 // Mean returns the analytic mean exp(mu + sigma^2/2).
 func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + float64(l.Sigma*l.Sigma/2)) }
-
-// Constant always returns Value.
-type Constant struct{ Value float64 }
-
-// Sample returns the constant value.
-func (c Constant) Sample(*rand.Rand) float64 { return c.Value }
-
-// Mean returns the constant value.
-func (c Constant) Mean() float64 { return c.Value }
-
-// Shifted adds Offset to every sample of Base (useful for minimum latencies).
-type Shifted struct {
-	Base   Sampler
-	Offset float64
-}
-
-// Sample draws Base and adds Offset.
-func (s Shifted) Sample(rng *rand.Rand) float64 { return s.Base.Sample(rng) + s.Offset }
-
-// Mean returns Base.Mean() + Offset.
-func (s Shifted) Mean() float64 { return s.Base.Mean() + s.Offset }
-
-// Clamped restricts samples of Base to [Low, High].
-type Clamped struct {
-	Base      Sampler
-	Low, High float64
-}
-
-// Sample draws Base and clamps into [Low, High].
-func (c Clamped) Sample(rng *rand.Rand) float64 {
-	v := c.Base.Sample(rng)
-	if v < c.Low {
-		return c.Low
-	}
-	if v > c.High {
-		return c.High
-	}
-	return v
-}
-
-// Mean approximates the clamped mean by the base mean clamped; callers that
-// need exactness should estimate empirically.
-func (c Clamped) Mean() float64 {
-	m := c.Base.Mean()
-	if m < c.Low {
-		return c.Low
-	}
-	if m > c.High {
-		return c.High
-	}
-	return m
-}
 
 // CDFPoint is one knot of an empirical CDF.
 type CDFPoint struct {
@@ -218,9 +152,6 @@ func (c *EmpiricalCDF) Quantile(u float64) float64 {
 
 // Mean returns the analytic mean of the piecewise-linear distribution.
 func (c *EmpiricalCDF) Mean() float64 { return c.mean }
-
-// Min returns the smallest representable value.
-func (c *EmpiricalCDF) Min() float64 { return c.points[0].Value }
 
 // Max returns the largest representable value.
 func (c *EmpiricalCDF) Max() float64 { return c.points[len(c.points)-1].Value }

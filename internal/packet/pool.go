@@ -1,5 +1,7 @@
 package packet
 
+import "unsafe"
+
 // Pool recycles Packets through a LIFO free list. Simulations forward
 // millions of packets whose lifetime is short and strictly nested inside
 // the run, so recycling them removes the dominant allocation (and GC) cost
@@ -33,8 +35,10 @@ package packet
 // concurrent use: the handles sharing a list must never run at the same
 // time.
 //
-// A Pool is 64 bytes, one cache line in a slice of them, so that the
-// handles of domains run by different workers share no line.
+// A Pool is 64 bytes on every GOARCH: four words (list and own's slice
+// header), three counters and padding. Allocated on its own, as topology
+// allocates each domain's, it fills one cache line, so the handles of
+// domains run by different workers share no line.
 type Pool struct {
 	// list is the free list Get and Put use: &own, or the list of the pool
 	// given to Share. Nil until the first Put or Share.
@@ -46,7 +50,7 @@ type Pool struct {
 	News int64 // packets freshly allocated because the free list was empty
 	Puts int64 // packets returned
 
-	_ [8]byte
+	_ [64 - 4*unsafe.Sizeof(uintptr(0)) - 3*8]byte
 }
 
 // freeList is the LIFO list of released packets behind one or more Pools.

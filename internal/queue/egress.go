@@ -236,15 +236,6 @@ func (e *Egress) Len() int {
 	return n
 }
 
-// QueueBytes returns the queued bytes of service queue i.
-func (e *Egress) QueueBytes(i int) int64 { return e.queues[i].Bytes() }
-
-// QueueLen returns the queued packets of service queue i.
-func (e *Egress) QueueLen(i int) int { return e.queues[i].Len() }
-
-// AQM returns the AQM attached to service queue i.
-func (e *Egress) AQM(i int) aqm.AQM { return e.aqms[i] }
-
 // Empty reports whether all service queues are empty.
 func (e *Egress) Empty() bool { return e.bytes == 0 && e.Len() == 0 }
 

@@ -22,13 +22,6 @@ type FIFO struct {
 	ring  [fifoInline]*packet.Packet
 }
 
-// NewFIFO returns an empty FIFO.
-func NewFIFO() *FIFO {
-	f := new(FIFO)
-	f.Init()
-	return f
-}
-
 // Init makes f, wherever it lives, an empty FIFO.
 func (f *FIFO) Init() {
 	*f = FIFO{}

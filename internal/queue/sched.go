@@ -74,9 +74,6 @@ func NewDWRR(weights []int) *DWRR {
 // Name returns "dwrr".
 func (d *DWRR) Name() string { return "dwrr" }
 
-// Deficits returns a copy of the per-queue deficit counters (for tests).
-func (d *DWRR) Deficits() []int64 { return append([]int64(nil), d.deficits...) }
-
 // Next implements Scheduler.
 func (d *DWRR) Next(v View) int {
 	n := v.NumQueues()

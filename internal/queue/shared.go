@@ -37,13 +37,6 @@ func NewSharedPool(capacity int64, alpha float64) *SharedPool {
 	return &SharedPool{Capacity: capacity, Alpha: alpha}
 }
 
-// Used returns the bytes currently held.
-func (p *SharedPool) Used() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.used
-}
-
 // admit reserves size bytes for a queue currently holding queueBytes; it
 // reports false (and counts a rejection) if either the pool or the
 // dynamic threshold forbids it.

@@ -15,7 +15,7 @@ func Example() {
 	// 3× variation from 80 to 240 µs (the leaf-spine simulation setup).
 	d := rttvar.NewRTTDistribution(80*sim.Microsecond, 240*sim.Microsecond)
 	fmt.Printf("mean %.0f us, p90 %.0f us, variation %.0fx\n",
-		d.Mean().Micros(), d.Percentile(90).Micros(), d.Variation())
+		d.Mean().Micros(), d.Percentile(90).Micros(), float64(d.Max)/float64(d.Min))
 
 	// Each flow samples a base RTT; the assigner converts it to the extra
 	// sender-side delay that realizes it on a path with 10 µs intrinsic RTT.

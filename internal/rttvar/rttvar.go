@@ -152,9 +152,6 @@ func NewVariation(min sim.Time, factor float64) RTTDistribution {
 	return NewRTTDistribution(min, sim.Time(float64(min)*factor))
 }
 
-// Variation returns RTTmax/RTTmin.
-func (d RTTDistribution) Variation() float64 { return float64(d.Max) / float64(d.Min) }
-
 // Sample draws one base RTT.
 func (d RTTDistribution) Sample(rng *rand.Rand) sim.Time {
 	return d.fromShape(rttShape.Sample(rng))

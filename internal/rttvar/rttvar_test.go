@@ -62,8 +62,8 @@ func TestRTTDistributionBounds(t *testing.T) {
 			t.Fatalf("sample %v out of [%v,%v]", v, d.Min, d.Max)
 		}
 	}
-	if d.Variation() != 3 {
-		t.Errorf("variation = %v", d.Variation())
+	if v := float64(d.Max) / float64(d.Min); v != 3 {
+		t.Errorf("variation = %v", v)
 	}
 }
 

@@ -99,3 +99,18 @@ func (e *Engine) FreeSlots() int {
 
 // ArenaSize returns the total number of arena slots ever allocated.
 func (e *Engine) ArenaSize() int { return len(e.slots) }
+
+// Seconds constructs a Time from a second count.
+func Seconds(s float64) Time { return Time(s * float64(Second)) }
+
+// Stopped reports whether Stop has been called.
+func (e *Engine) Stopped() bool { return e.stopped }
+
+// Pending reports whether the handle still references a queued event.
+func (e *Engine) Pending(ev Event) bool {
+	i := ev.slot - 1
+	if i < 0 || int(i) >= len(e.slots) {
+		return false
+	}
+	return e.slots[i].gen == ev.gen
+}

@@ -146,9 +146,6 @@ func NewShardedEngine(domains int, lookahead Time, workers int) *ShardedEngine {
 	return se
 }
 
-// Domains returns the number of domains.
-func (se *ShardedEngine) Domains() int { return len(se.doms) }
-
 // Domain returns domain d's engine, on which that domain's network
 // elements schedule their events.
 func (se *ShardedEngine) Domain(d int) *Engine { return se.doms[d].eng }
@@ -284,10 +281,6 @@ func (se *ShardedEngine) SetTracer(t trace.Tracer) {
 		se.doms[d].eng.SetTracer(se.DomainTracer(d))
 	}
 }
-
-// Tracer returns the merged-stream tracer attached via SetTracer (nil
-// when tracing is off).
-func (se *ShardedEngine) Tracer() trace.Tracer { return se.tracer }
 
 // DomainTracer returns the tracer domain d's components emit into: the
 // per-domain buffer that feeds the merged stream, the user's tracer itself

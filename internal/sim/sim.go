@@ -68,9 +68,6 @@ func Micros(us float64) Time { return Time(us * float64(Microsecond)) }
 // Millis constructs a Time from a millisecond count.
 func Millis(ms float64) Time { return Time(ms * float64(Millisecond)) }
 
-// Seconds constructs a Time from a second count.
-func Seconds(s float64) Time { return Time(s * float64(Second)) }
-
 // Event is a generation-counted handle to a scheduled callback. It is a
 // small value (not a pointer): copying it is free and holding one does not
 // keep the callback alive. The zero Event references nothing — canceling
@@ -412,15 +409,6 @@ func (e *Engine) Cancel(ev Event) {
 	e.release(i)
 }
 
-// Pending reports whether the handle still references a queued event.
-func (e *Engine) Pending(ev Event) bool {
-	i := ev.slot - 1
-	if i < 0 || int(i) >= len(e.slots) {
-		return false
-	}
-	return e.slots[i].gen == ev.gen
-}
-
 // EachArg calls f with the argument of every queued event scheduled with
 // one (ScheduleArg, AfterArg), in arena order; a conservation check uses it
 // to find what is still in flight when a run stops. f must not schedule or
@@ -525,6 +513,3 @@ func (e *Engine) peek() (Time, bool) {
 
 // Stop halts Run/RunUntil after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }

@@ -124,9 +124,6 @@ func (e *ECNSharpP4) buildTables() {
 	}
 }
 
-// Tables returns the program's match-action tables in pipeline order.
-func (e *ECNSharpP4) Tables() []*Table { return e.tables }
-
 // ProcessPacket runs the full egress pipeline for one packet: port is the
 // egress port, egressTstampNs the 64-bit nanosecond timestamp the hardware
 // supplies, sojourn the packet's time in queue. It returns the marking
@@ -286,12 +283,6 @@ func (e *ECNSharpP4) lutDelta(count uint32) uint32 {
 		count = 1
 	}
 	return e.sqrtLUT[count]
-}
-
-// Stats returns (instantaneous, persistent) mark counts for a port.
-func (e *ECNSharpP4) Stats(port int) (inst, pst uint64) {
-	v := e.markStats.Peek(port)
-	return v >> 32, v & 0xffffffff
 }
 
 // Census reports the resource budget of the program, the §4 numbers.

@@ -67,12 +67,6 @@ func NewReg32(name string, ports int) *Reg32 {
 	return &Reg32{name: name, vals: make([]uint32, ports)}
 }
 
-// Name returns the register array's name.
-func (r *Reg32) Name() string { return r.name }
-
-// Ports returns the array length.
-func (r *Reg32) Ports() int { return len(r.vals) }
-
 // Bytes returns the array's memory footprint.
 func (r *Reg32) Bytes() int { return 4 * len(r.vals) }
 
@@ -87,12 +81,6 @@ func (r *Reg32) Access(ctx *PacketContext, port int, f func(cur uint32) (next, o
 	return out, nil
 }
 
-// Peek reads a value outside a packet pass (control-plane access).
-func (r *Reg32) Peek(port int) uint32 { return r.vals[port] }
-
-// Poke writes a value outside a packet pass (control-plane access).
-func (r *Reg32) Poke(port int, v uint32) { r.vals[port] = v }
-
 // Reg64 is a 64-bit register array (Tofino supports paired 32-bit cells);
 // the ECN♯ prototype uses these for statistics counters.
 type Reg64 struct {
@@ -104,9 +92,6 @@ type Reg64 struct {
 func NewReg64(name string, ports int) *Reg64 {
 	return &Reg64{name: name, vals: make([]uint64, ports)}
 }
-
-// Name returns the register array's name.
-func (r *Reg64) Name() string { return r.name }
 
 // Bytes returns the array's memory footprint.
 func (r *Reg64) Bytes() int { return 8 * len(r.vals) }
@@ -120,9 +105,6 @@ func (r *Reg64) Access(ctx *PacketContext, port int, f func(cur uint64) (next, o
 	r.vals[port] = next
 	return out, nil
 }
-
-// Peek reads a value outside a packet pass.
-func (r *Reg64) Peek(port int) uint64 { return r.vals[port] }
 
 // Action is one match-action table action operating on packet metadata.
 type Action func(ctx *PacketContext) error

@@ -1,6 +1,7 @@
 package tofino
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -339,6 +340,53 @@ func TestECNSharpP4PersistentEpisode(t *testing.T) {
 	}
 }
 
+// Figure 4 of the paper contrasts two ways of compiling Algorithm 1's
+// control flow to Tofino. The direct interpretation (Figure 4a/4b) reads
+// a register in one table and conditionally writes it in another — two
+// accesses to the same array in one packet pass, which the hardware
+// rejects at compile time. The shipped implementation (Figure 4c,
+// ECNSharpP4) precomputes branch conditions into metadata so each
+// register is touched by exactly one action.
+//
+// naiveIsPersistentQueueBuildup reproduces the rejected structure at
+// runtime: it is IsPersistentQueueBuildups written the obvious way, the
+// way Figure 4b structures it. First a table reads first_above_time, then
+// a branch decides whether another table must update it; that second
+// access fails with the model's double-access error, on exactly the
+// branches where the pseudocode needs a second touch, demonstrating why
+// the match-action decomposition of Figure 4c (and ECNSharpP4) exists.
+func naiveIsPersistentQueueBuildup(ctx *PacketContext, firstAbove *Reg32, port int,
+	nowUS, sojournUS, pstTargetUS, pstIntervalUS uint32) (bool, error) {
+	// Table read_first_above_time: fetch the register.
+	fat, err := firstAbove.Access(ctx, port, func(cur uint32) (uint32, uint32) {
+		return cur, cur
+	})
+	if err != nil {
+		return false, fmt.Errorf("tofino: naive control flow: %w", err)
+	}
+
+	// Control-flow branches now want to write the same register:
+	if sojournUS < pstTargetUS {
+		// Table reset_first_above_time — second access, rejected.
+		if _, err := firstAbove.Access(ctx, port, func(uint32) (uint32, uint32) {
+			return 0, 0
+		}); err != nil {
+			return false, fmt.Errorf("tofino: naive control flow: %w", err)
+		}
+		return false, nil
+	}
+	if fat == 0 {
+		// Table add_now_to_first_above_time — second access, rejected.
+		if _, err := firstAbove.Access(ctx, port, func(uint32) (uint32, uint32) {
+			return nowUS, 0
+		}); err != nil {
+			return false, fmt.Errorf("tofino: naive control flow: %w", err)
+		}
+		return false, nil
+	}
+	return nowUS > fat+pstIntervalUS, nil
+}
+
 // TestFigure4NaiveControlFlowRejected reproduces the paper's Figure 4
 // finding: the direct interpretation of Algorithm 1 needs a second access
 // to first_above_time on the reset and first-above branches, which the
@@ -348,21 +396,21 @@ func TestFigure4NaiveControlFlowRejected(t *testing.T) {
 	reg := NewReg32("first_above_time", 1)
 
 	// Branch 1: sojourn below target wants read + reset -> rejected.
-	if _, err := NaiveIsPersistentQueueBuildup(NewPacketContext(), reg, 0,
+	if _, err := naiveIsPersistentQueueBuildup(NewPacketContext(), reg, 0,
 		1000, 5, 83, 195); err == nil {
 		t.Error("reset branch did not hit the double-access restriction")
 	}
 
 	// Branch 2: first packet above target wants read + write(now) -> rejected.
 	reg.Poke(0, 0)
-	if _, err := NaiveIsPersistentQueueBuildup(NewPacketContext(), reg, 0,
+	if _, err := naiveIsPersistentQueueBuildup(NewPacketContext(), reg, 0,
 		1000, 120, 83, 195); err == nil {
 		t.Error("first-above branch did not hit the double-access restriction")
 	}
 
 	// Branch 3: already tracking, still above target: one read suffices.
 	reg.Poke(0, 700)
-	detected, err := NaiveIsPersistentQueueBuildup(NewPacketContext(), reg, 0,
+	detected, err := naiveIsPersistentQueueBuildup(NewPacketContext(), reg, 0,
 		1000, 120, 83, 195)
 	if err != nil {
 		t.Fatalf("single-access branch failed: %v", err)

@@ -75,12 +75,12 @@ func (l *ledger) check(pooled bool) error {
 //   - marks: the marks attributed to each kind sum to the marks applied;
 //   - pool: packets got from the pool + arrived over cut links = packets
 //     put back + departed over cut links + in flight, that is Get = Put +
-//     outstanding (not checked under Options.NoPacketPool);
+//     outstanding (not checked when pooling is off);
 //   - bytes: bytes sent + arrived = bytes delivered, dropped, blackholed,
 //     departed and in flight;
 //   - pool lists, summed over the worker groups' free lists: packets
 //     allocated (news) = packets on free lists + outstanding (gets − puts)
-//     (not checked under Options.NoPacketPool).
+//     (not checked when pooling is off).
 //
 // It must run on the goroutine that ran the network, between runs.
 func (n *Net) Audit() error {

@@ -42,6 +42,9 @@ func layoutNets() map[string]*Net {
 		"leafspine":        NewLeafSpine(3, 5, 7, layoutOpts()),
 		"leafspine/dwrr":   NewLeafSpine(2, 2, 2, dwrrOpts()),
 		"leafspine/groups": NewLeafSpine(3, 5, 7, groups),
+		// Twelve domains: a slice of their pool handles would exceed
+		// 512 bytes and start 8 bytes past a line, behind a malloc header.
+		"leafspine/wide": NewLeafSpine(4, 8, 2, layoutOpts()),
 	}
 }
 
@@ -127,7 +130,8 @@ func TestLayoutPortStateInsideItsBlock(t *testing.T) {
 // workers, so a 64-byte line holding state of two of them would bounce
 // between cores on every event. Slabs are per domain and at least 512
 // bytes, which the allocator places on lines of their own; packet pools
-// are 64 bytes each, in one slice, so each has a line to itself.
+// are 64-byte objects allocated one at a time, so each has a line to
+// itself, on 386 as on amd64.
 func TestLayoutDomainsShareNoCacheLine(t *testing.T) {
 	const line = 64
 	for name, net := range layoutNets() {

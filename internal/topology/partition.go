@@ -99,20 +99,16 @@ func PartitionLeafSpine(spines, leaves, hostsPerLeaf int, opts Options) Partitio
 
 // fabricHealth is one simulation domain's private view of a leaf-spine
 // fabric's health under fault injection: which leaf<->spine links are up
-// and which switches are alive, plus the domain's routing-epoch counter.
-// Every domain owns its own copy — the fault injector pre-schedules each
-// transition on every domain's engine at the same timestamp — so workers
-// never read another domain's view and reroutes stay race-free and
-// worker-count independent.
+// and which switches are alive. Every domain owns its own copy — the
+// fault injector pre-schedules each transition on every domain's engine
+// at the same timestamp — so workers never read another domain's view
+// and reroutes stay race-free and worker-count independent.
 type fabricHealth struct {
 	spines, leaves int
 	// linkUp[l*spines+s] is the (leaf l, spine s) bidirectional link state.
 	linkUp     []bool
 	leafAlive  []bool
 	spineAlive []bool
-	// epoch counts fault transitions applied to this view: the domain's
-	// routing-epoch counter, carried by Reroute trace events.
-	epoch uint64
 }
 
 func newFabricHealth(spines, leaves int) *fabricHealth {

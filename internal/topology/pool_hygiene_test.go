@@ -31,7 +31,7 @@ func (s *streamTracer) Trace(e trace.Event) {
 // returns the full rendered event stream plus completion times.
 func runTracedIncast(t *testing.T, noPool bool) (string, *topology.Net) {
 	t.Helper()
-	net := topology.NewStar(17, topology.Options{
+	net := topology.NewStar(17, topology.NoPacketPool(topology.Options{
 		Link: topology.LinkParams{
 			RateBps:   topology.TenGbps,
 			PropDelay: sim.Microsecond,
@@ -41,8 +41,7 @@ func runTracedIncast(t *testing.T, noPool bool) (string, *topology.Net) {
 		NewAQM: func(int) aqm.AQM {
 			return aqm.MustNewECNSharp(testParams())
 		},
-		NoPacketPool: noPool,
-	})
+	}, noPool))
 	tr := &streamTracer{}
 	net.AttachTracer(tr)
 
@@ -84,7 +83,7 @@ func TestPacketPoolHygieneByteIdentical(t *testing.T) {
 		t.Fatal("default options did not build a packet pool")
 	}
 	if plainNet.PacketPools[0] != nil {
-		t.Fatal("NoPacketPool still built a pool")
+		t.Fatal("an unpooled run still built a pool")
 	}
 	// The pool must actually have recycled packets, or the test proves
 	// nothing: with tail drops and 32 flows the free list turns over many
@@ -110,11 +109,10 @@ func TestPacketPoolHygieneByteIdentical(t *testing.T) {
 // through. It returns the rendered trace and the packets.
 func runTerminalPaths(t *testing.T, noPool bool) (string, []*packet.Packet, *topology.Net) {
 	t.Helper()
-	net := topology.NewStar(3, topology.Options{
-		Link:         topology.LinkParams{RateBps: topology.TenGbps, PropDelay: sim.Microsecond, BufferBytes: 4 * 1500},
-		NewAQM:       func(int) aqm.AQM { return aqm.MustNewECNSharp(testParams()) },
-		NoPacketPool: noPool,
-	})
+	net := topology.NewStar(3, topology.NoPacketPool(topology.Options{
+		Link:   topology.LinkParams{RateBps: topology.TenGbps, PropDelay: sim.Microsecond, BufferBytes: 4 * 1500},
+		NewAQM: func(int) aqm.AQM { return aqm.MustNewECNSharp(testParams()) },
+	}, noPool))
 	net.EnableFaults()
 	tr := &streamTracer{}
 	net.AttachTracer(tr)

@@ -80,11 +80,11 @@ type Options struct {
 	// switch ASICs buffer); DTAlpha is the threshold factor (default 1).
 	SharedBufferBytes int64
 	DTAlpha           float64
-	// NoPacketPool disables the per-domain packet free list (the zero
-	// value keeps recycling on). Results are byte-identical either way —
-	// the pool-hygiene regression test flips this to prove it — so the
-	// switch exists for debugging ownership bugs, not for correctness.
-	NoPacketPool bool
+	// noPacketPool disables the per-domain packet free lists (the zero
+	// value keeps recycling on). Results are byte-identical either way.
+	// Only the pool-hygiene tests set it: an unpooled run is the
+	// reference they compare a pooled one against.
+	noPacketPool bool
 	// Shards is the worker goroutine budget the topology's domains run on
 	// (0 means one worker). It never changes the partition, so no
 	// simulated byte depends on it: 0, 1 and N are byte-identical.
@@ -125,8 +125,8 @@ type Net struct {
 	// Transports allocate from their host's domain pool, destination
 	// hosts and dropping queues release to theirs, so a packet that dies
 	// in another group's domain moves to that group's list; the domains of
-	// one group reuse each other's. Nil entries when Options.NoPacketPool
-	// was set.
+	// one group reuse each other's. Nil entries when the pool-hygiene
+	// tests turned pooling off.
 	PacketPools []*packet.Pool
 
 	// SwitchPorts lists every switch egress port (for drop/mark census).
@@ -305,12 +305,12 @@ func (n *Net) EnableFaults() {
 }
 
 // ApplyFabricLink records the (leaf, spine) bidirectional fabric link
-// state in domain dom's health view, advances that domain's routing
-// epoch, and recomputes the ECMP sets of the routers dom owns. Under a
-// sharded engine it must run on dom's engine — the fault injector
-// pre-schedules one such call per domain per transition — and it touches
-// only dom-owned state, so workers never race. Physical port state is
-// driven separately (through the census ports, on their owning domains).
+// state in domain dom's health view and recomputes the ECMP sets of the
+// routers dom owns. Under a sharded engine it must run on dom's engine —
+// the fault injector pre-schedules one such call per domain per
+// transition — and it touches only dom-owned state, so workers never
+// race. Physical port state is driven separately (through the census
+// ports, on their owning domains).
 func (n *Net) ApplyFabricLink(dom, leaf, spine int, up bool) {
 	f := n.fabric
 	if f == nil {
@@ -318,14 +318,13 @@ func (n *Net) ApplyFabricLink(dom, leaf, spine int, up bool) {
 	}
 	h := f.health[dom]
 	h.linkUp[leaf*f.spines+spine] = up
-	h.epoch++
 	n.recomputeDomain(dom)
 }
 
 // ApplySwitchAlive records fabric switch sw (an index into Switches)
 // dead or alive in domain dom's health view and recomputes dom's
-// routers. Same threading contract as ApplyFabricLink. A no-op epoch-
-// advance only for switches outside the fabric structure.
+// routers. Same threading contract as ApplyFabricLink. A switch outside
+// the fabric structure changes no health state.
 func (n *Net) ApplySwitchAlive(dom, sw int, alive bool) {
 	f := n.fabric
 	if f == nil {
@@ -339,7 +338,6 @@ func (n *Net) ApplySwitchAlive(dom, sw int, alive bool) {
 	case s >= 0:
 		h.spineAlive[s] = alive
 	}
-	h.epoch++
 	n.recomputeDomain(dom)
 }
 
@@ -351,27 +349,6 @@ func (n *Net) recomputeDomain(dom int) {
 		if n.switchDoms[f.leafSw[l]] == dom {
 			r.reroute()
 		}
-	}
-}
-
-// RoutingEpoch returns domain dom's routing-epoch counter: the number of
-// fault transitions applied to its health view (0 until fault injection
-// is enabled, and forever on healthy runs). Epochs advance only through
-// pre-scheduled fault events, identically at any worker count, which is
-// what makes reroutes deterministic and traceable.
-func (n *Net) RoutingEpoch(dom int) uint64 {
-	if n.fabric == nil || n.fabric.health == nil {
-		return 0
-	}
-	return n.fabric.health[dom].epoch
-}
-
-// Teardown closes every port in the census: any straggler Send afterward
-// panics with a clear error instead of scheduling onto a finished engine.
-// Call it once the run has drained.
-func (n *Net) Teardown() {
-	for _, l := range n.Links {
-		l.Port.Close()
 	}
 }
 
@@ -393,19 +370,6 @@ func (n *Net) AttachTracer(t trace.Tracer) {
 	for i, p := range n.SwitchPorts {
 		p.Egress.SetTracer(n.Shard.DomainTracer(n.portDoms[i]), i)
 	}
-}
-
-// PortTo returns the SwitchPorts index of the last-hop egress port feeding
-// host id — the Port value its queue events carry once a tracer is
-// attached — or -1 when that port is not a switch port.
-func (n *Net) PortTo(host int) int {
-	eg := n.EgressTo(host)
-	for i, p := range n.SwitchPorts {
-		if p == eg {
-			return i
-		}
-	}
-	return -1
 }
 
 // TotalDrops sums tail drops across all switch egress ports.
@@ -501,8 +465,10 @@ type switchNode struct {
 
 // newNet starts a build over part: one engine and one packet pool per
 // domain, under a coordinator with opts.Shards workers, and the pools of a
-// worker group sharing the free list of its first domain's. The pools are
-// one slice, so that a build allocates them once. The builders then
+// worker group sharing the free list of its first domain's. Each pool is
+// its own 64-byte allocation, which starts a cache line; in one slice,
+// past 512 bytes (eight domains) a malloc header would put every handle
+// 8 bytes past a line, across two domains' lines. The builders then
 // populate it, indexing Engines and PacketPools by domain. switchLinks is
 // the number of directed switch-to-switch links the builder will add, which
 // with the host count sizes the census.
@@ -524,13 +490,13 @@ func newNet(part Partition, opts *Options, switchLinks int) *Net {
 	for d := range net.Engines {
 		net.Engines[d] = net.Shard.Domain(d)
 	}
-	if !opts.NoPacketPool {
-		pools := make([]packet.Pool, part.Domains)
-		for d := range pools {
+	if !opts.noPacketPool {
+		for d := range net.PacketPools {
+			pl := new(packet.Pool)
 			if g := net.Shard.Group(d); g != d {
-				pools[d].Share(&pools[g])
+				pl.Share(net.PacketPools[g])
 			}
-			net.PacketPools[d] = &pools[d]
+			net.PacketPools[d] = pl
 		}
 	}
 	return net

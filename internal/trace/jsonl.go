@@ -47,9 +47,6 @@ func (j *JSONLWriter) Flush() error {
 	return j.err
 }
 
-// Err returns the first write error, if any.
-func (j *JSONLWriter) Err() error { return j.err }
-
 // appendEventJSON appends the canonical JSON encoding of e. Field order is
 // fixed per event type; this is the TRACING.md contract.
 func appendEventJSON(b []byte, e Event) []byte {
@@ -240,6 +237,3 @@ func (c *CSVWriter) Flush() error {
 	c.err = c.w.Flush()
 	return c.err
 }
-
-// Err returns the first write error, if any.
-func (c *CSVWriter) Err() error { return c.err }

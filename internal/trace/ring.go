@@ -20,15 +20,6 @@ func NewRingRecorder(capacity int) *RingRecorder {
 	return &RingRecorder{buf: make([]Event, capacity)}
 }
 
-// Cap returns the ring capacity in events.
-func (r *RingRecorder) Cap() int { return len(r.buf) }
-
-// Len returns the number of events currently stored.
-func (r *RingRecorder) Len() int { return r.count }
-
-// Evicted returns how many stored events were overwritten by wraparound.
-func (r *RingRecorder) Evicted() uint64 { return r.evicted }
-
 // Trace records the event, evicting the oldest stored event when the ring
 // is full.
 func (r *RingRecorder) Trace(e Event) {
@@ -49,10 +40,4 @@ func (r *RingRecorder) Events() []Event {
 		out[i] = r.buf[(r.head+i)%len(r.buf)]
 	}
 	return out
-}
-
-// Reset discards all stored events and the eviction count, keeping the
-// capacity.
-func (r *RingRecorder) Reset() {
-	r.head, r.count, r.evicted = 0, 0, 0
 }

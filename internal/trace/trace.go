@@ -73,9 +73,6 @@ const (
 	numTypes
 )
 
-// NumTypes is the number of defined event types (for sizing tables).
-const NumTypes = int(numTypes)
-
 // typeNames maps Type to its wire identifier.
 var typeNames = [numTypes]string{
 	Enqueue:       "enqueue",

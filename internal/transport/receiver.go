@@ -49,15 +49,6 @@ type Receiver struct {
 	BytesInOrder int64
 }
 
-// NewReceiver builds a receiver for flowID arriving at host from src, on
-// its own copy of cfg. It registers itself immediately.
-func NewReceiver(eng *sim.Engine, cfg Config, host *device.Host, flowID uint32, src int) *Receiver {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return newReceiver(eng, &cfg, packet.ClassOf(cfg.Class), host, flowID, src)
-}
-
 // newReceiver is NewReceiver on a shared, validated cfg, with the flow's
 // class given apart.
 func newReceiver(eng *sim.Engine, cfg *Config, class uint8, host *device.Host, flowID uint32, src int) *Receiver {
@@ -85,9 +76,6 @@ func receiverAckTimer(a any) {
 
 // RcvNxt returns the next expected byte (bytes delivered in order).
 func (r *Receiver) RcvNxt() int64 { return r.rcvNxt }
-
-// Engine returns the engine the receiver runs on (its host's domain).
-func (r *Receiver) Engine() *sim.Engine { return r.eng }
 
 // Close unregisters the receiver and cancels any pending delayed ACK.
 func (r *Receiver) Close() {

@@ -165,36 +165,11 @@ func newSender(t *FlowTable, i int, cfg *Config, class uint8, host *device.Host)
 	return s
 }
 
-// Engine returns the engine the sender runs on (its source host's domain).
-func (s *Sender) Engine() *sim.Engine { return s.eng }
-
-// Cwnd returns the congestion window in bytes (for tests and tracing).
-func (s *Sender) Cwnd() float64 { return s.cwnd }
-
-// Alpha returns the congestion estimate α (for tests).
-func (s *Sender) Alpha() float64 { return s.alpha }
-
-// Rate returns a rate flow's current sending rate in bits/second, and 0
-// for a window flow.
-func (s *Sender) Rate() float64 {
-	if s.rate == nil {
-		return 0
-	}
-	return s.rate.rc
-}
-
 // Finished reports whether all data was acknowledged.
 func (s *Sender) Finished() bool { return s.finished }
 
 // Failed reports whether the flow gave up after exhausting its RTO budget.
 func (s *Sender) Failed() bool { return s.failed }
-
-// RTO returns the current retransmission timeout (before backoff), which
-// rttSample clamps to [MinRTO, MaxRTO] — the property test's invariant.
-func (s *Sender) RTO() sim.Time { return s.rto }
-
-// Backoff returns the current exponential-backoff exponent.
-func (s *Sender) Backoff() uint { return s.backoff }
 
 // The start, retransmission-timer, pacing and rate-timer events of every
 // sender: the sender is the argument, so scheduling one allocates nothing.

@@ -81,9 +81,6 @@ func NewFlowTable(n int) *FlowTable {
 	}
 }
 
-// Len returns the number of flows in the table.
-func (t *FlowTable) Len() int { return len(t.IDs) }
-
 // Launch creates both endpoints of a flow and schedules its start,
 // appending its state to the table and returning its index. The receiver
 // registers immediately on the destination host's engine (it must exist

@@ -9,6 +9,7 @@ import (
 	"ecnsharp/internal/device"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/topology"
+	"ecnsharp/internal/trace"
 	"ecnsharp/internal/transport"
 )
 
@@ -288,8 +289,8 @@ func TestECNSharpEndToEnd(t *testing.T) {
 	}
 	// Two competing 10G flows must overdrive the port; some marking of
 	// either kind is required to keep the queue in check.
-	_, inst, pst := net.EgressTo(2).Egress.AQM(0).(*aqm.ECNSharp).Core().Counts()
-	if inst+pst == 0 {
+	kinds := net.EgressTo(2).Egress.MarkKinds
+	if kinds[trace.MarkInstantaneous]+kinds[trace.MarkPersistent] == 0 {
 		t.Error("ECN♯ never marked under 2:1 congestion")
 	}
 }

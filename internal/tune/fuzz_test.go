@@ -2,6 +2,7 @@ package tune
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -78,7 +79,7 @@ func FuzzParseTuneSpec(f *testing.F) {
 		}
 
 		// Canonicalize → reparse → canonicalize must be a fixed point.
-		canon, err := spec.CanonicalJSON()
+		canon, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatalf("canonicalizing accepted spec: %v", err)
 		}
@@ -86,7 +87,7 @@ func FuzzParseTuneSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical form rejected: %v\n%s", err, canon)
 		}
-		canon2, err := spec2.CanonicalJSON()
+		canon2, err := json.Marshal(spec2)
 		if err != nil {
 			t.Fatalf("re-canonicalizing: %v", err)
 		}

@@ -156,13 +156,6 @@ func (s *Spec) checkCorners() error {
 	return nil
 }
 
-// CanonicalJSON returns the normalized spec's canonical byte encoding
-// (single JSON object, fields in declaration order). Two specs describe
-// the same tune run iff their canonical encodings are equal.
-func (s *Spec) CanonicalJSON() ([]byte, error) {
-	return json.Marshal(s)
-}
-
 // sweepScheme resolves the normalized sweep's scheme the way its cells do.
 func sweepScheme(sweep *experiments.SweepSpec) (experiments.Scheme, error) {
 	rtt := rttvar.NewVariation(sim.Micros(sweep.RTTMinUS), sweep.RTTVariation)

@@ -152,20 +152,6 @@ func (sp *Space) Clamp(v []float64) []float64 {
 	return v
 }
 
-// Contains reports whether every component lies inside its bounds.
-func (sp *Space) Contains(v []float64) bool {
-	if len(v) != sp.NumParams() {
-		return false
-	}
-	for p := range v {
-		d := sp.dim(p)
-		if math.IsNaN(v[p]) || v[p] < d.Min || v[p] > d.Max {
-			return false
-		}
-	}
-	return true
-}
-
 // ToTuned materializes a vector as the experiments.TunedParams assignment
 // a Cell carries: one group per scope, dimensions in declaration order.
 // The ECN♯ coupling constraint pst_target ≤ ins_target (core.Params
