@@ -27,7 +27,7 @@ var update = flag.Bool("update", false, "rewrite the committed baseline the sele
 
 // hosts100k adds TestScaleBaseline's 100k-host tier to a plain run; CI's
 // bench job sets it, go test ./... leaves it off.
-var hosts100k = flag.Bool("hosts100k", false, "also check TestScaleBaseline's 100k-host tier (~30 s, ~0.4 GB)")
+var hosts100k = flag.Bool("hosts100k", false, "also check TestScaleBaseline's 100k-host tier (both shapes, ~4.5 min)")
 
 // bytesTolerance is the relative growth bytes/op and bytes/host may show
 // over the baseline: size classes and map growth make bytes nearly, not
@@ -219,13 +219,14 @@ func TestAllocBaseline(t *testing.T) {
 	}
 }
 
-// scaleResult is one (hosts, shards) cell of BENCH_scale.json: what the cell
-// simulated and what it keeps in memory, both independent of the machine;
-// the run's counts (sim.RunReport: windows, handoffs, drains, event-queue
-// refills and moves, marks by kind) and packet pool gets (RunResult.Pools,
-// summed over domains), independent of the worker count too; and the pool
-// news, which depend on it: the pools of one worker group share a free
-// list. How fast it ran is BenchmarkScaleCell's and benchmark/'s to say.
+// scaleResult is one (shape, hosts, shards) cell of BENCH_scale.json: what
+// the cell simulated and what it keeps in memory, both independent of the
+// machine; the run's counts (sim.RunReport: windows, handoffs, drains,
+// event-queue refills and moves, marks by kind), drops and packet pool gets
+// (RunResult.Pools, summed over domains), independent of the worker count
+// too; and the pool news, which depend on it: the pools of one worker group
+// share a free list. How fast it ran is BenchmarkScaleCell's and
+// benchmark/'s to say.
 type scaleResult struct {
 	Hosts          int                                 `json:"hosts"`
 	Shards         int                                 `json:"shards"`
@@ -237,6 +238,7 @@ type scaleResult struct {
 	Refills        uint64                              `json:"refills"`
 	RadixMoves     uint64                              `json:"radix_moves"`
 	MarkKinds      [trace.MarkProbabilistic + 1]uint64 `json:"mark_kinds"`
+	Drops          int64                               `json:"drops"`
 	BytesPerHost   float64                             `json:"bytes_per_host"`
 	CompletedFlows int                                 `json:"completed_flows"`
 	PoolGets       int64                               `json:"pool_gets"`
@@ -246,8 +248,8 @@ type scaleResult struct {
 // counts is the part of a scaleResult the gate compares exactly and
 // requires equal at every worker count.
 func (r scaleResult) counts() string {
-	return fmt.Sprintf("%d events, %d windows, %d handoff messages, %d handoff drains, %d empty drains, %d refills, %d radix moves, marks by kind %v, %d completed flows and %d pool gets",
-		r.Events, r.Windows, r.HandoffMsgs, r.HandoffDrains, r.EmptyDrains, r.Refills, r.RadixMoves, r.MarkKinds, r.CompletedFlows, r.PoolGets)
+	return fmt.Sprintf("%d events, %d windows, %d handoff messages, %d handoff drains, %d empty drains, %d refills, %d radix moves, marks by kind %v, %d drops, %d completed flows and %d pool gets",
+		r.Events, r.Windows, r.HandoffMsgs, r.HandoffDrains, r.EmptyDrains, r.Refills, r.RadixMoves, r.MarkKinds, r.Drops, r.CompletedFlows, r.PoolGets)
 }
 
 // scaleReport is the schema of BENCH_scale.json.
@@ -259,8 +261,22 @@ type scaleReport struct {
 // scaleWorkers are the worker counts every tier is measured at.
 var scaleWorkers = []int{1, 4}
 
-func scaleKey(hosts, shards int) string {
-	return fmt.Sprintf("hosts=%d/shards=%d", hosts, shards)
+// scaleShape is one kind of traffic every tier runs: its cells' key prefix
+// and the run it builds for a tier and a worker count.
+type scaleShape struct {
+	prefix string
+	config func(experiments.ScaleCell, int) experiments.RunConfig
+}
+
+// scaleShapes are ScaleCellConfig's synthetic cell and
+// PaperScaleCellConfig's paper-shaped one.
+var scaleShapes = []scaleShape{
+	{"", experiments.ScaleCellConfig},
+	{"paper/", experiments.PaperScaleCellConfig},
+}
+
+func scaleKey(shape scaleShape, hosts, shards int) string {
+	return fmt.Sprintf("%shosts=%d/shards=%d", shape.prefix, hosts, shards)
 }
 
 // liveHeap is the heap in use after a forced collection.
@@ -274,10 +290,10 @@ func liveHeap() uint64 {
 // measureScaleCell runs one cell. Memory is the live heap the finished run
 // still holds — the fabric plus flow bookkeeping, not transient garbage —
 // over what the test binary held before it, divided by the host count.
-func measureScaleCell(t *testing.T, cell experiments.ScaleCell, shards int) scaleResult {
+func measureScaleCell(t *testing.T, shape scaleShape, cell experiments.ScaleCell, shards int) scaleResult {
 	t.Helper()
 	before := liveHeap()
-	res := experiments.Run(experiments.ScaleCellConfig(cell, shards))
+	res := experiments.Run(shape.config(cell, shards))
 	after := liveHeap()
 	out := scaleResult{
 		Hosts:          cell.Hosts,
@@ -290,6 +306,7 @@ func measureScaleCell(t *testing.T, cell experiments.ScaleCell, shards int) scal
 		Refills:        res.Report.Refills,
 		RadixMoves:     res.Report.RadixMoves,
 		MarkKinds:      res.Report.MarkKinds,
+		Drops:          res.Drops,
 		BytesPerHost:   float64(after-before) / float64(cell.Hosts),
 		CompletedFlows: res.Completed,
 	}
@@ -298,11 +315,11 @@ func measureScaleCell(t *testing.T, cell experiments.ScaleCell, shards int) scal
 		out.PoolNews += c.News
 	}
 	if res.Completed != res.Injected {
-		t.Errorf("%s completed %d/%d flows", scaleKey(cell.Hosts, shards), res.Completed, res.Injected)
+		t.Errorf("%s completed %d/%d flows", scaleKey(shape, cell.Hosts, shards), res.Completed, res.Injected)
 	}
-	t.Logf("%-24s %10d events %6d windows %8d handoffs %8d drains %8d empty %8d refills %9d moves %v marks %8.0f B/host %8d flows %8d gets %7d news",
-		scaleKey(cell.Hosts, shards), out.Events, out.Windows, out.HandoffMsgs, out.HandoffDrains, out.EmptyDrains, out.Refills, out.RadixMoves,
-		out.MarkKinds, out.BytesPerHost, out.CompletedFlows, out.PoolGets, out.PoolNews)
+	t.Logf("%-30s %10d events %6d windows %8d handoffs %8d drains %8d empty %8d refills %9d moves %v marks %6d drops %8.0f B/host %8d flows %8d gets %7d news",
+		scaleKey(shape, cell.Hosts, shards), out.Events, out.Windows, out.HandoffMsgs, out.HandoffDrains, out.EmptyDrains, out.Refills, out.RadixMoves,
+		out.MarkKinds, out.Drops, out.BytesPerHost, out.CompletedFlows, out.PoolGets, out.PoolNews)
 	return out
 }
 
@@ -340,10 +357,12 @@ func compareScale(base, got map[string]scaleResult, maxHosts int) []string {
 	return failures
 }
 
-// TestScaleBaseline pins the scale cells (experiments.ScaleCellConfig at 1
-// and 4 workers) to the committed BENCH_scale.json: the 1k-host tier always,
-// the 10k tier unless -short, the 100k tier (~30 s, ~0.45 GB) only with
-// -hosts100k or when refreshing, which rewrites every tier:
+// TestScaleBaseline pins the scale cells (experiments.ScaleCellConfig and
+// experiments.PaperScaleCellConfig at 1 and 4 workers) to the committed
+// BENCH_scale.json: the 1k-host tier always, the 10k tier unless -short (~10
+// s for both tiers, ~9 of it the paper-shaped cells), the 100k tier (~4.5
+// min, ~4 of it the paper-shaped cells' 242 M events) only with -hosts100k
+// or when refreshing, which rewrites every tier:
 //
 //	go test -run TestScaleBaseline -hosts100k .
 //	go test -run TestScaleBaseline -update .
@@ -360,15 +379,17 @@ func TestScaleBaseline(t *testing.T) {
 		if cell.Hosts > maxHosts {
 			continue
 		}
-		for _, w := range scaleWorkers {
-			got[scaleKey(cell.Hosts, w)] = measureScaleCell(t, cell, w)
-		}
-		// Every count but the pool news is worker-independent: each worker
-		// count must reproduce the first's.
-		first := got[scaleKey(cell.Hosts, scaleWorkers[0])]
-		for _, w := range scaleWorkers[1:] {
-			if c := got[scaleKey(cell.Hosts, w)]; c.counts() != first.counts() {
-				t.Errorf("hosts=%d: %d workers ran %s, %d workers %s", cell.Hosts, w, c.counts(), scaleWorkers[0], first.counts())
+		for _, shape := range scaleShapes {
+			for _, w := range scaleWorkers {
+				got[scaleKey(shape, cell.Hosts, w)] = measureScaleCell(t, shape, cell, w)
+			}
+			// Every count but the pool news is worker-independent: each
+			// worker count must reproduce the first's.
+			first := got[scaleKey(shape, cell.Hosts, scaleWorkers[0])]
+			for _, w := range scaleWorkers[1:] {
+				if c := got[scaleKey(shape, cell.Hosts, w)]; c.counts() != first.counts() {
+					t.Errorf("%shosts=%d: %d workers ran %s, %d workers %s", shape.prefix, cell.Hosts, w, c.counts(), scaleWorkers[0], first.counts())
+				}
 			}
 		}
 	}
@@ -389,25 +410,28 @@ func TestScaleBaseline(t *testing.T) {
 }
 
 // BenchmarkScaleCell runs the cells TestScaleBaseline pins at 1, 2 and 4
-// workers, one sub-benchmark per (tier, worker count), and reports events/s
-// beside ns/op; the sharded speedup of a tier is the ratio of its shards=1
-// line to another (a run uses at most GOMAXPROCS workers, so on 2 CPUs the
-// shards=4 line runs two):
+// workers, one sub-benchmark per (shape, tier, worker count), and reports
+// events/s beside ns/op; the sharded speedup of a tier is the ratio of its
+// shards=1 line to another (a run uses at most GOMAXPROCS workers, so on 2
+// CPUs the shards=4 line runs two):
 //
 //	go test -run '^$' -bench 'BenchmarkScaleCell/hosts=1024/' .
+//	go test -run '^$' -bench 'BenchmarkScaleCell/paper/hosts=10240/' .
 //
-// The 100k tier takes 10–20 s an iteration. Paired, noise-controlled speed is
-// benchmark/'s to measure.
+// The synthetic 100k tier takes 10–20 s an iteration. Paired,
+// noise-controlled speed is benchmark/'s to measure.
 func BenchmarkScaleCell(b *testing.B) {
-	for _, cell := range experiments.ScaleCells() {
-		for _, w := range []int{1, 2, 4} {
-			b.Run(scaleKey(cell.Hosts, w), func(b *testing.B) {
-				var events uint64
-				for i := 0; i < b.N; i++ {
-					events += experiments.Run(experiments.ScaleCellConfig(cell, w)).Net.Shard.Processed()
-				}
-				b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-			})
+	for _, shape := range scaleShapes {
+		for _, cell := range experiments.ScaleCells() {
+			for _, w := range []int{1, 2, 4} {
+				b.Run(scaleKey(shape, cell.Hosts, w), func(b *testing.B) {
+					var events uint64
+					for i := 0; i < b.N; i++ {
+						events += experiments.Run(shape.config(cell, w)).Net.Shard.Processed()
+					}
+					b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+				})
+			}
 		}
 	}
 }
@@ -470,6 +494,7 @@ func TestBaselineGatesDetectRegressions(t *testing.T) {
 	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.Refills++ }), cells, all), cell, "refills")
 	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.RadixMoves-- }), cells, all), cell, "radix moves")
 	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.MarkKinds[2]++ }), cells, all), cell, "marks by kind")
+	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.Drops++ }), cells, all), cell, "drops")
 	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.CompletedFlows-- }), cells, all), cell, "completed flows")
 	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.PoolGets-- }), cells, all), cell, "pool gets")
 	expect(compareScale(doctored(cells, cell, func(r *scaleResult) { r.PoolNews++ }), cells, all), cell, "pool news")

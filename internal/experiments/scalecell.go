@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"ecnsharp/internal/rttvar"
 	"ecnsharp/internal/sim"
+	"ecnsharp/internal/topology"
 	"ecnsharp/internal/workload"
 )
 
@@ -66,4 +68,26 @@ func ScaleCellConfig(c ScaleCell, shards int) RunConfig {
 		Scheme:       TestbedSchemes()[3],
 		Flows:        flows,
 	}
+}
+
+// paperHostsPerFlow sets the size of a paper-shaped cell: one flow per
+// that many hosts, so the cell's work grows with its fabric.
+const paperHostsPerFlow = 8
+
+// PaperScaleCellConfig builds the paper-shaped run for one tier: the §5.3
+// leaf-spine cell of a sweep (websearch Poisson arrivals over uniform host
+// pairs at load 0.6, ECN♯ derived from a 70 µs, 3× RTT variation, which
+// every flow's base RTT is drawn from) on the tier's fabric, with
+// Hosts/paperHostsPerFlow flows. Unlike ScaleCellConfig's, its queues
+// build and mark persistently, as the paper's cells do.
+func PaperScaleCellConfig(c ScaleCell, shards int) RunConfig {
+	rtt := rttvar.NewVariation(70*sim.Microsecond, 3)
+	_, _, sharp := DeriveSchemes(rtt, topology.TenGbps)
+	cfg := shapeCfg(TopoLeafSpine, workload.WebSearch, 0.6, c.Hosts/paperHostsPerFlow)
+	cfg.Seed = 1
+	cfg.Spines, cfg.Leaves, cfg.HostsPerLeaf = c.Spines, c.Leaves, c.HostsPerLeaf
+	cfg.Shards = shards
+	cfg.Scheme = sharp
+	cfg.RTT = rtt
+	return cfg
 }

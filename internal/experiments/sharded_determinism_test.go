@@ -6,13 +6,16 @@ package experiments
 // must be identical at any worker count, which is why Cell.CanonicalJSON
 // drops Shards from the cache key. "Serial" here is Shards=1 (one worker
 // driving the partitioned engine); the test pins Shards 0 and 2, 4 and 8
-// workers against it on a traced incast golden, and a second case pins 0
-// and 4 against 1 on an untraced fig6-style Poisson cell.
+// workers against it on a traced incast golden, a second case pins 0
+// and 4 against 1 on an untraced fig6-style Poisson cell, and a third pins
+// 0, 2 and 4 against 1 on the traced paper-shaped 1k-host scale cell.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash/maphash"
+	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -177,6 +180,74 @@ func TestShardedFig6CellByteIdentical(t *testing.T) {
 				shards, serial, shards, got)
 		}
 	}
+}
+
+// TestShardedPaperCellByteIdentical: the paper-shaped 1k-host scale cell
+// (PaperScaleCellConfig: websearch arrivals at load 0.6 with a 3× RTT
+// variation under ECN♯, on the 4×16×64 leaf-spine, 2.0 M events) gives the
+// same trace, FCT records, counters and RunReport at Shards 0, 1, 2 and 4.
+// Its trace is ~195 MB, so it is hashed as it is written, not kept.
+func TestShardedPaperCellByteIdentical(t *testing.T) {
+	cell, err := ScaleCellByHosts(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := maphash.MakeSeed()
+	type outcome struct {
+		trace      uint64
+		traceBytes int64
+		result     string
+		report     sim.RunReport
+	}
+	render := func(shards int) outcome {
+		var h maphash.Hash
+		h.SetSeed(seed)
+		cw := &countingWriter{w: &h}
+		jw := trace.NewJSONLWriter(cw)
+		res, err := RunContext(context.Background(), PaperScaleCellConfig(cell, shards), jw)
+		if err == nil {
+			err = jw.Flush()
+		}
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		return outcome{h.Sum64(), cw.n, renderResult(res), res.Report}
+	}
+
+	serial := render(1)
+	if want := fmt.Sprintf("completed=%d", cell.Hosts/paperHostsPerFlow); !strings.Contains(serial.result, want) {
+		t.Fatalf("serial run did not complete all flows (want %s):\n%s", want, serial.result)
+	}
+	if serial.traceBytes == 0 || serial.report.Windows == 0 || serial.report.HandoffMsgs == 0 {
+		t.Fatalf("serial run traced %d bytes over %d windows and %d handoffs, want some of each",
+			serial.traceBytes, serial.report.Windows, serial.report.HandoffMsgs)
+	}
+	for _, shards := range []int{0, 2, 4} {
+		got := render(shards)
+		if got.trace != serial.trace || got.traceBytes != serial.traceBytes {
+			t.Errorf("shards=%d: trace of %d bytes hashes to %#x, serial %d bytes to %#x",
+				shards, got.traceBytes, got.trace, serial.traceBytes, serial.trace)
+		}
+		if got.result != serial.result {
+			t.Errorf("shards=%d: results diverge from serial at byte %d (of %d vs %d)",
+				shards, firstDiff(got.result, serial.result), len(got.result), len(serial.result))
+		}
+		if !reflect.DeepEqual(got.report, serial.report) {
+			t.Errorf("shards=%d: report %+v, serial %+v", shards, got.report, serial.report)
+		}
+	}
+}
+
+// countingWriter counts the bytes it passes on to w.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // firstDiff returns the index of the first differing byte.

@@ -8,12 +8,21 @@ import (
 // CheckHeapInvariant verifies the radix heap: every entry sits in the
 // bucket its at ^ last selects, bucket 0 is in seq order with a live head,
 // the mask equals the occupancy of buckets 1..63, the cached minimum is
-// exact when known, every live entry and its slot reference each other, and
-// the live count equals Len. Tests call it between operations to catch
+// exact when known, every live entry's packed slot and its slot's packed
+// position reference each other, no live entry's slot is on the free list,
+// and the live count equals Len. Tests call it between operations to catch
 // bookkeeping bugs that firing order alone might mask.
 func (e *Engine) CheckHeapInvariant() error {
 	if e.last > e.now {
 		return fmt.Errorf("last %v is ahead of now %v", e.last, e.now)
+	}
+	free, nfree := make([]bool, len(e.slots)), 0
+	for s := e.free; s != freeEnd; s = e.slots[s].pos {
+		if s >= uint32(len(e.slots)) || free[s] {
+			return fmt.Errorf("free list reaches slot %d (arena of %d) twice or outside the arena", s, len(e.slots))
+		}
+		free[s] = true
+		nfree++
 	}
 	live := 0
 	lowest := MaxTime
@@ -24,7 +33,7 @@ func (e *Engine) CheckHeapInvariant() error {
 			mask |= 1 << b
 		}
 		for i, en := range q {
-			if en.slot < 0 {
+			if en.slot() == tombstone {
 				if b != 0 {
 					return fmt.Errorf("tombstone at bucket %d index %d, outside bucket 0", b, i)
 				}
@@ -43,18 +52,19 @@ func (e *Engine) CheckHeapInvariant() error {
 			if b > 0 && en.at < lowest {
 				lowest = en.at
 			}
-			if int(en.slot) >= len(e.slots) {
-				return fmt.Errorf("bucket %d entry %d references slot %d outside arena of %d", b, i, en.slot, len(e.slots))
+			s := en.slot()
+			if int(s) >= len(e.slots) {
+				return fmt.Errorf("bucket %d entry %d references slot %d outside arena of %d", b, i, s, len(e.slots))
 			}
-			sl := &e.slots[en.slot]
-			if sl.next != -1 {
-				return fmt.Errorf("bucket %d entry %d references free-listed slot %d", b, i, en.slot)
+			sl := &e.slots[s]
+			if free[s] {
+				return fmt.Errorf("bucket %d entry %d references free-listed slot %d", b, i, s)
 			}
-			if int(sl.bkt) != b || int(sl.idx) != i {
-				return fmt.Errorf("slot %d records position (%d, %d), its entry is at (%d, %d)", en.slot, sl.bkt, sl.idx, b, i)
+			if sb, si := unpackPos(sl.pos); sb != b || si != i {
+				return fmt.Errorf("slot %d records position (%d, %d), its entry is at (%d, %d)", s, sb, si, b, i)
 			}
-			if sl.fn == nil && sl.afn == nil {
-				return fmt.Errorf("bucket %d entry %d references slot %d with no callback", b, i, en.slot)
+			if fn, _ := sl.arg.(func()); sl.fn == nil && fn == nil {
+				return fmt.Errorf("bucket %d entry %d references slot %d with no callback", b, i, s)
 			}
 		}
 	}
@@ -62,12 +72,12 @@ func (e *Engine) CheckHeapInvariant() error {
 	if e.head > len(b0) || (e.head == len(b0) && e.head != 0) {
 		return fmt.Errorf("head %d of a bucket 0 holding %d entries", e.head, len(b0))
 	}
-	if e.head < len(b0) && b0[e.head].slot < 0 {
+	if e.head < len(b0) && b0[e.head].slot() == tombstone {
 		return fmt.Errorf("head %d of bucket 0 is a tombstone", e.head)
 	}
 	for i := e.head + 1; i < len(b0); i++ {
-		if b0[i].seq <= b0[i-1].seq {
-			return fmt.Errorf("bucket 0 out of seq order at %d: %d after %d", i, b0[i].seq, b0[i-1].seq)
+		if b0[i].key>>slotBits <= b0[i-1].key>>slotBits {
+			return fmt.Errorf("bucket 0 out of seq order at %d: %d after %d", i, b0[i].key>>slotBits, b0[i-1].key>>slotBits)
 		}
 	}
 	if mask != e.mask {
@@ -82,7 +92,7 @@ func (e *Engine) CheckHeapInvariant() error {
 	if live != e.n {
 		return fmt.Errorf("%d live entries, Len reports %d", live, e.n)
 	}
-	if inUse := len(e.slots) - e.FreeSlots(); inUse != live {
+	if inUse := len(e.slots) - nfree; inUse != live {
 		return fmt.Errorf("%d arena slots in use for %d live entries", inUse, live)
 	}
 	return nil
@@ -91,8 +101,18 @@ func (e *Engine) CheckHeapInvariant() error {
 // FreeSlots counts arena slots currently on the free list (for leak tests).
 func (e *Engine) FreeSlots() int {
 	n := 0
-	for s := e.free; s >= 0; s = e.slots[s].next {
+	for s := e.free; s != freeEnd; s = e.slots[s].pos {
 		n++
+	}
+	return n
+}
+
+// BucketCap returns the total capacity of the queue's bucket arrays, in
+// entries.
+func (e *Engine) BucketCap() int {
+	n := 0
+	for _, q := range e.buckets {
+		n += cap(q)
 	}
 	return n
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"cmp"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -19,17 +20,103 @@ func mustHeap(t *testing.T, e *Engine, context string) {
 
 // TestEngineEntryAndSlotSizes pins the two hot structs: entries are copied
 // between buckets by value and slots are touched on every schedule, pop and
-// cancel, so a grown field shows up in every cell.
+// cancel, so a grown field shows up in every cell. Four entries and two
+// slots fill a cache line.
 func TestEngineEntryAndSlotSizes(t *testing.T) {
-	if got := unsafe.Sizeof(entry{}); got != 24 {
-		t.Errorf("entry is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(entry{}); got != 16 {
+		t.Errorf("entry is %d bytes, want 16", got)
 	}
-	if got := unsafe.Sizeof(slot{}); got > 48 {
-		t.Errorf("slot is %d bytes, want <= 48", got)
+	if got := unsafe.Sizeof(slot{}); got != 32 {
+		t.Errorf("slot is %d bytes, want 32", got)
 	}
 	if got := unsafe.Sizeof(domain{}); got != 64 {
 		t.Errorf("domain is %d bytes, want 64: one cache line, which no other worker's domain shares", got)
 	}
+}
+
+// TestEnginePackedLimits round-trips the packed sequence number, arena
+// index, bucket and bucket index at 0 and at each limit, and shows that
+// each guard panics one past its limit: packKey's for the first two,
+// checkRoom (schedule's check on bucket 0) for the bucket index. The bucket
+// has no guard: at and last are non-negative, so at ^ last selects bucket
+// 63 at most.
+func TestEnginePackedLimits(t *testing.T) {
+	for _, c := range []struct {
+		seq uint64
+		s   int32
+	}{{0, 0}, {maxSeq, 0}, {0, maxSlot}, {maxSeq, maxSlot}} {
+		en := entry{key: packKey(c.seq, c.s)}
+		if seq, s := en.key>>slotBits, en.slot(); seq != c.seq || s != c.s || s == tombstone {
+			t.Errorf("packKey(%d, %d) unpacks to (%d, %d)", c.seq, c.s, seq, s)
+		}
+	}
+	for _, c := range []struct{ b, i int }{{0, 0}, {63, 0}, {0, maxIdx}, {63, maxIdx}} {
+		if b, i := unpackPos(packPos(c.b, c.i)); b != c.b || i != c.i {
+			t.Errorf("packPos(%d, %d) unpacks to (%d, %d)", c.b, c.i, b, i)
+		}
+	}
+	checkRoom(maxIdx) // a bucket of maxIdx entries has room for index maxIdx
+	if got := bits.Len64(uint64(MaxTime ^ 0)); got != 63 {
+		t.Errorf("the widest at ^ last selects bucket %d, want 63", got)
+	}
+	for name, pack := range map[string]func(){
+		"sequence number": func() { packKey(maxSeq+1, 0) },
+		"arena index":     func() { packKey(0, maxSlot+1) },
+		"negative index":  func() { packKey(0, -1) },
+		"bucket index":    func() { checkRoom(maxIdx + 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s one past its limit packed without a panic", name)
+				}
+			}()
+			pack()
+		}()
+	}
+}
+
+// TestEngineBurstReleasesBuckets: a burst of far-future events drains
+// through the radix buckets, each of which grows to hold a share of it.
+// Once steady traffic with far fewer live events has refilled those buckets,
+// their arrays must have let the burst go. Steady traffic alone fills each
+// bucket it reaches (up to bucket 23 by 4 ms ≈ 2^22 ns) with up to every
+// live event when the clock crosses that bucket's bit, plus append's slack,
+// so total capacity
+// may reach steadyCapFactor times the live count, but no more; a queue that
+// keeps every array still holds the burst's high-water, over 100× live.
+func TestEngineBurstReleasesBuckets(t *testing.T) {
+	const (
+		burst           = 50_000
+		timers          = 512
+		steadyCapFactor = 32
+	)
+	e := NewEngine()
+	for i := range burst {
+		e.Schedule(1<<20+Time(i)*7, func() {})
+	}
+	e.Run()
+	peak := e.BucketCap()
+	if peak < burst {
+		t.Fatalf("the burst left %d entries of bucket capacity, want at least %d before steady traffic", peak, burst)
+	}
+	// Each timer re-arms itself every 1–1.5 µs. By 4 ms the clock has
+	// crossed 3 × 2^20 ns, so steady traffic has refilled bucket 21, where
+	// the whole burst sat first, and every bucket below it.
+	var tick func(any)
+	tick = func(arg any) { e.AfterArg(Microsecond+Time(*arg.(*int32)), tick, arg) }
+	delays := make([]int32, timers)
+	for i := range delays {
+		delays[i] = int32(i)
+		e.AfterArg(Time(i), tick, &delays[i])
+	}
+	e.RunUntil(4 * Millisecond)
+	mustHeap(t, e, "steady traffic")
+	if got := e.BucketCap(); got > steadyCapFactor*e.Len() {
+		t.Errorf("bucket arrays hold %d entries for %d live events (peak %d): more than %d× live, so the burst's high-water stayed",
+			got, e.Len(), peak, steadyCapFactor)
+	}
+	t.Logf("bucket capacity: %d after the burst, %d under %d live events", peak, e.BucketCap(), e.Len())
 }
 
 // TestEngineCancelFreesAtOnce: a canceled event leaves the queue and its

@@ -12,12 +12,14 @@
 // its configuration and seed.
 //
 // Memory discipline: the event queue is a monotone radix heap over value
-// slices (a simulation never schedules before the time it last extracted,
-// which is the monotonicity a radix heap needs), and event payloads live in
-// a slot arena recycled through a free list, so steady-state scheduling
-// performs zero heap allocations. Cancel removes the event from the queue
-// and frees its slot at once, so the queue and the arena hold live events
-// only. Schedule returns a generation-counted Event handle (a small value,
+// slices of 16-byte entries (a simulation never schedules before the time it
+// last extracted, which is the monotonicity a radix heap needs), and event
+// payloads live in an arena of 32-byte slots recycled through a free list,
+// so steady-state scheduling performs zero heap allocations. Cancel removes
+// the event from the queue and frees its slot at once, so the queue and the
+// arena hold live events only, and a bucket array far larger than the recent
+// live count is let go when it empties, so a burst's high-water does not
+// stay. Schedule returns a generation-counted Event handle (a small value,
 // not a pointer): canceling a handle whose slot has been recycled is a
 // no-op, so the classic "cancel a timer that already fired" race cannot
 // corrupt an unrelated event. See DESIGN.md "Hot path & memory discipline".
@@ -25,6 +27,7 @@ package sim
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -88,33 +91,102 @@ type Event struct {
 // Engine.Pending for liveness.
 func (ev Event) Valid() bool { return ev.slot != 0 }
 
-// slot holds one scheduled callback in the engine's arena. Exactly one of
-// fn and afn is non-nil while the slot is in use; bkt and idx locate the
-// event's queue entry so Cancel can remove it without searching.
+// slot holds one scheduled callback in the engine's arena: fn(arg) for
+// ScheduleArg/AfterArg, or, with fn nil, a Schedule/After callback riding
+// in arg as a func(). pos packs the bucket and index of the event's queue
+// entry (see packPos) so Cancel can remove it without searching; while the
+// slot is free, pos is the free-list link instead.
 type slot struct {
-	fn   func()
-	afn  func(any)
-	arg  any
-	gen  uint32
-	next int32 // free-list link; -1 while the slot is in use
-	idx  int32 // position of the entry within its bucket
-	bkt  uint8 // bucket holding the entry
+	fn  func(any)
+	arg any
+	gen uint32
+	pos uint32
 }
 
-// entry is one element of the event queue: the ordering key (at, seq) by
-// value plus the arena index of the payload. Keeping the key inline means
-// moving entries between buckets touches no pointers. A negative slot is a
-// tombstone left by Cancel; only bucket 0 holds any.
+// entry is one element of the event queue, ordered by at and then key. key
+// packs the sequence number above the arena index of the payload (see
+// packKey); sequence numbers are unique, so comparing keys compares them.
+// Keeping the ordering inline means moving entries between buckets touches
+// no pointers. An entry whose slot part is tombstone was canceled; only
+// bucket 0 holds any.
 type entry struct {
-	at   Time
-	seq  uint64
-	slot int32
+	at  Time
+	key uint64
 }
+
+// The packed limits. A key holds a 40-bit sequence number and a 24-bit arena
+// index whose top value is the tombstone, so an engine schedules at most
+// 2^40 events over its life and holds at most 2^24-1 at once. A position
+// holds a 6-bit bucket and a 26-bit index. Each pack panics past its limit.
+const (
+	slotBits  = 24
+	tombstone = 1<<slotBits - 1 // the slot part of a canceled entry
+	maxSlot   = tombstone - 1
+	maxSeq    = 1<<(64-slotBits) - 1
+	idxBits   = 26
+	maxIdx    = 1<<idxBits - 1
+	freeEnd   = math.MaxUint32 // pos of the last free slot: the list ends
+)
+
+// The limits' panics. They are values, so the hot path that checks them
+// converts nothing to an interface.
+var (
+	errSeqLimit  = errors.New("sim: an engine scheduled more than 2^40 events")
+	errSlotLimit = errors.New("sim: an engine holds more than 2^24-1 queued events")
+	errIdxLimit  = errors.New("sim: an event-queue bucket holds more than 2^26 entries")
+)
+
+// packKey packs a sequence number and an arena index into an entry key.
+func packKey(seq uint64, s int32) uint64 {
+	if seq > maxSeq {
+		panic(errSeqLimit)
+	}
+	if uint32(s) > maxSlot {
+		panic(errSlotLimit)
+	}
+	return seq<<slotBits | uint64(s)
+}
+
+// slot returns the arena index of the entry's payload, tombstone if the
+// entry was canceled.
+func (en entry) slot() int32 { return int32(en.key & tombstone) }
+
+// packPos packs a bucket and an index within it into a slot's pos. It has
+// no guard, so that push stays inlinable: buckets 1..63 hold live events
+// only, fewer than 2^24, and bucket 0, which holds tombstones too, grows
+// past its live events only by schedule's pushes, which checkRoom guards.
+func packPos(b, i int) uint32 { return uint32(b)<<idxBits | uint32(i) }
+
+// checkRoom panics unless a bucket holding n entries has an index left for
+// one more.
+func checkRoom(n int) {
+	if n > maxIdx {
+		panic(errIdxLimit)
+	}
+}
+
+// unpackPos returns the bucket and index a pos packs.
+func unpackPos(pos uint32) (b, i int) { return int(pos >> idxBits), int(pos & maxIdx) }
 
 // smallSort is the bucket size up to which refill orders same-time entries
 // by insertion; larger same-time bursts take the library sort, so a burst
 // is never quadratic.
 const smallSort = 16
+
+// The release rule: a bucket array that refill empties is dropped, instead
+// of kept for reuse, when its capacity exceeds both releaseMin entries and
+// releaseFactor times the engine's recent high-water of live events. One
+// burst (a cell's flow starts, a wave of host-delayed packets) then does not
+// pin its size in every bucket it passed through. The high-water is the
+// live count at a refill, or the previous high-water less 1/64
+// (hiDecayShift) if that is larger: measured against the live count alone,
+// a load that swings 16× between bursts (bench.ScheduleAndRun) would drop
+// and regrow a bucket every cycle.
+const (
+	releaseMin    = 64
+	releaseFactor = 4
+	hiDecayShift  = 6
+)
 
 // Engine is a single-threaded discrete-event scheduler.
 //
@@ -141,9 +213,10 @@ type Engine struct {
 	mask    uint64 // bit b is set iff bucket b >= 1 is non-empty
 	head    int    // first unfired entry of bucket 0; never a tombstone
 	n       int    // live events
+	hi      int    // live events' recent high-water (the release rule)
 	buckets [64][]entry
 	slots   []slot
-	free    int32 // head of the slot free list; -1 when empty
+	free    uint32 // head of the slot free list; freeEnd when empty
 	stopped bool
 	tracer  trace.Tracer
 	// Processed counts events executed; useful for progress reporting and
@@ -155,7 +228,7 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine { return &Engine{free: -1, minAt: MaxTime} }
+func NewEngine() *Engine { return &Engine{free: freeEnd, minAt: MaxTime} }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
@@ -179,12 +252,11 @@ func (e *Engine) Len() int { return e.n }
 
 // alloc pops a slot from the free list, growing the arena when empty.
 func (e *Engine) alloc() int32 {
-	if s := e.free; s >= 0 {
-		e.free = e.slots[s].next
-		e.slots[s].next = -1
-		return s
+	if s := e.free; s != freeEnd {
+		e.free = e.slots[s].pos
+		return int32(s)
 	}
-	e.slots = append(e.slots, slot{gen: 1, next: -1})
+	e.slots = append(e.slots, slot{gen: 1})
 	return int32(len(e.slots) - 1)
 }
 
@@ -192,10 +264,10 @@ func (e *Engine) alloc() int32 {
 // generation bump invalidates every handle issued for the departing tenant.
 func (e *Engine) release(s int32) {
 	sl := &e.slots[s]
-	sl.fn, sl.afn, sl.arg = nil, nil, nil
+	sl.fn, sl.arg = nil, nil
 	sl.gen++
-	sl.next = e.free
-	e.free = s
+	sl.pos = e.free
+	e.free = uint32(s)
 }
 
 // push appends en to the bucket its time selects and records the position
@@ -209,8 +281,7 @@ func (e *Engine) push(en entry) {
 			e.minAt = en.at
 		}
 	}
-	sl := &e.slots[en.slot]
-	sl.bkt, sl.idx = uint8(b), int32(len(e.buckets[b]))
+	e.slots[en.slot()].pos = packPos(b, len(e.buckets[b]))
 	e.buckets[b] = append(e.buckets[b], en)
 	e.n++
 }
@@ -244,7 +315,7 @@ func (e *Engine) pop() entry {
 // and truncates the bucket once nothing live is left in it.
 func (e *Engine) advance(h int) {
 	b0 := e.buckets[0]
-	for h < len(b0) && b0[h].slot < 0 {
+	for h < len(b0) && b0[h].slot() == tombstone {
 		h++
 	}
 	if h == len(b0) {
@@ -264,7 +335,17 @@ func (e *Engine) refill(b int) {
 	e.last = e.minAt
 	e.refills++
 	e.moves += uint64(len(src))
-	e.buckets[b] = src[:0]
+	// The release rule (see releaseFactor). A dropped array stays readable
+	// through src, and none of the pushes below lands in bucket b.
+	e.hi -= e.hi >> hiDecayShift
+	if e.hi < e.n {
+		e.hi = e.n
+	}
+	if c := cap(src); c > releaseMin && c > releaseFactor*e.hi {
+		e.buckets[b] = nil
+	} else {
+		e.buckets[b] = src[:0]
+	}
 	e.mask &^= 1 << b
 	// Push the entries again, now relative to the new last. Lower buckets
 	// hold smaller times, so the next minimum is among the entries that
@@ -286,16 +367,16 @@ func (e *Engine) refill(b int) {
 		for i := 1; i < len(b0); i++ {
 			en := b0[i]
 			j := i
-			for ; j > 0 && b0[j-1].seq > en.seq; j-- {
+			for ; j > 0 && b0[j-1].key > en.key; j-- {
 				b0[j] = b0[j-1]
 			}
 			b0[j] = en
 		}
 	} else {
-		slices.SortFunc(b0, func(x, y entry) int { return cmp.Compare(x.seq, y.seq) })
+		slices.SortFunc(b0, func(x, y entry) int { return cmp.Compare(x.key, y.key) })
 	}
 	for i := range b0 {
-		e.slots[b0[i].slot].idx = int32(i)
+		e.slots[b0[i].slot()].pos = packPos(0, i)
 	}
 }
 
@@ -314,10 +395,9 @@ func minTime(q []entry) Time {
 // the bucket's last entry fills the hole, inside bucket 0 (which is kept in
 // seq order) a tombstone stays until head passes it.
 func (e *Engine) remove(s int32) {
-	sl := &e.slots[s]
-	b, i := sl.bkt, int(sl.idx)
+	b, i := unpackPos(e.slots[s].pos)
 	if b == 0 {
-		e.buckets[0][i].slot = -1
+		e.buckets[0][i].key |= tombstone
 		if i == e.head {
 			e.advance(i + 1)
 		}
@@ -327,7 +407,7 @@ func (e *Engine) remove(s int32) {
 		n := len(q) - 1
 		if i != n {
 			q[i] = q[n]
-			e.slots[q[i].slot].idx = int32(i)
+			e.slots[q[i].slot()].pos = packPos(b, i)
 		}
 		e.buckets[b] = q[:n]
 		if n == 0 {
@@ -342,15 +422,16 @@ func (e *Engine) remove(s int32) {
 	e.n--
 }
 
-// schedule is the common enqueue path; exactly one of fn/afn is non-nil.
-func (e *Engine) schedule(at Time, fn func(), afn func(any), arg any) Event {
+// schedule is the common enqueue path: fn(arg), or arg() with fn nil.
+func (e *Engine) schedule(at Time, fn func(any), arg any) Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
+	checkRoom(len(e.buckets[0]))
 	s := e.alloc()
 	sl := &e.slots[s]
-	sl.fn, sl.afn, sl.arg = fn, afn, arg
-	e.push(entry{at: at, seq: e.seq, slot: s})
+	sl.fn, sl.arg = fn, arg
+	e.push(entry{at: at, key: packKey(e.seq, s)})
 	e.seq++
 	return Event{slot: s + 1, gen: sl.gen}
 }
@@ -361,7 +442,7 @@ func (e *Engine) Schedule(at Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: schedule of nil callback")
 	}
-	return e.schedule(at, fn, nil, nil)
+	return e.schedule(at, nil, fn)
 }
 
 // ScheduleArg runs fn(arg) at absolute time at. It exists for hot paths
@@ -373,7 +454,7 @@ func (e *Engine) ScheduleArg(at Time, fn func(any), arg any) Event {
 	if fn == nil {
 		panic("sim: schedule of nil callback")
 	}
-	return e.schedule(at, nil, fn, arg)
+	return e.schedule(at, fn, arg)
 }
 
 // After runs fn after delay d from the current time.
@@ -415,7 +496,7 @@ func (e *Engine) Cancel(ev Event) {
 // cancel.
 func (e *Engine) EachArg(f func(arg any)) {
 	for i := range e.slots {
-		if sl := &e.slots[i]; sl.afn != nil {
+		if sl := &e.slots[i]; sl.fn != nil {
 			f(sl.arg)
 		}
 	}
@@ -428,20 +509,21 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	en := e.pop()
-	sl := &e.slots[en.slot]
-	fn, afn, arg := sl.fn, sl.afn, sl.arg
+	s := en.slot()
+	sl := &e.slots[s]
+	fn, arg := sl.fn, sl.arg
 	// The slot is recycled before the callback runs, so an event
 	// rescheduling itself reuses its own slot (at a new generation).
-	e.release(en.slot)
+	e.release(s)
 	if en.at < e.now {
 		panic("sim: event queue time went backwards")
 	}
 	e.now = en.at
 	e.Processed++
 	if fn != nil {
-		fn()
+		fn(arg)
 	} else {
-		afn(arg)
+		arg.(func())()
 	}
 	return true
 }
