@@ -58,7 +58,6 @@ var escapeGateFunctions = []string{
 	"internal/queue.(*Egress).drop",
 	"internal/queue.(*FIFO).Push",
 	"internal/queue.(*FIFO).Pop",
-	"internal/queue.(*FIFO).grow",
 	// Packet pool.
 	"internal/packet.(*Pool).Get",
 	"internal/packet.(*Pool).Put",

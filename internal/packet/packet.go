@@ -82,9 +82,10 @@ type Sink interface {
 type Packet struct {
 	// Next is where the packet lands when the delay it is sitting out ends:
 	// the far end of the link it is propagating on, or the NIC behind its
-	// flow's extra host delay. The sender of that hop sets it, delivery
-	// clears it, and while it is set the packet belongs to the pending
-	// event — nobody may release it (Pool.Put panics).
+	// flow's extra host delay; in an egress queue, the packet behind it
+	// (queue.FIFO links through it). The sender of that hop, or the queue,
+	// sets it, delivery or the queue's Pop clears it, and while it is set
+	// nobody may release the packet (Pool.Put panics).
 	Next Sink
 
 	// EnqueuedAt is stamped by the switch queue at enqueue time and read at

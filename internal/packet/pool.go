@@ -1,6 +1,12 @@
 package packet
 
-import "unsafe"
+import (
+	"errors"
+	"unsafe"
+)
+
+// errPutLinked is a value, so Put's check converts nothing to an interface.
+var errPutLinked = errors.New("packet: Put of a packet still on a link or in a queue")
 
 // Pool recycles Packets through a LIFO free list. Simulations forward
 // millions of packets whose lifetime is short and strictly nested inside
@@ -27,7 +33,7 @@ import "unsafe"
 //     the same packet twice would hand one pointer to two owners and
 //     corrupt the simulation silently. It panics likewise on a packet whose
 //     Next is set: that packet is still on a link, and the pending delivery
-//     event owns it.
+//     event owns it, or it is in a queue with a packet behind it.
 //
 // A nil *Pool is valid and disables recycling: Get falls back to the heap
 // allocator and Put is a no-op, so pooling can be toggled per simulation
@@ -91,9 +97,9 @@ func (pl *Pool) Get() *Packet {
 }
 
 // Put zeroes p and returns it to the free list. Putting nil is a no-op;
-// putting the same packet twice, or one that is still on a link (Next
-// set), panics: both indicate an ownership bug. With a nil receiver the
-// packet is simply left to the garbage collector.
+// putting the same packet twice, or one that is still on a link or in a
+// queue (Next set), panics: both indicate an ownership bug. With a nil
+// receiver the packet is simply left to the garbage collector.
 func (pl *Pool) Put(p *Packet) {
 	if pl == nil || p == nil {
 		return
@@ -102,7 +108,7 @@ func (pl *Pool) Put(p *Packet) {
 		panic("packet: Put of a packet already in the pool")
 	}
 	if p.Next != nil {
-		panic("packet: Put of a packet still on a link")
+		panic(errPutLinked)
 	}
 	*p = Packet{pooled: true}
 	pl.Puts++

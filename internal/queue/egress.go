@@ -20,10 +20,10 @@ import (
 // but not applied, mirroring switches configured for marking, not dropping.
 //
 // An Egress holds its service queues by value, and for the single-queue
-// port (every port but the DWRR experiment's) the queue, its initial ring
-// and the AQM slot all lie inside the Egress itself, so an enqueue or
-// dequeue reads one object plus the AQM. Its slices point into itself:
-// build it where it will live (Init) and never copy it afterwards.
+// port (every port but the DWRR experiment's) the queue and the AQM slot
+// lie inside the Egress itself, so an enqueue or dequeue reads one object
+// plus the AQM and the packets. Its slices point into itself: build it
+// where it will live (Init) and never copy it afterwards.
 type Egress struct {
 	queues []FIFO
 	aqms   []aqm.AQM
@@ -94,7 +94,6 @@ func (e *Egress) Init(n int, sched Scheduler, bufferBytes int64, aqmFor func(i i
 		e.aqms = make([]aqm.AQM, n)
 	}
 	for i := range e.queues {
-		e.queues[i].Init()
 		if aqmFor != nil {
 			e.aqms[i] = aqmFor(i)
 		}
@@ -157,8 +156,8 @@ func (e *Egress) emit(typ trace.Type, kind trace.MarkKind, now sim.Time, qi int,
 	})
 }
 
-// drop counts and traces a tail drop, then recycles the packet: the drop
-// ends its journey, so the egress is its final owner.
+// drop counts and traces a tail drop or a DropAll, then recycles the packet:
+// the drop ends its journey, so the egress is its final owner.
 func (e *Egress) drop(now sim.Time, p *packet.Packet) {
 	e.Drops++
 	e.DropBytes += int64(p.Size())
@@ -176,21 +175,12 @@ func (e *Egress) DropAll(now sim.Time) int {
 	n := 0
 	for qi := range e.queues {
 		q := &e.queues[qi]
-		for {
-			p := q.Pop()
-			if p == nil {
-				break
-			}
+		for p := q.Pop(); p != nil; p = q.Pop() {
 			e.bytes -= int64(p.Size())
 			if e.Pool != nil {
 				e.Pool.release(p.Size())
 			}
-			e.Drops++
-			e.DropBytes += int64(p.Size())
-			if e.tracer != nil {
-				e.emit(trace.Drop, trace.MarkUnknown, now, qi, p, 0)
-			}
-			e.PacketPool.Put(p)
+			e.drop(now, p) // p sat in queue qi = classQueue(p)
 			n++
 		}
 		e.sched.Consumed(qi, 0, true)

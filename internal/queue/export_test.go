@@ -16,11 +16,7 @@ func (p *SharedPool) Used() int64 {
 }
 
 // NewFIFO returns an empty FIFO.
-func NewFIFO() *FIFO {
-	f := new(FIFO)
-	f.Init()
-	return f
-}
+func NewFIFO() *FIFO { return new(FIFO) }
 
 // AQM returns the AQM attached to service queue i.
 func (e *Egress) AQM(i int) aqm.AQM { return e.aqms[i] }

@@ -1,35 +1,38 @@
 // Package queue implements egress-port queueing: packet FIFOs, the DWRR
 // packet scheduler used by the Figure 13 experiment, and the Egress
 // abstraction that stitches queues, a scheduler and per-queue AQM marking
-// together. Switches and host NICs drain an Egress at link rate.
+// together. Switches and host NICs drain an Egress at link rate. A FIFO
+// links its packets through their own Packet.Next, so it is four words
+// whatever it holds.
 package queue
 
-import "ecnsharp/internal/packet"
+import (
+	"errors"
 
-// fifoInline is the capacity of the ring a FIFO carries inside itself.
-const fifoInline = 16
+	"ecnsharp/internal/packet"
+)
 
-// FIFO is a byte-accounted packet queue backed by a growable ring buffer.
-// The ring starts inside the FIFO (buf points at ring), so a queue that
-// never holds more than fifoInline packets touches no second object; grow
-// leaves it for the heap. The ring's length is a power of two, so a
-// position wraps by mask. A FIFO must not be copied after Init.
+// errPushLinked is a value, so Push's check converts nothing to an interface.
+var errPushLinked = errors.New("queue: Push of a packet still on a link or in a queue (Next set)")
+
+// queued is a packet as the Next of the one ahead of it in a FIFO: a queued
+// packet's Next is otherwise nil (delivery clears it), so it holds the link.
+type queued packet.Packet
+
+// Receive implements packet.Sink only so that a link fits in Next: a queued
+// packet is never a next hop.
+func (*queued) Receive(*packet.Packet) { panic("queue: delivery to a queued packet") }
+
+// FIFO is a byte-accounted packet queue linked from head to tail through the
+// packets' Next fields; the tail's is nil. The zero FIFO is empty.
 type FIFO struct {
-	buf   []*packet.Packet
-	head  uint32
-	count uint32
-	bytes int64
-	ring  [fifoInline]*packet.Packet
-}
-
-// Init makes f, wherever it lives, an empty FIFO.
-func (f *FIFO) Init() {
-	*f = FIFO{}
-	f.buf = f.ring[:]
+	head, tail *packet.Packet
+	count      int
+	bytes      int64
 }
 
 // Len returns the number of queued packets.
-func (f *FIFO) Len() int { return int(f.count) }
+func (f *FIFO) Len() int { return f.count }
 
 // Bytes returns the queued bytes.
 func (f *FIFO) Bytes() int64 { return f.bytes }
@@ -37,45 +40,37 @@ func (f *FIFO) Bytes() int64 { return f.bytes }
 // Empty reports whether the queue holds no packets.
 func (f *FIFO) Empty() bool { return f.count == 0 }
 
-// Push appends p to the tail.
+// Push appends p to the tail. It panics if p's Next is set.
 func (f *FIFO) Push(p *packet.Packet) {
-	if int(f.count) == len(f.buf) {
-		f.grow()
+	if p.Next != nil {
+		panic(errPushLinked)
 	}
-	f.buf[f.at(f.count)] = p
+	if f.tail == nil {
+		f.head = p
+	} else {
+		f.tail.Next = (*queued)(p)
+	}
+	f.tail = p
 	f.count++
 	f.bytes += int64(p.Size())
 }
 
-// Pop removes and returns the head packet, or nil if empty.
+// Pop removes and returns the head packet with its Next cleared, or nil if
+// empty.
 func (f *FIFO) Pop() *packet.Packet {
-	if f.count == 0 {
+	p := f.head
+	if p == nil {
 		return nil
 	}
-	p := f.buf[f.head]
-	f.buf[f.head] = nil
-	f.head = f.at(1)
+	if p.Next == nil {
+		f.head, f.tail = nil, nil
+	} else {
+		f.head, p.Next = (*packet.Packet)(p.Next.(*queued)), nil
+	}
 	f.count--
 	f.bytes -= int64(p.Size())
 	return p
 }
 
 // Peek returns the head packet without removing it, or nil if empty.
-func (f *FIFO) Peek() *packet.Packet {
-	if f.count == 0 {
-		return nil
-	}
-	return f.buf[f.head]
-}
-
-// at returns the ring index i places past the head.
-func (f *FIFO) at(i uint32) uint32 { return (f.head + i) & uint32(len(f.buf)-1) }
-
-func (f *FIFO) grow() {
-	next := make([]*packet.Packet, 2*len(f.buf))
-	for i := uint32(0); i < f.count; i++ {
-		next[i] = f.buf[f.at(i)]
-	}
-	f.buf = next
-	f.head = 0
-}
+func (f *FIFO) Peek() *packet.Packet { return f.head }

@@ -82,41 +82,55 @@ func TestEnginePackedLimits(t *testing.T) {
 // their arrays must have let the burst go. Steady traffic alone fills each
 // bucket it reaches (up to bucket 23 by 4 ms ≈ 2^22 ns) with up to every
 // live event when the clock crosses that bucket's bit, plus append's slack,
-// so total capacity
-// may reach steadyCapFactor times the live count, but no more; a queue that
-// keeps every array still holds the burst's high-water, over 100× live.
+// so total capacity may reach steadyCapFactor times the live count, but no
+// more; a queue that keeps every array still holds the burst's high-water,
+// over 100× live. The same-time case puts the whole burst at one time, so
+// it ends in bucket 0, which the head empties by running off its end rather
+// than a refill.
 func TestEngineBurstReleasesBuckets(t *testing.T) {
 	const (
-		burst           = 50_000
 		timers          = 512
 		steadyCapFactor = 32
 	)
-	e := NewEngine()
-	for i := range burst {
-		e.Schedule(1<<20+Time(i)*7, func() {})
+	for _, c := range []struct {
+		name  string
+		burst int
+		at    func(i int) Time // the burst's i-th event time
+		until Time             // steady traffic runs to here
+	}{
+		{"spread", 50_000, func(i int) Time { return 1<<20 + Time(i)*7 }, 4 * Millisecond},
+		{"same_time", 100_000, func(int) Time { return 1 << 20 }, 20 * Millisecond},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine()
+			for i := range c.burst {
+				e.Schedule(c.at(i), func() {})
+			}
+			e.Run()
+			peak := e.BucketCap()
+			if peak < c.burst {
+				t.Fatalf("the burst left %d entries of bucket capacity, want at least %d before steady traffic", peak, c.burst)
+			}
+			// Each timer re-arms itself every 1–1.5 µs. By 4 ms the clock
+			// has crossed 3 × 2^20 ns, so steady traffic has refilled
+			// bucket 21, where the whole burst sat first, and every bucket
+			// below it.
+			var tick func(any)
+			tick = func(arg any) { e.AfterArg(Microsecond+Time(*arg.(*int32)), tick, arg) }
+			delays := make([]int32, timers)
+			for i := range delays {
+				delays[i] = int32(i)
+				e.AfterArg(Time(i), tick, &delays[i])
+			}
+			e.RunUntil(c.until)
+			mustHeap(t, e, "steady traffic")
+			if got := e.BucketCap(); got > steadyCapFactor*e.Len() {
+				t.Errorf("bucket arrays hold %d entries for %d live events (peak %d): more than %d× live, so the burst's high-water stayed",
+					got, e.Len(), peak, steadyCapFactor)
+			}
+			t.Logf("bucket capacity: %d after the burst, %d under %d live events", peak, e.BucketCap(), e.Len())
+		})
 	}
-	e.Run()
-	peak := e.BucketCap()
-	if peak < burst {
-		t.Fatalf("the burst left %d entries of bucket capacity, want at least %d before steady traffic", peak, burst)
-	}
-	// Each timer re-arms itself every 1–1.5 µs. By 4 ms the clock has
-	// crossed 3 × 2^20 ns, so steady traffic has refilled bucket 21, where
-	// the whole burst sat first, and every bucket below it.
-	var tick func(any)
-	tick = func(arg any) { e.AfterArg(Microsecond+Time(*arg.(*int32)), tick, arg) }
-	delays := make([]int32, timers)
-	for i := range delays {
-		delays[i] = int32(i)
-		e.AfterArg(Time(i), tick, &delays[i])
-	}
-	e.RunUntil(4 * Millisecond)
-	mustHeap(t, e, "steady traffic")
-	if got := e.BucketCap(); got > steadyCapFactor*e.Len() {
-		t.Errorf("bucket arrays hold %d entries for %d live events (peak %d): more than %d× live, so the burst's high-water stayed",
-			got, e.Len(), peak, steadyCapFactor)
-	}
-	t.Logf("bucket capacity: %d after the burst, %d under %d live events", peak, e.BucketCap(), e.Len())
 }
 
 // TestEngineCancelFreesAtOnce: a canceled event leaves the queue and its

@@ -173,15 +173,15 @@ func unpackPos(pos uint32) (b, i int) { return int(pos >> idxBits), int(pos & ma
 // is never quadratic.
 const smallSort = 16
 
-// The release rule: a bucket array that refill empties is dropped, instead
-// of kept for reuse, when its capacity exceeds both releaseMin entries and
-// releaseFactor times the engine's recent high-water of live events. One
-// burst (a cell's flow starts, a wave of host-delayed packets) then does not
-// pin its size in every bucket it passed through. The high-water is the
-// live count at a refill, or the previous high-water less 1/64
-// (hiDecayShift) if that is larger: measured against the live count alone,
-// a load that swings 16× between bursts (bench.ScheduleAndRun) would drop
-// and regrow a bucket every cycle.
+// The release rule: a bucket array that empties (refill, advance, pop's
+// lone entry) is dropped, instead of kept for reuse, when its capacity
+// exceeds both releaseMin entries and releaseFactor times the engine's
+// recent high-water of live events. One burst (a cell's flow starts, a wave
+// of host-delayed packets) then does not pin its size in any bucket. The
+// high-water is the live count at a refill, or the previous high-water less
+// 1/64 (hiDecayShift) if that is larger: measured against the live count
+// alone, a load that swings 16× between bursts (bench.ScheduleAndRun) would
+// drop and regrow a bucket every cycle.
 const (
 	releaseMin    = 64
 	releaseFactor = 4
@@ -293,7 +293,7 @@ func (e *Engine) pop() entry {
 		if q := e.buckets[b]; len(q) == 1 {
 			// A lone entry is the minimum: take it where it is.
 			en := q[0]
-			e.buckets[b] = q[:0]
+			e.buckets[b] = e.emptied(q)
 			e.mask &^= 1 << b
 			e.last = en.at
 			e.minAt = MaxTime
@@ -319,7 +319,7 @@ func (e *Engine) advance(h int) {
 		h++
 	}
 	if h == len(b0) {
-		e.buckets[0], h = b0[:0], 0
+		e.buckets[0], h = e.emptied(b0), 0
 	}
 	e.head = h
 }
@@ -335,17 +335,13 @@ func (e *Engine) refill(b int) {
 	e.last = e.minAt
 	e.refills++
 	e.moves += uint64(len(src))
-	// The release rule (see releaseFactor). A dropped array stays readable
-	// through src, and none of the pushes below lands in bucket b.
+	// The high-water decays here, once per refill. A dropped array stays
+	// readable through src, and none of the pushes below lands in bucket b.
 	e.hi -= e.hi >> hiDecayShift
 	if e.hi < e.n {
 		e.hi = e.n
 	}
-	if c := cap(src); c > releaseMin && c > releaseFactor*e.hi {
-		e.buckets[b] = nil
-	} else {
-		e.buckets[b] = src[:0]
-	}
+	e.buckets[b] = e.emptied(src)
 	e.mask &^= 1 << b
 	// Push the entries again, now relative to the new last. Lower buckets
 	// hold smaller times, so the next minimum is among the entries that
@@ -378,6 +374,15 @@ func (e *Engine) refill(b int) {
 	for i := range b0 {
 		e.slots[b0[i].slot()].pos = packPos(0, i)
 	}
+}
+
+// emptied returns the emptied bucket array q truncated for reuse, or nil
+// under the release rule (see releaseFactor).
+func (e *Engine) emptied(q []entry) []entry {
+	if c := cap(q); c > releaseMin && c > releaseFactor*e.hi {
+		return nil
+	}
+	return q[:0]
 }
 
 // minTime returns the smallest time in q, which must be non-empty.

@@ -10,7 +10,6 @@ import (
 	"ecnsharp/internal/core"
 	"ecnsharp/internal/device"
 	"ecnsharp/internal/packet"
-	"ecnsharp/internal/queue"
 	"ecnsharp/internal/sim"
 )
 
@@ -91,9 +90,10 @@ func (s span) inside(outer span) bool { return outer.lo <= s.lo && s.hi <= outer
 func spanOf(p unsafe.Pointer, size uintptr) span { return span{uintptr(p), uintptr(p) + size} }
 
 // TestLayoutPortStateInsideItsBlock: for every transmit port of every
-// topology, the egress, its first service queue and that queue's initial
-// ring lie inside the port's block — so does the host, for a NIC — which
-// is what makes a forwarding event touch one object.
+// topology, the egress and its first service queue — the queue's head and
+// tail words, all it holds of its packets — lie inside the port's block,
+// and so does the host, for a NIC: a forwarding event touches one object
+// besides the packets.
 func TestLayoutPortStateInsideItsBlock(t *testing.T) {
 	for name, net := range layoutNets() {
 		multiQueue := name == "leafspine/dwrr"
@@ -107,12 +107,14 @@ func TestLayoutPortStateInsideItsBlock(t *testing.T) {
 				continue
 			}
 			queues := reflect.ValueOf(eg).Elem().FieldByName("queues")
-			fifo := span{queues.Pointer(), queues.Pointer() + unsafe.Sizeof(queue.FIFO{})}
-			ring := queues.Index(0).FieldByName("buf")
-			ringSpan := span{ring.Pointer(), ring.Pointer() + uintptr(ring.Len())*unsafe.Sizeof(uintptr(0))}
-			if queues.Len() != 1 || !fifo.inside(block) || ring.Len() == 0 || !ringSpan.inside(block) {
-				t.Fatalf("%s %s: queue %v or its %d-slot ring %v is outside the port's block %v",
-					name, l.Name(), fifo, ring.Len(), ringSpan, block)
+			if queues.Len() != 1 {
+				t.Fatalf("%s %s: %d service queues, want 1", name, l.Name(), queues.Len())
+			}
+			for _, word := range []string{"head", "tail"} {
+				w := queues.Index(0).FieldByName(word)
+				if s := spanOf(unsafe.Pointer(w.UnsafeAddr()), w.Type().Size()); !s.inside(block) {
+					t.Fatalf("%s %s: the queue's %s word %v is outside the port's block %v", name, l.Name(), word, s, block)
+				}
 			}
 		}
 		for id, h := range net.Hosts {
@@ -160,11 +162,11 @@ func TestLayoutDomainsShareNoCacheLine(t *testing.T) {
 // numbers DESIGN.md gives: a field added to Port, Egress, FIFO, Host or Link
 // grows every port of a 100k-host fabric, and should be a decision.
 func TestLayoutBlockSizes(t *testing.T) {
-	if got := unsafe.Sizeof(portBlock{}); got != 496 {
-		t.Errorf("portBlock is %d bytes, DESIGN.md says 496", got)
+	if got := unsafe.Sizeof(portBlock{}); got != 360 {
+		t.Errorf("portBlock is %d bytes, DESIGN.md says 360", got)
 	}
-	if got := unsafe.Sizeof(hostBlock{}); got != 1248 {
-		t.Errorf("hostBlock is %d bytes, DESIGN.md says 1248", got)
+	if got := unsafe.Sizeof(hostBlock{}); got != 976 {
+		t.Errorf("hostBlock is %d bytes, DESIGN.md says 976", got)
 	}
 	if got := unsafe.Sizeof(Link{}); got != 32 {
 		t.Errorf("Link is %d bytes, DESIGN.md says 32", got)

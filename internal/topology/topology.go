@@ -426,11 +426,11 @@ func newPool(o *Options) *queue.SharedPool {
 	return queue.NewSharedPool(o.SharedBufferBytes, alpha)
 }
 
-// portBlock is one transmit port together with everything but the AQM that
-// an event on it touches — the port, its egress buffer, that buffer's
-// service queue and the queue's initial ring — as one allocation, so that
-// a forwarding event on a fabric far larger than the cache misses on one
-// object, not on nine. See DESIGN.md "Hot path & memory discipline".
+// portBlock is one transmit port together with everything but the AQM and
+// the packets that an event on it touches — the port, its egress buffer and
+// that buffer's service queue — as one allocation, so that a forwarding
+// event on a fabric far larger than the cache misses on one object, not on
+// nine. See DESIGN.md "Hot path & memory discipline".
 //
 // Blocks are allocated in per-domain slabs — one slice of hostBlocks per
 // access switch, one slice of portBlocks per switch for its switch-facing
