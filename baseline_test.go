@@ -25,9 +25,10 @@ import (
 //	go test -run TestAllocBaseline -update .
 var update = flag.Bool("update", false, "rewrite the committed baseline the selected test checks (ESCAPES_baseline.json, BENCH_runtime.json, BENCH_scale.json, testdata/result_digests.json) instead of comparing against it")
 
-// hosts100k adds TestScaleBaseline's 100k-host tier to a plain run; CI's
-// bench job sets it, go test ./... leaves it off.
-var hosts100k = flag.Bool("hosts100k", false, "also check TestScaleBaseline's 100k-host tier (both shapes, ~4.5 min)")
+// hosts100k adds the 100k-host tier to a plain run of TestScaleBaseline and
+// of BenchmarkScaleCell; CI's bench job sets it for the test, go test ./...
+// and the whole-tree benchmark smoke leave it off.
+var hosts100k = flag.Bool("hosts100k", false, "also run the 100k-host tier (both shapes) of TestScaleBaseline (~4.5 min) and BenchmarkScaleCell")
 
 // bytesTolerance is the relative growth bytes/op and bytes/host may show
 // over the baseline: size classes and map growth make bytes nearly, not
@@ -418,11 +419,18 @@ func TestScaleBaseline(t *testing.T) {
 //	go test -run '^$' -bench 'BenchmarkScaleCell/hosts=1024/' .
 //	go test -run '^$' -bench 'BenchmarkScaleCell/paper/hosts=10240/' .
 //
-// The synthetic 100k tier takes 10–20 s an iteration. Paired,
-// noise-controlled speed is benchmark/'s to measure.
+// The 100k tier runs only with -hosts100k, as in TestScaleBaseline: the
+// synthetic cell takes 10–20 s an iteration, the paper-shaped one minutes,
+// so a whole-tree `-bench . -benchtime 1x` smoke would not finish without
+// the gate. Paired, noise-controlled speed is benchmark/'s to measure.
+//
+//	go test -run '^$' -bench 'BenchmarkScaleCell/hosts=100000/shards=1$' -hosts100k .
 func BenchmarkScaleCell(b *testing.B) {
 	for _, shape := range scaleShapes {
 		for _, cell := range experiments.ScaleCells() {
+			if cell.Hosts >= 100_000 && !*hosts100k {
+				continue
+			}
 			for _, w := range []int{1, 2, 4} {
 				b.Run(scaleKey(shape, cell.Hosts, w), func(b *testing.B) {
 					var events uint64

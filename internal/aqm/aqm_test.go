@@ -3,6 +3,7 @@ package aqm
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"ecnsharp/internal/core"
 	"ecnsharp/internal/packet"
@@ -229,6 +230,21 @@ func TestECNSharpAQMAdapter(t *testing.T) {
 	}
 }
 
+// TestECNSharpMarkerSize: an ECN♯ marker holds a pointer to the parameters
+// its scheme shares, not a copy, so each switch queue's marker is a 48-byte
+// allocation on a 64-bit machine, not an 80-byte one.
+func TestECNSharpMarkerSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit machines")
+	}
+	if got := unsafe.Sizeof(ECNSharp{}); got != 48 {
+		t.Errorf("ECNSharp is %d bytes, want 48", got)
+	}
+	if got := unsafe.Sizeof(ECNSharpProb{}); got != 80 {
+		t.Errorf("ECNSharpProb is %d bytes, want 80", got)
+	}
+}
+
 func TestECNSharpVsCoDelBurstResponse(t *testing.T) {
 	// Head-to-head on the same trace: a sudden burst with sojourn above
 	// ins_target. ECN♯ marks from the first packet; CoDel not at all
@@ -286,7 +302,7 @@ func TestECNSharpProb(t *testing.T) {
 		PstTarget:   10 * sim.Microsecond,
 		PstInterval: 240 * sim.Microsecond,
 	}
-	e, err := NewECNSharpProb(params, 110*sim.Microsecond, 220*sim.Microsecond, 0.8, rng)
+	e, err := NewECNSharpProb(&params, 110*sim.Microsecond, 220*sim.Microsecond, 0.8, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,19 +361,16 @@ func TestECNSharpProbValidation(t *testing.T) {
 	}
 	cases := []func() (*ECNSharpProb, error){
 		func() (*ECNSharpProb, error) {
-			return NewECNSharpProb(good, 200*sim.Microsecond, 100*sim.Microsecond, 0.5, rng)
+			return NewECNSharpProb(&good, 200*sim.Microsecond, 100*sim.Microsecond, 0.5, rng)
 		},
 		func() (*ECNSharpProb, error) {
-			return NewECNSharpProb(good, 0, 100*sim.Microsecond, 0.5, rng)
+			return NewECNSharpProb(&good, 0, 100*sim.Microsecond, 0.5, rng)
 		},
 		func() (*ECNSharpProb, error) {
-			return NewECNSharpProb(good, 50*sim.Microsecond, 100*sim.Microsecond, 1.5, rng)
+			return NewECNSharpProb(&good, 50*sim.Microsecond, 100*sim.Microsecond, 1.5, rng)
 		},
 		func() (*ECNSharpProb, error) {
-			return NewECNSharpProb(good, 50*sim.Microsecond, 100*sim.Microsecond, 0.5, nil)
-		},
-		func() (*ECNSharpProb, error) {
-			return NewECNSharpProb(core.Params{}, 50*sim.Microsecond, 100*sim.Microsecond, 0.5, rng)
+			return NewECNSharpProb(&good, 50*sim.Microsecond, 100*sim.Microsecond, 0.5, nil)
 		},
 	}
 	for i, f := range cases {

@@ -17,13 +17,22 @@ type ECNSharp struct {
 	lastKind trace.MarkKind
 }
 
-// NewECNSharp builds an ECN♯ AQM with the given parameters.
+// NewECNSharp builds an ECN♯ AQM over its own copy of p, validated.
 func NewECNSharp(p core.Params) (*ECNSharp, error) {
-	e := new(ECNSharp)
-	if err := e.core.Init(p); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return e, nil
+	return SharedECNSharp(&p), nil
+}
+
+// SharedECNSharp builds an ECN♯ AQM over parameters it shares with the
+// other markers of one compiled scheme (experiments.Scheme.Factory), so
+// that a marker holds one pointer, not a copy: p must have passed
+// core.Params.Validate and must not change afterwards.
+func SharedECNSharp(p *core.Params) *ECNSharp {
+	e := new(ECNSharp)
+	e.core.Init(p)
+	return e
 }
 
 // MustNewECNSharp panics on invalid parameters.

@@ -31,9 +31,12 @@ type ECNSharpProb struct {
 }
 
 // NewECNSharpProb builds the probabilistic variant. The persistent
-// parameters come from p (p.InsTarget is ignored in favour of the ramp but
-// must still validate, so pass TMax there). rng must be non-nil.
-func NewECNSharpProb(p core.Params, tmin, tmax sim.Time, pmax float64, rng *rand.Rand) (*ECNSharpProb, error) {
+// parameters come from p, which the variant shares with the other markers
+// of its compiled scheme, as SharedECNSharp does: p must have passed
+// core.Params.Validate (p.InsTarget is ignored in favour of the ramp but
+// must still validate, so pass TMax there) and must not change afterwards.
+// rng must be non-nil.
+func NewECNSharpProb(p *core.Params, tmin, tmax sim.Time, pmax float64, rng *rand.Rand) (*ECNSharpProb, error) {
 	if tmax < tmin || tmin <= 0 {
 		return nil, fmt.Errorf("aqm: invalid ramp [%v, %v]", tmin, tmax)
 	}
@@ -44,9 +47,7 @@ func NewECNSharpProb(p core.Params, tmin, tmax sim.Time, pmax float64, rng *rand
 		return nil, fmt.Errorf("aqm: ECNSharpProb requires a rand source")
 	}
 	e := &ECNSharpProb{TMin: tmin, TMax: tmax, Pmax: pmax, rng: rng}
-	if err := e.core.Init(p); err != nil {
-		return nil, err
-	}
+	e.core.Init(p)
 	return e, nil
 }
 

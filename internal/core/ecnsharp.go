@@ -144,31 +144,31 @@ func (r Reason) String() string {
 
 // ECNSharp is the reference implementation of the paper's marking scheme.
 // It is driven once per dequeued packet via ShouldMark. Not safe for
-// concurrent use; each switch queue owns one instance.
+// concurrent use; each switch queue owns one instance. Its parameters are
+// read through a pointer, so the markers of one scheme can share one copy,
+// as the Tofino program (§4) holds them once per scheme, not once per port.
 type ECNSharp struct {
-	params Params
+	params *Params
 	state  State
 }
 
-// NewECNSharp builds an ECN♯ marker; Params are validated.
+// NewECNSharp builds an ECN♯ marker over its own copy of p; Params are
+// validated.
 func NewECNSharp(p Params) (*ECNSharp, error) {
-	e := new(ECNSharp)
-	if err := e.Init(p); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	e := new(ECNSharp)
+	e.Init(&p)
 	return e, nil
 }
 
-// Init makes e, wherever it lives, a marker with parameters p in its
-// initial state — for owners that hold an ECNSharp by value. Params are
-// validated; on error e is left untouched.
-func (e *ECNSharp) Init(p Params) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	*e = ECNSharp{params: p}
-	return nil
-}
+// Init makes e, wherever it lives, a marker in its initial state over the
+// parameters p points to — for owners that hold an ECNSharp by value. The
+// markers of one compiled scheme share one Params, validated once when the
+// scheme was compiled: p must have passed Validate and must not change
+// while e is in use.
+func (e *ECNSharp) Init(p *Params) { *e = ECNSharp{params: p} }
 
 // MustNewECNSharp panics on invalid params (for tables of fixed configs).
 func MustNewECNSharp(p Params) *ECNSharp {
@@ -180,7 +180,7 @@ func MustNewECNSharp(p Params) *ECNSharp {
 }
 
 // Params returns the configured parameters.
-func (e *ECNSharp) Params() Params { return e.params }
+func (e *ECNSharp) Params() Params { return *e.params }
 
 // State returns a copy of Algorithm 1's current variables.
 func (e *ECNSharp) State() State { return e.state }

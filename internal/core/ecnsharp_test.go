@@ -213,9 +213,8 @@ func TestReset(t *testing.T) {
 	if !e.State().MarkingState {
 		t.Fatal("feed did not enter a persistent episode")
 	}
-	if err := e.Init(e.Params()); err != nil {
-		t.Fatal(err)
-	}
+	p := e.Params()
+	e.Init(&p)
 	if e.State() != (State{}) {
 		t.Errorf("state after Init = %+v", e.State())
 	}

@@ -74,10 +74,10 @@ func TestHostDemux(t *testing.T) {
 			mustPanic(t, "Register of a nil handler", func() { h.Register(99, nil) })
 
 			// An unknown flow is counted and dropped, and disturbs nobody.
-			rx := h.RxPackets
+			rx := h.Tally.RxPackets
 			h.Receive(dataPkt(7, 0))
-			if h.RxPackets != rx+1 {
-				t.Errorf("unknown flow: RxPackets %d, want %d", h.RxPackets, rx+1)
+			if h.Tally.RxPackets != rx+1 {
+				t.Errorf("unknown flow: RxPackets %d, want %d", h.Tally.RxPackets, rx+1)
 			}
 			h.Unregister(7) // unknown: no-op
 			deliver(all)

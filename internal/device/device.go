@@ -48,25 +48,24 @@ type Port struct {
 	txPkt *packet.Packet // packet occupying the transmitter; nil when idle
 	txEv  sim.Event      // in-flight serialization event (cancelled on link-down)
 
-	// remote, when non-nil, marks this port as a domain boundary under a
+	// cut, when non-nil, marks this port as a domain boundary under a
 	// sharded engine: instead of scheduling delivery on the local engine,
 	// finished packets are handed to the destination domain (see SetRemote).
-	remote *sim.Handoff
-
-	// TxBytes and TxPackets count the traffic that finished serializing,
-	// onto the link (or, on a boundary port, out of the domain).
-	TxBytes   int64
-	TxPackets int64
-	// FaultDrops and FaultDropBytes count packets the port's fault logic
-	// discarded outside the egress accounting: the packet on the
-	// transmitter when the link went down, and packets arriving at a
-	// downed port. (Queued packets drained on link-down are counted as
-	// egress Drops like any tail drop.)
-	FaultDrops     int64
-	FaultDropBytes int64
+	cut *Cut
 
 	// Fault state: down discards traffic at the transmitter (SetDown).
 	down bool
+}
+
+// Cut is the cross-domain side of a boundary port (see SetRemote): the
+// handoff that carries the port's packets into the destination domain, and
+// the count the conservation audit needs of each cut link. A port counts
+// nothing else of its own — its egress counts drops, marks and fault
+// losses into the Tally its domain shares — so ordinary ports carry no Cut.
+type Cut struct {
+	h *sim.Handoff
+	// TxBytes counts the bytes that finished serializing out of the domain.
+	TxBytes int64
 }
 
 // NewPort builds a transmit port. The egress must be non-nil.
@@ -98,7 +97,7 @@ func (pt *Port) TxTime(n int) sim.Time {
 // Send enqueues p for transmission (possibly dropping on buffer overflow)
 // and kicks the transmitter. A dropped packet is recycled by the egress;
 // the caller relinquishes ownership either way. Sending on a downed link
-// loses the packet (counted in FaultDrops).
+// loses the packet (counted in the egress tally's FaultDrops).
 func (pt *Port) Send(p *packet.Packet) {
 	if pt.down {
 		pt.faultDrop(p)
@@ -111,8 +110,9 @@ func (pt *Port) Send(p *packet.Packet) {
 
 // faultDrop counts p as lost to the port's fault logic and releases it.
 func (pt *Port) faultDrop(p *packet.Packet) {
-	pt.FaultDrops++
-	pt.FaultDropBytes += int64(p.Size())
+	t := pt.Egress.Tally
+	t.FaultDrops++
+	t.FaultDropBytes += int64(p.Size())
 	pt.Egress.PacketPool.Put(p)
 }
 
@@ -187,15 +187,18 @@ func (pt *Port) Degrade(rateBps float64, prop sim.Time) {
 
 // IsBoundary reports whether the port transmits through a cross-domain
 // handoff (a cut link of a sharded build).
-func (pt *Port) IsBoundary() bool { return pt.remote != nil }
+func (pt *Port) IsBoundary() bool { return pt.cut != nil }
 
 // SetRemote marks the port as a cross-domain boundary of a sharded
 // engine: packets finishing serialization are buffered on h and injected
 // into the destination domain at the next synchronization barrier, rather
-// than scheduled on the local engine. The handoff's deliver callback must
-// be Deliver. Topology wiring calls this once per boundary port, before the
-// run starts.
-func (pt *Port) SetRemote(h *sim.Handoff) { pt.remote = h }
+// than scheduled on the local engine, and counted in c, which the port
+// keeps from now on. The handoff's deliver callback must be Deliver.
+// Topology wiring calls this once per boundary port, before the run starts.
+func (pt *Port) SetRemote(c *Cut, h *sim.Handoff) {
+	c.h = h
+	pt.cut = c
+}
 
 // portTxDone is the tx-done event of every port; the port is the argument.
 func portTxDone(a any) { a.(*Port).txDone() }
@@ -207,11 +210,10 @@ func (pt *Port) txDone() {
 	p := pt.txPkt
 	pt.txPkt = nil
 	pt.txEv = sim.Event{}
-	pt.TxBytes += int64(p.Size())
-	pt.TxPackets++
 	p.Next = pt.Dst
-	if pt.remote != nil {
-		pt.remote.Send(pt.eng.Now()+pt.PropDelay, p)
+	if c := pt.cut; c != nil {
+		c.TxBytes += int64(p.Size())
+		c.h.Send(pt.eng.Now()+pt.PropDelay, p)
 	} else {
 		pt.eng.AfterArg(pt.PropDelay, Deliver, p)
 	}
@@ -390,10 +392,9 @@ type Host struct {
 	// flowDelays is nil until the first SetFlowDelay.
 	flowDelays map[uint32]sim.Time
 
-	// RxPackets and RxBytes count what the host received, TxPackets and
-	// TxBytes what it sent.
-	RxPackets, RxBytes int64
-	TxPackets, TxBytes int64
+	// Tally receives what the host sends and receives. In a topology every
+	// host of a domain counts into one.
+	Tally *HostTally
 
 	// Flow demux. A host with few flows (hostInlineFlows or fewer, the
 	// common case: two on a scale cell) keeps them in flowIDs and handlers,
@@ -414,17 +415,25 @@ type Host struct {
 // before it falls back to a map.
 const hostInlineFlows = 8
 
-// NewHost builds a host with the given id.
+// HostTally counts what a set of hosts received (RxPackets, RxBytes) and
+// sent (TxPackets, TxBytes).
+type HostTally struct {
+	RxPackets, RxBytes int64
+	TxPackets, TxBytes int64
+}
+
+// NewHost builds a host with the given id, counting into a HostTally of its
+// own.
 func NewHost(eng *sim.Engine, id int) *Host {
 	h := new(Host)
-	h.Init(eng, id)
+	h.Init(eng, id, new(HostTally))
 	return h
 }
 
-// Init builds the host in place, with NewHost's arguments. Events the host
-// schedules carry its address, so it must not be copied or moved
-// afterwards.
-func (h *Host) Init(eng *sim.Engine, id int) { *h = Host{ID: id, eng: eng} }
+// Init builds the host in place, with NewHost's arguments, counting into t.
+// Events the host schedules carry its address, so it must not be copied or
+// moved afterwards.
+func (h *Host) Init(eng *sim.Engine, id int, t *HostTally) { *h = Host{ID: id, eng: eng, Tally: t} }
 
 // AllocPacket returns a zeroed packet from the host's pool (or the heap
 // when pooling is disabled). Transports use it for every outgoing packet.
@@ -523,8 +532,8 @@ func (h *Host) Send(p *packet.Packet) {
 	if h.NIC == nil {
 		panic(fmt.Sprintf("device: host %d has no NIC", h.ID))
 	}
-	h.TxPackets++
-	h.TxBytes += int64(p.Size())
+	h.Tally.TxPackets++
+	h.Tally.TxBytes += int64(p.Size())
 	d := h.FlowDelay(p.FlowID)
 	if d == 0 {
 		h.NIC.Send(p)
@@ -547,8 +556,8 @@ func (n *nicEntry) Receive(p *packet.Packet) { n.NIC.Send(p) }
 // host recycles it once the handler returns, so handlers must copy any
 // field they need rather than keep the pointer.
 func (h *Host) Receive(p *packet.Packet) {
-	h.RxPackets++
-	h.RxBytes += int64(p.Size())
+	h.Tally.RxPackets++
+	h.Tally.RxBytes += int64(p.Size())
 	if ph := h.handler(p.FlowID); ph != nil {
 		ph.HandlePacket(h.eng.Now(), p)
 	}

@@ -66,8 +66,12 @@ func TestPortBackToBackPacketsSpacedBySerialization(t *testing.T) {
 			t.Errorf("packet %d gap = %v, want %v", i, gap, pt.TxTime(1500))
 		}
 	}
-	if pt.TxPackets != 5 || pt.TxBytes != 5*1500 {
-		t.Errorf("TxPackets=%d TxBytes=%d", pt.TxPackets, pt.TxBytes)
+	bytes := 0
+	for _, p := range s.got {
+		bytes += p.Size()
+	}
+	if bytes != 5*1500 {
+		t.Errorf("delivered %d bytes, want %d", bytes, 5*1500)
 	}
 }
 
@@ -214,11 +218,11 @@ func TestHostDemuxAndDelay(t *testing.T) {
 	if rec.at[0] != want {
 		t.Errorf("arrival at %v, want %v", rec.at[0], want)
 	}
-	if peer.RxPackets != 2 {
-		t.Errorf("peer RxPackets = %d", peer.RxPackets)
+	if peer.Tally.RxPackets != 2 {
+		t.Errorf("peer RxPackets = %d", peer.Tally.RxPackets)
 	}
-	if h.TxPackets != 2 {
-		t.Errorf("host TxPackets = %d", h.TxPackets)
+	if h.Tally.TxPackets != 2 {
+		t.Errorf("host TxPackets = %d", h.Tally.TxPackets)
 	}
 	if h.Name() != "host0" {
 		t.Error("name")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,6 +16,33 @@ import (
 	"ecnsharp/internal/topology"
 	"ecnsharp/internal/workload"
 )
+
+// TestSchemeFactoriesShareECNSharpParams: an ECN♯ scheme validates its
+// parameters once, when compiled, and the markers it builds share that one
+// copy instead of holding their own.
+func TestSchemeFactoriesShareECNSharpParams(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range []Scheme{SimECNSharp(), {Kind: SchemeECNSharpProb, Label: "ECN#-prob", Params: SimECNSharp().Params,
+		Ramp: Ramp{TMin: 6 * sim.Microsecond, Pmax: 0.25}}} {
+		build := s.Factory(rng)
+		params := func(a aqm.AQM) uintptr {
+			return reflect.ValueOf(a).Elem().FieldByName("core").FieldByName("params").Pointer()
+		}
+		if a, b := params(build(0)), params(build(1)); a == 0 || a != b {
+			t.Errorf("%s: two markers of one compile hold parameters at %#x and %#x, want one shared copy", s.Label, a, b)
+		}
+		bad := s
+		bad.Params.PstTarget = 0
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: compiling invalid parameters did not panic", s.Label)
+				}
+			}()
+			bad.Factory(rng)
+		}()
+	}
+}
 
 func TestSchemeFactories(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

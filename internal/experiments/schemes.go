@@ -77,8 +77,10 @@ type Ramp struct {
 	Pmax float64
 }
 
-// Factory returns the per-queue AQM constructor for a run. The randomized
-// kinds draw from rng, which must then be non-nil.
+// Factory compiles s into the per-queue AQM constructor for a run. The
+// randomized kinds draw from rng, which must then be non-nil. The ECN♯
+// kinds validate their parameters here, once, and every marker the
+// constructor builds shares that one copy; invalid ones panic.
 func (s Scheme) Factory(rng *rand.Rand) func(q int) aqm.AQM {
 	switch s.Kind {
 	case SchemeREDTail, SchemeREDAvg, SchemeREDFixed:
@@ -91,13 +93,13 @@ func (s Scheme) Factory(rng *rand.Rand) func(q int) aqm.AQM {
 		th := s.TCNThreshold
 		return func(int) aqm.AQM { return aqm.NewTCN(th) }
 	case SchemeECNSharp:
-		p := s.Params
-		return func(int) aqm.AQM { return aqm.MustNewECNSharp(p) }
+		p := s.sharedParams()
+		return func(int) aqm.AQM { return aqm.SharedECNSharp(p) }
 	case SchemeRED:
 		kmin, kmax, pmax := s.Ramp.KminBytes, s.KBytes, s.Ramp.Pmax
 		return func(int) aqm.AQM { return aqm.NewRED(kmin, kmax, pmax, rng) }
 	case SchemeECNSharpProb:
-		p, r := s.Params, s.Ramp
+		p, r := s.sharedParams(), s.Ramp
 		return func(int) aqm.AQM {
 			a, err := aqm.NewECNSharpProb(p, r.TMin, p.InsTarget, r.Pmax, rng)
 			if err != nil {
@@ -108,6 +110,16 @@ func (s Scheme) Factory(rng *rand.Rand) func(q int) aqm.AQM {
 	default:
 		panic(fmt.Sprintf("experiments: unknown scheme kind %d", s.Kind))
 	}
+}
+
+// sharedParams validates s.Params and returns the one copy of them that the
+// markers of the compiled scheme share.
+func (s Scheme) sharedParams() *core.Params {
+	p := s.Params
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
+	return &p
 }
 
 // TestbedSchemes returns the four §5.2 testbed configurations with the

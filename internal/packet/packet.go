@@ -82,10 +82,11 @@ type Sink interface {
 type Packet struct {
 	// Next is where the packet lands when the delay it is sitting out ends:
 	// the far end of the link it is propagating on, or the NIC behind its
-	// flow's extra host delay; in an egress queue, the packet behind it
-	// (queue.FIFO links through it). The sender of that hop, or the queue,
-	// sets it, delivery or the queue's Pop clears it, and while it is set
-	// nobody may release the packet (Pool.Put panics).
+	// flow's extra host delay; in an egress queue, the packet behind it, or
+	// the queue's end marker on its tail (queue.FIFO links through it). The
+	// sender of that hop, or the queue, sets it, delivery or the queue's Pop
+	// clears it, and while it is set nobody may release the packet
+	// (Pool.Put panics).
 	Next Sink
 
 	// EnqueuedAt is stamped by the switch queue at enqueue time and read at

@@ -33,7 +33,7 @@ var errPutLinked = errors.New("packet: Put of a packet still on a link or in a q
 //     the same packet twice would hand one pointer to two owners and
 //     corrupt the simulation silently. It panics likewise on a packet whose
 //     Next is set: that packet is still on a link, and the pending delivery
-//     event owns it, or it is in a queue with a packet behind it.
+//     event owns it, or it is in a queue.
 //
 // A nil *Pool is valid and disables recycling: Get falls back to the heap
 // allocator and Put is a no-op, so pooling can be toggled per simulation

@@ -23,7 +23,9 @@ import (
 // port (every port but the DWRR experiment's) the queue and the AQM slot
 // lie inside the Egress itself, so an enqueue or dequeue reads one object
 // plus the AQM and the packets. Its slices point into itself: build it
-// where it will live (Init) and never copy it afterwards.
+// where it will live (Init) and never copy it afterwards. It keeps no
+// counters of its own: it counts into a Tally, which a topology shares
+// among a domain's ports of one role.
 type Egress struct {
 	queues []FIFO
 	aqms   []aqm.AQM
@@ -52,9 +54,21 @@ type Egress struct {
 	tracer trace.Tracer
 	port   int
 
-	// Counters.
-	Enqueued  int64
-	Dequeued  int64
+	// Tally receives what the egress counts, and what the port draining it
+	// loses to its fault logic.
+	Tally *Tally
+
+	// Backing arrays of queues and aqms on a single-queue port.
+	queue0 [1]FIFO
+	aqm0   [1]aqm.AQM
+}
+
+// Tally counts what a set of egress ports did: the packets their queues
+// dropped and marked, and the packets their ports' fault logic lost outside
+// the queues. A topology keeps one per domain and port role, so that a port
+// carries one pointer instead of the counters; what is only ever summed
+// needs no per-port copy.
+type Tally struct {
 	Drops     int64
 	DropBytes int64
 	EnqMarks  int64
@@ -62,31 +76,36 @@ type Egress struct {
 	// MarkKinds counts the applied marks by the condition that decided
 	// them (indexed by trace.MarkKind): they sum to EnqMarks + DeqMarks.
 	MarkKinds [trace.MarkProbabilistic + 1]int64
-
-	// Backing arrays of queues and aqms on a single-queue port.
-	queue0 [1]FIFO
-	aqm0   [1]aqm.AQM
+	// FaultDrops and FaultDropBytes count packets a port's fault logic
+	// discarded outside the egress accounting (device.Port counts them):
+	// the packet on the transmitter when the link went down, and packets
+	// arriving at a downed port. Queued packets drained on link-down are
+	// Drops like any tail drop.
+	FaultDrops     int64
+	FaultDropBytes int64
 }
 
-// NewEgress builds an egress port with n service queues. aqmFor is called
-// once per queue index to build its AQM (pass nil for no marking).
+// NewEgress builds an egress port with n service queues, counting into a
+// Tally of its own. aqmFor is called once per queue index to build its AQM
+// (pass nil for no marking).
 func NewEgress(n int, sched Scheduler, bufferBytes int64, aqmFor func(i int) aqm.AQM) *Egress {
 	e := new(Egress)
-	e.Init(n, sched, bufferBytes, aqmFor)
+	e.Init(n, sched, bufferBytes, aqmFor, new(Tally))
 	return e
 }
 
-// Init builds the egress in place, with NewEgress's arguments: callers that
-// lay ports out in blocks (internal/topology) embed an Egress and Init it
-// there.
-func (e *Egress) Init(n int, sched Scheduler, bufferBytes int64, aqmFor func(i int) aqm.AQM) {
+// Init builds the egress in place, with NewEgress's arguments, counting
+// into t: callers that lay ports out in blocks (internal/topology) embed an
+// Egress and Init it there, over the tally its domain keeps for the port's
+// role.
+func (e *Egress) Init(n int, sched Scheduler, bufferBytes int64, aqmFor func(i int) aqm.AQM, t *Tally) {
 	if n <= 0 {
 		panic("queue: egress needs at least one queue")
 	}
 	if sched == nil {
 		sched = FIFOSched{}
 	}
-	*e = Egress{sched: sched, BufferBytes: bufferBytes, port: -1}
+	*e = Egress{sched: sched, BufferBytes: bufferBytes, port: -1, Tally: t}
 	if n == 1 {
 		e.queues, e.aqms = e.queue0[:], e.aqm0[:]
 	} else {
@@ -159,8 +178,8 @@ func (e *Egress) emit(typ trace.Type, kind trace.MarkKind, now sim.Time, qi int,
 // drop counts and traces a tail drop or a DropAll, then recycles the packet:
 // the drop ends its journey, so the egress is its final owner.
 func (e *Egress) drop(now sim.Time, p *packet.Packet) {
-	e.Drops++
-	e.DropBytes += int64(p.Size())
+	e.Tally.Drops++
+	e.Tally.DropBytes += int64(p.Size())
 	if e.tracer != nil {
 		e.emit(trace.Drop, trace.MarkUnknown, now, e.classQueue(p), p, 0)
 	}
@@ -195,7 +214,7 @@ func (e *Egress) mark(qi int) trace.MarkKind {
 	if k, ok := e.aqms[qi].(aqm.MarkKinder); ok {
 		kind = k.LastMarkKind()
 	}
-	e.MarkKinds[kind]++
+	e.Tally.MarkKinds[kind]++
 	return kind
 }
 
@@ -256,13 +275,12 @@ func (e *Egress) Enqueue(now sim.Time, p *packet.Packet) bool {
 	kind := trace.MarkUnknown
 	if marked {
 		p.ECN = packet.CE
-		e.EnqMarks++
+		e.Tally.EnqMarks++
 		kind = e.mark(qi)
 	}
 	p.EnqueuedAt = now
 	q.Push(p)
 	e.bytes += int64(p.Size())
-	e.Enqueued++
 	if e.tracer != nil {
 		e.emit(trace.Enqueue, trace.MarkUnknown, now, qi, p, 0)
 		if marked {
@@ -288,7 +306,6 @@ func (e *Egress) Dequeue(now sim.Time) *packet.Packet {
 	if e.Pool != nil {
 		e.Pool.release(p.Size())
 	}
-	e.Dequeued++
 	e.sched.Consumed(qi, p.Size(), q.Empty())
 	sojourn := p.SojournTime(now)
 	if sojourn < 0 {
@@ -298,7 +315,7 @@ func (e *Egress) Dequeue(now sim.Time) *packet.Packet {
 	kind := trace.MarkUnknown
 	if marked {
 		p.ECN = packet.CE
-		e.DeqMarks++
+		e.Tally.DeqMarks++
 		kind = e.mark(qi)
 	}
 	if e.tracer != nil {

@@ -19,12 +19,16 @@ var errPushLinked = errors.New("queue: Push of a packet still on a link or in a 
 // packet's Next is otherwise nil (delivery clears it), so it holds the link.
 type queued packet.Packet
 
+// end is the Next of every queue's tail: a packet is queued exactly when its
+// Next is set, the tail included, so Push and packet.Pool.Put refuse it.
+var end queued
+
 // Receive implements packet.Sink only so that a link fits in Next: a queued
 // packet is never a next hop.
 func (*queued) Receive(*packet.Packet) { panic("queue: delivery to a queued packet") }
 
 // FIFO is a byte-accounted packet queue linked from head to tail through the
-// packets' Next fields; the tail's is nil. The zero FIFO is empty.
+// packets' Next fields; the tail's is end. The zero FIFO is empty.
 type FIFO struct {
 	head, tail *packet.Packet
 	count      int
@@ -50,6 +54,7 @@ func (f *FIFO) Push(p *packet.Packet) {
 	} else {
 		f.tail.Next = (*queued)(p)
 	}
+	p.Next = &end
 	f.tail = p
 	f.count++
 	f.bytes += int64(p.Size())
@@ -62,11 +67,12 @@ func (f *FIFO) Pop() *packet.Packet {
 	if p == nil {
 		return nil
 	}
-	if p.Next == nil {
+	if next := p.Next.(*queued); next == &end {
 		f.head, f.tail = nil, nil
 	} else {
-		f.head, p.Next = (*packet.Packet)(p.Next.(*queued)), nil
+		f.head = (*packet.Packet)(next)
 	}
+	p.Next = nil
 	f.count--
 	f.bytes -= int64(p.Size())
 	return p

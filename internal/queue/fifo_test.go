@@ -37,8 +37,8 @@ func TestFIFOLinksThroughNext(t *testing.T) {
 				t.Fatalf("after %d pushes: Len %d Bytes %d Peek %p, want %d, %d, %p", i+1, f.Len(), f.Bytes(), f.Peek(), i+1, bytes, ps[0])
 			}
 		}
-		if ps[0].Next != (*queued)(ps[1]) || ps[1].Next != (*queued)(ps[2]) || ps[2].Next != nil {
-			t.Fatal("queued packets do not link head to tail through Next, with the tail's Next nil")
+		if ps[0].Next != (*queued)(ps[1]) || ps[1].Next != (*queued)(ps[2]) || ps[2].Next != &end {
+			t.Fatal("queued packets do not link head to tail through Next, with the tail's Next the end marker")
 		}
 		for i, want := range ps {
 			if got := f.Pop(); got != want || got.Next != nil {
@@ -68,6 +68,7 @@ func TestFIFOLinksThroughNext(t *testing.T) {
 		f.Push(a)
 		f.Push(b)
 		mustPanic(t, "Push of a packet already queued ahead of another", func() { NewFIFO().Push(a) })
+		mustPanic(t, "Push of a queued tail", func() { NewFIFO().Push(b) })
 		if f.Len() != 2 || f.Pop() != a || f.Pop() != b {
 			t.Fatal("a refused Push changed the queue")
 		}
@@ -80,6 +81,7 @@ func TestFIFOLinksThroughNext(t *testing.T) {
 		f.Push(a)
 		f.Push(b)
 		mustPanic(t, "Put of a queued packet that is not the tail", func() { pl.Put(a) })
+		mustPanic(t, "Put of a queued tail", func() { pl.Put(b) })
 		if f.Pop() != a || f.Pop() != b {
 			t.Fatal("a refused Put changed the queue")
 		}
@@ -95,6 +97,7 @@ func TestFIFOLinksThroughNext(t *testing.T) {
 		f.Push(a)
 		f.Push(b)
 		mustPanic(t, "delivery to a queued packet", func() { a.Next.Receive(a) })
+		mustPanic(t, "delivery past a queue's tail", func() { b.Next.Receive(b) })
 	})
 	t.Run("DropAll hands every packet back with Next nil", func(t *testing.T) {
 		var pl packet.Pool

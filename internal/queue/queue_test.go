@@ -270,8 +270,8 @@ func TestEgressTailDrop(t *testing.T) {
 	if eg.Enqueue(0, pkt(1500)) {
 		t.Error("packet admitted beyond the buffer bound")
 	}
-	if eg.Drops != 1 || eg.DropBytes != 1500 {
-		t.Errorf("Drops=%d DropBytes=%d", eg.Drops, eg.DropBytes)
+	if eg.Tally.Drops != 1 || eg.Tally.DropBytes != 1500 {
+		t.Errorf("Drops=%d DropBytes=%d", eg.Tally.Drops, eg.Tally.DropBytes)
 	}
 }
 
@@ -292,8 +292,8 @@ func TestEgressMarkingOnlyECT(t *testing.T) {
 	if p2.ECN != packet.NotECT {
 		t.Error("NotECT packet was modified")
 	}
-	if eg.DeqMarks != 1 {
-		t.Errorf("DeqMarks = %d, want 1", eg.DeqMarks)
+	if eg.Tally.DeqMarks != 1 {
+		t.Errorf("DeqMarks = %d, want 1", eg.Tally.DeqMarks)
 	}
 }
 
@@ -329,13 +329,25 @@ func TestEgressClassClamping(t *testing.T) {
 	}
 }
 
+// countTap is a test-only tap on a service queue: an AQM that marks nothing
+// and counts the packets the queue admitted and released, which an egress
+// does not count itself.
+type countTap struct{ enq, deq int }
+
+func (*countTap) Name() string { return "tap" }
+
+func (c *countTap) OnEnqueue(sim.Time, *packet.Packet, aqm.Backlog) bool { c.enq++; return false }
+
+func (c *countTap) OnDequeue(sim.Time, *packet.Packet, sim.Time) bool { c.deq++; return false }
+
 func TestEgressCounters(t *testing.T) {
-	eg := NewEgress(1, nil, 0, nil)
+	tap := new(countTap)
+	eg := NewEgress(1, nil, 0, func(int) aqm.AQM { return tap })
 	eg.Enqueue(0, pkt(1500))
 	eg.Enqueue(0, pkt(1500))
 	eg.Dequeue(1)
-	if eg.Enqueued != 2 || eg.Dequeued != 1 {
-		t.Errorf("Enqueued=%d Dequeued=%d", eg.Enqueued, eg.Dequeued)
+	if tap.enq != 2 || tap.deq != 1 {
+		t.Errorf("Enqueued=%d Dequeued=%d", tap.enq, tap.deq)
 	}
 	if eg.Len() != 1 || eg.Bytes() != 1500 {
 		t.Errorf("Len=%d Bytes=%d", eg.Len(), eg.Bytes())

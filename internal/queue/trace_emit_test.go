@@ -156,19 +156,20 @@ func TestEgressCountsMarkKinds(t *testing.T) {
 		eg.Enqueue(at, p)
 		eg.Dequeue(at + c.sojournUS*sim.Microsecond)
 	}
+	tl := eg.Tally
 	var sum int64
-	for _, n := range eg.MarkKinds {
+	for _, n := range tl.MarkKinds {
 		sum += n
 	}
-	if sum != eg.EnqMarks+eg.DeqMarks || eg.MarkKinds[trace.MarkInstantaneous] != 2 || eg.MarkKinds[trace.MarkUnknown] != 0 {
+	if sum != tl.EnqMarks+tl.DeqMarks || tl.MarkKinds[trace.MarkInstantaneous] != 2 || tl.MarkKinds[trace.MarkUnknown] != 0 {
 		t.Errorf("mark kinds %v, %d marks applied: want 2 instantaneous and the kinds summing to the marks",
-			eg.MarkKinds, eg.EnqMarks+eg.DeqMarks)
+			tl.MarkKinds, tl.EnqMarks+tl.DeqMarks)
 	}
 	bare := NewEgress(1, nil, 0, func(int) aqm.AQM { return aqm.NewTCN(0) })
 	bare.Enqueue(0, pkt(1500))
 	bare.Dequeue(sim.Microsecond)
-	if bare.DeqMarks != 1 || bare.MarkKinds[trace.MarkInstantaneous] != 1 {
-		t.Errorf("TCN mark counted as %v", bare.MarkKinds)
+	if bare.Tally.DeqMarks != 1 || bare.Tally.MarkKinds[trace.MarkInstantaneous] != 1 {
+		t.Errorf("TCN mark counted as %v", bare.Tally.MarkKinds)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ecnsharp/internal/packet"
+	"ecnsharp/internal/queue"
 )
 
 // flow is a count of packets and of their wire bytes.
@@ -99,27 +100,26 @@ func (n *Net) Audit() error {
 			}
 		})
 	}
-	for id, h := range n.Hosts {
-		l := &doms[n.DomainOfHost(id)]
-		l.sent += h.TxBytes
-		l.delivered += h.RxBytes
+	for d := range n.tallies {
+		l, t := &doms[d], &n.tallies[d]
+		l.sent, l.delivered = t.hosts.TxBytes, t.hosts.RxBytes
+		for _, q := range [...]*queue.Tally{&t.switches, &t.nics} {
+			l.dropped += q.DropBytes + q.FaultDropBytes
+			l.marks += q.EnqMarks + q.DeqMarks
+			for _, k := range q.MarkKinds {
+				l.kinds += k
+			}
+		}
 	}
 	for i, sw := range n.Switches {
 		doms[n.switchDoms[i]].blackholed += sw.BlackholedBytes
 	}
 	for i := range n.Links {
-		l, pt := &doms[n.Links[i].Dom], n.Links[i].Port
-		eg := pt.Egress
-		l.dropped += eg.DropBytes + pt.FaultDropBytes
-		l.held.add(pt.Held())
-		l.marks += eg.EnqMarks + eg.DeqMarks
-		for _, k := range eg.MarkKinds {
-			l.kinds += k
-		}
+		doms[n.Links[i].Dom].held.add(n.Links[i].Port.Held())
 	}
 	for _, b := range n.Boundaries {
-		doms[b.SrcDom].departed.bytes += b.Port.TxBytes
-		doms[b.DstDom].arrived.bytes += b.Port.TxBytes
+		doms[b.SrcDom].departed.bytes += b.Cut.TxBytes
+		doms[b.DstDom].arrived.bytes += b.Cut.TxBytes
 	}
 
 	pooled := n.PacketPools[0] != nil

@@ -43,17 +43,20 @@ func TestAuditBalances(t *testing.T) {
 }
 
 // TestAuditNamesTheEquation: each counter an equation reads, doctored by
-// one, fails the audit with that equation's name.
+// one, fails the audit with that equation's name: a domain's host, NIC and
+// switch-port tallies, a cut link's departed bytes, the packet pools.
 func TestAuditNamesTheEquation(t *testing.T) {
 	for _, c := range []struct {
 		equation string
 		doctor   func(*Net)
 	}{
-		{"bytes", func(n *Net) { n.Host(3).RxBytes++ }},
-		{"bytes", func(n *Net) { n.Links[0].Port.FaultDropBytes++ }},
+		{"bytes", func(n *Net) { n.Host(3).Tally.RxBytes++ }},
+		{"bytes", func(n *Net) { n.Host(3).Tally.TxBytes++ }},
+		{"bytes", func(n *Net) { n.Links[0].Port.Egress.Tally.FaultDropBytes++ }},
+		{"bytes", func(n *Net) { n.Boundaries[0].Cut.TxBytes++ }},
 		{"pool", func(n *Net) { n.PacketPools[n.DomainOfHost(0)].Puts++ }},
 		{"pool lists", func(n *Net) { n.PacketPools[n.DomainOfHost(0)].News++ }},
-		{"marks", func(n *Net) { n.SwitchPorts[0].Egress.MarkKinds[trace.MarkPersistent]++ }},
+		{"marks", func(n *Net) { n.SwitchPorts[0].Egress.Tally.MarkKinds[trace.MarkPersistent]++ }},
 	} {
 		net := auditedRun(40 * sim.Microsecond)
 		c.doctor(net)

@@ -44,6 +44,8 @@ func layoutNets() map[string]*Net {
 		// Twelve domains: a slice of their pool handles would exceed
 		// 512 bytes and start 8 bytes past a line, behind a malloc header.
 		"leafspine/wide": NewLeafSpine(4, 8, 2, layoutOpts()),
+		// One spine: each leaf's slab of uplinks holds a single block.
+		"leafspine/one-spine": NewLeafSpine(1, 4, 2, layoutOpts()),
 	}
 }
 
@@ -131,9 +133,10 @@ func TestLayoutPortStateInsideItsBlock(t *testing.T) {
 // TestLayoutDomainsShareNoCacheLine: domains run on different
 // workers, so a 64-byte line holding state of two of them would bounce
 // between cores on every event. Slabs are per domain and at least 512
-// bytes, which the allocator places on lines of their own; packet pools
-// are 64-byte objects allocated one at a time, so each has a line to
-// itself, on 386 as on amd64.
+// bytes, which the allocator places on lines of their own, cut links'
+// byte counts included; packet pools are 64-byte objects allocated one at
+// a time, and tallies whole lines each in a slice that starts a line, so
+// each has its lines to itself, on 386 as on amd64.
 func TestLayoutDomainsShareNoCacheLine(t *testing.T) {
 	const line = 64
 	for name, net := range layoutNets() {
@@ -149,24 +152,41 @@ func TestLayoutDomainsShareNoCacheLine(t *testing.T) {
 		for _, l := range net.Links {
 			claim(spanOf(unsafe.Pointer(l.Port), unsafe.Sizeof(portBlock{})), int(l.Dom), l.Name())
 		}
+		for _, b := range net.Boundaries {
+			claim(spanOf(unsafe.Pointer(b.Cut), unsafe.Sizeof(*b.Cut)), b.SrcDom, "cut of "+b.Port.Dst.(device.Node).Name())
+		}
 		for id, h := range net.Hosts {
 			claim(spanOf(unsafe.Pointer(h), unsafe.Sizeof(hostBlock{})), net.DomainOfHost(id), h.Name())
 		}
 		for d, pl := range net.PacketPools {
 			claim(spanOf(unsafe.Pointer(pl), unsafe.Sizeof(*pl)), d, "packet pool")
 		}
+		for d := range net.tallies {
+			tl := &net.tallies[d]
+			if size := unsafe.Sizeof(*tl); size%line != 0 || uintptr(unsafe.Pointer(tl))%line != 0 {
+				t.Fatalf("%s: the tally of domain %d is %d bytes at %p, want whole lines", name, d, size, tl)
+			}
+			claim(spanOf(unsafe.Pointer(tl), unsafe.Sizeof(*tl)), d, "tally")
+		}
 	}
 }
 
-// TestLayoutBlockSizes pins the two block sizes and the census record to the
-// numbers DESIGN.md gives: a field added to Port, Egress, FIFO, Host or Link
-// grows every port of a 100k-host fabric, and should be a decision.
+// TestLayoutBlockSizes pins the block sizes, the census record and the
+// domain tally to the numbers DESIGN.md gives: a field added to Port,
+// Egress, FIFO, Host or Link grows every port of a 100k-host fabric, and
+// should be a decision.
 func TestLayoutBlockSizes(t *testing.T) {
-	if got := unsafe.Sizeof(portBlock{}); got != 360 {
-		t.Errorf("portBlock is %d bytes, DESIGN.md says 360", got)
+	if got := unsafe.Sizeof(portBlock{}); got != 256 {
+		t.Errorf("portBlock is %d bytes, DESIGN.md says 256", got)
 	}
-	if got := unsafe.Sizeof(hostBlock{}); got != 976 {
-		t.Errorf("hostBlock is %d bytes, DESIGN.md says 976", got)
+	if got := unsafe.Sizeof(cutBlock{}); got != 272 {
+		t.Errorf("cutBlock is %d bytes, DESIGN.md says 272", got)
+	}
+	if got := unsafe.Sizeof(hostBlock{}); got != 744 {
+		t.Errorf("hostBlock is %d bytes, DESIGN.md says 744", got)
+	}
+	if got := unsafe.Sizeof(tally{}); got != 192 {
+		t.Errorf("tally is %d bytes, DESIGN.md says 192", got)
 	}
 	if got := unsafe.Sizeof(Link{}); got != 32 {
 		t.Errorf("Link is %d bytes, DESIGN.md says 32", got)
@@ -214,7 +234,8 @@ func TestLayoutForwardingAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1, run); allocs > packets/1000 {
 		t.Errorf("forwarding %d packets allocated %.0f objects, want 0 per packet", packets, allocs)
 	}
-	if got := net.Host(1).RxPackets; got != 2*packets {
+	// The star's hosts count into one domain tally; only host 1 receives.
+	if got := net.Host(1).Tally.RxPackets; got != 2*packets {
 		t.Errorf("host 1 received %d packets, want %d", got, 2*packets)
 	}
 }

@@ -29,6 +29,8 @@ type Boundary struct {
 	Prop sim.Time
 	// Port is the link's transmitting port.
 	Port *device.Port
+	// Cut counts the bytes the port carried out of SrcDom, into DstDom.
+	Cut *device.Cut
 }
 
 // Partition fixes a topology's domain decomposition before wiring.

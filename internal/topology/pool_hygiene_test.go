@@ -117,6 +117,10 @@ func runTerminalPaths(t *testing.T, noPool bool) (string, []*packet.Packet, *top
 	tr := &streamTracer{}
 	net.AttachTracer(tr)
 	eng, port, sw := net.Engines[0], net.EgressTo(2), net.Switches[0]
+	// The star is one domain, whose tallies its ports and hosts share: the
+	// switch-port tally counts only port's drops here, and of the hosts'
+	// only host 2 receives.
+	drops, rx := port.Egress.Tally, net.Host(2).Tally
 
 	var sent []*packet.Packet
 	send := func(src, n int) {
@@ -131,11 +135,11 @@ func runTerminalPaths(t *testing.T, noPool bool) (string, []*packet.Packet, *top
 	var tailDrops, queueDrops int64
 	eng.Schedule(0, func() { send(0, 12); send(1, 12) })
 	eng.Schedule(8*sim.Microsecond, func() {
-		tailDrops = port.Egress.Drops
+		tailDrops = drops.Drops
 		port.SetDown(true)
-		queueDrops = port.Egress.Drops - tailDrops
-		if port.FaultDrops != 1 {
-			t.Errorf("link-down lost %d packets on the transmitter, want 1", port.FaultDrops)
+		queueDrops = drops.Drops - tailDrops
+		if drops.FaultDrops != 1 {
+			t.Errorf("link-down lost %d packets on the transmitter, want 1", drops.FaultDrops)
 		}
 	})
 	eng.Schedule(30*sim.Microsecond, func() { port.SetDown(false) })
@@ -143,15 +147,14 @@ func runTerminalPaths(t *testing.T, noPool bool) (string, []*packet.Packet, *top
 	eng.Schedule(60*sim.Microsecond, func() { sw.SetFailed(false); send(0, 2) })
 	net.Shard.Run()
 
-	rx := net.Host(2).RxPackets
-	if tailDrops == 0 || queueDrops == 0 || port.FaultDrops < 2 || sw.Blackholed != 3 || rx < 3 {
+	if tailDrops == 0 || queueDrops == 0 || drops.FaultDrops < 2 || sw.Blackholed != 3 || rx.RxPackets < 3 {
 		t.Fatalf("a terminal path went unexercised: %d tail drops, %d drained at link-down, %d fault drops, %d blackholed, %d received",
-			tailDrops, queueDrops, port.FaultDrops, sw.Blackholed, rx)
+			tailDrops, queueDrops, drops.FaultDrops, sw.Blackholed, rx.RxPackets)
 	}
-	if ended := port.Egress.Drops + port.FaultDrops + sw.Blackholed + rx; ended != int64(len(sent)) {
+	if ended := drops.Drops + drops.FaultDrops + sw.Blackholed + rx.RxPackets; ended != int64(len(sent)) {
 		t.Fatalf("%d of %d packets accounted for", ended, len(sent))
 	}
-	fmt.Fprintf(&tr.b, "ends %d %d %d %d %d\n", tailDrops, queueDrops, port.FaultDrops, sw.Blackholed, rx)
+	fmt.Fprintf(&tr.b, "ends %d %d %d %d %d\n", tailDrops, queueDrops, drops.FaultDrops, sw.Blackholed, rx.RxPackets)
 	return tr.b.String(), sent, net
 }
 

@@ -3,6 +3,8 @@ package topology
 import (
 	"testing"
 
+	"ecnsharp/internal/aqm"
+	"ecnsharp/internal/device"
 	"ecnsharp/internal/packet"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/trace"
@@ -42,13 +44,39 @@ func sendAt(net *Net, src, dst int, at sim.Time) {
 	})
 }
 
-// totalEnqueued sums the switch egress enqueue counters — the ground
-// truth a tracer's Enqueue event count must match exactly (each event
-// delivered once: no duplication from re-attachment, no loss).
-func totalEnqueued(net *Net) int64 {
+// queueTap is a test-only tap on a switch egress queue: an AQM that marks
+// nothing and counts the packets its queue admitted and released, which
+// ports do not count themselves.
+type queueTap struct{ enq, deq int64 }
+
+func (*queueTap) Name() string { return "tap" }
+
+func (q *queueTap) OnEnqueue(sim.Time, *packet.Packet, aqm.Backlog) bool { q.enq++; return false }
+
+func (q *queueTap) OnDequeue(sim.Time, *packet.Packet, sim.Time) bool { q.deq++; return false }
+
+// queueTaps are the taps of a network's switch egress queues, in the order
+// the wiring built them.
+type queueTaps []*queueTap
+
+// on returns o with every switch egress queue tapped by a new queueTap,
+// appended to qs as the build asks for it.
+func (qs *queueTaps) on(o Options) Options {
+	o.NewAQM = func(int) aqm.AQM {
+		q := new(queueTap)
+		*qs = append(*qs, q)
+		return q
+	}
+	return o
+}
+
+// enqueued sums the switch egress enqueues — the ground truth a tracer's
+// Enqueue event count must match exactly (each event delivered once: no
+// duplication from re-attachment, no loss).
+func (qs queueTaps) enqueued() int64 {
 	var n int64
-	for _, p := range net.SwitchPorts {
-		n += p.Egress.Enqueued
+	for _, q := range qs {
+		n += q.enq
 	}
 	return n
 }
@@ -65,7 +93,7 @@ func shardedOpts(shards int) Options {
 // no-op rewire; attaching a new tracer between partial runs splits the
 // stream cleanly; attaching nil detaches. Events are never duplicated or
 // lost across any of it.
-func checkAttachTracerLifecycle(t *testing.T, net *Net) {
+func checkAttachTracerLifecycle(t *testing.T, net *Net, taps queueTaps) {
 	t.Helper()
 	// Phase 1 traffic (delivered well before t=100µs), phase 2 at 200µs+,
 	// phase 3 at 500µs+; all scheduled up front, single-threaded.
@@ -81,7 +109,7 @@ func checkAttachTracerLifecycle(t *testing.T, net *Net) {
 	net.AttachTracer(first) // idempotent: must not double-deliver
 	net.Shard.RunUntil(100 * sim.Microsecond)
 
-	phase1 := totalEnqueued(net)
+	phase1 := taps.enqueued()
 	if phase1 == 0 {
 		t.Fatal("phase 1 forwarded no packets")
 	}
@@ -93,7 +121,7 @@ func checkAttachTracerLifecycle(t *testing.T, net *Net) {
 	net.AttachTracer(second) // swap mid-lifecycle, between partial runs
 	net.Shard.RunUntil(400 * sim.Microsecond)
 
-	phase2 := totalEnqueued(net) - phase1
+	phase2 := taps.enqueued() - phase1
 	if phase2 == 0 {
 		t.Fatal("phase 2 forwarded no packets")
 	}
@@ -109,7 +137,7 @@ func checkAttachTracerLifecycle(t *testing.T, net *Net) {
 	if got := second.count(trace.Enqueue); int64(got) != phase2 {
 		t.Errorf("detached tracer still received events (%d > %d)", got, phase2)
 	}
-	if totalEnqueued(net) == phase1+phase2 {
+	if taps.enqueued() == phase1+phase2 {
 		t.Error("phase 3 forwarded no packets")
 	}
 }
@@ -117,8 +145,9 @@ func checkAttachTracerLifecycle(t *testing.T, net *Net) {
 // TestAttachTracerIdempotentSharded: the contract across domains, where
 // the stream is merged at window barriers.
 func TestAttachTracerIdempotentSharded(t *testing.T) {
-	net := NewLeafSpine(2, 2, 2, shardedOpts(2))
-	checkAttachTracerLifecycle(t, net)
+	var taps queueTaps
+	net := NewLeafSpine(2, 2, 2, taps.on(shardedOpts(2)))
+	checkAttachTracerLifecycle(t, net, taps)
 	if net.Shard.Windows() == 0 {
 		t.Error("a multi-domain run executed no windows")
 	}
@@ -129,11 +158,12 @@ func TestAttachTracerIdempotentSharded(t *testing.T) {
 // directly: the tracer sees the engine's own stream, no windows.
 func TestAttachTracerIdempotentSerial(t *testing.T) {
 	for _, shards := range []int{0, 4} {
-		net := NewStar(4, shardedOpts(shards))
+		var taps queueTaps
+		net := NewStar(4, taps.on(shardedOpts(shards)))
 		if net.Domains() != 1 {
 			t.Fatalf("star/%d: built %d domains, want 1", shards, net.Domains())
 		}
-		checkAttachTracerLifecycle(t, net)
+		checkAttachTracerLifecycle(t, net, taps)
 		if w := net.Shard.Windows(); w != 0 {
 			t.Errorf("star/%d: one-domain run executed %d windows, want 0", shards, w)
 		}
@@ -141,8 +171,9 @@ func TestAttachTracerIdempotentSerial(t *testing.T) {
 }
 
 // TestShardedForwardingMatchesSerial: the same raw-packet workload on the
-// same fabric builds the same domains and forwards identically — per-port
-// tx and enqueue counters — at Shards 0, 1 and 4.
+// same fabric builds the same domains and forwards identically — per switch
+// port, the packets its queue admitted and released (queueTap) and that
+// reached its far end (a device.Tap) — at Shards 0, 1 and 4.
 func TestShardedForwardingMatchesSerial(t *testing.T) {
 	load := func(net *Net) {
 		f := 0
@@ -156,21 +187,27 @@ func TestShardedForwardingMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-	census := func(net *Net) []int64 {
-		var out []int64
-		for _, p := range net.SwitchPorts {
-			out = append(out, p.TxPackets, p.Egress.Enqueued, p.Egress.Dequeued)
-		}
-		return out
-	}
 	run := func(shards int) []int64 {
-		net := NewLeafSpine(2, 4, 2, shardedOpts(shards))
+		var taps queueTaps
+		net := NewLeafSpine(2, 4, 2, taps.on(shardedOpts(shards)))
+		arrived := make([]*device.Tap, len(net.SwitchPorts))
+		for i, p := range net.SwitchPorts {
+			arrived[i] = device.NewTap(nil, p.Dst.(device.Node))
+			p.Dst = arrived[i]
+		}
 		load(net)
 		net.Shard.Run()
 		if net.Domains() != 6 || net.Shard.Windows() == 0 {
 			t.Fatalf("shards=%d: %d domains, %d windows; want the 6 of the natural partition", shards, net.Domains(), net.Shard.Windows())
 		}
-		return census(net)
+		if len(taps) != len(net.SwitchPorts) {
+			t.Fatalf("shards=%d: %d queue taps for %d switch ports", shards, len(taps), len(net.SwitchPorts))
+		}
+		var out []int64
+		for i := range net.SwitchPorts {
+			out = append(out, arrived[i].Forwarded, taps[i].enq, taps[i].deq)
+		}
+		return out
 	}
 
 	serial := run(0)

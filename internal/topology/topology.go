@@ -15,6 +15,7 @@ package topology
 import (
 	"fmt"
 	"strconv"
+	"unsafe"
 
 	"ecnsharp/internal/aqm"
 	"ecnsharp/internal/device"
@@ -129,7 +130,10 @@ type Net struct {
 	// tests turned pooling off.
 	PacketPools []*packet.Pool
 
-	// SwitchPorts lists every switch egress port (for drop/mark census).
+	// tallies[d] is what domain d's ports and hosts count into.
+	tallies []tally
+
+	// SwitchPorts lists every switch egress port (for tracer attachment).
 	SwitchPorts []*device.Port
 	// portDoms[i] is the domain owning SwitchPorts[i].
 	portDoms []int
@@ -375,8 +379,8 @@ func (n *Net) AttachTracer(t trace.Tracer) {
 // TotalDrops sums tail drops across all switch egress ports.
 func (n *Net) TotalDrops() int64 {
 	var d int64
-	for _, p := range n.SwitchPorts {
-		d += p.Egress.Drops
+	for i := range n.tallies {
+		d += n.tallies[i].switches.Drops
 	}
 	return d
 }
@@ -384,8 +388,9 @@ func (n *Net) TotalDrops() int64 {
 // TotalMarks sums CE marks applied across all switch egress ports.
 func (n *Net) TotalMarks() int64 {
 	var m int64
-	for _, p := range n.SwitchPorts {
-		m += p.Egress.EnqMarks + p.Egress.DeqMarks
+	for i := range n.tallies {
+		t := &n.tallies[i].switches
+		m += t.EnqMarks + t.DeqMarks
 	}
 	return m
 }
@@ -394,8 +399,8 @@ func (n *Net) TotalMarks() int64 {
 // the marks of every switch egress by kind.
 func (n *Net) Report() sim.RunReport {
 	r := n.Shard.Report()
-	for _, p := range n.SwitchPorts {
-		for k, m := range p.Egress.MarkKinds {
+	for i := range n.tallies {
+		for k, m := range n.tallies[i].switches.MarkKinds {
 			r.MarkKinds[k] += uint64(m)
 		}
 	}
@@ -432,11 +437,13 @@ func newPool(o *Options) *queue.SharedPool {
 // event on a fabric far larger than the cache misses on one object, not on
 // nine. See DESIGN.md "Hot path & memory discipline".
 //
-// Blocks are allocated in per-domain slabs — one slice of hostBlocks per
-// access switch, one slice of portBlocks per switch for its switch-facing
-// ports — never interleaved across domains, so that the ports of two
-// domains, which two workers write concurrently, share no cache line
-// (TestLayoutDomainsShareNoCacheLine).
+// Blocks are allocated in per-domain slabs (see slab) — one slice of
+// hostBlocks per access switch, one slice of cutBlocks per switch for its
+// switch-facing ports — never interleaved across domains, so that the
+// ports of two domains, which two workers write concurrently, share no
+// cache line (TestLayoutDomainsShareNoCacheLine). A port counts nothing in
+// its block but a cut link's bytes: drops, marks and host traffic go to
+// its domain's tally.
 type portBlock struct {
 	port device.Port
 	eg   queue.Egress
@@ -451,6 +458,43 @@ type hostBlock struct {
 	down portBlock // access switch -> host
 }
 
+// cutBlock is a port whose link a partition cuts, with the one count a port
+// keeps of its own, the bytes it carried out of the domain: the audit needs
+// it per cut link, and only cut links carry it.
+type cutBlock struct {
+	portBlock
+	cut device.Cut
+}
+
+// tally is one domain's counters, split by the role of what counts into it:
+// its switch ports (what TotalDrops, TotalMarks and Report sum), its host
+// NICs and its hosts. Ports and hosts reach it through one pointer word
+// instead of carrying counters that are only ever summed. It is padded to
+// whole cache lines, like a packet pool, and the domains' tallies are one
+// slice: whole lines with no pointers, so no malloc header, which the
+// allocator's size classes start on a line. Two domains' tallies, which
+// two workers write, share no line.
+type tally struct {
+	_        [tallyPad]byte
+	switches queue.Tally
+	nics     queue.Tally
+	hosts    device.HostTally
+}
+
+// tallyPad rounds a tally up to whole 64-byte lines. It leads the struct: a
+// zero-size last field would be padded.
+const tallyPad = (64 - (2*unsafe.Sizeof(queue.Tally{})+unsafe.Sizeof(device.HostTally{}))%64) % 64
+
+// slab returns n zero blocks in one allocation of at least 512 bytes. Every
+// allocator size class from 512 bytes up is a whole number of 64-byte
+// lines, so a slab has its lines to itself and two domains' slabs never
+// share one, however few blocks they hold.
+func slab[B any](n int) []B {
+	var b B
+	size := int(unsafe.Sizeof(b))
+	return make([]B, n, max(n, (512+size-1)/size))
+}
+
 // switchNode is a switch as the builders see it while they hang ports and
 // hosts off it: the switch, where it sits, and what its ports share.
 type switchNode struct {
@@ -463,13 +507,13 @@ type switchNode struct {
 	aqmFor func(q int) aqm.AQM
 }
 
-// newNet starts a build over part: one engine and one packet pool per
-// domain, under a coordinator with opts.Shards workers, and the pools of a
-// worker group sharing the free list of its first domain's. Each pool is
-// its own 64-byte allocation, which starts a cache line; in one slice,
-// past 512 bytes (eight domains) a malloc header would put every handle
-// 8 bytes past a line, across two domains' lines. The builders then
-// populate it, indexing Engines and PacketPools by domain. switchLinks is
+// newNet starts a build over part: one engine, one tally and one packet
+// pool per domain, under a coordinator with opts.Shards workers, and the
+// pools of a worker group sharing the free list of its first domain's. Each
+// pool is its own 64-byte allocation, which starts a cache line; in one
+// slice, past 512 bytes (eight domains) a malloc header would put every
+// handle 8 bytes past a line, across two domains' lines. The builders then
+// populate it, indexing Engines, tallies and PacketPools by domain. switchLinks is
 // the number of directed switch-to-switch links the builder will add, which
 // with the host count sizes the census.
 func newNet(part Partition, opts *Options, switchLinks int) *Net {
@@ -481,6 +525,7 @@ func newNet(part Partition, opts *Options, switchLinks int) *Net {
 		Part:        part,
 		Lookahead:   part.Lookahead,
 		PacketPools: make([]*packet.Pool, part.Domains),
+		tallies:     make([]tally, part.Domains),
 		SwitchPorts: make([]*device.Port, 0, hosts+switchLinks),
 		portDoms:    make([]int, 0, hosts+switchLinks),
 		Links:       make([]Link, 0, 2*hosts+switchLinks),
@@ -517,41 +562,42 @@ func (n *Net) addSwitch(o *Options, name, tier string) *switchNode {
 }
 
 // initPort builds b's port over b's egress: owned by srcDom, delivering to
-// dst in dstDom. When the domains differ the port becomes a boundary: a
+// dst in dstDom. When the domains differ the port becomes a boundary, which
+// counts what it carries in cut (nil on a link no partition cuts): a
 // handoff into the destination domain is registered (in call order, which
 // the wiring keeps canonical) and the port transmits through it instead of
 // the local engine.
-func (n *Net) initPort(b *portBlock, srcDom, dstDom int, rate float64, prop sim.Time, dst device.Node) *device.Port {
+func (n *Net) initPort(b *portBlock, cut *device.Cut, srcDom, dstDom int, rate float64, prop sim.Time, dst device.Node) *device.Port {
 	b.port.Init(n.Engines[srcDom], &b.eg, rate, prop, dst)
 	if srcDom != dstDom {
 		if prop < n.Lookahead {
 			panic(fmt.Sprintf("topology: cross-domain link delay %v below lookahead %v", prop, n.Lookahead))
 		}
-		b.port.SetRemote(n.Shard.NewHandoffFrom(n.Engines[srcDom], n.Engines[dstDom], device.Deliver))
-		n.Boundaries = append(n.Boundaries, Boundary{SrcDom: srcDom, DstDom: dstDom, Prop: prop, Port: &b.port})
+		b.port.SetRemote(cut, n.Shard.NewHandoffFrom(n.Engines[srcDom], n.Engines[dstDom], device.Deliver))
+		n.Boundaries = append(n.Boundaries, Boundary{SrcDom: srcDom, DstDom: dstDom, Prop: prop, Port: &b.port, Cut: cut})
 	}
 	return &b.port
 }
 
 // switchPort builds, in b, an egress port of switch s toward dst in dstDom:
 // the buffer per the options (scheduler, the AQM for the switch's location,
-// the switch's shared pool), then the port.
-func (n *Net) switchPort(o *Options, b *portBlock, s *switchNode, dstDom int, dst device.Node) *device.Port {
+// the switch's shared pool, the domain's switch-port tally), then the port.
+func (n *Net) switchPort(o *Options, b *portBlock, cut *device.Cut, s *switchNode, dstDom int, dst device.Node) *device.Port {
 	queues, sched := 1, queue.Scheduler(nil)
 	if o.Weights != nil {
 		queues, sched = len(o.Weights), queue.NewDWRR(o.Weights)
 	}
-	b.eg.Init(queues, sched, o.Link.BufferBytes, s.aqmFor)
+	b.eg.Init(queues, sched, o.Link.BufferBytes, s.aqmFor, &n.tallies[s.dom].switches)
 	b.eg.Pool = s.pool
 	b.eg.PacketPool = n.PacketPools[s.dom]
-	return n.initPort(b, s.dom, dstDom, o.Link.RateBps, o.Link.PropDelay, dst)
+	return n.initPort(b, cut, s.dom, dstDom, o.Link.RateBps, o.Link.PropDelay, dst)
 }
 
 // switchLink builds, in b, the port of switch from toward switch to over a
 // fabric link, and enters it in the census; leaf and spine are the link's
 // fabric coordinates.
-func (n *Net) switchLink(o *Options, b *portBlock, from, to *switchNode, leaf, spine int) *device.Port {
-	pt := n.switchPort(o, b, from, to.dom, to.sw)
+func (n *Net) switchLink(o *Options, b *cutBlock, from, to *switchNode, leaf, spine int) *device.Port {
+	pt := n.switchPort(o, &b.portBlock, &b.cut, from, to.dom, to.sw)
 	n.addSwitchPort(from.dom, pt)
 	n.Links = append(n.Links, Link{Port: pt, From: from.sw, Dom: int32(from.dom), Host: -1, FabricLeaf: int32(leaf), FabricSpine: int32(spine)})
 	return pt
@@ -563,14 +609,14 @@ func (n *Net) switchLink(o *Options, b *portBlock, from, to *switchNode, leaf, s
 // back down to it, entered in the census. It returns the down port, which
 // the caller routes the host's traffic to.
 func (n *Net) addHost(o *Options, b *hostBlock, id int, s *switchNode) *device.Port {
-	pkts := n.PacketPools[s.dom]
+	pkts, t := n.PacketPools[s.dom], &n.tallies[s.dom]
 	h := &b.host
-	h.Init(n.Engines[s.dom], id)
+	h.Init(n.Engines[s.dom], id, &t.hosts)
 	h.Pool = pkts
-	b.nic.eg.Init(1, queue.FIFOSched{}, 0, nil)
+	b.nic.eg.Init(1, queue.FIFOSched{}, 0, nil, &t.nics)
 	b.nic.eg.PacketPool = pkts
-	h.NIC = n.initPort(&b.nic, s.dom, s.dom, o.Link.RateBps, o.Link.PropDelay, s.sw)
-	down := n.switchPort(o, &b.down, s, s.dom, h)
+	h.NIC = n.initPort(&b.nic, nil, s.dom, s.dom, o.Link.RateBps, o.Link.PropDelay, s.sw)
+	down := n.switchPort(o, &b.down, nil, s, s.dom, h)
 	n.hostPorts[id] = down
 	n.addSwitchPort(s.dom, down)
 	n.Links = append(n.Links,
@@ -600,7 +646,7 @@ func NewStar(n int, o Options) *Net {
 	opts.defaults()
 	net := newNet(PartitionStar(n, o), opts, 0)
 	sw := net.addSwitch(opts, "sw0", TierEdge)
-	blocks := make([]hostBlock, n)
+	blocks := slab[hostBlock](n)
 	for i := range blocks {
 		sw.sw.AddRoute(i, net.addHost(opts, &blocks[i], i, sw))
 	}
@@ -620,7 +666,7 @@ func NewLeafSpine(spines, leaves, hostsPerLeaf int, o Options) *Net {
 	// Switches are listed spines first, then leaves. Each owns one slab of
 	// its switch-facing ports; a leaf also owns the slab of its hosts.
 	spineSw := make([]*switchNode, spines)
-	spineDown := make([][]portBlock, spines)
+	spineDown := make([][]cutBlock, spines)
 	spineRoutes := make([]*spineRouter, spines)
 	fab := &fabricInfo{
 		spines:       spines,
@@ -631,7 +677,7 @@ func NewLeafSpine(spines, leaves, hostsPerLeaf int, o Options) *Net {
 	}
 	for s := range spineSw {
 		spineSw[s] = net.addSwitch(opts, "spine"+strconv.Itoa(s), TierSpine)
-		spineDown[s] = make([]portBlock, leaves)
+		spineDown[s] = slab[cutBlock](leaves)
 		spineRoutes[s] = &spineRouter{hostsPerLeaf: hostsPerLeaf, self: s, down: make([]*device.Port, leaves)}
 		spineSw[s].sw.SetRouter(spineRoutes[s])
 		fab.spineSw[s] = spineSw[s].idx
@@ -655,7 +701,7 @@ func NewLeafSpine(spines, leaves, hostsPerLeaf int, o Options) *Net {
 
 	// Hosts and access links.
 	for l, leaf := range leafSw {
-		blocks := make([]hostBlock, hostsPerLeaf)
+		blocks := slab[hostBlock](hostsPerLeaf)
 		for k := range blocks {
 			leafRoutes[l].local[k] = net.addHost(opts, &blocks[k], l*hostsPerLeaf+k, leaf)
 		}
@@ -665,7 +711,7 @@ func NewLeafSpine(spines, leaves, hostsPerLeaf int, o Options) *Net {
 	// spine order — the same equal-cost order the FIB-based wiring used —
 	// so the ECMP hash selects identical paths.
 	for l, leaf := range leafSw {
-		leafUp := make([]portBlock, spines)
+		leafUp := slab[cutBlock](spines)
 		for s, spine := range spineSw {
 			up := net.switchLink(opts, &leafUp[s], leaf, spine, l, s)
 			leafRoutes[l].up = append(leafRoutes[l].up, up)
