@@ -74,6 +74,9 @@ var escapeGateFunctions = []string{
 	"internal/device.(*nicEntry).Receive",
 	"internal/device.(*Host).Receive",
 	"internal/device.(*Host).handler",
+	"internal/device.(*Demux).lookup",
+	"internal/device.(*Demux).insert",
+	"internal/device.(*Demux).remove",
 	// Transport endpoints: the per-ACK and per-segment paths and the
 	// timer callbacks.
 	"internal/transport.(*Sender).HandlePacket",

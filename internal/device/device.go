@@ -9,6 +9,7 @@ package device
 
 import (
 	"fmt"
+	"math"
 
 	"ecnsharp/internal/packet"
 	"ecnsharp/internal/queue"
@@ -387,33 +388,19 @@ type Host struct {
 	// their fields. Handlers must not retain packet pointers past return.
 	Pool *packet.Pool
 
-	// spill holds the flow handlers of a host with many flows, see below.
-	spill map[uint32]PacketHandler
 	// flowDelays is nil until the first SetFlowDelay.
 	flowDelays map[uint32]sim.Time
 
 	// Tally receives what the host sends and receives. In a topology every
 	// host of a domain counts into one.
 	Tally *HostTally
-
-	// Flow demux. A host with few flows (hostInlineFlows or fewer, the
-	// common case: two on a scale cell) keeps them in flowIDs and handlers,
-	// entries [0, nflows) in no particular order, so a lookup scans a few
-	// ids inside the host itself. The registration that does not fit moves
-	// every entry to spill, which then holds them all until it empties (an
-	// incast receiver with hundreds of flows looks up a map, as every host
-	// used to).
-	nflows   int
-	flowIDs  [hostInlineFlows]uint32
-	handlers [hostInlineFlows]PacketHandler
+	// Demux holds the host's flow handlers, keyed by (host, flow). In a
+	// topology every host of a domain registers in one.
+	Demux *Demux
 
 	// Default extra delay applied to flows with no specific entry.
 	DefaultDelay sim.Time
 }
-
-// hostInlineFlows is how many flow handlers a host holds inside itself
-// before it falls back to a map.
-const hostInlineFlows = 8
 
 // HostTally counts what a set of hosts received (RxPackets, RxBytes) and
 // sent (TxPackets, TxBytes).
@@ -422,18 +409,24 @@ type HostTally struct {
 	TxPackets, TxBytes int64
 }
 
-// NewHost builds a host with the given id, counting into a HostTally of its
-// own.
+// NewHost builds a host with the given id, counting into a HostTally and
+// registering flows in a Demux of its own.
 func NewHost(eng *sim.Engine, id int) *Host {
 	h := new(Host)
-	h.Init(eng, id, new(HostTally))
+	h.Init(eng, id, new(HostTally), new(Demux))
 	return h
 }
 
-// Init builds the host in place, with NewHost's arguments, counting into t.
-// Events the host schedules carry its address, so it must not be copied or
-// moved afterwards.
-func (h *Host) Init(eng *sim.Engine, id int, t *HostTally) { *h = Host{ID: id, eng: eng, Tally: t} }
+// Init builds the host in place, with NewHost's arguments, counting into t
+// and registering flows in d. A host id must be below 2^31, to fit a
+// demux key. Events the host schedules carry its address, so it must not
+// be copied or moved afterwards.
+func (h *Host) Init(eng *sim.Engine, id int, t *HostTally, d *Demux) {
+	if id < 0 || id > math.MaxInt32 {
+		panic(fmt.Sprintf("device: host id %d outside [0, 2^31)", id))
+	}
+	*h = Host{ID: id, eng: eng, Tally: t, Demux: d}
+}
 
 // AllocPacket returns a zeroed packet from the host's pool (or the heap
 // when pooling is disabled). Transports use it for every outgoing packet.
@@ -455,54 +448,16 @@ func (h *Host) Register(flowID uint32, ph PacketHandler) {
 	if ph == nil {
 		panic(fmt.Sprintf("device: host %d: nil handler for flow %d", h.ID, flowID))
 	}
-	if h.spill == nil {
-		if h.nflows < hostInlineFlows {
-			h.flowIDs[h.nflows], h.handlers[h.nflows] = flowID, ph
-			h.nflows++
-			return
-		}
-		h.spill = make(map[uint32]PacketHandler, hostInlineFlows+1)
-		for i := 0; i < h.nflows; i++ {
-			h.spill[h.flowIDs[i]] = h.handlers[i]
-			h.handlers[i] = nil
-		}
-		h.nflows = 0
-	}
-	h.spill[flowID] = ph
+	h.Demux.insert(demuxKey(h.ID, flowID), ph)
 }
 
 // Unregister removes the flow handler (after flow completion). A handler
 // may unregister itself, or another flow, from inside HandlePacket.
-func (h *Host) Unregister(flowID uint32) {
-	if h.spill != nil {
-		delete(h.spill, flowID)
-		if len(h.spill) == 0 {
-			h.spill = nil
-		}
-		return
-	}
-	for i := 0; i < h.nflows; i++ {
-		if h.flowIDs[i] == flowID {
-			last := h.nflows - 1
-			h.flowIDs[i], h.handlers[i] = h.flowIDs[last], h.handlers[last]
-			h.handlers[last] = nil
-			h.nflows = last
-			return
-		}
-	}
-}
+func (h *Host) Unregister(flowID uint32) { h.Demux.remove(demuxKey(h.ID, flowID)) }
 
 // handler returns the handler registered for flowID, or nil.
 func (h *Host) handler(flowID uint32) PacketHandler {
-	if h.spill != nil {
-		return h.spill[flowID]
-	}
-	for i := 0; i < h.nflows; i++ {
-		if h.flowIDs[i] == flowID {
-			return h.handlers[i]
-		}
-	}
-	return nil
+	return h.Demux.lookup(demuxKey(h.ID, flowID))
 }
 
 // SetFlowDelay sets the netem-style extra one-way delay this host adds to
@@ -558,7 +513,8 @@ func (n *nicEntry) Receive(p *packet.Packet) { n.NIC.Send(p) }
 func (h *Host) Receive(p *packet.Packet) {
 	h.Tally.RxPackets++
 	h.Tally.RxBytes += int64(p.Size())
-	if ph := h.handler(p.FlowID); ph != nil {
+	// h.handler, spelled out so that the lookup inlines here.
+	if ph := h.Demux.lookup(demuxKey(h.ID, p.FlowID)); ph != nil {
 		ph.HandlePacket(h.eng.Now(), p)
 	}
 	h.Pool.Put(p)

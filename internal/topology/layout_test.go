@@ -130,16 +130,39 @@ func TestLayoutPortStateInsideItsBlock(t *testing.T) {
 	}
 }
 
+// nopFlow is a flow handler that does nothing: the layout tests register
+// one per host so that every domain's flow demux holds its arrays.
+type nopFlow struct{}
+
+func (nopFlow) HandlePacket(sim.Time, *packet.Packet) {}
+
+// demuxArrays returns the spans of a flow demux's key and handler arrays
+// (empty spans while it holds none).
+func demuxArrays(d *device.Demux) []span {
+	v := reflect.ValueOf(d).Elem()
+	var spans []span
+	for _, f := range []string{"keys", "handlers"} {
+		a := v.FieldByName(f)
+		spans = append(spans, spanOf(a.UnsafePointer(), uintptr(a.Len())*a.Type().Elem().Size()))
+	}
+	return spans
+}
+
 // TestLayoutDomainsShareNoCacheLine: domains run on different
 // workers, so a 64-byte line holding state of two of them would bounce
 // between cores on every event. Slabs are per domain and at least 512
 // bytes, which the allocator places on lines of their own, cut links'
-// byte counts included; packet pools are 64-byte objects allocated one at
-// a time, and tallies whole lines each in a slice that starts a line, so
-// each has its lines to itself, on 386 as on amd64.
+// byte counts included; packet pools and flow demuxes are 64-byte objects
+// allocated one at a time, a demux's arrays at least 512 bytes each, and
+// tallies whole lines each in a slice that starts a line, so each has its
+// lines to itself, on 386 as on amd64.
 func TestLayoutDomainsShareNoCacheLine(t *testing.T) {
 	const line = 64
 	for name, net := range layoutNets() {
+		// A flow on every host, as a run has: the demuxes hold arrays.
+		for _, h := range net.Hosts {
+			h.Register(1, nopFlow{})
+		}
 		owner := map[uintptr]int{}
 		claim := func(s span, dom int, what string) {
 			for ln := s.lo / line; ln <= (s.hi-1)/line; ln++ {
@@ -161,6 +184,26 @@ func TestLayoutDomainsShareNoCacheLine(t *testing.T) {
 		for d, pl := range net.PacketPools {
 			claim(spanOf(unsafe.Pointer(pl), unsafe.Sizeof(*pl)), d, "packet pool")
 		}
+		for id, h := range net.Hosts {
+			if d := net.DomainOfHost(id); h.Demux != net.demuxes[d] {
+				t.Fatalf("%s: %s registers in another demux than its domain %d's", name, h.Name(), d)
+			}
+		}
+		for d, dm := range net.demuxes {
+			if size := unsafe.Sizeof(*dm); size != line || uintptr(unsafe.Pointer(dm))%line != 0 {
+				t.Fatalf("%s: the flow demux of domain %d is %d bytes at %p, want one line", name, d, size, dm)
+			}
+			claim(spanOf(unsafe.Pointer(dm), unsafe.Sizeof(*dm)), d, "flow demux")
+			for _, a := range demuxArrays(dm) {
+				if a.lo == 0 {
+					continue // a domain without hosts, a spine: no arrays
+				}
+				if a.hi-a.lo < 512 {
+					t.Fatalf("%s: an array of domain %d's flow demux is %d bytes, want at least 512", name, d, a.hi-a.lo)
+				}
+				claim(a, d, "flow demux array")
+			}
+		}
 		for d := range net.tallies {
 			tl := &net.tallies[d]
 			if size := unsafe.Sizeof(*tl); size%line != 0 || uintptr(unsafe.Pointer(tl))%line != 0 {
@@ -172,24 +215,29 @@ func TestLayoutDomainsShareNoCacheLine(t *testing.T) {
 }
 
 // TestLayoutBlockSizes pins the block sizes, the census record and the
-// domain tally to the numbers DESIGN.md gives: a field added to Port,
-// Egress, FIFO, Host or Link grows every port of a 100k-host fabric, and
-// should be a decision.
+// domain tally to the numbers DESIGN.md gives, on 64-bit and on 32-bit
+// words: a field added to Port, Egress, FIFO, Host or Link grows every port
+// of a 100k-host fabric, and should be a decision.
 func TestLayoutBlockSizes(t *testing.T) {
-	if got := unsafe.Sizeof(portBlock{}); got != 256 {
-		t.Errorf("portBlock is %d bytes, DESIGN.md says 256", got)
-	}
-	if got := unsafe.Sizeof(cutBlock{}); got != 272 {
-		t.Errorf("cutBlock is %d bytes, DESIGN.md says 272", got)
-	}
-	if got := unsafe.Sizeof(hostBlock{}); got != 744 {
-		t.Errorf("hostBlock is %d bytes, DESIGN.md says 744", got)
-	}
-	if got := unsafe.Sizeof(tally{}); got != 192 {
-		t.Errorf("tally is %d bytes, DESIGN.md says 192", got)
-	}
-	if got := unsafe.Sizeof(Link{}); got != 32 {
-		t.Errorf("Link is %d bytes, DESIGN.md says 32", got)
+	wide := unsafe.Sizeof(uintptr(0)) == 8
+	for _, c := range []struct {
+		name     string
+		got      uintptr
+		w64, w32 uintptr
+	}{
+		{"portBlock", unsafe.Sizeof(portBlock{}), 256, 152},
+		{"cutBlock", unsafe.Sizeof(cutBlock{}), 272, 164},
+		{"hostBlock", unsafe.Sizeof(hostBlock{}), 576, 340},
+		{"tally", unsafe.Sizeof(tally{}), 192, 192},
+		{"Link", unsafe.Sizeof(Link{}), 32, 24},
+	} {
+		want, word := c.w64, "64"
+		if !wide {
+			want, word = c.w32, "32"
+		}
+		if c.got != want {
+			t.Errorf("%s is %d bytes, DESIGN.md says %d on %s-bit words", c.name, c.got, want, word)
+		}
 	}
 }
 

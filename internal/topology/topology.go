@@ -132,6 +132,9 @@ type Net struct {
 
 	// tallies[d] is what domain d's ports and hosts count into.
 	tallies []tally
+	// demuxes[d] holds the flow handlers of domain d's hosts. Each is its
+	// own 64-byte allocation, like a packet pool.
+	demuxes []*device.Demux
 
 	// SwitchPorts lists every switch egress port (for tracer attachment).
 	SwitchPorts []*device.Port
@@ -507,13 +510,14 @@ type switchNode struct {
 	aqmFor func(q int) aqm.AQM
 }
 
-// newNet starts a build over part: one engine, one tally and one packet
-// pool per domain, under a coordinator with opts.Shards workers, and the
-// pools of a worker group sharing the free list of its first domain's. Each
-// pool is its own 64-byte allocation, which starts a cache line; in one
-// slice, past 512 bytes (eight domains) a malloc header would put every
-// handle 8 bytes past a line, across two domains' lines. The builders then
-// populate it, indexing Engines, tallies and PacketPools by domain. switchLinks is
+// newNet starts a build over part: one engine, one tally, one flow demux
+// and one packet pool per domain, under a coordinator with opts.Shards
+// workers, and the pools of a worker group sharing the free list of its
+// first domain's. Each pool and each demux is its own 64-byte allocation,
+// which starts a cache line; in one slice, past 512 bytes (eight domains) a
+// malloc header would put every one 8 bytes past a line, across two
+// domains' lines. The builders then populate it, indexing Engines, tallies,
+// demuxes and PacketPools by domain. switchLinks is
 // the number of directed switch-to-switch links the builder will add, which
 // with the host count sizes the census.
 func newNet(part Partition, opts *Options, switchLinks int) *Net {
@@ -526,6 +530,7 @@ func newNet(part Partition, opts *Options, switchLinks int) *Net {
 		Lookahead:   part.Lookahead,
 		PacketPools: make([]*packet.Pool, part.Domains),
 		tallies:     make([]tally, part.Domains),
+		demuxes:     make([]*device.Demux, part.Domains),
 		SwitchPorts: make([]*device.Port, 0, hosts+switchLinks),
 		portDoms:    make([]int, 0, hosts+switchLinks),
 		Links:       make([]Link, 0, 2*hosts+switchLinks),
@@ -534,6 +539,7 @@ func newNet(part Partition, opts *Options, switchLinks int) *Net {
 	}
 	for d := range net.Engines {
 		net.Engines[d] = net.Shard.Domain(d)
+		net.demuxes[d] = new(device.Demux)
 	}
 	if !opts.noPacketPool {
 		for d := range net.PacketPools {
@@ -611,7 +617,7 @@ func (n *Net) switchLink(o *Options, b *cutBlock, from, to *switchNode, leaf, sp
 func (n *Net) addHost(o *Options, b *hostBlock, id int, s *switchNode) *device.Port {
 	pkts, t := n.PacketPools[s.dom], &n.tallies[s.dom]
 	h := &b.host
-	h.Init(n.Engines[s.dom], id, &t.hosts)
+	h.Init(n.Engines[s.dom], id, &t.hosts, n.demuxes[s.dom])
 	h.Pool = pkts
 	b.nic.eg.Init(1, queue.FIFOSched{}, 0, nil, &t.nics)
 	b.nic.eg.PacketPool = pkts
