@@ -105,7 +105,7 @@ func TimerChurn(b *testing.B) {
 // cycle through a pool exactly as forwarding does in a simulation, so
 // steady state is zero allocs/op.
 func EgressFIFO(b *testing.B) {
-	eg := queue.NewEgress(1, nil, 0, func(int) aqm.AQM {
+	eg := queue.NewEgress(nil, 0, func(int) aqm.AQM {
 		return aqm.NewTCN(100 * sim.Microsecond)
 	})
 	pool := &packet.Pool{}

@@ -119,6 +119,13 @@ func (d *Demux) remove(key uint64) {
 	}
 }
 
+// Release lets go of both arrays and every handler in them at once, at a
+// run's teardown; unregistering from the emptied table does nothing.
+func (d *Demux) Release() {
+	d.n = 0
+	d.resize(0)
+}
+
 // resize moves every entry into a table of slots slots, a power of two, or
 // drops both arrays for slots 0.
 func (d *Demux) resize(slots int) {

@@ -200,7 +200,7 @@ func TestHostFlowDelaysAllocatedOnFirstWrite(t *testing.T) {
 	eng := sim.NewEngine()
 	h := NewHost(eng, 0)
 	s := &sink{eng: eng}
-	h.NIC = newPort(eng, 10e9, 0, s)
+	h.NIC = NewPort(eng, 10e9, 0, s)
 	h.Send(dataPkt(1, 1))
 	eng.Run()
 	if h.flowDelays != nil {

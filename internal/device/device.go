@@ -24,8 +24,9 @@ type Node interface {
 	Name() string
 }
 
-// Port is one transmit interface: an egress buffer drained at RateBps onto
-// a link with propagation delay PropDelay, delivering to Dst.
+// Port is one transmit interface: an egress buffer, held by value, drained
+// at RateBps onto a link with propagation delay PropDelay, delivering to
+// Dst.
 //
 // The port serializes one packet at a time: a packet of size S occupies the
 // transmitter for S*8/RateBps, then arrives at Dst PropDelay later.
@@ -38,7 +39,7 @@ type Node interface {
 // handoff alike.
 type Port struct {
 	eng       *sim.Engine
-	Egress    *queue.Egress
+	Egress    queue.Egress
 	RateBps   float64
 	PropDelay sim.Time
 	// Dst is the Node at the far end of the link, held as the Sink every
@@ -69,25 +70,24 @@ type Cut struct {
 	TxBytes int64
 }
 
-// NewPort builds a transmit port. The egress must be non-nil.
-func NewPort(eng *sim.Engine, eg *queue.Egress, rateBps float64, prop sim.Time, dst Node) *Port {
+// NewPort builds a transmit port over one unbounded, unmarked FIFO queue
+// with settings of its own; pt.Egress.Init rebuilds the egress otherwise.
+func NewPort(eng *sim.Engine, rateBps float64, prop sim.Time, dst Node) *Port {
 	pt := new(Port)
-	pt.Init(eng, eg, rateBps, prop, dst)
+	pt.Init(eng, rateBps, prop, dst)
+	pt.Egress.Init(nil, nil, &queue.Settings{Tally: new(queue.Tally)})
 	return pt
 }
 
-// Init builds the port in place, with NewPort's arguments: topology wiring
-// embeds a Port beside its Egress in one block and Inits it there. Events
-// the port schedules carry its address, so it must not be copied or moved
-// afterwards.
-func (pt *Port) Init(eng *sim.Engine, eg *queue.Egress, rateBps float64, prop sim.Time, dst Node) {
-	if eg == nil {
-		panic("device: port needs an egress")
-	}
+// Init builds the port in place around its Egress, which it leaves as it
+// is: topology wiring lays Ports out in blocks and Inits each port and its
+// egress there. Events the port schedules carry its address, so it must
+// not be copied or moved afterwards.
+func (pt *Port) Init(eng *sim.Engine, rateBps float64, prop sim.Time, dst Node) {
 	if rateBps <= 0 {
 		panic("device: port rate must be positive")
 	}
-	*pt = Port{eng: eng, Egress: eg, RateBps: rateBps, PropDelay: prop, Dst: dst}
+	*pt = Port{eng: eng, Egress: pt.Egress, RateBps: rateBps, PropDelay: prop, Dst: dst}
 }
 
 // TxTime returns the serialization delay of n bytes at this port's rate.
@@ -111,10 +111,10 @@ func (pt *Port) Send(p *packet.Packet) {
 
 // faultDrop counts p as lost to the port's fault logic and releases it.
 func (pt *Port) faultDrop(p *packet.Packet) {
-	t := pt.Egress.Tally
-	t.FaultDrops++
-	t.FaultDropBytes += int64(p.Size())
-	pt.Egress.PacketPool.Put(p)
+	s := pt.Egress.Settings()
+	s.Tally.FaultDrops++
+	s.Tally.FaultDropBytes += int64(p.Size())
+	s.PacketPool.Put(p)
 }
 
 // Held returns the packets and bytes the port holds: its queued backlog

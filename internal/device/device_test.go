@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ecnsharp/internal/packet"
-	"ecnsharp/internal/queue"
 	"ecnsharp/internal/sim"
 )
 
@@ -26,15 +25,11 @@ func dataPkt(flow uint32, dst int32) *packet.Packet {
 		PayloadLen: packet.MSS, ECN: packet.ECT}
 }
 
-func newPort(eng *sim.Engine, rate float64, prop sim.Time, dst Node) *Port {
-	return NewPort(eng, queue.NewEgress(1, nil, 0, nil), rate, prop, dst)
-}
-
 func TestPortSerializationAndPropagation(t *testing.T) {
 	eng := sim.NewEngine()
 	s := &sink{eng: eng}
 	// 10 Gbps, 3 µs propagation: a 1500 B packet takes 1.2 µs + 3 µs.
-	pt := newPort(eng, 10e9, 3*sim.Microsecond, s)
+	pt := NewPort(eng, 10e9, 3*sim.Microsecond, s)
 	pt.Send(dataPkt(1, 0))
 	eng.Run()
 	if len(s.got) != 1 {
@@ -52,7 +47,7 @@ func TestPortSerializationAndPropagation(t *testing.T) {
 func TestPortBackToBackPacketsSpacedBySerialization(t *testing.T) {
 	eng := sim.NewEngine()
 	s := &sink{eng: eng}
-	pt := newPort(eng, 10e9, 0, s)
+	pt := NewPort(eng, 10e9, 0, s)
 	for i := 0; i < 5; i++ {
 		pt.Send(dataPkt(1, 0))
 	}
@@ -78,7 +73,7 @@ func TestPortBackToBackPacketsSpacedBySerialization(t *testing.T) {
 func TestPortPreservesOrder(t *testing.T) {
 	eng := sim.NewEngine()
 	s := &sink{eng: eng}
-	pt := newPort(eng, 10e9, 5*sim.Microsecond, s)
+	pt := NewPort(eng, 10e9, 5*sim.Microsecond, s)
 	for i := 0; i < 20; i++ {
 		p := dataPkt(1, 0)
 		p.Seq = int64(i)
@@ -95,8 +90,8 @@ func TestPortPreservesOrder(t *testing.T) {
 func TestPortPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	for i, f := range []func(){
-		func() { NewPort(eng, nil, 10e9, 0, nil) },
-		func() { NewPort(eng, queue.NewEgress(1, nil, 0, nil), 0, 0, nil) },
+		func() { NewPort(eng, 0, 0, nil) },
+		func() { NewPort(eng, -10e9, 0, nil) },
 	} {
 		func() {
 			defer func() {
@@ -114,8 +109,8 @@ func TestSwitchForwardsPerFIB(t *testing.T) {
 	sw := NewSwitch(eng, "sw")
 	s1 := &sink{eng: eng}
 	s2 := &sink{eng: eng}
-	sw.AddRoute(1, newPort(eng, 10e9, 0, s1))
-	sw.AddRoute(2, newPort(eng, 10e9, 0, s2))
+	sw.AddRoute(1, NewPort(eng, 10e9, 0, s1))
+	sw.AddRoute(2, NewPort(eng, 10e9, 0, s2))
 	sw.Receive(dataPkt(1, 1))
 	sw.Receive(dataPkt(2, 2))
 	sw.Receive(dataPkt(3, 2))
@@ -148,7 +143,7 @@ func TestSwitchECMPIsPerFlowAndBalanced(t *testing.T) {
 	sinks := [4]*sink{}
 	for i := range sinks {
 		sinks[i] = &sink{eng: eng}
-		sw.AddRoute(1, newPort(eng, 100e9, 0, sinks[i]))
+		sw.AddRoute(1, NewPort(eng, 100e9, 0, sinks[i]))
 	}
 	// Per-flow: all packets of one flow take the same path.
 	perFlow := map[uint32]int{}
@@ -193,7 +188,7 @@ func TestHostDemuxAndDelay(t *testing.T) {
 	eng := sim.NewEngine()
 	h := NewHost(eng, 0)
 	peer := NewHost(eng, 1)
-	h.NIC = newPort(eng, 10e9, 0, peer)
+	h.NIC = NewPort(eng, 10e9, 0, peer)
 
 	rec := &flowRecorder{}
 	peer.Register(7, rec)

@@ -351,7 +351,7 @@ func RunContext(ctx context.Context, cfg RunConfig, tr trace.Tracer) (RunResult,
 	var sampler *metrics.QueueSampler
 	if cfg.SampleInterval > 0 {
 		last := len(net.Hosts) - 1
-		sampler = metrics.NewQueueSampler(net.EngineOf(last), net.EgressTo(last).Egress,
+		sampler = metrics.NewQueueSampler(net.EngineOf(last), &net.EgressTo(last).Egress,
 			cfg.SampleStart, cfg.SampleEnd, cfg.SampleInterval)
 	}
 

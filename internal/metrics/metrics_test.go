@@ -71,7 +71,7 @@ func TestEmptyCollector(t *testing.T) {
 
 func TestQueueSampler(t *testing.T) {
 	eng := sim.NewEngine()
-	eg := queue.NewEgress(1, nil, 0, nil)
+	eg := queue.NewEgress(nil, 0, nil)
 	s := NewQueueSampler(eng, eg, 0, 100*sim.Microsecond, 10*sim.Microsecond)
 
 	// Enqueue packets over time so different samples see different depths.
@@ -114,7 +114,7 @@ func TestQueueSamplerPanicsOnBadInterval(t *testing.T) {
 			t.Error("no panic")
 		}
 	}()
-	NewQueueSampler(sim.NewEngine(), queue.NewEgress(1, nil, 0, nil), 0, 1, 0)
+	NewQueueSampler(sim.NewEngine(), queue.NewEgress(nil, 0, nil), 0, 1, 0)
 }
 
 func TestGoodputMeter(t *testing.T) {

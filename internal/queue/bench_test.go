@@ -1,10 +1,12 @@
 package queue_test
 
 import (
+	"strconv"
 	"testing"
 
 	"ecnsharp/internal/aqm"
 	"ecnsharp/internal/bench"
+	"ecnsharp/internal/device"
 	"ecnsharp/internal/packet"
 	"ecnsharp/internal/queue"
 	"ecnsharp/internal/sim"
@@ -35,10 +37,39 @@ func BenchmarkFIFOPushPop(b *testing.B) {
 	}
 }
 
-// BenchmarkEgressFIFO measures the full egress path with a sojourn AQM;
-// the body lives in internal/bench so `go test -bench` and the
-// root package's TestAllocBaseline gate measure identical code.
-func BenchmarkEgressFIFO(b *testing.B) { bench.EgressFIFO(b) }
+// BenchmarkEgressFIFO measures the full egress path with a sojourn AQM.
+// ports=1 is one egress, whose body lives in internal/bench so that `go
+// test -bench` and the root package's TestAllocBaseline gate measure
+// identical code. The larger cases are a footprint ladder: that many
+// ports in one slab, as topology lays them out, under one switch's
+// settings, visited in turn with one enqueue and one dequeue each.
+func BenchmarkEgressFIFO(b *testing.B) {
+	b.Run("ports=1", bench.EgressFIFO)
+	for _, n := range []int{100, 10_000, 100_000} {
+		b.Run("ports="+strconv.Itoa(n), func(b *testing.B) { egressLadder(b, n) })
+	}
+}
+
+// egressLadder is BenchmarkEgressFIFO over n ports, each with an AQM of its
+// own.
+func egressLadder(b *testing.B, n int) {
+	set := &queue.Settings{Tally: new(queue.Tally), PacketPool: new(packet.Pool)}
+	ports := make([]device.Port, n)
+	for i := range ports {
+		ports[i].Egress.Init(nil, func(int) aqm.AQM { return aqm.NewTCN(100 * sim.Microsecond) }, set)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	now := sim.Time(0)
+	for i := 0; i < b.N; i++ {
+		now += 1200
+		eg := &ports[i%n].Egress
+		p := set.PacketPool.Get()
+		p.Kind, p.PayloadLen, p.ECN = packet.Data, packet.MSS, packet.ECT
+		eg.Enqueue(now, p)
+		set.PacketPool.Put(eg.Dequeue(now))
+	}
+}
 
 // BenchmarkEgressFIFOTracedNop measures the same path as BenchmarkEgressFIFO
 // with a no-op tracer attached: the full cost of event construction and the
@@ -46,7 +77,7 @@ func BenchmarkEgressFIFO(b *testing.B) { bench.EgressFIFO(b) }
 // benchmark to see the instrumentation ceiling; a nil tracer (the default)
 // costs only the branch.
 func BenchmarkEgressFIFOTracedNop(b *testing.B) {
-	eg := queue.NewEgress(1, nil, 0, func(int) aqm.AQM {
+	eg := queue.NewEgress(nil, 0, func(int) aqm.AQM {
 		return aqm.NewTCN(100 * sim.Microsecond)
 	})
 	eg.SetTracer(trace.Nop{}, 0)
@@ -66,7 +97,7 @@ func BenchmarkEgressFIFOTracedNop(b *testing.B) {
 // BenchmarkEgressDWRR measures the scheduler arbitration cost with three
 // weighted queues.
 func BenchmarkEgressDWRR(b *testing.B) {
-	eg := queue.NewEgress(3, queue.NewDWRR([]int{2, 1, 1}), 0, nil)
+	eg := queue.NewEgress([]int{2, 1, 1}, 0, nil)
 	b.ReportAllocs()
 	now := sim.Time(0)
 	for i := 0; i < b.N; i++ {

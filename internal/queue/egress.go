@@ -1,17 +1,16 @@
 package queue
 
 import (
-	"fmt"
-
 	"ecnsharp/internal/aqm"
 	"ecnsharp/internal/packet"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/trace"
 )
 
-// Egress is one output port's buffering: a set of service queues sharing a
-// byte buffer, a packet scheduler arbitrating between them, and one AQM
-// instance per queue deciding ECN marks.
+// Egress is one output port's buffering: its service queue and the AQM
+// deciding that queue's ECN marks, under settings it shares with the other
+// ports of its switch. A port built with weights has one queue per weight
+// instead, served by DWRR, each with an AQM of its own.
 //
 // Packets whose class exceeds the queue count land in the last queue.
 // Buffer exhaustion causes tail drop (Enqueue returns false), which is how
@@ -19,25 +18,43 @@ import (
 // ECN-capable (ECT) packets; a mark decision on a NotECT packet is counted
 // but not applied, mirroring switches configured for marking, not dropping.
 //
-// An Egress holds its service queues by value, and for the single-queue
-// port (every port but the DWRR experiment's) the queue and the AQM slot
-// lie inside the Egress itself, so an enqueue or dequeue reads one object
-// plus the AQM and the packets. Its slices point into itself: build it
-// where it will live (Init) and never copy it afterwards. It keeps no
-// counters of its own: it counts into a Tally, which a topology shares
-// among a domain's ports of one role.
+// Every port but Figure 13's has one queue, so an Egress holds only that
+// port's state: its FIFO and AQM inline, a pointer to the Settings its
+// switch shares, its trace port id, and a pointer to the further queues,
+// nil unless it was built with weights. An enqueue or dequeue on a
+// single-queue port reads the Egress, its switch's Settings, the AQM and
+// the packets, and consults no scheduler.
 type Egress struct {
-	queues []FIFO
-	aqms   []aqm.AQM
-	sched  Scheduler
+	// fifo and aqm are arrays so that they slice like a port's classes.
+	fifo [1]FIFO
+	aqm  [1]aqm.AQM
+	set  *Settings
+	// classes holds the service queues of a port built with weights; the
+	// inline fifo and aqm are then unused.
+	classes *classes
+	port    int
+}
 
-	// BufferBytes caps total queued bytes across all service queues;
-	// zero or negative means unbounded. Ignored when Pool is set.
+// classes is the service queues of a port with weights, and their
+// scheduler.
+type classes struct {
+	fifos []FIFO
+	aqms  []aqm.AQM
+	sched dwrr
+}
+
+// Settings is what the egresses of one switch share, or the NICs of one
+// domain: each port holds one pointer to them instead of four words that
+// are the same on all of its siblings, as the paper's Tofino program holds
+// its configuration once and one register slot per port.
+type Settings struct {
+	// BufferBytes caps each port's total queued bytes; zero or negative
+	// means unbounded. Ignored when Pool is set.
 	BufferBytes int64
 
 	// Pool, when non-nil, switches admission to a shared buffer with
-	// dynamic thresholds: this port's total backlog plays the role of the
-	// DT "queue length".
+	// dynamic thresholds: a port's total backlog plays the role of the DT
+	// "queue length".
 	Pool *SharedPool
 
 	// PacketPool, when non-nil, receives tail-dropped packets for reuse:
@@ -47,20 +64,13 @@ type Egress struct {
 	// leaves dropped packets to the garbage collector.
 	PacketPool *packet.Pool
 
-	bytes int64
-
-	// Tracing. tracer is nil unless attached via SetTracer, so untraced
-	// runs pay one nil check per enqueue/dequeue.
-	tracer trace.Tracer
-	port   int
-
-	// Tally receives what the egress counts, and what the port draining it
-	// loses to its fault logic.
+	// Tally receives what the egresses count, and what the ports draining
+	// them lose to their fault logic.
 	Tally *Tally
 
-	// Backing arrays of queues and aqms on a single-queue port.
-	queue0 [1]FIFO
-	aqm0   [1]aqm.AQM
+	// tracer is nil unless attached via SetTracer, so untraced runs pay
+	// one nil check per enqueue/dequeue.
+	tracer trace.Tracer
 }
 
 // Tally counts what a set of egress ports did: the packets their queues
@@ -85,49 +95,51 @@ type Tally struct {
 	FaultDropBytes int64
 }
 
-// NewEgress builds an egress port with n service queues, counting into a
-// Tally of its own. aqmFor is called once per queue index to build its AQM
-// (pass nil for no marking).
-func NewEgress(n int, sched Scheduler, bufferBytes int64, aqmFor func(i int) aqm.AQM) *Egress {
+// NewEgress builds an egress port under settings of its own: a tally of
+// its own, bufferBytes, and no pools. weights nil gives one queue;
+// otherwise the port has len(weights) queues under DWRR with those
+// weights. aqmFor is called once per queue index to build its AQM (pass nil
+// for no marking).
+func NewEgress(weights []int, bufferBytes int64, aqmFor func(i int) aqm.AQM) *Egress {
 	e := new(Egress)
-	e.Init(n, sched, bufferBytes, aqmFor, new(Tally))
+	e.Init(weights, aqmFor, &Settings{BufferBytes: bufferBytes, Tally: new(Tally)})
 	return e
 }
 
-// Init builds the egress in place, with NewEgress's arguments, counting
-// into t: callers that lay ports out in blocks (internal/topology) embed an
-// Egress and Init it there, over the tally its domain keeps for the port's
-// role.
-func (e *Egress) Init(n int, sched Scheduler, bufferBytes int64, aqmFor func(i int) aqm.AQM, t *Tally) {
-	if n <= 0 {
-		panic("queue: egress needs at least one queue")
-	}
-	if sched == nil {
-		sched = FIFOSched{}
-	}
-	*e = Egress{sched: sched, BufferBytes: bufferBytes, port: -1, Tally: t}
-	if n == 1 {
-		e.queues, e.aqms = e.queue0[:], e.aqm0[:]
-	} else {
-		e.queues = make([]FIFO, n)
-		e.aqms = make([]aqm.AQM, n)
-	}
-	for i := range e.queues {
+// Init builds the egress in place, with NewEgress's queues and AQMs, under
+// s: callers that lay ports out in blocks (internal/topology) embed an
+// Egress and Init it there, under the settings its switch shares.
+func (e *Egress) Init(weights []int, aqmFor func(i int) aqm.AQM, s *Settings) {
+	*e = Egress{set: s, port: -1}
+	aqmAt := func(i int) aqm.AQM {
 		if aqmFor != nil {
-			e.aqms[i] = aqmFor(i)
+			if a := aqmFor(i); a != nil {
+				return a
+			}
 		}
-		if e.aqms[i] == nil {
-			e.aqms[i] = aqm.Nop{}
-		}
+		return aqm.Nop{}
 	}
+	if weights == nil {
+		e.aqm[0] = aqmAt(0)
+		return
+	}
+	c := &classes{sched: newDWRR(weights), fifos: make([]FIFO, len(weights)), aqms: make([]aqm.AQM, len(weights))}
+	for i := range c.aqms {
+		c.aqms[i] = aqmAt(i)
+	}
+	e.classes = c
 }
 
-// SetTracer attaches t as this port's event observer; port is the id
-// reported in every emitted event (topology.Net.AttachTracer numbers
-// switch ports by their SwitchPorts index). A nil t detaches and restores
-// the zero-cost path.
+// Settings returns the settings the egress shares.
+func (e *Egress) Settings() *Settings { return e.set }
+
+// SetTracer attaches t as the event observer of every egress sharing this
+// one's Settings (a switch's ports all trace into their domain's tracer);
+// port is the id this egress reports in every event it emits
+// (topology.Net.AttachTracer numbers switch ports by their SwitchPorts
+// index). A nil t detaches and restores the zero-cost path.
 func (e *Egress) SetTracer(t trace.Tracer, port int) {
-	e.tracer = t
+	e.set.tracer = t
 	e.port = port
 }
 
@@ -136,29 +148,37 @@ func (e *Egress) SetTracer(t trace.Tracer, port int) {
 // consistently with the queue's.
 func (e *Egress) TracePort() int { return e.port }
 
+// queues returns the port's service queues and their AQMs.
+func (e *Egress) queues() ([]FIFO, []aqm.AQM) {
+	if c := e.classes; c != nil {
+		return c.fifos, c.aqms
+	}
+	return e.fifo[:], e.aqm[:]
+}
+
 // HeadAge returns the sojourn time, as of now, of the oldest head-of-line
 // packet across the service queues (zero when all queues are idle). It is
 // the instantaneous queueing-delay signal a SojournSample event carries.
 func (e *Egress) HeadAge(now sim.Time) sim.Time {
 	var oldest sim.Time
-	for i := range e.queues {
-		if p := e.queues[i].Peek(); p != nil {
-			if age := p.SojournTime(now); age > oldest {
-				oldest = age
-			}
+	fifos, _ := e.queues()
+	for i := range fifos {
+		if p := fifos[i].Peek(); p != nil {
+			oldest = max(oldest, p.SojournTime(now))
 		}
 	}
 	return oldest
 }
 
 // emit builds and delivers one queue-layer event. Callers must have checked
-// e.tracer != nil so that untraced runs never reach the event construction.
+// e.set.tracer != nil so that untraced runs never reach the event
+// construction.
 func (e *Egress) emit(typ trace.Type, kind trace.MarkKind, now sim.Time, qi int, p *packet.Packet, sojourn sim.Time) {
 	var seq int64 // an ACK's Seq is its acknowledgement, not a payload offset
 	if p.Kind == packet.Data {
 		seq = p.Seq
 	}
-	e.tracer.Trace(trace.Event{
+	e.set.tracer.Trace(trace.Event{
 		Type:         typ,
 		Mark:         kind,
 		At:           int64(now),
@@ -171,19 +191,21 @@ func (e *Egress) emit(typ trace.Type, kind trace.MarkKind, now sim.Time, qi int,
 		Size:         int64(p.Size()),
 		Dur:          int64(sojourn),
 		QueuePackets: e.Len(),
-		QueueBytes:   e.bytes,
+		QueueBytes:   e.Bytes(),
 	})
 }
 
-// drop counts and traces a tail drop or a DropAll, then recycles the packet:
-// the drop ends its journey, so the egress is its final owner.
-func (e *Egress) drop(now sim.Time, p *packet.Packet) {
-	e.Tally.Drops++
-	e.Tally.DropBytes += int64(p.Size())
-	if e.tracer != nil {
-		e.emit(trace.Drop, trace.MarkUnknown, now, e.classQueue(p), p, 0)
+// drop counts and traces a tail drop or a DropAll of p from queue qi, then
+// recycles the packet: the drop ends its journey, so the egress is its
+// final owner.
+func (e *Egress) drop(now sim.Time, p *packet.Packet, qi int) {
+	s := e.set
+	s.Tally.Drops++
+	s.Tally.DropBytes += int64(p.Size())
+	if s.tracer != nil {
+		e.emit(trace.Drop, trace.MarkUnknown, now, qi, p, 0)
 	}
-	e.PacketPool.Put(p)
+	s.PacketPool.Put(p)
 }
 
 // DropAll discards every queued packet — the link-down fault path: each
@@ -192,96 +214,103 @@ func (e *Egress) drop(now sim.Time, p *packet.Packet) {
 // cleanly when the link returns. It returns the number of packets lost.
 func (e *Egress) DropAll(now sim.Time) int {
 	n := 0
-	for qi := range e.queues {
-		q := &e.queues[qi]
+	fifos, _ := e.queues()
+	for qi := range fifos {
+		q := &fifos[qi]
 		for p := q.Pop(); p != nil; p = q.Pop() {
-			e.bytes -= int64(p.Size())
-			if e.Pool != nil {
-				e.Pool.release(p.Size())
+			if e.set.Pool != nil {
+				e.set.Pool.release(p.Size())
 			}
-			e.drop(now, p) // p sat in queue qi = classQueue(p)
+			e.drop(now, p, qi)
 			n++
 		}
-		e.sched.Consumed(qi, 0, true)
+		if e.classes != nil {
+			e.classes.sched.consumed(qi, 0, true)
+		}
 	}
 	return n
 }
 
-// mark counts a mark queue qi's AQM decided and returns its kind, asked of
-// the AQM.
-func (e *Egress) mark(qi int) trace.MarkKind {
+// mark counts a mark that a decided and returns its kind, asked of a.
+func (e *Egress) mark(a aqm.AQM) trace.MarkKind {
 	kind := trace.MarkUnknown
-	if k, ok := e.aqms[qi].(aqm.MarkKinder); ok {
+	if k, ok := a.(aqm.MarkKinder); ok {
 		kind = k.LastMarkKind()
 	}
-	e.Tally.MarkKinds[kind]++
+	e.set.Tally.MarkKinds[kind]++
 	return kind
 }
 
-// NumQueues implements View.
-func (e *Egress) NumQueues() int { return len(e.queues) }
-
-// QueueEmpty implements View.
-func (e *Egress) QueueEmpty(i int) bool { return e.queues[i].Empty() }
-
-// HeadSize implements View.
-func (e *Egress) HeadSize(i int) int {
-	p := e.queues[i].Peek()
-	if p == nil {
-		return 0
-	}
-	return p.Size()
+// NumQueues returns the number of service queues.
+func (e *Egress) NumQueues() int {
+	fifos, _ := e.queues()
+	return len(fifos)
 }
 
 // Bytes returns the total queued bytes across all service queues.
-func (e *Egress) Bytes() int64 { return e.bytes }
+func (e *Egress) Bytes() int64 {
+	if e.classes == nil {
+		return e.fifo[0].bytes
+	}
+	var n int64
+	for i := range e.classes.fifos {
+		n += e.classes.fifos[i].bytes
+	}
+	return n
+}
 
 // Len returns the total queued packets across all service queues.
 func (e *Egress) Len() int {
+	if e.classes == nil {
+		return e.fifo[0].count
+	}
 	n := 0
-	for i := range e.queues {
-		n += e.queues[i].Len()
+	for i := range e.classes.fifos {
+		n += e.classes.fifos[i].count
 	}
 	return n
 }
 
 // Empty reports whether all service queues are empty.
-func (e *Egress) Empty() bool { return e.bytes == 0 && e.Len() == 0 }
-
-// classQueue maps a packet class to a queue index: a class beyond the
-// last queue joins the last.
-func (e *Egress) classQueue(p *packet.Packet) int {
-	return min(int(p.Class), len(e.queues)-1)
+func (e *Egress) Empty() bool {
+	if e.classes == nil {
+		return e.fifo[0].count == 0
+	}
+	return e.Len() == 0
 }
 
 // Enqueue admits p at time now, applying enqueue-side AQM marking. It
 // returns false if the packet was tail-dropped on buffer exhaustion; a
-// dropped packet is released to PacketPool (when one is attached) and must
-// not be used by the caller afterwards.
+// dropped packet is released to the settings' PacketPool (when one is
+// attached) and must not be used by the caller afterwards.
 func (e *Egress) Enqueue(now sim.Time, p *packet.Packet) bool {
-	if e.Pool != nil {
-		if !e.Pool.admit(e.bytes, p.Size()) {
-			e.drop(now, p)
+	q, a, qi, held := &e.fifo[0], e.aqm[0], 0, e.fifo[0].bytes
+	if c := e.classes; c != nil {
+		// A class beyond the last queue joins the last.
+		qi = min(int(p.Class), len(c.fifos)-1)
+		q, a, held = &c.fifos[qi], c.aqms[qi], e.Bytes()
+	}
+	s := e.set
+	if s.Pool != nil {
+		if !s.Pool.admit(held, p.Size()) {
+			e.drop(now, p, qi)
 			return false
 		}
-	} else if e.BufferBytes > 0 && e.bytes+int64(p.Size()) > e.BufferBytes {
-		e.drop(now, p)
+	} else if s.BufferBytes > 0 && held+int64(p.Size()) > s.BufferBytes {
+		e.drop(now, p, qi)
 		return false
 	}
-	qi := e.classQueue(p)
-	q := &e.queues[qi]
 	backlog := aqm.Backlog{Bytes: q.Bytes(), Packets: q.Len()}
-	marked := e.aqms[qi].OnEnqueue(now, p, backlog) && p.ECN == packet.ECT
+	marked := a.OnEnqueue(now, p, backlog) && p.ECN == packet.ECT
 	kind := trace.MarkUnknown
 	if marked {
 		p.ECN = packet.CE
-		e.Tally.EnqMarks++
-		kind = e.mark(qi)
+		s.Tally.EnqMarks++
+		kind = e.mark(a)
 	}
 	p.EnqueuedAt = now
 	q.Push(p)
-	e.bytes += int64(p.Size())
-	if e.tracer != nil {
+	if s.tracer != nil {
 		e.emit(trace.Enqueue, trace.MarkUnknown, now, qi, p, 0)
 		if marked {
 			e.emit(trace.ECNMark, kind, now, qi, p, 0)
@@ -290,35 +319,41 @@ func (e *Egress) Enqueue(now sim.Time, p *packet.Packet) bool {
 	return true
 }
 
-// Dequeue removes the next packet per the scheduler, applying dequeue-side
-// AQM marking based on its sojourn time. It returns nil when empty.
+// Dequeue removes the next packet — the head of the one queue, or of the
+// queue DWRR picks — applying dequeue-side AQM marking based on its
+// sojourn time. It returns nil when empty.
 func (e *Egress) Dequeue(now sim.Time) *packet.Packet {
-	qi := e.sched.Next(e)
-	if qi < 0 {
-		return nil
+	q, a, qi := &e.fifo[0], e.aqm[0], 0
+	c := e.classes
+	if c != nil {
+		if qi = c.sched.next(c.fifos); qi < 0 {
+			return nil
+		}
+		q, a = &c.fifos[qi], c.aqms[qi]
 	}
-	q := &e.queues[qi]
 	p := q.Pop()
 	if p == nil {
-		panic(fmt.Sprintf("queue: scheduler picked empty queue %d", qi))
+		return nil
 	}
-	e.bytes -= int64(p.Size())
-	if e.Pool != nil {
-		e.Pool.release(p.Size())
+	s := e.set
+	if s.Pool != nil {
+		s.Pool.release(p.Size())
 	}
-	e.sched.Consumed(qi, p.Size(), q.Empty())
+	if c != nil {
+		c.sched.consumed(qi, p.Size(), q.Empty())
+	}
 	sojourn := p.SojournTime(now)
 	if sojourn < 0 {
 		panic("queue: negative sojourn time")
 	}
-	marked := e.aqms[qi].OnDequeue(now, p, sojourn) && p.ECN == packet.ECT
+	marked := a.OnDequeue(now, p, sojourn) && p.ECN == packet.ECT
 	kind := trace.MarkUnknown
 	if marked {
 		p.ECN = packet.CE
-		e.Tally.DeqMarks++
-		kind = e.mark(qi)
+		s.Tally.DeqMarks++
+		kind = e.mark(a)
 	}
-	if e.tracer != nil {
+	if s.tracer != nil {
 		e.emit(trace.Dequeue, trace.MarkUnknown, now, qi, p, sojourn)
 		if marked {
 			e.emit(trace.ECNMark, kind, now, qi, p, sojourn)

@@ -1,12 +1,21 @@
 package queue
 
-import "ecnsharp/internal/aqm"
+import (
+	"ecnsharp/internal/aqm"
+	"ecnsharp/internal/packet"
+)
 
-// Deficits returns a copy of the per-queue deficit counters (for tests).
-func (d *DWRR) Deficits() []int64 { return append([]int64(nil), d.deficits...) }
+// Deficits returns a copy of a DWRR port's per-queue deficit counters.
+func (e *Egress) Deficits() []int64 { return append([]int64(nil), e.classes.sched.deficits...) }
 
 // QueueLen returns the queued packets of service queue i.
-func (e *Egress) QueueLen(i int) int { return e.queues[i].Len() }
+func (e *Egress) QueueLen(i int) int {
+	fifos, _ := e.queues()
+	return fifos[i].Len()
+}
+
+// classQueue returns the index of the service queue p's class maps to.
+func (e *Egress) classQueue(p *packet.Packet) int { return min(int(p.Class), e.NumQueues()-1) }
 
 // Used returns the bytes currently held.
 func (p *SharedPool) Used() int64 {
@@ -19,4 +28,7 @@ func (p *SharedPool) Used() int64 {
 func NewFIFO() *FIFO { return new(FIFO) }
 
 // AQM returns the AQM attached to service queue i.
-func (e *Egress) AQM(i int) aqm.AQM { return e.aqms[i] }
+func (e *Egress) AQM(i int) aqm.AQM {
+	_, aqms := e.queues()
+	return aqms[i]
+}

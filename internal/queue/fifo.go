@@ -1,7 +1,8 @@
 // Package queue implements egress-port queueing: packet FIFOs, the DWRR
-// packet scheduler used by the Figure 13 experiment, and the Egress
-// abstraction that stitches queues, a scheduler and per-queue AQM marking
-// together. Switches and host NICs drain an Egress at link rate. A FIFO
+// packet scheduler used by the Figure 13 experiment, and the Egress, a
+// port's queue and its AQM marking under the Settings its switch shares
+// (a DWRR port's queues, each with its AQM). Switches and host NICs drain
+// an Egress at link rate. A FIFO
 // links its packets through their own Packet.Next, so it is four words
 // whatever it holds.
 package queue

@@ -101,8 +101,8 @@ func TestFIFOLinksThroughNext(t *testing.T) {
 	})
 	t.Run("DropAll hands every packet back with Next nil", func(t *testing.T) {
 		var pl packet.Pool
-		e := NewEgress(1, nil, 0, nil)
-		e.PacketPool = &pl
+		e := NewEgress(nil, 0, nil)
+		e.Settings().PacketPool = &pl
 		const n = 5
 		for range n {
 			p := pl.Get()
@@ -131,14 +131,11 @@ func FuzzFIFOOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 4, 4, 4, 7, 0, 1, 4, 2, 4})
 	f.Add([]byte{3, 2, 1, 0, 255, 254, 253, 252, 4, 5, 6, 4, 4, 4, 4, 15})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		for _, nq := range []int{1, 3} {
-			var sched Scheduler
-			if nq > 1 {
-				sched = NewDWRR([]int{2, 1, 1})
-			}
+		for _, weights := range [][]int{nil, {2, 1, 1}} {
+			nq := max(len(weights), 1)
 			var pl packet.Pool
-			e := NewEgress(nq, sched, 0, nil)
-			e.PacketPool = &pl
+			e := NewEgress(weights, 0, nil)
+			e.Settings().PacketPool = &pl
 			ref := make([][]*packet.Packet, nq)
 			var now sim.Time
 			for _, op := range ops {

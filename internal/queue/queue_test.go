@@ -89,34 +89,10 @@ func TestFIFOGrowth(t *testing.T) {
 	}
 }
 
-type staticView struct {
-	empties []bool
-	heads   []int
-}
-
-func (v staticView) NumQueues() int        { return len(v.empties) }
-func (v staticView) QueueEmpty(i int) bool { return v.empties[i] }
-func (v staticView) HeadSize(i int) int    { return v.heads[i] }
-
-func TestFIFOSched(t *testing.T) {
-	s := FIFOSched{}
-	if s.Name() != "fifo" {
-		t.Error("name")
-	}
-	v := staticView{empties: []bool{true, false, false}, heads: []int{0, 100, 100}}
-	if got := s.Next(v); got != 1 {
-		t.Errorf("Next = %d, want 1", got)
-	}
-	if got := s.Next(staticView{empties: []bool{true}, heads: []int{0}}); got != -1 {
-		t.Errorf("Next on empty = %d, want -1", got)
-	}
-	s.Consumed(0, 0, false) // no-op, must not panic
-}
-
 func TestDWRRPanics(t *testing.T) {
 	for i, f := range []func(){
-		func() { NewDWRR(nil) },
-		func() { NewDWRR([]int{1, 0}) },
+		func() { NewEgress([]int{1, 0}, 0, nil) },
+		func() { NewEgress([]int{-1}, 0, nil) },
 	} {
 		func() {
 			defer func() {
@@ -133,7 +109,7 @@ func TestDWRRPanics(t *testing.T) {
 // returns per-queue served byte counts.
 func drainDWRR(t *testing.T, weights []int, perQueue int, n int) []int64 {
 	t.Helper()
-	eg := NewEgress(len(weights), NewDWRR(weights), 0, nil)
+	eg := NewEgress(weights, 0, nil)
 	for q := 0; q < len(weights); q++ {
 		for i := 0; i < perQueue; i++ {
 			p := pkt(1500)
@@ -179,7 +155,7 @@ func TestDWRREqualWeights(t *testing.T) {
 }
 
 func TestDWRRSkipsEmptyQueues(t *testing.T) {
-	eg := NewEgress(3, NewDWRR([]int{2, 1, 1}), 0, nil)
+	eg := NewEgress([]int{2, 1, 1}, 0, nil)
 	// Only queue 2 backlogged: it gets full service.
 	for i := 0; i < 10; i++ {
 		p := pkt(1500)
@@ -198,15 +174,14 @@ func TestDWRRSkipsEmptyQueues(t *testing.T) {
 }
 
 func TestDWRREmptiedQueueForfeitsDeficit(t *testing.T) {
-	d := NewDWRR([]int{1, 1})
-	eg := NewEgress(2, d, 0, nil)
+	eg := NewEgress([]int{1, 1}, 0, nil)
 	p := pkt(1500)
 	p.Class = 0
 	eg.Enqueue(0, p)
 	if got := eg.Dequeue(0); got == nil || got.Class != 0 {
 		t.Fatal("single packet not served")
 	}
-	defs := d.Deficits()
+	defs := eg.Deficits()
 	if defs[0] != 0 {
 		t.Errorf("emptied queue kept deficit %d", defs[0])
 	}
@@ -224,7 +199,7 @@ func TestDWRRFairnessProperty(t *testing.T) {
 			weights[i] = rng.Intn(4) + 1
 			totalW += weights[i]
 		}
-		eg := NewEgress(n, NewDWRR(weights), 0, nil)
+		eg := NewEgress(weights, 0, nil)
 		perQueue := 3000
 		for q := 0; q < n; q++ {
 			for i := 0; i < perQueue; i++ {
@@ -261,7 +236,7 @@ func TestDWRRFairnessProperty(t *testing.T) {
 }
 
 func TestEgressTailDrop(t *testing.T) {
-	eg := NewEgress(1, nil, 3*1500, nil)
+	eg := NewEgress(nil, 3*1500, nil)
 	for i := 0; i < 3; i++ {
 		if !eg.Enqueue(0, pkt(1500)) {
 			t.Fatalf("packet %d dropped below the buffer bound", i)
@@ -270,13 +245,13 @@ func TestEgressTailDrop(t *testing.T) {
 	if eg.Enqueue(0, pkt(1500)) {
 		t.Error("packet admitted beyond the buffer bound")
 	}
-	if eg.Tally.Drops != 1 || eg.Tally.DropBytes != 1500 {
-		t.Errorf("Drops=%d DropBytes=%d", eg.Tally.Drops, eg.Tally.DropBytes)
+	if eg.Settings().Tally.Drops != 1 || eg.Settings().Tally.DropBytes != 1500 {
+		t.Errorf("Drops=%d DropBytes=%d", eg.Settings().Tally.Drops, eg.Settings().Tally.DropBytes)
 	}
 }
 
 func TestEgressMarkingOnlyECT(t *testing.T) {
-	eg := NewEgress(1, nil, 0, func(int) aqm.AQM {
+	eg := NewEgress(nil, 0, func(int) aqm.AQM {
 		return aqm.NewTCN(0) // marks every packet with sojourn > 0
 	})
 	ect := pkt(1500)
@@ -292,13 +267,13 @@ func TestEgressMarkingOnlyECT(t *testing.T) {
 	if p2.ECN != packet.NotECT {
 		t.Error("NotECT packet was modified")
 	}
-	if eg.Tally.DeqMarks != 1 {
-		t.Errorf("DeqMarks = %d, want 1", eg.Tally.DeqMarks)
+	if eg.Settings().Tally.DeqMarks != 1 {
+		t.Errorf("DeqMarks = %d, want 1", eg.Settings().Tally.DeqMarks)
 	}
 }
 
 func TestEgressSojournStamp(t *testing.T) {
-	eg := NewEgress(1, nil, 0, nil)
+	eg := NewEgress(nil, 0, nil)
 	p := pkt(1500)
 	eg.Enqueue(10*sim.Microsecond, p)
 	if p.EnqueuedAt != 10*sim.Microsecond {
@@ -317,7 +292,11 @@ func TestEgressSojournStamp(t *testing.T) {
 func TestEgressClassClamping(t *testing.T) {
 	for _, queues := range []int{2, packet.MaxClass + 1} {
 		for _, class := range []int{-5, -1, 0, 1, 99, 255, 256, 300, math.MaxInt} {
-			eg := NewEgress(queues, nil, 0, nil)
+			weights := make([]int, queues)
+			for i := range weights {
+				weights[i] = 1
+			}
+			eg := NewEgress(weights, 0, nil)
 			p := pkt(100)
 			p.Class = packet.ClassOf(class)
 			eg.Enqueue(0, p)
@@ -342,7 +321,7 @@ func (c *countTap) OnDequeue(sim.Time, *packet.Packet, sim.Time) bool { c.deq++;
 
 func TestEgressCounters(t *testing.T) {
 	tap := new(countTap)
-	eg := NewEgress(1, nil, 0, func(int) aqm.AQM { return tap })
+	eg := NewEgress(nil, 0, func(int) aqm.AQM { return tap })
 	eg.Enqueue(0, pkt(1500))
 	eg.Enqueue(0, pkt(1500))
 	eg.Dequeue(1)
@@ -366,7 +345,7 @@ func TestEgressPanicsOnZeroQueues(t *testing.T) {
 			t.Error("no panic")
 		}
 	}()
-	NewEgress(0, nil, 0, nil)
+	NewEgress([]int{}, 0, nil)
 }
 
 func TestSharedPoolAdmission(t *testing.T) {
@@ -374,8 +353,8 @@ func TestSharedPoolAdmission(t *testing.T) {
 	// space, i.e. up to half the pool when it is the only user (q <= free
 	// means q <= C - q).
 	pool := NewSharedPool(10*1500, 1)
-	hot := NewEgress(1, nil, 0, nil)
-	hot.Pool = pool
+	hot := NewEgress(nil, 0, nil)
+	hot.Settings().Pool = pool
 	admitted := 0
 	for i := 0; i < 10; i++ {
 		if hot.Enqueue(0, pkt(1500)) {
@@ -402,8 +381,8 @@ func TestSharedPoolAdmission(t *testing.T) {
 
 func TestSharedPoolLargeAlphaUsesWholePool(t *testing.T) {
 	pool := NewSharedPool(10*1500, 16)
-	hot := NewEgress(1, nil, 0, nil)
-	hot.Pool = pool
+	hot := NewEgress(nil, 0, nil)
+	hot.Settings().Pool = pool
 	admitted := 0
 	for i := 0; i < 12; i++ {
 		if hot.Enqueue(0, pkt(1500)) {
@@ -420,10 +399,10 @@ func TestSharedPoolLargeAlphaUsesWholePool(t *testing.T) {
 func TestSharedPoolIsolatesPorts(t *testing.T) {
 	// Two ports share a pool; a hog cannot take everything from a newcomer.
 	pool := NewSharedPool(20*1500, 1)
-	hog := NewEgress(1, nil, 0, nil)
-	hog.Pool = pool
-	late := NewEgress(1, nil, 0, nil)
-	late.Pool = pool
+	hog := NewEgress(nil, 0, nil)
+	hog.Settings().Pool = pool
+	late := NewEgress(nil, 0, nil)
+	late.Settings().Pool = pool
 	for i := 0; i < 20; i++ {
 		hog.Enqueue(0, pkt(1500))
 	}

@@ -2,50 +2,12 @@ package queue
 
 import "ecnsharp/internal/packet"
 
-// View gives a Scheduler read access to the queues it arbitrates.
-type View interface {
-	NumQueues() int
-	QueueEmpty(i int) bool
-	HeadSize(i int) int
-}
-
-// Scheduler picks which service queue the egress port serves next.
-//
-// Next returns a queue index with a nonempty queue, or -1 if all queues are
-// empty. After the caller dequeues the head of that queue it must call
-// Consumed with the packet size and whether the queue is now empty.
-type Scheduler interface {
-	Name() string
-	Next(v View) int
-	Consumed(q int, bytes int, nowEmpty bool)
-}
-
-// FIFOSched serves a single queue (or queue 0 first, strictly); it is the
-// degenerate scheduler for single-service ports.
-type FIFOSched struct{}
-
-// Name returns "fifo".
-func (FIFOSched) Name() string { return "fifo" }
-
-// Next returns the first nonempty queue.
-func (FIFOSched) Next(v View) int {
-	for i := 0; i < v.NumQueues(); i++ {
-		if !v.QueueEmpty(i) {
-			return i
-		}
-	}
-	return -1
-}
-
-// Consumed is a no-op.
-func (FIFOSched) Consumed(int, int, bool) {}
-
-// DWRR is Deficit Weighted Round Robin (Shreedhar & Varghese): each visit to
+// dwrr is Deficit Weighted Round Robin (Shreedhar & Varghese): each visit to
 // a nonempty queue grants it Quantum×weight bytes of deficit; the queue is
 // served while its deficit covers the head packet, then the pointer moves
 // on. Long-run byte shares converge to the weight ratios (2:1:1 in the
 // Figure 13 experiment). An emptied queue forfeits its remaining deficit.
-type DWRR struct {
+type dwrr struct {
 	weights  []int
 	quantum  int64
 	deficits []int64
@@ -53,9 +15,9 @@ type DWRR struct {
 	granted  bool
 }
 
-// NewDWRR builds a DWRR scheduler over len(weights) queues. Quantum is one
+// newDWRR builds a DWRR scheduler over len(weights) queues. Quantum is one
 // MTU so a single grant always covers at least one packet.
-func NewDWRR(weights []int) *DWRR {
+func newDWRR(weights []int) dwrr {
 	if len(weights) == 0 {
 		panic("queue: DWRR needs at least one weight")
 	}
@@ -64,25 +26,20 @@ func NewDWRR(weights []int) *DWRR {
 			panic("queue: DWRR weights must be positive")
 		}
 	}
-	return &DWRR{
+	return dwrr{
 		weights:  append([]int(nil), weights...),
 		quantum:  int64(packet.MTU),
 		deficits: make([]int64, len(weights)),
 	}
 }
 
-// Name returns "dwrr".
-func (d *DWRR) Name() string { return "dwrr" }
-
-// Next implements Scheduler.
-func (d *DWRR) Next(v View) int {
-	n := v.NumQueues()
-	if n != len(d.weights) {
-		panic("queue: DWRR queue count mismatch")
-	}
+// next returns the index of the queue of qs to serve, which is nonempty,
+// or -1 if all are empty. After the caller dequeues that queue's head it
+// must call consumed.
+func (d *dwrr) next(qs []FIFO) int {
 	nonempty := false
-	for i := 0; i < n; i++ {
-		if !v.QueueEmpty(i) {
+	for i := range qs {
+		if !qs[i].Empty() {
 			nonempty = true
 			break
 		}
@@ -91,7 +48,8 @@ func (d *DWRR) Next(v View) int {
 		return -1
 	}
 	for {
-		if v.QueueEmpty(d.cur) {
+		q := &qs[d.cur]
+		if q.Empty() {
 			d.deficits[d.cur] = 0
 			d.advance()
 			continue
@@ -100,15 +58,16 @@ func (d *DWRR) Next(v View) int {
 			d.deficits[d.cur] += d.quantum * int64(d.weights[d.cur])
 			d.granted = true
 		}
-		if d.deficits[d.cur] >= int64(v.HeadSize(d.cur)) {
+		if d.deficits[d.cur] >= int64(q.Peek().Size()) {
 			return d.cur
 		}
 		d.advance()
 	}
 }
 
-// Consumed implements Scheduler.
-func (d *DWRR) Consumed(q int, bytes int, nowEmpty bool) {
+// consumed charges queue q the bytes of the packet it just released, and
+// forfeits its deficit if it is now empty.
+func (d *dwrr) consumed(q int, bytes int, nowEmpty bool) {
 	d.deficits[q] -= int64(bytes)
 	if nowEmpty {
 		d.deficits[q] = 0
@@ -118,7 +77,7 @@ func (d *DWRR) Consumed(q int, bytes int, nowEmpty bool) {
 	}
 }
 
-func (d *DWRR) advance() {
+func (d *dwrr) advance() {
 	d.cur = (d.cur + 1) % len(d.weights)
 	d.granted = false
 }

@@ -12,7 +12,7 @@ import (
 
 func TestEgressTraceEnqueueDequeue(t *testing.T) {
 	rec := trace.NewRingRecorder(16)
-	eg := NewEgress(1, nil, 0, nil)
+	eg := NewEgress(nil, 0, nil)
 	if eg.TracePort() != -1 {
 		t.Errorf("TracePort before attach = %d, want -1", eg.TracePort())
 	}
@@ -51,7 +51,7 @@ func TestEgressTraceEnqueueDequeue(t *testing.T) {
 // cumulative acknowledgement.
 func TestEgressTraceSeq(t *testing.T) {
 	rec := trace.NewRingRecorder(16)
-	eg := NewEgress(1, nil, 0, nil)
+	eg := NewEgress(nil, 0, nil)
 	eg.SetTracer(rec, 0)
 	data := pkt(1500)
 	data.Seq = 2920
@@ -76,7 +76,7 @@ func TestEgressTraceSeq(t *testing.T) {
 
 func TestEgressTraceDrop(t *testing.T) {
 	rec := trace.NewRingRecorder(16)
-	eg := NewEgress(1, nil, 1500, nil)
+	eg := NewEgress(nil, 1500, nil)
 	eg.SetTracer(rec, 0)
 	eg.Enqueue(0, pkt(1500))
 	if eg.Enqueue(sim.Microsecond, pkt(1500)) {
@@ -106,7 +106,7 @@ func TestEgressTraceMarkKinds(t *testing.T) {
 	// Sojourn above InsTarget: instantaneous.
 	marks := trace.MaskOf(trace.ECNMark)
 	rec := trace.NewRingRecorder(16)
-	eg := NewEgress(1, nil, 0, func(int) aqm.AQM { return aqm.MustNewECNSharp(params) })
+	eg := NewEgress(nil, 0, func(int) aqm.AQM { return aqm.MustNewECNSharp(params) })
 	eg.SetTracer(trace.NewFilter(rec, marks, 1), 0)
 	eg.Enqueue(0, pkt(1500))
 	eg.Dequeue(200 * sim.Microsecond)
@@ -118,7 +118,7 @@ func TestEgressTraceMarkKinds(t *testing.T) {
 	// Sojourn between PstTarget and InsTarget, sustained past PstInterval:
 	// persistent (Algorithm 1's first conservative mark).
 	rec = trace.NewRingRecorder(16)
-	eg = NewEgress(1, nil, 0, func(int) aqm.AQM { return aqm.MustNewECNSharp(params) })
+	eg = NewEgress(nil, 0, func(int) aqm.AQM { return aqm.MustNewECNSharp(params) })
 	eg.SetTracer(trace.NewFilter(rec, marks, 1), 0)
 	for i := 0; i < 4; i++ {
 		at := sim.Time(i) * 60 * sim.Microsecond
@@ -145,7 +145,7 @@ func TestEgressCountsMarkKinds(t *testing.T) {
 		PstTarget:   10 * sim.Microsecond,
 		PstInterval: 100 * sim.Microsecond,
 	}
-	eg := NewEgress(1, nil, 0, func(int) aqm.AQM { return aqm.MustNewECNSharp(params) })
+	eg := NewEgress(nil, 0, func(int) aqm.AQM { return aqm.MustNewECNSharp(params) })
 	for i, c := range []struct {
 		sojournUS sim.Time
 		ecn       packet.ECN
@@ -156,7 +156,7 @@ func TestEgressCountsMarkKinds(t *testing.T) {
 		eg.Enqueue(at, p)
 		eg.Dequeue(at + c.sojournUS*sim.Microsecond)
 	}
-	tl := eg.Tally
+	tl := eg.Settings().Tally
 	var sum int64
 	for _, n := range tl.MarkKinds {
 		sum += n
@@ -165,17 +165,17 @@ func TestEgressCountsMarkKinds(t *testing.T) {
 		t.Errorf("mark kinds %v, %d marks applied: want 2 instantaneous and the kinds summing to the marks",
 			tl.MarkKinds, tl.EnqMarks+tl.DeqMarks)
 	}
-	bare := NewEgress(1, nil, 0, func(int) aqm.AQM { return aqm.NewTCN(0) })
+	bare := NewEgress(nil, 0, func(int) aqm.AQM { return aqm.NewTCN(0) })
 	bare.Enqueue(0, pkt(1500))
 	bare.Dequeue(sim.Microsecond)
-	if bare.Tally.DeqMarks != 1 || bare.Tally.MarkKinds[trace.MarkInstantaneous] != 1 {
-		t.Errorf("TCN mark counted as %v", bare.Tally.MarkKinds)
+	if bare.Settings().Tally.DeqMarks != 1 || bare.Settings().Tally.MarkKinds[trace.MarkInstantaneous] != 1 {
+		t.Errorf("TCN mark counted as %v", bare.Settings().Tally.MarkKinds)
 	}
 }
 
 func TestEgressTraceSkipsNotECTMark(t *testing.T) {
 	rec := trace.NewRingRecorder(16)
-	eg := NewEgress(1, nil, 0, func(int) aqm.AQM {
+	eg := NewEgress(nil, 0, func(int) aqm.AQM {
 		return aqm.NewTCN(0) // would mark every packet
 	})
 	eg.SetTracer(rec, 0)
@@ -191,7 +191,7 @@ func TestEgressTraceSkipsNotECTMark(t *testing.T) {
 }
 
 func TestEgressHeadAge(t *testing.T) {
-	eg := NewEgress(2, nil, 0, nil)
+	eg := NewEgress([]int{1, 1}, 0, nil)
 	if eg.HeadAge(50*sim.Microsecond) != 0 {
 		t.Error("HeadAge on an idle egress not zero")
 	}

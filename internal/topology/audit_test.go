@@ -52,11 +52,11 @@ func TestAuditNamesTheEquation(t *testing.T) {
 	}{
 		{"bytes", func(n *Net) { n.Host(3).Tally.RxBytes++ }},
 		{"bytes", func(n *Net) { n.Host(3).Tally.TxBytes++ }},
-		{"bytes", func(n *Net) { n.Links[0].Port.Egress.Tally.FaultDropBytes++ }},
+		{"bytes", func(n *Net) { n.Links[0].Port.Egress.Settings().Tally.FaultDropBytes++ }},
 		{"bytes", func(n *Net) { n.Boundaries[0].Cut.TxBytes++ }},
 		{"pool", func(n *Net) { n.PacketPools[n.DomainOfHost(0)].Puts++ }},
 		{"pool lists", func(n *Net) { n.PacketPools[n.DomainOfHost(0)].News++ }},
-		{"marks", func(n *Net) { n.SwitchPorts[0].Egress.Tally.MarkKinds[trace.MarkPersistent]++ }},
+		{"marks", func(n *Net) { n.SwitchPorts[0].Egress.Settings().Tally.MarkKinds[trace.MarkPersistent]++ }},
 	} {
 		net := auditedRun(40 * sim.Microsecond)
 		c.doctor(net)

@@ -10,6 +10,7 @@ import (
 	"ecnsharp/internal/core"
 	"ecnsharp/internal/device"
 	"ecnsharp/internal/packet"
+	"ecnsharp/internal/queue"
 	"ecnsharp/internal/sim"
 )
 
@@ -92,37 +93,31 @@ func (s span) inside(outer span) bool { return outer.lo <= s.lo && s.hi <= outer
 func spanOf(p unsafe.Pointer, size uintptr) span { return span{uintptr(p), uintptr(p) + size} }
 
 // TestLayoutPortStateInsideItsBlock: for every transmit port of every
-// topology, the egress and its first service queue — the queue's head and
-// tail words, all it holds of its packets — lie inside the port's block,
-// and so does the host, for a NIC: a forwarding event touches one object
-// besides the packets.
+// topology, the egress's service queue — its head and tail words, all it
+// holds of its packets — and AQM slot lie inside the port, and so does the
+// host, for a NIC: a forwarding event touches one object besides the
+// packets, the AQM and the settings the port's switch shares. Only a DWRR
+// port holds further queues.
 func TestLayoutPortStateInsideItsBlock(t *testing.T) {
 	for name, net := range layoutNets() {
 		multiQueue := name == "leafspine/dwrr"
 		for _, l := range net.Links {
-			block := spanOf(unsafe.Pointer(l.Port), unsafe.Sizeof(portBlock{}))
-			eg := l.Port.Egress
-			if !spanOf(unsafe.Pointer(eg), unsafe.Sizeof(*eg)).inside(block) {
-				t.Fatalf("%s %s: egress at %p is outside the port's block at %p", name, l.Name(), eg, l.Port)
+			block := spanOf(unsafe.Pointer(l.Port), unsafe.Sizeof(*l.Port))
+			eg := reflect.ValueOf(&l.Port.Egress).Elem()
+			if classes := !eg.FieldByName("classes").IsNil(); classes != (multiQueue && l.From != nil) {
+				t.Fatalf("%s %s: holds further queues %v, want them on DWRR switch ports only", name, l.Name(), classes)
 			}
-			if multiQueue && l.From != nil {
-				continue
-			}
-			queues := reflect.ValueOf(eg).Elem().FieldByName("queues")
-			if queues.Len() != 1 {
-				t.Fatalf("%s %s: %d service queues, want 1", name, l.Name(), queues.Len())
-			}
-			for _, word := range []string{"head", "tail"} {
-				w := queues.Index(0).FieldByName(word)
+			q := eg.FieldByName("fifo").Index(0)
+			for _, w := range []reflect.Value{q.FieldByName("head"), q.FieldByName("tail"), eg.FieldByName("aqm")} {
 				if s := spanOf(unsafe.Pointer(w.UnsafeAddr()), w.Type().Size()); !s.inside(block) {
-					t.Fatalf("%s %s: the queue's %s word %v is outside the port's block %v", name, l.Name(), word, s, block)
+					t.Fatalf("%s %s: the egress's %v at %v is outside the port %v", name, l.Name(), w.Type(), s, block)
 				}
 			}
 		}
 		for id, h := range net.Hosts {
 			block := spanOf(unsafe.Pointer(h), unsafe.Sizeof(hostBlock{}))
 			for what, pt := range map[string]*device.Port{"NIC": h.NIC, "access port": net.EgressTo(id)} {
-				if !spanOf(unsafe.Pointer(pt), unsafe.Sizeof(portBlock{})).inside(block) {
+				if !spanOf(unsafe.Pointer(pt), unsafe.Sizeof(*pt)).inside(block) {
 					t.Fatalf("%s host %d: %s at %p is outside the host's block at %p", name, id, what, pt, h)
 				}
 			}
@@ -152,8 +147,9 @@ func demuxArrays(d *device.Demux) []span {
 // workers, so a 64-byte line holding state of two of them would bounce
 // between cores on every event. Slabs are per domain and at least 512
 // bytes, which the allocator places on lines of their own, cut links'
-// byte counts included; packet pools and flow demuxes are 64-byte objects
-// allocated one at a time, a demux's arrays at least 512 bytes each, and
+// byte counts included; packet pools, flow demuxes and the egress settings
+// a switch's ports or a domain's NICs share are 64-byte objects allocated
+// one at a time, a demux's arrays at least 512 bytes each, and
 // tallies whole lines each in a slice that starts a line, so each has its
 // lines to itself, on 386 as on amd64.
 func TestLayoutDomainsShareNoCacheLine(t *testing.T) {
@@ -173,7 +169,12 @@ func TestLayoutDomainsShareNoCacheLine(t *testing.T) {
 			}
 		}
 		for _, l := range net.Links {
-			claim(spanOf(unsafe.Pointer(l.Port), unsafe.Sizeof(portBlock{})), int(l.Dom), l.Name())
+			claim(spanOf(unsafe.Pointer(l.Port), unsafe.Sizeof(*l.Port)), int(l.Dom), l.Name())
+			set := unsafe.Pointer(l.Port.Egress.Settings())
+			if size := unsafe.Sizeof(settingsLine{}); size != line || uintptr(set)%line != 0 {
+				t.Fatalf("%s: the egress settings of %s are %d bytes at %p, want one line", name, l.Name(), size, set)
+			}
+			claim(spanOf(set, unsafe.Sizeof(settingsLine{})), int(l.Dom), "egress settings of "+l.Name())
 		}
 		for _, b := range net.Boundaries {
 			claim(spanOf(unsafe.Pointer(b.Cut), unsafe.Sizeof(*b.Cut)), b.SrcDom, "cut of "+b.Port.Dst.(device.Node).Name())
@@ -225,9 +226,10 @@ func TestLayoutBlockSizes(t *testing.T) {
 		got      uintptr
 		w64, w32 uintptr
 	}{
-		{"portBlock", unsafe.Sizeof(portBlock{}), 256, 152},
-		{"cutBlock", unsafe.Sizeof(cutBlock{}), 272, 164},
-		{"hostBlock", unsafe.Sizeof(hostBlock{}), 576, 340},
+		{"Egress", unsafe.Sizeof(queue.Egress{}), 72, 40},
+		{"Port", unsafe.Sizeof(device.Port{}), 144, 88},
+		{"cutBlock", unsafe.Sizeof(cutBlock{}), 160, 100},
+		{"hostBlock", unsafe.Sizeof(hostBlock{}), 352, 212},
 		{"tally", unsafe.Sizeof(tally{}), 192, 192},
 		{"Link", unsafe.Sizeof(Link{}), 32, 24},
 	} {

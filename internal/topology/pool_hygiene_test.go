@@ -120,7 +120,7 @@ func runTerminalPaths(t *testing.T, noPool bool) (string, []*packet.Packet, *top
 	// The star is one domain, whose tallies its ports and hosts share: the
 	// switch-port tally counts only port's drops here, and of the hosts'
 	// only host 2 receives.
-	drops, rx := port.Egress.Tally, net.Host(2).Tally
+	drops, rx := port.Egress.Settings().Tally, net.Host(2).Tally
 
 	var sent []*packet.Packet
 	send := func(src, n int) {

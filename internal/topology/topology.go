@@ -434,39 +434,53 @@ func newPool(o *Options) *queue.SharedPool {
 	return queue.NewSharedPool(o.SharedBufferBytes, alpha)
 }
 
-// portBlock is one transmit port together with everything but the AQM and
-// the packets that an event on it touches — the port, its egress buffer and
-// that buffer's service queue — as one allocation, so that a forwarding
-// event on a fabric far larger than the cache misses on one object, not on
-// nine. See DESIGN.md "Hot path & memory discipline".
+// A device.Port holds its egress buffer and that buffer's service queue
+// and AQM slot by value: everything but the AQM, the packets and the
+// settings its switch shares that an event on the port touches, in one
+// block, so that a forwarding event on a fabric far larger than the cache
+// misses on one object, not on nine. See DESIGN.md "Hot path & memory
+// discipline".
 //
-// Blocks are allocated in per-domain slabs (see slab) — one slice of
+// Ports are allocated in per-domain slabs (see slab) — one slice of
 // hostBlocks per access switch, one slice of cutBlocks per switch for its
 // switch-facing ports — never interleaved across domains, so that the
 // ports of two domains, which two workers write concurrently, share no
 // cache line (TestLayoutDomainsShareNoCacheLine). A port counts nothing in
 // its block but a cut link's bytes: drops, marks and host traffic go to
 // its domain's tally.
-type portBlock struct {
-	port device.Port
-	eg   queue.Egress
-}
 
 // hostBlock is one host with both ends of its access link. A host and its
 // access switch always share a domain, so the three never run on different
 // workers.
 type hostBlock struct {
 	host device.Host
-	nic  portBlock // host -> access switch
-	down portBlock // access switch -> host
+	nic  device.Port // host -> access switch
+	down device.Port // access switch -> host
 }
 
 // cutBlock is a port whose link a partition cuts, with the one count a port
 // keeps of its own, the bytes it carried out of the domain: the audit needs
 // it per cut link, and only cut links carry it.
 type cutBlock struct {
-	portBlock
-	cut device.Cut
+	port device.Port
+	cut  device.Cut
+}
+
+// settingsLine is a queue.Settings padded to a 64-byte line. Allocated one
+// at a time, each starts a line of its own, like a packet-pool handle, so
+// no line holds two domains' settings.
+type settingsLine struct {
+	queue.Settings
+	_ [settingsPad]byte
+}
+
+// settingsPad rounds a settingsLine up to one 64-byte line.
+const settingsPad = (64 - unsafe.Sizeof(queue.Settings{})%64) % 64
+
+// newSettings returns s on a line of its own.
+func newSettings(s queue.Settings) *queue.Settings {
+	l := &settingsLine{Settings: s}
+	return &l.Settings
 }
 
 // tally is one domain's counters, split by the role of what counts into it:
@@ -501,10 +515,13 @@ func slab[B any](n int) []B {
 // switchNode is a switch as the builders see it while they hang ports and
 // hosts off it: the switch, where it sits, and what its ports share.
 type switchNode struct {
-	sw   *device.Switch
-	idx  int // in Net.Switches
-	dom  int
-	pool *queue.SharedPool
+	sw  *device.Switch
+	idx int // in Net.Switches
+	dom int
+	// set is its ports' buffer bound, shared pool, packet pool and tally;
+	// nics, which its first host makes, is its hosts' NICs' packet pool and
+	// tally. A host shares its switch's domain, so nics is the domain's.
+	set, nics *queue.Settings
 	// aqmFor builds the AQM of queue q of a port of this switch (nil: no
 	// marking): Options.NewAQMAt at the switch's location.
 	aqmFor func(q int) aqm.AQM
@@ -556,8 +573,10 @@ func newNet(part Partition, opts *Options, switchLinks int) *Net {
 // addSwitch creates the next switch of Net.Switches, on the domain the
 // partition gave it.
 func (n *Net) addSwitch(o *Options, name, tier string) *switchNode {
-	s := &switchNode{idx: len(n.Switches), pool: newPool(o)}
+	s := &switchNode{idx: len(n.Switches)}
 	s.dom = n.switchDoms[s.idx]
+	s.set = newSettings(queue.Settings{BufferBytes: o.Link.BufferBytes, Pool: newPool(o),
+		PacketPool: n.PacketPools[s.dom], Tally: &n.tallies[s.dom].switches})
 	s.sw = device.NewSwitch(n.Engines[s.dom], name)
 	n.Switches = append(n.Switches, s.sw)
 	if at := o.NewAQMAt; at != nil {
@@ -567,43 +586,37 @@ func (n *Net) addSwitch(o *Options, name, tier string) *switchNode {
 	return s
 }
 
-// initPort builds b's port over b's egress: owned by srcDom, delivering to
+// initPort builds pt around its egress: owned by srcDom, delivering to
 // dst in dstDom. When the domains differ the port becomes a boundary, which
 // counts what it carries in cut (nil on a link no partition cuts): a
 // handoff into the destination domain is registered (in call order, which
 // the wiring keeps canonical) and the port transmits through it instead of
 // the local engine.
-func (n *Net) initPort(b *portBlock, cut *device.Cut, srcDom, dstDom int, rate float64, prop sim.Time, dst device.Node) *device.Port {
-	b.port.Init(n.Engines[srcDom], &b.eg, rate, prop, dst)
+func (n *Net) initPort(pt *device.Port, cut *device.Cut, srcDom, dstDom int, rate float64, prop sim.Time, dst device.Node) *device.Port {
+	pt.Init(n.Engines[srcDom], rate, prop, dst)
 	if srcDom != dstDom {
 		if prop < n.Lookahead {
 			panic(fmt.Sprintf("topology: cross-domain link delay %v below lookahead %v", prop, n.Lookahead))
 		}
-		b.port.SetRemote(cut, n.Shard.NewHandoffFrom(n.Engines[srcDom], n.Engines[dstDom], device.Deliver))
-		n.Boundaries = append(n.Boundaries, Boundary{SrcDom: srcDom, DstDom: dstDom, Prop: prop, Port: &b.port, Cut: cut})
+		pt.SetRemote(cut, n.Shard.NewHandoffFrom(n.Engines[srcDom], n.Engines[dstDom], device.Deliver))
+		n.Boundaries = append(n.Boundaries, Boundary{SrcDom: srcDom, DstDom: dstDom, Prop: prop, Port: pt, Cut: cut})
 	}
-	return &b.port
+	return pt
 }
 
-// switchPort builds, in b, an egress port of switch s toward dst in dstDom:
-// the buffer per the options (scheduler, the AQM for the switch's location,
-// the switch's shared pool, the domain's switch-port tally), then the port.
-func (n *Net) switchPort(o *Options, b *portBlock, cut *device.Cut, s *switchNode, dstDom int, dst device.Node) *device.Port {
-	queues, sched := 1, queue.Scheduler(nil)
-	if o.Weights != nil {
-		queues, sched = len(o.Weights), queue.NewDWRR(o.Weights)
-	}
-	b.eg.Init(queues, sched, o.Link.BufferBytes, s.aqmFor, &n.tallies[s.dom].switches)
-	b.eg.Pool = s.pool
-	b.eg.PacketPool = n.PacketPools[s.dom]
-	return n.initPort(b, cut, s.dom, dstDom, o.Link.RateBps, o.Link.PropDelay, dst)
+// switchPort builds, in pt, an egress port of switch s toward dst in
+// dstDom: the buffer per the options (DWRR weights, the AQM for the
+// switch's location) under the switch's settings, then the port.
+func (n *Net) switchPort(o *Options, pt *device.Port, cut *device.Cut, s *switchNode, dstDom int, dst device.Node) *device.Port {
+	pt.Egress.Init(o.Weights, s.aqmFor, s.set)
+	return n.initPort(pt, cut, s.dom, dstDom, o.Link.RateBps, o.Link.PropDelay, dst)
 }
 
 // switchLink builds, in b, the port of switch from toward switch to over a
 // fabric link, and enters it in the census; leaf and spine are the link's
 // fabric coordinates.
 func (n *Net) switchLink(o *Options, b *cutBlock, from, to *switchNode, leaf, spine int) *device.Port {
-	pt := n.switchPort(o, &b.portBlock, &b.cut, from, to.dom, to.sw)
+	pt := n.switchPort(o, &b.port, &b.cut, from, to.dom, to.sw)
 	n.addSwitchPort(from.dom, pt)
 	n.Links = append(n.Links, Link{Port: pt, From: from.sw, Dom: int32(from.dom), Host: -1, FabricLeaf: int32(leaf), FabricSpine: int32(spine)})
 	return pt
@@ -615,12 +628,13 @@ func (n *Net) switchLink(o *Options, b *cutBlock, from, to *switchNode, leaf, sp
 // back down to it, entered in the census. It returns the down port, which
 // the caller routes the host's traffic to.
 func (n *Net) addHost(o *Options, b *hostBlock, id int, s *switchNode) *device.Port {
-	pkts, t := n.PacketPools[s.dom], &n.tallies[s.dom]
 	h := &b.host
-	h.Init(n.Engines[s.dom], id, &t.hosts, n.demuxes[s.dom])
-	h.Pool = pkts
-	b.nic.eg.Init(1, queue.FIFOSched{}, 0, nil, &t.nics)
-	b.nic.eg.PacketPool = pkts
+	h.Init(n.Engines[s.dom], id, &n.tallies[s.dom].hosts, n.demuxes[s.dom])
+	h.Pool = n.PacketPools[s.dom]
+	if s.nics == nil {
+		s.nics = newSettings(queue.Settings{PacketPool: h.Pool, Tally: &n.tallies[s.dom].nics})
+	}
+	b.nic.Egress.Init(nil, nil, s.nics)
 	h.NIC = n.initPort(&b.nic, nil, s.dom, s.dom, o.Link.RateBps, o.Link.PropDelay, s.sw)
 	down := n.switchPort(o, &b.down, nil, s, s.dom, h)
 	n.hostPorts[id] = down

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"testing"
 
 	"ecnsharp/internal/aqm"
@@ -159,5 +160,52 @@ func TestTotalDropsAndMarks(t *testing.T) {
 	}
 	if n.TotalMarks() == 0 {
 		t.Error("no marks with a 3-packet threshold")
+	}
+}
+
+// TestCloseAllReleasesDemuxes: a run's teardown releases each domain's flow
+// table whole, so closing a domain that holds 320 registered flows (the
+// receivers of flows whose senders have not started) allocates nothing —
+// emptied one receiver at a time, the table would shrink, allocating, at
+// each quarter — and no table holds an array afterwards, nor after a run
+// whose flows all finished.
+func TestCloseAllReleasesDemuxes(t *testing.T) {
+	const hosts, flows = 160, 320
+	empty := func(n *Net) bool {
+		for _, d := range n.demuxes {
+			for _, a := range demuxArrays(d) {
+				if a.lo != 0 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	var nets [2]*Net
+	var tables [2]*transport.FlowTable
+	for i := range nets {
+		nets[i], tables[i] = NewStar(hosts, opts()), transport.NewFlowTable(flows)
+		for f := range flows {
+			src := f % hosts
+			tables[i].Launch(transport.DefaultConfig(), nets[i].Host(src), nets[i].Host((src+1+f/hosts)%hosts), uint64(f+1), 1<<20, sim.Second, false)
+		}
+		if live := reflect.ValueOf(nets[i].demuxes[0]).Elem().FieldByName("n").Int(); live != flows {
+			t.Fatalf("the domain holds %d registered flows, want %d", live, flows)
+		}
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(1, func() { tables[next].CloseAll(); next++ }); allocs != 0 {
+		t.Errorf("closing a domain of %d flows allocated %.0f objects, want 0", flows, allocs)
+	}
+	for _, n := range nets {
+		if !empty(n) {
+			t.Error("a closed domain's flow table still holds its arrays")
+		}
+	}
+	n := NewLeafSpine(2, 2, 2, opts())
+	endToEnd(t, n, 0, 3)
+	endToEnd(t, n, 1, 2)
+	if !empty(n) {
+		t.Error("a finished run's flow tables hold arrays")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"ecnsharp/internal/aqm"
 	"ecnsharp/internal/device"
 	"ecnsharp/internal/packet"
-	"ecnsharp/internal/queue"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/topology"
 	"ecnsharp/internal/trace"
@@ -101,7 +100,7 @@ func TestDCQCNRateFloor(t *testing.T) {
 	host := device.NewHost(eng, 0)
 	peer := device.NewHost(eng, 1)
 	sink := &ackSink{}
-	host.NIC = device.NewPort(eng, newEgress(), 10e9, 0, sink)
+	host.NIC = device.NewPort(eng, 10e9, 0, sink)
 	cfg := transport.DefaultDCQCNConfig()
 	s := launch(rateConfig(cfg), host, peer, 1, 1_000_000, 0).Senders[0]
 	eng.RunUntil(sim.Millisecond)
@@ -126,8 +125,8 @@ func TestDCQCNLossRecoveryGoBackN(t *testing.T) {
 	h1 := device.NewHost(eng, 1)
 	tap := device.NewTap(eng, h1)
 	tap.Drop = device.DropSeqOnce(50 * 1460)
-	h0.NIC = device.NewPort(eng, newEgress(), 10e9, 2*sim.Microsecond, tap)
-	h1.NIC = device.NewPort(eng, newEgress(), 10e9, 2*sim.Microsecond, h0)
+	h0.NIC = device.NewPort(eng, 10e9, 2*sim.Microsecond, tap)
+	h1.NIC = device.NewPort(eng, 10e9, 2*sim.Microsecond, h0)
 
 	const size = 300 * 1460
 	fl := launch(rateConfig(transport.DefaultDCQCNConfig()), h0, h1, 1, size, 0)
@@ -250,6 +249,3 @@ func TestDCQCNSharesFairly(t *testing.T) {
 		t.Errorf("aggregate goodput %v Gbps far from the 10G link", sum)
 	}
 }
-
-// newEgress builds the plain NIC queue used by fixtures here.
-func newEgress() *queue.Egress { return queue.NewEgress(1, nil, 0, nil) }

@@ -6,7 +6,6 @@ import (
 
 	"ecnsharp/internal/device"
 	"ecnsharp/internal/packet"
-	"ecnsharp/internal/queue"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/transport"
 )
@@ -17,8 +16,8 @@ func faultPath(eng *sim.Engine) (h0, h1 *device.Host, tap *device.Tap) {
 	h0 = device.NewHost(eng, 0)
 	h1 = device.NewHost(eng, 1)
 	tap = device.NewTap(eng, h1)
-	h0.NIC = device.NewPort(eng, queue.NewEgress(1, nil, 0, nil), 10e9, 2*sim.Microsecond, tap)
-	h1.NIC = device.NewPort(eng, queue.NewEgress(1, nil, 0, nil), 10e9, 2*sim.Microsecond, h0)
+	h0.NIC = device.NewPort(eng, 10e9, 2*sim.Microsecond, tap)
+	h1.NIC = device.NewPort(eng, 10e9, 2*sim.Microsecond, h0)
 	return h0, h1, tap
 }
 
@@ -117,8 +116,8 @@ func TestAckLossIsAbsorbedByCumulativeAcks(t *testing.T) {
 		n++
 		return n%5 == 0
 	}
-	h0.NIC = device.NewPort(eng, queue.NewEgress(1, nil, 0, nil), 10e9, 2*sim.Microsecond, h1)
-	h1.NIC = device.NewPort(eng, queue.NewEgress(1, nil, 0, nil), 10e9, 2*sim.Microsecond, ackTap)
+	h0.NIC = device.NewPort(eng, 10e9, 2*sim.Microsecond, h1)
+	h1.NIC = device.NewPort(eng, 10e9, 2*sim.Microsecond, ackTap)
 
 	const size = 150 * 1460
 	fl := launch(transport.DefaultConfig(), h0, h1, 1, size, 0)

@@ -5,7 +5,6 @@ import (
 
 	"ecnsharp/internal/device"
 	"ecnsharp/internal/packet"
-	"ecnsharp/internal/queue"
 	"ecnsharp/internal/sim"
 )
 
@@ -22,7 +21,7 @@ func (discard) Name() string           { return "discard" }
 func TestReceiverOOOAllocatedOnFirstWrite(t *testing.T) {
 	eng := sim.NewEngine()
 	host := device.NewHost(eng, 1)
-	host.NIC = device.NewPort(eng, queue.NewEgress(1, nil, 0, nil), 100e9, 0, discard{})
+	host.NIC = device.NewPort(eng, 100e9, 0, discard{})
 	r := NewReceiver(eng, DefaultConfig(), host, 7, 0)
 	deliver := func(segment int64) {
 		r.HandlePacket(eng.Now(), &packet.Packet{FlowID: 7, Dst: 1, Kind: packet.Data,

@@ -5,7 +5,6 @@ import (
 
 	"ecnsharp/internal/device"
 	"ecnsharp/internal/packet"
-	"ecnsharp/internal/queue"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/transport"
 )
@@ -29,7 +28,7 @@ func newReceiverFixture(t *testing.T, cfg transport.Config) (*sim.Engine, *trans
 	eng := sim.NewEngine()
 	host := device.NewHost(eng, 1)
 	sink := &ackSink{}
-	host.NIC = device.NewPort(eng, queue.NewEgress(1, nil, 0, nil), 100e9, 0, sink)
+	host.NIC = device.NewPort(eng, 100e9, 0, sink)
 	r := transport.NewReceiver(eng, cfg, host, 7, 0)
 	return eng, r, sink
 }
@@ -179,6 +178,6 @@ func TestReceiverCloseStopsHandling(t *testing.T) {
 func nil2host(t *testing.T, eng *sim.Engine, sink *ackSink) *device.Host {
 	t.Helper()
 	h := device.NewHost(eng, 2)
-	h.NIC = device.NewPort(eng, queue.NewEgress(1, nil, 0, nil), 100e9, 0, sink)
+	h.NIC = device.NewPort(eng, 100e9, 0, sink)
 	return h
 }

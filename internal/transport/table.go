@@ -128,7 +128,13 @@ func (t *FlowTable) Launch(cfg Config, src, dst *device.Host, flowID uint64,
 // CloseAll closes every receiver. Call it after the engines have drained
 // (single-threaded teardown); closing an already-closed receiver is
 // harmless (unregister of an absent handler plus a dead timer cancel).
+// It first releases the flow table of every receiver's domain whole, with
+// every handler left in it: emptied one receiver at a time, a table would
+// shrink, and allocate, at each quarter while the run's heap is fullest.
 func (t *FlowTable) CloseAll() {
+	for _, r := range t.Receivers {
+		r.host.Demux.Release()
+	}
 	for _, r := range t.Receivers {
 		r.Close()
 	}
