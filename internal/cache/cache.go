@@ -173,9 +173,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // path returns the entry file for key, sharded by the first two hex chars
 // to keep directories small under millions of entries.
 func (s *Store) path(key string) string {

@@ -361,7 +361,7 @@ func TestStoreStatsJSONShape(t *testing.T) {
 func TestIOErrorsAreMisses(t *testing.T) {
 	s := mustOpen(t, Options{})
 	const k = "ab0123"
-	if err := os.WriteFile(filepath.Join(s.Dir(), "ab"), []byte("not a directory"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(s.dir, "ab"), []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for round := int64(1); round <= 2; round++ {

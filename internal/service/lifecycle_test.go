@@ -101,8 +101,8 @@ var lifecycleCases = []lifecycleCase{
 			}
 			// The result decodes as a tune.Result with the anchor first and
 			// the best no worse than the default.
-			res, err := tune.DecodeResult(result)
-			if err != nil {
+			var res tune.Result
+			if err := json.Unmarshal(result, &res); err != nil {
 				t.Fatalf("decode tune result: %v", err)
 			}
 			if res.SchemaVersion != tune.ResultSchemaVersion {
@@ -389,12 +389,21 @@ func (tc lifecycleCase) evicted(t *testing.T) {
 // TestRetentionSoak resubmits quickSpec 4 × finishedJobs times to one
 // server, following each sweep to its end and reading its results, every
 // cell a cache hit after the first sweep. The registry never holds more
-// than finishedJobs finished jobs beside the running ones; the heap after
-// the last sweep is within soakHeapSlack of the heap halfway, when every
-// later sweep only replaces a dropped one; and once the client's idle
-// connections close, the goroutine count is back at its start.
+// than finishedJobs finished jobs beside the running ones; a retained
+// finished sweep costs at most retainedSweepBytes of heap, measured between
+// the second sweep (the table filled) and the finishedJobs-th (none yet
+// dropped); the heap after the last sweep is within soakHeapSlack of the
+// heap halfway, when every later sweep only replaces a dropped one; and once
+// the client's idle connections close, the goroutine count is back at its
+// start.
 func TestRetentionSoak(t *testing.T) {
 	const soakHeapSlack = 128 << 10
+	// A retained finished sweep of quickSpec's two cells measured 1 296 to
+	// 1 463 B on amd64, with and without -race (914 to 1 033 B on 386); one
+	// that kept its decoded results and copied each cell's stats into its
+	// stream measured 2 366 to 2 438 B on amd64. The bound is the highest
+	// reading plus about a quarter.
+	const retainedSweepBytes = 1800
 	srv, base := newTestDaemon(t, Config{Parallel: 2})
 	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 	goroutines := runtime.NumGoroutine()
@@ -416,15 +425,7 @@ func TestRetentionSoak(t *testing.T) {
 				when, i, jobs, running, finishedJobs)
 		}
 	}
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-
-	var half uint64
+	var filled, full, half uint64
 	for i := 1; i <= 4*finishedJobs; i++ {
 		id := submit(t, base, quickSpec)
 		bound("submitting", i)
@@ -436,11 +437,21 @@ func TestRetentionSoak(t *testing.T) {
 		if resp := getJSON(t, base+"/v1/sweeps/"+id+"/results", &rv); resp.StatusCode != http.StatusOK || (i > 1 && rv.CacheHits != len(rv.Cells)) {
 			t.Fatalf("sweep %d results: status %d, %d of %d cells cached", i, resp.StatusCode, rv.CacheHits, len(rv.Cells))
 		}
-		if i == 2*finishedJobs {
-			half = heap()
+		switch i {
+		case 2:
+			filled = liveHeap()
+		case finishedJobs:
+			full = liveHeap()
+		case 2 * finishedJobs:
+			half = liveHeap()
 		}
 	}
-	end := heap()
+	end := liveHeap()
+	perSweep := (int64(full) - int64(filled)) / (finishedJobs - 2)
+	t.Logf("heap %d B after 2 sweeps, %d B after %d: %d B per retained finished sweep", filled, full, finishedJobs, perSweep)
+	if perSweep > retainedSweepBytes {
+		t.Errorf("a retained finished sweep holds %d B of heap, more than %d B", perSweep, retainedSweepBytes)
+	}
 	t.Logf("heap %d B at %d sweeps, %d B at %d", half, 2*finishedJobs, end, 4*finishedJobs)
 	if end > half+soakHeapSlack {
 		t.Errorf("heap grew from %d B at %d sweeps to %d B at %d, more than %d B",

@@ -154,7 +154,16 @@ type eventLog struct {
 	cond   *sync.Cond
 	state  string
 	errMsg string
-	events [][]byte // each one NDJSON line, newline included
+	events []streamLine
+}
+
+// streamLine is one NDJSON line of a stream, held in up to two parts: head,
+// and for a sweep's cell event the "stats" value, a slice of the cell's
+// results-document bytes. A line with stats is head, stats and "}\n"; one
+// without is head alone, its newline included. Followers share these bytes
+// and only read them.
+type streamLine struct {
+	head, stats []byte
 }
 
 // appendLocked marshals and buffers one stream event; caller holds l.mu.
@@ -163,13 +172,12 @@ func (l *eventLog) appendLocked(ev any) {
 	if err != nil {
 		b = []byte(`{"type":"error","error":"event marshal failure"}`)
 	}
-	l.appendLineLocked(append(b, '\n'))
+	l.appendLineLocked(streamLine{head: append(b, '\n')})
 }
 
-// appendLineLocked buffers one stream event's NDJSON line, its newline
-// included, and wakes every follower; caller holds l.mu. Followers share
-// these bytes and only read them.
-func (l *eventLog) appendLineLocked(line []byte) {
+// appendLineLocked buffers one stream line and wakes every follower; caller
+// holds l.mu.
+func (l *eventLog) appendLineLocked(line streamLine) {
 	l.events = append(l.events, line)
 	l.cond.Broadcast()
 }
@@ -212,12 +220,27 @@ func (l *eventLog) serveStream(ctx context.Context, w http.ResponseWriter) {
 		l.mu.Unlock()
 
 		for _, ev := range batch {
-			if _, err := w.Write(ev); err != nil {
+			if !ev.writeTo(w) {
 				return
 			}
 		}
 		http.NewResponseController(w).Flush() // an error means w cannot flush; nothing to do
 	}
+}
+
+// writeTo writes the line to w and reports whether every write succeeded.
+func (ev streamLine) writeTo(w io.Writer) bool {
+	if _, err := w.Write(ev.head); err != nil {
+		return false
+	}
+	if ev.stats == nil {
+		return true
+	}
+	if _, err := w.Write(ev.stats); err != nil {
+		return false
+	}
+	_, err := io.WriteString(w, "}\n")
+	return err == nil
 }
 
 // jobKind is one row of the kind table: what the lifecycle knows about
@@ -264,11 +287,17 @@ func (k *jobKind) onJob(h func(*Server, *job, http.ResponseWriter, *http.Request
 // seq returns N when id is k's id prefix-N, and 0 when it is no id of k.
 func (k *jobKind) seq(id string) int {
 	digits, ok := strings.CutPrefix(id, k.prefix+"-")
-	n, err := strconv.Atoi(digits)
-	if !ok || err != nil || n < 1 || strconv.Itoa(n) != digits {
-		return 0
+	if n, canon := decimal(digits); ok && canon {
+		return n
 	}
-	return n
+	return 0
+}
+
+// decimal parses s as a non-negative integer in canonical decimal: no sign,
+// no leading zero. strconv.Atoi alone also takes "+0", "-0" and "01".
+func decimal(s string) (int, bool) {
+	n, err := strconv.Atoi(s)
+	return n, err == nil && n >= 0 && strconv.Itoa(n) == s
 }
 
 // kindJobs is one kind's half of the job registry. A running job is always
@@ -448,18 +477,18 @@ func (s *Server) handleResult(j *job, w http.ResponseWriter, _ *http.Request) {
 }
 
 // sweep is the work of a sweep job: the spec's cell grid and, per cell,
-// what the status, results and trace handlers read. A result's encoded
-// bytes are not kept; the store holds them under the cell's key. A
-// finished sweep keeps its answer, not its inputs: the per-load pooled
-// view, and each result without its records.
+// what the status, results and stream handlers read. A finished sweep
+// keeps bytes, not results: each cell's results-document bytes and each
+// load's pooled view. The decoded results live only until they are pooled,
+// and a cell's payload and trace stay in the store under the cell's key.
 type sweep struct {
 	*grid
 
 	hits, failed int
 	perCell      []cellStatus             // as the status route reports it
-	results      []experiments.CellResult // zero until the cell's state is "done"
-	entries      []uint64                 // the table entry each result came from, or 0
-	cellJSON     [][]byte                 // the table's encodeCell of each result, or nil
+	results      []experiments.CellResult // zero until the cell's state is "done"; nil once the sweep ends
+	entries      []uint64                 // the table entry each result came from, or 0; nil once the sweep ends
+	cellJSON     [][]byte                 // encodeCell of each done cell's result, the table's when it holds the cell
 	pooled       [][]byte                 // each load's poolView JSON, set when the sweep finishes done
 }
 
@@ -531,7 +560,6 @@ type streamEvent struct {
 	Elapsed float64 `json:"elapsed_ms,omitempty"`
 	Error   string  `json:"error,omitempty"`
 
-	CellStats any    `json:"stats,omitempty"`
 	State     string `json:"state,omitempty"`
 	CacheHits int    `json:"cache_hits,omitempty"`
 	Computed  int    `json:"computed,omitempty"`
@@ -554,26 +582,26 @@ func (sw *sweep) run(s *Server, j *job) {
 	} else {
 		sw.pool(s.table)
 	}
-	// Nothing reads a record or an entry id once the sweep is pooled, and
-	// a failed sweep has no results route, so every outcome drops them.
-	for i := range sw.results {
-		sw.results[i].Records = nil
-	}
-	sw.entries = nil
+	// Nothing reads a result or an entry id once the sweep is pooled, and a
+	// failed sweep has no results route, so every outcome drops them.
+	sw.results, sw.entries = nil, nil
 	s.finish(j, err, func(state, errMsg string) any {
 		return streamEvent{Type: "done", State: state, Total: len(sw.cells), CacheHits: sw.hits,
 			Computed: len(sw.cells) - sw.hits - sw.failed, Error: errMsg}
 	})
 }
 
-// onCellDone records one finished cell and emits its stream event, with
-// the cell's JSON from t when its result came from there. Harness progress
-// callbacks are serialized, so event order is the completion order.
+// onCellDone records one finished cell and emits its stream event. The
+// cell's results-document bytes are fixed here: t's when its result came
+// from there, encoded once otherwise. Harness progress callbacks are
+// serialized, so event order is the completion order.
 func (sw *sweep) onCellDone(t *table, j *job, p harness.Progress) {
 	oc, _ := p.Value.(*experiments.CellOutcome) // nil when p.Err is set
 	var doc, stats []byte
 	if oc != nil {
-		doc, stats = t.cellJSON(sw.keys[p.Index], oc.Entry)
+		if doc, stats = t.cellJSON(sw.keys[p.Index], oc.Entry); doc == nil {
+			doc, stats = encodeCell(&oc.Result)
+		}
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -585,27 +613,22 @@ func (sw *sweep) onCellDone(t *table, j *job, p harness.Progress) {
 	if p.Err != nil {
 		st.State, st.Error, ev.Error = "error", p.Err.Error(), p.Err.Error()
 		sw.failed++
-	} else {
-		sw.results[p.Index], sw.entries[p.Index], sw.cellJSON[p.Index] = oc.Result, oc.Entry, doc
-		cached := oc.Cached
-		st.State, st.Cached, ev.Cached = "done", &cached, &cached
-		if cached {
-			sw.hits++
-		}
-		if stats != nil {
-			// stats is Marshal's output, compact and escaped, and the
-			// event's last field: spliced in, it gives the bytes Marshal
-			// writes for it as a json.RawMessage, without compacting it
-			// once more.
-			b := mustMarshal(ev)
-			line := make([]byte, 0, len(b)+len(`,"stats":`)+len(stats)+len("\n"))
-			line = append(append(line, b[:len(b)-1]...), `,"stats":`...)
-			j.appendLineLocked(append(append(line, stats...), "}\n"...))
-			return
-		}
-		ev.CellStats = &sw.results[p.Index].Stats
+		j.appendLocked(ev)
+		return
 	}
-	j.appendLocked(ev)
+	sw.results[p.Index], sw.entries[p.Index], sw.cellJSON[p.Index] = oc.Result, oc.Entry, doc
+	cached := oc.Cached
+	st.State, st.Cached, ev.Cached = "done", &cached, &cached
+	if cached {
+		sw.hits++
+	}
+	// stats is Marshal's output, compact and escaped, and the event's last
+	// field: the line is the event's bytes up to its closing brace, then
+	// the stats, shared with the cell's doc, and "}\n" on write.
+	b := mustMarshal(ev)
+	head := make([]byte, 0, len(b)-1+len(`,"stats":`))
+	head = append(append(head, b[:len(b)-1]...), `,"stats":`...)
+	j.appendLineLocked(streamLine{head: head, stats: stats})
 }
 
 func (sw *sweep) accepted() map[string]any {
@@ -634,7 +657,7 @@ func (sw *sweep) progressText(done int) string {
 // load whose cells all came from the entries it was last pooled from
 // reuses that view. It runs on the sweep's goroutine once every cell is
 // done, before finish publishes the state; the handlers that run meanwhile
-// read only status rows and traces.
+// read only status rows and the store.
 func (sw *sweep) pool(t *table) {
 	n := len(sw.spec.Seeds)
 	for li, load := range sw.spec.Loads {
@@ -648,8 +671,7 @@ var resultBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // writeResult renders the per-cell results and the pooled view: the bytes
 // writeJSON would write for {"id", "state", "cache_hits", "pooled",
-// "cells"}, built from each load's JSON and each cell's, the table's when
-// the cell came from there and encoded here otherwise. Ids and keys
+// "cells"}, built from each load's JSON and each cell's. Ids and keys
 // (sw-N, hex digests) need no JSON escaping. The document is built in a
 // reused buffer: Write has consumed it when it returns.
 func (sw *sweep) writeResult(w http.ResponseWriter, id string) {
@@ -659,9 +681,6 @@ func (sw *sweep) writeResult(w http.ResponseWriter, id string) {
 	b = strconv.AppendInt(b, int64(sw.hits), 10)
 	b = append(b, `,"cells":[`...)
 	for i, doc := range sw.cellJSON {
-		if doc == nil {
-			doc, _ = encodeCell(&sw.results[i])
-		}
 		if i > 0 {
 			b = append(b, ',')
 		}
@@ -692,16 +711,19 @@ func (sw *sweep) writeResult(w http.ResponseWriter, id string) {
 
 // encodeCell returns the fields a results document gives a cell's result,
 // as one JSON object, {"cell":...,"stats":...,"counters":...}, and the
-// "stats" value within it.
+// "stats" value within it. doc is allocated at its exact size: finished
+// sweeps and the table keep it.
 func encodeCell(r *experiments.CellResult) (doc, stats []byte) {
-	doc = append([]byte(`{"cell":`), mustMarshal(r.Cell)...)
+	cell, st := mustMarshal(r.Cell), mustMarshal(r.Stats)
+	counters := mustMarshal(counterMap(r.Drops, r.Marks, r.Timeouts, r.Retransmits,
+		r.Completed, r.Failed, r.Injected))
+	doc = make([]byte, 0, len(`{"cell":,"stats":,"counters":}`)+len(cell)+len(st)+len(counters))
+	doc = append(append(doc, `{"cell":`...), cell...)
 	doc = append(doc, `,"stats":`...)
 	lo := len(doc)
-	doc = append(doc, mustMarshal(r.Stats)...)
+	doc = append(doc, st...)
 	hi := len(doc)
-	doc = append(doc, `,"counters":`...)
-	doc = append(doc, mustMarshal(counterMap(r.Drops, r.Marks, r.Timeouts, r.Retransmits,
-		r.Completed, r.Failed, r.Injected))...)
+	doc = append(append(doc, `,"counters":`...), counters...)
 	doc = append(doc, '}')
 	return doc, doc[lo:hi:hi]
 }
@@ -725,28 +747,43 @@ func counterMap(drops, marks, timeouts, retransmits int64, completed, failed, in
 	}
 }
 
-// handleCellTrace is the one route only sweeps have.
+// handleCellTrace is the one route only sweeps have. A finished sweep
+// holds no trace: the route reads the cell's payload from the store by its
+// key, outside j.mu, and answers 410 when the store no longer holds it
+// (evicted, or never stored because its write failed).
 func (s *Server) handleCellTrace(j *job, w http.ResponseWriter, r *http.Request) {
 	sw := j.work.(*sweep)
-	idx, err := strconv.Atoi(r.PathValue("index"))
-	if err != nil || idx < 0 || idx >= len(sw.cells) {
+	idx, ok := decimal(r.PathValue("index"))
+	if !ok || idx >= len(sw.cells) {
 		writeErr(w, http.StatusNotFound, errNotFound, "no such cell index")
 		return
 	}
 	j.mu.Lock()
-	st, trace := sw.perCell[idx], sw.results[idx].TraceJSONL
+	st := sw.perCell[idx]
 	j.mu.Unlock()
 	switch {
 	case st.State == "pending":
 		writeErr(w, http.StatusConflict, errNotFinished, "cell has not finished")
+		return
 	case st.State == "error":
 		writeErr(w, http.StatusConflict, errNotFinished, st.Error)
-	case trace == "":
+		return
+	case sw.cells[idx].TraceEvents == "":
 		writeErr(w, http.StatusNotFound, errNotFound,
 			"cell was run without tracing (set \"trace\" in the sweep spec)")
-	default:
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, trace)
+		return
 	}
+	// Get's one error, a malformed key, cannot happen for a cell key. A
+	// payload that does not decode is no result of this cell: the store
+	// does not hold the cell either way.
+	if payload, ok, _ := s.cfg.Store.Get(st.Key); ok {
+		if res, err := experiments.DecodeCellResult(payload); err == nil {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.WriteHeader(http.StatusOK)
+			io.WriteString(w, res.TraceJSONL)
+			return
+		}
+	}
+	writeErr(w, http.StatusGone, errExpired,
+		"the result cache no longer holds this cell; resubmit the spec to compute it again")
 }

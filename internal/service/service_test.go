@@ -3,16 +3,19 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"ecnsharp/internal/cache"
+	"ecnsharp/internal/experiments"
 )
 
 // newTestServer starts a daemon over a fresh cache directory and returns
@@ -333,7 +336,8 @@ func TestRepeatSubmissionServedFromCache(t *testing.T) {
 }
 
 // TestUntracedCellHasNoTrace pins the trace endpoint's behavior for
-// sweeps submitted without a trace block.
+// sweeps submitted without a trace block, and for cell indices that are not
+// a cell's index in canonical decimal.
 func TestUntracedCellHasNoTrace(t *testing.T) {
 	base := newTestServer(t, Config{Parallel: 2})
 	id := submit(t, base, `{"loads": [0.5], "flows": 20, "seeds": [7]}`)
@@ -351,6 +355,108 @@ func TestUntracedCellHasNoTrace(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusNotFound || env.Error.Code != errNotFound {
 		t.Fatalf("status %d code %q, want 404 %q", resp.StatusCode, env.Error.Code, errNotFound)
+	}
+
+	for _, index := range []string{"+0", "00", "-0", "01", "-1", "1", "0x0", "%200", "x"} {
+		path := "/v1/sweeps/" + id + "/cells/" + index + "/trace"
+		if status, code, msg := getErr(t, base+path); status != http.StatusNotFound || code != errNotFound || msg != "no such cell index" {
+			t.Errorf("GET %s: %d %s %q, want 404 %s %q", path, status, code, msg, errNotFound, "no such cell index")
+		}
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after two collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// getTrace fetches a cell's trace route and returns its status and body.
+func getTrace(t *testing.T, base, id string, index int) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("%s/v1/sweeps/%s/cells/%d/trace", base, id, index))
+	if err != nil {
+		t.Fatalf("GET trace: %v", err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read trace: %v", err)
+	}
+	return resp.StatusCode, b
+}
+
+// TestFinishedSweepsHoldNoTraces runs three traced 2-cell sweeps of
+// distinct seeds, every cell computed, and follows each to its end. A
+// finished sweep holds no trace: the heap grows by less than one cell's
+// trace, where sweeps that kept their results would hold all six. The trace
+// route serves each cell's trace from the store, byte for byte what the
+// cell computes. On a store too small for both cells of a sweep, the
+// evicted cell's trace has expired and the other is served.
+func TestFinishedSweepsHoldNoTraces(t *testing.T) {
+	const spec = `{"loads": [0.5], "flows": 40, "seeds": [%d, %d], "trace": {"events": "mark,drop,flow_finish"}}`
+	traces := func(t *testing.T, spec string) []string {
+		t.Helper()
+		s, err := experiments.ParseSweepSpec([]byte(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, c := range s.Cells() {
+			r, err := c.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, r.TraceJSONL)
+		}
+		return out
+	}
+
+	base := newTestServer(t, Config{Parallel: 2})
+	var specs, ids []string
+	before := liveHeap()
+	for i := range 3 {
+		specs = append(specs, fmt.Sprintf(spec, 2*i+1, 2*i+2))
+		ids = append(ids, runSweep(t, base, specs[i]))
+	}
+	grown := int64(liveHeap()) - int64(before)
+
+	smallest, total := 0, 0
+	for i, id := range ids {
+		for c, want := range traces(t, specs[i]) {
+			if status, got := getTrace(t, base, id, c); status != http.StatusOK || string(got) != want {
+				t.Errorf("%s cell %d: status %d, %d trace bytes; want 200 and the cell's %d", id, c, status, len(got), len(want))
+			}
+			if smallest == 0 || len(want) < smallest {
+				smallest = len(want)
+			}
+			total += len(want)
+		}
+	}
+	t.Logf("three finished sweeps grew the heap by %d B; their six traces are %d B, the smallest %d B", grown, total, smallest)
+	if grown >= int64(smallest) {
+		t.Errorf("three finished traced sweeps grew the heap by %d B, at least one cell's trace (%d B)", grown, smallest)
+	}
+
+	// With Parallel 1 the cells run in order, and a one-byte budget keeps
+	// only the entry written last: cell 1's Put evicts cell 0.
+	store, err := cache.Open(t.TempDir(), cache.Options{MaxBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := newTestServer(t, Config{Store: store, Parallel: 1})
+	id := runSweep(t, small, specs[0])
+	var env struct {
+		Error struct{ Code string } `json:"error"`
+	}
+	if status, body := getTrace(t, small, id, 0); status != http.StatusGone || json.Unmarshal(body, &env) != nil || env.Error.Code != errExpired {
+		t.Errorf("evicted cell 0's trace: %d %.80s, want 410 %s", status, body, errExpired)
+	}
+	if status, got := getTrace(t, small, id, 1); status != http.StatusOK || string(got) != traces(t, specs[0])[1] {
+		t.Errorf("cell 1's trace on the small store: status %d, %d bytes", status, len(got))
 	}
 }
 

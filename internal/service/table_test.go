@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"ecnsharp/internal/cache"
 	"ecnsharp/internal/experiments"
 	"ecnsharp/internal/metrics"
 )
@@ -21,6 +22,19 @@ const tableSpec = `{"loads": [0.4, 0.7], "flows": 20, "seeds": [1, 2]}`
 // counts reads the table's decode and pool counters.
 func counts(tb *table) (decoded, pooled int64) {
 	return tb.decoded.Load(), tb.pooled.Load()
+}
+
+// newDirDaemon is newTestDaemon at Parallel 2 over a fresh store, and also
+// returns the store's directory.
+func newDirDaemon(t *testing.T) (srv *Server, base, dir string) {
+	t.Helper()
+	dir = t.TempDir()
+	store, err := cache.Open(dir, cache.Options{})
+	if err != nil {
+		t.Fatalf("open cache: %v", err)
+	}
+	srv, base = newTestDaemon(t, Config{Store: store, Parallel: 2})
+	return srv, base, dir
 }
 
 // runSweep submits spec, waits for it to finish done, and returns its id.
@@ -89,22 +103,28 @@ func TestResubmittedSweepDecodesAndPoolsNothing(t *testing.T) {
 	}
 	srv.mu.Unlock()
 
-	// A cell served from the table has its stats JSON spliced into its
-	// stream event: the line must be what Marshal writes for the event.
-	cells := 0
-	for _, line := range bytes.SplitAfter(getBody(base+"/v1/sweeps/"+again+"/stream"), []byte("\n")) {
-		var stats json.RawMessage
-		ev := streamEvent{CellStats: &stats}
-		if err := json.Unmarshal(line, &ev); err != nil || ev.Type != "cell" {
-			continue
-		}
-		cells++
-		if want := append(mustMarshal(ev), '\n'); !bytes.Equal(line, want) {
-			t.Errorf("table-served cell event:\n%s\nMarshal writes it as\n%s", line, want)
-		}
+	// Every cell event, computed or served from the table, has its cell's
+	// stats JSON spliced in: the line must be what Marshal writes for the
+	// event with the stats as its last field.
+	type cellLine struct {
+		streamEvent
+		Stats json.RawMessage `json:"stats"`
 	}
-	if cells != 4 {
-		t.Errorf("stream of %s has %d cell events, want 4", again, cells)
+	for _, id := range []string{cold, again} {
+		cells := 0
+		for _, line := range bytes.SplitAfter(getBody(base+"/v1/sweeps/"+id+"/stream"), []byte("\n")) {
+			var ev cellLine
+			if err := json.Unmarshal(line, &ev); err != nil || ev.Type != "cell" {
+				continue
+			}
+			cells++
+			if want := append(mustMarshal(ev), '\n'); !bytes.Equal(line, want) {
+				t.Errorf("%s: cell event:\n%s\nMarshal writes it as\n%s", id, line, want)
+			}
+		}
+		if cells != 4 {
+			t.Errorf("stream of %s has %d cell events, want 4", id, cells)
+		}
 	}
 
 	if w, a := resultsOf(t, base, warm, true), resultsOf(t, base, again, true); !bytes.Equal(w, a) {
@@ -145,7 +165,7 @@ func cellCached(t *testing.T, base, id string, index int) bool {
 // recomputed, and never reaches the table; a rewritten one is a hit whose
 // new bytes are decoded and pooled afresh.
 func TestTableNeverServesChangedBytes(t *testing.T) {
-	srv, base := newTestDaemon(t, Config{Parallel: 2})
+	srv, base, dir := newDirDaemon(t)
 	store := srv.cfg.Store
 	keys := cellKeys(t)
 	cold := runSweep(t, base, tableSpec)
@@ -153,7 +173,7 @@ func TestTableNeverServesChangedBytes(t *testing.T) {
 	want := resultsOf(t, base, cold, false)
 
 	t.Run("corrupted", func(t *testing.T) {
-		path := filepath.Join(store.Dir(), keys[0][:2], keys[0]+".entry")
+		path := filepath.Join(dir, keys[0][:2], keys[0]+".entry")
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -371,10 +391,10 @@ func TestConcurrentIdenticalSubmissions(t *testing.T) {
 // the results of a daemon whose store works, and /v1/cache/stats counts a
 // failed read and a failed write for each such cell of each sweep.
 func TestSweepSurvivesCacheIOErrors(t *testing.T) {
-	srv, base := newTestDaemon(t, Config{Parallel: 2})
+	_, base, dir := newDirDaemon(t)
 	keys := cellKeys(t)
 	shard := keys[0][:2]
-	if err := os.WriteFile(filepath.Join(srv.cfg.Store.Dir(), shard), nil, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, shard), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	blocked := 0

@@ -2,6 +2,7 @@ package tune
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 )
 
@@ -50,8 +51,8 @@ func TestTuneResultByteIdentical(t *testing.T) {
 	if d := firstDiff(serial, wide); d >= 0 {
 		t.Fatalf("Parallel=1 vs Parallel=8 diverge at byte %d:\n%s", d, window(serial, wide, d))
 	}
-	res, err := DecodeResult(serial)
-	if err != nil {
+	var res Result
+	if err := json.Unmarshal(serial, &res); err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Evals) < 2 || res.Evals[0].Index != 0 {

@@ -106,15 +106,6 @@ func (r *Result) Encode() ([]byte, error) {
 	return json.Marshal(r)
 }
 
-// DecodeResult parses bytes produced by Encode.
-func DecodeResult(data []byte) (*Result, error) {
-	var r Result
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("tune: bad tune result: %w", err)
-	}
-	return &r, nil
-}
-
 // Run executes the tune loop: evaluate the paper-default anchor, then
 // alternate Searcher.Propose / Observe rounds — each candidate expanded
 // into its loads × seeds cell grid and executed through internal/harness
