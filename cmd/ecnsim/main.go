@@ -35,6 +35,7 @@ import (
 	"ecnsharp/internal/experiments"
 	"ecnsharp/internal/fault"
 	"ecnsharp/internal/harness"
+	"ecnsharp/internal/metrics"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/trace"
 	"ecnsharp/internal/transport"
@@ -127,19 +128,21 @@ func main() {
 		}
 	}
 
-	// The flags describe one Cell; validating and resolving it is the spec
-	// layer's job, so a bad value is the same one-line error -spec gives.
-	// What a Cell cannot say (-replay/-save-flows, -faults, the streaming
-	// -trace writer, -seeds) is layered on the resolved config below.
-	cell := experiments.Cell{
+	// The flags describe a one-load sweep spec; validating and expanding it
+	// is the spec layer's job, so a bad value is the same one-line error
+	// -spec gives. Normalize's defaults do not apply: the flags have their
+	// own, and -flows 0 is an error. What a cell cannot say (-replay/
+	// -save-flows, -faults, the streaming -trace writer, -seeds) is layered
+	// on its run below.
+	spec := experiments.SweepSpec{
 		Topo: *topo, Scheme: *schemeName, Workload: *wlName,
-		Load: *load, Flows: *flows, Seed: *seed,
+		Loads: []float64{*load}, Flows: *flows, Seeds: []int64{*seed},
 		RTTMinUS: *rttMinUS, RTTVariation: *variation, Shards: *shards,
 	}
-	if err := cell.Validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		fail(2, err)
 	}
-	cfg, err := cell.RunConfig()
+	cfg, err := spec.Cells()[0].RunConfig()
 	if err != nil {
 		fail(2, err)
 	}
@@ -263,7 +266,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "%s\n", line)
 	}
-	s := r.Stats
 	fmt.Printf("scheme    %s\n", cfg.Scheme.Label)
 	fmt.Printf("workload  %s @ %.0f%% load, %d flows, RTT %v-%v\n",
 		*wlName, *load*100, r.Injected, cfg.RTT.Min, cfg.RTT.Max)
@@ -278,16 +280,21 @@ func main() {
 		fmt.Printf(" (%d failed by RTO exhaustion)", r.Failed)
 	}
 	fmt.Printf("\n\n")
-	fmt.Printf("FCT overall avg      %10.1f us (%d flows)\n", s.OverallAvg, s.OverallCount)
-	fmt.Printf("FCT short (<=100KB)  %10.1f us avg, %10.1f us p99 (%d flows)\n",
-		s.ShortAvg, s.ShortP99, s.ShortCount)
-	fmt.Printf("FCT large (>=10MB)   %10.1f us avg (%d flows)\n", s.LargeAvg, s.LargeCount)
+	printFCT("", r.Stats)
 	fmt.Printf("\nswitch drops %d, CE marks %d, timeouts %d, retransmits %d\n",
 		r.Drops, r.Marks, r.Timeouts, r.Retransmits)
 	if len(tracePaths) > 0 {
 		sort.Strings(tracePaths)
 		fmt.Printf("event trace: %s\n", strings.Join(tracePaths, ", "))
 	}
+}
+
+// printFCT prints a stats block's three FCT lines, each after indent.
+func printFCT(indent string, s metrics.FCTStats) {
+	fmt.Printf("%sFCT overall avg      %10.1f us (%d flows)\n", indent, s.OverallAvg, s.OverallCount)
+	fmt.Printf("%sFCT short (<=100KB)  %10.1f us avg, %10.1f us p99 (%d flows)\n",
+		indent, s.ShortAvg, s.ShortP99, s.ShortCount)
+	fmt.Printf("%sFCT large (>=10MB)   %10.1f us avg (%d flows)\n", indent, s.LargeAvg, s.LargeCount)
 }
 
 // jobTracePath derives a per-job trace file name by inserting ".job<id>"
@@ -344,12 +351,8 @@ func runSpec(path string, parallel int, timeout time.Duration, progress bool, tr
 		path, spec.Scheme, spec.Workload, spec.Topo, spec.Flows, spec.RTTMinUS, spec.RTTVariation)
 	fmt.Printf("grid      %d loads x %d seeds = %d cells\n\n", len(spec.Loads), len(spec.Seeds), len(results))
 	for _, p := range spec.Pool(results) {
-		s := p.Stats
 		fmt.Printf("load %.0f%%  completed %d/%d\n", p.Load*100, p.Completed, p.Injected)
-		fmt.Printf("  FCT overall avg      %10.1f us (%d flows)\n", s.OverallAvg, s.OverallCount)
-		fmt.Printf("  FCT short (<=100KB)  %10.1f us avg, %10.1f us p99 (%d flows)\n",
-			s.ShortAvg, s.ShortP99, s.ShortCount)
-		fmt.Printf("  FCT large (>=10MB)   %10.1f us avg (%d flows)\n", s.LargeAvg, s.LargeCount)
+		printFCT("  ", p.Stats)
 		fmt.Printf("  drops %d, marks %d, timeouts %d, retransmits %d\n\n",
 			p.Drops, p.Marks, p.Timeouts, p.Retransmits)
 	}

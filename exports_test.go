@@ -19,8 +19,8 @@ import (
 )
 
 // exportsAllowlist names the exported names in internal/ that may go
-// without a caller outside their own package's tests: one per line, then
-// " -- " and the reason.
+// without a caller outside tests: one per line, then " -- " and the
+// reason.
 const exportsAllowlist = "EXPORTS_allowlist.txt"
 
 // listedPackage is the part of `go list -json` the exports gate reads.
@@ -44,8 +44,9 @@ type exportDecl struct {
 	exempt bool // a method that satisfies a declared interface
 }
 
-// exportRefs records which kinds of reference reached a declaration.
-type exportRefs struct{ caller, ownTest bool }
+// exportRefs records which kinds of reference reached a declaration: one
+// from a non-test file (caller) or one from a _test.go file (test).
+type exportRefs struct{ caller, test bool }
 
 // exportGate type-checks a module from source, test variants included,
 // and records every reference to a module declaration by the position of
@@ -61,8 +62,8 @@ type exportGate struct {
 
 // findUncalledExports returns, for the module rooted at dir, every
 // exported func, method, const, var, type or struct field declared in
-// internal/ that nothing outside its own package's _test.go files
-// references, mapped to "file:line: reason". declared holds the name of
+// internal/ that no file but a _test.go file references, mapped to
+// "file:line: reason". declared holds the name of
 // every declaration the gate considered, flagged or not.
 func findUncalledExports(dir string) (flagged map[string]string, declared map[string]bool, err error) {
 	list := exec.Command("go", "list", "-deps", "-test", "-json", "./...")
@@ -116,8 +117,8 @@ func findUncalledExports(dir string) (flagged map[string]string, declared map[st
 				continue
 			}
 			reason := "no reference"
-			if r != nil && r.ownTest {
-				reason = "only its own tests"
+			if r != nil && r.test {
+				reason = "only tests"
 			}
 			flagged[d.name] = fmt.Sprintf("%s/%s:%d: %s", rel, filepath.Base(d.pos.Filename), d.pos.Line, reason)
 		}
@@ -205,8 +206,8 @@ func (g *exportGate) check(p *listedPackage, std types.Importer) error {
 }
 
 // use records a reference at pos to obj, if obj is the module's own. A
-// reference from a _test.go file in the directory that declares obj is
-// its own package's test; any other reference is a caller.
+// reference from any _test.go file, in obj's package or another, is a
+// test's; any other reference is a caller.
 func (g *exportGate) use(pos token.Pos, obj types.Object) {
 	switch o := obj.(type) {
 	case *types.Func:
@@ -223,9 +224,8 @@ func (g *exportGate) use(pos token.Pos, obj types.Object) {
 		r = &exportRefs{}
 		g.refs[decl] = r
 	}
-	from := g.fset.Position(pos).Filename
-	if strings.HasSuffix(from, "_test.go") && filepath.Dir(from) == filepath.Dir(decl.Filename) {
-		r.ownTest = true
+	if strings.HasSuffix(g.fset.Position(pos).Filename, "_test.go") {
+		r.test = true
 	} else {
 		r.caller = true
 	}
@@ -384,10 +384,11 @@ func exportProblems(flagged map[string]string, declared map[string]bool, allow m
 }
 
 // TestExportsHaveCallers fails on every exported name in internal/ that
-// nothing outside its own package's tests uses. References from cmd/,
-// the root package, benchmark/ and other packages' tests are callers; a
-// method that satisfies an interface declared in the module or a package
-// it imports (String, heap and sort methods, ...) is exempt. A flagged
+// only tests use. References from the non-test files of internal/, cmd/,
+// the root package and benchmark/ are callers; tests are not, in the
+// name's own package or any other. A method that satisfies an interface
+// declared in the module or a package it imports (String, heap and sort
+// methods, ...) is exempt. A flagged
 // name is deleted, moved into the test that uses it (an export_test.go
 // for several), or listed in EXPORTS_allowlist.txt with a reason.
 func TestExportsHaveCallers(t *testing.T) {
@@ -405,8 +406,9 @@ func TestExportsHaveCallers(t *testing.T) {
 }
 
 // TestExportsGateFlagsUncalled runs the gate on a scratch module: an
-// unused func, a method only the package's own test calls, and a type
-// only its method's receiver names are flagged; a String method, fields
+// unused func, a method only the package's own test calls, a func only
+// another package's test calls, and a type only its method's receiver
+// names are flagged; a String method, fields
 // set by position and an allowlisted name pass; allowlist entries naming
 // a missing declaration or a name with a caller are stale.
 func TestExportsGateFlagsUncalled(t *testing.T) {
@@ -441,6 +443,9 @@ func (Dead) Touch() {}
 
 // Pair's fields are set by position only.
 type Pair struct{ A, B int }
+
+// Fixture is called by another package's test alone.
+func Fixture() {}
 `,
 		"internal/x/x_test.go": `package x
 
@@ -457,6 +462,16 @@ import (
 )
 
 func main() { x.Called(); fmt.Println(x.T{Field: 1}, x.Pair{1, 2}) }
+`,
+		"cmd/m/main_test.go": `package main
+
+import (
+	"testing"
+
+	"gatefix/internal/x"
+)
+
+func TestFixture(t *testing.T) { x.Fixture() }
 `,
 	} {
 		path := filepath.Join(dir, filepath.FromSlash(name))
@@ -481,8 +496,9 @@ func main() { x.Called(); fmt.Println(x.T{Field: 1}, x.Pair{1, 2}) }
 		"internal/x.Called: stale allowlist entry: it has a caller outside its own tests now",
 		"internal/x.Dead internal/x/x.go:22: no reference: delete it, move it into a _test.go file, or list it in " + exportsAllowlist + " with a reason",
 		"internal/x.Dead.Touch internal/x/x.go:25: no reference: delete it, move it into a _test.go file, or list it in " + exportsAllowlist + " with a reason",
+		"internal/x.Fixture internal/x/x.go:31: only tests: delete it, move it into a _test.go file, or list it in " + exportsAllowlist + " with a reason",
 		"internal/x.Missing: stale allowlist entry: no exported declaration in internal/ has this name",
-		"internal/x.T.OnlyTests internal/x/x.go:10: only its own tests: delete it, move it into a _test.go file, or list it in " + exportsAllowlist + " with a reason",
+		"internal/x.T.OnlyTests internal/x/x.go:10: only tests: delete it, move it into a _test.go file, or list it in " + exportsAllowlist + " with a reason",
 		"internal/x.Unused internal/x/x.go:7: no reference: delete it, move it into a _test.go file, or list it in " + exportsAllowlist + " with a reason",
 	}, "\n")
 	if got != want {

@@ -122,7 +122,7 @@ func TestREDPanics(t *testing.T) {
 func TestCoDelNoMarkBelowTarget(t *testing.T) {
 	c := NewCoDel(85*sim.Microsecond, 200*sim.Microsecond)
 	p := dataPkt()
-	now := sim.Millis(1)
+	now := 1 * sim.Millisecond
 	for i := 0; i < 100; i++ {
 		if c.OnDequeue(now+sim.Time(i)*10*sim.Microsecond, p, 50*sim.Microsecond) {
 			t.Fatal("CoDel marked below target")
@@ -133,7 +133,7 @@ func TestCoDelNoMarkBelowTarget(t *testing.T) {
 func TestCoDelMarksAfterInterval(t *testing.T) {
 	c := NewCoDel(85*sim.Microsecond, 200*sim.Microsecond)
 	p := dataPkt()
-	now := sim.Millis(1)
+	now := 1 * sim.Millisecond
 	sojourn := 100 * sim.Microsecond
 	marked := -1
 	for i := 0; i < 100; i++ {
@@ -158,7 +158,7 @@ func TestCoDelIsSlowOnBursts(t *testing.T) {
 	// never marked by CoDel (but would be by instantaneous marking).
 	c := NewCoDel(85*sim.Microsecond, 200*sim.Microsecond)
 	p := dataPkt()
-	now := sim.Millis(1)
+	now := 1 * sim.Millisecond
 	// 15 packets with huge sojourn, spanning only 150 µs < interval.
 	for i := 0; i < 15; i++ {
 		if c.OnDequeue(now+sim.Time(i)*10*sim.Microsecond, p, sim.Millisecond) {
@@ -166,9 +166,9 @@ func TestCoDelIsSlowOnBursts(t *testing.T) {
 		}
 	}
 	// Queue drains; a later short burst is again unmarked.
-	c.OnDequeue(now+sim.Millis(1), p, 10*sim.Microsecond)
+	c.OnDequeue(now+1*sim.Millisecond, p, 10*sim.Microsecond)
 	for i := 0; i < 15; i++ {
-		if c.OnDequeue(now+sim.Millis(2)+sim.Time(i)*10*sim.Microsecond, p, sim.Millisecond) {
+		if c.OnDequeue(now+2*sim.Millisecond+sim.Time(i)*10*sim.Microsecond, p, sim.Millisecond) {
 			t.Fatal("CoDel marked a second short burst")
 		}
 	}
@@ -177,7 +177,7 @@ func TestCoDelIsSlowOnBursts(t *testing.T) {
 func TestCoDelEpisodeEndsOnDrain(t *testing.T) {
 	c := NewCoDel(85*sim.Microsecond, 200*sim.Microsecond)
 	p := dataPkt()
-	now := sim.Millis(1)
+	now := 1 * sim.Millisecond
 	// Build an episode.
 	for i := 0; i < 60; i++ {
 		c.OnDequeue(now+sim.Time(i)*10*sim.Microsecond, p, 100*sim.Microsecond)
@@ -186,7 +186,7 @@ func TestCoDelEpisodeEndsOnDrain(t *testing.T) {
 		t.Fatal("no episode established")
 	}
 	// A below-target packet exits the episode.
-	if c.OnDequeue(now+sim.Millis(1), p, 10*sim.Microsecond) {
+	if c.OnDequeue(now+1*sim.Millisecond, p, 10*sim.Microsecond) {
 		t.Error("marked below target")
 	}
 	if c.marking {
@@ -215,11 +215,11 @@ func TestECNSharpAQMAdapter(t *testing.T) {
 		t.Error("ECN♯ marked at enqueue")
 	}
 	// Instantaneous path.
-	if !e.OnDequeue(sim.Millis(1), p, 300*sim.Microsecond) {
+	if !e.OnDequeue(1*sim.Millisecond, p, 300*sim.Microsecond) {
 		t.Error("ECN♯ missed an instantaneous mark")
 	}
 	// Persistent path needs the interval; immediately below ins_target no mark.
-	if e.OnDequeue(sim.Millis(1)+10*sim.Microsecond, p, 100*sim.Microsecond) {
+	if e.OnDequeue(1*sim.Millisecond+10*sim.Microsecond, p, 100*sim.Microsecond) {
 		t.Error("ECN♯ persistent-marked too early")
 	}
 	if e.Core() == nil {
@@ -257,7 +257,7 @@ func TestECNSharpVsCoDelBurstResponse(t *testing.T) {
 	sharp := MustNewECNSharp(params)
 	codel := NewCoDel(85*sim.Microsecond, 200*sim.Microsecond)
 	p := dataPkt()
-	now := sim.Millis(1)
+	now := 1 * sim.Millisecond
 	sharpMarks, codelMarks := 0, 0
 	for i := 0; i < 10; i++ {
 		at := now + sim.Time(i)*10*sim.Microsecond
@@ -315,14 +315,14 @@ func TestECNSharpProb(t *testing.T) {
 	}
 	// Below TMin and below pst_target: never marks.
 	for i := 0; i < 50; i++ {
-		now := sim.Millis(1) + sim.Time(i)*10*sim.Microsecond
+		now := 1*sim.Millisecond + sim.Time(i)*10*sim.Microsecond
 		if e.OnDequeue(now, p, 5*sim.Microsecond) {
 			t.Fatal("marked below TMin without persistent congestion")
 		}
 	}
 	// Above TMax: always marks.
 	for i := 0; i < 20; i++ {
-		now := sim.Millis(2) + sim.Time(i)*10*sim.Microsecond
+		now := 2*sim.Millisecond + sim.Time(i)*10*sim.Microsecond
 		if !e.OnDequeue(now, p, 300*sim.Microsecond) {
 			t.Fatal("not marked above TMax")
 		}
@@ -331,7 +331,7 @@ func TestECNSharpProb(t *testing.T) {
 	marked, ramp := 0, 0
 	const n = 20000
 	for i := 0; i < n; i++ {
-		now := sim.Millis(3) + sim.Time(i)*sim.Microsecond
+		now := 3*sim.Millisecond + sim.Time(i)*sim.Microsecond
 		// Alternate below target to suppress persistent episodes.
 		if i%2 == 0 {
 			e.OnDequeue(now, p, sim.Microsecond)

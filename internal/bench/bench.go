@@ -231,12 +231,12 @@ func IncastBurst(b *testing.B) {
 // cellPayload returns the encoded result of one fixed synthetic cell of 400
 // completed flows (no simulator run).
 func cellPayload(b *testing.B) []byte {
-	res := experiments.CellResult{
-		SchemaVersion: experiments.ResultSchemaVersion,
-		Cell: experiments.Cell{Topo: "star", Scheme: "ecnsharp", Workload: "websearch",
-			Load: 0.5, Flows: 400, Seed: 1, RTTMinUS: 70, RTTVariation: 3},
-		Completed: 400, Injected: 400, Drops: 12, Marks: 3456, Timeouts: 2, Retransmits: 40,
+	spec, err := experiments.ParseSweepSpec([]byte(`{}`)) // one 400-flow cell
+	if err != nil {
+		b.Fatal(err)
 	}
+	res := experiments.CellResult{SchemaVersion: experiments.ResultSchemaVersion, Cell: spec.Cells()[0],
+		Completed: 400, Injected: 400, Drops: 12, Marks: 3456, Timeouts: 2, Retransmits: 40}
 	size, fct := int64(1), int64(1)
 	for i := 0; i < 400; i++ {
 		size = size*6364136223846793005 + 1442695040888963407 // an LCG: fixed, varied digit counts

@@ -14,7 +14,7 @@ func BenchmarkShouldMark(b *testing.B) {
 		PstTarget:   85 * sim.Microsecond,
 		PstInterval: 200 * sim.Microsecond,
 	})
-	now := sim.Millis(1)
+	now := 1 * sim.Millisecond
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		now += 1200 // one full-size packet at 10 Gbps

@@ -71,17 +71,17 @@ func (s Schedule) String() string {
 type Params struct {
 	// InsTarget is the instantaneous marking threshold on sojourn time,
 	// derived from a high-percentile base RTT via Equation 2.
-	InsTarget sim.Time
+	InsTarget sim.Time `json:"ins_target,omitempty"`
 	// PstTarget is the persistent queueing target: the sojourn time above
 	// which queueing is considered excess if sustained.
-	PstTarget sim.Time
+	PstTarget sim.Time `json:"pst_target,omitempty"`
 	// PstInterval is the observation window used both to confirm persistent
 	// queueing and as the initial spacing of conservative marks. The paper
 	// recommends roughly one worst-case (high-percentile) base RTT.
-	PstInterval sim.Time
+	PstInterval sim.Time `json:"pst_interval,omitempty"`
 	// Schedule selects the marking-interval evolution; the zero value is
 	// the paper's sqrt ramp.
-	Schedule Schedule
+	Schedule Schedule `json:"schedule,omitempty"`
 }
 
 // Validate checks parameter sanity.

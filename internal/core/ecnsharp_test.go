@@ -72,12 +72,12 @@ func TestNewECNSharpRejectsInvalid(t *testing.T) {
 func TestInstantaneousMarking(t *testing.T) {
 	e := MustNewECNSharp(testParams())
 	// Below ins_target and pst_target: no mark.
-	if r := e.ShouldMark(sim.Millis(1), 50*sim.Microsecond); r != NotMarked {
+	if r := e.ShouldMark(1*sim.Millisecond, 50*sim.Microsecond); r != NotMarked {
 		t.Errorf("low sojourn marked: %v", r)
 	}
 	// Above ins_target: instantaneous mark, immediately (burst tolerance
 	// requires no warm-up).
-	if r := e.ShouldMark(sim.Millis(1)+sim.Microsecond, 300*sim.Microsecond); r != MarkInstantaneous {
+	if r := e.ShouldMark(1*sim.Millisecond+sim.Microsecond, 300*sim.Microsecond); r != MarkInstantaneous {
 		t.Errorf("burst not marked instantaneously: %v", r)
 	}
 }
@@ -97,7 +97,7 @@ func TestPersistentMarkingRequiresFullInterval(t *testing.T) {
 	e := MustNewECNSharp(p)
 	// Sojourn above pst_target but below ins_target: persistent logic only.
 	sojourn := 100 * sim.Microsecond
-	start := sim.Millis(1)
+	start := 1 * sim.Millisecond
 	spacing := 10 * sim.Microsecond
 
 	// During the first pst_interval after first_above_time, nothing marks.
@@ -127,7 +127,7 @@ func TestConservativeMarkingOnePerInterval(t *testing.T) {
 	p := testParams()
 	e := MustNewECNSharp(p)
 	sojourn := 100 * sim.Microsecond
-	start := sim.Millis(1)
+	start := 1 * sim.Millisecond
 
 	// Run a long persistent episode with dense packets and count marks.
 	spacing := 5 * sim.Microsecond
@@ -167,7 +167,7 @@ func TestQueueExpiryResetsEpisode(t *testing.T) {
 	p := testParams()
 	e := MustNewECNSharp(p)
 	sojourn := 100 * sim.Microsecond
-	start := sim.Millis(1)
+	start := 1 * sim.Millisecond
 
 	// Enter a marking episode.
 	feed(e, start, 10*sim.Microsecond, sojourn, 25)
@@ -196,7 +196,7 @@ func TestInstantaneousDominatesReason(t *testing.T) {
 	e := MustNewECNSharp(testParams())
 	// Drive into persistent state with a sojourn above both targets.
 	sojourn := 300 * sim.Microsecond
-	start := sim.Millis(1)
+	start := 1 * sim.Millisecond
 	for i := 0; i < 50; i++ {
 		r := e.ShouldMark(start+sim.Time(i)*10*sim.Microsecond, sojourn)
 		if r != MarkInstantaneous {
@@ -209,7 +209,7 @@ func TestInstantaneousDominatesReason(t *testing.T) {
 // state, so it decides the next packets as a fresh marker does.
 func TestReset(t *testing.T) {
 	e := MustNewECNSharp(testParams())
-	feed(e, sim.Millis(1), 10*sim.Microsecond, 100*sim.Microsecond, 30)
+	feed(e, 1*sim.Millisecond, 10*sim.Microsecond, 100*sim.Microsecond, 30)
 	if !e.State().MarkingState {
 		t.Fatal("feed did not enter a persistent episode")
 	}
@@ -219,8 +219,8 @@ func TestReset(t *testing.T) {
 		t.Errorf("state after Init = %+v", e.State())
 	}
 	fresh := MustNewECNSharp(testParams())
-	got := feed(e, sim.Millis(2), 10*sim.Microsecond, 100*sim.Microsecond, 30)
-	want := feed(fresh, sim.Millis(2), 10*sim.Microsecond, 100*sim.Microsecond, 30)
+	got := feed(e, 2*sim.Millisecond, 10*sim.Microsecond, 100*sim.Microsecond, 30)
+	want := feed(fresh, 2*sim.Millisecond, 10*sim.Microsecond, 100*sim.Microsecond, 30)
 	if !slices.Equal(got, want) {
 		t.Errorf("re-initialised marker decided %v, a fresh one %v", got, want)
 	}
@@ -243,7 +243,7 @@ func TestMarkingNextMonotoneProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := MustNewECNSharp(testParams())
-		now := sim.Millis(1)
+		now := 1 * sim.Millisecond
 		prev := e.State()
 		for i := 0; i < 500; i++ {
 			now += sim.Time(rng.Int63n(int64(20 * sim.Microsecond)))
@@ -279,7 +279,7 @@ func TestMarkRateBoundProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := MustNewECNSharp(testParams())
-		now := sim.Millis(1)
+		now := 1 * sim.Millisecond
 		var seen, marks int
 		for i := 0; i < 300; i++ {
 			now += sim.Time(rng.Int63n(int64(15*sim.Microsecond)) + 1)
@@ -309,7 +309,7 @@ func TestSqrtSchedule(t *testing.T) {
 	p := testParams()
 	e := MustNewECNSharp(p)
 	sojourn := 100 * sim.Microsecond
-	now := sim.Millis(1)
+	now := 1 * sim.Millisecond
 
 	// Enter the episode.
 	for !e.State().MarkingState {
@@ -339,7 +339,7 @@ func TestFixedScheduleKeepsConstantInterval(t *testing.T) {
 	p.Schedule = FixedSchedule
 	e := MustNewECNSharp(p)
 	sojourn := 100 * sim.Microsecond
-	now := sim.Millis(1)
+	now := 1 * sim.Millisecond
 	for !e.State().MarkingState {
 		now += 10 * sim.Microsecond
 		e.ShouldMark(now, sojourn)
@@ -361,7 +361,7 @@ func TestFixedScheduleKeepsConstantInterval(t *testing.T) {
 
 func TestPersistentMarkBypassesInstantaneous(t *testing.T) {
 	e := MustNewECNSharp(testParams())
-	now := sim.Millis(1)
+	now := 1 * sim.Millisecond
 	// Sojourn far above ins_target, but PersistentMark must not mark until
 	// a full interval has elapsed.
 	for i := 0; i < 20; i++ {

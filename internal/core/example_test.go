@@ -24,11 +24,11 @@ func Example() {
 	})
 
 	// A burst packet with sojourn above ins_target marks immediately.
-	fmt.Println("burst:", marker.ShouldMark(sim.Millis(1), 400*sim.Microsecond))
+	fmt.Println("burst:", marker.ShouldMark(1*sim.Millisecond, 400*sim.Microsecond))
 
 	// A standing queue between the targets marks only after a full
 	// pst_interval of continuous buildup, then conservatively.
-	now := sim.Millis(2)
+	now := 2 * sim.Millisecond
 	marks := 0
 	for i := 0; i < 100; i++ {
 		now += 10 * sim.Microsecond

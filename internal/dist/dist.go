@@ -153,9 +153,6 @@ func (c *EmpiricalCDF) Quantile(u float64) float64 {
 // Mean returns the analytic mean of the piecewise-linear distribution.
 func (c *EmpiricalCDF) Mean() float64 { return c.mean }
 
-// Max returns the largest representable value.
-func (c *EmpiricalCDF) Max() float64 { return c.points[len(c.points)-1].Value }
-
 // Points returns a copy of the CDF knots (for plotting, e.g. Figure 5).
 func (c *EmpiricalCDF) Points() []CDFPoint { return append([]CDFPoint(nil), c.points...) }
 

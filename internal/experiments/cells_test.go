@@ -55,7 +55,7 @@ func TestRunCellsStoreIsInvisibleInBytes(t *testing.T) {
 			if o.Err != nil {
 				t.Fatalf("cell %d %s: %v", i, name, o.Err)
 			}
-			if o.Result.Cell != c.canonical() {
+			if !reflect.DeepEqual(o.Result.Cell, c) {
 				t.Errorf("cell %d %s: outcome out of submission order: %+v", i, name, o.Result.Cell)
 			}
 		}
@@ -143,7 +143,7 @@ func TestRunCellsTableDecodesOnlyHits(t *testing.T) {
 // OnDone sees every cell with its outcome.
 func TestRunCellsReportsFailuresPerCell(t *testing.T) {
 	cells := smallSweep(t).Cells()[:3]
-	cells[1].Scheme = "pie9"
+	cells[1].Tuned = &TunedParams{}
 
 	seen := make([]bool, len(cells))
 	outcomes, err := RunCells(context.Background(), cells, nil, nil, nil, harness.Options{Parallel: 1,
@@ -164,7 +164,7 @@ func TestRunCellsReportsFailuresPerCell(t *testing.T) {
 			t.Errorf("cell %d: err = %v", i, o.Err)
 		}
 	}
-	if msg := outcomes[1].Err.Error(); !strings.Contains(msg, "pie9 load=0.40 seed=2") || !strings.Contains(msg, "unknown scheme") {
+	if msg := outcomes[1].Err.Error(); !strings.Contains(msg, "ECN# load=0.40 seed=2") || !strings.Contains(msg, "at least one group") {
 		t.Errorf("failure does not name the cell and the cause: %s", msg)
 	}
 	if outcomes[0].Result.Completed == 0 || outcomes[2].Result.Completed == 0 {
@@ -230,8 +230,8 @@ func TestPoolEqualsMergeRuns(t *testing.T) {
 		if got.Stats != want.Stats {
 			t.Errorf("load %v: pooled stats differ:\n pool  %+v\n merge %+v", load, got.Stats, want.Stats)
 		}
-		if len(got.Records) != want.Collector.Count() {
-			t.Errorf("load %v: %d pooled records, want %d", load, len(got.Records), want.Collector.Count())
+		if len(got.Records) != len(want.Collector.Records()) {
+			t.Errorf("load %v: %d pooled records, want %d", load, len(got.Records), len(want.Collector.Records()))
 		}
 		gotC := [7]int64{got.Drops, got.Marks, got.Timeouts, got.Retransmits,
 			int64(got.Completed), int64(got.Failed), int64(got.Injected)}

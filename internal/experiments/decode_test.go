@@ -34,7 +34,7 @@ func agreesWithJSON(t *testing.T, data []byte) bool {
 // hand-built results with query flows, no records and the int64 extremes.
 func decodeSeeds(t testing.TB) ([]CellResult, [][]byte) {
 	traced := testCell()
-	traced.TraceEvents, traced.TraceSample = "mark,drop,flow_finish", 1
+	traced.Trace = &TraceSpec{Events: "mark,drop,flow_finish", Sample: 1}
 	tuned := testCell()
 	tuned.Tuned = &TunedParams{Groups: []TunedGroup{{Scope: "all",
 		Params: []TunedValue{{Name: "ins_target_us", Value: 150}}}}}
@@ -82,7 +82,7 @@ func TestDecodeCellResultRejects(t *testing.T) {
 		accept bool
 	}{
 		{`{"records":` + recs + `}`, true},
-		{`{"cell":{"topo":"x\"records\":[","records":` + recs + `},"records":null}`, true},
+		{`{"cell":{"scheme":{"label":"x\"records\":["},"records":` + recs + `},"records":null}`, true},
 		{`{"records":` + recs + `,"records":null}`, false},
 		{`{"records":null,"Records":` + recs + `}`, false},
 		{`{"records":null,"RECORDS":null}`, false},

@@ -681,8 +681,8 @@ func TestPooledP99DiffersFromAveraged(t *testing.T) {
 	b := RunResult{Stats: uniform.Stats(), Collector: uniform}
 
 	merged := MergeRuns([]RunResult{a, b})
-	if merged.Collector.Count() != 200 {
-		t.Fatalf("pooled %d records, want 200", merged.Collector.Count())
+	if len(merged.Collector.Records()) != 200 {
+		t.Fatalf("pooled %d records, want 200", len(merged.Collector.Records()))
 	}
 	if len(merged.PerSeed) != 2 {
 		t.Fatalf("PerSeed = %d results", len(merged.PerSeed))

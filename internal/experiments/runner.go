@@ -39,65 +39,69 @@ const (
 	DefaultPropDelay = 1 * sim.Microsecond
 )
 
-// RunConfig describes one simulation run.
+// RunConfig describes one simulation run. It is plain data: its JSON form
+// (snake_case keys, zero numbers, strings and slices and nil pointers
+// omitted, Shards dropped, times in sim.Time nanoseconds) is what a Cell's
+// cache key hashes and a CellResult echoes (see Cell.MarshalJSON).
 type RunConfig struct {
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 
-	Topo         TopoKind
-	Hosts        int // star size (senders+receiver)
-	Spines       int // leaf-spine dims
-	Leaves       int
-	HostsPerLeaf int
+	Topo         TopoKind `json:"topo,omitempty"`
+	Hosts        int      `json:"hosts,omitempty"`  // star size (senders+receiver)
+	Spines       int      `json:"spines,omitempty"` // leaf-spine dims
+	Leaves       int      `json:"leaves,omitempty"`
+	HostsPerLeaf int      `json:"hosts_per_leaf,omitempty"`
 
 	// Shards is topology.Options.Shards: the number of worker goroutines
 	// the topology's domains run on (0 means one). Every simulated byte —
-	// traces, FCT records, counters — is independent of it.
-	Shards int
+	// traces, FCT records, counters — is independent of it, so it has no
+	// JSON form.
+	Shards int `json:"-"`
 
-	PropDelay   sim.Time
-	BufferBytes int64
+	PropDelay   sim.Time `json:"prop_delay,omitempty"`
+	BufferBytes int64    `json:"buffer_bytes,omitempty"`
 	// SharedBufferBytes/DTAlpha switch to per-switch shared-pool buffering
 	// with dynamic thresholds (see queue.SharedPool); BufferBytes is then
 	// ignored.
-	SharedBufferBytes int64
-	DTAlpha           float64
+	SharedBufferBytes int64   `json:"shared_buffer_bytes,omitempty"`
+	DTAlpha           float64 `json:"dt_alpha,omitempty"`
 	// Weights is topology.Options.Weights: nil for one FIFO queue per
 	// switch port, else one DWRR queue per weight. A flow joins the queue
 	// its FlowSpec.Class names.
-	Weights []int
+	Weights []int `json:"weights,omitempty"`
 
-	Scheme    Scheme
-	Transport transport.Config
+	Scheme    Scheme           `json:"scheme"`
+	Transport transport.Config `json:"transport"`
 
 	// Tuned, when non-nil, overrides Scheme's parameters per switch
 	// location (see TunedParams).
-	Tuned *TunedParams
+	Tuned *TunedParams `json:"tuned,omitempty"`
 
 	// RTT, when not zero, injects per-flow base RTTs via netem-style
 	// sender delay.
-	RTT rttvar.RTTDistribution
+	RTT rttvar.RTTDistribution `json:"rtt"`
 
 	// Flows and Traffic are the run's flows: Flows as given, then the
 	// flows Traffic generates from the run's seed, so multi-seed averaging
 	// also averages over arrival patterns (see FlowGen).
-	Flows   []workload.FlowSpec
-	Traffic Traffic
+	Flows   []workload.FlowSpec `json:"flows,omitempty"`
+	Traffic Traffic             `json:"traffic"`
 
 	// SampleInterval > 0 opens one measurement window, [SampleStart,
 	// SampleEnd] sampled every SampleInterval: the last-hop egress to the
 	// last host, a star's receiver (RunResult.QueueSamples), and the goodput
 	// of every workload.LongFlow (RunResult.Goodput).
-	SampleStart    sim.Time
-	SampleEnd      sim.Time
-	SampleInterval sim.Time
+	SampleStart    sim.Time `json:"sample_start,omitempty"`
+	SampleEnd      sim.Time `json:"sample_end,omitempty"`
+	SampleInterval sim.Time `json:"sample_interval,omitempty"`
 
 	// Faults, when non-nil, is installed on the network before any flow
 	// starts: its transitions pre-schedule on the domain engines, so churn
 	// runs stay byte-deterministic at any worker count (see fault.Install).
-	Faults *fault.Schedule
+	Faults *fault.Schedule `json:"faults,omitempty"`
 
 	// Deadline stops the run early (0 = run until all flows complete).
-	Deadline sim.Time
+	Deadline sim.Time `json:"deadline,omitempty"`
 }
 
 // RunResult is the outcome of one run.

@@ -46,22 +46,23 @@ const (
 
 // Scheme is a fully parameterized AQM configuration for one run.
 type Scheme struct {
-	Kind SchemeKind
+	Kind SchemeKind `json:"kind,omitempty"`
 	// Label names the scheme in result tables.
-	Label string
+	Label string `json:"label,omitempty"`
 
 	// KBytes is the queue-length threshold for the DCTCP-RED variants,
 	// and the top of SchemeRED's ramp.
-	KBytes int64
+	KBytes int64 `json:"k_bytes,omitempty"`
 	// Target/Interval parameterize CoDel.
-	Target, Interval sim.Time
+	Target   sim.Time `json:"target,omitempty"`
+	Interval sim.Time `json:"interval,omitempty"`
 	// TCNThreshold parameterizes TCN.
-	TCNThreshold sim.Time
+	TCNThreshold sim.Time `json:"tcn_threshold,omitempty"`
 	// Params parameterize ECN♯. For SchemeECNSharpProb, InsTarget is the
 	// top of the ramp.
-	Params core.Params
+	Params core.Params `json:"params"`
 	// Ramp parameterizes the two randomized kinds.
-	Ramp Ramp
+	Ramp Ramp `json:"ramp"`
 }
 
 // Ramp is the probabilistic part of SchemeRED and SchemeECNSharpProb: the
@@ -70,11 +71,11 @@ type Scheme struct {
 // threshold (KBytes, or Params.InsTarget).
 type Ramp struct {
 	// KminBytes is SchemeRED's floor.
-	KminBytes int64
+	KminBytes int64 `json:"kmin_bytes,omitempty"`
 	// TMin is SchemeECNSharpProb's floor.
-	TMin sim.Time
+	TMin sim.Time `json:"t_min,omitempty"`
 	// Pmax is the marking probability at the top.
-	Pmax float64
+	Pmax float64 `json:"pmax,omitempty"`
 }
 
 // Factory compiles s into the per-queue AQM constructor for a run. The

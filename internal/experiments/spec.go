@@ -8,7 +8,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
+	"strings"
 
 	"ecnsharp/internal/cache"
 	"ecnsharp/internal/harness"
@@ -26,7 +28,7 @@ import (
 // alters output bytes, a spec semantic change — and old cache entries stop
 // matching (they age out under the cache's size budget) instead of being
 // served wrong.
-const ResultSchemaVersion = "ecnsharp-result-v2"
+const ResultSchemaVersion = "ecnsharp-result-v3"
 
 // Upper bounds on what one spec may ask for, so a request cannot make a
 // worker allocate without limit (workload generation sizes its flow slice
@@ -152,69 +154,81 @@ func (s *SweepSpec) Normalize() error {
 		return fmt.Errorf("experiments: %d loads × %d seeds is %d cells, above the per-sweep cap of %d",
 			len(s.Loads), len(s.Seeds), n, MaxSweepCells)
 	}
-	// One representative cell per load carries every validated field.
+	return s.Validate()
+}
+
+// Validate checks every load point of the spec as it stands, without
+// Normalize's defaults: numeric bounds first, then name resolution. It is
+// the one set of checks behind every entry point — Normalize applies it
+// after filling defaults, and ecnsim to the spec its flags describe — so a
+// bad value is the same one-line error everywhere.
+func (s *SweepSpec) Validate() error {
 	for _, load := range s.Loads {
-		if err := s.cell(load, s.Seeds[0]).Validate(); err != nil {
+		if _, err := s.point(load); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Validate checks a fully resolved cell: numeric bounds first, then name
-// resolution. It is the one set of checks behind every entry point —
-// SweepSpec.Normalize applies it per load, and ecnsim applies it to the
-// cell it builds from its flags — so a bad value is the same one-line
-// error everywhere.
-func (c Cell) Validate() error {
-	if _, err := topoByName(c.Topo); err != nil {
-		return err
+// point checks one load point of the spec and resolves it into the run its
+// cells share but for the seed: the figures' shapeCfg preset, the scheme
+// SchemeByName derives from the RTT model, and RunConfig's defaults.
+func (s *SweepSpec) point(load float64) (RunConfig, error) {
+	topo, err := topoByName(s.Topo)
+	if err != nil {
+		return RunConfig{}, err
 	}
-	if !(c.Load > 0 && c.Load <= 1) {
-		return fmt.Errorf("experiments: load %v outside (0, 1]", c.Load)
+	if !(load > 0 && load <= 1) {
+		return RunConfig{}, fmt.Errorf("experiments: load %v outside (0, 1]", load)
 	}
-	if c.Load < MinLoad {
-		return fmt.Errorf("experiments: load %v below the minimum of %v", c.Load, MinLoad)
+	if load < MinLoad {
+		return RunConfig{}, fmt.Errorf("experiments: load %v below the minimum of %v", load, MinLoad)
 	}
-	if c.Flows < 1 {
-		return fmt.Errorf("experiments: flows must be positive (got %d)", c.Flows)
+	if s.Flows < 1 {
+		return RunConfig{}, fmt.Errorf("experiments: flows must be positive (got %d)", s.Flows)
 	}
-	if c.Flows > MaxFlows {
-		return fmt.Errorf("experiments: flows %d above the per-cell cap of %d", c.Flows, MaxFlows)
+	if s.Flows > MaxFlows {
+		return RunConfig{}, fmt.Errorf("experiments: flows %d above the per-cell cap of %d", s.Flows, MaxFlows)
 	}
-	if !(c.RTTMinUS > 0) {
-		return fmt.Errorf("experiments: rtt_min_us must be positive (got %v)", c.RTTMinUS)
+	if !(s.RTTMinUS > 0) {
+		return RunConfig{}, fmt.Errorf("experiments: rtt_min_us must be positive (got %v)", s.RTTMinUS)
 	}
-	if c.RTTMinUS < MinRTTUS || c.RTTMinUS > MaxRTTUS {
-		return fmt.Errorf("experiments: rtt_min_us %v outside [%v, %v]", c.RTTMinUS, MinRTTUS, MaxRTTUS)
+	if s.RTTMinUS < MinRTTUS || s.RTTMinUS > MaxRTTUS {
+		return RunConfig{}, fmt.Errorf("experiments: rtt_min_us %v outside [%v, %v]", s.RTTMinUS, MinRTTUS, MaxRTTUS)
 	}
-	if !(c.RTTVariation >= 1) {
-		return fmt.Errorf("experiments: rtt_variation must be >= 1 (got %v)", c.RTTVariation)
+	if !(s.RTTVariation >= 1) {
+		return RunConfig{}, fmt.Errorf("experiments: rtt_variation must be >= 1 (got %v)", s.RTTVariation)
 	}
-	if c.RTTMinUS*c.RTTVariation > MaxRTTUS {
-		return fmt.Errorf("experiments: rtt_variation %v puts the largest RTT, rtt_min_us × rtt_variation, above %v µs",
-			c.RTTVariation, MaxRTTUS)
+	if s.RTTMinUS*s.RTTVariation > MaxRTTUS {
+		return RunConfig{}, fmt.Errorf("experiments: rtt_variation %v puts the largest RTT, rtt_min_us × rtt_variation, above %v µs",
+			s.RTTVariation, MaxRTTUS)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("experiments: shards must be >= 0 (got %d)", c.Shards)
+	if s.Shards < 0 {
+		return RunConfig{}, fmt.Errorf("experiments: shards must be >= 0 (got %d)", s.Shards)
 	}
 	// Name resolution last: the RTT model construction requires the
 	// numeric bounds already validated.
-	if _, err := SchemeByName(c.Scheme, rttvar.NewVariation(sim.Micros(c.RTTMinUS), c.RTTVariation)); err != nil {
-		return err
+	rtt := rttvar.NewVariation(sim.Micros(s.RTTMinUS), s.RTTVariation)
+	scheme, err := SchemeByName(s.Scheme, rtt)
+	if err != nil {
+		return RunConfig{}, err
 	}
-	if _, err := workload.ByName(c.Workload); err != nil {
-		return err
+	if _, err := workload.ByName(s.Workload); err != nil {
+		return RunConfig{}, err
 	}
-	if c.TraceEvents != "" {
-		if _, err := trace.ParseMask(c.TraceEvents); err != nil {
-			return fmt.Errorf("experiments: trace spec: %w", err)
+	if s.Trace != nil {
+		if _, err := trace.ParseMask(s.Trace.Events); err != nil {
+			return RunConfig{}, fmt.Errorf("experiments: trace spec: %w", err)
 		}
-		if c.TraceSample < 1 {
-			return fmt.Errorf("experiments: trace sample must be >= 1 (got %d)", c.TraceSample)
+		if s.Trace.Sample < 1 {
+			return RunConfig{}, fmt.Errorf("experiments: trace sample must be >= 1 (got %d)", s.Trace.Sample)
 		}
 	}
-	return nil
+	cfg := shapeCfg(topo, s.Workload, load, s.Flows)
+	cfg.Scheme, cfg.RTT, cfg.Shards = scheme, rtt, s.Shards
+	cfg.defaults()
+	return cfg, nil
 }
 
 // topoByName resolves the two named shapes a Cell can run on.
@@ -231,7 +245,7 @@ func topoByName(name string) (TopoKind, error) {
 
 // SchemeByName resolves scheme names against an RTT distribution. It is
 // the single naming authority: ecnsim -scheme and the sweep spec's
-// "scheme" both resolve here (via Cell.Validate and Cell.RunConfig):
+// "scheme" both resolve here (via SweepSpec.Validate and Cells):
 // ecnsharp, red-tail, red-avg (thresholds derived per §3.4),
 // codel and tcn (90th-percentile parameterizations).
 func SchemeByName(name string, rtt rttvar.RTTDistribution) (Scheme, error) {
@@ -252,37 +266,19 @@ func SchemeByName(name string, rtt rttvar.RTTDistribution) (Scheme, error) {
 	}
 }
 
-// Cell is one fully resolved (config, seed) run of a sweep: the unit of
-// execution, caching and result serialization. All fields are value types
-// with exact JSON encodings, so a cell canonicalizes to deterministic
-// bytes and hashes to a stable cache key.
+// runConfig names RunConfig for embedding in Cell: the field takes the
+// alias's name, which leaves the name RunConfig to Cell's method.
+type runConfig = RunConfig
+
+// Cell is one run of a sweep: the unit of execution, caching and result
+// serialization. It is the run itself — a RunConfig, seed included and
+// defaults applied, whose JSON form inlines into the cell's — plus the
+// trace selection, so its canonical encoding and cache key cover every
+// parameter that reaches the simulator.
 type Cell struct {
-	// Topo, Scheme and Workload are the resolved spec names.
-	Topo     string `json:"topo"`
-	Scheme   string `json:"scheme"`
-	Workload string `json:"workload"`
-	// Load is this cell's offered load in (0, 1].
-	Load float64 `json:"load"`
-	// Flows is the number of flows injected.
-	Flows int `json:"flows"`
-	// Seed is this cell's random seed.
-	Seed int64 `json:"seed"`
-	// RTTMinUS and RTTVariation are the base-RTT model parameters.
-	RTTMinUS     float64 `json:"rtt_min_us"`
-	RTTVariation float64 `json:"rtt_variation"`
-	// Shards is SweepSpec.Shards. It reaches neither the cache key nor the
-	// echoed result (see CanonicalJSON).
-	Shards int `json:"shards,omitempty"`
-	// TraceEvents/TraceSample mirror TraceSpec; empty TraceEvents means
-	// the cell is untraced.
-	TraceEvents string `json:"trace_events,omitempty"`
-	// TraceSample is the sampling stride when TraceEvents is set.
-	TraceSample int `json:"trace_sample,omitempty"`
-	// Tuned, when non-nil, overrides the named scheme's derived parameters
-	// with an explicit per-scope assignment — the tuner's candidate (see
-	// internal/tune). It participates in the canonical encoding and hence
-	// the cache key; omitempty keeps untuned cells' keys unchanged.
-	Tuned *TunedParams `json:"tuned,omitempty"`
+	runConfig
+	// Trace, when non-nil, captures the cell's JSONL event trace.
+	Trace *TraceSpec `json:"trace,omitempty"`
 }
 
 // Cells expands the normalized spec into its load × seed grid, loads
@@ -291,31 +287,16 @@ type Cell struct {
 func (s *SweepSpec) Cells() []Cell {
 	cells := make([]Cell, 0, len(s.Loads)*len(s.Seeds))
 	for _, load := range s.Loads {
+		cfg, err := s.point(load)
+		if err != nil {
+			panic(fmt.Sprintf("experiments: cells of a spec Normalize rejects: %v", err))
+		}
 		for _, seed := range s.Seeds {
-			cells = append(cells, s.cell(load, seed))
+			cfg.Seed = seed
+			cells = append(cells, Cell{runConfig: cfg, Trace: s.Trace})
 		}
 	}
 	return cells
-}
-
-// cell resolves one (load, seed) grid point of the spec.
-func (s *SweepSpec) cell(load float64, seed int64) Cell {
-	c := Cell{
-		Topo:         s.Topo,
-		Scheme:       s.Scheme,
-		Workload:     s.Workload,
-		Load:         load,
-		Flows:        s.Flows,
-		Seed:         seed,
-		RTTMinUS:     s.RTTMinUS,
-		RTTVariation: s.RTTVariation,
-		Shards:       s.Shards,
-	}
-	if s.Trace != nil {
-		c.TraceEvents = s.Trace.Events
-		c.TraceSample = s.Trace.Sample
-	}
-	return c
 }
 
 // LoadPool is one load point of a sweep pooled over its seeds, in seed
@@ -368,23 +349,71 @@ func PoolLoad(load float64, group []CellResult) LoadPool {
 	return p
 }
 
-// canonical returns the cell with the worker count dropped: results are
-// byte-identical at any Shards (pinned by TestShardedByteIdenticalToSerial).
-func (c Cell) canonical() Cell {
-	c.Shards = 0
-	return c
+// MarshalJSON encodes the cell as encoding/json would encode its RunConfig
+// fields and then Trace, but with every object's keys sorted: it renders
+// the cell into maps first. On its first use for a struct type,
+// encoding/json builds field encoders for that type's whole static graph
+// and keeps them for the life of the process — about 45 KB for
+// RunConfig's, half the heap a daemon holds after one small sweep — while
+// maps cost it only the leaf types.
+func (c Cell) MarshalJSON() ([]byte, error) {
+	m := jsonValue(reflect.ValueOf(c.runConfig)).(map[string]any)
+	if c.Trace != nil {
+		m["trace"] = jsonValue(reflect.ValueOf(c.Trace))
+	}
+	return json.Marshal(m)
+}
+
+// jsonValue renders v as maps, lists and leaves under encoding/json's
+// rules: a struct is its exported fields under their json tag names, less
+// those tagged "-" and the empty ones tagged omitempty; a nil pointer or
+// slice is null.
+func jsonValue(v reflect.Value) any {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return nil
+		}
+		return jsonValue(v.Elem())
+	case reflect.Slice:
+		if v.IsNil() {
+			return nil
+		}
+		s := make([]any, v.Len())
+		for i := range s {
+			s[i] = jsonValue(v.Index(i))
+		}
+		return s
+	case reflect.Struct:
+		m := make(map[string]any, v.NumField())
+		for i := 0; i < v.NumField(); i++ {
+			f, fv := v.Type().Field(i), v.Field(i)
+			name, opt, _ := strings.Cut(f.Tag.Get("json"), ",")
+			empty := fv.Kind() != reflect.Struct && (fv.IsZero() || fv.Kind() == reflect.Slice && fv.Len() == 0)
+			if name == "-" || !f.IsExported() || opt == "omitempty" && empty {
+				continue
+			}
+			if name == "" {
+				name = f.Name
+			}
+			m[name] = jsonValue(fv)
+		}
+		return m
+	}
+	return v.Interface()
 }
 
 // CanonicalJSON returns the cell's canonical byte encoding: a single JSON
-// object with fields in declaration order and Shards dropped, so the
-// worker count does not split the cache. Two cells describe the same
-// computation iff their canonical encodings are equal.
+// object of RunConfig's fields and the trace selection, keys sorted, with
+// Shards dropped so the worker count does not split the cache. Two cells
+// describe the same computation iff their canonical encodings are equal.
 func (c Cell) CanonicalJSON() []byte {
-	b, err := json.Marshal(c.canonical())
+	b, err := json.Marshal(c)
 	if err != nil {
-		// Cell holds only value types with exact encodings; Marshal can
-		// fail only on a non-finite Tuned value, which TunedParams.Validate
-		// rejects before any cell is run or keyed.
+		// A cell's fields have exact encodings and a spec admits only
+		// finite values; Marshal can fail only on a non-finite Tuned
+		// value, which TunedParams.Validate rejects before any cell is
+		// run or keyed.
 		panic(fmt.Sprintf("experiments: canonicalizing cell: %v", err))
 	}
 	return b
@@ -392,7 +421,7 @@ func (c Cell) CanonicalJSON() []byte {
 
 // Key derives the cell's content-addressed cache key: the hex SHA-256 of
 // the schema version and the canonical cell encoding. Everything that can
-// change the result bytes is in the hash — resolved config, seed, trace
+// change the result bytes is in the hash — the resolved run, seed, trace
 // selection, schema/code version — and nothing else is.
 func (c Cell) Key(version string) string {
 	h := sha256.New()
@@ -402,34 +431,16 @@ func (c Cell) Key(version string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// RunConfig resolves the cell into a runnable configuration. Every entry
-// point — ecnsim's flags, ecnsim -spec, the daemon, the tuner — builds its
-// runs here, on the same shapeCfg the paper figures use.
+// RunConfig returns the run the cell executes, or why it cannot: a Tuned
+// assignment that does not fit the cell's scheme. Everything else in a
+// cell was checked when its spec was.
 func (c Cell) RunConfig() (RunConfig, error) {
-	topo, err := topoByName(c.Topo)
-	if err != nil {
-		return RunConfig{}, err
-	}
-	rtt := rttvar.NewVariation(sim.Micros(c.RTTMinUS), c.RTTVariation)
-	scheme, err := SchemeByName(c.Scheme, rtt)
-	if err != nil {
-		return RunConfig{}, err
-	}
-	if _, err := workload.ByName(c.Workload); err != nil {
-		return RunConfig{}, err
-	}
-	cfg := shapeCfg(topo, c.Workload, c.Load, c.Flows)
-	cfg.Seed = c.Seed
-	cfg.Scheme = scheme
-	cfg.RTT = rtt
-	cfg.Shards = c.Shards
 	if c.Tuned != nil {
-		if _, err := c.Tuned.Schemes(scheme); err != nil {
+		if _, err := c.Tuned.Schemes(c.Scheme); err != nil {
 			return RunConfig{}, err
 		}
-		cfg.Tuned = c.Tuned
 	}
-	return cfg, nil
+	return c.runConfig, nil
 }
 
 // CellResult is the serializable outcome of one cell: the FCT record
@@ -441,8 +452,8 @@ type CellResult struct {
 	// SchemaVersion records the ResultSchemaVersion that produced this
 	// result.
 	SchemaVersion string `json:"schema_version"`
-	// Cell echoes the resolved cell that was run, in canonical form (the
-	// worker count dropped), so the bytes do not depend on who computed it.
+	// Cell echoes the cell that was run in its canonical form (the worker
+	// count dropped), so the bytes do not depend on who computed it.
 	Cell Cell `json:"cell"`
 	// Stats is the per-class FCT breakdown of Records.
 	Stats metrics.FCTStats `json:"stats"`
@@ -571,21 +582,22 @@ func (c Cell) Run(ctx context.Context) (CellResult, error) {
 		w   *trace.JSONLWriter
 		tr  trace.Tracer
 	)
-	if c.TraceEvents != "" {
-		mask, err := trace.ParseMask(c.TraceEvents)
+	if c.Trace != nil {
+		mask, err := trace.ParseMask(c.Trace.Events)
 		if err != nil {
 			return CellResult{}, err
 		}
 		w = trace.NewJSONLWriter(&buf)
-		tr = trace.NewFilter(w, mask, c.TraceSample)
+		tr = trace.NewFilter(w, mask, c.Trace.Sample)
 	}
 	res, err := RunContext(ctx, cfg, tr)
 	if err != nil {
 		return CellResult{}, err
 	}
+	c.Shards = 0 // the echo is the canonical cell, equal to its decoded form
 	out := CellResult{
 		SchemaVersion: ResultSchemaVersion,
-		Cell:          c.canonical(),
+		Cell:          c,
 		Stats:         res.Stats,
 		Records:       append([]metrics.FCTRecord(nil), res.Collector.Records()...),
 		Drops:         res.Drops,
@@ -615,7 +627,8 @@ type CellTable interface {
 	Prior(key string) []byte
 	// Decode returns what DecodeCellResult(payload) returns for the cell
 	// stored under key, payload being the tail of entry, and the id of the
-	// table entry holding that result (0 when none does). The result's
+	// table entry holding that result (0 when none does). The table may
+	// drop the result's TraceJSONL, which entry still holds. The result's
 	// slices and strings may be shared with the table and with other
 	// callers: they are read-only.
 	Decode(key string, entry, payload []byte) (CellResult, uint64, error)
@@ -628,7 +641,8 @@ type CellOutcome struct {
 	Payload []byte
 	// Cached reports that the store served Payload without computing it.
 	Cached bool
-	// Result is Payload decoded.
+	// Result is what Payload encodes: the result this call computed, or
+	// Payload decoded.
 	Result CellResult
 	// Entry is the id of the CellTable entry Result came from; 0 when
 	// there was no table, the cell was computed, or the table holds none.
@@ -641,7 +655,8 @@ type CellOutcome struct {
 
 // RunCells is the one executor behind ecnsim -spec, the daemon and the
 // tuner: it fans the cells out over the harness pool, each through
-// store.DoPrior(key) around Run and Encode, decodes the payload, and returns
+// store.DoPrior(key) around Run and Encode, decodes the payload unless this
+// call computed it, and returns
 // one outcome per cell in submission order. keys, when non-nil, are the
 // cells' cache keys (Cell.Key(ResultSchemaVersion) each) as the caller
 // already derived them; nil derives them here. A nil store computes every
@@ -655,13 +670,15 @@ func RunCells(ctx context.Context, cells []Cell, keys []string, store *cache.Sto
 	jobs := make([]harness.Job, len(cells))
 	for i, cell := range cells {
 		jobs[i] = harness.Job{
-			Label: fmt.Sprintf("%s load=%.2f seed=%d", cell.Scheme, cell.Load, cell.Seed),
+			Label: fmt.Sprintf("%s load=%.2f seed=%d", cell.Scheme.Label, cell.Traffic.Poisson.Load, cell.Seed),
 			Run: func(ctx context.Context) (any, error) {
+				var computed *CellResult
 				compute := func() ([]byte, error) {
 					res, err := cell.Run(ctx)
 					if err != nil {
 						return nil, err
 					}
+					computed = &res
 					return res.Encode()
 				}
 				out := new(CellOutcome)
@@ -685,9 +702,12 @@ func RunCells(ctx context.Context, cells []Cell, keys []string, store *cache.Sto
 				if err != nil {
 					return nil, err
 				}
-				if entry != nil && table != nil {
+				switch {
+				case computed != nil:
+					out.Result = *computed
+				case entry != nil && table != nil:
 					out.Result, out.Entry, err = table.Decode(key, entry, out.Payload)
-				} else {
+				default:
 					out.Result, err = DecodeCellResult(out.Payload)
 				}
 				if err != nil {

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"ecnsharp/internal/sim"
 )
 
 func TestParseSweepSpecDefaults(t *testing.T) {
@@ -64,51 +66,68 @@ func TestSweepSpecCellsGrid(t *testing.T) {
 		t.Fatalf("%d cells, want 6", len(cells))
 	}
 	// Loads outermost, seeds innermost, spec order.
-	if cells[0].Load != 0.3 || cells[0].Seed != 1 || cells[2].Seed != 3 || cells[3].Load != 0.7 {
+	if cells[0].Traffic.Poisson.Load != 0.3 || cells[0].Seed != 1 || cells[2].Seed != 3 || cells[3].Traffic.Poisson.Load != 0.7 {
 		t.Errorf("grid order wrong: %+v", cells)
 	}
 	for _, c := range cells {
-		if c.TraceEvents != "mark,drop" || c.TraceSample != 1 {
-			t.Errorf("trace fields not propagated: %+v", c)
+		if c.Trace == nil || *c.Trace != (TraceSpec{Events: "mark,drop", Sample: 1}) {
+			t.Errorf("trace selection not propagated: %+v", c.Trace)
 		}
 	}
 }
 
+// TestCellKeyDerivation: the key is a function of the run the cell
+// executes. Every spec field that reaches the simulator splits it, and so
+// does every resolved field the spec names only through a preset — the
+// buffer, the transport defaults, the thresholds ECN♯ derives from the RTT
+// model. The worker count does not.
 func TestCellKeyDerivation(t *testing.T) {
-	base := Cell{Topo: "star", Scheme: "ecnsharp", Workload: "websearch",
-		Load: 0.5, Flows: 100, Seed: 1, RTTMinUS: 70, RTTVariation: 3}
-
-	if k1, k2 := base.Key(ResultSchemaVersion), base.Key(ResultSchemaVersion); k1 != k2 {
-		t.Errorf("key not deterministic: %s vs %s", k1, k2)
+	base := testCell(`{"flows":100}`)
+	key := base.Key(ResultSchemaVersion)
+	if k := base.Key(ResultSchemaVersion); k != key {
+		t.Errorf("key not deterministic: %s vs %s", key, k)
 	}
-	if len(base.Key(ResultSchemaVersion)) != 64 {
-		t.Errorf("key is not hex sha256: %q", base.Key(ResultSchemaVersion))
+	if len(key) != 64 {
+		t.Errorf("key is not hex sha256: %q", key)
 	}
 
-	// Every output-affecting field must split the key.
-	mutations := map[string]Cell{}
-	for name, mut := range map[string]func(*Cell){
-		"load":     func(c *Cell) { c.Load = 0.7 },
-		"seed":     func(c *Cell) { c.Seed = 2 },
-		"flows":    func(c *Cell) { c.Flows = 200 },
-		"scheme":   func(c *Cell) { c.Scheme = "codel" },
-		"workload": func(c *Cell) { c.Workload = "datamining" },
-		"topo":     func(c *Cell) { c.Topo = "leafspine" },
-		"rtt":      func(c *Cell) { c.RTTVariation = 4 },
-		"trace":    func(c *Cell) { c.TraceEvents = "mark"; c.TraceSample = 1 },
+	for name, spec := range map[string]string{
+		"load":     `{"flows":100,"loads":[0.7]}`,
+		"seed":     `{"flows":100,"seeds":[2]}`,
+		"flows":    `{"flows":200}`,
+		"scheme":   `{"flows":100,"scheme":"codel"}`,
+		"workload": `{"flows":100,"workload":"datamining"}`,
+		"topo":     `{"flows":100,"topo":"leafspine"}`,
+		"rtt":      `{"flows":100,"rtt_variation":4}`,
+		"trace":    `{"flows":100,"trace":{"events":"mark"}}`,
 	} {
-		c := base
-		mut(&c)
-		mutations[name] = c
-	}
-	for name, c := range mutations {
-		if c.Key(ResultSchemaVersion) == base.Key(ResultSchemaVersion) {
+		if testCell(spec).Key(ResultSchemaVersion) == key {
 			t.Errorf("mutating %s did not change the key", name)
 		}
 	}
+	for name, mut := range map[string]func(*Cell){
+		"buffer_bytes": func(c *Cell) { c.BufferBytes /= 2 },
+		"min_rto":      func(c *Cell) { c.Transport.MinRTO *= 2 },
+		"ins_target":   func(c *Cell) { c.Scheme.Params.InsTarget += sim.Microsecond },
+	} {
+		c := base
+		mut(&c)
+		if c.Key(ResultSchemaVersion) == key {
+			t.Errorf("mutating resolved %s did not change the key", name)
+		}
+	}
+	if base.Scheme.Params == testCell(`{"flows":100,"rtt_min_us":80}`).Scheme.Params {
+		t.Error("ECN# parameters did not follow the RTT model")
+	}
+
+	sharded := base
+	sharded.Shards = 4
+	if sharded.Key(ResultSchemaVersion) != key {
+		t.Error("shards split the key")
+	}
 
 	// A version bump invalidates everything.
-	if base.Key(ResultSchemaVersion) == base.Key(ResultSchemaVersion+".next") {
+	if key == base.Key(ResultSchemaVersion+".next") {
 		t.Error("version bump did not change the key")
 	}
 }
@@ -117,9 +136,7 @@ func TestCellKeyDerivation(t *testing.T) {
 // depends on: running the same cell twice yields byte-identical encoded
 // results, including the captured trace.
 func TestCellRunDeterministicEncode(t *testing.T) {
-	cell := Cell{Topo: "star", Scheme: "ecnsharp", Workload: "websearch",
-		Load: 0.5, Flows: 60, Seed: 7, RTTMinUS: 70, RTTVariation: 3,
-		TraceEvents: "mark,drop,flow_finish", TraceSample: 1}
+	cell := testCell(`{"flows":60,"seeds":[7],"trace":{"events":"mark,drop,flow_finish"}}`)
 
 	r1, err := cell.Run(context.Background())
 	if err != nil {
@@ -181,8 +198,7 @@ func TestCellKeyIndependentOfShards(t *testing.T) {
 		return b
 	}
 	for _, topo := range []string{"star", "leafspine"} {
-		base := Cell{Topo: topo, Scheme: "ecnsharp", Workload: "websearch",
-			Load: 0.5, Flows: 60, Seed: 1, RTTMinUS: 70, RTTVariation: 3}
+		base := testCell(`{"flows":60,"topo":"` + topo + `"}`)
 		want := encode(base)
 		for _, n := range []int{1, 4} {
 			c := base
@@ -198,8 +214,10 @@ func TestCellKeyIndependentOfShards(t *testing.T) {
 	}
 }
 
-// FuzzParseSweepSpec: ParseSweepSpec never panics, and a spec it accepts,
-// marshalled and parsed again, expands into the same cell keys. The seeds
+// FuzzParseSweepSpec: ParseSweepSpec never panics; a spec it accepts,
+// marshalled and parsed again, expands into the same cell keys; and each
+// cell's canonical encoding, decoded as a result's cell echo is and
+// encoded again, keeps its bytes and its key. The seeds
 // include three values whose times overflowed sim.Time before Validate
 // bounded them: they panicked while parsing or in the cell.
 func FuzzParseSweepSpec(f *testing.F) {
@@ -234,6 +252,17 @@ func FuzzParseSweepSpec(f *testing.F) {
 		for i := range a {
 			if ka, kb := a[i].Key(ResultSchemaVersion), b[i].Key(ResultSchemaVersion); ka != kb {
 				t.Fatalf("%s: cell %d key %s, re-parsed %s", data, i, ka, kb)
+			}
+			canon := a[i].CanonicalJSON()
+			r, err := DecodeCellResult([]byte(`{"cell":` + string(canon) + `,"records":null}`))
+			if err != nil {
+				t.Fatalf("%s: cell %d echo %s does not decode: %v", data, i, canon, err)
+			}
+			if again := r.Cell.CanonicalJSON(); !bytes.Equal(again, canon) {
+				t.Fatalf("%s: cell %d canonical form moved through its echo:\n%s\n%s", data, i, canon, again)
+			}
+			if r.Cell.Key(ResultSchemaVersion) != a[i].Key(ResultSchemaVersion) {
+				t.Fatalf("%s: cell %d key moved through its echo", data, i)
 			}
 		}
 	})

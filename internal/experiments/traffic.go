@@ -21,9 +21,9 @@ import (
 // dwrrDeadline/(Probes+1) apart on average (each gap uniform within ±50 %),
 // none later than 5 ms before dwrrDeadline.
 type Traffic struct {
-	Poisson Poisson
-	Probes  int
-	Query   workload.QueryConfig
+	Poisson Poisson              `json:"poisson"`
+	Probes  int                  `json:"probes,omitempty"`
+	Query   workload.QueryConfig `json:"query"`
 }
 
 // Poisson is Count flows arriving as a Poisson process at Load of the
@@ -34,10 +34,10 @@ type Traffic struct {
 // uniform pair of distinct hosts, and the capacity is one access link per
 // host.
 type Poisson struct {
-	Workload string
-	MaxBytes float64
-	Load     float64
-	Count    int
+	Workload string  `json:"workload,omitempty"`
+	MaxBytes float64 `json:"max_bytes,omitempty"`
+	Load     float64 `json:"load,omitempty"`
+	Count    int     `json:"count,omitempty"`
 }
 
 // TrafficRand returns the stream a run of the given seed draws its traffic

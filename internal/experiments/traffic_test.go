@@ -16,8 +16,7 @@ import (
 // change meant to move that shape's flows.
 func TestTrafficDigests(t *testing.T) {
 	cell := func(topo, wl string) RunConfig {
-		cfg, err := Cell{Topo: topo, Scheme: "ecnsharp", Workload: wl, Load: 0.5, Flows: 200,
-			RTTMinUS: 70, RTTVariation: 3}.RunConfig()
+		cfg, err := testCell(fmt.Sprintf(`{"topo":%q,"workload":%q,"flows":200}`, topo, wl)).RunConfig()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,14 +6,23 @@ import (
 	"testing"
 
 	"ecnsharp/internal/aqm"
-	"ecnsharp/internal/rttvar"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/topology"
 )
 
-func testCell() Cell {
-	return Cell{Topo: "star", Scheme: "ecnsharp", Workload: "websearch",
-		Load: 0.5, Flows: 60, Seed: 1, RTTMinUS: 70, RTTVariation: 3}
+// testCell is the first cell of a sweep spec given as JSON, by default the
+// one cell of a 60-flow default spec: websearch ECN♯ on the star at load
+// 0.5, seed 1, RTT 70 µs × 3.
+func testCell(spec ...string) Cell {
+	doc := `{"flows":60}`
+	if len(spec) > 0 {
+		doc = spec[0]
+	}
+	s, err := ParseSweepSpec([]byte(doc))
+	if err != nil {
+		panic(err)
+	}
+	return s.Cells()[0]
 }
 
 // TestTunedAtDefaultsByteIdentical pins the override path against the
@@ -24,11 +33,7 @@ func testCell() Cell {
 // figures run.
 func TestTunedAtDefaultsByteIdentical(t *testing.T) {
 	base := testCell()
-	rtt := rttvar.NewVariation(sim.Micros(base.RTTMinUS), base.RTTVariation)
-	scheme, err := SchemeByName(base.Scheme, rtt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scheme := base.Scheme
 	tuned := base
 	tuned.Tuned = &TunedParams{Groups: []TunedGroup{{Scope: "all", Params: []TunedValue{
 		{Name: "ins_target_us", Value: scheme.Params.InsTarget.Micros()},
@@ -58,12 +63,11 @@ func TestTunedAtDefaultsByteIdentical(t *testing.T) {
 // egress queue asks for its location's parameters), and the tuned cell
 // still runs to completion.
 func TestTunedPerTierAssignment(t *testing.T) {
-	c := Cell{Topo: "leafspine", Scheme: "ecnsharp", Workload: "websearch",
-		Load: 0.3, Flows: 30, Seed: 1, RTTMinUS: 80, RTTVariation: 3,
-		Tuned: &TunedParams{Groups: []TunedGroup{
-			{Scope: "leaf", Params: []TunedValue{{Name: "ins_target_us", Value: 150}, {Name: "pst_target_us", Value: 60}, {Name: "pst_interval_us", Value: 150}}},
-			{Scope: "spine", Params: []TunedValue{{Name: "ins_target_us", Value: 300}, {Name: "pst_target_us", Value: 120}, {Name: "pst_interval_us", Value: 300}}},
-		}}}
+	c := testCell(`{"topo":"leafspine","loads":[0.3],"flows":30,"rtt_min_us":80}`)
+	c.Tuned = &TunedParams{Groups: []TunedGroup{
+		{Scope: "leaf", Params: []TunedValue{{Name: "ins_target_us", Value: 150}, {Name: "pst_target_us", Value: 60}, {Name: "pst_interval_us", Value: 150}}},
+		{Scope: "spine", Params: []TunedValue{{Name: "ins_target_us", Value: 300}, {Name: "pst_target_us", Value: 120}, {Name: "pst_interval_us", Value: 300}}},
+	}}
 	res, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +85,8 @@ func TestTunedPerTierAssignment(t *testing.T) {
 }
 
 // TestTunedValidation pins the failure modes: bad scopes, bad values and
-// scheme-mismatched names fail loudly at RunConfig time.
+// scheme-mismatched names fail loudly at RunConfig time, and Run returns
+// the same error instead of panicking in the AQM build.
 func TestTunedValidation(t *testing.T) {
 	mk := func(mutate func(*Cell)) error {
 		c := testCell()
@@ -89,6 +94,9 @@ func TestTunedValidation(t *testing.T) {
 			Params: []TunedValue{{Name: "ins_target_us", Value: 100}}}}}
 		mutate(&c)
 		_, err := c.RunConfig()
+		if _, runErr := c.Run(context.Background()); (runErr == nil) != (err == nil) {
+			t.Errorf("RunConfig error %v, Run error %v", err, runErr)
+		}
 		return err
 	}
 	if err := mk(func(*Cell) {}); err != nil {
@@ -97,7 +105,10 @@ func TestTunedValidation(t *testing.T) {
 	// only turns the cell into a scheme cell tuning just name = v.
 	only := func(scheme, name string, v float64) func(*Cell) {
 		return func(c *Cell) {
-			c.Scheme = scheme
+			var err error
+			if c.Scheme, err = SchemeByName(scheme, c.RTT); err != nil {
+				t.Fatal(err)
+			}
 			c.Tuned.Groups[0].Params = []TunedValue{{Name: name, Value: v}}
 		}
 	}

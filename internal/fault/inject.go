@@ -52,23 +52,6 @@ func Install(net *topology.Net, s *Schedule) (*Injector, error) {
 	return &Injector{Net: net, Transitions: trs}, nil
 }
 
-// kind maps a transition to its trace classification.
-func (t Transition) kind() trace.FaultKind {
-	switch t.Action {
-	case LinkDown:
-		return trace.FaultLinkDown
-	case LinkUp:
-		return trace.FaultLinkUp
-	case Degrade:
-		return trace.FaultDegrade
-	case SwitchFail:
-		return trace.FaultSwitchFail
-	case SwitchRecover:
-		return trace.FaultSwitchRecover
-	}
-	return trace.FaultNone
-}
-
 // emitFault traces one LinkFault transition on eng's tracer (a no-op on
 // untraced runs). link is the census index or -1; sw the switch index or
 // -1.

@@ -140,9 +140,6 @@ func (c *FCTCollector) Merge(other *FCTCollector) {
 	c.records = append(c.records, other.records...)
 }
 
-// Count returns the number of recorded flows.
-func (c *FCTCollector) Count() int { return len(c.records) }
-
 // Records returns the raw records (not a copy; treat as read-only).
 func (c *FCTCollector) Records() []FCTRecord { return c.records }
 

@@ -39,7 +39,7 @@ func TestFCTCollectorBreakdown(t *testing.T) {
 	if math.Abs(s.OverallAvg-wantOverall) > 1e-9 {
 		t.Errorf("OverallAvg = %v, want %v", s.OverallAvg, wantOverall)
 	}
-	if c.Count() != 5 || len(c.Records()) != 5 {
+	if len(c.Records()) != 5 {
 		t.Error("raw record access broken")
 	}
 	if got := c.ShortFCTsMicros(); len(got) != 2 {
@@ -175,12 +175,12 @@ func TestFCTCollectorMerge(t *testing.T) {
 	pooled.Merge(a)
 	pooled.Merge(b)
 	pooled.Merge(nil) // no-op
-	if pooled.Count() != 200 {
-		t.Fatalf("pooled count = %d, want 200", pooled.Count())
+	if len(pooled.Records()) != 200 {
+		t.Fatalf("pooled count = %d, want 200", len(pooled.Records()))
 	}
 	// Records pool in merge order; a and b stay untouched.
-	if a.Count() != 100 || b.Count() != 100 {
-		t.Errorf("merge mutated sources: %d / %d", a.Count(), b.Count())
+	if len(a.Records()) != 100 || len(b.Records()) != 100 {
+		t.Errorf("merge mutated sources: %d / %d", len(a.Records()), len(b.Records()))
 	}
 	if got := pooled.Records()[0]; got != a.Records()[0] {
 		t.Errorf("first pooled record %+v, want %+v", got, a.Records()[0])

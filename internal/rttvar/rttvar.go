@@ -131,8 +131,8 @@ var rttShape = dist.MustEmpiricalCDF([]dist.CDFPoint{
 // experiment, spanning [Min, Max] with the canonical long-tail shape.
 // Variation (the paper's RTTmax/RTTmin) is Max/Min.
 type RTTDistribution struct {
-	Min sim.Time
-	Max sim.Time
+	Min sim.Time `json:"min,omitempty"`
+	Max sim.Time `json:"max,omitempty"`
 }
 
 // NewRTTDistribution builds a distribution over [min, max].

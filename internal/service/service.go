@@ -768,7 +768,7 @@ func (s *Server) handleCellTrace(j *job, w http.ResponseWriter, r *http.Request)
 	case st.State == "error":
 		writeErr(w, http.StatusConflict, errNotFinished, st.Error)
 		return
-	case sw.cells[idx].TraceEvents == "":
+	case sw.cells[idx].Trace == nil:
 		writeErr(w, http.StatusNotFound, errNotFound,
 			"cell was run without tracing (set \"trace\" in the sweep spec)")
 		return

@@ -14,7 +14,7 @@ import (
 )
 
 // tableBudget is the byte budget of a Server's table: what its entries'
-// store entries, decoded records, traces, results JSON and pooled views are
+// store entries, decoded records, results JSON and pooled views are
 // estimated to hold. 32 MiB holds the 12 cells of a 4-load × 3-seed,
 // 400-flow sweep about a hundred times over.
 const tableBudget = 32 << 20
@@ -88,7 +88,9 @@ func (t *table) Prior(key string) []byte {
 
 // Decode implements experiments.CellTable: it returns the entry held under
 // key when its store entry equals entry, and otherwise decodes payload and
-// admits the result with entry and its results JSON.
+// admits the result with entry and its results JSON. The admitted result
+// has no TraceJSONL: the trace route reads the store, so the entry holds a
+// trace once, in its store entry bytes.
 func (t *table) Decode(key string, entry, payload []byte) (experiments.CellResult, uint64, error) {
 	if e := t.get(key); e != nil && bytes.Equal(e.entry, entry) {
 		return e.result, e.id, nil
@@ -97,8 +99,9 @@ func (t *table) Decode(key string, entry, payload []byte) (experiments.CellResul
 	if err != nil {
 		return experiments.CellResult{}, 0, err
 	}
+	r.TraceJSONL = ""
 	js, stats := encodeCell(&r)
-	size := int64(len(key)+cap(entry)+len(js)+len(r.TraceJSONL)) +
+	size := int64(len(key)+cap(entry)+len(js)) +
 		int64(len(r.Records))*int64(unsafe.Sizeof(metrics.FCTRecord{}))
 	t.decoded.Add(1)
 	e := t.add(&tableEntry{key: key, size: size, entry: entry, result: r, json: js, stats: stats}, func(old *tableEntry) bool {

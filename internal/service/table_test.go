@@ -252,12 +252,52 @@ func tableEntryBytes(t *testing.T, seed int64, n int) (entry, payload []byte) {
 	return entry, entry[3:]
 }
 
+// TestTableHoldsATraceOnce: a traced cell's table entry holds its trace
+// once, in its store entry bytes, and is charged for it once; the result
+// it admitted has none.
+func TestTableHoldsATraceOnce(t *testing.T) {
+	srv, base := newTestDaemon(t, Config{Parallel: 2})
+	runSweep(t, base, quickSpec)
+	runSweep(t, base, quickSpec) // every cell a store hit: the table admits both
+	srv.table.mu.Lock()
+	defer srv.table.mu.Unlock()
+	cells := 0
+	for el := srv.table.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*tableEntry)
+		if e.entry == nil {
+			continue // a pooled load
+		}
+		cells++
+		stored, err := experiments.DecodeCellResult(e.entry[bytes.IndexByte(e.entry, '\n')+1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stored.TraceJSONL == "" {
+			t.Errorf("%s: the store entry holds no trace", e.key)
+		}
+		if e.result.TraceJSONL != "" {
+			t.Errorf("%s: the admitted result holds the trace again", e.key)
+		}
+		if e.size >= int64(cap(e.entry)+len(stored.TraceJSONL)) {
+			t.Errorf("%s: charged %d B, at least its %d B entry and its %d B trace again",
+				e.key, e.size, cap(e.entry), len(stored.TraceJSONL))
+		}
+	}
+	if cells != 2 {
+		t.Errorf("%d cell entries, want quickSpec's 2", cells)
+	}
+}
+
 // tablePayload encodes a cell result with n records.
 func tablePayload(t *testing.T, seed int64, n int) []byte {
 	t.Helper()
-	r := experiments.CellResult{SchemaVersion: experiments.ResultSchemaVersion,
-		Cell: experiments.Cell{Topo: "star", Scheme: "ecnsharp", Workload: "websearch",
-			Load: 0.5, Flows: n, Seed: seed, RTTMinUS: 70, RTTVariation: 3}}
+	spec, err := experiments.ParseSweepSpec([]byte(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := spec.Cells()[0]
+	cell.Seed, cell.Traffic.Poisson.Count = seed, n
+	r := experiments.CellResult{SchemaVersion: experiments.ResultSchemaVersion, Cell: cell}
 	for i := range n {
 		r.Records = append(r.Records, metrics.FCTRecord{Size: int64(1000 + i), FCT: 5000})
 	}

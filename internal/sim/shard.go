@@ -150,9 +150,6 @@ func NewShardedEngine(domains int, lookahead Time, workers int) *ShardedEngine {
 // elements schedule their events.
 func (se *ShardedEngine) Domain(d int) *Engine { return se.doms[d].eng }
 
-// Lookahead returns the conservative window length.
-func (se *ShardedEngine) Lookahead() Time { return se.lookahead }
-
 // Workers returns the worker goroutine budget, which is also the number of
 // worker groups.
 func (se *ShardedEngine) Workers() int { return se.workers }

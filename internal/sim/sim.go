@@ -68,9 +68,6 @@ func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 // Micros constructs a Time from a microsecond count.
 func Micros(us float64) Time { return Time(us * float64(Microsecond)) }
 
-// Millis constructs a Time from a millisecond count.
-func Millis(ms float64) Time { return Time(ms * float64(Millisecond)) }
-
 // Event is a generation-counted handle to a scheduled callback. It is a
 // small value (not a pointer): copying it is free and holding one does not
 // keep the callback alive. The zero Event references nothing — canceling

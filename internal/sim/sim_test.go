@@ -13,9 +13,6 @@ func TestTimeConversions(t *testing.T) {
 	if Micros(1) != Microsecond {
 		t.Errorf("Micros(1) = %v, want %v", Micros(1), Microsecond)
 	}
-	if Millis(1) != Millisecond {
-		t.Errorf("Millis(1) = %v, want %v", Millis(1), Millisecond)
-	}
 	if Seconds(1) != Second {
 		t.Errorf("Seconds(1) = %v, want %v", Seconds(1), Second)
 	}

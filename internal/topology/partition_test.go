@@ -87,9 +87,8 @@ func TestPartitionLeafSpineProperties(t *testing.T) {
 			t.Fatalf("partition lookahead %v, true min cut delay %v, link delay %v: want all equal",
 				part.Lookahead, minCut, prop)
 		}
-		if net.Lookahead != part.Lookahead || net.Shard.Lookahead() != part.Lookahead {
-			t.Fatalf("net/engine lookahead (%v, %v) disagree with partition %v",
-				net.Lookahead, net.Shard.Lookahead(), part.Lookahead)
+		if net.Lookahead != part.Lookahead {
+			t.Fatalf("net lookahead %v disagrees with partition %v", net.Lookahead, part.Lookahead)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func endToEnd(t *testing.T, n *Net, src, dst int) {
 	if !table.Done[0] {
 		t.Fatalf("flow %d->%d incomplete", src, dst)
 	}
-	if got := table.Receivers[0].RcvNxt(); got != size {
+	if got := table.Receivers[0].BytesInOrder; got != size {
 		t.Fatalf("flow %d->%d delivered %d bytes", src, dst, got)
 	}
 }

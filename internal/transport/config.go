@@ -9,29 +9,29 @@ import (
 // Config holds transport parameters shared by all flows of a simulation.
 type Config struct {
 	// MSS is the maximum segment payload in bytes.
-	MSS int
+	MSS int `json:"mss,omitempty"`
 	// InitCwndSegments is the initial congestion window in segments.
-	InitCwndSegments int
+	InitCwndSegments int `json:"init_cwnd_segments,omitempty"`
 	// MaxCwndSegments caps the congestion window, playing the role of the
 	// receive window / rmem limit of a real stack. Without it a flow on an
 	// uncongested equal-rate path grows its window without bound (nothing
 	// ever marks or drops) and then dumps megabytes into the first queue
 	// that appears.
-	MaxCwndSegments int
+	MaxCwndSegments int `json:"max_cwnd_segments,omitempty"`
 	// MinRTO floors the retransmission timeout. Datacenter stacks tune
 	// this to a few milliseconds; a single timeout then adds >1 ms to an
 	// FCT, which is what ruins CoDel's incast numbers in Figure 11.
-	MinRTO sim.Time
+	MinRTO sim.Time `json:"min_rto,omitempty"`
 	// MaxRTO caps exponential backoff.
-	MaxRTO sim.Time
+	MaxRTO sim.Time `json:"max_rto,omitempty"`
 	// InitialRTO is used before the first RTT sample.
-	InitialRTO sim.Time
+	InitialRTO sim.Time `json:"initial_rto,omitempty"`
 	// DelayedAckCount batches ACKs: the receiver acknowledges every N data
 	// packets (1 disables delaying). The DCTCP CE-change rule still forces
 	// an immediate ACK whenever the observed CE state flips.
-	DelayedAckCount int
+	DelayedAckCount int `json:"delayed_ack_count,omitempty"`
 	// DelayedAckTimeout bounds how long an ACK may be withheld.
-	DelayedAckTimeout sim.Time
+	DelayedAckTimeout sim.Time `json:"delayed_ack_timeout,omitempty"`
 	// MaxConsecTimeouts, when positive, bounds consecutive retransmission
 	// timeouts: a flow whose (MaxConsecTimeouts+1)-th back-to-back RTO
 	// fires gives up and fails instead of retrying forever. Zero keeps the
@@ -39,16 +39,16 @@ type Config struct {
 	// network, where it cannot trigger; fault-injection runs set it so a
 	// flow whose every path died terminates the run via RTO exhaustion
 	// rather than deadlocking it.
-	MaxConsecTimeouts int
+	MaxConsecTimeouts int `json:"max_consec_timeouts,omitempty"`
 	// Class is the service class stamped on the flow's packets, selecting
 	// the egress queue under multi-queue scheduling (Figure 13).
-	Class int
+	Class int `json:"class,omitempty"`
 	// DCQCN, when non-nil, makes the flow rate-based: its Sender paces
 	// MSS-byte segments at the DCQCN rate these parameters control, goes
 	// back N on loss with a fixed MinRTO timer, and cuts its rate on
 	// ECN-echo. Nil keeps the DCTCP window sender. The receiver is the same
 	// either way, and so is the RTO budget (MaxConsecTimeouts).
-	DCQCN *DCQCNConfig
+	DCQCN *DCQCNConfig `json:"dcqcn,omitempty"`
 }
 
 // DefaultConfig returns the parameters used throughout the experiments:

@@ -23,19 +23,19 @@ import (
 // go-back-N timer come from the flow's Config (MSS, MinRTO).
 type DCQCNConfig struct {
 	// LineRateBps caps the sending rate (the NIC speed).
-	LineRateBps float64
+	LineRateBps float64 `json:"line_rate_bps,omitempty"`
 	// MinRateBps floors the rate so a flow always makes progress.
-	MinRateBps float64
+	MinRateBps float64 `json:"min_rate_bps,omitempty"`
 	// RaiBps is the additive-increase step.
-	RaiBps float64
+	RaiBps float64 `json:"rai_bps,omitempty"`
 	// G is the α EWMA gain.
-	G float64
+	G float64 `json:"g,omitempty"`
 	// AlphaTimer is the α-update and rate-increase period.
-	AlphaTimer sim.Time
+	AlphaTimer sim.Time `json:"alpha_timer,omitempty"`
 	// CNPInterval rate-limits decreases: at most one cut per interval.
-	CNPInterval sim.Time
+	CNPInterval sim.Time `json:"cnp_interval,omitempty"`
 	// FastRecoverySteps is F: increase stages before additive increase.
-	FastRecoverySteps int
+	FastRecoverySteps int `json:"fast_recovery_steps,omitempty"`
 }
 
 // DefaultDCQCNConfig returns conventional parameters scaled to 10 GbE.

@@ -56,8 +56,8 @@ func TestDCQCNDeliversAllBytes(t *testing.T) {
 	fl := launch(rateConfig(transport.DefaultDCQCNConfig()), net.Host(0), net.Host(1), 1, size, 0)
 	net.Shard.Run()
 	sender, recv, fct := fl.Senders[0], fl.Receivers[0], fl.FCT[0]
-	if !sender.Finished() || recv.RcvNxt() != size {
-		t.Fatalf("incomplete: finished=%v rcv=%d", sender.Finished(), recv.RcvNxt())
+	if !sender.Finished() || recv.BytesInOrder != size {
+		t.Fatalf("incomplete: finished=%v rcv=%d", sender.Finished(), recv.BytesInOrder)
 	}
 	// Paced at ~line rate on an idle path: close to serialization time.
 	min := sim.Time(float64(size) * 8 / topology.TenGbps * float64(sim.Second))
@@ -132,8 +132,8 @@ func TestDCQCNLossRecoveryGoBackN(t *testing.T) {
 	fl := launch(rateConfig(transport.DefaultDCQCNConfig()), h0, h1, 1, size, 0)
 	eng.Run()
 	sender, recv := fl.Senders[0], fl.Receivers[0]
-	if !sender.Finished() || recv.RcvNxt() != size {
-		t.Fatalf("incomplete after loss: rcv=%d", recv.RcvNxt())
+	if !sender.Finished() || recv.BytesInOrder != size {
+		t.Fatalf("incomplete after loss: rcv=%d", recv.BytesInOrder)
 	}
 	if sender.Stats.Retransmits == 0 {
 		t.Error("no go-back-N after a drop")

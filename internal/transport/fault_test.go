@@ -30,8 +30,8 @@ func TestSingleLossRecoversByFastRetransmit(t *testing.T) {
 	fl := launch(transport.DefaultConfig(), h0, h1, 1, size, 0)
 	eng.Run()
 
-	if !fl.Done[0] || fl.Receivers[0].RcvNxt() != size {
-		t.Fatalf("flow incomplete: done=%v rcv=%d", fl.Done[0], fl.Receivers[0].RcvNxt())
+	if !fl.Done[0] || fl.Receivers[0].BytesInOrder != size {
+		t.Fatalf("flow incomplete: done=%v rcv=%d", fl.Done[0], fl.Receivers[0].BytesInOrder)
 	}
 	if tap.Dropped != 1 {
 		t.Fatalf("tap dropped %d packets", tap.Dropped)
@@ -65,7 +65,7 @@ func TestBurstLossRecoversViaPartialAcks(t *testing.T) {
 	fl := launch(transport.DefaultConfig(), h0, h1, 1, size, 0)
 	eng.Run()
 
-	if !fl.Done[0] || fl.Receivers[0].RcvNxt() != size {
+	if !fl.Done[0] || fl.Receivers[0].BytesInOrder != size {
 		t.Fatalf("flow incomplete after burst loss")
 	}
 	if fl.Senders[0].Stats.Timeouts != 0 {
@@ -94,7 +94,7 @@ func TestLostRetransmissionNeedsRTO(t *testing.T) {
 	fl := launch(transport.DefaultConfig(), h0, h1, 1, size, 0)
 	eng.Run()
 
-	if !fl.Done[0] || fl.Receivers[0].RcvNxt() != size {
+	if !fl.Done[0] || fl.Receivers[0].BytesInOrder != size {
 		t.Fatal("flow incomplete after double loss")
 	}
 	if fl.Senders[0].Stats.Timeouts == 0 {
@@ -123,7 +123,7 @@ func TestAckLossIsAbsorbedByCumulativeAcks(t *testing.T) {
 	fl := launch(transport.DefaultConfig(), h0, h1, 1, size, 0)
 	eng.Run()
 
-	if !fl.Done[0] || fl.Receivers[0].RcvNxt() != size {
+	if !fl.Done[0] || fl.Receivers[0].BytesInOrder != size {
 		t.Fatal("flow incomplete under ACK loss")
 	}
 	if ackTap.Dropped == 0 {
@@ -151,7 +151,7 @@ func TestDuplicatedPacketsAreHarmless(t *testing.T) {
 	fl := launch(transport.DefaultConfig(), h0, h1, 1, size, 0)
 	eng.Run()
 
-	if !fl.Done[0] || fl.Receivers[0].RcvNxt() != size {
+	if !fl.Done[0] || fl.Receivers[0].BytesInOrder != size {
 		t.Fatal("flow incomplete under duplication")
 	}
 	if tap.Duplicated == 0 {
@@ -171,7 +171,7 @@ func TestSteadyLossRateStillCompletes(t *testing.T) {
 	fl := launch(transport.DefaultConfig(), h0, h1, 1, size, 0)
 	eng.Run()
 
-	if !fl.Done[0] || fl.Receivers[0].RcvNxt() != size {
+	if !fl.Done[0] || fl.Receivers[0].BytesInOrder != size {
 		t.Fatal("flow incomplete under steady loss")
 	}
 	if fl.Senders[0].Stats.Retransmits == 0 {
@@ -194,8 +194,8 @@ func TestReorderingDeliversExactByteStream(t *testing.T) {
 	if !fl.Done[0] {
 		t.Fatal("flow incomplete under reordering")
 	}
-	if fl.Receivers[0].RcvNxt() != size {
-		t.Fatalf("delivered %d bytes, want %d", fl.Receivers[0].RcvNxt(), size)
+	if fl.Receivers[0].BytesInOrder != size {
+		t.Fatalf("delivered %d bytes, want %d", fl.Receivers[0].BytesInOrder, size)
 	}
 	if fl.Receivers[0].OutOfOrder == 0 {
 		t.Error("test broken: nothing arrived out of order")
@@ -278,8 +278,8 @@ func TestRandomFaultsProperty(t *testing.T) {
 		if !fl.Done[0] {
 			t.Fatalf("seed %d: flow incomplete (size %d, drop %.3f)", seed, size, dropP)
 		}
-		if fl.Receivers[0].RcvNxt() != size {
-			t.Fatalf("seed %d: delivered %d of %d bytes", seed, fl.Receivers[0].RcvNxt(), size)
+		if fl.Receivers[0].BytesInOrder != size {
+			t.Fatalf("seed %d: delivered %d of %d bytes", seed, fl.Receivers[0].BytesInOrder, size)
 		}
 	}
 	for seed := int64(1); seed <= 40; seed++ {

@@ -30,17 +30,17 @@ func TestReceiverOOOAllocatedOnFirstWrite(t *testing.T) {
 	for s := int64(0); s < 4; s++ {
 		deliver(s)
 	}
-	if r.ooo != nil || r.RcvNxt() != 4*packet.MSS {
-		t.Fatalf("after 4 in-order segments: ooo %v, rcvNxt %d", r.ooo, r.RcvNxt())
+	if r.ooo != nil || r.BytesInOrder != 4*packet.MSS {
+		t.Fatalf("after 4 in-order segments: ooo %v, rcvNxt %d", r.ooo, r.BytesInOrder)
 	}
 	deliver(5)
 	deliver(6)
-	if len(r.ooo) != 2 || r.RcvNxt() != 4*packet.MSS || r.OutOfOrder != 2 {
-		t.Fatalf("after segments 5 and 6 arrived early: ooo %v, rcvNxt %d, OutOfOrder %d", r.ooo, r.RcvNxt(), r.OutOfOrder)
+	if len(r.ooo) != 2 || r.BytesInOrder != 4*packet.MSS || r.OutOfOrder != 2 {
+		t.Fatalf("after segments 5 and 6 arrived early: ooo %v, rcvNxt %d, OutOfOrder %d", r.ooo, r.BytesInOrder, r.OutOfOrder)
 	}
 	deliver(4)
-	if len(r.ooo) != 0 || r.RcvNxt() != 7*packet.MSS {
-		t.Fatalf("after the hole filled: ooo %v, rcvNxt %d, want empty and %d", r.ooo, r.RcvNxt(), 7*packet.MSS)
+	if len(r.ooo) != 0 || r.BytesInOrder != 7*packet.MSS {
+		t.Fatalf("after the hole filled: ooo %v, rcvNxt %d, want empty and %d", r.ooo, r.BytesInOrder, 7*packet.MSS)
 	}
 	eng.Run()
 	if r.AcksSent != 7 {

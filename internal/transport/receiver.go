@@ -74,9 +74,6 @@ func receiverAckTimer(a any) {
 	}
 }
 
-// RcvNxt returns the next expected byte (bytes delivered in order).
-func (r *Receiver) RcvNxt() int64 { return r.rcvNxt }
-
 // Close unregisters the receiver and cancels any pending delayed ACK.
 func (r *Receiver) Close() {
 	r.host.Unregister(r.flowID)

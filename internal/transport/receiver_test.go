@@ -133,12 +133,12 @@ func TestReceiverOutOfOrderAndDuplicates(t *testing.T) {
 	r.HandlePacket(eng.Now(), seg(0, 1460, packet.ECT))
 	r.HandlePacket(eng.Now(), seg(2*1460, 1460, packet.ECT)) // gap at 1460
 	r.HandlePacket(eng.Now(), seg(2*1460, 1460, packet.ECT)) // duplicate OOO
-	if r.RcvNxt() != 1460 {
-		t.Fatalf("RcvNxt = %d before hole filled", r.RcvNxt())
+	if r.BytesInOrder != 1460 {
+		t.Fatalf("RcvNxt = %d before hole filled", r.BytesInOrder)
 	}
 	r.HandlePacket(eng.Now(), seg(1460, 1460, packet.ECT)) // fill the hole
-	if r.RcvNxt() != 3*1460 {
-		t.Fatalf("RcvNxt = %d after hole filled, want %d", r.RcvNxt(), 3*1460)
+	if r.BytesInOrder != 3*1460 {
+		t.Fatalf("RcvNxt = %d after hole filled, want %d", r.BytesInOrder, 3*1460)
 	}
 	r.HandlePacket(eng.Now(), seg(0, 1460, packet.ECT)) // fully old segment
 	eng.Run()

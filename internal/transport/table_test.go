@@ -77,7 +77,7 @@ func checkOneFlow(t *testing.T, table *transport.FlowTable, net *topology.Net, o
 	if table.Len() != 1 || !table.Done[0] || table.FCT[0] <= 0 {
 		t.Fatalf("table has %d flows, done=%v fct=%v", table.Len(), table.Done[0], table.FCT[0])
 	}
-	if got := table.Receivers[0].RcvNxt(); got != oneFlowSize {
+	if got := table.Receivers[0].BytesInOrder; got != oneFlowSize {
 		t.Errorf("delivered %d bytes, want %d", got, oneFlowSize)
 	}
 	if table.IDs[0] != 1 || table.Src[0] != 0 || table.Dst[0] != 1 ||

@@ -48,8 +48,8 @@ func TestSingleFlowDeliversAllBytes(t *testing.T) {
 	if !f.Senders[0].Finished() {
 		t.Error("sender not finished")
 	}
-	if f.Receivers[0].RcvNxt() != size {
-		t.Errorf("receiver got %d bytes in order, want %d", f.Receivers[0].RcvNxt(), size)
+	if f.Receivers[0].BytesInOrder != size {
+		t.Errorf("receiver got %d bytes in order, want %d", f.Receivers[0].BytesInOrder, size)
 	}
 	fct := f.FCT[0]
 	if fct <= 0 {
@@ -97,7 +97,7 @@ func TestManyParallelFlowsConserveBytes(t *testing.T) {
 		if !table.Done[i] {
 			t.Fatalf("flow %d incomplete", i)
 		}
-		if got := table.Receivers[i].RcvNxt(); got != size {
+		if got := table.Receivers[i].BytesInOrder; got != size {
 			t.Errorf("flow %d: delivered %d, want %d", i, got, size)
 		}
 	}
@@ -151,7 +151,7 @@ func TestLossRecoveryUnderTinyBuffer(t *testing.T) {
 		if !done {
 			t.Fatalf("flow %d incomplete after losses", i)
 		}
-		if got := table.Receivers[i].RcvNxt(); got != 500_000 {
+		if got := table.Receivers[i].BytesInOrder; got != 500_000 {
 			t.Errorf("flow %d delivered %d bytes", i, got)
 		}
 		if table.Senders[i].Stats.Retransmits > 0 {

@@ -56,10 +56,7 @@ func FuzzParseTuneSpec(f *testing.F) {
 		if spec.Budget < 1 {
 			t.Fatalf("accepted budget %d", spec.Budget)
 		}
-		scheme, err := sweepScheme(&spec.Sweep)
-		if err != nil {
-			t.Fatalf("accepted spec names no scheme: %v", err)
-		}
+		scheme := spec.Sweep.Cells()[0].Scheme
 		for _, corner := range []func(Dim) float64{
 			func(d Dim) float64 { return d.Min },
 			func(d Dim) float64 { return d.Default },

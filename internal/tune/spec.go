@@ -7,8 +7,6 @@ import (
 	"math"
 
 	"ecnsharp/internal/experiments"
-	"ecnsharp/internal/rttvar"
-	"ecnsharp/internal/sim"
 )
 
 // Spec is the tune request document shared by `ecnsim -tune` and the
@@ -136,10 +134,7 @@ func (s *Spec) Normalize() error {
 // every check ApplyTuned makes is monotone in each value, and ToTuned
 // repairs the one coupling between two dimensions.
 func (s *Spec) checkCorners() error {
-	scheme, err := sweepScheme(&s.Sweep)
-	if err != nil {
-		return err
-	}
+	scheme := s.Sweep.Cells()[0].Scheme
 	for _, corner := range []func(Dim) float64{
 		func(d Dim) float64 { return d.Min },
 		func(d Dim) float64 { return d.Default },
@@ -156,22 +151,14 @@ func (s *Spec) checkCorners() error {
 	return nil
 }
 
-// sweepScheme resolves the normalized sweep's scheme the way its cells do.
-func sweepScheme(sweep *experiments.SweepSpec) (experiments.Scheme, error) {
-	rtt := rttvar.NewVariation(sim.Micros(sweep.RTTMinUS), sweep.RTTVariation)
-	return experiments.SchemeByName(sweep.Scheme, rtt)
-}
-
-// DefaultSpace derives the search box for the sweep's scheme, anchored at
-// the same §3.4 derivation SchemeByName performs: each dimension spans
-// [anchor/8, anchor·4] (floored at a few microseconds or one MTU) around
-// the hand-derived default. perTier splits a leafspine sweep into leaf
-// and spine scopes; otherwise the single "all" scope is shared.
+// DefaultSpace derives the search box for the normalized sweep's scheme,
+// anchored at the parameters its cells run with (the §3.4 derivation
+// SchemeByName performs): each dimension spans [anchor/8, anchor·4]
+// (floored at a few microseconds or one MTU) around the hand-derived
+// default. perTier splits a leafspine sweep into leaf and spine scopes;
+// otherwise the single "all" scope is shared.
 func DefaultSpace(sweep *experiments.SweepSpec, perTier bool) (*Space, error) {
-	scheme, err := sweepScheme(sweep)
-	if err != nil {
-		return nil, err
-	}
+	scheme := sweep.Cells()[0].Scheme
 	var dims []Dim
 	for _, d := range scheme.TunedDims() {
 		anchor := math.Max(d.Value, d.Floor)

@@ -71,16 +71,16 @@ func ByName(name string) (*dist.EmpiricalCDF, error) {
 
 // FlowSpec describes one flow to inject.
 type FlowSpec struct {
-	Src   int
-	Dst   int
-	Size  int64
-	Start sim.Time
+	Src   int      `json:"src,omitempty"`
+	Dst   int      `json:"dst,omitempty"`
+	Size  int64    `json:"size,omitempty"`
+	Start sim.Time `json:"start,omitempty"`
 	// Query tags incast query flows so metrics can separate them from
 	// background traffic (Figure 11).
-	Query bool
+	Query bool `json:"query,omitempty"`
 	// Class is the service class the flow's packets carry: the switch
 	// queue they join under a multi-queue scheduler (Figure 13).
-	Class int
+	Class int `json:"class,omitempty"`
 }
 
 // PairPicker selects a (src, dst) host pair for each flow.
@@ -180,11 +180,11 @@ func PoissonFlows(rng *rand.Rand, cfg PoissonConfig) []FlowSpec {
 // send one flow to the aggregator at the same instant, sized uniformly in
 // [MinBytes, MaxBytes].
 type QueryConfig struct {
-	Senders  []int
-	Receiver int
-	At       sim.Time
-	MinBytes int64
-	MaxBytes int64
+	Senders  []int    `json:"senders,omitempty"`
+	Receiver int      `json:"receiver,omitempty"`
+	At       sim.Time `json:"at,omitempty"`
+	MinBytes int64    `json:"min_bytes,omitempty"`
+	MaxBytes int64    `json:"max_bytes,omitempty"`
 }
 
 // QueryFlows generates one synchronized incast burst. The paper draws

@@ -27,21 +27,26 @@ type digestReport struct {
 
 // digestCells are small cells covering both topologies under every scheme,
 // one tuned cell and one traced cell, keyed by a label.
-func digestCells() map[string]experiments.Cell {
+func digestCells(t *testing.T) map[string]experiments.Cell {
 	cells := make(map[string]experiments.Cell)
+	cell := func(topo, scheme, trace string) experiments.Cell {
+		spec, err := experiments.ParseSweepSpec([]byte(fmt.Sprintf(
+			`{"topo":%q,"scheme":%q,"loads":[0.6],"flows":40%s}`, topo, scheme, trace)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec.Cells()[0]
+	}
 	for _, topo := range []string{"star", "leafspine"} {
 		for _, scheme := range []string{"ecnsharp", "red-tail", "red-avg", "codel", "tcn"} {
-			cells[topo+"/"+scheme] = experiments.Cell{Topo: topo, Scheme: scheme, Workload: "websearch",
-				Load: 0.6, Flows: 40, Seed: 1, RTTMinUS: 70, RTTVariation: 3}
+			cells[topo+"/"+scheme] = cell(topo, scheme, "")
 		}
 	}
 	tuned := cells["leafspine/ecnsharp"]
 	tuned.Tuned = &experiments.TunedParams{Groups: []experiments.TunedGroup{{Scope: "spine",
 		Params: []experiments.TunedValue{{Name: "ins_target_us", Value: 150}}}}}
 	cells["leafspine/ecnsharp/tuned"] = tuned
-	traced := cells["leafspine/ecnsharp"]
-	traced.TraceEvents, traced.TraceSample = "mark,drop,flow_finish", 2
-	cells["leafspine/ecnsharp/traced"] = traced
+	cells["leafspine/ecnsharp/traced"] = cell("leafspine", "ecnsharp", `,"trace":{"events":"mark,drop,flow_finish","sample":2}`)
 	return cells
 }
 
@@ -72,7 +77,7 @@ func measureDigests(t *testing.T) digestReport {
 		Cells:               make(map[string]string),
 		TuneSchemaVersion:   tune.ResultSchemaVersion,
 	}
-	for label, cell := range digestCells() {
+	for label, cell := range digestCells(t) {
 		r, err := cell.Run(context.Background())
 		if err == nil {
 			var b []byte
