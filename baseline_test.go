@@ -269,11 +269,30 @@ type scaleShape struct {
 	config func(experiments.ScaleCell, int) experiments.RunConfig
 }
 
-// scaleShapes are ScaleCellConfig's synthetic cell and
-// PaperScaleCellConfig's paper-shaped one.
+// scaleShapes are ScaleCellConfig's synthetic cell and paperScaleCell's
+// paper-shaped one.
 var scaleShapes = []scaleShape{
 	{"", experiments.ScaleCellConfig},
-	{"paper/", experiments.PaperScaleCellConfig},
+	{"paper/", paperScaleCell},
+}
+
+// paperScaleCell is the paper-shaped run for one tier: the §5.3 leaf-spine
+// cell a sweep expands for load 0.6 (websearch Poisson arrivals over uniform
+// host pairs, ECN♯ derived from a 70 µs, 3× RTT variation that every flow's
+// base RTT is drawn from), with one flow per 8 hosts, on the tier's fabric.
+// Unlike ScaleCellConfig's, its queues build and mark persistently.
+func paperScaleCell(c experiments.ScaleCell, shards int) experiments.RunConfig {
+	spec, err := experiments.ParseSweepSpec(fmt.Appendf(nil,
+		`{"topo":"leafspine","loads":[0.6],"flows":%d,"shards":%d}`, c.Hosts/8, shards))
+	if err != nil {
+		panic(err)
+	}
+	cfg, err := spec.Cells()[0].RunConfig()
+	if err != nil {
+		panic(err)
+	}
+	cfg.Spines, cfg.Leaves, cfg.HostsPerLeaf = c.Spines, c.Leaves, c.HostsPerLeaf
+	return cfg
 }
 
 func scaleKey(shape scaleShape, hosts, shards int) string {
@@ -359,7 +378,7 @@ func compareScale(base, got map[string]scaleResult, maxHosts int) []string {
 }
 
 // TestScaleBaseline pins the scale cells (experiments.ScaleCellConfig and
-// experiments.PaperScaleCellConfig at 1 and 4 workers) to the committed
+// paperScaleCell at 1 and 4 workers) to the committed
 // BENCH_scale.json: the 1k-host tier always, the 10k tier unless -short (~10
 // s for both tiers, ~9 of it the paper-shaped cells), the 100k tier (~4.5
 // min, ~4 of it the paper-shaped cells' 242 M events) only with -hosts100k

@@ -6,9 +6,9 @@
 //
 // With no ids, every experiment runs in paper order. Each experiment
 // prints the rows/series of the corresponding paper artifact; EXPERIMENTS.md
-// records how to read them against the paper's numbers. Independent
-// (config, seed) runs execute on a worker pool; the tables are identical
-// at any -parallel setting.
+// records how to read them against the paper's numbers. Each grid point of
+// a figure runs once per seed as a cell, and a figure's cells execute on a
+// worker pool; the tables are identical at any -parallel setting.
 package main
 
 import (

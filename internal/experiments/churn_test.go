@@ -9,6 +9,8 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -58,14 +60,23 @@ func TestChurnTablesRender(t *testing.T) {
 
 // TestChurnRunsOnTheHarness: the churn figures are harness jobs like every
 // other figure's runs — -progress sees each of the 2 schemes x
-// {healthy, churn} runs, and an exceeded -timeout aborts naming the run.
+// {healthy, churn} runs, labelled by its grid point and seed, and an
+// exceeded -timeout aborts naming the run.
 func TestChurnRunsOnTheHarness(t *testing.T) {
 	sc := SmokeScale()
 	var labels []string
 	sc.Progress = func(p harness.Progress) { labels = append(labels, p.Label) }
 	ChurnIncast(sc)
-	if len(labels) != 4 {
-		t.Errorf("progress saw %d runs, want 4: %q", len(labels), labels)
+	var want []string
+	for _, s := range churnSchemes() {
+		for _, cond := range []string{"healthy", "churn"} {
+			want = append(want, fmt.Sprintf("%s %s seed=%d", s.Label, cond, sc.Seeds[0]))
+		}
+	}
+	slices.Sort(labels)
+	slices.Sort(want)
+	if !slices.Equal(labels, want) {
+		t.Errorf("progress labels %q, want %q", labels, want)
 	}
 
 	sc = SmokeScale()

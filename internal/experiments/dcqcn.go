@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ecnsharp/internal/core"
+	"ecnsharp/internal/metrics"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/topology"
 	"ecnsharp/internal/transport"
@@ -36,7 +37,7 @@ func DCQCNExtension(sc Scale) *Table {
 	for i, label := range g.rows {
 		r := g.first(i, 0)
 		jain, sum := longFlowFairness(r)
-		t.AddRow(label, f2(sum), f3(jain), f1(r.AvgQueuePkts), fmt.Sprintf("%d", r.Drops))
+		t.AddRow(label, f2(sum), f3(jain), f1(metrics.AvgPackets(r.QueueSamples)), fmt.Sprintf("%d", r.Drops))
 	}
 	t.AddNote("DCQCN needs probabilistic marking: cut-off marking synchronizes cuts and wrecks utilization (§3.5)")
 	return t

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
@@ -8,6 +9,8 @@ import (
 	"testing"
 
 	"ecnsharp/internal/metrics"
+	"ecnsharp/internal/sim"
+	"ecnsharp/internal/workload"
 )
 
 // agreesWithJSON is the decoder's contract: whatever DecodeCellResult
@@ -30,16 +33,24 @@ func agreesWithJSON(t *testing.T, data []byte) bool {
 }
 
 // decodeSeeds are results of the shapes a store holds, with their Encode
-// output: a traced star cell (escaped trace_jsonl), a tuned cell, and
-// hand-built results with query flows, no records and the int64 extremes.
+// output: a traced star cell (escaped trace_jsonl), a tuned cell, a figure's
+// sampled cell (two long flows into one port: queue samples and goodput),
+// and hand-built results with query flows, no records and the int64
+// extremes. Only the sampled cell's bytes hold the series' keys: a sweep
+// cell has no sampling window.
 func decodeSeeds(t testing.TB) ([]CellResult, [][]byte) {
 	traced := testCell()
 	traced.Trace = &TraceSpec{Events: "mark,drop,flow_finish", Sample: 1}
 	tuned := testCell()
 	tuned.Tuned = &TunedParams{Groups: []TunedGroup{{Scope: "all",
 		Params: []TunedValue{{Name: "ins_target_us", Value: 150}}}}}
+	sampled := testCell()
+	sampled.Hosts, sampled.Traffic = 3, Traffic{}
+	sampled.Flows = []workload.FlowSpec{workload.LongFlow(0, 2, 0), workload.LongFlow(1, 2, 0)}
+	sampled.SampleEnd, sampled.SampleInterval = 2*sim.Millisecond, 250*sim.Microsecond
+	sampled.Deadline = sampled.SampleEnd
 	var results []CellResult
-	for _, c := range []Cell{traced, tuned} {
+	for _, c := range []Cell{traced, tuned, sampled} {
 		r, err := c.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -62,10 +73,16 @@ func decodeSeeds(t testing.TB) ([]CellResult, [][]byte) {
 		CellResult{},
 	)
 	var seeds [][]byte
-	for _, r := range results {
+	for i, r := range results {
 		b, err := r.Encode()
 		if err != nil {
 			t.Fatal(err)
+		}
+		series := i == 2
+		for _, key := range []string{`"queue_samples":`, `"goodput":`} {
+			if bytes.Contains(b, []byte(key)) != series {
+				t.Fatalf("result %d (sampled: %t): %s in its bytes is %t", i, series, key, !series)
+			}
 		}
 		seeds = append(seeds, b)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -390,9 +391,10 @@ func TestAverageSeedsAggregates(t *testing.T) {
 	}
 }
 
-// TestGridResultsCarryNoNet: a batch keeps no run's network alive — pooled
-// and per-seed results coming out of runGrids have Net cleared, while a
-// direct Run of the same configuration still returns it.
+// TestGridResultsCarryNoNet: a batch keeps no run's network alive — a grid
+// point is its seeds' cell results, pooled, and its first seed's, none of
+// which holds a network, while a direct Run of the same configuration still
+// returns it.
 func TestGridResultsCarryNoNet(t *testing.T) {
 	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
 	sc := Scale{Seeds: []int64{1, 2}, FlowCount: 20}
@@ -400,17 +402,14 @@ func TestGridResultsCarryNoNet(t *testing.T) {
 		return starCfg(TestbedSchemes()[3], workload.WebSearch, 0.5, rtt, sc)
 	})
 	runGrids(sc, g)
-	for i, r := range g.res {
-		if r.Completed != 40 {
-			t.Errorf("grid point %d completed %d flows, want 40", i, r.Completed)
+	for r := range g.rows {
+		pool, first := g.at(r, 0), g.first(r, 0)
+		if pool.Completed != 40 || first.Completed != 20 {
+			t.Errorf("grid point %d completed %d flows pooled and %d on seed 1, want 40 and 20",
+				r, pool.Completed, first.Completed)
 		}
-		if r.Net != nil {
-			t.Errorf("grid point %d: pooled result carries a Net", i)
-		}
-		for _, s := range r.PerSeed {
-			if s.Net != nil {
-				t.Errorf("grid point %d: a per-seed result carries a Net", i)
-			}
+		if first.Cell.Seed != 1 || !slices.Equal(pool.Records[:len(first.Records)], first.Records) {
+			t.Errorf("grid point %d: the first seed's run (seed %d) does not lead the pool", r, first.Cell.Seed)
 		}
 	}
 	if Run(g.cfgs[0]).Net == nil {
@@ -684,9 +683,6 @@ func TestPooledP99DiffersFromAveraged(t *testing.T) {
 	if len(merged.Collector.Records()) != 200 {
 		t.Fatalf("pooled %d records, want 200", len(merged.Collector.Records()))
 	}
-	if len(merged.PerSeed) != 2 {
-		t.Fatalf("PerSeed = %d results", len(merged.PerSeed))
-	}
 	averaged := (a.Stats.ShortP99 + b.Stats.ShortP99) / 2
 	pooled := merged.Stats.ShortP99
 	// The pooled p99 sits near the 100 µs mode while the per-seed average
@@ -731,14 +727,6 @@ func TestParallelDeterminism(t *testing.T) {
 	for i := range ar {
 		if ar[i] != br[i] {
 			t.Fatalf("pooled record %d differs: %+v vs %+v", i, ar[i], br[i])
-		}
-	}
-	if len(a.PerSeed) != 2 || len(b.PerSeed) != 2 {
-		t.Fatalf("PerSeed lengths %d/%d", len(a.PerSeed), len(b.PerSeed))
-	}
-	for i := range a.PerSeed {
-		if a.PerSeed[i].Stats != b.PerSeed[i].Stats {
-			t.Errorf("seed %d stats differ across parallelism", i)
 		}
 	}
 }

@@ -123,18 +123,18 @@ func queueAroundBurst(samples []metrics.QueueSample) (standing, burst float64) {
 // incastCols are the columns the Figure-10 incast tables (fig10, ablation,
 // buffer) pick from.
 var (
-	colStanding = column{"standing queue(pkts)", func(r RunResult) string {
+	colStanding = column{"standing queue(pkts)", func(r CellResult) string {
 		standing, _ := queueAroundBurst(r.QueueSamples)
 		return f1(standing)
 	}}
-	colBurstAvg = column{"burst avg(pkts)", func(r RunResult) string {
+	colBurstAvg = column{"burst avg(pkts)", func(r CellResult) string {
 		_, burst := queueAroundBurst(r.QueueSamples)
 		return f1(burst)
 	}}
-	colBurstPeak = column{"burst peak(pkts)", func(r RunResult) string { return strconv.Itoa(r.MaxQueuePkts) }}
-	colDrops     = column{"drops", func(r RunResult) string { return strconv.FormatInt(r.Drops, 10) }}
-	colTimeouts  = column{"timeouts", func(r RunResult) string { return strconv.FormatInt(r.Timeouts, 10) }}
-	colQueryP99  = column{"query p99(us)", func(r RunResult) string { return f1(r.Stats.QueryP99) }}
+	colBurstPeak = column{"burst peak(pkts)", func(r CellResult) string { return strconv.Itoa(metrics.MaxPackets(r.QueueSamples)) }}
+	colDrops     = column{"drops", func(r CellResult) string { return strconv.FormatInt(r.Drops, 10) }}
+	colTimeouts  = column{"timeouts", func(r CellResult) string { return strconv.FormatInt(r.Timeouts, 10) }}
+	colQueryP99  = column{"query p99(us)", func(r CellResult) string { return f1(r.Stats.QueryP99) }}
 )
 
 // Fig10 reproduces Figure 10: a 5 ms microscopic view of the bottleneck
@@ -152,7 +152,7 @@ func Fig10(sc Scale) (*Table, map[string][]metrics.QueueSample) {
 		[]string{"scheme"}, []column{colStanding, colBurstAvg, colBurstPeak, colDrops, colTimeouts}, g)
 	traces := make(map[string][]metrics.QueueSample)
 	for r, label := range g.rows {
-		traces[label] = g.at(r, 0).QueueSamples
+		traces[label] = g.first(r, 0).QueueSamples
 	}
 	t.AddNote("paper: ECN# keeps ~8 pkts vs Tail's ~182 (95.6%% lower); CoDel drops ~125 pkts, ECN# none")
 	t.Raw = renderQueueTraces(traces)
@@ -197,14 +197,16 @@ func Fig11(sc Scale) []*Table {
 	})
 	runGrids(sc, g)
 
-	byFanout := func(id, title string, get func(RunResult) string) *Table {
+	byFanout := func(id, title string, get func(LoadPool) string) *Table {
 		return pivot(id, "[Simulation] "+title, "fanout", g.rows, g.cols,
 			func(x, s int) string { return get(g.at(x, s)) })
 	}
 	avg := byFanout("fig11a", "query flow FCT vs fanout — average (Fig 11a)",
-		func(r RunResult) string { return f1(r.Stats.QueryAvg) })
-	p99 := byFanout("fig11b", "query flow FCT vs fanout — 99th percentile (Fig 11b)", colQueryP99.get)
-	drops := byFanout("fig11c", "packet drops and timeouts vs fanout (supporting Fig 11)", colDrops.get)
+		func(p LoadPool) string { return f1(p.Stats.QueryAvg) })
+	p99 := byFanout("fig11b", "query flow FCT vs fanout — 99th percentile (Fig 11b)",
+		func(p LoadPool) string { return f1(p.Stats.QueryP99) })
+	drops := byFanout("fig11c", "packet drops and timeouts vs fanout (supporting Fig 11)",
+		func(p LoadPool) string { return strconv.FormatInt(p.Drops, 10) })
 	avg.AddNote("FCT in microseconds; paper plots seconds (1e-3 scale)")
 	p99.AddNote("paper: CoDel degrades from ~100 senders; ECN# supports 1.75x more (to ~175)")
 	return []*Table{avg, p99, drops}

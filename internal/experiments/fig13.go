@@ -61,7 +61,7 @@ func fig13Cfg(s Scheme, probes int) RunConfig {
 }
 
 // fig13Result reads the DWRR scenario's outcome off run r.
-func fig13Result(r RunResult) Fig13Result {
+func fig13Result(r CellResult) Fig13Result {
 	var res Fig13Result
 	for i := range res.Series {
 		res.Series[i] = r.Goodput[i]
@@ -73,7 +73,7 @@ func fig13Result(r RunResult) Fig13Result {
 		res.GoodputGbps[i] = metrics.MeanGbps(final)
 	}
 	res.ShortAvgFCT = r.Stats.ShortAvg
-	res.ShortFCTs = r.Collector.ShortFCTsMicros()
+	res.ShortFCTs = r.Collector().ShortFCTsMicros()
 	return res
 }
 

@@ -56,7 +56,7 @@ func ProbExtension(sc Scale) *Table {
 	for r, label := range labels {
 		in := incast.first(r, 0)
 		jain, sum := longFlowFairness(fair.first(r, 0))
-		t.AddRow(label, f1(in.AvgQueuePkts), fmt.Sprintf("%d", in.Drops), f1(in.Stats.QueryP99),
+		t.AddRow(label, f1(metrics.AvgPackets(in.QueueSamples)), fmt.Sprintf("%d", in.Drops), f1(in.Stats.QueryP99),
 			f3(jain), f2(sum))
 	}
 	t.AddNote("both variants should be drop-free with a low standing queue; probabilistic marking must not hurt fairness")
@@ -87,7 +87,7 @@ func probFairnessCfg(s Scheme) RunConfig {
 // longFlowFairness returns Jain's fairness index of the long flows' mean
 // goodputs over r's sampling window ((Σg)² / (n·Σg²), 0 when every flow is
 // idle) and their sum in Gbps.
-func longFlowFairness(r RunResult) (jain, sum float64) {
+func longFlowFairness(r CellResult) (jain, sum float64) {
 	var sumSq float64
 	for _, series := range r.Goodput {
 		g := metrics.MeanGbps(series)

@@ -119,17 +119,14 @@ type RunResult struct {
 	Failed   int
 	Injected int
 
+	// QueueSamples and Goodput are the sampling window's series (nil
+	// without one): the last-hop queue, and one series per long flow in
+	// flow order. MergeRuns pools neither.
 	QueueSamples []metrics.QueueSample
-	AvgQueuePkts float64
-	MaxQueuePkts int
-	// Goodput holds one series per long flow, in flow order, over the
-	// sampling window (nil without one). MergeRuns does not pool it: a
-	// pooled result's series stay in its PerSeed entries.
-	Goodput [][]metrics.GoodputPoint
+	Goodput      [][]metrics.GoodputPoint
 
 	// Net is the network the run was simulated on — Run and RunContext set
-	// it; results that went through RunSeeds or a grid carry none (see
-	// runAll).
+	// it; results pooled by RunSeeds carry none.
 	Net *topology.Net
 	// Report counts the run's windows, per-domain events, handoffs,
 	// event-queue refills and marks by kind (summed over seeds by
@@ -140,11 +137,6 @@ type RunResult struct {
 	// MergeRuns); like Report it describes the execution and stays out of
 	// every encoding.
 	Pools []PoolCount
-
-	// PerSeed holds the unmerged per-seed results when this result was
-	// pooled across seeds by MergeRuns (nil for a direct single run), so
-	// every seed's collector and queue samples stay reachable.
-	PerSeed []RunResult
 }
 
 func (c *RunConfig) defaults() {
@@ -407,8 +399,6 @@ func RunContext(ctx context.Context, cfg RunConfig, tr trace.Tracer) (RunResult,
 	}
 	if sampler != nil {
 		res.QueueSamples = sampler.Samples
-		res.AvgQueuePkts = sampler.AvgPackets()
-		res.MaxQueuePkts = sampler.MaxPackets()
 	}
 	for _, m := range meters {
 		res.Goodput = append(res.Goodput, m.Series)
@@ -475,11 +465,9 @@ func poolCounts(net *topology.Net) []PoolCount {
 }
 
 // MergeRuns pools per-seed results into one, deterministically in input
-// (seed) order: counters sum, FCT records pool into a fresh collector so
+// (seed) order: counters sum, and FCT records pool into a fresh collector so
 // percentiles are computed over the combined sample set (a true pooled p99,
-// not an average of per-seed p99s), and every seed's queue samples are
-// concatenated and retained. The per-seed results remain reachable via
-// PerSeed.
+// not an average of per-seed p99s). Sampled series are not pooled.
 func MergeRuns(runs []RunResult) RunResult {
 	if len(runs) == 0 {
 		panic("experiments: MergeRuns of no runs")
@@ -501,57 +489,40 @@ func MergeRuns(runs []RunResult) RunResult {
 			merged.Pools[d].Gets += c.Gets
 			merged.Pools[d].News += c.News
 		}
-		merged.QueueSamples = append(merged.QueueSamples, r.QueueSamples...)
-		if r.MaxQueuePkts > merged.MaxQueuePkts {
-			merged.MaxQueuePkts = r.MaxQueuePkts
-		}
-	}
-	if len(merged.QueueSamples) > 0 {
-		var total float64
-		for _, s := range merged.QueueSamples {
-			total += float64(s.Packets)
-		}
-		merged.AvgQueuePkts = total / float64(len(merged.QueueSamples))
 	}
 	merged.Collector = pool
 	merged.Stats = pool.Stats()
-	merged.PerSeed = runs
 	return merged
 }
 
-// runAll executes one job per (config, seed) pair on the worker pool sc
+// RunSeeds executes cfg once per configured seed on the worker pool sc
 // describes (so -parallel, -timeout and -progress apply), each on its own
-// engine, the jobs of config i labelled names[i] and their seed, the run of
-// seed i traced into sinks[i] (nil sinks: every run untraced). It returns
-// one seed-pooled result per config, in config order; the merge order is
-// fixed by the submission order, so the output is identical at any
-// parallelism. A failed job (per-run timeout, or a panic on a worker
-// goroutine) aborts with a panic naming the run.
-func runAll(sc Scale, cfgs []RunConfig, names []string, sinks []trace.Tracer) []RunResult {
+// engine, the run of sc.Seeds[i] traced into sinks[i] (nil sinks: every run
+// untraced), and pools the results in seed order, so the output is
+// identical at any parallelism. A failed run (per-run timeout, or a panic
+// on a worker goroutine) aborts with a panic naming it.
+func RunSeeds(sc Scale, cfg RunConfig, sinks []trace.Tracer) RunResult {
 	if len(sc.Seeds) == 0 {
 		panic("experiments: no seeds")
 	}
-	jobs := make([]harness.Job, 0, len(cfgs)*len(sc.Seeds))
-	for ci, c := range cfgs {
-		for si, seed := range sc.Seeds {
-			run := c
-			run.Seed = seed
-			var tr trace.Tracer
-			if sinks != nil {
-				tr = sinks[si]
-			}
-			jobs = append(jobs, harness.Job{
-				Label: fmt.Sprintf("%s seed=%d", names[ci], seed),
-				Run: func(ctx context.Context) (any, error) {
-					r, err := RunContext(ctx, run, tr)
-					// Nothing reads a batch result's network, and holding
-					// every run's topology, engines and flow endpoints until
-					// the figure is rendered is what a batch's memory would
-					// otherwise be.
-					r.Net = nil
-					return r, err
-				},
-			})
+	jobs := make([]harness.Job, len(sc.Seeds))
+	for i, seed := range sc.Seeds {
+		run := cfg
+		run.Seed = seed
+		var tr trace.Tracer
+		if sinks != nil {
+			tr = sinks[i]
+		}
+		jobs[i] = harness.Job{
+			Label: fmt.Sprintf("%s seed=%d", cfg.Scheme.Label, seed),
+			Run: func(ctx context.Context) (any, error) {
+				r, err := RunContext(ctx, run, tr)
+				// Nothing reads a pooled run's network, and holding every
+				// seed's topology, engines and flow endpoints until the
+				// merge is what its memory would otherwise be.
+				r.Net = nil
+				return r, err
+			},
 		}
 	}
 	res, _ := harness.Execute(context.Background(), jobs, sc.harnessOptions())
@@ -562,17 +533,5 @@ func runAll(sc Scale, cfgs []RunConfig, names []string, sinks []trace.Tracer) []
 		}
 		runs[i] = r.Value.(RunResult)
 	}
-	n := len(sc.Seeds)
-	out := make([]RunResult, len(cfgs))
-	for ci := range out {
-		out[ci] = MergeRuns(runs[ci*n : (ci+1)*n : (ci+1)*n])
-	}
-	return out
-}
-
-// RunSeeds executes cfg once per configured seed on the worker pool sc
-// describes, the run of sc.Seeds[i] traced into sinks[i] (nil sinks: every
-// run untraced), and pools the results (see runAll).
-func RunSeeds(sc Scale, cfg RunConfig, sinks []trace.Tracer) RunResult {
-	return runAll(sc, []RunConfig{cfg}, []string{cfg.Scheme.Label}, sinks)[0]
+	return MergeRuns(runs)
 }

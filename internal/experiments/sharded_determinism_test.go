@@ -183,15 +183,23 @@ func TestShardedFig6CellByteIdentical(t *testing.T) {
 }
 
 // TestShardedPaperCellByteIdentical: the paper-shaped 1k-host scale cell
-// (PaperScaleCellConfig: websearch arrivals at load 0.6 with a 3× RTT
-// variation under ECN♯, on the 4×16×64 leaf-spine, 2.0 M events) gives the
-// same trace, FCT records, counters and RunReport at Shards 0, 1, 2 and 4.
-// Its trace is ~195 MB, so it is hashed as it is written, not kept.
+// (the leaf-spine cell a sweep expands for load 0.6 — websearch arrivals
+// with a 3× RTT variation under ECN♯ — with 128 flows, on the 4×16×64
+// leaf-spine, 2.0 M events) gives the same trace, FCT records, counters and
+// RunReport at Shards 0, 1, 2 and 4. Its trace is ~195 MB, so it is hashed
+// as it is written, not kept.
 func TestShardedPaperCellByteIdentical(t *testing.T) {
 	cell, err := ScaleCellByHosts(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const flows = 128
+	spec, err := ParseSweepSpec(fmt.Appendf(nil, `{"topo":"leafspine","loads":[0.6],"flows":%d}`, flows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := spec.Cells()[0].runConfig
+	cfg.Spines, cfg.Leaves, cfg.HostsPerLeaf = cell.Spines, cell.Leaves, cell.HostsPerLeaf
 	seed := maphash.MakeSeed()
 	type outcome struct {
 		trace      uint64
@@ -204,7 +212,8 @@ func TestShardedPaperCellByteIdentical(t *testing.T) {
 		h.SetSeed(seed)
 		cw := &countingWriter{w: &h}
 		jw := trace.NewJSONLWriter(cw)
-		res, err := RunContext(context.Background(), PaperScaleCellConfig(cell, shards), jw)
+		cfg.Shards = shards
+		res, err := RunContext(context.Background(), cfg, jw)
 		if err == nil {
 			err = jw.Flush()
 		}
@@ -215,7 +224,7 @@ func TestShardedPaperCellByteIdentical(t *testing.T) {
 	}
 
 	serial := render(1)
-	if want := fmt.Sprintf("completed=%d", cell.Hosts/paperHostsPerFlow); !strings.Contains(serial.result, want) {
+	if want := fmt.Sprintf("completed=%d", flows); !strings.Contains(serial.result, want) {
 		t.Fatalf("serial run did not complete all flows (want %s):\n%s", want, serial.result)
 	}
 	if serial.traceBytes == 0 || serial.report.Windows == 0 || serial.report.HandoffMsgs == 0 {

@@ -469,6 +469,10 @@ type CellResult struct {
 	Completed int `json:"completed"`
 	Failed    int `json:"failed"`
 	Injected  int `json:"injected"`
+	// QueueSamples and Goodput are RunResult's series of the cell's
+	// sampling window, absent without one (no spec sets it).
+	QueueSamples []metrics.QueueSample    `json:"queue_samples,omitempty"`
+	Goodput      [][]metrics.GoodputPoint `json:"goodput,omitempty"`
 	// TraceJSONL is the captured event trace (empty when untraced),
 	// byte-identical to what ecnsim -trace would have written.
 	TraceJSONL string `json:"trace_jsonl,omitempty"`
@@ -607,6 +611,8 @@ func (c Cell) Run(ctx context.Context) (CellResult, error) {
 		Completed:     res.Completed,
 		Failed:        res.Failed,
 		Injected:      res.Injected,
+		QueueSamples:  res.QueueSamples,
+		Goodput:       res.Goodput,
 	}
 	if w != nil {
 		if err := w.Flush(); err != nil {

@@ -45,6 +45,7 @@ func TestParseSweepSpecRejects(t *testing.T) {
 		{"load below the minimum", `{"loads":[0.5,1e-300]}`, "load 1e-300"},
 		{"negative shards", `{"shards":-1}`, "shards"},
 		{"bad trace events", `{"trace":{"events":"marc"}}`, "trace spec"},
+		{"bad trace events lists the names", `{"trace":{"events":"marc"}}`, "(known: enqueue,dequeue,drop,mark,"},
 		{"bad trace sample", `{"trace":{"events":"all","sample":-2}}`, "trace sample"},
 	}
 	for _, tc := range cases {

@@ -89,12 +89,12 @@ func pivot(id, title, xName string, xs, series []string, val func(x, s int) stri
 // column is one named value read off a run.
 type column struct {
 	name string
-	get  func(RunResult) string
+	get  func(CellResult) string
 }
 
 // records is the second table shape: one row per grid point — its row label
 // and, when keys names two cells, its column label — followed by the chosen
-// columns of that point's result.
+// columns of that point's first-seed run.
 func records(id, title string, keys []string, cols []column, g *grid) *Table {
 	t := &Table{ID: id, Title: title, Columns: slices.Clone(keys)}
 	for _, col := range cols {
@@ -104,7 +104,7 @@ func records(id, title string, keys []string, cols []column, g *grid) *Table {
 		for c, cl := range g.cols {
 			row := []string{rl, cl}[:len(keys)]
 			for _, col := range cols {
-				row = append(row, col.get(g.at(r, c)))
+				row = append(row, col.get(g.first(r, c)))
 			}
 			t.AddRow(row...)
 		}

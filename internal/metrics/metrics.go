@@ -215,9 +215,9 @@ func (c *FCTCollector) ShortFCTsMicros() []float64 {
 
 // QueueSample is one point of a queue-occupancy trace.
 type QueueSample struct {
-	At      sim.Time
-	Packets int
-	Bytes   int64
+	At      sim.Time `json:"at_ns"`
+	Packets int      `json:"packets"`
+	Bytes   int64    `json:"bytes"`
 }
 
 // QueueSampler periodically records the occupancy of an egress buffer.
@@ -250,33 +250,32 @@ func NewQueueSampler(eng *sim.Engine, eg *queue.Egress, start, end, interval sim
 	return s
 }
 
-// AvgPackets returns the mean sampled occupancy in packets.
-func (s *QueueSampler) AvgPackets() float64 {
-	if len(s.Samples) == 0 {
+// AvgPackets returns the mean occupancy of samples in packets (0 when
+// empty).
+func AvgPackets(samples []QueueSample) float64 {
+	if len(samples) == 0 {
 		return 0
 	}
 	total := 0
-	for _, smp := range s.Samples {
+	for _, smp := range samples {
 		total += smp.Packets
 	}
-	return float64(total) / float64(len(s.Samples))
+	return float64(total) / float64(len(samples))
 }
 
-// MaxPackets returns the peak sampled occupancy in packets.
-func (s *QueueSampler) MaxPackets() int {
+// MaxPackets returns the peak occupancy of samples in packets.
+func MaxPackets(samples []QueueSample) int {
 	peak := 0
-	for _, smp := range s.Samples {
-		if smp.Packets > peak {
-			peak = smp.Packets
-		}
+	for _, smp := range samples {
+		peak = max(peak, smp.Packets)
 	}
 	return peak
 }
 
 // GoodputPoint is one goodput measurement of one flow.
 type GoodputPoint struct {
-	At   sim.Time
-	Gbps float64
+	At   sim.Time `json:"at_ns"`
+	Gbps float64  `json:"gbps"`
 }
 
 // GoodputMeter samples a monotone delivered-bytes counter and reports the

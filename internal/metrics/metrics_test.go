@@ -100,10 +100,10 @@ func TestQueueSampler(t *testing.T) {
 	if last.Packets != 5 {
 		t.Errorf("final sample = %d packets, want 5", last.Packets)
 	}
-	if s.MaxPackets() != 5 {
-		t.Errorf("MaxPackets = %d", s.MaxPackets())
+	if peak := MaxPackets(s.Samples); peak != 5 {
+		t.Errorf("MaxPackets = %d", peak)
 	}
-	if avg := s.AvgPackets(); avg <= 0 || avg > 5 {
+	if avg := AvgPackets(s.Samples); avg <= 0 || avg > 5 {
 		t.Errorf("AvgPackets = %v", avg)
 	}
 }

@@ -293,7 +293,7 @@ func ParseMask(s string) (Mask, error) {
 			}
 		}
 		if !found {
-			return 0, fmt.Errorf("trace: unknown event type %q (known: %s,all)", name, AllEvents)
+			return 0, fmt.Errorf("trace: unknown event type %q (known: %s,all)", name, strings.Join(typeNames[:], ","))
 		}
 	}
 	if m == 0 {

@@ -36,21 +36,25 @@ func TestParseMask(t *testing.T) {
 		in      string
 		want    Mask
 		wantErr bool
+		errHas  string // a substring of the error, when wantErr
 	}{
-		{"all", AllEvents, false},
-		{"enqueue", MaskOf(Enqueue), false},
-		{"mark,sojourn", MaskOf(ECNMark, SojournSample), false},
-		{" mark , cwnd ", MaskOf(ECNMark, CwndUpdate), false},
-		{"flow_start,flow_finish", MaskOf(FlowStart, FlowFinish), false},
-		{"bogus", 0, true},
-		{"", 0, true},
-		{",,", 0, true},
+		{"all", AllEvents, false, ""},
+		{"enqueue", MaskOf(Enqueue), false, ""},
+		{"mark,sojourn", MaskOf(ECNMark, SojournSample), false, ""},
+		{" mark , cwnd ", MaskOf(ECNMark, CwndUpdate), false, ""},
+		{"flow_start,flow_finish", MaskOf(FlowStart, FlowFinish), false, ""},
+		{"bogus", 0, true, ""},
+		{"marc", 0, true, "mark"}, // the message lists the valid names
+		{"", 0, true, ""},
+		{",,", 0, true, ""},
 	}
 	for _, c := range cases {
 		got, err := ParseMask(c.in)
 		if c.wantErr {
 			if err == nil {
 				t.Errorf("ParseMask(%q): want error, got mask %v", c.in, got)
+			} else if !strings.Contains(err.Error(), c.errHas) {
+				t.Errorf("ParseMask(%q): error %q does not contain %q", c.in, err, c.errHas)
 			}
 			continue
 		}
