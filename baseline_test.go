@@ -92,7 +92,8 @@ func sortedKeys[V any](a, b map[string]V) []string {
 // growth follows per-process hash seeds (±2 allocations an op around
 // 4422.9), so it takes 64 ops to settle on one integer. DecodeCellResult
 // and both StoreHit bodies allocate the same on every op, and 1,024 ops
-// keep each one's collector-off heap under 20 MB.
+// keep each one's collector-off heap under 20 MB; KeySweep does too, at
+// ≈100 KB an op, so it runs 128.
 var allocSuite = []struct {
 	name  string
 	fn    func(*testing.B)
@@ -106,6 +107,7 @@ var allocSuite = []struct {
 	{"IncastBurst", bench.IncastBurst, 32},
 	{"FlapStorm", bench.FlapStorm, 64},
 	{"DecodeCellResult", bench.DecodeCellResult, 1 << 10},
+	{"KeySweep", bench.KeySweep, 1 << 7},
 	{"StoreHit/prior", bench.StoreHit(true), 1 << 10},
 	{"StoreHit/verify", bench.StoreHit(false), 1 << 10},
 }
@@ -224,7 +226,7 @@ func TestAllocBaseline(t *testing.T) {
 // the cell simulated and what it keeps in memory, both independent of the
 // machine; the run's counts (sim.RunReport: windows, handoffs, drains,
 // event-queue refills and moves, marks by kind), drops and packet pool gets
-// (RunResult.Pools, summed over domains), independent of the worker count
+// (RunResult.Report's pools, summed over domains), independent of the worker count
 // too; and the pool news, which depend on it: the pools of one worker group
 // share a free list. How fast it ran is BenchmarkScaleCell's and
 // benchmark/'s to say.
@@ -330,7 +332,7 @@ func measureScaleCell(t *testing.T, shape scaleShape, cell experiments.ScaleCell
 		BytesPerHost:   float64(after-before) / float64(cell.Hosts),
 		CompletedFlows: res.Completed,
 	}
-	for _, c := range res.Pools {
+	for _, c := range res.Report.Pools {
 		out.PoolGets += c.Gets
 		out.PoolNews += c.News
 	}

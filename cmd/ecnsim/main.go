@@ -19,8 +19,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -36,9 +38,7 @@ import (
 	"ecnsharp/internal/fault"
 	"ecnsharp/internal/harness"
 	"ecnsharp/internal/metrics"
-	"ecnsharp/internal/sim"
 	"ecnsharp/internal/trace"
-	"ecnsharp/internal/transport"
 	"ecnsharp/internal/tune"
 	"ecnsharp/internal/workload"
 )
@@ -64,7 +64,7 @@ func main() {
 		faultsPath = flag.String("faults", "",
 			"inject topology faults from this JSON schedule (link flaps, switch\nfailures, degrades — see internal/fault and DESIGN.md)")
 		specPath = flag.String("spec", "",
-			"run a JSON sweep spec instead of the flag-built single config — the\nsame schema ecnsharpd accepts (see docs/API.md); combines only with\n-parallel, -timeout, -progress and -trace")
+			"run a JSON sweep spec instead of the flag-built single config — the\nsame schema ecnsharpd accepts (see docs/API.md); combines only with\n-parallel, -timeout, -progress, -report and -trace (which needs the\nspec's \"trace\" selection)")
 		tunePath = flag.String("tune", "",
 			"run a JSON tune spec: search AQM parameters over the spec's sweep\ngrid (same schema ecnsharpd's POST /v1/tune accepts; see docs/API.md\nand DESIGN.md); combines only with -tune-out, -tune-cache, -parallel,\n-timeout and -progress")
 		tuneOut = flag.String("tune-out", "",
@@ -73,219 +73,239 @@ func main() {
 			"with -tune: cache per-cell results in this directory, so re-tuning\noverlapping specs never recomputes a cell")
 
 		traceFile = flag.String("trace", "",
-			"stream an event trace to this file (JSONL; a .csv suffix selects CSV);\nwith multiple seeds each job writes <name>.job<N><ext>  (see TRACING.md)")
+			"stream an event trace to this file (JSONL; a .csv suffix selects CSV);\nwith multiple seeds, or -spec, each job writes <name>.job<N><ext>  (see TRACING.md)")
 		traceEvents = flag.String("trace-events", "all",
 			"comma-separated event types to trace: enqueue,dequeue,drop,mark,sojourn,cwnd,rate,echo,flow_start,flow_finish,fault,reroute,flow_fail or all")
 		traceSample = flag.Int("trace-sample", 1, "keep every n-th selected event (sampling stride)")
 		report      = flag.Bool("report", false,
-			"print the run's report (windows, per-domain events, handoff messages, non-empty and empty drains, event-queue refills and moves, marks by kind, per-domain packet pool gets and news; summed over -seeds) as one JSON line on stderr")
+			"print the runs' report (windows, per-domain events, handoff messages, non-empty and empty drains, event-queue refills and moves, marks by kind, per-domain packet pool gets and news; summed over every run) as one JSON line on stderr")
 	)
 	flag.Parse()
 
-	// Each path reads only some flags; one set explicitly that the chosen
-	// path would not read is a usage error, not a silent no-op. The flag
-	// path reads every flag but the four that only -spec or -tune read.
-	path, reads := "flag", map[string][]string{
-		"-spec": {"spec", "parallel", "timeout", "progress", "trace"},
-		"-tune": {"tune", "tune-out", "tune-cache", "parallel", "timeout", "progress"},
-	}
-	flag.VisitAll(func(f *flag.Flag) {
-		if !slices.Contains([]string{"spec", "tune", "tune-out", "tune-cache"}, f.Name) {
-			reads["flag"] = append(reads["flag"], f.Name)
-		}
-	})
-	switch {
-	case *specPath != "":
+	// The flags that describe the run belong to the flag path: -spec and
+	// -tune read the run from their document. One set explicitly that the
+	// chosen path would not read is a usage error, not a silent no-op: a
+	// run flag under -spec or -tune, a tune flag off -tune, and -trace or
+	// -report under -tune, which writes neither.
+	path := "flag"
+	if *specPath != "" {
 		path = "-spec"
-	case *tunePath != "":
+	} else if *tunePath != "" {
 		path = "-tune"
 	}
 	flag.Visit(func(f *flag.Flag) {
-		if !slices.Contains(reads[path], f.Name) {
+		run := !slices.Contains([]string{"spec", "tune", "tune-out", "tune-cache", "parallel", "timeout", "progress", "trace", "report"}, f.Name)
+		tune := strings.HasPrefix(f.Name, "tune")
+		if path == "flag" && tune || path == "-spec" && (run || tune) ||
+			path == "-tune" && (run || f.Name == "trace" || f.Name == "report") {
 			fail(2, fmt.Errorf("-%s is not read by the %s path", f.Name, path))
 		}
 	})
-
-	if *specPath != "" {
-		runSpec(*specPath, *parallel, *timeout, *progress, *traceFile)
-		return
-	}
 	if *tunePath != "" {
 		runTune(*tunePath, *tuneOut, *tuneCache, *parallel, *timeout, *progress)
 		return
 	}
 
-	seeds := []int64{*seed}
-	if *seedsFlag != "" {
-		seeds = seeds[:0]
-		for _, s := range strings.Split(*seedsFlag, ",") {
-			v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ecnsim: bad -seeds entry %q\n", s)
-				os.Exit(2)
+	var spec *experiments.SweepSpec
+	if *specPath != "" {
+		data, err := os.ReadFile(*specPath)
+		if err != nil {
+			fail(1, err)
+		}
+		if spec, err = experiments.ParseSweepSpec(data); err != nil {
+			fail(2, err)
+		}
+		if *traceFile != "" && spec.Trace == nil {
+			fail(2, fmt.Errorf("-trace writes the trace the spec selects, and %s has no \"trace\"", *specPath))
+		}
+	} else {
+		spec = &experiments.SweepSpec{
+			Topo: *topo, Scheme: *schemeName, Workload: *wlName,
+			Loads: []float64{*load}, Flows: *flows, Seeds: []int64{*seed},
+			RTTMinUS: *rttMinUS, RTTVariation: *variation, Shards: *shards,
+		}
+		if *seedsFlag != "" {
+			spec.Seeds = nil
+			for _, s := range strings.Split(*seedsFlag, ",") {
+				v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
+				if err != nil {
+					fail(2, fmt.Errorf("bad -seeds entry %q", s))
+				}
+				spec.Seeds = append(spec.Seeds, v)
 			}
-			seeds = append(seeds, v)
 		}
-	}
-
-	// The flags describe a one-load sweep spec; validating and expanding it
-	// is the spec layer's job, so a bad value is the same one-line error
-	// -spec gives. Normalize's defaults do not apply: the flags have their
-	// own, and -flows 0 is an error. What a cell cannot say (-replay/
-	// -save-flows, -faults, the streaming -trace writer, -seeds) is layered
-	// on its run below.
-	spec := experiments.SweepSpec{
-		Topo: *topo, Scheme: *schemeName, Workload: *wlName,
-		Loads: []float64{*load}, Flows: *flows, Seeds: []int64{*seed},
-		RTTMinUS: *rttMinUS, RTTVariation: *variation, Shards: *shards,
-	}
-	if err := spec.Validate(); err != nil {
-		fail(2, err)
-	}
-	cfg, err := spec.Cells()[0].RunConfig()
-	if err != nil {
-		fail(2, err)
-	}
-
-	if *replayPath != "" {
-		// Replayed flows are not generated, so there is nothing to save.
-		if *saveFlows != "" {
-			fail(2, fmt.Errorf("-save-flows writes generated flows; it cannot be combined with -replay"))
+		if *traceFile != "" {
+			spec.Trace = &experiments.TraceSpec{Events: *traceEvents, Sample: *traceSample}
 		}
-		f, err := os.Open(*replayPath)
-		if err != nil {
-			fail(1, err)
-		}
-		specs, err := workload.ReadSpecs(f)
-		f.Close()
-		if err != nil {
-			fail(1, err)
-		}
-		cfg.Traffic = experiments.Traffic{}
-		cfg.Flows = specs
-	} else if *saveFlows != "" {
-		// The saved flows replace generation, so they must be the ones the
-		// run would have drawn: those of its one seed.
-		if len(seeds) > 1 {
-			fail(2, fmt.Errorf("-save-flows writes one seed's flows, got %d seeds", len(seeds)))
-		}
-		specs := cfg.FlowGen(experiments.TrafficRand(seeds[0]))
-		f, err := os.Create(*saveFlows)
-		if err != nil {
-			fail(1, err)
-		}
-		if err := workload.WriteSpecs(f, specs); err != nil {
-			fail(1, err)
-		}
-		f.Close()
-		fmt.Printf("flows written to %s (%d flows)\n", *saveFlows, len(specs))
-		cfg.Traffic = experiments.Traffic{}
-		cfg.Flows = specs
-	}
-
-	if *faultsPath != "" {
-		sched, err := fault.Load(*faultsPath)
-		if err != nil {
+		// The spec layer validates the flags' one-load spec, so a bad value
+		// is the one-line error -spec gives. Normalize's defaults do not
+		// apply: the flags have their own, and -flows 0 is an error.
+		if err := spec.Validate(); err != nil {
 			fail(2, err)
 		}
-		cfg.Faults = sched
-		// A schedule that parses can still name a link or switch this
-		// topology lacks; that is a bad flag value, not a crash mid-run.
-		if err := cfg.CheckFaults(); err != nil {
-			fail(2, err)
-		}
-		// Bound RTO retries so a schedule that permanently severs a path
-		// fails its flows (reported below) instead of hanging the run.
-		cfg.Transport = transport.DefaultConfig()
-		cfg.Transport.MaxConsecTimeouts = 20
+	}
+	cells := spec.Cells()
+	if *specPath == "" {
+		flagCells(cells, *replayPath, *saveFlows, *faultsPath)
 	}
 
-	// Event tracing: one writer per run, every file created before any run
-	// starts so one that cannot be is the command's failure, not a silently
-	// untraced simulation. Under -seeds each run gets its own file named by
-	// its seed's index, so concurrent runs never interleave writes; the
-	// files are flushed after all runs finish.
+	// One trace writer per traced cell, every file created before any run
+	// starts, so one that cannot be is the command's failure, not a
+	// silently untraced simulation; concurrent runs never share a file.
+	// One flag-path seed writes the bare name, every other run
+	// <name>.job<N><ext> (run.jsonl -> run.job3.jsonl).
 	var (
 		sinks      []trace.Tracer
-		traceFlush []func() error
+		traceClose []func() error
 		tracePaths []string
 	)
-	if *traceFile != "" {
-		mask, err := trace.ParseMask(*traceEvents)
+	for i := 0; *traceFile != "" && i < len(cells); i++ {
+		path := *traceFile
+		if *specPath != "" || len(cells) > 1 {
+			ext := filepath.Ext(path)
+			path = fmt.Sprintf("%s.job%d%s", strings.TrimSuffix(path, ext), i, ext)
+		}
+		f, err := os.Create(path)
 		if err != nil {
-			fail(2, err)
+			fail(1, err)
 		}
-		sinks = make([]trace.Tracer, len(seeds))
-		for id := range seeds {
-			path := *traceFile
-			if len(seeds) > 1 {
-				path = jobTracePath(path, id)
-			}
-			f, err := os.Create(path)
-			if err != nil {
-				fail(1, err)
-			}
-			var (
-				t     trace.Tracer
-				flush func() error
-			)
-			if strings.HasSuffix(path, ".csv") {
-				w := trace.NewCSVWriter(f)
-				t, flush = w, w.Flush
-			} else {
-				w := trace.NewJSONLWriter(f)
-				t, flush = w, w.Flush
-			}
-			traceFlush = append(traceFlush, func() error {
-				if err := flush(); err != nil {
-					f.Close()
-					return err
-				}
-				return f.Close()
-			})
-			tracePaths = append(tracePaths, path)
-			sinks[id] = trace.NewFilter(t, mask, *traceSample)
+		var w trace.Tracer
+		var flush func() error
+		if strings.HasSuffix(path, ".csv") {
+			cw := trace.NewCSVWriter(f)
+			w, flush = cw, cw.Flush
+		} else {
+			jw := trace.NewJSONLWriter(f)
+			w, flush = jw, jw.Flush
 		}
+		sinks = append(sinks, w)
+		traceClose = append(traceClose, func() error { return errors.Join(flush(), f.Close()) })
+		tracePaths = append(tracePaths, path)
 	}
 
-	sc := experiments.Scale{Seeds: seeds, Parallel: *parallel, Timeout: *timeout, Progress: progressTo(*progress)}
-	r := experiments.RunSeeds(sc, cfg, sinks)
-	for _, flush := range traceFlush {
-		if err := flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "ecnsim: trace:", err)
-			os.Exit(1)
+	opts := harness.Options{Parallel: *parallel, Timeout: *timeout}
+	if *progress {
+		opts.OnDone = func(p harness.Progress) {
+			fmt.Fprintf(os.Stderr, "[%d/%d] %s (%v)\n", p.Done, p.Total, p.Label, p.Elapsed.Round(time.Millisecond))
+		}
+	}
+	outcomes, _ := experiments.RunCells(context.Background(), cells, nil, sinks, nil, nil, opts)
+	results := make([]experiments.CellResult, len(outcomes))
+	var rep experiments.Report
+	for i, o := range outcomes {
+		if o.Err != nil {
+			fail(1, o.Err)
+		}
+		results[i] = o.Result
+		rep.Add(*o.Result.Report)
+	}
+	for _, closeTrace := range traceClose {
+		if err := closeTrace(); err != nil {
+			fail(1, fmt.Errorf("trace: %w", err))
 		}
 	}
 	if *report {
-		line, err := json.Marshal(struct {
-			sim.RunReport
-			Pools []experiments.PoolCount `json:"pools"`
-		}{r.Report, r.Pools})
+		line, err := json.Marshal(rep)
 		if err != nil {
 			fail(1, err)
 		}
 		fmt.Fprintf(os.Stderr, "%s\n", line)
 	}
-	fmt.Printf("scheme    %s\n", cfg.Scheme.Label)
-	fmt.Printf("workload  %s @ %.0f%% load, %d flows, RTT %v-%v\n",
-		*wlName, *load*100, r.Injected, cfg.RTT.Min, cfg.RTT.Max)
-	if len(seeds) > 1 {
-		fmt.Printf("pooled    %d seeds %v\n", len(seeds), seeds)
+
+	pools := spec.Pool(results)
+	if *specPath != "" {
+		fmt.Printf("sweep     %s: %s/%s on %s, %d flows, RTT %vus x%v\n",
+			*specPath, spec.Scheme, spec.Workload, spec.Topo, spec.Flows, spec.RTTMinUS, spec.RTTVariation)
+		fmt.Printf("grid      %d loads x %d seeds = %d cells\n\n", len(spec.Loads), len(spec.Seeds), len(results))
+		for _, p := range pools {
+			fmt.Printf("load %.0f%%  completed %d/%d\n", p.Load*100, p.Completed, p.Injected)
+			printFCT("  ", p.Stats)
+			fmt.Printf("  drops %d, marks %d, timeouts %d, retransmits %d\n\n",
+				p.Drops, p.Marks, p.Timeouts, p.Retransmits)
+		}
+	} else {
+		r, c := pools[0], cells[0]
+		fmt.Printf("scheme    %s\n", c.Scheme.Label)
+		fmt.Printf("workload  %s @ %.0f%% load, %d flows, RTT %v-%v\n",
+			*wlName, *load*100, r.Injected, c.RTT.Min, c.RTT.Max)
+		if len(spec.Seeds) > 1 {
+			fmt.Printf("pooled    %d seeds %v\n", len(spec.Seeds), spec.Seeds)
+		}
+		if *faultsPath != "" {
+			fmt.Printf("faults    %s\n", *faultsPath)
+		}
+		fmt.Printf("completed %d/%d flows", r.Completed, r.Injected)
+		if r.Failed > 0 {
+			fmt.Printf(" (%d failed by RTO exhaustion)", r.Failed)
+		}
+		fmt.Printf("\n\n")
+		printFCT("", r.Stats)
+		fmt.Printf("\nswitch drops %d, CE marks %d, timeouts %d, retransmits %d\n",
+			r.Drops, r.Marks, r.Timeouts, r.Retransmits)
 	}
-	if cfg.Faults != nil {
-		fmt.Printf("faults    %s\n", *faultsPath)
-	}
-	fmt.Printf("completed %d/%d flows", r.Completed, r.Injected)
-	if r.Failed > 0 {
-		fmt.Printf(" (%d failed by RTO exhaustion)", r.Failed)
-	}
-	fmt.Printf("\n\n")
-	printFCT("", r.Stats)
-	fmt.Printf("\nswitch drops %d, CE marks %d, timeouts %d, retransmits %d\n",
-		r.Drops, r.Marks, r.Timeouts, r.Retransmits)
 	if len(tracePaths) > 0 {
 		sort.Strings(tracePaths)
 		fmt.Printf("event trace: %s\n", strings.Join(tracePaths, ", "))
+	}
+}
+
+// flagCells layers on the flag path's cells what a spec cannot say: flows
+// replayed from or saved to a flow CSV instead of generated, and a fault
+// schedule.
+func flagCells(cells []experiments.Cell, replayPath, saveFlows, faultsPath string) {
+	var specs []workload.FlowSpec
+	if replayPath != "" {
+		// Replayed flows are not generated, so there is nothing to save.
+		if saveFlows != "" {
+			fail(2, fmt.Errorf("-save-flows writes generated flows; it cannot be combined with -replay"))
+		}
+		data, err := os.ReadFile(replayPath)
+		if err == nil {
+			specs, err = workload.ReadSpecs(bytes.NewReader(data))
+		}
+		if err != nil {
+			fail(1, err)
+		}
+	} else if saveFlows != "" {
+		// The saved flows replace generation, so they must be the ones the
+		// run would have drawn: those of its one seed.
+		if len(cells) > 1 {
+			fail(2, fmt.Errorf("-save-flows writes one seed's flows, got %d seeds", len(cells)))
+		}
+		specs = cells[0].FlowGen(experiments.TrafficRand(cells[0].Seed))
+		var buf bytes.Buffer
+		err := workload.WriteSpecs(&buf, specs)
+		if err == nil {
+			err = os.WriteFile(saveFlows, buf.Bytes(), 0o644)
+		}
+		if err != nil {
+			fail(1, err)
+		}
+		fmt.Printf("flows written to %s (%d flows)\n", saveFlows, len(specs))
+	}
+	var sched *fault.Schedule
+	if faultsPath != "" {
+		var err error
+		if sched, err = fault.Load(faultsPath); err != nil {
+			fail(2, err)
+		}
+	}
+	for i := range cells {
+		c := &cells[i]
+		if replayPath != "" || saveFlows != "" {
+			c.Traffic, c.Flows = experiments.Traffic{}, specs
+		}
+		if sched != nil {
+			c.Faults = sched
+			// Bound RTO retries so a schedule that permanently severs a
+			// path fails its flows (reported) instead of hanging the run.
+			c.Transport.MaxConsecTimeouts = 20
+		}
+	}
+	// A schedule that parses can still name a link or switch this topology
+	// lacks; that is a bad flag value, not a crash mid-run.
+	if err := cells[0].CheckFaults(); err != nil {
+		fail(2, err)
 	}
 }
 
@@ -297,82 +317,11 @@ func printFCT(indent string, s metrics.FCTStats) {
 	fmt.Printf("%sFCT large (>=10MB)   %10.1f us avg (%d flows)\n", indent, s.LargeAvg, s.LargeCount)
 }
 
-// jobTracePath derives a per-job trace file name by inserting ".job<id>"
-// before the extension: run.jsonl -> run.job3.jsonl.
-func jobTracePath(path string, id int) string {
-	ext := filepath.Ext(path)
-	return fmt.Sprintf("%s.job%d%s", strings.TrimSuffix(path, ext), id, ext)
-}
-
-// progressTo returns the stderr per-run progress reporter, or nil when
-// -progress is off.
-func progressTo(on bool) func(harness.Progress) {
-	if !on {
-		return nil
-	}
-	return func(p harness.Progress) {
-		fmt.Fprintf(os.Stderr, "[%d/%d] %s (%v)\n",
-			p.Done, p.Total, p.Label, p.Elapsed.Round(time.Millisecond))
-	}
-}
-
 // fail reports err on stderr and exits: 2 for usage errors (bad flag or
 // spec values), 1 for runtime failures.
 func fail(code int, err error) {
 	fmt.Fprintln(os.Stderr, "ecnsim:", err)
 	os.Exit(code)
-}
-
-// runSpec executes a JSON sweep spec through the path ecnsharpd serves
-// (experiments.RunCells, here without a store), pools the per-seed results
-// per load point, and prints one stats block per load. When the spec
-// requests tracing and -trace names a file, each cell's captured JSONL
-// stream is written to <name>.job<N><ext>.
-func runSpec(path string, parallel int, timeout time.Duration, progress bool, traceFile string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fail(1, err)
-	}
-	spec, err := experiments.ParseSweepSpec(data)
-	if err != nil {
-		fail(2, err)
-	}
-	outcomes, _ := experiments.RunCells(context.Background(), spec.Cells(), nil, nil, nil,
-		harness.Options{Parallel: parallel, Timeout: timeout, OnDone: progressTo(progress)})
-	results := make([]experiments.CellResult, len(outcomes))
-	for i, o := range outcomes {
-		if o.Err != nil {
-			fail(1, o.Err)
-		}
-		results[i] = o.Result
-	}
-
-	fmt.Printf("sweep     %s: %s/%s on %s, %d flows, RTT %vus x%v\n",
-		path, spec.Scheme, spec.Workload, spec.Topo, spec.Flows, spec.RTTMinUS, spec.RTTVariation)
-	fmt.Printf("grid      %d loads x %d seeds = %d cells\n\n", len(spec.Loads), len(spec.Seeds), len(results))
-	for _, p := range spec.Pool(results) {
-		fmt.Printf("load %.0f%%  completed %d/%d\n", p.Load*100, p.Completed, p.Injected)
-		printFCT("  ", p.Stats)
-		fmt.Printf("  drops %d, marks %d, timeouts %d, retransmits %d\n\n",
-			p.Drops, p.Marks, p.Timeouts, p.Retransmits)
-	}
-
-	if traceFile != "" && spec.Trace != nil {
-		var paths []string
-		for i, r := range results {
-			if r.TraceJSONL == "" {
-				continue
-			}
-			p := jobTracePath(traceFile, i)
-			if err := os.WriteFile(p, []byte(r.TraceJSONL), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "ecnsim: trace:", err)
-				os.Exit(1)
-			}
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		fmt.Printf("event trace: %s\n", strings.Join(paths, ", "))
-	}
 }
 
 // runTune executes a JSON tune spec: the searcher proposes candidate

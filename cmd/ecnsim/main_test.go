@@ -198,7 +198,8 @@ func TestBadFlagsAreUsageErrors(t *testing.T) {
 		{[]string{"-spec", "SPEC", "-faults", "/nonexistent.json", "-replay", "/nonexistent.csv", "-report", "-seeds", "1,2,3"},
 			"", "-faults is not read by the -spec path"},
 		{[]string{"-spec", "SPEC", "-seeds", "1,2,3"}, "", "-seeds is not read by the -spec path"},
-		{[]string{"-spec", "SPEC", "-report"}, "", "-report is not read by the -spec path"},
+		{[]string{"-spec", "SPEC", "-trace", "x.jsonl"}, "", `has no "trace"`},
+		{[]string{"-tune", "tune.json", "-report"}, "", "-report is not read by the -tune path"},
 		{[]string{"-spec", "SPEC", "-tune", "tune.json"}, "", "-tune is not read by the -spec path"},
 		{[]string{"-tune", "tune.json", "-load", "0.5"}, "", "-load is not read by the -tune path"},
 		{[]string{"-tune-out", "out.json"}, "", "-tune-out is not read by the flag path"},
@@ -243,8 +244,26 @@ func TestSweepCellCapIsUsageError(t *testing.T) {
 	oneLine(t, "2 loads × 513 seeds", stderr, "1026 cells, above the per-sweep cap of 1024")
 }
 
+// TestRunFailureIsOneLine: a run that fails (here its -timeout expires) is
+// one "ecnsim: <run>: <error>" line and exit 1 on the flag path, the line
+// -spec prints for the same run, never a panic trace.
+func TestRunFailureIsOneLine(t *testing.T) {
+	spec := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(spec, []byte(`{"flows":20}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "ecnsim: ECN# load=0.50 seed=1: context deadline exceeded\n"
+	for _, args := range [][]string{{"-flows", "20", "-timeout", "1ns"}, {"-spec", spec, "-timeout", "1ns"}} {
+		stdout, stderr, code := ecnsim(t, args...)
+		if code != 1 || stdout != "" || stderr != want {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 1, nothing and %q", args, code, stdout, stderr, want)
+		}
+	}
+}
+
 // TestReportLeavesStdoutAlone: -report adds one JSON line on stderr and
-// changes no byte of stdout.
+// changes no byte of stdout. On -spec it sums the report over the cells,
+// so a two-seed spec prints the line the flag path prints for those seeds.
 func TestReportLeavesStdoutAlone(t *testing.T) {
 	args := []string{"-topo", "leafspine", "-flows", "40", "-seeds", "1,2", "-shards", "2"}
 	plain, _, code := ecnsim(t, args...)
@@ -285,6 +304,14 @@ func TestReportLeavesStdoutAlone(t *testing.T) {
 	}
 	if gets == 0 || news == 0 || news > gets {
 		t.Errorf("pools got %d packets and allocated %d: want both positive, news <= gets", gets, news)
+	}
+
+	spec := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(spec, []byte(`{"topo":"leafspine","flows":40,"seeds":[1,2],"shards":2}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, specErr, code := ecnsim(t, "-spec", spec, "-report"); code != 0 || specErr != stderr {
+		t.Errorf("-spec -report: exit %d, line\n%s want the flag path's\n%s", code, specErr, stderr)
 	}
 }
 
@@ -341,14 +368,20 @@ func TestUncreatableTraceFileFails(t *testing.T) {
 }
 
 // TestFlagTraceEqualsSpecTrace: the trace the flag path streams to the
-// file of seed i is byte for byte the one -spec writes from cell i's
-// CellResult.TraceJSONL, at any -parallel: both filter the same events
-// into the same JSONL encoder, each run into its own sink.
+// file of seed i is byte for byte the one -spec writes for cell i, at any
+// -parallel, in JSONL and (a .csv name) in CSV: both stream the same
+// events through one writer per run.
 func TestFlagTraceEqualsSpecTrace(t *testing.T) {
+	for _, ext := range []string{".jsonl", ".csv"} {
+		t.Run(ext, func(t *testing.T) { flagTraceEqualsSpecTrace(t, ext) })
+	}
+}
+
+func flagTraceEqualsSpecTrace(t *testing.T, ext string) {
 	read := func(dir string) [2][]byte {
 		var files [2][]byte
 		for i := range files {
-			b, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("x.job%d.jsonl", i)))
+			b, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("x.job%d%s", i, ext)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -363,7 +396,7 @@ func TestFlagTraceEqualsSpecTrace(t *testing.T) {
 	for _, parallel := range []string{"1", "2"} {
 		dir := t.TempDir()
 		if _, stderr, code := ecnsim(t, "-topo", "leafspine", "-load", "0.6", "-flows", "50", "-seeds", "1,2",
-			"-parallel", parallel, "-trace", filepath.Join(dir, "x.jsonl"),
+			"-parallel", parallel, "-trace", filepath.Join(dir, "x"+ext),
 			"-trace-events", "mark,drop,flow_finish", "-trace-sample", "2"); code != 0 {
 			t.Fatalf("flag path -parallel %s: exit %d: %s", parallel, code, stderr)
 		}
@@ -376,7 +409,7 @@ func TestFlagTraceEqualsSpecTrace(t *testing.T) {
 	if err := os.WriteFile(spec, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, stderr, code := ecnsim(t, "-spec", spec, "-trace", filepath.Join(dir, "x.jsonl")); code != 0 {
+	if _, stderr, code := ecnsim(t, "-spec", spec, "-trace", filepath.Join(dir, "x"+ext)); code != 0 {
 		t.Fatalf("-spec exit %d: %s", code, stderr)
 	}
 	specTraces := read(dir)
@@ -392,5 +425,8 @@ func TestFlagTraceEqualsSpecTrace(t *testing.T) {
 	}
 	if bytes.Equal(specTraces[0], specTraces[1]) {
 		t.Error("seeds 1 and 2 wrote the same trace")
+	}
+	if csv := bytes.HasPrefix(specTraces[0], []byte("ev,")); csv != (ext == ".csv") {
+		t.Errorf("-spec wrote %s with a CSV header: %t", ext, csv)
 	}
 }

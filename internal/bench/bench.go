@@ -228,6 +228,24 @@ func IncastBurst(b *testing.B) {
 	}
 }
 
+// KeySweep measures what a sweep costs before any cell runs or hits the
+// store: parsing the benchmark's sweep.cold spec (websearch ECN♯ on the
+// leaf-spine, 4 loads × 3 seeds of 400 flows), expanding its 12 cells and
+// deriving each cell's cache key.
+func KeySweep(b *testing.B) {
+	const spec = `{"flows":400,"loads":[0.3,0.5,0.7,0.9],"scheme":"ecnsharp","seeds":[1,2,3],"topo":"leafspine","workload":"websearch"}`
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := experiments.ParseSweepSpec([]byte(spec))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range s.Cells() {
+			c.Key(experiments.ResultSchemaVersion)
+		}
+	}
+}
+
 // cellPayload returns the encoded result of one fixed synthetic cell of 400
 // completed flows (no simulator run).
 func cellPayload(b *testing.B) []byte {

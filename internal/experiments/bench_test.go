@@ -12,3 +12,7 @@ import (
 // BenchmarkDecodeCellResult measures decoding one stored 400-flow cell
 // result, the cost of every result-cache hit.
 func BenchmarkDecodeCellResult(b *testing.B) { bench.DecodeCellResult(b) }
+
+// BenchmarkKeySweep measures parsing, expanding and keying a 12-cell sweep
+// spec (see internal/bench).
+func BenchmarkKeySweep(b *testing.B) { bench.KeySweep(b) }

@@ -12,6 +12,8 @@ import (
 
 	"ecnsharp/internal/cache"
 	"ecnsharp/internal/harness"
+	"ecnsharp/internal/metrics"
+	"ecnsharp/internal/trace"
 )
 
 // smallSweep is a 2-load × 2-seed grid small enough to run in well under a
@@ -31,7 +33,7 @@ func TestRunCellsStoreIsInvisibleInBytes(t *testing.T) {
 	cells := smallSweep(t).Cells()
 	opts := harness.Options{Parallel: 2}
 
-	direct, err := RunCells(context.Background(), cells, nil, nil, nil, opts)
+	direct, err := RunCells(context.Background(), cells, nil, nil, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +41,11 @@ func TestRunCellsStoreIsInvisibleInBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := RunCells(context.Background(), cells, nil, store, nil, opts)
+	cold, err := RunCells(context.Background(), cells, nil, nil, store, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunCells(context.Background(), cells, nil, store, nil, opts)
+	warm, err := RunCells(context.Background(), cells, nil, nil, store, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func TestRunCellsTableDecodesOnlyHits(t *testing.T) {
 	}
 	rt := new(recordingTable)
 	opts := harness.Options{Parallel: 2}
-	cold, err := RunCells(context.Background(), cells, nil, store, rt, opts)
+	cold, err := RunCells(context.Background(), cells, nil, nil, store, rt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestRunCellsTableDecodesOnlyHits(t *testing.T) {
 	for _, c := range cells {
 		want = append(want, c.Key(ResultSchemaVersion))
 	}
-	warm, err := RunCells(context.Background(), cells, want, store, rt, opts)
+	warm, err := RunCells(context.Background(), cells, want, nil, store, rt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +132,60 @@ func TestRunCellsTableDecodesOnlyHits(t *testing.T) {
 		if cold[i].Entry != 0 || warm[i].Entry != 7 {
 			t.Errorf("cell %d: entries %d cold, %d warm; want 0 and 7", i, cold[i].Entry, warm[i].Entry)
 		}
-		if !reflect.DeepEqual(cold[i].Result, warm[i].Result) {
+		if cold[i].Result.Report == nil || warm[i].Result.Report != nil {
+			t.Errorf("cell %d: a report on the computed result is %t, on the decoded one %t; want true, false",
+				i, cold[i].Result.Report != nil, warm[i].Result.Report != nil)
+		}
+		if cold[i].Result.Report = nil; !reflect.DeepEqual(cold[i].Result, warm[i].Result) {
 			t.Errorf("cell %d: the table's result differs from the computed one", i)
 		}
 	}
 	if slices.Sort(want); !slices.Equal(rt.keys, want) {
 		t.Errorf("table asked for %v, want each cell's key once: %v", rt.keys, want)
+	}
+}
+
+// TestRunCellsSinksStreamTheTrace: a cell given a sink streams to it the
+// bytes its result captures without one and keeps no TraceJSONL, while its
+// counters are unchanged; sinks next to a store are refused, since the
+// store would keep results without their traces.
+func TestRunCellsSinksStreamTheTrace(t *testing.T) {
+	cells := smallSweep(t).Cells()
+	opts := harness.Options{Parallel: 2}
+	captured, err := RunCells(context.Background(), cells, nil, nil, nil, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufs := make([]bytes.Buffer, len(cells))
+	writers := make([]*trace.JSONLWriter, len(cells))
+	sinks := make([]trace.Tracer, len(cells))
+	for i := range sinks {
+		writers[i] = trace.NewJSONLWriter(&bufs[i])
+		sinks[i] = writers[i]
+	}
+	streamed, err := RunCells(context.Background(), cells, nil, sinks, nil, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range streamed {
+		if o.Err != nil || writers[i].Flush() != nil {
+			t.Fatalf("cell %d: %v", i, o.Err)
+		}
+		want := captured[i].Result
+		if bufs[i].String() != want.TraceJSONL || o.Result.TraceJSONL != "" {
+			t.Errorf("cell %d: sink got %d bytes, the captured trace is %d; the streamed result keeps %d",
+				i, bufs[i].Len(), len(want.TraceJSONL), len(o.Result.TraceJSONL))
+		}
+		if o.Result.Marks != want.Marks || o.Result.Completed != want.Completed {
+			t.Errorf("cell %d: a sink changed the run", i)
+		}
+	}
+	store, err := cache.Open(t.TempDir(), cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunCells(context.Background(), cells, nil, sinks, store, nil, opts); err == nil {
+		t.Error("sinks with a store were not refused")
 	}
 }
 
@@ -146,7 +196,7 @@ func TestRunCellsReportsFailuresPerCell(t *testing.T) {
 	cells[1].Tuned = &TunedParams{}
 
 	seen := make([]bool, len(cells))
-	outcomes, err := RunCells(context.Background(), cells, nil, nil, nil, harness.Options{Parallel: 1,
+	outcomes, err := RunCells(context.Background(), cells, nil, nil, nil, nil, harness.Options{Parallel: 1,
 		OnDone: func(p harness.Progress) {
 			seen[p.Index] = true
 			if _, ok := p.Value.(*CellOutcome); ok == (p.Err != nil) {
@@ -177,7 +227,7 @@ func TestRunCellsReportsFailuresPerCell(t *testing.T) {
 func TestRunCellsCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	outcomes, err := RunCells(ctx, smallSweep(t).Cells(), nil, nil, nil, harness.Options{Parallel: 2})
+	outcomes, err := RunCells(ctx, smallSweep(t).Cells(), nil, nil, nil, nil, harness.Options{Parallel: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -188,14 +238,14 @@ func TestRunCellsCanceled(t *testing.T) {
 	}
 }
 
-// TestPoolEqualsMergeRuns ties the two pooling layers together: pooling the
-// cell results of one load over two seeds gives the statistics and the seven
-// counters MergeRuns gives for RunContext on the same two configurations,
-// and a second load lands in its own pool.
-func TestPoolEqualsMergeRuns(t *testing.T) {
+// TestPoolEqualsDirectRuns ties pooling to the runs themselves: pooling the
+// cell results of one load over two seeds gives the statistics of the two
+// RunContext runs' records, seed after seed, and the sums of their seven
+// counters, and a second load lands in its own pool.
+func TestPoolEqualsDirectRuns(t *testing.T) {
 	spec := smallSweep(t)
 	cells := spec.Cells()
-	outcomes, err := RunCells(context.Background(), cells, nil, nil, nil, harness.Options{Parallel: 2})
+	outcomes, err := RunCells(context.Background(), cells, nil, nil, nil, nil, harness.Options{Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +261,8 @@ func TestPoolEqualsMergeRuns(t *testing.T) {
 		t.Fatalf("%d pools, want %d", len(pools), len(spec.Loads))
 	}
 	for li, load := range spec.Loads {
-		var runs []RunResult
+		records := metrics.NewFCTCollector()
+		var wantC [7]int64
 		for _, c := range cells[li*len(spec.Seeds) : (li+1)*len(spec.Seeds)] {
 			cfg, err := c.RunConfig()
 			if err != nil {
@@ -221,22 +272,24 @@ func TestPoolEqualsMergeRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runs = append(runs, r)
+			records.Merge(r.Collector)
+			for i, n := range [7]int64{r.Drops, r.Marks, r.Timeouts, r.Retransmits,
+				int64(r.Completed), int64(r.Failed), int64(r.Injected)} {
+				wantC[i] += n
+			}
 		}
-		want, got := MergeRuns(runs), pools[li]
+		got := pools[li]
 		if got.Load != load {
 			t.Errorf("pool %d: load %v, want %v", li, got.Load, load)
 		}
-		if got.Stats != want.Stats {
-			t.Errorf("load %v: pooled stats differ:\n pool  %+v\n merge %+v", load, got.Stats, want.Stats)
+		if want := records.Stats(); got.Stats != want {
+			t.Errorf("load %v: pooled stats differ:\n pool %+v\n runs %+v", load, got.Stats, want)
 		}
-		if len(got.Records) != len(want.Collector.Records()) {
-			t.Errorf("load %v: %d pooled records, want %d", load, len(got.Records), len(want.Collector.Records()))
+		if !slices.Equal(got.Records, records.Records()) {
+			t.Errorf("load %v: %d pooled records, not the runs' %d in seed order", load, len(got.Records), len(records.Records()))
 		}
 		gotC := [7]int64{got.Drops, got.Marks, got.Timeouts, got.Retransmits,
 			int64(got.Completed), int64(got.Failed), int64(got.Injected)}
-		wantC := [7]int64{want.Drops, want.Marks, want.Timeouts, want.Retransmits,
-			int64(want.Completed), int64(want.Failed), int64(want.Injected)}
 		if gotC != wantC {
 			t.Errorf("load %v: counters %v, want %v", load, gotC, wantC)
 		}

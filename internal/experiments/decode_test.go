@@ -55,6 +55,7 @@ func decodeSeeds(t testing.TB) ([]CellResult, [][]byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		r.Report = nil // a decoded result has none
 		results = append(results, r)
 	}
 	extremes := CellResult{SchemaVersion: ResultSchemaVersion, Cell: testCell(),

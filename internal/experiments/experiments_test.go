@@ -98,8 +98,16 @@ func TestSchemeFactories(t *testing.T) {
 
 // starRun executes one testbed configuration pooled over seeds.
 func starRun(scheme Scheme, wl string, load float64,
-	rtt rttvar.RTTDistribution, sc Scale) RunResult {
-	return RunSeeds(sc, starCfg(scheme, wl, load, rtt, sc), nil)
+	rtt rttvar.RTTDistribution, sc Scale) LoadPool {
+	return seedsRun(sc, starCfg(scheme, wl, load, rtt, sc))
+}
+
+// seedsRun runs cfg once per seed of sc as a one-point figure grid and
+// pools the runs.
+func seedsRun(sc Scale, cfg RunConfig) LoadPool {
+	g := newGrid(oneCol, oneCol, func(int, int) RunConfig { return cfg })
+	runGrids(sc, g)
+	return g.at(0, 0)
 }
 
 // parseF reads a rendered table cell back as a number (0 when it is not one).
@@ -369,7 +377,7 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestAverageSeedsAggregates checks RunSeeds' multi-seed pooling plumbing.
+// TestAverageSeedsAggregates checks the multi-seed pooling plumbing.
 func TestAverageSeedsAggregates(t *testing.T) {
 	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
 	cfg := RunConfig{
@@ -379,7 +387,7 @@ func TestAverageSeedsAggregates(t *testing.T) {
 		RTT:     rtt,
 		Traffic: Traffic{Poisson: Poisson{Workload: workload.WebSearch, Load: 0.4, Count: 80}},
 	}
-	r := RunSeeds(Scale{Seeds: []int64{1, 2}}, cfg, nil)
+	r := seedsRun(Scale{Seeds: []int64{1, 2}}, cfg)
 	if r.Injected != 160 {
 		t.Errorf("Injected = %d, want 160", r.Injected)
 	}
@@ -660,7 +668,7 @@ func TestBufferModelsShape(t *testing.T) {
 	}
 }
 
-// TestPooledP99DiffersFromAveraged pins the statistical fix in MergeRuns:
+// TestPooledP99DiffersFromAveraged pins the statistical fix in PoolLoad:
 // with a skewed two-seed fixture (one seed holds the single outlier), the
 // pooled p99 over the combined sample set is far from the old
 // average-of-per-seed-p99s, which let one seed's outlier dominate.
@@ -676,12 +684,12 @@ func TestPooledP99DiffersFromAveraged(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		uniform.Record(10_000, 100*sim.Microsecond, false)
 	}
-	a := RunResult{Stats: skewed.Stats(), Collector: skewed}
-	b := RunResult{Stats: uniform.Stats(), Collector: uniform}
+	a := CellResult{Stats: skewed.Stats(), Records: skewed.Records()}
+	b := CellResult{Stats: uniform.Stats(), Records: uniform.Records()}
 
-	merged := MergeRuns([]RunResult{a, b})
-	if len(merged.Collector.Records()) != 200 {
-		t.Fatalf("pooled %d records, want 200", len(merged.Collector.Records()))
+	merged := PoolLoad(0.5, []CellResult{a, b})
+	if len(merged.Records) != 200 {
+		t.Fatalf("pooled %d records, want 200", len(merged.Records))
 	}
 	averaged := (a.Stats.ShortP99 + b.Stats.ShortP99) / 2
 	pooled := merged.Stats.ShortP99
@@ -709,8 +717,8 @@ func TestParallelDeterminism(t *testing.T) {
 	serial.Parallel = 1
 	wide := sc
 	wide.Parallel = 8
-	a := RunSeeds(serial, cfg, nil)
-	b := RunSeeds(wide, cfg, nil)
+	a := seedsRun(serial, cfg)
+	b := seedsRun(wide, cfg)
 
 	if a.Stats != b.Stats {
 		t.Errorf("stats differ across parallelism:\n%+v\n%+v", a.Stats, b.Stats)
@@ -720,7 +728,7 @@ func TestParallelDeterminism(t *testing.T) {
 		a.Injected != b.Injected {
 		t.Error("counters differ across parallelism")
 	}
-	ar, br := a.Collector.Records(), b.Collector.Records()
+	ar, br := a.Records, b.Records
 	if len(ar) != len(br) {
 		t.Fatalf("pooled record counts differ: %d vs %d", len(ar), len(br))
 	}

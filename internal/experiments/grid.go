@@ -66,7 +66,7 @@ func runGrids(sc Scale, grids ...*grid) {
 			sc.Progress(p)
 		}
 	}
-	out, _ := RunCells(context.Background(), cells, nil, nil, nil, opts)
+	out, _ := RunCells(context.Background(), cells, nil, nil, nil, nil, opts)
 	res := make([]CellResult, len(out))
 	for i, o := range out {
 		if o.Err != nil {

@@ -8,7 +8,6 @@ import (
 
 	"ecnsharp/internal/aqm"
 	"ecnsharp/internal/fault"
-	"ecnsharp/internal/harness"
 	"ecnsharp/internal/metrics"
 	"ecnsharp/internal/packet"
 	"ecnsharp/internal/rttvar"
@@ -121,22 +120,33 @@ type RunResult struct {
 
 	// QueueSamples and Goodput are the sampling window's series (nil
 	// without one): the last-hop queue, and one series per long flow in
-	// flow order. MergeRuns pools neither.
+	// flow order.
 	QueueSamples []metrics.QueueSample
 	Goodput      [][]metrics.GoodputPoint
 
-	// Net is the network the run was simulated on — Run and RunContext set
-	// it; results pooled by RunSeeds carry none.
+	// Net is the network the run was simulated on.
 	Net *topology.Net
-	// Report counts the run's windows, per-domain events, handoffs,
-	// event-queue refills and marks by kind (summed over seeds by
-	// MergeRuns). It is deterministic but describes the execution, not the
-	// simulated network, so no result encoding or cache key includes it.
-	Report sim.RunReport
-	// Pools counts each domain's packet pool (summed over seeds by
-	// MergeRuns); like Report it describes the execution and stays out of
-	// every encoding.
-	Pools []PoolCount
+	// Report describes how the run executed, not the simulated network,
+	// so no result encoding or cache key includes it.
+	Report Report
+}
+
+// Report is what a run reports of its execution: the engine's windows,
+// per-domain events, handoffs, event-queue refills and marks by kind, and
+// each domain's packet pool. Its JSON is ecnsim -report's line.
+type Report struct {
+	sim.RunReport
+	Pools []PoolCount `json:"pools"`
+}
+
+// Add sums o into r, domain by domain.
+func (r *Report) Add(o Report) {
+	r.RunReport.Add(o.RunReport)
+	r.Pools = append(r.Pools, make([]PoolCount, max(0, len(o.Pools)-len(r.Pools)))...)
+	for d, c := range o.Pools {
+		r.Pools[d].Gets += c.Gets
+		r.Pools[d].News += c.News
+	}
 }
 
 func (c *RunConfig) defaults() {
@@ -390,8 +400,7 @@ func RunContext(ctx context.Context, cfg RunConfig, tr trace.Tracer) (RunResult,
 		Failed:    failed,
 		Injected:  len(specs),
 		Net:       net,
-		Report:    net.Report(),
-		Pools:     poolCounts(net),
+		Report:    Report{net.Report(), poolCounts(net)},
 	}
 	for _, s := range table.Senders {
 		res.Timeouts += s.Stats.Timeouts
@@ -446,8 +455,9 @@ func sumOf(xs []int) int {
 }
 
 // PoolCount is one domain's packet pool over a run: the packets it handed
-// out and those it allocated because its free list was empty. Both are
-// functions of the simulation alone, equal at any worker count.
+// out and those it allocated because its free list was empty. Gets are a
+// function of the simulation alone, equal at any worker count; news are not,
+// because the domains of one worker group share a free list.
 type PoolCount struct {
 	Gets int64 `json:"gets"`
 	News int64 `json:"news"`
@@ -462,76 +472,4 @@ func poolCounts(net *topology.Net) []PoolCount {
 		}
 	}
 	return counts
-}
-
-// MergeRuns pools per-seed results into one, deterministically in input
-// (seed) order: counters sum, and FCT records pool into a fresh collector so
-// percentiles are computed over the combined sample set (a true pooled p99,
-// not an average of per-seed p99s). Sampled series are not pooled.
-func MergeRuns(runs []RunResult) RunResult {
-	if len(runs) == 0 {
-		panic("experiments: MergeRuns of no runs")
-	}
-	pool := metrics.NewFCTCollector()
-	var merged RunResult
-	for _, r := range runs {
-		pool.Merge(r.Collector)
-		merged.Drops += r.Drops
-		merged.Marks += r.Marks
-		merged.Timeouts += r.Timeouts
-		merged.Retransmits += r.Retransmits
-		merged.Completed += r.Completed
-		merged.Failed += r.Failed
-		merged.Injected += r.Injected
-		merged.Report.Add(r.Report)
-		merged.Pools = append(merged.Pools, make([]PoolCount, max(0, len(r.Pools)-len(merged.Pools)))...)
-		for d, c := range r.Pools {
-			merged.Pools[d].Gets += c.Gets
-			merged.Pools[d].News += c.News
-		}
-	}
-	merged.Collector = pool
-	merged.Stats = pool.Stats()
-	return merged
-}
-
-// RunSeeds executes cfg once per configured seed on the worker pool sc
-// describes (so -parallel, -timeout and -progress apply), each on its own
-// engine, the run of sc.Seeds[i] traced into sinks[i] (nil sinks: every run
-// untraced), and pools the results in seed order, so the output is
-// identical at any parallelism. A failed run (per-run timeout, or a panic
-// on a worker goroutine) aborts with a panic naming it.
-func RunSeeds(sc Scale, cfg RunConfig, sinks []trace.Tracer) RunResult {
-	if len(sc.Seeds) == 0 {
-		panic("experiments: no seeds")
-	}
-	jobs := make([]harness.Job, len(sc.Seeds))
-	for i, seed := range sc.Seeds {
-		run := cfg
-		run.Seed = seed
-		var tr trace.Tracer
-		if sinks != nil {
-			tr = sinks[i]
-		}
-		jobs[i] = harness.Job{
-			Label: fmt.Sprintf("%s seed=%d", cfg.Scheme.Label, seed),
-			Run: func(ctx context.Context) (any, error) {
-				r, err := RunContext(ctx, run, tr)
-				// Nothing reads a pooled run's network, and holding every
-				// seed's topology, engines and flow endpoints until the
-				// merge is what its memory would otherwise be.
-				r.Net = nil
-				return r, err
-			},
-		}
-	}
-	res, _ := harness.Execute(context.Background(), jobs, sc.harnessOptions())
-	runs := make([]RunResult, len(res))
-	for i, r := range res {
-		if r.Err != nil {
-			panic(fmt.Sprintf("experiments: %s: %v", r.Label, r.Err))
-		}
-		runs[i] = r.Value.(RunResult)
-	}
-	return MergeRuns(runs)
 }

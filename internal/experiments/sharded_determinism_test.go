@@ -84,7 +84,7 @@ func TestShardedByteIdenticalToSerial(t *testing.T) {
 		if err := jw.Flush(); err != nil {
 			t.Fatalf("shards=%d: trace flush: %v", shards, err)
 		}
-		return buf.String(), renderResult(res), res.Report
+		return buf.String(), renderResult(res), res.Report.RunReport
 	}
 
 	serialTrace, serialResult, serialReport := render(1)
@@ -135,7 +135,7 @@ func TestShardedPacketListsIndependentOfGOMAXPROCS(t *testing.T) {
 			if err != nil {
 				t.Fatalf("shards=%d GOMAXPROCS=%d: %v", shards, procs, err)
 			}
-			got := fmt.Sprintf("%s%s%+v\npools %+v\n", buf.String(), renderResult(res), res.Report, res.Pools)
+			got := fmt.Sprintf("%s%s%+v\n", buf.String(), renderResult(res), res.Report)
 			if procs == 1 {
 				want = got
 				continue
@@ -220,7 +220,7 @@ func TestShardedPaperCellByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		return outcome{h.Sum64(), cw.n, renderResult(res), res.Report}
+		return outcome{h.Sum64(), cw.n, renderResult(res), res.Report.RunReport}
 	}
 
 	serial := render(1)

@@ -301,8 +301,7 @@ func (s *SweepSpec) Cells() []Cell {
 
 // LoadPool is one load point of a sweep pooled over its seeds, in seed
 // order: the pooled record stream and its statistics — true pooled
-// percentiles, not averaged per-seed ones, exactly like MergeRuns — and the
-// summed counters.
+// percentiles, not averaged per-seed ones — and the summed counters.
 type LoadPool struct {
 	// Load is the offered-load point.
 	Load float64
@@ -473,9 +472,13 @@ type CellResult struct {
 	// sampling window, absent without one (no spec sets it).
 	QueueSamples []metrics.QueueSample    `json:"queue_samples,omitempty"`
 	Goodput      [][]metrics.GoodputPoint `json:"goodput,omitempty"`
-	// TraceJSONL is the captured event trace (empty when untraced),
-	// byte-identical to what ecnsim -trace would have written.
+	// TraceJSONL is the captured event trace (empty when untraced or
+	// streamed to a RunCells sink), byte-identical to what ecnsim -trace
+	// writes.
 	TraceJSONL string `json:"trace_jsonl,omitempty"`
+	// Report is the run's RunResult.Report when this process computed the
+	// result, nil when it was decoded; no encoding or key includes it.
+	Report *Report `json:"-"`
 }
 
 // Encode serializes the result to its canonical byte form (single-line
@@ -574,13 +577,18 @@ func (r CellResult) Collector() *metrics.FCTCollector {
 // Run executes the cell and assembles its serializable result. The context
 // carries cancellation and per-job deadlines as in RunContext; a canceled
 // run returns the error, never a partial result.
-func (c Cell) Run(ctx context.Context) (CellResult, error) {
+func (c Cell) Run(ctx context.Context) (CellResult, error) { return c.run(ctx, nil) }
+
+// run is Run with the cell's selected events streamed to sink, when sink is
+// non-nil and the cell is traced, instead of captured in TraceJSONL.
+func (c Cell) run(ctx context.Context, sink trace.Tracer) (CellResult, error) {
 	cfg, err := c.RunConfig()
 	if err != nil {
 		return CellResult{}, err
 	}
-	// A traced cell's events are encoded into an in-memory buffer, so a
-	// store can keep and replay them byte-identical to a streamed file.
+	// Without a sink, a traced cell's events are encoded into an in-memory
+	// buffer, so a store can keep and replay them byte-identical to a
+	// streamed file.
 	var (
 		buf bytes.Buffer
 		w   *trace.JSONLWriter
@@ -591,14 +599,19 @@ func (c Cell) Run(ctx context.Context) (CellResult, error) {
 		if err != nil {
 			return CellResult{}, err
 		}
-		w = trace.NewJSONLWriter(&buf)
-		tr = trace.NewFilter(w, mask, c.Trace.Sample)
+		if sink == nil {
+			w = trace.NewJSONLWriter(&buf)
+			sink = w
+		}
+		tr = trace.NewFilter(sink, mask, c.Trace.Sample)
 	}
 	res, err := RunContext(ctx, cfg, tr)
 	if err != nil {
 		return CellResult{}, err
 	}
 	c.Shards = 0 // the echo is the canonical cell, equal to its decoded form
+	// A copy: a pointer into res would keep its network alive.
+	report := res.Report
 	out := CellResult{
 		SchemaVersion: ResultSchemaVersion,
 		Cell:          c,
@@ -613,6 +626,7 @@ func (c Cell) Run(ctx context.Context) (CellResult, error) {
 		Injected:      res.Injected,
 		QueueSamples:  res.QueueSamples,
 		Goodput:       res.Goodput,
+		Report:        &report,
 	}
 	if w != nil {
 		if err := w.Flush(); err != nil {
@@ -659,28 +673,38 @@ type CellOutcome struct {
 	Err error
 }
 
-// RunCells is the one executor behind ecnsim -spec, the daemon and the
-// tuner: it fans the cells out over the harness pool, each through
+// RunCells is the one executor behind ecnsim, the figures, the daemon and
+// the tuner: it fans the cells out over the harness pool, each through
 // store.DoPrior(key) around Run and Encode, decodes the payload unless this
-// call computed it, and returns
-// one outcome per cell in submission order. keys, when non-nil, are the
-// cells' cache keys (Cell.Key(ResultSchemaVersion) each) as the caller
-// already derived them; nil derives them here. A nil store computes every
-// cell directly; the bytes are the same either way. A non-nil table
-// supplies each cell's prior entry bytes and decodes every entry the store
-// read. Per-cell failures are reported in the outcome, never hide the other
-// cells, and the returned error is non-nil only when ctx was canceled.
+// call computed it, and returns one outcome per cell in submission order.
+// keys, when non-nil, are the cells' cache keys (Cell.Key(ResultSchemaVersion)
+// each) as the caller already derived them; nil derives them here. sinks,
+// when non-nil, stream each traced cell's selected events to sinks[i]
+// (flushing it is the caller's job) instead of into its result's
+// TraceJSONL; a store would keep results without their traces, so sinks
+// with a store are refused. A nil store computes every cell directly; the
+// bytes are the same either way. A non-nil table supplies each cell's prior
+// entry bytes and decodes every entry the store read. Per-cell failures are
+// reported in the outcome, never hide the other cells, and the returned
+// error is non-nil only when ctx was canceled or sinks came with a store.
 // opts.OnDone observes each completion as it happens; its Progress.Value is
 // the finished cell's *CellOutcome (nil when Progress.Err is set).
-func RunCells(ctx context.Context, cells []Cell, keys []string, store *cache.Store, table CellTable, opts harness.Options) ([]CellOutcome, error) {
+func RunCells(ctx context.Context, cells []Cell, keys []string, sinks []trace.Tracer, store *cache.Store, table CellTable, opts harness.Options) ([]CellOutcome, error) {
+	if sinks != nil && store != nil {
+		return nil, errors.New("experiments: RunCells: trace sinks with a store")
+	}
 	jobs := make([]harness.Job, len(cells))
 	for i, cell := range cells {
 		jobs[i] = harness.Job{
 			Label: fmt.Sprintf("%s load=%.2f seed=%d", cell.Scheme.Label, cell.Traffic.Poisson.Load, cell.Seed),
 			Run: func(ctx context.Context) (any, error) {
 				var computed *CellResult
+				var sink trace.Tracer
+				if sinks != nil {
+					sink = sinks[i]
+				}
 				compute := func() ([]byte, error) {
-					res, err := cell.Run(ctx)
+					res, err := cell.run(ctx, sink)
 					if err != nil {
 						return nil, err
 					}

@@ -571,7 +571,7 @@ type streamEvent struct {
 // RunCells' return values are not needed: every cell, started or not,
 // reports through OnDone, so onCellDone has counted the failures.
 func (sw *sweep) run(s *Server, j *job) {
-	experiments.RunCells(s.ctx, sw.cells, sw.keys, s.cfg.Store, s.table, harness.Options{
+	experiments.RunCells(s.ctx, sw.cells, sw.keys, nil, s.cfg.Store, s.table, harness.Options{
 		Parallel: s.cfg.Parallel,
 		Timeout:  s.cfg.Timeout,
 		OnDone:   func(p harness.Progress) { sw.onCellDone(s.table, j, p) },

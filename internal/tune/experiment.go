@@ -78,7 +78,7 @@ func TunedVsDefault(sc experiments.Scale) []*experiments.Table {
 // for the table.
 func pooledStats(spec *Spec, sc experiments.Scale, vec []float64) metrics.FCTStats {
 	cells := withTuned(spec.Sweep.Cells(), spec.Space.ToTuned(vec))
-	outcomes, _ := experiments.RunCells(context.Background(), cells, nil, nil, nil,
+	outcomes, _ := experiments.RunCells(context.Background(), cells, nil, nil, nil, nil,
 		harness.Options{Parallel: sc.Parallel, Timeout: sc.Timeout})
 	results := make([]experiments.CellResult, len(outcomes))
 	for i, out := range outcomes {

@@ -226,7 +226,7 @@ func (t *tuner) scoreBatch(ctx context.Context, round int, batch [][]float64) ([
 		cells = append(cells, withTuned(baseCells, t.sp.ToTuned(v))...)
 	}
 
-	outcomes, err := experiments.RunCells(ctx, cells, nil, t.opts.Store, nil,
+	outcomes, err := experiments.RunCells(ctx, cells, nil, nil, t.opts.Store, nil,
 		harness.Options{Parallel: t.opts.Parallel, Timeout: t.opts.Timeout})
 	if err != nil {
 		return nil, err

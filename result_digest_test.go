@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ecnsharp/internal/experiments"
+	"ecnsharp/internal/fault"
 	"ecnsharp/internal/tune"
 )
 
@@ -26,7 +27,10 @@ type digestReport struct {
 }
 
 // digestCells are small cells covering both topologies under every scheme,
-// one tuned cell and one traced cell, keyed by a label.
+// one tuned cell, one traced cell and one fault cell, keyed by a label. The
+// fault cell carries what ecnsim -faults puts on a cell, a schedule and
+// bounded RTO retries, and its schedule cuts one host off for good, so the
+// flows to and from it give up on RTO exhaustion.
 func digestCells(t *testing.T) map[string]experiments.Cell {
 	cells := make(map[string]experiments.Cell)
 	cell := func(topo, scheme, trace string) experiments.Cell {
@@ -47,6 +51,10 @@ func digestCells(t *testing.T) map[string]experiments.Cell {
 		Params: []experiments.TunedValue{{Name: "ins_target_us", Value: 150}}}}}
 	cells["leafspine/ecnsharp/tuned"] = tuned
 	cells["leafspine/ecnsharp/traced"] = cell("leafspine", "ecnsharp", `,"trace":{"events":"mark,drop,flow_finish","sample":2}`)
+	cut := cells["star/ecnsharp"]
+	cut.Faults = &fault.Schedule{Events: []fault.Event{{AtUS: 100, Action: fault.LinkDown, Link: "sw0-host3"}}}
+	cut.Transport.MaxConsecTimeouts = 20
+	cells["star/ecnsharp/faults"] = cut
 	return cells
 }
 
@@ -79,6 +87,9 @@ func measureDigests(t *testing.T) digestReport {
 	}
 	for label, cell := range digestCells(t) {
 		r, err := cell.Run(context.Background())
+		if cell.Faults != nil && r.Failed == 0 {
+			t.Errorf("%s: no flow failed", label)
+		}
 		if err == nil {
 			var b []byte
 			b, err = r.Encode()
